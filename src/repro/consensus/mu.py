@@ -64,12 +64,6 @@ class _WindowCache:
     def covers(self, index: int) -> bool:
         return self.start_index <= index < self.start_index + self.count
 
-    def slot(self, index: int, slot_size: int):
-        if not self.covers(index):
-            return None
-        begin = (index - self.start_index) * slot_size
-        return self.data[begin : begin + slot_size]
-
 
 class MuGroup:
     """One node's endpoint of the consensus instance for one group."""
@@ -422,8 +416,6 @@ class MuGroup:
         reconciliation it does not push records to anyone — a follower
         has no write permission anyway.
         """
-        own_region = self.node.regions[self.region_name]
-        slots, slot_size = self.config.ring_slots, self.config.slot_size
         index = self._local_head()
         peers = [
             p
@@ -432,30 +424,38 @@ class MuGroup:
         ]
         caches: dict[str, _WindowCache] = {}
         while True:
-            offset = (index % slots) * slot_size
-            own = own_region.read(offset, slot_size)
-            record = parse_record(own, index, slots)
-            if record is None:
-                for peer in peers:
-                    slot = yield from self._peer_slot(peer, index, caches)
-                    if slot is None:
-                        continue
-                    candidate = parse_record(slot, index, slots)
-                    if candidate is not None:
-                        record = candidate
-                        own_region.write(offset, record)
-                        break
+            record = yield from self._adopt_record(index, peers, caches)
             if record is None:
                 return index
             index += 1
+
+    def _adopt_record(self, index: int, peers: list[str], caches):
+        """The record for ``index``: ours if our log copy holds it, else
+        the first reachable peer copy's, installed into ours.  None
+        when no copy has it.  Every slot is parsed in place — in our
+        region or in the fetched window — and only a found record's
+        bytes are copied."""
+        own_region = self.node.regions[self.region_name]
+        slots, slot_size = self.config.ring_slots, self.config.slot_size
+        offset = (index % slots) * slot_size
+        record = parse_record(own_region.data, index, slots, offset,
+                              slot_size)
+        if record is None:
+            for peer in peers:
+                record = yield from self._peer_record(peer, index, caches)
+                if record is not None:
+                    own_region.write(offset, record)
+                    break
+        return record
 
     #: Slots fetched per remote read while scanning peers' log copies —
     #: bounded windows instead of whole multi-megabyte ring regions,
     #: so elections stay in the sub-millisecond regime.
     _WINDOW = 64
 
-    def _peer_slot(self, peer: str, index: int, caches):
-        """One slot of a peer's log region, via a cached windowed read."""
+    def _peer_record(self, peer: str, index: int, caches):
+        """``index``'s record in a peer's log region (None when absent
+        or unreachable), via a cached windowed read."""
         slots, slot_size = self.config.ring_slots, self.config.slot_size
         cache = caches.get(peer)
         if cache is None or not cache.covers(index):
@@ -471,7 +471,10 @@ class MuGroup:
                 return None
             caches[peer] = _WindowCache(index, count, wc.data)
             cache = caches[peer]
-        return cache.slot(index, slot_size)
+        return parse_record(
+            cache.data, index, slots,
+            (index - cache.start_index) * slot_size, slot_size,
+        )
 
     def _reconcile(self, suspected: set[str]) -> Generator[Event, Any, int]:
         """Adopt any record the old leader wrote anywhere; return the tail.
@@ -481,7 +484,6 @@ class MuGroup:
         found is written into every reachable region (idempotent: the
         bytes at one index are identical everywhere).
         """
-        own_region = self.node.regions[self.region_name]
         slots, slot_size = self.config.ring_slots, self.config.slot_size
         peers = [
             p
@@ -493,21 +495,10 @@ class MuGroup:
         # Walk indices from our head until no copy has a valid record.
         index = self._local_head()
         while True:
-            offset = (index % slots) * slot_size
-            own = own_region.read(offset, slot_size)
-            record = parse_record(own, index, slots)
-            if record is None:
-                for peer in peers:
-                    slot = yield from self._peer_slot(peer, index, caches)
-                    if slot is None:
-                        continue
-                    candidate = parse_record(slot, index, slots)
-                    if candidate is not None:
-                        record = candidate
-                        own_region.write(offset, record)
-                        break
+            record = yield from self._adopt_record(index, peers, caches)
             if record is None:
                 return index
+            offset = (index % slots) * slot_size
             for peer in peers:
                 region = self.node.region_of(peer, self.region_name)
                 qp = self.node.qp_to(peer, mu_channel(self.gid))

@@ -188,10 +188,9 @@ class ReliableBroadcast:
             raise ValueError(
                 f"message of {len(message)} bytes exceeds backup slot"
             )
-        slot = bytearray(self.backup.size)
-        struct.pack_into("<I", slot, 0, len(message))
-        slot[_HEADER : _HEADER + len(message)] = message
-        self.backup.write(0, bytes(slot))
+        # Header + message only: a survivor reads ``length`` bytes past
+        # the header, so a longer predecessor's tail need not be zeroed.
+        self.backup.write(0, struct.pack("<I", len(message)) + message)
 
     def _clear_backup(self) -> None:
         self.backup.write(0, b"\x00" * _HEADER)

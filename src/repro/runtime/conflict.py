@@ -32,7 +32,6 @@ from .probe import RuntimeProbe
 from .ringbuffer import (
     RingCorruptionError,
     classify_corruption,
-    parse_record,
     record_overhead,
 )
 from .wire import WireCodec, WireError
@@ -412,19 +411,16 @@ class ConflictCoordinator:
         A slot that stays unrepaired (no reachable source yet) is
         retried by the hole detector on later sweeps.
         """
-        cfg = self.config
         ring = f"L:{gid}"
-        offset = (index % cfg.ring_slots) * cfg.slot_size
-        before = bytes(reader.region.read(offset, cfg.slot_size))
+        before = reader.slot_bytes(index)
         self.probe.crc_reject(ring)
         reader.quarantine(index)
         mu = self.mu_groups[gid]
         yield from mu.self_repair(set(self.suspected()))
-        after = reader.region.read(offset, cfg.slot_size)
-        record = parse_record(after, index, cfg.ring_slots)
+        record = reader.record_at(index)
         if record is None:
             return False
-        kind = classify_corruption(before, bytes(record))
+        kind = classify_corruption(before, record)
         if kind == "torn":
             self.probe.torn_detect(ring)
         self.probe.slot_repair(ring)
@@ -440,14 +436,9 @@ class ConflictCoordinator:
         self._l_hole_misses[gid] = misses
         if misses % 256:
             return
-        slots = self.config.ring_slots
-        slot_size = self.config.slot_size
         offset_index = 1
         while offset_index <= 1024:
-            index = reader.head + offset_index
-            offset = (index % slots) * slot_size
-            slot = reader.region.read(offset, slot_size)
-            if parse_record(slot, index, slots) is not None:
+            if reader.record_at(reader.head + offset_index) is not None:
                 self.probe.hole_repair(gid)
                 self.spawn(
                     self.rejoin_repair(gid), f"hole-repair:{self.name}"
@@ -462,8 +453,7 @@ class ConflictCoordinator:
         # head slot that still reads as a hole is suspicious enough to
         # schedule a self-repair pass; a previous-lap leftover costs
         # one redundant (idempotent) repair scan per 256 misses.
-        head_offset = (reader.head % slots) * slot_size
-        if any(reader.region.read(head_offset, slot_size)):
+        if any(reader.slot_bytes(reader.head)):
             self.spawn(
                 self.rejoin_repair(gid), f"hole-repair:{self.name}"
             )

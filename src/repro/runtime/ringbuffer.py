@@ -113,31 +113,42 @@ def _generation(index: int, slots: int) -> int:
     return 1 + (index // slots) % _GENERATIONS
 
 
-def _split_slot(slot: bytes) -> Optional[tuple[int, int, bool]]:
-    """Decode a slot's framing: ``(payload_length, canary, checksummed)``.
+def _frame(buf, base: int,
+           size: Optional[int]) -> Optional[tuple[int, int, bool]]:
+    """Decode, in place, the framing of the ``size``-byte slot that
+    starts at ``buf[base]`` (None: the rest of ``buf``):
+    ``(payload_length, canary, checksummed)``.
 
-    Validates the length field against the actual slot bytes *before*
-    any further indexing, so hostile or torn bytes can never surface a
+    ``buf`` is anything with the buffer protocol and integer indexing —
+    a region's storage (or a memoryview of it), a ``bytes`` snapshot a
+    one-sided read returned, a lone slot — so no caller has to slice a
+    slot out before asking what it holds.  An empty slot costs one
+    4-byte unpack and one byte load.
+
+    Validates the length field against the slot size *before* any
+    further indexing, so hostile or torn bytes can never surface a
     ``struct.error``/``IndexError`` out of the parse path.  Returns
     None when the slot is too short or the length field (either
     layout) points outside the slot.
     """
-    if len(slot) < _LEN_BYTES + 1:
+    if size is None:
+        size = len(buf) - base
+    if size < _LEN_BYTES + 1:
         return None  # cannot even hold a length field + canary
-    (field,) = struct.unpack_from("<I", slot, 0)
+    (field,) = struct.unpack_from("<I", buf, base)
     checksummed = bool(field & _INTEGRITY_FLAG)
     length = field & _LEN_MASK
     overhead = _LEN_BYTES + 1 + (_CRC_BYTES if checksummed else 0)
-    if length > len(slot) - overhead:
+    if length > size - overhead:
         return None  # garbage or partially-landed length
-    return length, slot[_LEN_BYTES + length], checksummed
+    return length, buf[base + _LEN_BYTES + length], checksummed
 
 
-def _crc_ok(slot: bytes, length: int) -> bool:
-    """Verify a v2 record's stored CRC against its bytes."""
-    end = _LEN_BYTES + length + 1
-    (stored,) = struct.unpack_from("<I", slot, end)
-    return record_crc(bytes(slot[:end])) == stored
+def _crc_ok(buf, base: int, length: int) -> bool:
+    """Verify a v2 record's stored CRC against its bytes, in place."""
+    end = base + _LEN_BYTES + length + 1
+    (stored,) = struct.unpack_from("<I", buf, end)
+    return record_crc(buf[base:end]) == stored
 
 
 def scan_frontier(raw: bytes, head: int, slots: int,
@@ -157,14 +168,14 @@ def scan_frontier(raw: bytes, head: int, slots: int,
     base_lap = head // slots
     frontier = None
     for s in range(slots):
-        slot = raw[s * slot_size : (s + 1) * slot_size]
-        parts = _split_slot(slot)
+        base = s * slot_size
+        parts = _frame(raw, base, slot_size)
         if parts is None:
             continue  # garbage or partially-landed record
         length, canary, checksummed = parts
         if canary == 0:
             continue  # virgin slot
-        if checksummed and not _crc_ok(slot, length):
+        if checksummed and not _crc_ok(raw, base, length):
             continue  # corrupt record: its canary proves nothing
         lap = base_lap + (canary - 1 - base_lap) % _GENERATIONS
         index = lap * slots + s
@@ -173,17 +184,21 @@ def scan_frontier(raw: bytes, head: int, slots: int,
     return frontier
 
 
-def parse_record(slot: bytes, index: int, slots: int) -> Optional[bytes]:
-    """Parse one slot's bytes as the record for absolute ``index``.
+def parse_record(buf, index: int, slots: int, base: int = 0,
+                 size: Optional[int] = None) -> Optional[bytes]:
+    """Parse the slot at ``buf[base : base + size]`` (by default all of
+    ``buf``) as the record for absolute ``index``, in place.
 
-    Returns the full record (length + payload + canary, plus the CRC
-    trailer for checksummed records) when the slot holds a valid record
-    of ``index``'s generation, else None — a checksummed record whose
-    CRC fails is *not* valid, so repair paths treat corrupt slots
-    exactly like holes and refetch them.  Shared by the ring reader,
-    the F-ring repair path, and Mu's log reconciliation.
+    Returns a copy of the full record (length + payload + canary, plus
+    the CRC trailer for checksummed records) when the slot holds a
+    valid record of ``index``'s generation, else None — a checksummed
+    record whose CRC fails is *not* valid, so repair paths treat
+    corrupt slots exactly like holes and refetch them.  Shared by the
+    ring reader, the F-ring repair path, the scrubber, state transfer
+    and Mu's log reconciliation; only the record's own bytes are ever
+    copied, never the slot or the window around it.
     """
-    parts = _split_slot(slot)
+    parts = _frame(buf, base, size)
     if parts is None:
         return None
     length, canary, checksummed = parts
@@ -191,13 +206,14 @@ def parse_record(slot: bytes, index: int, slots: int) -> Optional[bytes]:
         return None
     end = _LEN_BYTES + length + 1
     if checksummed:
-        if not _crc_ok(slot, length):
+        if not _crc_ok(buf, base, length):
             return None
         end += _CRC_BYTES
-    return bytes(slot[:end])
+    return bytes(buf[base : base + end])
 
 
-def record_status(slot: bytes, index: int, slots: int) -> str:
+def record_status(buf, index: int, slots: int, base: int = 0,
+                  size: Optional[int] = None) -> str:
     """Classify one slot relative to absolute ``index``'s record.
 
     - ``"valid"``: holds ``index``'s record (CRC-verified when
@@ -207,21 +223,20 @@ def record_status(slot: bytes, index: int, slots: int) -> str:
     - ``"corrupt"``: a checksummed record claims a plausible generation
       but fails CRC — a bitflip or torn interior write landed.
 
-    The repair path uses this to tell *holes* (record never landed)
-    from *silent corruption* (record landed wrong), feeding the
-    ``torn_detected``/``crc_rejects`` counters.
+    Tells *holes* (record never landed) from *silent corruption*
+    (record landed wrong); addressed like :func:`parse_record`.
     """
-    parts = _split_slot(slot)
+    parts = _frame(buf, base, size)
     if parts is None:
         return "empty"
     length, canary, checksummed = parts
     if canary == _generation(index, slots):
-        if checksummed and not _crc_ok(slot, length):
+        if checksummed and not _crc_ok(buf, base, length):
             return "corrupt"
         return "valid"
     if canary == 0:
         return "empty"
-    if checksummed and not _crc_ok(slot, length):
+    if checksummed and not _crc_ok(buf, base, length):
         return "corrupt"
     return "empty"
 
@@ -323,7 +338,7 @@ class RingWriter:
         record[_LEN_BYTES : _LEN_BYTES + len(payload)] = payload
         record[body - 1] = _generation(self.tail, self.slots)
         struct.pack_into("<I", record, body,
-                         record_crc(bytes(record[:body])))
+                         record_crc(record[:body]))
         return bytes(record)
 
     def claim(self) -> int:
@@ -350,7 +365,14 @@ class RingWriter:
 
 
 class RingReader:
-    """The local reader's view over its own memory region."""
+    """The local reader's view over its own memory region.
+
+    Every read parses the region's storage in place (through one
+    long-lived ``memoryview``): looking at a slot costs a 4-byte unpack
+    and a byte load, a landed record costs a CRC over the view plus a
+    copy of its payload, and nothing is ever copied out of the region
+    just to be looked at.
+    """
 
     def __init__(self, region: MemoryRegion, slots: int, slot_size: int):
         if slots * slot_size > region.size:
@@ -359,6 +381,17 @@ class RingReader:
         self.slots = slots
         self.slot_size = slot_size
         self.head = 0  # kept locally by the single reader
+        self._view = memoryview(region.data)
+        #: ``(head, region.stamp)`` of the last peek that found nothing.
+        #: Nothing can have landed while both still hold, so re-polling
+        #: an idle ring is two compares.  A region without a write
+        #: stamp (a test double) never matches: always re-peek.
+        self._stamped = hasattr(region, "stamp")
+        self._idle: Optional[tuple[int, int]] = None
+
+    def offset_of(self, index: int) -> int:
+        """Region offset of absolute ``index``'s slot."""
+        return (index % self.slots) * self.slot_size
 
     def peek(self) -> Optional[bytes]:
         """The record at the head, or None if it has not landed yet.
@@ -367,12 +400,35 @@ class RingReader:
         slot this lap or a write is still in flight — in both cases the
         paper's traversal simply retries later.
         """
-        offset = (self.head % self.slots) * self.slot_size
-        slot = self.region.read(offset, self.slot_size)
-        return self._parse_slot(slot, self.head)
+        if self._stamped and self._idle == (self.head, self.region.stamp):
+            return None
+        payload = self._parse_slot(
+            self._view, self.head, self.offset_of(self.head), self.slot_size
+        )
+        if payload is None and self._stamped:
+            self._idle = (self.head, self.region.stamp)
+        return payload
 
-    def _parse_slot(self, slot: bytes, index: int) -> Optional[bytes]:
-        """Parse one slot as the record for absolute ``index``.
+    def record_at(self, index: int) -> Optional[bytes]:
+        """:func:`parse_record` of ``index``'s slot in our own copy:
+        the full record if it is there and intact, else None.  The
+        repair, scrub and state-transfer scans ask this instead of
+        copying each slot out to look at it."""
+        return parse_record(
+            self._view, index, self.slots, self.offset_of(index),
+            self.slot_size,
+        )
+
+    def slot_bytes(self, index: int) -> bytes:
+        """A copy of ``index``'s raw slot, valid or not — what the
+        corruption classifiers and the dirty-head check look at."""
+        return self.region.read(self.offset_of(index), self.slot_size)
+
+    def _parse_slot(self, buf, index: int, base: int = 0,
+                    size: Optional[int] = None) -> Optional[bytes]:
+        """The payload of absolute ``index``'s record, parsed in place
+        from the slot at ``buf[base : base + size]`` (default: all of
+        ``buf``); None when it has not landed.
 
         The only canaries a reader may legitimately see besides the
         expected generation are 0 (virgin slot) and the *previous*
@@ -398,28 +454,29 @@ class RingReader:
           this state); the probe-ahead repair path picks it up if it
           never completes.
 
-        The length field is validated against the actual slot bytes
-        before any indexing, so hostile bytes surface as None or a
-        RingError subclass — never ``struct.error``/``IndexError``.
+        The length field is validated against the slot size before any
+        indexing, so hostile bytes surface as None or a RingError
+        subclass — never ``struct.error``/``IndexError``.
         """
-        parts = _split_slot(slot)
+        parts = _frame(buf, base, size)
         if parts is None:
             return None  # short slot, stale or garbage length
         length, canary, checksummed = parts
         if canary == _generation(index, self.slots):
-            if checksummed and not _crc_ok(slot, length):
+            if checksummed and not _crc_ok(buf, base, length):
                 raise RingCorruptionError(
                     f"record {index} failed CRC: bitflipped or "
                     f"torn-interior write", index,
                 )
-            return slot[_LEN_BYTES : _LEN_BYTES + length]
+            start = base + _LEN_BYTES
+            return bytes(buf[start : start + length])
         if canary == 0:
             return None  # virgin slot: nothing written yet
         if index >= self.slots and canary == _generation(
             index - self.slots, self.slots
         ):
             return None  # previous lap's record: ours is in flight
-        if checksummed and not _crc_ok(slot, length):
+        if checksummed and not _crc_ok(buf, base, length):
             raise RingCorruptionError(
                 f"record {index} failed CRC under a foreign canary: "
                 f"corruption, not a lap", index,
@@ -432,26 +489,30 @@ class RingReader:
     def peek_run(self, max_records: int = 64) -> list[bytes]:
         """Consecutive landed records starting at the head, oldest first.
 
-        One region read covers the whole run (up to ``max_records``,
-        clamped at the ring's wrap point), so a sweep that finds a
-        train of records parses each slot once instead of re-issuing a
-        region read per record.  The caller consumes via
-        :meth:`advance` — records beyond what it consumes are simply
+        Walks the slots in place, up to ``max_records`` (clamped at the
+        ring's wrap point), and stops at the first slot whose record has
+        not landed: a sweep of an empty ring looks at one length field
+        and one canary byte, and one that finds a train of records
+        copies out their payloads and nothing else.  The caller consumes
+        via :meth:`advance` — records beyond what it consumes are simply
         re-peeked on the next sweep.
         """
-        first = self.head % self.slots
-        count = min(max_records, self.slots - first)
-        if count <= 0:
+        if self._stamped and self._idle == (self.head, self.region.stamp):
             return []
-        raw = self.region.read(first * self.slot_size,
-                               count * self.slot_size)
+        head = self.head
+        first = head % self.slots
+        size = self.slot_size
+        view = self._view
         run: list[bytes] = []
-        for i in range(count):
-            slot = raw[i * self.slot_size : (i + 1) * self.slot_size]
-            payload = self._parse_slot(slot, self.head + i)
+        for i in range(min(max_records, self.slots - first)):
+            payload = self._parse_slot(
+                view, head + i, (first + i) * size, size
+            )
             if payload is None:
                 break
             run.append(payload)
+        if not run and self._stamped:
+            self._idle = (head, self.region.stamp)
         return run
 
     def advance(self) -> None:
@@ -479,8 +540,7 @@ class RingReader:
         virgin and the normal hole-repair machinery (probe-ahead
         refetch from an authoritative copy) fills it back in.
         """
-        offset = (index % self.slots) * self.slot_size
-        self.region.write(offset, b"\x00" * self.slot_size)
+        self.region.write(self.offset_of(index), b"\x00" * self.slot_size)
 
     def try_read(self) -> Optional[bytes]:
         payload = self.peek()

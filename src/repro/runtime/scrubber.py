@@ -167,19 +167,14 @@ class Scrubber:
         repaired = 0
         for i in range(batch):
             index = cursor + i
-            auth_slot = bytes(
-                wc.data[i * cfg.slot_size : (i + 1) * cfg.slot_size]
+            authoritative = parse_record(
+                wc.data, index, cfg.ring_slots, i * cfg.slot_size,
+                cfg.slot_size,
             )
-            authoritative = parse_record(auth_slot, index, cfg.ring_slots)
             if authoritative is None:
                 continue  # the source no longer holds this index
-            slot_offset = offset + i * cfg.slot_size
-            local_slot = bytes(
-                reader.region.read(slot_offset, cfg.slot_size)
-            )
-            local = parse_record(local_slot, index, cfg.ring_slots)
-            authoritative = bytes(authoritative)
-            if local is not None and bytes(local) == authoritative:
+            local = reader.record_at(index)
+            if local == authoritative:
                 continue
             if local is None:
                 # Unparseable at rest: a quarantined slot awaiting a
@@ -189,8 +184,10 @@ class Scrubber:
                 # Parseable but divergent: with integrity off a
                 # corrupted record can still carry a valid canary —
                 # byte comparison is what catches it.
-                corruption = classify_corruption(local_slot, authoritative)
-            reader.region.write(slot_offset, authoritative)
+                corruption = classify_corruption(
+                    reader.slot_bytes(index), authoritative
+                )
+            reader.region.write(reader.offset_of(index), authoritative)
             self.probe.slot_repair(ring)
             self.probe.trace_repair(ring, index, corruption)
             repaired += 1

@@ -175,9 +175,7 @@ class StateTransfer:
         index = reader.head
         window: Optional[tuple[int, int, bytes]] = None
         for _ in range(slots):
-            offset = (index % slots) * slot_size
-            local = reader.region.read(offset, slot_size)
-            if parse_record(local, index, slots) is not None:
+            if reader.record_at(index) is not None:
                 index += 1
                 continue
             if window is None or not (
@@ -201,25 +199,22 @@ class StateTransfer:
                 if wc.status is not WcStatus.SUCCESS or wc.data is None:
                     return installed
                 window = (index, count, wc.data)
-            begin = (index - window[0]) * slot_size
-            slot = window[2][begin : begin + slot_size]
-            record = parse_record(slot, index, slots)
+            record = parse_record(
+                window[2], index, slots, (index - window[0]) * slot_size,
+                slot_size,
+            )
             if record is None:
                 return installed  # the source's frontier
-            reader.region.write(offset, bytes(record))
+            reader.region.write(reader.offset_of(index), record)
             installed += 1
             index += 1
         return installed
 
     def _local_frontier(self, reader) -> int:
         """First index past the reader head our local copy lacks."""
-        cfg = self.node.config
-        slots, slot_size = cfg.ring_slots, cfg.slot_size
         index = reader.head
-        for _ in range(slots):
-            offset = (index % slots) * slot_size
-            slot = reader.region.read(offset, slot_size)
-            if parse_record(slot, index, slots) is None:
+        for _ in range(self.node.config.ring_slots):
+            if reader.record_at(index) is None:
                 return index
             index += 1
         return index

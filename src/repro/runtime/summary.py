@@ -72,7 +72,7 @@ def current_record_bytes(region) -> bytes:
     used = _HEADER + length + _TRAILER
     if used > region.size:
         used = region.size
-    return bytes(region.data[:used])
+    return region.read(0, used)
 
 
 class SummarySlot:

@@ -358,7 +358,7 @@ class RingTransport:
     def drain(self, reader: RingReader, rule: str, sink, label: str = ""):
         """Apply consecutive ready records at ``reader``'s head.
 
-        Each sweep peeks a *run* of landed records in one region read
+        Each sweep peeks a *run* of landed records, parsed in place,
         and decodes each record exactly once, instead of re-peeking and
         re-parsing the head record-at-a-time.  Blocks at the first
         record whose dependency array is not yet satisfied — the head
@@ -542,15 +542,11 @@ class RingTransport:
         self._f_misses[origin] = misses
         if misses % 256:
             return False
-        cfg = self.config
         reader = self.f_readers[origin]
         ahead = 1
         found_ahead = False
         while ahead <= 1024:
-            index = reader.head + ahead
-            offset = (index % cfg.ring_slots) * cfg.slot_size
-            slot = reader.region.read(offset, cfg.slot_size)
-            if parse_record(slot, index, cfg.ring_slots) is not None:
+            if reader.record_at(reader.head + ahead) is not None:
                 found_ahead = True
                 break
             ahead *= 2
@@ -563,11 +559,7 @@ class RingTransport:
             # to attempt a repair pass (a virgin head just means the
             # writer is idle; a previous-lap leftover costs one failed
             # fetch per miss cycle).
-            head_offset = (
-                reader.head % cfg.ring_slots
-            ) * cfg.slot_size
-            head_slot = reader.region.read(head_offset, cfg.slot_size)
-            if not any(head_slot):
+            if not any(reader.slot_bytes(reader.head)):
                 return False
             repaired = yield from self.repair_f_ring(origin, is_suspected)
             if repaired:
@@ -638,16 +630,14 @@ class RingTransport:
         repaired = 0
         index = reader.head
         for _ in range(cfg.ring_slots):
-            offset = (index % cfg.ring_slots) * cfg.slot_size
-            slot = reader.region.read(offset, cfg.slot_size)
-            if parse_record(slot, index, cfg.ring_slots) is not None:
+            if reader.record_at(index) is not None:
                 index += 1  # already have this one
                 continue
             found = yield from self._fetch_record(origin, index,
                                                   is_suspected)
             if found is None:
                 break  # true frontier: nobody has the next record
-            reader.region.write(offset, found)
+            reader.region.write(reader.offset_of(index), found)
             repaired += 1
             index += 1
         return repaired
@@ -799,11 +789,9 @@ class RingTransport:
         leaves the slot quarantined for the probe-ahead repair pass to
         retry once a source is reachable).
         """
-        cfg = self.config
         reader = self.f_readers[origin]
         ring = f"F:{origin}"
-        offset = (index % cfg.ring_slots) * cfg.slot_size
-        before = bytes(reader.region.read(offset, cfg.slot_size))
+        before = reader.slot_bytes(index)
         self.probe.crc_reject(ring)
         reader.quarantine(index)
         found = yield from self._fetch_record(origin, index, is_suspected)
@@ -812,7 +800,7 @@ class RingTransport:
         kind = classify_corruption(before, found)
         if kind == "torn":
             self.probe.torn_detect(ring)
-        reader.region.write(offset, found)
+        reader.region.write(reader.offset_of(index), found)
         self.probe.slot_repair(ring)
         self.probe.trace_repair(ring, index, kind)
         return True

@@ -50,8 +50,34 @@ class TestMemoryRegion:
         b = MemoryRegion("p1", "b", 8, Access.ALL)
         assert a.rkey != b.rkey
 
-    def test_zero_clears(self):
+    @pytest.mark.parametrize("offset", [-8, -1, 9, 16, 1 << 20])
+    def test_read_u64_out_of_bounds_rejected(self, offset):
+        # Unchecked, a negative offset read from the END of the region
+        # and a large one surfaced as struct.error.
+        mr = MemoryRegion("p1", "buf", 16, Access.ALL)
+        mr.write(8, b"\xff" * 8)
+        with pytest.raises(RdmaAccessError):
+            mr.read_u64(offset)
+
+    def test_read_returns_an_immutable_copy(self):
         mr = MemoryRegion("p1", "buf", 8, Access.ALL)
-        mr.write(0, b"xxxxxxxx")
-        mr.zero()
-        assert mr.read(0, 8) == b"\x00" * 8
+        mr.write(0, b"abcdefgh")
+        snapshot = mr.read(0, 8)
+        mr.write(0, b"ABCDEFGH")
+        assert type(snapshot) is bytes and snapshot == b"abcdefgh"
+
+    def test_stamp_advances_on_every_local_mutation_only(self):
+        mr = MemoryRegion("p1", "buf", 32, Access.ALL)
+        seen = [mr.stamp]
+        mr.write(0, b"x")
+        seen.append(mr.stamp)
+        mr.write_u64(8, 7)
+        seen.append(mr.stamp)
+        mr.write(0, b"x")  # same bytes again: still a mutation
+        seen.append(mr.stamp)
+        assert seen == sorted(set(seen)) and len(seen) == 4
+        mr.read(0, 8), mr.read_u64(8)
+        for bad in (lambda: mr.write(31, b"xx"), lambda: mr.write_u64(30, 1)):
+            with pytest.raises(RdmaAccessError):
+                bad()
+        assert mr.stamp == seen[-1]  # reads and refused writes do not bump

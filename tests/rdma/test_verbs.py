@@ -209,6 +209,32 @@ class TestCas:
         assert cas_end > write_end
 
 
+class TestWriteStamp:
+    def test_landed_remote_write_and_cas_advance_the_stamp(self, cluster):
+        """Ring readers skip re-parsing while a region's stamp stands
+        still, so every remotely landed mutation has to move it — and a
+        read, a refused write and a CAS that did not swap must not."""
+        env, fabric = cluster
+        target = fabric.nodes["p2"].register("word", 16)
+        qp = fabric.nodes["p1"].qp_to("p2")
+        stamps = [target.stamp]
+
+        def proc(env):
+            yield from qp.write(target, 0, (7).to_bytes(8, "little"))
+            stamps.append(target.stamp)
+            yield from qp.cas(target, 0, expected=7, swap=99)
+            stamps.append(target.stamp)
+            yield from qp.read(target, 0, 16)
+            yield from qp.cas(target, 0, expected=7, swap=5)  # no swap
+            wc = yield from qp.write(target, 12, b"too long")
+            assert not wc.ok
+            stamps.append(target.stamp)
+
+        run_proc(env, proc(env))
+        assert target.read_u64(0) == 99
+        assert stamps[0] < stamps[1] < stamps[2] == stamps[3]
+
+
 class TestSendRecv:
     def test_two_sided_roundtrip(self, cluster):
         env, fabric = cluster

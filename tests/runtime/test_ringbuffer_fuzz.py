@@ -12,6 +12,14 @@ Two obligations, mirrored from the wire codec's fuzz suite:
    record bytes), returns None (in-flight verdicts), or rejects loudly
    via :class:`RingCorruptionError`.
 
+3. **In place is by copy.** The reader parses the region's storage
+   where it lies and skips a ring whose write stamp has not moved; on
+   a damaged ring it must hand back the same payloads and raise the
+   same errors as :func:`parse_record`/:func:`record_status` give for
+   each slot copied out — through a real :class:`MemoryRegion` and
+   through the stamp-less double below — and a skipped peek must never
+   hide a record that landed.
+
 Settings are left unpinned so CI's ``HYPOTHESIS_PROFILE=ci-fuzz``
 scales the example budget (see ``tests/runtime/conftest.py``).
 """
@@ -19,6 +27,7 @@ scales the example budget (see ``tests/runtime/conftest.py``).
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.rdma import Access, MemoryRegion
 from repro.runtime.ringbuffer import (
     RingCorruptionError,
     RingError,
@@ -36,11 +45,15 @@ MAX_PAYLOAD = SLOT_SIZE - 9
 
 
 class _Region:
-    """Minimal in-memory region (the parser never touches RDMA)."""
+    """Minimal in-memory region (the parser never touches RDMA).
 
-    def __init__(self, size):
+    Duck-typed on purpose: no write stamp, so a reader over it can
+    never skip a peek.  ``data`` may be another region's storage.
+    """
+
+    def __init__(self, size, data=None):
         self.size = size
-        self.data = bytearray(size)
+        self.data = bytearray(size) if data is None else data
 
     def read(self, offset, n):
         return bytes(self.data[offset : offset + n])
@@ -162,3 +175,170 @@ class TestIntegrityNeverLies:
             assert out is not None and bytes(out) == payload
             assert parse_record(bytes(slot), index, SLOTS) == record
             assert record_status(bytes(slot), index, SLOTS) == "valid"
+
+
+# -- in place == by copy ----------------------------------------------------
+
+#: What a slot of the corpus holds, relative to the index the reader
+#: will expect there.
+_KINDS = ("virgin", "intact", "previous", "lapped", "torn", "flipped",
+          "noise")
+
+_slot_plans = st.tuples(
+    st.sampled_from(_KINDS),
+    st.booleans(),                                   # integrity
+    st.binary(max_size=MAX_PAYLOAD),                 # payload
+    st.integers(1, 3),                               # laps ahead ("lapped")
+    st.integers(0, SLOT_SIZE - 1),                   # torn cut
+    st.lists(st.tuples(st.integers(0, SLOT_SIZE - 1),
+                       st.integers(1, 255)), min_size=1, max_size=3),
+    st.binary(min_size=SLOT_SIZE, max_size=SLOT_SIZE),   # noise
+)
+
+
+def _slot_bytes(index, plan) -> bytes:
+    kind, integrity, payload, laps, cut, flips, noise = plan
+    slot = bytearray(SLOT_SIZE)
+    if kind == "noise":
+        return noise
+    if kind == "virgin" or (kind == "previous" and index < SLOTS):
+        return bytes(slot)
+    at = {"previous": index - SLOTS, "lapped": index + laps * SLOTS}
+    record = _build_at(at.get(kind, index), payload, integrity)
+    if kind == "torn":
+        # A torn overwrite: the prefix lands over last lap's record.
+        if index >= SLOTS:
+            old = _build_at(index - SLOTS, payload[::-1], integrity)
+            slot[: len(old)] = old
+        record = record[: min(cut, len(record))]
+    slot[: len(record)] = record
+    if kind == "flipped":
+        for position, mask in flips:
+            slot[position] ^= mask
+    return bytes(slot)
+
+
+def _verdict(call):
+    """(payload-or-list, error type, error index) of one reader call."""
+    try:
+        return call(), None, None
+    except RingError as err:
+        return None, type(err), getattr(err, "index", None)
+
+
+def _by_copy(raw: bytes, head: int, count: int):
+    """The reference peek_run: copy every slot out, judge it alone with
+    the free functions, stop at the first that has not landed."""
+    judge = _reader()
+    run = []
+    for index in range(head, head + count):
+        begin = (index % SLOTS) * SLOT_SIZE
+        slot = raw[begin : begin + SLOT_SIZE]
+        payload, error, where = _verdict(
+            lambda: judge._parse_slot(slot, index)
+        )
+        status = record_status(slot, index, SLOTS)
+        record = parse_record(slot, index, SLOTS)
+        if payload is not None:
+            assert status == "valid" and record is not None
+            assert record[4 : 4 + len(payload)] == payload
+            run.append(payload)
+            continue
+        assert record is None
+        if error is RingCorruptionError:
+            assert status == "corrupt" and where == index
+        elif error is RingError:
+            assert status == "empty"  # an intact record of a later lap
+        if error is not None:
+            return None, error, where
+        break
+    return run, None, None
+
+
+class TestInPlaceReaderMatchesByCopy:
+    @given(
+        head=st.integers(0, 3 * SLOTS),
+        plans=st.lists(_slot_plans, min_size=SLOTS, max_size=SLOTS),
+        max_records=st.integers(1, SLOTS + 2),
+    )
+    def test_damaged_rings_read_the_same(self, head, plans, max_records):
+        raw = bytearray(SLOTS * SLOT_SIZE)
+        for i, plan in enumerate(plans):
+            begin = ((head + i) % SLOTS) * SLOT_SIZE
+            raw[begin : begin + SLOT_SIZE] = _slot_bytes(head + i, plan)
+        raw = bytes(raw)
+        count = min(max_records, SLOTS - head % SLOTS)
+        expected = _by_copy(raw, head, count)
+
+        real = MemoryRegion("p1", "ring", len(raw), Access.ALL)
+        double = _Region(len(raw))
+        for region in (real, double):
+            region.write(0, raw)
+            reader = RingReader(region, SLOTS, SLOT_SIZE)
+            reader.head = head
+            assert _verdict(lambda: reader.peek_run(max_records)) == expected
+            # Again: unchanged stamp (real) or no stamp at all (double).
+            assert _verdict(lambda: reader.peek_run(max_records)) == expected
+            run, *error = _by_copy(raw, head, 1)  # peek: head slot only
+            assert _verdict(reader.peek) == (run[0] if run else None, *error)
+            for index in range(head, head + count):
+                begin = reader.offset_of(index)
+                assert reader.record_at(index) == parse_record(
+                    raw[begin : begin + SLOT_SIZE], index, SLOTS
+                )
+
+    @given(
+        payloads=st.lists(st.binary(max_size=MAX_PAYLOAD), min_size=1,
+                          max_size=3 * SLOTS),
+        integrity=st.booleans(),
+        moves=st.lists(
+            st.tuples(st.sampled_from(("render", "land", "peek")),
+                      st.integers(0, 255)),
+            max_size=80,
+        ),
+    )
+    def test_skipped_peek_never_hides_a_landed_record(
+        self, payloads, integrity, moves
+    ):
+        """Random interleavings of the writer (render now, land later,
+        possibly out of order) and the reader (peek_run, advance some):
+        the stamp-skipping reader always sees what a reader that
+        re-parses the same bytes every time sees, and in the end has
+        consumed every record in order."""
+        region = MemoryRegion("p1", "ring", SLOTS * SLOT_SIZE, Access.ALL)
+        reader = RingReader(region, SLOTS, SLOT_SIZE)
+        # Same storage, no stamp: can never skip.
+        control = RingReader(
+            _Region(region.size, data=region.data), SLOTS, SLOT_SIZE
+        )
+        writer = RingWriter(SLOTS, SLOT_SIZE, integrity=integrity)
+        to_render = list(payloads)
+        in_flight: list[tuple[int, bytes]] = []
+        consumed = []
+
+        def step(move, n):
+            if move == "render":
+                if to_render and writer.tail - reader.head < SLOTS:
+                    in_flight.append(writer.render(to_render.pop(0)))
+            elif move == "land":
+                if in_flight:
+                    region.write(*in_flight.pop(n % len(in_flight)))
+            else:
+                control.head = reader.head
+                run = reader.peek_run()
+                assert run == control.peek_run()
+                for payload in run[: n % (len(run) + 1)]:
+                    reader.advance()
+                    consumed.append(payload)
+
+        for move, n in moves:
+            step(move, n)
+        while len(consumed) < len(payloads):
+            before = len(consumed)
+            for _ in range(SLOTS):
+                step("render", 0)
+            while in_flight:
+                step("land", 0)
+            step("peek", -1)  # -1 % (len(run) + 1) == len(run): take all
+            assert len(consumed) > before, "a landed record stayed hidden"
+        assert consumed == payloads

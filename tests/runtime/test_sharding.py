@@ -1,5 +1,9 @@
 """The sharded keyspace: router, facade, recorder, and checker."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.datatypes import bankmap_spec
@@ -199,3 +203,47 @@ class TestShardedRecorderAndChecker:
         ).check_recorder(recorder)
         assert not report.ok
         assert any(v.kind == "atomicity" for v in report.violations)
+
+
+_FOOTPRINT_CHILD = """
+import resource
+import sys
+from repro.datatypes import bankmap_spec
+from repro.runtime import ShardedCluster
+from repro.sim import Environment
+
+def peak_kib():
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+before = peak_kib()
+cluster = ShardedCluster.build(
+    Environment(), bankmap_spec(), n_shards=4, n_nodes=4
+)
+registered = sum(
+    region.size
+    for shard in cluster.shards
+    for node in shard.nodes.values()
+    for region in node.rnode.regions.values()
+)
+print(registered, (peak_kib() - before) * 1024)
+"""
+
+
+class TestHostFootprint:
+    def test_building_4x4_bank_keeps_registered_rings_non_resident(self):
+        """A 4 x 4 cluster registers ~320 MiB of rings (n**2 F rings +
+        L rings at ring_slots * slot_size each) and writes none of it
+        while building: peak RSS must not grow with what is registered.
+        A fresh interpreter, because ru_maxrss is a process-wide peak."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_CHILD], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        registered, grown = map(int, out.split())
+        assert registered > 300 << 20  # the premise: still registered
+        assert grown < 64 << 20, (
+            f"building grew peak RSS by {grown >> 20} MiB for "
+            f"{registered >> 20} MiB of registered, unwritten regions"
+        )

@@ -407,10 +407,13 @@ class TestBehaviouralInvariance:
 
 class TestOverhead:
     def test_tracing_overhead_within_budget(self):
-        """Full tracing costs <= 20% wall clock over counting probes."""
+        """Full tracing costs <= 5 us of host time per recorded event
+        over counting probes."""
+        budget_us_per_event = 5.0
 
         def run_once(tracing):
             env = Environment()
+            recorder = None
             if tracing:
                 recorder = TraceRecorder(env, capacity=1 << 20)
                 factory = recorder.probe_factory
@@ -423,22 +426,28 @@ class TestOverhead:
                                   update_ratio=0.5, seed=5)
             start = time.perf_counter()
             run_workload(env, cluster, config)
-            return time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            return elapsed, len(recorder.events()) if recorder else 0
 
         # Warm both paths once, then measure *interleaved* pairs and
         # keep each side's best, so clock drift / CI noise hits both
         # arms equally; the sim is deterministic so the work per run
-        # is identical.  Intrinsic overhead measures ~4-8%; the budget
-        # leaves ~2x headroom because the wire/transport batching work
-        # shrank the untraced denominator, so scheduler jitter of a few
-        # ms now reads as several points of relative overhead.
+        # (and the event count) is identical.  The gate is the absolute
+        # cost per recorded event, not traced/untraced: a ratio fails
+        # whenever the untraced path gets faster (it did, twice).  The
+        # cost measures 1.1-2.4 us/event; the courseware_mixed/_checked
+        # pair of benchmarks/perf tracks the ratio.
         run_once(False), run_once(True)
         bases, traceds = [], []
         for _ in range(5):
-            bases.append(run_once(False))
-            traceds.append(run_once(True))
+            bases.append(run_once(False)[0])
+            elapsed, events = run_once(True)
+            traceds.append(elapsed)
         base, traced = min(bases), min(traceds)
-        assert traced <= base * 1.20, (
-            f"tracing overhead {traced / base - 1:.1%} exceeds 20% "
-            f"({traced:.3f}s vs {base:.3f}s)"
+        assert events > 0
+        per_event_us = (traced - base) / events * 1e6
+        assert per_event_us <= budget_us_per_event, (
+            f"tracing costs {per_event_us:.2f} us per recorded event, over "
+            f"the {budget_us_per_event} us budget ({traced:.3f}s vs "
+            f"{base:.3f}s untraced, {events} events)"
         )
