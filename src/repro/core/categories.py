@@ -99,7 +99,7 @@ class Coordination:
     def sync_groups(self) -> list[SyncGroup]:
         return self.conflict_graph.groups
 
-    def dep(self, method: str) -> set[str]:
+    def dep(self, method: str) -> frozenset[str]:
         return self.dependency_graph.dependencies(method)
 
     def summarizer_of(self, method: str) -> Optional[Summarizer]:

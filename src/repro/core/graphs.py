@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from .analysis import MethodRelations
 
 __all__ = ["ConflictGraph", "DependencyGraph", "SyncGroup"]
@@ -35,29 +33,36 @@ class ConflictGraph:
 
     def __init__(self, relations: MethodRelations):
         self.relations = relations
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(relations.methods)
+        #: method -> conflicting methods (a self-loop, e.g. withdraw ⋈
+        #: withdraw, lists the method as its own neighbour).
+        self._adjacency: dict[str, set[str]] = {
+            method: set() for method in relations.methods
+        }
         for pair in relations.conflicts:
-            members = sorted(pair)
-            if len(members) == 1:  # self-loop, e.g. withdraw ⋈ withdraw
-                self.graph.add_edge(members[0], members[0])
-            else:
-                self.graph.add_edge(members[0], members[1])
+            for method in pair:
+                self._adjacency[method] |= pair
         self._groups = self._build_groups()
         self._group_of = {
             method: group for group in self._groups for method in group.methods
         }
 
     def _build_groups(self) -> list[SyncGroup]:
-        conflicting = self.relations.conflicting_methods()
+        """Connected components with at least one conflict edge, in
+        order of their smallest method."""
         groups = []
-        for component in sorted(
-            nx.connected_components(self.graph), key=lambda c: sorted(c)[0]
-        ):
-            members = frozenset(component) & frozenset(conflicting)
-            if members:
-                gid = "sync:" + "+".join(sorted(members))
-                groups.append(SyncGroup(gid, frozenset(members)))
+        seen: set[str] = set()
+        for method in sorted(self._adjacency):
+            if method in seen or not self._adjacency[method]:
+                continue
+            component, frontier = {method}, [method]
+            while frontier:
+                for neighbour in self._adjacency[frontier.pop()]:
+                    if neighbour not in component:
+                        component.add(neighbour)
+                        frontier.append(neighbour)
+            seen |= component
+            gid = "sync:" + "+".join(sorted(component))
+            groups.append(SyncGroup(gid, frozenset(component)))
         return groups
 
     @property
@@ -110,18 +115,17 @@ class DependencyGraph:
 
     def __init__(self, relations: MethodRelations):
         self.relations = relations
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(relations.methods)
-        for method in relations.methods:
-            for dep in relations.dep(method):
-                self.graph.add_edge(method, dep)
+        self._dep = {
+            method: frozenset(relations.dep(method))
+            for method in relations.methods
+        }
 
-    def dependencies(self, method: str) -> set[str]:
+    def dependencies(self, method: str) -> frozenset[str]:
         """``Dep(u)``: methods whose prior calls ``u`` must wait for."""
-        return set(self.graph.successors(method))
+        return self._dep[method]
 
     def dependents(self, method: str) -> set[str]:
-        return set(self.graph.predecessors(method))
+        return {u for u, deps in self._dep.items() if method in deps}
 
     def is_dependence_free(self, method: str) -> bool:
         return not self.dependencies(method)

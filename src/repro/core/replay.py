@@ -1,0 +1,86 @@
+"""Replaying calls into per-node states — the trace checkers' σ.
+
+Both trace checkers (:mod:`repro.runtime.checker` offline,
+:mod:`repro.runtime.stream_checker` online) verify Lemma-1 integrity
+and Lemma-2 convergence by folding every recorded apply into a replayed
+state per node.  That fold lives here, once.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterable
+
+from .calls import Call
+from .spec import ObjectSpec
+
+__all__ = ["Replay"]
+
+
+class Replay:
+    """The replayed state σ of every node, and the one place a call is
+    folded into it.
+
+    A replica's apply is stepped on its own (:meth:`step`).  A REDUCE
+    is visible at every node in one event, so :meth:`reduce` steps it
+    once per distinct pre-state: an update is a pure function of
+    ``(argument, pre-state)`` (the :mod:`repro.core.spec` contract), so
+    a replica in an already-stepped state (the same object, or an
+    equal one) gets the verdict its own step would have computed.
+    Nothing outlives the event: a checker holds one state per node and
+    the joiner seed, whatever its window.
+    See docs/observability.md, "What observability costs".
+    """
+
+    def __init__(self, spec: ObjectSpec, nodes: Iterable[str]):
+        self.spec = spec
+        initial = spec.initial_state()
+        self.sigma: dict[str, Any] = dict.fromkeys(nodes, initial)
+        #: The initial state folded with every REDUCE so far: a joiner's
+        #: state transfer pulls the summary slots, so its replayed state
+        #: starts here (it never sees the old REDUCE events).
+        self.seed: Any = initial
+
+    def step(self, call: Call, node: str) -> bool:
+        """Fold ``call`` into σ[node]; True iff the post-state keeps
+        the invariant (the call was permissible at its apply state)."""
+        post = self.sigma[node] = self.spec.apply_call(call, self.sigma[node])
+        return bool(self.spec.invariant(post))
+
+    def reduce(self, call: Call, nodes: Iterable[str]) -> list[str]:
+        """A summary write is visible at every node at once: step
+        ``call`` at each of ``nodes`` and into the joiner seed; returns
+        the nodes whose invariant it broke."""
+        sigma, spec = self.sigma, self.spec
+        #: ``(pre, post, I(post))`` per distinct pre-state of this event.
+        stepped: list[tuple] = []
+
+        def fold(pre: Any) -> tuple:
+            for seen, post, ok in stepped:
+                if seen is pre or seen == pre:
+                    return post, ok
+            post = spec.apply_call(call, pre)
+            ok = bool(spec.invariant(post))
+            stepped.append((pre, post, ok))
+            return post, ok
+
+        broken = []
+        for node in nodes:
+            sigma[node], ok = fold(sigma[node])
+            if not ok:
+                broken.append(node)
+        self.seed = fold(self.seed)[0]
+        return broken
+
+    def join(self, node: str) -> None:
+        self.sigma[node] = self.seed
+
+    def divergence(self, nodes: list[str]) -> list[str]:
+        """Lemma 2 at quiescence: one message per node of ``nodes``
+        whose state differs from the first's."""
+        sigma, base = self.sigma, nodes[0]
+        return [
+            f"equal histories but diverged states: {base} != {node} "
+            f"({sigma[base]!r} vs {sigma[node]!r})"
+            for node in nodes[1:]
+            if not self.spec.state_eq(sigma[base], sigma[node])
+        ]

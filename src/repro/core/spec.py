@@ -11,10 +11,15 @@ An :class:`ObjectSpec` packages:
 - generators for states and per-method arguments, which the bounded
   coordination analysis samples.
 
-Update definitions MUST be pure: they return a fresh state and never
-mutate the pre-state.  Every layer (both operational semantics, the
-Hamband runtime, and both baselines) shares the spec, which is what
-makes cross-system convergence checks meaningful.
+Update definitions MUST be pure: the post-state is a function of
+``(arg, pre_state)`` alone, returned as a fresh value, and the pre-state
+is never mutated.  Every layer (both operational semantics, the Hamband
+runtime, and both baselines) shares the spec, which is what makes
+cross-system convergence checks meaningful — and the trace checkers rely
+on the contract twice over: replicas may hold the *same* state object,
+and a REDUCE is stepped once per distinct pre-state of its event
+(:class:`repro.core.replay.Replay`).  ``tests/datatypes`` pins it
+for every bundled data type.
 """
 
 from __future__ import annotations

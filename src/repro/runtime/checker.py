@@ -40,10 +40,11 @@ way the tally makes that visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..core import Call, Coordination
-from .trace import LoadedTrace, TraceEvent, load_jsonl
+from ..core.replay import Replay
+from .trace import LoadedTrace, TraceEvent, gap_detail, load_jsonl
 
 __all__ = [
     "CheckReport",
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 #: Rules that mutate σ at exactly the event's node.
-_LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
+LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
 
 
 @dataclass
@@ -149,7 +150,12 @@ class TraceChecker:
     def check(self, events: Iterable[TraceEvent], dropped: int = 0,
               processes: Optional[Iterable[str]] = None,
               gaps: Iterable[tuple] = ()) -> CheckReport:
-        events = sorted(events, key=lambda event: event.seq)
+        """Replay ``events``, which arrive in global ``seq`` order (as
+        the recorder's merge and a JSONL export deliver them; any other
+        order is sorted first)."""
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        members = [event for event in events if event.kind == "member"]
         nodes = sorted(processes or self.processes or {
             event.node for event in events
         })
@@ -159,14 +165,8 @@ class TraceChecker:
         # the replay — a joiner's state begins at its ``member_join``
         # event, a departed node stops being held to convergence at its
         # ``member_leave``.
-        joins = {
-            event.origin for event in events
-            if event.kind == "member" and event.name == "member_join"
-        }
-        leaves = {
-            event.origin for event in events
-            if event.kind == "member" and event.name == "member_leave"
-        }
+        joins = {e.origin for e in members if e.name == "member_join"}
+        leaves = {e.origin for e in members if e.name == "member_leave"}
         initial = sorted((set(nodes) | leaves) - joins)
         report = CheckReport(nodes=nodes)
         if not initial:
@@ -175,123 +175,106 @@ class TraceChecker:
             )
             return report
 
-        chains: dict[tuple[str, int], list[TraceEvent]] = {}
-        for event in events:
-            chains.setdefault((event.origin, event.rid), []).append(event)
-
         def chain(origin: str, rid: int) -> list[TraceEvent]:
-            return chains.get((origin, rid), [])
+            """The call's causal chain — built only for a call about to
+            be reported, so a clean trace never pays for an index."""
+            return [e for e in events if e.origin == origin and e.rid == rid]
 
         def report_violation(kind: str, message: str,
-                             chain_events: list[TraceEvent]) -> None:
+                             key: tuple[str, int]) -> None:
             if len(report.violations) < self.max_violations:
                 report.violations.append(
-                    Violation(kind, message, chain_events)
+                    Violation(kind, message, chain(*key))
                 )
 
-        sigma: dict[str, Any] = {
-            node: self.spec.initial_state() for node in initial
-        }
+        replay = Replay(self.spec, initial)
+        sigma = replay.sigma
         applied: dict[str, set[tuple[str, int]]] = {
             node: set() for node in initial
         }
         #: Nodes currently part of the cluster (evolves at member
         #: events); convergence is only owed by the final roster.
         present: set[str] = set(initial)
-        departed: set[str] = set()
-        #: Every REDUCE replayed so far, in order — a joiner's state
-        #: transfer pulls the summary slots, so its replayed state must
-        #: start from these (it will never see their rule events).
-        reduced: list[tuple[tuple[str, int], Call]] = []
+        #: Every REDUCE replayed so far: a joiner's state starts from
+        #: ``replay.seed``, which already folds these.
+        reduced: list[tuple[str, int]] = []
         #: Per-(gid, node) apply order of conflicting calls.
         group_order: dict[tuple[str, str], list[tuple[str, int]]] = {}
         seen_calls: set[tuple[str, int]] = set()
 
+        last_seq = float("-inf")
         for event in events:
-            if event.kind == "member":
-                subject = event.origin
-                if event.name == "member_join":
-                    if subject not in sigma:
-                        state = self.spec.initial_state()
-                        seeded: set[tuple[str, int]] = set()
-                        for red_key, red_call in reduced:
-                            state = self.spec.apply_call(red_call, state)
-                            seeded.add(red_key)
-                        sigma[subject] = state
-                        applied[subject] = seeded
-                    present.add(subject)
-                    departed.discard(subject)
-                elif event.name == "member_leave":
-                    present.discard(subject)
-                    departed.add(subject)
-                continue  # state_xfer and friends are informational
-            if event.kind == "fault":
-                report.faults[event.name] = (
-                    report.faults.get(event.name, 0) + 1
+            if event.seq < last_seq:
+                return self.check(
+                    sorted(events, key=lambda e: e.seq), dropped=dropped,
+                    processes=processes, gaps=gaps,
                 )
-                continue
-            if event.kind == "repair":
-                report.repairs[event.name] = (
-                    report.repairs.get(event.name, 0) + 1
-                )
-                continue
-            if event.kind != "rule" or event.name == "QUERY":
+            last_seq = event.seq
+            kind = event.kind
+            if kind != "rule":
+                if kind == "member":
+                    subject = event.origin
+                    if event.name == "member_join":
+                        if subject not in sigma:
+                            replay.join(subject)
+                            applied[subject] = set(reduced)
+                        present.add(subject)
+                    elif event.name == "member_leave":
+                        present.discard(subject)
+                    # state_xfer and friends are informational
+                elif kind in ("fault", "repair"):
+                    tally = report.faults if kind == "fault" else report.repairs
+                    tally[event.name] = tally.get(event.name, 0) + 1
                 continue
             rule = event.name
+            if rule == "QUERY":
+                continue
+            node = event.node
             key = (event.origin, event.rid)
             call = Call(event.method, event.arg, event.origin, event.rid)
-            if event.node not in sigma:
+            if node not in sigma:
                 report_violation(
-                    "vocabulary",
-                    f"event at unknown node {event.node!r}",
-                    chain(*key),
+                    "vocabulary", f"event at unknown node {node!r}", key
                 )
                 continue
             if rule == "REDUCE":
                 seen_calls.add(key)
                 report.applies_checked += 1
-                if key in applied[event.node]:
+                if key in applied[node]:
                     report_violation(
-                        "duplicate",
-                        f"{call} reduced twice at {event.node}",
-                        chain(*key),
+                        "duplicate", f"{call} reduced twice at {node}", key
                     )
                     continue
                 # A summary write is visible at every node (refinement:
                 # REDUCE = CALL at origin + immediate PROP everywhere).
                 # Departed nodes no longer see summary writes.
-                reduced.append((key, call))
-                for node in sorted(present):
-                    next_state = self.spec.apply_call(call, sigma[node])
-                    if not self.spec.invariant(next_state):
-                        report_violation(
-                            "integrity",
-                            f"{call} (REDUCE at {event.node}) breaks the "
-                            f"invariant at {node}",
-                            chain(*key),
-                        )
-                    sigma[node] = next_state
-                    applied[node].add(key)
-            elif rule in _LOCAL_APPLY_RULES:
+                reduced.append(key)
+                for other in replay.reduce(call, sorted(present)):
+                    report_violation(
+                        "integrity",
+                        f"{call} (REDUCE at {node}) breaks the "
+                        f"invariant at {other}",
+                        key,
+                    )
+                for other in present:
+                    applied[other].add(key)
+            elif rule in LOCAL_APPLY_RULES:
                 seen_calls.add(key)
                 report.applies_checked += 1
-                node = event.node
                 if key in applied[node]:
                     report_violation(
                         "duplicate",
                         f"{call} applied twice at {node} (rule {rule})",
-                        chain(*key),
+                        key,
                     )
                     continue
-                next_state = self.spec.apply_call(call, sigma[node])
-                if not self.spec.invariant(next_state):
+                if not replay.step(call, node):
                     report_violation(
                         "integrity",
                         f"{call} not permissible at its apply state "
                         f"({rule} at {node})",
-                        chain(*key),
+                        key,
                     )
-                sigma[node] = next_state
                 applied[node].add(key)
                 if rule in ("CONF", "CONF_APP"):
                     group = self.coordination.sync_group(event.method)
@@ -300,7 +283,7 @@ class TraceChecker:
                             "vocabulary",
                             f"{rule} event for conflict-free method "
                             f"{event.method!r} at {node}",
-                            chain(*key),
+                            key,
                         )
                     else:
                         group_order.setdefault(
@@ -308,9 +291,7 @@ class TraceChecker:
                         ).append(key)
             else:
                 report_violation(
-                    "vocabulary",
-                    f"unknown rule {rule!r} at {event.node}",
-                    chain(*key),
+                    "vocabulary", f"unknown rule {rule!r} at {node}", key
                 )
         report.calls_checked = len(seen_calls)
         report.nodes = sorted(present)
@@ -321,7 +302,7 @@ class TraceChecker:
         # Convergence is owed only by the final roster: a departed node
         # legitimately froze mid-history.
         self._check_convergence(
-            report, sigma, applied, chain, sorted(present), dropped, gaps
+            report, replay, applied, chain, sorted(present), dropped, gaps
         )
         return report
 
@@ -358,23 +339,13 @@ class TraceChecker:
 
     # -- obligation 3: convergence at quiescence -------------------------
 
-    def _check_convergence(self, report, sigma, applied, chain, nodes,
+    def _check_convergence(self, report, replay, applied, chain, nodes,
                            dropped, gaps=()):
         if dropped:
-            detail = f"trace dropped {dropped} event(s)"
-            gap_list = [tuple(gap) for gap in gaps]
-            if gap_list:
-                shown = ", ".join(
-                    f"gap at seq {gap[0]}..{gap[1]}"
-                    for gap in gap_list[:5]
-                )
-                if len(gap_list) > 5:
-                    shown += f", … ({len(gap_list)} gaps)"
-                detail += f" — {shown}"
             report.violations.append(Violation(
                 "truncated",
-                detail + ": cannot attest convergence (raise the "
-                "recorder capacity)",
+                f"trace dropped {dropped} event(s){gap_detail(gaps)}: "
+                "cannot attest convergence (raise the recorder capacity)",
             ))
             return
         if not nodes:
@@ -393,15 +364,10 @@ class TraceChecker:
                 ))
         if any(applied[node] != union for node in nodes):
             return  # states legitimately differ when calls are missing
-        base = nodes[0]
-        for node in nodes[1:]:
-            if not self.spec.state_eq(sigma[base], sigma[node]):
-                report.violations.append(Violation(
-                    "convergence",
-                    f"equal histories but diverged states: "
-                    f"{base} != {node} "
-                    f"({sigma[base]!r} vs {sigma[node]!r})",
-                ))
+        report.violations.extend(
+            Violation("convergence", message)
+            for message in replay.divergence(nodes)
+        )
 
 
 # -- sharded topologies -----------------------------------------------------
@@ -501,17 +467,11 @@ class ShardedTraceChecker:
                 shard_events.get(shard, [])
             )
         if dropped:
-            detail = f"trace dropped {dropped} event(s)"
-            gap_list = [tuple(gap) for gap in gaps]
-            if gap_list:
-                detail += " — " + ", ".join(
-                    f"gap at seq {gap[0]}..{gap[1]}"
-                    for gap in gap_list[:5]
-                )
             report.violations.append(Violation(
                 "truncated",
-                detail + ": cannot attest cross-shard atomicity "
-                "(raise the recorder capacity)",
+                f"trace dropped {dropped} event(s){gap_detail(gaps)}: "
+                "cannot attest cross-shard atomicity (raise the recorder "
+                "capacity)",
             ))
         self._check_atomicity(report, shard_events, list(txn_events))
         return report

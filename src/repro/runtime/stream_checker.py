@@ -19,7 +19,8 @@ JSONL stream — in global sequence order.  Memory is bounded by the
 
 - a call **retires** once every node has applied it (REDUCE retires
   immediately — a summary write is visible everywhere at once); its
-  event chain, apply bookkeeping, and sync-group entries are dropped
+  chain of rule events, apply bookkeeping, and sync-group entries are
+  dropped
   and only a compact per-origin interval set of retired request ids
   remains (for exact duplicate detection, O(gaps) not O(calls));
 - sync-group total order is checked pairwise *as applies arrive*: per
@@ -53,8 +54,15 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..core import Call, Coordination
-from .checker import CheckReport, Violation
-from .trace import TraceEvent, event_from_dict, event_to_dict, iter_jsonl
+from ..core.replay import Replay
+from .checker import LOCAL_APPLY_RULES, CheckReport, Violation
+from .trace import (
+    TraceEvent,
+    event_from_dict,
+    event_to_dict,
+    gap_detail,
+    iter_jsonl,
+)
 from .wire import decode_value, encode_value
 
 __all__ = [
@@ -62,12 +70,9 @@ __all__ = [
     "StreamingChecker",
 ]
 
-#: Rules that mutate σ at exactly the event's node.
-_LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
-
 #: Per-call causal-chain cap: violations carry at most this many of the
-#: call's most recent events (the offline checker keeps every event of
-#: every call — exactly what a streaming checker must not do).
+#: call's most recent rule events (the offline checker can gather every
+#: event of a call from the trace it holds — a streaming checker cannot).
 _CHAIN_LIMIT = 48
 
 
@@ -122,6 +127,15 @@ class _CallState:
     applied: set[str] = field(default_factory=set)
     #: Node -> this call's position in that node's per-group apply order.
     group_pos: dict[str, int] = field(default_factory=dict)
+
+
+def _pack(value: Any) -> str:
+    """A replayed state as canonical wire bytes, base64 (for JSON)."""
+    return base64.b64encode(encode_value(value)).decode("ascii")
+
+
+def _unpack(text: str) -> Any:
+    return decode_value(base64.b64decode(text.encode("ascii")))
 
 
 def _key_str(key: tuple[str, int]) -> str:
@@ -217,9 +231,8 @@ class StreamingChecker:
         #: filtered streams the way the offline checker does.
         self.strict_seq = strict_seq
 
-        self.sigma: dict[str, Any] = {
-            node: self.spec.initial_state() for node in self.nodes
-        }
+        #: σ per node and the REDUCE-folded seed a joiner starts from.
+        self.replay = Replay(self.spec, self.nodes)
         self._node_set = set(self.nodes)
         #: Elastic membership: nodes that joined / left mid-stream.
         #: A joiner replays the whole transferred history through
@@ -231,11 +244,6 @@ class StreamingChecker:
         #: joiner -> origin -> retired rids it has replayed (exact
         #: duplicate detection for the catch-up path).
         self._joiner_caught: dict[str, dict[str, _IntervalSet]] = {}
-        #: initial state folded with every REDUCE seen so far — the
-        #: summary slots a joiner's state transfer pulls, i.e. the seed
-        #: for a joiner's replayed state (it never sees old REDUCE
-        #: events).
-        self._reduce_sigma: Any = self.spec.initial_state()
         #: In-window calls: issued/applied somewhere, not yet everywhere.
         self.inflight: dict[tuple[str, int], _CallState] = {}
         #: Retired request ids per origin (applied at every node).
@@ -265,7 +273,6 @@ class StreamingChecker:
         self.peak_retained = 0
         self.last_seq = -1
         self._expect: Optional[int] = None
-        self._finished: Optional[CheckReport] = None
 
     # -- feeding ---------------------------------------------------------
 
@@ -284,31 +291,29 @@ class StreamingChecker:
         self.last_seq = seq
         self.events_checked += 1
 
+        # Spans and ring transfers carry no obligation and are most of
+        # the stream: they leave before any per-call work.
+        kind = event.kind
+        if kind != "rule":
+            if kind in ("fault", "repair"):
+                tally = self.faults if kind == "fault" else self.repairs
+                tally[event.name] = tally.get(event.name, 0) + 1
+            elif kind == "member":
+                self._member(event)
+            return
+        rule = event.name
+        if rule == "QUERY":
+            return
+
+        node = event.node
         key = (event.origin, event.rid)
         self._chain_add(key, event)
-
-        kind = event.kind
-        if kind == "fault":
-            self.faults[event.name] = self.faults.get(event.name, 0) + 1
-            return
-        if kind == "repair":
-            self.repairs[event.name] = self.repairs.get(event.name, 0) + 1
-            return
-        if kind == "member":
-            self._member(event)
-            return
-        if kind != "rule" or event.name == "QUERY":
-            return
-
-        rule = event.name
         call = Call(event.method, event.arg, event.origin, event.rid)
-        if event.node not in self._node_set:
-            if event.node in self._departed:
+        if node not in self._node_set:
+            if node in self._departed:
                 return  # trailing event from a scaled-in node
             self._violation(
-                "vocabulary",
-                f"event at unknown node {event.node!r}",
-                self._chain(key),
+                "vocabulary", f"event at unknown node {node!r}", key
             )
             return
 
@@ -323,35 +328,26 @@ class StreamingChecker:
 
         if rule == "REDUCE":
             self.applies_checked += 1
-            if retired or (state is not None and event.node in state.applied):
+            if retired or (state is not None and node in state.applied):
                 self._violation(
-                    "duplicate",
-                    f"{call} reduced twice at {event.node}",
-                    self._chain(key),
+                    "duplicate", f"{call} reduced twice at {node}", key
                 )
                 return
             # A summary write is visible at every node at once.
-            for node in self.nodes:
-                next_state = self.spec.apply_call(call, self.sigma[node])
-                if not self.spec.invariant(next_state):
-                    self._violation(
-                        "integrity",
-                        f"{call} (REDUCE at {event.node}) breaks the "
-                        f"invariant at {node}",
-                        self._chain(key),
-                    )
-                self.sigma[node] = next_state
-            self._reduce_sigma = self.spec.apply_call(
-                call, self._reduce_sigma
-            )
+            for other in self.replay.reduce(call, self.nodes):
+                self._violation(
+                    "integrity",
+                    f"{call} (REDUCE at {node}) breaks the "
+                    f"invariant at {other}",
+                    key,
+                )
             if state is None:
                 state = _CallState(first_seq=seq)
                 self.inflight[key] = state
             state.applied = set(self.nodes)
             self._retire(key, state)
-        elif rule in _LOCAL_APPLY_RULES:
+        elif rule in LOCAL_APPLY_RULES:
             self.applies_checked += 1
-            node = event.node
             if retired and node in self._joined:
                 # Catch-up replay: the joiner drains the transferred
                 # rings, re-emitting applies for calls the rest of the
@@ -365,25 +361,23 @@ class StreamingChecker:
                     self._violation(
                         "duplicate",
                         f"{call} applied twice at {node} (rule {rule})",
-                        self._chain(key),
+                        key,
                     )
                     return
                 caught.add(event.rid)
-                next_state = self.spec.apply_call(call, self.sigma[node])
-                if not self.spec.invariant(next_state):
+                if not self.replay.step(call, node):
                     self._violation(
                         "integrity",
                         f"{call} not permissible at its apply state "
                         f"({rule} at {node}, catch-up)",
-                        self._chain(key),
+                        key,
                     )
-                self.sigma[node] = next_state
                 return
             if retired or (state is not None and node in state.applied):
                 self._violation(
                     "duplicate",
                     f"{call} applied twice at {node} (rule {rule})",
-                    self._chain(key),
+                    key,
                 )
                 return
             if state is None:
@@ -391,15 +385,13 @@ class StreamingChecker:
                 self.inflight[key] = state
                 if len(self.inflight) > self.peak_window:
                     self.peak_window = len(self.inflight)
-            next_state = self.spec.apply_call(call, self.sigma[node])
-            if not self.spec.invariant(next_state):
+            if not self.replay.step(call, node):
                 self._violation(
                     "integrity",
                     f"{call} not permissible at its apply state "
                     f"({rule} at {node})",
-                    self._chain(key),
+                    key,
                 )
-            self.sigma[node] = next_state
             state.applied.add(node)
             if rule in ("CONF", "CONF_APP"):
                 group = self.coordination.sync_group(event.method)
@@ -408,7 +400,7 @@ class StreamingChecker:
                         "vocabulary",
                         f"{rule} event for conflict-free method "
                         f"{event.method!r} at {node}",
-                        self._chain(key),
+                        key,
                     )
                 else:
                     self._group_apply(group.gid, node, key, state)
@@ -419,9 +411,7 @@ class StreamingChecker:
                     self._retire(key, state)
         else:
             self._violation(
-                "vocabulary",
-                f"unknown rule {rule!r} at {event.node}",
-                self._chain(key),
+                "vocabulary", f"unknown rule {rule!r} at {node}", key
             )
 
     # -- elastic membership ----------------------------------------------
@@ -443,18 +433,14 @@ class StreamingChecker:
             self.nodes = sorted(self._node_set)
             self._joined.add(subject)
             self._departed.discard(subject)
-            # Deep-copy through the wire codec: a shared state object
-            # would alias if a spec's apply_call ever mutates in place.
-            self.sigma[subject] = decode_value(
-                encode_value(self._reduce_sigma)
-            )
+            self.replay.join(subject)
         elif event.name == "member_leave":
             if subject not in self._node_set:
                 return
             self._node_set.discard(subject)
             self.nodes = sorted(self._node_set)
             self._departed.add(subject)
-            self.sigma.pop(subject, None)
+            self.replay.sigma.pop(subject, None)
             self._joiner_caught.pop(subject, None)
             self._drop_node(subject)
         # state_xfer and friends are informational
@@ -522,7 +508,7 @@ class StreamingChecker:
             f"sync group {gid}: {a} applied {_key_str(earlier)} before "
             f"{_key_str(later)} but {b} applied them in the opposite "
             f"order",
-            self._chain(later) + self._chain(earlier),
+            later, earlier,
         )
 
     def _drain_group(self, gid: str) -> None:
@@ -615,8 +601,9 @@ class StreamingChecker:
         return list(self._chains.get(key, ()))
 
     def _violation(self, kind: str, message: str,
-                   chain: list[TraceEvent]) -> None:
+                   *keys: tuple[str, int]) -> None:
         if len(self.violations) < self.max_violations:
+            chain = [event for key in keys for event in self._chain(key)]
             self.violations.append(Violation(kind, message, chain))
 
     # -- reporting -------------------------------------------------------
@@ -660,23 +647,16 @@ class StreamingChecker:
                 report.violations.append(
                     Violation("vocabulary", "empty trace: no nodes recorded")
                 )
-            self._finished = report
             return report
         all_gaps = [(int(g[0]), int(g[1])) for g in self.gaps]
         all_gaps += [(int(g[0]), int(g[1])) for g in gaps]
         missing = sum(hi - lo + 1 for lo, hi in self.gaps)
         if dropped or all_gaps:
-            detail = f"stream dropped {dropped or missing} event(s)"
-            if all_gaps:
-                shown = ", ".join(
-                    f"gap at seq {lo}..{hi}" for lo, hi in all_gaps[:5]
-                )
-                if len(all_gaps) > 5:
-                    shown += f", … ({len(all_gaps)} gaps)"
-                detail += f" — {shown}"
-            detail += ": cannot attest convergence"
-            report.violations.append(Violation("truncated", detail))
-            self._finished = report
+            report.violations.append(Violation(
+                "truncated",
+                f"stream dropped {dropped or missing} event(s)"
+                f"{gap_detail(all_gaps)}: cannot attest convergence",
+            ))
             return report
         union = set(self.inflight)
         for node in self.nodes:
@@ -696,18 +676,11 @@ class StreamingChecker:
             for state in self.inflight.values()
         )
         if union and not fully_applied:
-            self._finished = report
             return report
-        base = self.nodes[0]
-        for node in self.nodes[1:]:
-            if not self.spec.state_eq(self.sigma[base], self.sigma[node]):
-                report.violations.append(Violation(
-                    "convergence",
-                    f"equal histories but diverged states: "
-                    f"{base} != {node} "
-                    f"({self.sigma[base]!r} vs {self.sigma[node]!r})",
-                ))
-        self._finished = report
+        report.violations.extend(
+            Violation("convergence", message)
+            for message in self.replay.divergence(self.nodes)
+        )
         return report
 
     # -- convenience entry points ----------------------------------------
@@ -734,11 +707,6 @@ class StreamingChecker:
 
     def checkpoint(self) -> CheckpointState:
         """Snapshot the full checker state as deterministic JSON."""
-        sigma = {}
-        for node, state in self.sigma.items():
-            sigma[node] = base64.b64encode(
-                encode_value(state)
-            ).decode("ascii")
         payload: dict[str, Any] = {
             "events_checked": self.events_checked,
             "calls_checked": self.calls_checked,
@@ -747,7 +715,10 @@ class StreamingChecker:
             "peak_retained": self.peak_retained,
             "retired_count": self.retired_count,
             "last_seq": self.last_seq,
-            "sigma": sigma,
+            "sigma": {
+                node: _pack(state)
+                for node, state in self.replay.sigma.items()
+            },
             "retired": {
                 origin: [list(span) for span in spans.spans]
                 for origin, spans in sorted(self.retired.items())
@@ -796,9 +767,7 @@ class StreamingChecker:
             "gaps": [list(gap) for gap in self.gaps],
             "joined": sorted(self._joined),
             "departed": sorted(self._departed),
-            "reduce_sigma": base64.b64encode(
-                encode_value(self._reduce_sigma)
-            ).decode("ascii"),
+            "reduce_sigma": _pack(self.replay.seed),
             "joiner_caught": {
                 joiner: {
                     origin: [list(span) for span in spans.spans]
@@ -840,9 +809,8 @@ class StreamingChecker:
         checker.retired_count = payload["retired_count"]
         checker.last_seq = payload["last_seq"]
         checker._expect = checkpoint.next_seq
-        checker.sigma = {
-            node: decode_value(base64.b64decode(data.encode("ascii")))
-            for node, data in payload["sigma"].items()
+        checker.replay.sigma = {
+            node: _unpack(data) for node, data in payload["sigma"].items()
         }
         checker.retired = {
             origin: _IntervalSet([list(span) for span in spans])
@@ -895,9 +863,7 @@ class StreamingChecker:
         checker._departed = set(payload.get("departed", []))
         reduce_sigma = payload.get("reduce_sigma")
         if reduce_sigma is not None:
-            checker._reduce_sigma = decode_value(
-                base64.b64decode(reduce_sigma.encode("ascii"))
-            )
+            checker.replay.seed = _unpack(reduce_sigma)
         checker._joiner_caught = {
             joiner: {
                 origin: _IntervalSet([list(span) for span in spans])

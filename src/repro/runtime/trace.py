@@ -26,21 +26,23 @@ The offline integrity/convergence analyzer over recorded traces lives
 in :mod:`repro.runtime.checker`.
 
 Probes must never change runtime behaviour: :class:`TracingProbe` adds
-no simulated delays, allocates one small tuple-backed event per hook,
-and drops the *oldest* events once the ring buffer is full (the
-``dropped`` counter records how many — the offline checker refuses to
-attest convergence for a truncated trace).
+no simulated delays, allocates exactly one immutable
+:class:`TraceEvent` per hook — the ring, the live tap and every view
+and exporter hand out that same object — and drops the *oldest* events
+once the ring buffer is full (the ``dropped`` counter records how many
+— the offline checker refuses to attest convergence for a truncated
+trace).
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import itertools
 import json
-from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional, TextIO
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Any, Callable, Iterable, NamedTuple, Optional, TextIO
 
 from ..workload.metrics import Histogram
 from .probe import CountingProbe
@@ -64,9 +66,8 @@ PHASES = ("invoke", "propagate", "decide", "apply", "forward")
 RULES = ("REDUCE", "FREE", "CONF", "FREE_APP", "CONF_APP", "QUERY")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded probe event.
+class TraceEvent(NamedTuple):
+    """One recorded probe event (immutable; shared by reference).
 
     ``kind`` is ``"rule"`` (a transition became visible in σ at
     ``node``), ``"B"``/``"E"`` (a lifecycle span began/ended), or
@@ -74,7 +75,7 @@ class TraceEvent:
     name, the phase, or the ring label respectively.  ``(origin, rid)``
     is the call's globally unique identity (``rid == 0`` for queries);
     ``arg`` rides along on rule events so the offline checker can
-    replay state.
+    replay state.  Derive a modified copy with ``event._replace(...)``.
     """
 
     seq: int
@@ -91,6 +92,21 @@ class TraceEvent:
 
     def call_id(self) -> str:
         return f"{self.origin}#{self.rid}"
+
+
+#: What ``TraceEvent(...)`` calls, minus its generated Python-level
+#: ``__new__`` frame: the probe's per-hook hot path builds events here.
+_new_event = tuple.__new__
+_BY_SEQ = itemgetter(0)
+
+
+def _merge_phases(tables: Iterable[dict[str, Histogram]]
+                  ) -> dict[str, Histogram]:
+    merged: dict[str, Histogram] = defaultdict(Histogram)
+    for phases in tables:
+        for phase, histogram in phases.items():
+            merged[phase].merge(histogram)
+    return dict(merged)
 
 
 class TracingProbe(CountingProbe):
@@ -116,11 +132,9 @@ class TracingProbe(CountingProbe):
         self.clock = clock
         self.node = node
         self.capacity = capacity
-        #: Raw event tuples ``(seq, t, kind, name, method, origin, rid,
-        #: gid, size, arg)``; materialized into :class:`TraceEvent`\ s
-        #: lazily by :attr:`events` so the hot path only pays one tuple
-        #: allocation and a deque append per hook.
-        self._buffer: deque[tuple] = deque(maxlen=capacity)
+        #: The retained events; the hot path pays one tuple allocation
+        #: and a deque append per hook.
+        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         #: Overflow episodes as ``[first_seq, last_seq, count]`` — the
         #: sequence range of evicted events, so consumers can localize
@@ -128,9 +142,10 @@ class TracingProbe(CountingProbe):
         #: trace.  A ring that reached capacity drops continuously, so
         #: in practice this holds one episode per probe.
         self.drop_episodes: list[list[int]] = []
-        #: Optional live tap: called with each TraceEvent as recorded
-        #: (see :meth:`TraceRecorder.stream_to`).  Tap consumers see
-        #: every event even when the bounded ring evicts old ones.
+        #: Optional live tap: called with each TraceEvent as recorded —
+        #: the very object the ring holds (see
+        #: :meth:`TraceRecorder.stream_to`).  Tap consumers see every
+        #: event even when the bounded ring evicts old ones.
         self.sink: Optional[Callable[[TraceEvent], None]] = None
         self._seq = iter(seq) if seq is not None else itertools.count()
         #: Bound method, hoisted so the hot path skips the ``next()``
@@ -158,13 +173,13 @@ class TracingProbe(CountingProbe):
             else:
                 episodes.append([evicted, evicted, 1])
         t = self.clock()
-        seq = self._next_seq()
-        buffer.append(
-            (seq, t, kind, name, method, origin, rid, gid, size, arg)
-        )
+        event = _new_event(TraceEvent, (
+            self._next_seq(), t, self.node, kind, name, method, origin,
+            rid, gid, size, arg,
+        ))
+        buffer.append(event)
         if self.sink is not None:
-            self.sink(TraceEvent(seq, t, self.node, kind, name, method,
-                                 origin, rid, gid, size, arg))
+            self.sink(event)
         return t
 
     def span_begin(self, phase: str, method: str, origin: str,
@@ -177,7 +192,10 @@ class TracingProbe(CountingProbe):
         t = self._record("E", phase, method, origin, rid)
         started = self._open.pop((phase, method, origin, rid), None)
         if started is not None:
-            self.phases.setdefault(phase, Histogram()).add(t - started)
+            histogram = self.phases.get(phase)
+            if histogram is None:
+                histogram = self.phases[phase] = Histogram()
+            histogram.add(t - started)
 
     def trace_apply(self, rule: str, method: str, origin: str, rid: int,
                     arg: Any = None) -> None:
@@ -217,20 +235,13 @@ class TracingProbe(CountingProbe):
 
     @property
     def events(self) -> list[TraceEvent]:
-        """The buffered events, materialized (oldest first)."""
-        return list(self.iter_events())
+        """The buffered events (oldest first), by reference."""
+        return list(self._buffer)
 
     def iter_events(self) -> "Iterable[TraceEvent]":
-        """Lazily materialize the buffered events, oldest first.
-
-        Snapshots the raw ring up front (cheap: tuple refs), so the
-        probe may keep recording while a consumer iterates.
-        """
-        node = self.node
-        for (seq, t, kind, name, method, origin, rid, gid, size,
-             arg) in tuple(self._buffer):
-            yield TraceEvent(seq, t, node, kind, name, method, origin,
-                             rid, gid, size, arg)
+        """Iterate a snapshot of the ring (refs only), oldest first:
+        the probe may keep recording meanwhile."""
+        return iter(self.events)
 
     def snapshot(self) -> dict[str, Any]:
         snapshot = super().snapshot()
@@ -335,17 +346,18 @@ class TraceRecorder:
     # -- views -----------------------------------------------------------
 
     def events(self) -> list[TraceEvent]:
-        """All nodes' events merged into the global total order."""
-        return list(self.iter_events())
+        """All nodes' events merged into the global total order: a
+        fresh list of references to the events the rings hold (each
+        ring is already seq-sorted, so the sort is a run merge)."""
+        merged = [
+            event for probe in self.probes.values()
+            for event in probe._buffer
+        ]
+        merged.sort(key=_BY_SEQ)
+        return merged
 
     def iter_events(self) -> Iterable[TraceEvent]:
-        """Stream all nodes' events in the global total order without
-        materializing the merged trace (each probe's ring is already
-        seq-sorted, so this is a lazy k-way merge)."""
-        return heapq.merge(
-            *(probe.iter_events() for probe in self.probes.values()),
-            key=lambda event: event.seq,
-        )
+        return iter(self.events())
 
     def dropped(self) -> int:
         return sum(probe.dropped for probe in self.probes.values())
@@ -366,23 +378,14 @@ class TraceRecorder:
 
     def phase_histograms(self) -> dict[str, Histogram]:
         """Per-phase latency histograms merged across all nodes."""
-        merged: dict[str, Histogram] = {}
-        for probe in self.probes.values():
-            for phase, histogram in probe.phases.items():
-                merged.setdefault(phase, Histogram()).merge(histogram)
-        return merged
+        return _merge_phases(probe.phases for probe in self.probes.values())
 
     # -- exports ---------------------------------------------------------
 
     def export_jsonl(self, path: str) -> int:
-        """Stream the merged trace as JSON lines; returns the count.
-
-        Events are written as the lazy merge yields them — the full
-        trace is never materialized — and the bytes are identical to
-        the historical whole-trace exporter's.
-        """
+        """Write the merged trace as JSON lines; returns the count."""
         with open(path, "w", encoding="utf-8") as fp:
-            return export_jsonl(self.iter_events(), fp,
+            return export_jsonl(self.events(), fp,
                                 dropped=self.dropped(),
                                 nodes=self.nodes(),
                                 gaps=self.drop_gaps())
@@ -485,18 +488,18 @@ class ShardedRecorder:
         }
 
     def txn_events(self) -> list[TraceEvent]:
-        return sorted(self._txn_events, key=lambda event: event.seq)
+        return sorted(self._txn_events, key=_BY_SEQ)
 
     def events(self) -> list[TraceEvent]:
         """All shards' events merged, nodes labelled ``s<i>/<node>``,
         txn instants interleaved — one exportable total order."""
         merged = [
-            replace(event, node=f"s{index}/{event.node}")
+            event._replace(node=f"s{index}/{event.node}")
             for index, recorder in enumerate(self.shard_recorders)
             for event in recorder.events()
         ]
         merged.extend(self._txn_events)
-        merged.sort(key=lambda event: event.seq)
+        merged.sort(key=_BY_SEQ)
         return merged
 
     def dropped(self) -> int:
@@ -524,11 +527,9 @@ class ShardedRecorder:
 
     def phase_histograms(self) -> dict[str, Histogram]:
         """Phase latencies merged across every shard."""
-        merged: dict[str, Histogram] = {}
-        for recorder in self.shard_recorders:
-            for phase, histogram in recorder.phase_histograms().items():
-                merged.setdefault(phase, Histogram()).merge(histogram)
-        return merged
+        return _merge_phases(
+            recorder.phase_histograms() for recorder in self.shard_recorders
+        )
 
     def phase_histograms_by_shard(self) -> dict[str, dict[str, Histogram]]:
         """``{"s0": {...}, ...}`` — one phase table per shard, so
@@ -574,6 +575,17 @@ def merge_gap_ranges(episodes: Iterable[Iterable[int]]
         else:
             merged.append([first, last, count])
     return [tuple(gap) for gap in merged]
+
+
+def gap_detail(gaps: Iterable[tuple]) -> str:
+    """`` — gap at seq N..M, …`` for a truncation message ('' if none)."""
+    gap_list = [tuple(gap) for gap in gaps]
+    if not gap_list:
+        return ""
+    shown = ", ".join(f"gap at seq {g[0]}..{g[1]}" for g in gap_list[:5])
+    if len(gap_list) > 5:
+        shown += f", … ({len(gap_list)} gaps)"
+    return f" — {shown}"
 
 
 def _encode_arg(arg: Any) -> tuple[str, str]:
@@ -763,7 +775,7 @@ def chrome_trace_dict(events: Iterable[TraceEvent]) -> dict[str, Any]:
 
     open_spans: dict[tuple[str, str, str, str, int], list[float]] = {}
     flow_started: set[str] = set()
-    for event in sorted(events, key=lambda e: e.seq):
+    for event in sorted(events, key=_BY_SEQ):
         pid = pid_of(event.node)
         label = f"{event.method}@{event.call_id()}"
         if event.kind == "B":

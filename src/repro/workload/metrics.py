@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = [
     "Histogram",
@@ -41,20 +41,19 @@ class LatencySeries:
         return sum(self.samples) / len(self.samples) if self.samples else 0.0
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile: the smallest sample such that at
-        least ``q`` of the distribution is at or below it.
+        """Nearest-rank percentile (see :meth:`percentiles`)."""
+        return self.percentiles((q,))[0]
 
-        The nearest-rank rank is ``ceil(q*n)`` (1-based), i.e. index
-        ``ceil(q*n) - 1``.  The previous ``int(q*n)`` over-indexed by
-        one position whenever ``q*n`` was not integral (e.g. the p50 of
-        4 samples picked the 3rd instead of the 2nd), biasing every
-        reported percentile high.
-        """
+    def percentiles(self, qs: Iterable[float]) -> list[float]:
+        """Nearest-rank percentiles from ONE sort of the samples: for
+        each ``q`` the smallest sample such that at least ``q`` of the
+        distribution is at or below it, i.e. 1-based rank
+        ``ceil(q*n)``."""
         if not self.samples:
-            return 0.0
+            return [0.0 for _q in qs]
         ordered = sorted(self.samples)
-        index = max(0, min(len(ordered), math.ceil(q * len(ordered))) - 1)
-        return ordered[index]
+        n = len(ordered)
+        return [ordered[max(0, min(n, math.ceil(q * n)) - 1)] for q in qs]
 
     @property
     def p50(self) -> float:
@@ -111,13 +110,14 @@ class Histogram(LatencySeries):
 
     def summary(self) -> dict:
         """Point-in-time scalar summary (JSON-friendly)."""
+        p50, p95, p99, p999 = self.percentiles((0.50, 0.95, 0.99, 0.999))
         return {
             "count": self.count,
             "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "p999": self.p999,
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
+            "p999": p999,
             "max": self.max,
         }
 

@@ -9,8 +9,6 @@ and asserts the checker reports the matching violation kind with the
 offending call's event chain attached.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.bench import ExperimentConfig, run_traced
@@ -138,10 +136,8 @@ class TestFaultInjection:
         assert len(idx) >= 2
         i, j = idx[0], idx[1]
         events[i], events[j] = (
-            dataclasses.replace(events[j], seq=events[i].seq,
-                                t=events[i].t),
-            dataclasses.replace(events[i], seq=events[j].seq,
-                                t=events[j].t),
+            events[j]._replace(seq=events[i].seq, t=events[i].t),
+            events[i]._replace(seq=events[j].seq, t=events[j].t),
         )
         report = checker.check(events)
         assert not report.ok
@@ -158,9 +154,7 @@ class TestFaultInjection:
         events = corrupt(
             recorder.events(),
             lambda e: e.kind == "rule" and e.method == "enroll",
-            mutate=lambda e: dataclasses.replace(
-                e, arg=("ghost-student", e.arg[1])
-            ),
+            mutate=lambda e: e._replace(arg=("ghost-student", e.arg[1])),
         )
         report = checker.check(events)
         assert not report.ok
@@ -174,7 +168,7 @@ class TestFaultInjection:
         target = next(
             e for e in events if e.kind == "rule" and e.name == "FREE_APP"
         )
-        dup = dataclasses.replace(target, seq=events[-1].seq + 1)
+        dup = target._replace(seq=events[-1].seq + 1)
         report = checker.check(events + [dup])
         assert not report.ok
         assert any(v.kind == "duplicate" for v in report.violations)
@@ -192,7 +186,7 @@ class TestFaultInjection:
         events = corrupt(
             recorder.events(),
             lambda e: e.kind == "rule" and e.name == "FREE",
-            mutate=lambda e: dataclasses.replace(e, name="MYSTERY"),
+            mutate=lambda e: e._replace(name="MYSTERY"),
         )
         report = checker.check(events)
         assert any(v.kind == "vocabulary" for v in report.violations)
@@ -202,7 +196,7 @@ class TestFaultInjection:
         events = corrupt(
             recorder.events(),
             lambda e: e.kind == "rule" and e.name == "FREE",
-            mutate=lambda e: dataclasses.replace(e, node="p9"),
+            mutate=lambda e: e._replace(node="p9"),
         )
         report = checker.check(events)
         assert any(v.kind == "vocabulary" for v in report.violations)

@@ -1,0 +1,287 @@
+"""Replay sharing must be invisible and free: the shared-replay
+checkers agree with a reference replay that steps every replica on its
+own — verdicts, violation kinds, messages, chains and checkpoint bytes —
+on chaos runs, on the seeded-corruption corpus, across a kill/resume
+mid-window, and for a spec whose state is unhashable; and the replay
+pins no state beyond one per node, however long the window.
+"""
+
+import re
+import tracemalloc
+
+import pytest
+
+import repro.runtime.checker as checker_module
+import repro.runtime.stream_checker as stream_checker_module
+from repro.bench import ExperimentConfig, run_chaos
+from repro.core import Coordination, ObjectSpec, QueryDef, UpdateDef
+from repro.datatypes import SPEC_FACTORIES, courseware_spec
+from repro.runtime import (
+    CheckpointState,
+    StreamingChecker,
+    TraceChecker,
+)
+from repro.core.replay import Replay
+from repro.runtime.trace import TraceEvent
+from repro.sim import PLAN_NAMES, FaultPlan
+
+from .test_stream_checker import reseq, traced_run
+
+
+class ReferenceReplay(Replay):
+    """Every replica starts from its own state object and takes its own
+    step: what both checkers did before they shared one."""
+
+    steps = 0
+
+    def __init__(self, spec, nodes):
+        super().__init__(spec, nodes)
+        self.sigma = {node: spec.initial_state() for node in nodes}
+
+    def reduce(self, call, nodes):
+        ReferenceReplay.steps += 1
+        broken = [node for node in nodes if not self.step(call, node)]
+        self.seed = self.spec.apply_call(call, self.seed)
+        return broken
+
+
+_STATE_REPRS = re.compile(r"(?<=diverged states: )(\S+ != \S+) \(.*", re.S)
+
+
+def signature(report):
+    # "diverged states" messages embed state reprs, whose set iteration
+    # order depends on how each (equal) object was built.
+    return (
+        report.ok, report.calls_checked, report.applies_checked,
+        report.nodes, report.faults, report.repairs,
+        [(v.kind, _STATE_REPRS.sub(r"\1", v.message), v.chain)
+         for v in report.violations],
+    )
+
+
+def judge(coordination, names, events, dropped=0):
+    """Offline verdict, streaming verdict and the streaming checker's
+    checkpoint bytes before, at and after a kill/resume mid-window."""
+    offline = TraceChecker(coordination, processes=names).check(
+        events, dropped=dropped
+    )
+    straight = StreamingChecker(coordination, processes=names)
+    first = StreamingChecker(coordination, processes=names)
+    cut = None
+    for index, event in enumerate(events):
+        straight.feed(event)
+        if cut is None:
+            first.feed(event)
+            if index >= len(events) // 2 and first.inflight:
+                cut = index + 1
+    at_cut = first.checkpoint().to_json()
+    resumed = StreamingChecker.resume(
+        coordination, CheckpointState.from_json(at_cut)
+    )
+    resumed.feed_many(events[cut:] if cut is not None else [])
+    return {
+        "offline": signature(offline),
+        "stream": signature(straight.finish(dropped=dropped)),
+        "resumed": signature(resumed.finish(dropped=dropped)),
+        "checkpoint_at_cut": at_cut,
+        "checkpoint_end": straight.checkpoint().to_json(),
+        "checkpoint_resumed_end": resumed.checkpoint().to_json(),
+    }, cut
+
+
+def assert_sharing_invisible(monkeypatch, coordination, names, events,
+                             dropped=0):
+    shared, cut = judge(coordination, names, events, dropped)
+    with monkeypatch.context() as patch:
+        patch.setattr(checker_module, "Replay", ReferenceReplay)
+        patch.setattr(stream_checker_module, "Replay", ReferenceReplay)
+        before = ReferenceReplay.steps
+        reference, _cut = judge(coordination, names, events, dropped)
+        stepped = ReferenceReplay.steps - before
+    assert shared == reference
+    assert shared["checkpoint_resumed_end"] == shared["checkpoint_end"]
+    assert shared["resumed"] == shared["stream"]
+    return shared, cut, stepped
+
+
+class TestChaosDifferential:
+    @pytest.mark.parametrize("plan_name", PLAN_NAMES)
+    @pytest.mark.parametrize("workload", ["gset", "courseware", "counter"])
+    def test_named_plan(self, monkeypatch, plan_name, workload):
+        config = ExperimentConfig(
+            system="hamband", workload=workload, n_nodes=4,
+            total_ops=300, update_ratio=0.25, seed=2,
+        )
+        run = run_chaos(config, FaultPlan.named(plan_name, horizon_us=500.0))
+        shared, cut, reduces = assert_sharing_invisible(
+            monkeypatch, run.cluster.coordination,
+            run.cluster.node_names(), run.recorder.events(),
+            dropped=run.recorder.dropped(),
+        )
+        assert shared["offline"][0], shared["offline"]
+        if workload == "counter":  # every update is a REDUCE
+            assert reduces, "reference replay not in use"
+        else:
+            assert cut is not None, "no in-window call in the second half"
+
+
+def corruption_corpus(events):
+    """The seeded tamperings of ``TestCorruptionEquivalence``."""
+    def first(predicate):
+        return next(i for i, e in enumerate(events) if predicate(e))
+
+    dropped = list(events)
+    del dropped[first(lambda e: e.kind == "rule" and e.name == "CONF_APP")]
+    yield "dropped-apply", dropped
+
+    swapped = list(events)
+    a, b = [i for i, e in enumerate(events)
+            if e.kind == "rule" and e.name == "CONF_APP"
+            and e.node == "p2"][:2]
+    swapped[a] = events[b]._replace(seq=events[a].seq, t=events[a].t)
+    swapped[b] = events[a]._replace(seq=events[b].seq, t=events[b].t)
+    yield "swapped-conf-applies", swapped
+
+    mutated = list(events)
+    idx = first(lambda e: e.kind == "rule" and e.method == "enroll")
+    mutated[idx] = events[idx]._replace(
+        arg=("ghost-student", events[idx].arg[1])
+    )
+    yield "mutated-argument", mutated
+
+    dup = next(e for e in reversed(events)
+               if e.kind == "rule" and e.name == "FREE_APP")
+    yield "duplicated-apply", list(events) + [dup]
+
+    unknown = list(events)
+    idx = first(lambda e: e.kind == "rule" and e.name == "FREE")
+    unknown[idx] = events[idx]._replace(name="MYSTERY")
+    yield "unknown-rule", unknown
+
+
+class TestCorruptionDifferential:
+    @pytest.fixture(scope="class")
+    def courseware(self):
+        recorder, cluster = traced_run(
+            courseware_spec, "courseware", total_ops=150
+        )
+        return cluster, recorder.events()
+
+    def test_corpus(self, monkeypatch, courseware):
+        cluster, events = courseware
+        seen = set()
+        for name, tampered in corruption_corpus(events):
+            shared, _cut, _reduces = assert_sharing_invisible(
+                monkeypatch, cluster.coordination, cluster.node_names(),
+                reseq(tampered),
+            )
+            assert not shared["offline"][0], name
+            assert not shared["stream"][0], name
+            seen |= {kind for kind, _m, _c in shared["offline"][-1]}
+        assert {"convergence", "order", "integrity", "duplicate",
+                "vocabulary"} <= seen
+
+    def test_integrity_is_reported_at_every_replica(self, courseware):
+        """The mutated call is flagged once per replica that applied
+        it."""
+        cluster, events = courseware
+        tampered = dict(corruption_corpus(events))["mutated-argument"]
+        report = TraceChecker(
+            cluster.coordination, processes=cluster.node_names()
+        ).check(tampered)
+        flagged = [v for v in report.violations if v.kind == "integrity"]
+        assert len(flagged) >= len(cluster.node_names())
+
+
+def dict_state_spec(applies):
+    """A grow-only set whose state is a ``dict`` (unhashable)."""
+    def add(item, state):
+        applies.append(item)
+        return {**state, item: True}
+
+    return ObjectSpec(
+        name="dictset",
+        initial_state=dict,
+        invariant=lambda state: "poison" not in state,
+        updates=[UpdateDef("add", add)],
+        queries=[QueryDef("size", lambda _arg, state: len(state))],
+        arg_gens={"add": lambda rng: rng.choice("abc")},
+        state_gen=lambda rng: {c: True for c in "abc" if rng.random() < 0.5},
+    )
+
+
+NODES = ["n0", "n1", "n2"]
+
+
+def reduce_stream(n_calls, poison_at=None):
+    """One REDUCE per call, origins rotating: every replica walks
+    through equal states."""
+    for rid in range(1, n_calls + 1):
+        arg = "poison" if rid == poison_at else f"x{rid}"
+        yield TraceEvent(rid - 1, float(rid), NODES[rid % len(NODES)],
+                         "rule", "REDUCE", "add", NODES[rid % len(NODES)],
+                         rid, arg=arg)
+
+
+class TestUnhashableState:
+    def test_reduce_steps_once_per_distinct_state(self, monkeypatch):
+        applies = []
+        coordination = Coordination.analyze(dict_state_spec(applies))
+        events = list(reduce_stream(40))
+        del applies[:]
+        report = StreamingChecker(coordination, processes=NODES).check(events)
+        assert report.ok, report.summary()
+        assert report.applies_checked == 40
+        assert len(applies) == 40  # not 40 x (3 replicas + joiner seed)
+        assert_sharing_invisible(monkeypatch, coordination, NODES, events)
+
+    def test_shared_verdict_is_reported_at_every_replica(self, monkeypatch):
+        coordination = Coordination.analyze(dict_state_spec([]))
+        events = list(reduce_stream(12, poison_at=5))
+        shared, _cut, _reduces = assert_sharing_invisible(
+            monkeypatch, coordination, NODES, events
+        )
+        for view in ("offline", "stream"):
+            flagged = [kind for kind, _m, _c in shared[view][-1]
+                       if kind == "integrity"]
+            # poisoned state persists: 3 replicas x calls 5..12
+            assert len(flagged) == 3 * 8, view
+
+
+class TestReplayPinsNoState:
+    """A member that never applies keeps every call in the window; the
+    replay must still hold one state per node, not one per call."""
+
+    ADDS = 1500
+
+    def lagging_member_stream(self):
+        seq = 0
+        for rid in range(1, self.ADDS + 1):
+            for node in NODES[:-1]:  # n2 never applies anything
+                yield TraceEvent(seq, float(seq), node, "rule",
+                                 "FREE" if node == "n0" else "FREE_APP",
+                                 "add", "n0", rid, arg=rid)
+                seq += 1
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_growing_state_long_window(self, streaming):
+        coordination = Coordination.analyze(SPEC_FACTORIES["gset"]())
+        events = list(self.lagging_member_stream())
+        tracemalloc.start()
+        try:
+            if streaming:
+                checker = StreamingChecker(coordination, processes=NODES)
+                checker.feed_many(events)
+                assert len(checker.inflight) == self.ADDS
+            else:
+                report = TraceChecker(
+                    coordination, processes=NODES
+                ).check(events)
+                assert report.applies_checked == 2 * self.ADDS
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One pinned (pre, post) pair per in-window call would be
+        # ADDS**2 / 2 set slots, ~50 MiB here; the window's own
+        # bookkeeping is well under 4.
+        assert peak < 4 * 2**20, peak

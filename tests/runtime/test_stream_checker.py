@@ -16,8 +16,6 @@ Four layers of assurance:
    than attesting convergence over missing evidence.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.bench import ExperimentConfig, run_chaos, run_traced
@@ -61,7 +59,7 @@ def reseq(events):
     look like complete streams so both checkers judge the same
     evidence on its semantic merits.
     """
-    return [replace(e, seq=i) for i, e in enumerate(events)]
+    return [e._replace(seq=i) for i, e in enumerate(events)]
 
 
 def kinds(report):
@@ -147,8 +145,8 @@ class TestCorruptionEquivalence:
         assert len(conf) >= 2
         a, b = conf[0], conf[1]
         ea, eb = events[a], events[b]
-        events[a] = replace(eb, seq=ea.seq, t=ea.t)
-        events[b] = replace(ea, seq=eb.seq, t=eb.t)
+        events[a] = eb._replace(seq=ea.seq, t=ea.t)
+        events[b] = ea._replace(seq=eb.seq, t=eb.t)
         stream, offline = self.both(cluster, events)
         assert kinds(stream) == kinds(offline)
 
@@ -158,7 +156,7 @@ class TestCorruptionEquivalence:
         idx = next(i for i, e in enumerate(events)
                    if e.kind == "rule" and e.method == "enroll")
         e = events[idx]
-        events[idx] = replace(e, arg=("ghost-student", e.arg[1]))
+        events[idx] = e._replace(arg=("ghost-student", e.arg[1]))
         stream, offline = self.both(cluster, events)
         assert not stream.ok and not offline.ok
         assert kinds(stream) == kinds(offline)
@@ -168,7 +166,7 @@ class TestCorruptionEquivalence:
         events = list(recorder.events())
         dup = next(e for e in reversed(events)
                    if e.kind == "rule" and e.name == "FREE_APP")
-        events.append(replace(dup, seq=events[-1].seq + 1))
+        events.append(dup._replace(seq=events[-1].seq + 1))
         stream, offline = self.both(cluster, events)
         assert "duplicate" in kinds(stream)
         assert kinds(stream) == kinds(offline)

@@ -10,15 +10,25 @@ stays within budget.
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro.datatypes import counter_spec, courseware_spec, gset_spec
+from repro.datatypes import (
+    bankmap_spec,
+    counter_spec,
+    courseware_spec,
+    gset_spec,
+)
 from repro.runtime import (
     CountingProbe,
     HambandCluster,
     RuntimeProbe,
+    ShardedCluster,
+    ShardedRecorder,
     TraceRecorder,
     TracingProbe,
 )
@@ -86,6 +96,9 @@ class TestTracingProbe:
     def test_unmatched_span_end_is_ignored(self):
         probe = TracingProbe(lambda: 0.0, "p1")
         probe.span_end("apply", "add", "p2", 3)
+        assert "apply" not in probe.phases
+        with pytest.raises(KeyError):  # a read must not create a row
+            probe.phases["apply"]
         assert "apply" not in probe.phases
         assert len(probe.events) == 1  # the E event is still recorded
 
@@ -450,4 +463,111 @@ class TestOverhead:
             f"tracing costs {per_event_us:.2f} us per recorded event, over "
             f"the {budget_us_per_event} us budget ({traced:.3f}s vs "
             f"{base:.3f}s untraced, {events} events)"
+        )
+
+
+class TestSingleCopy:
+    """One TraceEvent per hook: the ring, the tap and every view hand
+    out references to it."""
+
+    def test_events_twice_returns_the_identical_objects(self):
+        recorder, _cluster, _result = run_traced(
+            gset_spec(), "gset", total_ops=60
+        )
+        first, second = recorder.events(), recorder.events()
+        assert first is not second  # a fresh list the caller may edit
+        assert len(first) == len(second) > 0
+        assert all(a is b for a, b in zip(first, second))
+        probe = recorder.probes["p1"]
+        assert all(a is b for a, b in zip(probe.events, probe.iter_events()))
+        held = {id(event) for event in probe.events}
+        assert {id(e) for e in first if e.node == "p1"} == held
+
+    def test_the_tap_receives_the_object_the_ring_holds(self):
+        probe = TracingProbe(clock=lambda: 1.0, node="p1", capacity=8)
+        tapped = []
+        probe.sink = tapped.append
+        probe.span_begin("invoke", "add", "p1", 1)
+        probe.trace_apply("FREE", "add", "p1", 1, arg="x")
+        probe.trace_transfer("F:p1", "add", "p1", 1, size=24)
+        assert len(tapped) == 3
+        assert all(a is b for a, b in zip(tapped, probe.events))
+
+    def test_events_are_immutable_and_copy_with_replace(self):
+        probe = TracingProbe(clock=lambda: 1.0, node="p1")
+        probe.trace_apply("FREE", "add", "p1", 1, arg="x")
+        (event,) = probe.events
+        with pytest.raises(AttributeError):
+            event.node = "p2"
+        moved = event._replace(node="p2")
+        assert (moved.node, event.node) == ("p2", "p1")
+        assert moved._replace(node="p1") == event
+
+    def test_sharded_merge_prefixes_nodes_without_touching_shards(self):
+        env = Environment()
+        recorder = ShardedRecorder(env, n_shards=2)
+        sharded = ShardedCluster.build(
+            env, bankmap_spec(), n_shards=2, n_nodes=3,
+            shard_probe_factory=recorder.probe_factory_for,
+        )
+        recorder.attach(sharded.coordination)
+        for shard, account in ((0, "acct-a"), (1, "acct-b")):
+            env.run(until=sharded.shard(shard).node("p1").submit(
+                "open", account))
+        env.run(until=env.process(sharded.quiesce({0: 1, 1: 1})))
+        before = recorder.shard_events()
+        merged = recorder.events()
+        assert {e.node.split("/")[0] for e in merged} == {"s0", "s1"}
+        after = recorder.shard_events()
+        for shard in (0, 1):
+            assert all(a is b for a, b in zip(before[shard], after[shard]))
+            assert all("/" not in e.node for e in after[shard])
+
+
+_CHECK_FOOTPRINT_CHILD = """
+import resource, sys
+from repro.datatypes import courseware_spec
+from repro.runtime import HambandCluster, TraceChecker, TraceRecorder
+from repro.sim import Environment
+from repro.workload import DriverConfig, run_workload
+
+def peak_kib():
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+env = Environment()
+recorder = TraceRecorder(env, capacity=1 << 20)
+cluster = HambandCluster.build(
+    env, courseware_spec(), n_nodes=4,
+    probe_factory=recorder.probe_factory,
+)
+recorder.attach(cluster.coordination)
+run_workload(env, cluster, DriverConfig(
+    workload="courseware", total_ops=14_000, update_ratio=0.25, seed=1))
+after_run = peak_kib()
+events = recorder.events()
+report = TraceChecker(
+    cluster.coordination, processes=cluster.node_names()
+).check(events, dropped=recorder.dropped())
+print(len(events), int(report.ok), (peak_kib() - after_run) * 1024)
+"""
+
+
+class TestCheckFootprint:
+    def test_offline_check_reads_the_trace_in_place(self):
+        """``events()`` + ``TraceChecker.check`` over a 14 000-op
+        recorded run must not re-materialise the trace: peak RSS grows
+        by < 5 MiB over the post-run value (it grew by 15 MiB when every
+        view built a second object per event).  A fresh interpreter,
+        because ru_maxrss is a process-wide peak."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", _CHECK_FOOTPRINT_CHILD], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        n_events, ok, grown = map(int, out.split())
+        assert n_events > 50_000 and ok
+        assert grown < 5 << 20, (
+            f"events() + check grew peak RSS by {grown / 2**20:.1f} MiB "
+            f"for {n_events} retained events"
         )
