@@ -11,8 +11,7 @@ out each fault class, the checker guarantees the *correctness* of it.
 from repro.bench import (
     ExperimentConfig,
     fig_header,
-    run_chaos,
-    run_traced,
+    run_harness,
     series_table,
 )
 from repro.sim import PLAN_NAMES, FaultPlan
@@ -38,13 +37,13 @@ class TestChaosDegradation:
         def run():
             out = {}
             for workload in ("gset", "courseware"):
-                baseline = run_traced(_config(workload))
+                baseline = run_harness(_config(workload))
                 rows = [("no-faults", baseline, None)]
                 for plan_name in PLAN_NAMES:
                     plan = FaultPlan.named(
                         plan_name, horizon_us=HORIZON_US
                     )
-                    chaos = run_chaos(_config(workload), plan)
+                    chaos = run_harness(_config(workload), plan=plan)
                     rows.append((plan_name, chaos, plan))
                 out[workload] = rows
             return out
@@ -71,8 +70,7 @@ class TestChaosDegradation:
             for label, run_, plan in rows:
                 # Correctness gate: converged, checker-clean, and no
                 # supervised worker died along the way.
-                if hasattr(run_, "settled"):
-                    assert run_.settled, f"{workload}/{label} never settled"
+                assert run_.settled, f"{workload}/{label} never settled"
                 report = run_.check()
                 assert report.ok, (
                     f"{workload}/{label}: {report.summary()}"

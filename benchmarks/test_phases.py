@@ -12,14 +12,14 @@ from repro.bench import (
     ExperimentConfig,
     fig_header,
     phase_latency_table,
-    run_traced,
+    run_harness,
 )
 
 OPS = 800
 
 
 def _traced(workload, update_ratio=0.25):
-    return run_traced(
+    return run_harness(
         ExperimentConfig(
             system="hamband",
             workload=workload,

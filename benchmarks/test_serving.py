@@ -10,7 +10,7 @@ latency, nonzero drops) instead of letting the latency tail diverge.
 from repro.bench import (
     ExperimentConfig,
     fig_header,
-    run_serving,
+    run_harness,
     serving_table,
     tenant_table,
 )
@@ -23,11 +23,11 @@ LOADS = (2.0, 8.0, 16.0, 24.0)
 
 
 def _serve(load, curve="steady", duration=800.0):
-    return run_serving(
+    return run_harness(
         ExperimentConfig(
             system="hamband", workload="counter", n_nodes=4, seed=1
         ),
-        OpenLoopConfig(
+        loop=OpenLoopConfig(
             workload="counter",
             offered_load_ops_per_us=load,
             duration_us=duration,

@@ -21,7 +21,7 @@ from repro.bench import (
     ExperimentConfig,
     fig_header,
     run_experiment,
-    run_traced,
+    run_harness,
     series_table,
 )
 
@@ -83,7 +83,7 @@ class TestShardScaling:
         def run():
             out = []
             for mix in TXN_MIXES:
-                traced = run_traced(_config(4, txn_mix=mix))
+                traced = run_harness(_config(4, txn_mix=mix))
                 report = traced.check()
                 out.append((f"txn-mix={mix:.2f}", traced, report))
             return out

@@ -15,22 +15,24 @@ response time, and by how much.
 Run:  python examples/system_comparison.py
 """
 
-from repro.bench import ExperimentConfig, run_experiment
+from repro.bench import ExperimentConfig, run_harness
 
 
 def main() -> None:
     print("counter workload: 1200 ops, 25% updates, 4 nodes\n")
     results = {}
     for system in ("hamband", "mu", "msg"):
-        results[system] = run_experiment(
+        # msg has no probe seam, so all three run untraced.
+        results[system] = run_harness(
             ExperimentConfig(
                 system=system,
                 workload="counter",
                 n_nodes=4,
                 total_ops=1200,
                 update_ratio=0.25,
-            )
-        )
+            ),
+            trace=False,
+        ).result
         print("  " + results[system].summary_row())
 
     hamband, mu, msg = results["hamband"], results["mu"], results["msg"]

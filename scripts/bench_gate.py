@@ -38,9 +38,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.bench import (  # noqa: E402
     ExperimentConfig,
-    run_chaos,
     run_experiment,
-    run_serving,
+    run_harness,
 )
 from repro.sim import FaultPlan  # noqa: E402
 from repro.workload import OpenLoopConfig, SloTarget  # noqa: E402
@@ -89,7 +88,7 @@ def _openloop_slo() -> float:
         n_tenants=8,
         slo=SloTarget(p99_us=2_000.0, p999_us=5_000.0),
     )
-    run = run_serving(config, loop, live_check=True)
+    run = run_harness(config, loop=loop, live_check=True)
     if run.stream_report is not None and not run.stream_report.ok:
         raise SystemExit(
             f"openloop-slo: {run.stream_report.summary()}"
@@ -133,7 +132,10 @@ def _gray_slo() -> float:
             update_ratio=0.25,
             fd_mode=fd_mode,
         )
-        return run_serving(config, loop, live_check=True, plan=plan)
+        run = run_harness(config, loop=loop, live_check=True, plan=plan)
+        if run.result is None:
+            raise SystemExit(f"gray-slo: {fd_mode} run did not quiesce")
+        return run
 
     run = serve("phi")
     if run.stream_report is not None and not run.stream_report.ok:
@@ -219,7 +221,7 @@ def measure(only: set[str] | None = None) -> dict[str, float]:
             result = run_experiment(config)
         else:
             plan = FaultPlan.named(plan_name, horizon_us=HORIZON_US)
-            run = run_chaos(config, plan)
+            run = run_harness(config, plan=plan)
             if run.result is None:
                 raise SystemExit(f"{key}: chaos run did not quiesce")
             report = run.check()

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check =="
-    ruff check src tests
+    ruff check src tests scripts benchmarks
 else
     echo "== ruff not installed; skipping lint (config in pyproject.toml) =="
 fi

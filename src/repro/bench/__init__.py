@@ -1,7 +1,9 @@
 """Benchmark harness shared by benchmarks/ (one module per figure)."""
 
 from .report import (
+    fault_counts_line,
     fig_header,
+    per_method_lines,
     per_method_table,
     phase_latency_table,
     ratio_line,
@@ -10,33 +12,27 @@ from .report import (
     tenant_table,
 )
 from .runner import (
-    ChaosRun,
     ExperimentConfig,
-    ServingRun,
-    TracedRun,
+    Run,
     average_results,
     run_averaged,
-    run_chaos,
     run_experiment,
-    run_serving,
-    run_traced,
+    run_harness,
 )
 
 __all__ = [
-    "ChaosRun",
     "ExperimentConfig",
-    "ServingRun",
-    "TracedRun",
+    "Run",
     "average_results",
+    "fault_counts_line",
     "fig_header",
+    "per_method_lines",
     "per_method_table",
     "phase_latency_table",
     "ratio_line",
     "run_averaged",
-    "run_chaos",
     "run_experiment",
-    "run_serving",
-    "run_traced",
+    "run_harness",
     "series_table",
     "serving_table",
     "tenant_table",

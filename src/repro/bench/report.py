@@ -13,7 +13,9 @@ from typing import Mapping, Optional
 from ..workload import Histogram, RunResult
 
 __all__ = [
+    "fault_counts_line",
     "fig_header",
+    "per_method_lines",
     "phase_latency_table",
     "series_table",
     "serving_table",
@@ -28,8 +30,7 @@ def fig_header(figure: str, caption: str) -> str:
     return f"\n{bar}\n{figure}: {caption}\n{bar}"
 
 
-def series_table(title: str, rows: list[tuple[str, RunResult]],
-                 metric: str = "throughput") -> str:
+def series_table(title: str, rows: list[tuple[str, RunResult]]) -> str:
     """One line per configuration: label -> tput and response time."""
     lines = [f"\n-- {title} --"]
     lines.append(
@@ -55,6 +56,26 @@ def per_method_table(title: str, result: RunResult,
             continue
         lines.append(f"{method:20s} {series.mean:13.3f} {series.count:7d}")
     return "\n".join(lines)
+
+
+def per_method_lines(result: RunResult) -> str:
+    """The CLI's ``--per-method`` rows: one indented line per method
+    with its response-time mean and tail."""
+    return "\n".join(
+        f"  {method:20s} mean={series.mean:8.3f}us "
+        f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
+        f"p999={series.p999:8.3f}us n={series.count}"
+        for method, series in sorted(result.per_method.items())
+    )
+
+
+def fault_counts_line(counts: Mapping[str, int]) -> str:
+    """``faults injected: kind=n, ...`` from a
+    :meth:`~repro.sim.FaultInjector.counts` mapping."""
+    injected = ", ".join(
+        f"{kind}={counts[kind]}" for kind in sorted(counts)
+    ) or "none"
+    return f"faults injected: {injected}"
 
 
 #: Display order for lifecycle phases in the phase-latency table.

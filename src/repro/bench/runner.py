@@ -1,9 +1,11 @@
 """Experiment runner shared by every benchmark (one per paper figure).
 
-``run_experiment`` builds the requested system — ``hamband``, ``mu``
+``run_harness`` builds the requested system — ``hamband``, ``mu``
 (the SMR deployment), or ``msg`` (message-passing CRDTs) — over a fresh
 simulation environment, drives the configured workload, and returns the
-paper's metrics.  Repetition and averaging mirror the paper's "repeat
+paper's metrics with everything it built still attached; tracing, live
+checking, metrics, a fault plan and open-loop serving are options of
+that one path.  Repetition and averaging mirror the paper's "repeat
 each experiment 3 times and report the average".
 """
 
@@ -23,7 +25,7 @@ from ..runtime import (
     TraceRecorder,
     TxnCoordinator,
 )
-from ..sim import Environment, FaultInjector, FaultPlan  # noqa: F401
+from ..sim import Environment, FaultInjector, FaultPlan
 from ..smr import SmrCluster
 from ..workload import (
     DriverConfig,
@@ -37,15 +39,12 @@ from ..workload import (
 from ..workload.openloop import build_tier
 
 __all__ = [
-    "ChaosRun",
     "ExperimentConfig",
-    "ServingRun",
-    "TracedRun",
+    "Run",
     "average_results",
-    "run_chaos",
+    "run_averaged",
     "run_experiment",
-    "run_serving",
-    "run_traced",
+    "run_harness",
 ]
 
 SYSTEMS = ("hamband", "mu", "msg")
@@ -102,22 +101,51 @@ class ExperimentConfig:
     #: toolkit).
     fd_mode: str = "fixed"
 
+    @property
+    def sharded(self) -> bool:
+        # n_shards=1 with the sharded-bank workload still runs the
+        # sharded driver over a one-shard topology: the apples-to-apples
+        # baseline of the shard-count scaling benchmark.
+        return self.n_shards > 1 or self.workload == "sharded-bank"
 
-def _build_cluster(env: Environment, config: ExperimentConfig,
-                   probe_factory: Optional[Callable] = None):
-    spec = _spec_factory(config.workload)()
-    if config.system == "hamband":
-        runtime_config = RuntimeConfig(
-            force_buffered=config.force_buffered,
-            conf_retry_limit=config.conf_retry_limit,
-            full_dep_barrier=config.full_dep_barrier,
-            wire_version=config.wire_version,
-            ring_integrity=config.ring_integrity,
-            scrub_interval_us=config.scrub_interval_us,
+
+def _build_cluster(env: Environment, config: ExperimentConfig, recorder):
+    """The cluster ``config`` names, probes wired to ``recorder`` (if
+    any), plus the txn coordinator of a sharded topology (else None)."""
+    hamband = config.system == "hamband"
+    runtime_config = RuntimeConfig(
+        # The buffering/barrier ablations are Hamband-only; the SMR
+        # deployment always runs with them off.
+        force_buffered=hamband and config.force_buffered,
+        full_dep_barrier=hamband and config.full_dep_barrier,
+        conf_retry_limit=config.conf_retry_limit,
+        wire_version=config.wire_version,
+        ring_integrity=config.ring_integrity,
+        scrub_interval_us=config.scrub_interval_us,
+        seed=config.seed,
+        fd_mode=config.fd_mode,
+    )
+    if config.sharded:
+        sharded = ShardedCluster.build(
+            env,
+            SPEC_FACTORIES["bankmap"](),
+            n_shards=config.n_shards,
+            n_nodes=config.n_nodes,
+            config=runtime_config,
+            shard_probe_factory=(
+                recorder.probe_factory_for if recorder is not None else None
+            ),
             seed=config.seed,
-            fd_mode=config.fd_mode,
         )
-        return HambandCluster.build(
+        coordinator = TxnCoordinator(
+            sharded, recorder=recorder,
+            lock_path_enabled=config.txn_lock_path,
+        )
+        return sharded, coordinator
+    spec = _spec_factory(config.workload)()
+    probe_factory = recorder.probe_factory if recorder is not None else None
+    if hamband:
+        cluster = HambandCluster.build(
             env,
             spec,
             n_nodes=config.n_nodes,
@@ -125,20 +153,14 @@ def _build_cluster(env: Environment, config: ExperimentConfig,
             leaders=config.leaders,
             probe_factory=probe_factory,
         )
-    if config.system == "mu":
-        runtime_config = RuntimeConfig(
-            conf_retry_limit=config.conf_retry_limit,
-            wire_version=config.wire_version,
-            ring_integrity=config.ring_integrity,
-            scrub_interval_us=config.scrub_interval_us,
-            seed=config.seed,
-            fd_mode=config.fd_mode,
-        )
-        return SmrCluster.build_smr(
+    elif config.system == "mu":
+        cluster = SmrCluster.build_smr(
             env, spec, n_nodes=config.n_nodes, config=runtime_config,
             probe_factory=probe_factory,
         )
-    return MsgCrdtCluster(env, spec, config.n_nodes)
+    else:
+        cluster = MsgCrdtCluster(env, spec, config.n_nodes)
+    return cluster, None
 
 
 def _driver(config: ExperimentConfig) -> DriverConfig:
@@ -153,45 +175,6 @@ def _driver(config: ExperimentConfig) -> DriverConfig:
     )
 
 
-def _build_sharded(env: Environment, config: ExperimentConfig,
-                   recorder: Optional[ShardedRecorder] = None,
-                   ) -> tuple[ShardedCluster, TxnCoordinator]:
-    """A ``bankmap`` sharded topology plus its txn coordinator."""
-    if config.system != "hamband":
-        raise ValueError(
-            f"sharded topologies run the hamband runtime only, "
-            f"not {config.system!r}"
-        )
-    runtime_config = RuntimeConfig(
-        force_buffered=config.force_buffered,
-        conf_retry_limit=config.conf_retry_limit,
-        full_dep_barrier=config.full_dep_barrier,
-        wire_version=config.wire_version,
-        ring_integrity=config.ring_integrity,
-        scrub_interval_us=config.scrub_interval_us,
-        seed=config.seed,
-        fd_mode=config.fd_mode,
-    )
-    sharded = ShardedCluster.build(
-        env,
-        SPEC_FACTORIES["bankmap"](),
-        n_shards=config.n_shards,
-        n_nodes=config.n_nodes,
-        config=runtime_config,
-        shard_probe_factory=(
-            recorder.probe_factory_for if recorder is not None else None
-        ),
-        seed=config.seed,
-    )
-    if recorder is not None:
-        recorder.attach(sharded.coordination)
-    coordinator = TxnCoordinator(
-        sharded, recorder=recorder,
-        lock_path_enabled=config.txn_lock_path,
-    )
-    return sharded, coordinator
-
-
 def _sharded_driver(config: ExperimentConfig) -> ShardedDriverConfig:
     # total_ops budgets *constituent calls*; the stock txn shapes issue
     # two calls each, so the txn count halves it.
@@ -203,33 +186,19 @@ def _sharded_driver(config: ExperimentConfig) -> ShardedDriverConfig:
     )
 
 
-def _is_sharded(config: ExperimentConfig) -> bool:
-    # n_shards=1 with the sharded-bank workload still runs the sharded
-    # driver over a one-shard topology: the apples-to-apples baseline
-    # of the shard-count scaling benchmark.
-    return config.n_shards > 1 or config.workload == "sharded-bank"
-
-
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    if config.system not in SYSTEMS:
-        raise ValueError(f"unknown system {config.system!r}")
-    env = Environment()
-    if _is_sharded(config):
-        sharded, coordinator = _build_sharded(env, config)
-        return run_sharded_workload(
-            env, sharded, coordinator, _sharded_driver(config)
-        )
-    cluster = _build_cluster(env, config)
-    return run_workload(env, cluster, _driver(config))
-
-
 @dataclass
-class TracedRun:
-    """One experiment run with its flight recorder still attached."""
+class Run:
+    """One experiment run with everything it built still attached.
 
-    result: RunResult
+    ``result`` is ``None`` when a fault run failed to quiesce before
+    the driver's timeout (a recovery path too broken to finish): the
+    trace is still complete, so :meth:`check` remains the gate.
+    """
+
+    result: Optional[RunResult]
     cluster: object
-    recorder: TraceRecorder
+    #: The flight recorder (None for an untraced run).
+    recorder: object = None
     #: The txn coordinator of a sharded run (None for single clusters).
     coordinator: object = None
     #: With ``live_check``: the in-run streaming checker and its
@@ -239,6 +208,17 @@ class TracedRun:
     #: With ``metrics_out``/``progress``: the telemetry emitter
     #: (``emitter.samples`` counts the JSONL lines written).
     emitter: object = None
+    #: With ``loop``: the session tier (``tier.tenant_stats()`` breaks
+    #: ``result.dropped_arrivals`` down per tenant) and the loop config
+    #: as driven (workload/seed/label taken from the experiment config).
+    tier: object = None
+    loop: object = None
+    #: With ``plan``: the armed fault injector and its plan.
+    injector: object = None
+    plan: object = None
+    #: False when the post-horizon settle window of a fault run expired
+    #: before the cluster reached a stable converged state.
+    settled: bool = True
 
     def check(self):
         """Run the offline integrity/convergence checker on the trace.
@@ -273,11 +253,6 @@ def _instrument(env: Environment, cluster, recorder,
     if live_check:
         from ..runtime import StreamingChecker
 
-        if isinstance(recorder, ShardedRecorder):
-            raise ValueError(
-                "live checking does not support sharded topologies yet "
-                "(use the offline ShardedTraceChecker)"
-            )
         checker = StreamingChecker(
             cluster.coordination, processes=cluster.node_names()
         )
@@ -293,259 +268,164 @@ def _instrument(env: Environment, cluster, recorder,
     return checker, emitter
 
 
-def run_traced(config: ExperimentConfig,
-               capacity: int = 1 << 20,
-               live_check: bool = False,
-               metrics_out=None,
-               metrics_interval_us: float = 200.0,
-               progress=None) -> TracedRun:
-    """Like :func:`run_experiment`, but with a flight recorder installed.
+def run_harness(config: ExperimentConfig, *,
+                trace: bool = True,
+                capacity: int = 1 << 20,
+                live_check: bool = False,
+                metrics_out=None,
+                metrics_interval_us: float = 200.0,
+                progress=None,
+                plan: Optional[FaultPlan] = None,
+                loop: Optional[OpenLoopConfig] = None,
+                settle_us: float = 200_000.0) -> Run:
+    """Build the system ``config`` names, drive its workload, return the
+    :class:`Run` — the one path every benchmark, test and CLI run takes.
 
-    Only the Hamband-runtime systems (``hamband``, ``mu``) expose the
-    probe seam; the message-passing baseline has nothing to trace.
-    ``capacity`` bounds the per-node event ring buffer — size it to the
-    run for offline checking (the offline checker refuses truncated
-    traces), or keep it small with ``live_check=True``: the streaming
-    checker taps events as they are recorded, so its verdict covers the
-    whole run even when the ring keeps only a suffix.
+    ``trace`` installs a flight recorder on the probe seam (only the
+    Hamband-runtime systems, ``hamband`` and ``mu``, have one; the
+    message-passing baseline has nothing to trace).  ``capacity``
+    bounds the per-node event ring buffer — size it to the run for
+    offline checking (the offline checker refuses truncated traces), or
+    keep it small with ``live_check=True``: the streaming checker taps
+    events as they are recorded, so its verdict covers the whole run
+    even when the ring keeps only a suffix.  ``trace=False`` skips the
+    recorder unless live checking, metrics or a fault plan needs it.
 
     ``metrics_out`` (a path or open file) turns on the periodic
     :class:`~repro.runtime.MetricsEmitter` sampling probe counters,
     phase latencies (p50..p999), and checker progress every
     ``metrics_interval_us`` of sim time; ``progress`` receives a
     one-line status per sample.
+
+    ``plan`` arms a :class:`FaultInjector` before traffic starts
+    (scheduled faults fire by simulated time; window faults intercept
+    RDMA verbs and messages); after the workload the run continues past
+    the plan's horizon and waits up to ``settle_us`` for a short
+    stable-convergence window.  Neither the settle window nor a quiesce
+    timeout raises: :meth:`Run.check` is the gate, so a run whose
+    recovery paths failed completes with ``result=None`` and/or
+    ``settled=False`` and a trace that the checker rejects (this is
+    what the negative-control test relies on).  Background-worker
+    crashes still raise — those are bugs, not injected faults.
+    Sharded topologies arm the plan against shard 0 only — the victim
+    shard — which is exactly the isolation claim the sharded chaos
+    preset tests: faults inside one shard must not stall commuting
+    transactions on the healthy shards.
+
+    ``loop`` swaps the closed-loop driver for the open-loop serving
+    tier: it shapes the traffic — offered load, arrival curve,
+    session/tenant population, admission caps, SLO target — while its
+    workload/seed/label are overridden from ``config`` so one pair of
+    flags can't drift apart.  With ``plan`` this is the gray-failure
+    SLO scenario: serve a flash crowd THROUGH a fail-slow window and
+    let SLO attainment judge the mitigation stack.
     """
-    if config.system not in ("hamband", "mu"):
+    if config.system not in SYSTEMS:
+        raise ValueError(f"unknown system {config.system!r}")
+    instrumented = (
+        trace or live_check or metrics_out is not None
+        or progress is not None or plan is not None
+    )
+    if instrumented and config.system == "msg":
         raise ValueError(
             f"system {config.system!r} has no probe seam to trace"
         )
-    env = Environment()
-    if _is_sharded(config):
-        recorder = ShardedRecorder(
-            env, n_shards=config.n_shards, capacity=capacity
-        )
+    if config.sharded:
         if live_check:
             raise ValueError(
                 "live checking does not support sharded topologies yet "
                 "(use the offline ShardedTraceChecker)"
             )
-        sharded, coordinator = _build_sharded(env, config, recorder)
-        _checker, emitter = _instrument(
-            env, sharded, recorder, False, metrics_out,
-            metrics_interval_us, progress, config.workload,
-        )
-        result = run_sharded_workload(
-            env, sharded, coordinator, _sharded_driver(config)
-        )
-        if emitter is not None:
-            emitter.close()
-        return TracedRun(
-            result=result, cluster=sharded, recorder=recorder,
-            coordinator=coordinator, emitter=emitter,
-        )
-    recorder = TraceRecorder(env, capacity=capacity)
-    cluster = _build_cluster(
-        env, config, probe_factory=recorder.probe_factory
-    )
-    recorder.attach(cluster.coordination)
-    checker, emitter = _instrument(
-        env, cluster, recorder, live_check, metrics_out,
-        metrics_interval_us, progress, config.workload,
-    )
-    result = run_workload(env, cluster, _driver(config))
-    stream_report = checker.finish() if checker is not None else None
-    if emitter is not None:
-        emitter.close()
-    return TracedRun(
-        result=result, cluster=cluster, recorder=recorder,
-        stream_checker=checker, stream_report=stream_report,
-        emitter=emitter,
-    )
-
-
-@dataclass
-class ServingRun(TracedRun):
-    """An open-loop serving run with its session tier attached.
-
-    ``result.dropped_arrivals`` counts admission shedding;
-    ``tier.tenant_stats()`` breaks it down per tenant;
-    ``result.slo`` carries attainment when a target was declared.
-    """
-
-    tier: object = None
-    loop: object = None
-    #: With ``plan``: the armed fault injector (gray-SLO scenarios
-    #: serve open-loop traffic THROUGH an injected fail-slow window).
-    injector: object = None
-    plan: object = None
-
-
-def run_serving(config: ExperimentConfig, loop: OpenLoopConfig,
-                capacity: int = 1 << 20,
-                live_check: bool = False,
-                metrics_out=None,
-                metrics_interval_us: float = 200.0,
-                progress=None,
-                plan: Optional["FaultPlan"] = None) -> ServingRun:
-    """Drive the open-loop serving tier over a traced cluster.
-
-    ``config`` picks the system/topology (hamband or mu, single
-    cluster); ``loop`` shapes the traffic — offered load, arrival
-    curve, session/tenant population, admission caps, SLO target.
-    The loop's workload/seed/label are overridden from ``config`` so
-    one pair of flags can't drift apart.  ``plan`` optionally arms a
-    :class:`FaultInjector` before traffic starts — the gray-failure
-    SLO scenario: serve a flash crowd THROUGH a fail-slow window and
-    let SLO attainment judge the mitigation stack.
-    """
-    if config.system not in ("hamband", "mu"):
-        raise ValueError(
-            f"system {config.system!r} has no probe seam to trace"
-        )
-    if _is_sharded(config):
-        raise ValueError(
-            "the serving tier drives single clusters; sharded serving "
-            "is future work"
-        )
-    loop = replace(
-        loop,
-        workload=config.workload,
-        seed=config.seed,
-        system_label=config.system,
-    )
+        if loop is not None:
+            raise ValueError(
+                "the serving tier drives single clusters; sharded "
+                "serving is future work"
+            )
+        if config.system != "hamband":
+            raise ValueError(
+                f"sharded topologies run the hamband runtime only, "
+                f"not {config.system!r}"
+            )
     env = Environment()
-    recorder = TraceRecorder(env, capacity=capacity)
-    cluster = _build_cluster(
-        env, config, probe_factory=recorder.probe_factory
-    )
-    recorder.attach(cluster.coordination)
-    injector = None
-    if plan is not None:
-        injector = FaultInjector(plan)
-        injector.arm(cluster)
-    checker, emitter = _instrument(
-        env, cluster, recorder, live_check, metrics_out,
-        metrics_interval_us, progress, f"serve:{config.workload}",
-    )
-    tier = build_tier(loop, config.n_nodes)
-    result = run_open_loop(env, cluster, loop, tier=tier)
-    stream_report = checker.finish() if checker is not None else None
-    if emitter is not None:
-        emitter.close()
-    return ServingRun(
-        result=result, cluster=cluster, recorder=recorder,
-        stream_checker=checker, stream_report=stream_report,
-        emitter=emitter, tier=tier, loop=loop,
-        injector=injector, plan=plan,
-    )
-
-
-@dataclass
-class ChaosRun(TracedRun):
-    """A traced run with a fault injector armed on the cluster.
-
-    ``result`` is ``None`` when the run failed to quiesce before the
-    driver's timeout (a recovery path too broken to finish): the trace
-    is still complete, so :meth:`TracedRun.check` remains the gate.
-    """
-
-    injector: object = None
-    plan: object = None
-    #: False when the post-horizon settle window expired before the
-    #: cluster reached a stable converged state.
-    settled: bool = True
-
-
-def run_chaos(config: ExperimentConfig, plan: "FaultPlan",
-              capacity: int = 1 << 20,
-              settle_us: float = 200_000.0,
-              live_check: bool = False,
-              metrics_out=None,
-              metrics_interval_us: float = 200.0,
-              progress=None) -> ChaosRun:
-    """Drive a workload while a :class:`FaultInjector` executes ``plan``.
-
-    Builds the traced cluster, arms the injector (scheduled faults fire
-    by simulated time; window faults intercept RDMA verbs and messages),
-    runs the workload, then runs past the plan's horizon and waits for a
-    short stable-convergence window.  Neither the settle window nor a
-    quiesce timeout raises: the offline :class:`TraceChecker` is the
-    gate, so a run whose recovery paths failed completes with a trace
-    that the checker rejects (this is what the negative-control test
-    relies on).  Background-worker crashes still raise — those are bugs,
-    not injected faults.
-
-    Sharded topologies arm the plan against shard 0 only — the victim
-    shard — which is exactly the isolation claim the sharded chaos
-    preset tests: faults inside one shard must not stall commuting
-    transactions on the healthy shards.
-    """
-    if config.system not in ("hamband", "mu"):
-        raise ValueError(
-            f"system {config.system!r} has no probe seam to trace"
-        )
-    if live_check and _is_sharded(config):
-        raise ValueError(
-            "live checking does not support sharded topologies yet "
-            "(use the offline ShardedTraceChecker)"
-        )
-    env = Environment()
-    coordinator = None
-    if _is_sharded(config):
+    recorder = None
+    if instrumented and config.sharded:
         recorder = ShardedRecorder(
             env, n_shards=config.n_shards, capacity=capacity
         )
-        cluster, coordinator = _build_sharded(env, config, recorder)
-        injector = FaultInjector(plan)
-        injector.arm(cluster.shard(0))
-    else:
+    elif instrumented:
         recorder = TraceRecorder(env, capacity=capacity)
-        cluster = _build_cluster(
-            env, config, probe_factory=recorder.probe_factory
-        )
+    cluster, coordinator = _build_cluster(env, config, recorder)
+    if recorder is not None:
         recorder.attach(cluster.coordination)
-        injector = FaultInjector(plan)
-        injector.arm(cluster)
+    injector = None
+    if plan is not None:
+        injector = FaultInjector(plan).arm(
+            cluster.shard(0) if config.sharded else cluster
+        )
+    tier = None
+    label = config.workload
+    if loop is not None:
+        loop = replace(
+            loop,
+            workload=config.workload,
+            seed=config.seed,
+            system_label=config.system,
+        )
+        tier = build_tier(loop, config.n_nodes)
+        label = f"serve:{config.workload}"
     checker, emitter = _instrument(
         env, cluster, recorder, live_check, metrics_out,
-        metrics_interval_us, progress, config.workload,
+        metrics_interval_us, progress, label,
     )
     result = None
     try:
-        if _is_sharded(config):
+        if loop is not None:
+            result = run_open_loop(env, cluster, loop, tier=tier)
+        elif config.sharded:
             result = run_sharded_workload(
                 env, cluster, coordinator, _sharded_driver(config)
             )
         else:
             result = run_workload(env, cluster, _driver(config))
     except TimeoutError:
-        pass  # non-quiescent run: the checker will call the verdict
-    # Run past the fault horizon so late restarts/heals fire even when
-    # the workload finished early.
-    horizon = plan.horizon_us()
-    if env.now < horizon:
-        env.run(until=horizon)
-    settled = env.run(until=env.process(
-        _settle(env, cluster, settle_us), name="chaos:settle"
-    ))
-    crashed = cluster.failures()
+        if plan is None:
+            raise
+        # Non-quiescent fault run: the checker will call the verdict.
+    settled = True
+    if plan is not None:
+        # Run past the fault horizon so late restarts/heals fire even
+        # when the workload finished early.
+        horizon = plan.horizon_us()
+        if env.now < horizon:
+            env.run(until=horizon)
+        settled = bool(env.run(until=env.process(
+            _settle(env, cluster, settle_us), name="chaos:settle"
+        )))
+    crashed = getattr(cluster, "failures", lambda: [])()
     if crashed:
         raise RuntimeError(f"background workers crashed: {crashed}")
     stream_report = checker.finish() if checker is not None else None
     if emitter is not None:
         emitter.close()
-    return ChaosRun(
+    return Run(
         result=result,
         cluster=cluster,
         recorder=recorder,
         coordinator=coordinator,
-        injector=injector,
-        plan=plan,
-        settled=bool(settled),
         stream_checker=checker,
         stream_report=stream_report,
         emitter=emitter,
+        tier=tier,
+        loop=loop,
+        injector=injector,
+        plan=plan,
+        settled=settled,
     )
+
+
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """The untraced shorthand the figure benchmarks use."""
+    return run_harness(config, trace=False).result
 
 
 def _settle(env: Environment, cluster, settle_us: float,

@@ -40,7 +40,8 @@ Commands:
   ``--check`` fails); ``--scrub`` additionally runs the background
   scrubber over at-rest ring replicas.  ``--check`` gates the run with
   the trace checker (exit 2 on violations), which is how the CI chaos
-  matrix decides pass/fail.  ``--shards N`` runs the sharded bank
+  matrix decides pass/fail; a run that never quiesced or never settled
+  exits 2 on its own.  ``--shards N`` runs the sharded bank
   workload with the plan armed against shard 0 only (the victim
   shard); the ``shard-isolate`` preset partitions and crash-restarts
   inside that shard while commuting txns on healthy shards must keep
@@ -84,39 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--max-states", type=int, default=200_000)
 
     run = sub.add_parser("run", help="drive one experiment")
-    run.add_argument("workload")
-    run.add_argument(
-        "--system",
-        choices=("hamband", "mu", "msg"),
-        default="hamband",
-    )
-    run.add_argument("--nodes", type=int, default=4)
-    run.add_argument("--ops", type=int, default=1200)
-    run.add_argument("--update-ratio", type=float, default=0.25)
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="build a sharded topology of N independent shards and "
-        "drive the cross-shard bank workload through the txn "
-        "coordinator (hamband only; the workload name 'sharded-bank' "
-        "implies --shards 1 as the scaling baseline)",
-    )
-    run.add_argument(
-        "--txn-mix",
-        type=float,
-        default=0.0,
-        help="sharded runs: fraction of conflicting transfer txns "
-        "(the rest are all-commuting payroll deposits)",
-    )
-    run.add_argument(
-        "--txn-lock-path",
-        choices=("on", "off"),
-        default="on",
-        help="sharded runs: 'off' routes conflicting txns down the "
-        "uncoordinated path — the negative control (expect --check's "
-        "cross-shard atomicity obligation to fail)",
+    _add_run_flags(
+        run, systems=("hamband", "mu", "msg"), ops=1200
     )
     run.add_argument(
         "--fail-node", default=None, help="suspend this node's heartbeat"
@@ -131,53 +101,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "committed state from authoritative copies and must converge "
         "(hamband/mu only; implies tracing)",
     )
-    run.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="data-plane wire format: 2 (interned/varint, default) or "
-        "1 (legacy tagged)",
-    )
-    run.add_argument("--per-method", action="store_true")
-    run.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-node probe snapshots, the cluster rollup, and "
-        "per-phase latencies after the run",
-    )
-    run.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="record a flight-recorder trace and export it: *.jsonl "
-        "gets JSON lines, anything else the Chrome trace_event format "
-        "(open in chrome://tracing or ui.perfetto.dev)",
-    )
-    run.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=1 << 20,
-        help="per-node trace ring-buffer capacity (events)",
-    )
-    run.add_argument(
-        "--check",
-        action="store_true",
-        help="replay the recorded trace through the offline "
-        "integrity/convergence checker; exit 2 on violations",
-    )
-    _add_live_args(run)
 
     serve = sub.add_parser(
         "serve",
         help="drive the open-loop serving tier (sessions, arrival "
         "curves, admission control, SLO attainment)",
     )
-    serve.add_argument("workload")
-    serve.add_argument(
-        "--system", choices=("hamband", "mu"), default="hamband"
+    _add_run_flags(
+        serve,
+        systems=("hamband", "mu"),
+        faults_help="arm a fault plan under the serving run: a named "
+        "preset (e.g. gray-leader, flaky-link) or a plan JSON file — "
+        "'--faults gray-leader --fd-mode phi' is the gray-failure "
+        "SLO repro (compare --fd-mode fixed on the same seed)",
     )
-    serve.add_argument("--nodes", type=int, default=4)
     serve.add_argument(
         "--load",
         type=float,
@@ -191,8 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2000.0,
         help="arrival window in sim microseconds",
     )
-    serve.add_argument("--update-ratio", type=float, default=0.25)
-    serve.add_argument("--seed", type=int, default=1)
     serve.add_argument(
         "--curve",
         choices=("steady", "diurnal", "burst", "flash-crowd"),
@@ -242,117 +177,23 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-tenant admission accounting after the run",
     )
-    serve.add_argument(
-        "--fd-mode",
-        choices=("fixed", "phi"),
-        default="fixed",
-        help="failure detection: 'fixed' (byte-stable stale-count "
-        "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
-        "degraded classification, hedged reads, jittered retries, "
-        "slow-leader demotion)",
-    )
-    serve.add_argument(
-        "--faults",
-        metavar="PLAN",
-        default=None,
-        help="arm a fault plan under the serving run: a named preset "
-        "(e.g. gray-leader, flaky-link) or a plan JSON file — "
-        "'--faults gray-leader --fd-mode phi' is the gray-failure "
-        "SLO repro (compare --fd-mode fixed on the same seed)",
-    )
-    serve.add_argument(
-        "--horizon",
-        type=float,
-        default=None,
-        help="fault-plan horizon in sim microseconds (with --faults; "
-        "defaults to --duration)",
-    )
-    serve.add_argument("--per-method", action="store_true")
-    serve.add_argument(
-        "--stats",
-        action="store_true",
-        help="print tier stats, probe snapshots, and phase latencies",
-    )
-    serve.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="export the flight-recorder trace (*.jsonl for JSON "
-        "lines, anything else Chrome trace_event)",
-    )
-    serve.add_argument("--trace-capacity", type=int, default=1 << 20)
-    serve.add_argument(
-        "--check",
-        action="store_true",
-        help="replay the trace through the offline checker; exit 2 on "
-        "violations",
-    )
-    _add_live_args(serve)
 
     chaos = sub.add_parser(
         "chaos",
         help="drive one experiment under a deterministic fault plan",
     )
-    chaos.add_argument("workload")
-    chaos.add_argument(
-        "--system", choices=("hamband", "mu"), default="hamband"
-    )
-    chaos.add_argument("--nodes", type=int, default=4)
-    chaos.add_argument("--ops", type=int, default=600)
-    chaos.add_argument("--update-ratio", type=float, default=0.25)
-    chaos.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="workload seed AND (without --faults) the fault-plan seed",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="sharded topology of N shards; fault plans are armed "
-        "against shard 0 only (the victim shard), so e.g. "
-        "'--faults shard-isolate' proves isolated-shard faults do not "
-        "stall commuting txns on the healthy shards",
-    )
-    chaos.add_argument(
-        "--txn-mix",
-        type=float,
-        default=0.0,
-        help="sharded runs: fraction of conflicting transfer txns",
-    )
-    chaos.add_argument(
-        "--txn-lock-path",
-        choices=("on", "off"),
-        default="on",
-        help="sharded runs: 'off' is the atomicity negative control",
-    )
-    chaos.add_argument(
-        "--faults",
-        metavar="PLAN",
-        default=None,
-        help="a named CI plan (crash-leader, partition-minority, "
+    _add_run_flags(
+        chaos,
+        systems=("hamband", "mu"),
+        seed=None,
+        ops=600,
+        faults_help="a named CI plan (crash-leader, partition-minority, "
         "lossy-10pct, delay-spike, restart-follower, corrupt-5pct, "
         "torn-writes, corrupt-crash; shard-isolate with --shards; "
         "membership: scale-out-partition, scale-in-leader; "
         "gray failures: gray-leader, flaky-link) or "
         "a plan JSON file; omit to derive a plan from --seed",
-    )
-    chaos.add_argument(
-        "--fd-mode",
-        choices=("fixed", "phi"),
-        default="fixed",
-        help="failure detection: 'fixed' (byte-stable stale-count "
-        "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
-        "degraded classification, hedged reads, jittered retries, "
-        "slow-leader demotion — the gray-failure toolkit)",
-    )
-    chaos.add_argument(
-        "--horizon",
-        type=float,
-        default=1000.0,
-        help="fault-plan horizon in sim microseconds (preset/seeded "
-        "plans place their faults as fractions of this)",
+        horizon=1000.0,
     )
     chaos.add_argument(
         "--save-plan",
@@ -360,14 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the resolved plan as canonical JSON (replayable "
         "via --faults FILE)",
-    )
-    chaos.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="data-plane wire format: 2 (interned/varint, default) or "
-        "1 (legacy tagged)",
     )
     chaos.add_argument(
         "--ring-integrity",
@@ -390,31 +223,121 @@ def _build_parser() -> argparse.ArgumentParser:
         default=50.0,
         help="scrub tick in sim microseconds (with --scrub; default 50)",
     )
-    chaos.add_argument("--per-method", action="store_true")
-    chaos.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-node probe snapshots and the cluster rollup",
-    )
-    chaos.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="export the flight-recorder trace (*.jsonl for JSON "
-        "lines, anything else Chrome trace_event with FAULT markers)",
-    )
-    chaos.add_argument("--trace-capacity", type=int, default=1 << 20)
-    chaos.add_argument(
-        "--check",
-        action="store_true",
-        help="gate the run with the offline trace checker; exit 2 on "
-        "violations",
-    )
-    _add_live_args(chaos)
     return parser
 
 
-def _add_live_args(sub: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser, *,
+                   systems: Sequence[str],
+                   seed: Optional[int] = 1,
+                   ops: Optional[int] = None,
+                   faults_help: Optional[str] = None,
+                   horizon: Optional[float] = None) -> None:
+    """Declare the flags ``run``, ``serve`` and ``chaos`` share.
+
+    Every subcommand gets the cluster, seed and observability flags.
+    ``ops`` (the default closed-loop op budget) adds the closed-loop
+    topology flags, which open-loop ``serve`` has no use for;
+    ``faults_help`` adds the fault-plan flags, which plain ``run`` has
+    no use for, with ``horizon`` the ``--horizon`` default.
+    """
+    sub.add_argument("workload")
+    sub.add_argument("--system", choices=systems, default="hamband")
+    sub.add_argument("--nodes", type=int, default=4)
+    sub.add_argument("--update-ratio", type=float, default=0.25)
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=seed,
+        help="workload seed; in chaos also (without --faults) the "
+        "fault-plan seed",
+    )
+    if ops is not None:
+        sub.add_argument("--ops", type=int, default=ops)
+        sub.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="build a sharded topology of N independent shards and "
+            "drive the cross-shard bank workload through the txn "
+            "coordinator (hamband only; the workload name "
+            "'sharded-bank' implies --shards 1 as the scaling "
+            "baseline); fault plans are armed against shard 0 only "
+            "(the victim shard), so e.g. '--faults shard-isolate' "
+            "proves isolated-shard faults do not stall commuting txns "
+            "on the healthy shards",
+        )
+        sub.add_argument(
+            "--txn-mix",
+            type=float,
+            default=0.0,
+            help="sharded runs: fraction of conflicting transfer txns "
+            "(the rest are all-commuting payroll deposits)",
+        )
+        sub.add_argument(
+            "--txn-lock-path",
+            choices=("on", "off"),
+            default="on",
+            help="sharded runs: 'off' routes conflicting txns down the "
+            "uncoordinated path — the negative control (expect "
+            "--check's cross-shard atomicity obligation to fail)",
+        )
+        sub.add_argument(
+            "--wire-version",
+            type=int,
+            choices=(1, 2),
+            default=2,
+            help="data-plane wire format: 2 (interned/varint, default) "
+            "or 1 (legacy tagged)",
+        )
+    if faults_help is not None:
+        sub.add_argument(
+            "--faults", metavar="PLAN", default=None, help=faults_help
+        )
+        sub.add_argument(
+            "--fd-mode",
+            choices=("fixed", "phi"),
+            default="fixed",
+            help="failure detection: 'fixed' (byte-stable stale-count "
+            "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
+            "degraded classification, hedged reads, jittered retries, "
+            "slow-leader demotion — the gray-failure toolkit)",
+        )
+        sub.add_argument(
+            "--horizon",
+            type=float,
+            default=horizon,
+            help="fault-plan horizon in sim microseconds: preset and "
+            "seeded plans place their faults as fractions of it "
+            "(serve defaults it to --duration)",
+        )
+    sub.add_argument("--per-method", action="store_true")
+    sub.add_argument(
+        "--stats",
+        action="store_true",
+        help="print per-node probe snapshots and the cluster rollup "
+        "after the run (run/serve add per-phase latencies)",
+    )
+    sub.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="record a flight-recorder trace and export it: *.jsonl "
+        "gets JSON lines, anything else the Chrome trace_event format "
+        "with FAULT markers (open in chrome://tracing or "
+        "ui.perfetto.dev)",
+    )
+    sub.add_argument(
+        "--trace-capacity",
+        type=int,
+        default=1 << 20,
+        help="per-node trace ring-buffer capacity (events)",
+    )
+    sub.add_argument(
+        "--check",
+        action="store_true",
+        help="replay the recorded trace through the offline "
+        "integrity/convergence checker; exit 2 on violations",
+    )
     sub.add_argument(
         "--live-check",
         action="store_true",
@@ -544,22 +467,25 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 2
 
 
-def _print_stats(cluster, recorder, phase_table=None) -> None:
-    """Probe snapshots + rollups; sharded runs group output by shard."""
+def _print_stats(cluster, recorder, phases: bool) -> None:
+    """Probe snapshots + rollups, then (with ``phases``) the per-phase
+    latency table; sharded runs group output by shard."""
     import json
 
+    from .bench import phase_latency_table
+
     print(json.dumps(cluster.stats(), indent=2, default=str))
-    if phase_table is None:
+    if not phases:
         return
     by_shard = getattr(recorder, "phase_histograms_by_shard", None)
     if by_shard is not None:
         for label in sorted(by_shard()):
-            print(phase_table(
+            print(phase_latency_table(
                 f"{label}: per-phase latency (trace spans)",
                 by_shard()[label],
             ))
     else:
-        print(phase_table(
+        print(phase_latency_table(
             "per-phase latency (trace spans)",
             recorder.phase_histograms(),
         ))
@@ -612,137 +538,213 @@ def _print_txn_counters(coordinator) -> None:
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .bench import (
-        ExperimentConfig,
-        phase_latency_table,
-        run_experiment,
-        run_traced,
-    )
+def _experiment_config(args: argparse.Namespace):
+    """The :class:`ExperimentConfig` the parsed flags name.
 
-    instrumented = (
-        args.stats or args.trace is not None or args.check
-        or args.live_check or args.metrics_out is not None
-        or args.scale_out_at is not None
-    )
-    if instrumented and args.system == "msg":
-        print("--stats/--trace/--check/--live-check/--scale-out-at need "
-              "the Hamband probe seam; the msg baseline has none (use "
-              "--system hamband or mu)")
-        return 1
-    config = ExperimentConfig(
+    A flag group the subcommand does not declare keeps the config's
+    default.  Raises ``ValueError`` for a workload or ``--fail-node``
+    that names nothing, so a typo is reported as one before the run
+    rather than as whatever it breaks inside it.
+    """
+    from .bench import ExperimentConfig
+    from .workload import GENERATOR_NAMES
+
+    flags = vars(args)
+    fields = dict(
         system=args.system,
         workload=args.workload,
         n_nodes=args.nodes,
-        total_ops=args.ops,
         update_ratio=args.update_ratio,
-        seed=args.seed,
-        fail_node=args.fail_node,
-        wire_version=args.wire_version,
-        n_shards=args.shards,
-        txn_mix=args.txn_mix,
-        txn_lock_path=args.txn_lock_path == "on",
+        # chaos leaves --seed unset to mean "no seeded fault plan"; the
+        # workload still gets the stock seed.
+        seed=args.seed if args.seed is not None else 1,
     )
-    traced = None
+    if "ops" in flags:
+        fields.update(
+            total_ops=args.ops,
+            wire_version=args.wire_version,
+            n_shards=args.shards,
+            txn_mix=args.txn_mix,
+            txn_lock_path=args.txn_lock_path == "on",
+        )
+    if "fd_mode" in flags:
+        fields.update(fd_mode=args.fd_mode)
+    if "ring_integrity" in flags:
+        fields.update(
+            ring_integrity=args.ring_integrity == "on",
+            scrub_interval_us=(
+                args.scrub_interval_us if args.scrub else 0.0
+            ),
+        )
+    if "fail_node" in flags:
+        fields.update(fail_node=args.fail_node)
+    config = ExperimentConfig(**fields)
+    # Sharded topologies always drive the bank workload over their own
+    # node set; the workload name and --fail-node do not reach them.
+    if not config.sharded:
+        if config.workload not in GENERATOR_NAMES:
+            raise ValueError(
+                f"unknown workload {config.workload!r}; try `repro list`"
+            )
+        nodes = [f"p{i}" for i in range(1, config.n_nodes + 1)]
+        if config.fail_node is not None and config.fail_node not in nodes:
+            raise ValueError(
+                f"unknown node {config.fail_node!r} for --fail-node; "
+                f"this cluster has {', '.join(nodes)}"
+            )
+    return config
+
+
+def _fault_plan(args: argparse.Namespace, horizon_us: float):
+    """The plan ``--faults``/``--seed`` name; None (after saying why)
+    when they name none."""
+    from .sim import resolve_plan
+
+    try:
+        return resolve_plan(
+            args.faults, args.seed, args.nodes, horizon_us=horizon_us
+        )
+    except ValueError as exc:
+        print(exc)
+        return None
+
+
+def _run(args: argparse.Namespace, **options):
+    """Run the experiment the flags name under the live progress line.
+
+    Returns the :class:`~repro.bench.Run`, or None after printing the
+    reason when the flags do not add up to a runnable experiment
+    (exit 1).
+    """
+    from .bench import run_harness
+
     progress, progress_done = _live_progress(
         args.live_check or args.metrics_out is not None
     )
     try:
-        if args.scale_out_at is not None:
-            # A scale-out is a one-action membership plan driven by the
-            # chaos harness (it already knows how to run past the event
-            # and wait for the joiner to reach parity).
-            from .bench import run_chaos
-            from .sim import FaultAction, FaultPlan
-
-            plan = FaultPlan(
-                seed=args.seed,
-                name="scale-out",
-                actions=(FaultAction(
-                    at_us=args.scale_out_at,
-                    kind="join",
-                    target=f"node:p{args.nodes + 1}",
-                ),),
-            )
-            traced = run_chaos(
-                config, plan, capacity=args.trace_capacity,
-                live_check=args.live_check,
-                metrics_out=args.metrics_out,
-                metrics_interval_us=args.metrics_interval_us,
-                progress=progress,
-            )
-            result = traced.result
-        elif instrumented:
-            traced = run_traced(
-                config, capacity=args.trace_capacity,
-                live_check=args.live_check,
-                metrics_out=args.metrics_out,
-                metrics_interval_us=args.metrics_interval_us,
-                progress=progress,
-            )
-            result = traced.result
-        else:
-            result = run_experiment(config)
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; try `repro list`")
-        return 1
+        return run_harness(
+            _experiment_config(args),
+            capacity=args.trace_capacity,
+            live_check=args.live_check,
+            metrics_out=args.metrics_out,
+            metrics_interval_us=args.metrics_interval_us,
+            progress=progress,
+            **options,
+        )
     except ValueError as exc:
         print(exc)
-        return 1
+        return None
     finally:
         progress_done()
+
+
+def _plan_lines(run, note: str = "") -> list[str]:
+    from .bench import fault_counts_line
+
+    return [
+        f"plan: {run.plan.name} seed={run.plan.seed} "
+        f"horizon={run.plan.horizon_us():.0f}us{note}",
+        fault_counts_line(run.injector.counts()),
+    ]
+
+
+def _report(args: argparse.Namespace, run, own: Sequence[str] = (),
+            phases: bool = True) -> int:
+    """Print a run's report and return the exit code.
+
+    ``own`` holds the subcommand's own lines, printed right under the
+    summary row; ``phases`` adds the per-phase latency table to
+    ``--stats``.  Exit 2 when a verdict fails — the offline or live
+    checker found a violation, or a fault run gave up (did not quiesce
+    or did not settle) — and 3 when a declared SLO was missed.
+    """
+    from .bench import per_method_lines
+
+    result = run.result
     if result is not None:
         print(result.summary_row())
     else:
         print(f"{args.system:10s} {args.workload:14s} n={args.nodes} "
               "did not quiesce before the driver timeout")
-    if args.scale_out_at is not None:
-        # Sharded runs arm the plan against shard 0 (the scaled shard).
-        scaled = getattr(traced.cluster, "shards", [traced.cluster])[0]
-        joined = sorted(set(scaled.node_names()) - set(scaled.founding))
-        print(f"scale-out: joined {', '.join(joined) or '(none)'} "
-              f"at {args.scale_out_at:.0f}us, "
-              f"epoch v{scaled.epoch.version}")
-    if args.per_method and result is not None:
-        for method in sorted(result.per_method):
-            series = result.per_method[method]
-            print(
-                f"  {method:20s} mean={series.mean:8.3f}us "
-                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
-                f"p999={series.p999:8.3f}us n={series.count}"
-            )
-    if traced is not None:
-        _print_txn_counters(traced.coordinator)
+    for line in own:
+        print(line)
+    if args.per_method and result is not None and result.per_method:
+        print(per_method_lines(result))
+    _print_txn_counters(run.coordinator)
     if args.stats:
-        _print_stats(
-            traced.cluster, traced.recorder, phase_table=phase_latency_table
-        )
+        _print_stats(run.cluster, run.recorder, phases)
     if args.trace is not None:
         if args.trace.endswith(".jsonl"):
-            count = traced.recorder.export_jsonl(args.trace)
+            count = run.recorder.export_jsonl(args.trace)
         else:
-            count = traced.recorder.export_chrome(args.trace)
-        dropped = traced.recorder.dropped()
+            count = run.recorder.export_chrome(args.trace)
+        dropped = run.recorder.dropped()
         print(f"trace: {count} events -> {args.trace}"
               + (f" ({dropped} dropped)" if dropped else ""))
-    live_ok = _print_live(traced) if traced is not None else True
+    ok = _print_live(run)
     if args.metrics_out is not None:
         print(f"metrics -> {args.metrics_out}")
     if args.check:
-        report = traced.check()
+        report = run.check()
         print(report.summary())
-        if not report.ok:
-            return 2
-    return 0 if live_ok else 2
+        ok = ok and report.ok
+    if result is None:
+        print("gave up: the workload did not quiesce before the driver "
+              "timeout")
+        ok = False
+    if not run.settled:
+        print("gave up: the cluster did not settle into a stable "
+              "converged state after the fault plan")
+        ok = False
+    if not ok:
+        return 2
+    if result.slo is not None and not result.slo.ok:
+        return 3
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    traced = args.stats or args.trace is not None or args.check
+    if args.system == "msg" and (
+        traced or args.live_check or args.metrics_out is not None
+        or args.scale_out_at is not None
+    ):
+        print("--stats/--trace/--check/--live-check/--scale-out-at need "
+              "the Hamband probe seam; the msg baseline has none (use "
+              "--system hamband or mu)")
+        return 1
+    plan = None
+    if args.scale_out_at is not None:
+        # A scale-out is a one-action membership plan: the harness
+        # already knows how to run past the event and wait for the
+        # joiner to reach parity.
+        from .sim import FaultAction, FaultPlan
+
+        plan = FaultPlan(
+            seed=args.seed,
+            name="scale-out",
+            actions=(FaultAction(
+                at_us=args.scale_out_at,
+                kind="join",
+                target=f"node:p{args.nodes + 1}",
+            ),),
+        )
+    run = _run(args, trace=traced, plan=plan)
+    if run is None:
+        return 1
+    own = []
+    if plan is not None:
+        # Sharded runs arm the plan against shard 0 (the scaled shard).
+        scaled = getattr(run.cluster, "shards", [run.cluster])[0]
+        joined = sorted(set(scaled.node_names()) - set(scaled.founding))
+        own.append(f"scale-out: joined {', '.join(joined) or '(none)'} "
+                   f"at {args.scale_out_at:.0f}us, "
+                   f"epoch v{scaled.epoch.version}")
+    return _report(args, run, own)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .bench import (
-        ExperimentConfig,
-        phase_latency_table,
-        run_serving,
-        tenant_table,
-    )
+    from .bench import tenant_table
     from .workload import OpenLoopConfig, SloTarget
 
     slo = None
@@ -753,26 +755,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     plan = None
     if args.faults is not None:
-        from .sim import resolve_plan
-
-        horizon = (
-            args.horizon if args.horizon is not None else args.duration
+        plan = _fault_plan(
+            args,
+            args.horizon if args.horizon is not None else args.duration,
         )
-        try:
-            plan = resolve_plan(
-                args.faults, args.seed, args.nodes, horizon_us=horizon
-            )
-        except ValueError as exc:
-            print(exc)
+        if plan is None:
             return 1
-    config = ExperimentConfig(
-        system=args.system,
-        workload=args.workload,
-        n_nodes=args.nodes,
-        update_ratio=args.update_ratio,
-        seed=args.seed,
-        fd_mode=args.fd_mode,
-    )
     loop = OpenLoopConfig(
         workload=args.workload,
         offered_load_ops_per_us=args.load,
@@ -786,149 +774,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_outstanding_per_tenant=args.max_outstanding_per_tenant,
         slo=slo,
     )
-    progress, progress_done = _live_progress(
-        args.live_check or args.metrics_out is not None
-    )
-    try:
-        run = run_serving(
-            config, loop, capacity=args.trace_capacity,
-            live_check=args.live_check,
-            metrics_out=args.metrics_out,
-            metrics_interval_us=args.metrics_interval_us,
-            progress=progress,
-            plan=plan,
-        )
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; try `repro list`")
+    run = _run(args, loop=loop, plan=plan)
+    if run is None:
         return 1
-    except ValueError as exc:
-        print(exc)
-        return 1
-    finally:
-        progress_done()
     result = run.result
-    print(result.summary_row())
-    if run.injector is not None:
-        counts = run.injector.counts()
-        injected = ", ".join(
-            f"{kind}={counts[kind]}" for kind in sorted(counts)
-        ) or "none"
-        print(f"plan: {run.plan.name} seed={run.plan.seed} "
-              f"horizon={run.plan.horizon_us():.0f}us fd={args.fd_mode}")
-        print(f"faults injected: {injected}")
+    own = []
+    if plan is not None:
+        own += _plan_lines(run, note=f" fd={args.fd_mode}")
     tier_stats = run.tier.stats()
-    print(
+    own.append(
         f"sessions: {tier_stats['active_sessions']}/"
         f"{tier_stats['sessions']} active over "
         f"{tier_stats['tenants']} tenant(s), curve={args.curve}  "
         f"admitted={tier_stats['admitted']} "
         f"dropped={tier_stats['dropped']}"
     )
-    print(
-        f"latency: p50={result.latency.p50:.1f}us "
-        f"p99={result.latency.p99:.1f}us "
-        f"p999={result.latency.p999:.1f}us"
-    )
-    if result.slo is not None:
-        print(result.slo.summary())
-    if args.tenant_table:
-        print(tenant_table("per-tenant admission", run.tier))
-    if args.per_method:
-        for method in sorted(result.per_method):
-            series = result.per_method[method]
-            print(
-                f"  {method:20s} mean={series.mean:8.3f}us "
-                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
-                f"p999={series.p999:8.3f}us n={series.count}"
-            )
-    if args.stats:
-        _print_stats(
-            run.cluster, run.recorder, phase_table=phase_latency_table
+    if result is not None:
+        own.append(
+            f"latency: p50={result.latency.p50:.1f}us "
+            f"p99={result.latency.p99:.1f}us "
+            f"p999={result.latency.p999:.1f}us"
         )
-    if args.trace is not None:
-        if args.trace.endswith(".jsonl"):
-            count = run.recorder.export_jsonl(args.trace)
-        else:
-            count = run.recorder.export_chrome(args.trace)
-        dropped = run.recorder.dropped()
-        print(f"trace: {count} events -> {args.trace}"
-              + (f" ({dropped} dropped)" if dropped else ""))
-    live_ok = _print_live(run)
-    if args.metrics_out is not None:
-        print(f"metrics -> {args.metrics_out}")
-    if args.check:
-        report = run.check()
-        print(report.summary())
-        if not report.ok:
-            return 2
-    if not live_ok:
-        return 2
-    if result.slo is not None and not result.slo.ok:
-        return 3
-    return 0
+        if result.slo is not None:
+            own.append(result.slo.summary())
+    if args.tenant_table:
+        own.append(tenant_table("per-tenant admission", run.tier))
+    return _report(args, run, own)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .bench import ExperimentConfig, run_chaos
-    from .sim import resolve_plan
-
-    try:
-        plan = resolve_plan(
-            args.faults, args.seed, args.nodes, horizon_us=args.horizon
-        )
-    except ValueError as exc:
-        print(exc)
+    plan = _fault_plan(args, args.horizon)
+    if plan is None:
         return 1
     if args.save_plan is not None:
         plan.save(args.save_plan)
         print(f"plan: {plan.name} ({len(plan.actions)} actions) "
               f"-> {args.save_plan}")
-    config = ExperimentConfig(
-        system=args.system,
-        workload=args.workload,
-        n_nodes=args.nodes,
-        total_ops=args.ops,
-        update_ratio=args.update_ratio,
-        seed=args.seed if args.seed is not None else 1,
-        wire_version=args.wire_version,
-        ring_integrity=args.ring_integrity == "on",
-        scrub_interval_us=args.scrub_interval_us if args.scrub else 0.0,
-        n_shards=args.shards,
-        txn_mix=args.txn_mix,
-        txn_lock_path=args.txn_lock_path == "on",
-        fd_mode=args.fd_mode,
-    )
-    progress, progress_done = _live_progress(
-        args.live_check or args.metrics_out is not None
-    )
-    try:
-        run = run_chaos(
-            config, plan, capacity=args.trace_capacity,
-            live_check=args.live_check,
-            metrics_out=args.metrics_out,
-            metrics_interval_us=args.metrics_interval_us,
-            progress=progress,
-        )
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; try `repro list`")
+    run = _run(args, plan=plan)
+    if run is None:
         return 1
-    except ValueError as exc:
-        print(exc)
-        return 1
-    finally:
-        progress_done()
-    if run.result is not None:
-        print(run.result.summary_row())
-    else:
-        print(f"{args.system:10s} {args.workload:14s} n={args.nodes} "
-              "did not quiesce before the driver timeout")
-    counts = run.injector.counts()
-    injected = ", ".join(
-        f"{kind}={counts[kind]}" for kind in sorted(counts)
-    ) or "none"
-    print(f"plan: {plan.name} seed={plan.seed} "
-          f"horizon={plan.horizon_us():.0f}us")
-    print(f"faults injected: {injected}")
     stats = run.cluster.stats()
     # Sharded topologies roll up under "global"; single clusters under
     # "cluster".
@@ -937,7 +821,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     def _total(key: str) -> int:
         return sum((probe.get(key) or {}).values())
 
-    print(
+    own = _plan_lines(run)
+    own.append(
         f"corruption: crc_rejects={_total('crc_rejects')} "
         f"torn={_total('torn_detected')} "
         f"repairs={_total('slot_repairs')} "
@@ -945,42 +830,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"scrub_passes={_total('scrub_passes')}"
     )
     if args.fd_mode == "phi":
-        print(
+        own.append(
             f"gray: degraded={_total('peer_degraded')} "
             f"phi_suspects={_total('fd_phi_suspects')} "
             f"hedged={_total('hedged_reads')}/{_total('hedge_wins')} "
             f"retries={_total('op_retries')} "
             f"budget_exhausted={_total('retry_budget_exhausted')}"
         )
-    print(f"settled: {'yes' if run.settled else 'NO'}")
-    _print_txn_counters(run.coordinator)
-    if args.per_method and run.result is not None:
-        for method in sorted(run.result.per_method):
-            series = run.result.per_method[method]
-            print(
-                f"  {method:20s} mean={series.mean:8.3f}us "
-                f"p95={series.p95:8.3f}us p99={series.p99:8.3f}us "
-                f"p999={series.p999:8.3f}us n={series.count}"
-            )
-    if args.stats:
-        _print_stats(run.cluster, run.recorder)
-    if args.trace is not None:
-        if args.trace.endswith(".jsonl"):
-            count = run.recorder.export_jsonl(args.trace)
-        else:
-            count = run.recorder.export_chrome(args.trace)
-        dropped = run.recorder.dropped()
-        print(f"trace: {count} events -> {args.trace}"
-              + (f" ({dropped} dropped)" if dropped else ""))
-    live_ok = _print_live(run)
-    if args.metrics_out is not None:
-        print(f"metrics -> {args.metrics_out}")
-    if args.check:
-        report = run.check()
-        print(report.summary())
-        if not report.ok:
-            return 2
-    return 0 if live_ok else 2
+    own.append(f"settled: {'yes' if run.settled else 'NO'}")
+    return _report(args, run, own, phases=False)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness utilities."""
 
+import hashlib
+
 import pytest
 
 from repro.bench import (
@@ -10,8 +12,12 @@ from repro.bench import (
     ratio_line,
     run_averaged,
     run_experiment,
+    run_harness,
+    runner,
     series_table,
 )
+from repro.sim import FaultAction, FaultPlan
+from repro.workload import OpenLoopConfig, SloTarget
 
 
 class TestRunExperiment:
@@ -107,3 +113,189 @@ class TestReport:
             ratio_line("r", result, result, metric="latency")
             == "r: 1.00x"
         )
+
+
+def _flash_crowd(workload, duration_us, slo=None):
+    return OpenLoopConfig(
+        workload=workload, offered_load_ops_per_us=2.0,
+        duration_us=duration_us, arrival_curve="flash-crowd",
+        n_sessions=2000, n_tenants=4, slo=slo,
+    )
+
+
+#: One run of each shape the harness serves: name -> (config fields,
+#: run_harness keywords, fingerprint).  The fingerprints were taken at
+#: the commit before the four run_* functions became one path
+#: (df62396): total/update/rejected calls, dropped arrivals, start_us,
+#: replicated_us, sha256 of the latency samples, sha256 of the exported
+#: JSONL.  One hash is not the parent's: serving under a plan now runs
+#: the post-horizon settle window fault runs always had, which adds two
+#: late state_xfer events to the end of the open-gray-phi trace.
+HARNESS_SHAPES = {
+    "closed-traced": (
+        dict(system="hamband", workload="courseware", n_nodes=3,
+             total_ops=240, seed=2),
+        {},
+        (240, 64, 0, 0, 232.2636, 299.74260000000095,
+         "f8f66f652300c04f3d6423c831c27503825b3de55e09b314199487a108d42dd2",
+         "f738d6d5db4c702d54f5512be882fb53ce8b79566eae3957379bb62e7b636e91"),
+    ),
+    "closed-live-metrics": (
+        dict(system="mu", workload="gset", n_nodes=3, total_ops=240,
+             update_ratio=0.5, seed=3),
+        dict(live_check=True, metrics_out="m.jsonl",
+             metrics_interval_us=20.0),
+        (240, 135, 0, 0, 0.0, 192.87759999999915,
+         "5cfdc8059134ab1d01de49cca8b38026089bcbdd8dce220f99fb143bdea9507c",
+         "44edecb04779f5c693ae387c83e9fe49e5d10109969a2e7b04836ca31a49509c"),
+    ),
+    "open-flash-slo": (
+        dict(system="hamband", workload="counter", n_nodes=3, seed=7),
+        dict(loop=_flash_crowd("counter", 300.0,
+                               slo=SloTarget(p99_us=2_000.0))),
+        (624, 173, 0, 0, 0.0, 300.064095445503,
+         "7267491a610de524f6ce194ef0fafb66b76b57840dd50a2be3f4d250636987a9",
+         "fb9a3a8200484fde6bed7cb530137d0fb38a744ead8554606ccf22abf2805275"),
+    ),
+    "open-gray-phi": (
+        dict(system="hamband", workload="courseware", n_nodes=4, seed=1,
+             fd_mode="phi"),
+        dict(loop=_flash_crowd("courseware", 400.0), live_check=True,
+             plan=FaultPlan.named("gray-leader", horizon_us=400.0)),
+        (828, 202, 9, 0, 233.0636, 1288.2558275379351,
+         "2ada54aea67a797d014d2a9123ff9e7758ea502c7f6a7463df37f009f92563a7",
+         "b8327a4f0dcac9f6d2c82173031fea520ca51c209219686236e7e3b494e07707"),
+    ),
+    "chaos-crash-leader": (
+        dict(system="hamband", workload="courseware", n_nodes=4,
+             total_ops=300, seed=2),
+        dict(plan=FaultPlan.named("crash-leader", horizon_us=500.0)),
+        (300, 75, 10, 0, 233.0636, 423.61960000000124,
+         "4e3bcc4e2537c973c2859a9e1aaa88936110f18d7eeaa4347c46cd3cbed4c16a",
+         "cb426223324243bffac02e3e617dc0452751458ef60564fef1a2361add15f98b"),
+    ),
+    "sharded-traced": (
+        dict(system="hamband", workload="sharded-bank", n_nodes=3,
+             total_ops=240, n_shards=2, txn_mix=0.2, seed=4),
+        {},
+        (224, 224, 0, 0, 242.40880000000007, 298.50360000000126,
+         "937695a2b236aec0b4ce028d232134e08fdef9d91d6c608a971f648d6bde32de",
+         "a011d56792711490912083c833929c214092d77e36eccfc19950013f8aacf1ab"),
+    ),
+    "sharded-chaos": (
+        dict(system="hamband", workload="sharded-bank", n_nodes=3,
+             total_ops=240, n_shards=2, txn_mix=0.2, seed=3),
+        dict(plan=FaultPlan.named("shard-isolate", seed=3, n_nodes=3,
+                                  horizon_us=700.0)),
+        (224, 224, 0, 0, 242.40880000000007, 558.446600000001,
+         "4c0cded72c543b87e2da7c9b35771953ae63dd981af6a7603251b81b7e449bc4",
+         "ab6863f2dc7721ef63ea428cfc9192d2966d29619b97aa6bc852d7328b6e195b"),
+    ),
+    "scale-out": (
+        dict(system="hamband", workload="gset", n_nodes=3, total_ops=300,
+             seed=1),
+        dict(plan=FaultPlan(seed=1, name="scale-out", actions=(
+            FaultAction(at_us=30.0, kind="join", target="node:p4"),
+        ))),
+        (300, 85, 0, 0, 0.0, 84.84380000000013,
+         "72cc812558a8ac825afb3230f3ff5b7ac9255cc965942f6f92cfb9aded21fdd8",
+         "670db2aea9fa456dfc0273a0b4ce24b3b2011a57318746561ba18c82300a5c77"),
+    ),
+    "msg-untraced": (
+        dict(system="msg", workload="counter", n_nodes=3, total_ops=120,
+             seed=5),
+        dict(trace=False),
+        (120, 27, 0, 0, 0.0, 495.7760000000001,
+         "291df906726b6d31c033cbb661b713c7b778f93051535a8cbf06d34ed78c2a07",
+         None),
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestHarness:
+    @pytest.mark.parametrize("shape", sorted(HARNESS_SHAPES))
+    def test_every_shape_matches_its_pinned_run(self, shape, tmp_path):
+        fields, options, pinned = HARNESS_SHAPES[shape]
+        if "metrics_out" in options:
+            options = dict(
+                options, metrics_out=str(tmp_path / options["metrics_out"])
+            )
+        run = run_harness(ExperimentConfig(**fields), **options)
+        result = run.result
+        trace = None
+        if run.recorder is not None:
+            path = tmp_path / "trace.jsonl"
+            run.recorder.export_jsonl(str(path))
+            trace = _sha256(path.read_bytes())
+        assert (
+            result.total_calls, result.update_calls,
+            result.rejected_calls, result.dropped_arrivals,
+            result.start_us, result.replicated_us,
+            _sha256(repr(result.latency.samples).encode()), trace,
+        ) == pinned
+        assert run.settled
+        assert (run.injector is not None) == ("plan" in options)
+        assert (run.tier is not None) == ("loop" in options)
+        assert (run.stream_report is not None) == (
+            "live_check" in options
+        )
+        assert (run.coordinator is not None) == (
+            fields["workload"] == "sharded-bank"
+        )
+        if run.recorder is not None:
+            assert run.check().ok
+
+    def test_untraced_run_builds_no_recorder(self):
+        run = run_harness(
+            ExperimentConfig(
+                system="hamband", workload="counter", n_nodes=3,
+                total_ops=60,
+            ),
+            trace=False,
+        )
+        assert run.recorder is None
+        assert run.result.total_calls == 60
+
+    @pytest.mark.parametrize("fields,options,message", [
+        (dict(system="msg", workload="counter"), {},
+         "system 'msg' has no probe seam to trace"),
+        (dict(system="msg", workload="counter"),
+         dict(trace=False, live_check=True),
+         "system 'msg' has no probe seam to trace"),
+        (dict(system="hamband", workload="gset", n_shards=2),
+         dict(live_check=True),
+         "live checking does not support sharded topologies yet "
+         "(use the offline ShardedTraceChecker)"),
+        (dict(system="hamband", workload="sharded-bank", n_shards=2),
+         dict(loop=OpenLoopConfig(workload="sharded-bank")),
+         "the serving tier drives single clusters; sharded serving is "
+         "future work"),
+        (dict(system="mu", workload="sharded-bank", n_shards=2),
+         dict(trace=False),
+         "sharded topologies run the hamband runtime only, not 'mu'"),
+    ])
+    def test_guards_keep_their_messages(self, fields, options, message):
+        with pytest.raises(ValueError) as raised:
+            run_harness(ExperimentConfig(**fields), **options)
+        assert str(raised.value) == message
+
+    def test_driver_timeout_is_swallowed_only_under_a_plan(self,
+                                                           monkeypatch):
+        def never_quiesces(env, cluster, config):
+            raise TimeoutError("quiesce")
+
+        monkeypatch.setattr(runner, "run_workload", never_quiesces)
+        config = ExperimentConfig(
+            system="hamband", workload="gset", n_nodes=3, total_ops=60
+        )
+        with pytest.raises(TimeoutError):
+            run_harness(config)
+        run = run_harness(
+            config, plan=FaultPlan(seed=1, name="empty", actions=())
+        )
+        assert run.result is None
+        assert run.settled

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import (
     ExperimentConfig,
-    run_serving,
+    run_harness,
     serving_table,
     tenant_table,
 )
@@ -16,11 +16,11 @@ def serve(system="hamband", live_check=False, **loop_kwargs):
     loop_kwargs.setdefault("duration_us", 400.0)
     loop_kwargs.setdefault("n_sessions", 2000)
     loop_kwargs.setdefault("n_tenants", 4)
-    return run_serving(
+    return run_harness(
         ExperimentConfig(
             system=system, workload="counter", n_nodes=3, seed=7
         ),
-        OpenLoopConfig(workload="counter", **loop_kwargs),
+        loop=OpenLoopConfig(workload="counter", **loop_kwargs),
         live_check=live_check,
     )
 
@@ -47,12 +47,12 @@ class TestRunServing:
         with pytest.raises(ValueError):
             serve(system="msg")
         with pytest.raises(ValueError):
-            run_serving(
+            run_harness(
                 ExperimentConfig(
                     system="hamband", workload="sharded-bank",
                     n_nodes=3, n_shards=2,
                 ),
-                OpenLoopConfig(workload="sharded-bank"),
+                loop=OpenLoopConfig(workload="sharded-bank"),
             )
 
     def test_same_seed_byte_identical_trace(self, tmp_path):

@@ -2,7 +2,7 @@
 
 Three layers of assurance:
 
-1. every named CI fault plan, driven through :func:`run_chaos`, settles
+1. every named CI fault plan, driven through :func:`run_harness`, settles
    to a converged cluster and passes the offline trace checker;
 2. a crashed-and-restarted node catches up to the exact state of the
    survivors (summary transfer + ring replay through the rejoin pass);
@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_chaos
+from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import gset_spec
 from repro.runtime import HambandCluster, TraceChecker, TraceRecorder
 from repro.sim import PLAN_NAMES, Environment, FaultPlan
@@ -41,7 +41,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("workload", ["gset", "courseware"])
     def test_named_plan_converges_and_checks(self, plan_name, workload):
         plan = FaultPlan.named(plan_name, horizon_us=HORIZON_US)
-        run = run_chaos(_config(workload), plan)
+        run = run_harness(_config(workload), plan=plan)
         assert run.settled, f"{plan_name}/{workload} never settled"
         assert run.injector.log, "the plan injected nothing"
         report = run.check()
@@ -51,8 +51,8 @@ class TestChaosMatrix:
 
     def test_seeded_plan_is_reproducible(self):
         plan = FaultPlan.from_seed(7, horizon_us=HORIZON_US)
-        first = run_chaos(_config("gset"), plan)
-        second = run_chaos(_config("gset"), plan)
+        first = run_harness(_config("gset"), plan=plan)
+        second = run_harness(_config("gset"), plan=plan)
         assert first.injector.log == second.injector.log
         assert first.check().ok
 
@@ -161,7 +161,7 @@ class TestCorruptionResilience:
 
     def test_corrupt_plan_detects_repairs_and_checks(self):
         plan = FaultPlan.named("corrupt-5pct", horizon_us=HORIZON_US)
-        run = run_chaos(_config("gset"), plan)
+        run = run_harness(_config("gset"), plan=plan)
         assert run.settled
         assert run.injector.counts().get("corrupt", 0) > 0
         # The corruption was detected (CRC rejects) and healed (slot
@@ -176,7 +176,7 @@ class TestCorruptionResilience:
 
     def test_torn_plan_classifies_torn_writes(self):
         plan = FaultPlan.named("torn-writes", horizon_us=HORIZON_US)
-        run = run_chaos(_config("gset"), plan)
+        run = run_harness(_config("gset"), plan=plan)
         assert run.settled
         assert run.injector.counts().get("torn", 0) > 0
         report = run.check()
@@ -189,7 +189,7 @@ class TestCorruptionResilience:
         CRC layer is load-bearing."""
         plan = FaultPlan.named("corrupt-5pct", horizon_us=HORIZON_US)
         config = replace(_config("gset"), ring_integrity=False)
-        run = run_chaos(config, plan)
+        run = run_harness(config, plan=plan)
         assert run.injector.counts().get("corrupt", 0) > 0
         report = run.check()
         assert not report.ok, (
@@ -200,7 +200,7 @@ class TestCorruptionResilience:
     def test_scrubber_runs_under_corruption_and_checks(self):
         plan = FaultPlan.named("corrupt-5pct", horizon_us=HORIZON_US)
         config = replace(_config("gset"), scrub_interval_us=25.0)
-        run = run_chaos(config, plan)
+        run = run_harness(config, plan=plan)
         assert run.settled
         assert _probe_total(run, "scrub_passes") > 0
         report = run.check()
@@ -210,8 +210,8 @@ class TestCorruptionResilience:
         """Byte-identical traces for the same seed: corruption draws
         come from the plan's substreams, not global state."""
         plan = FaultPlan.named("corrupt-crash", horizon_us=HORIZON_US)
-        first = run_chaos(_config("gset"), plan)
-        second = run_chaos(_config("gset"), plan)
+        first = run_harness(_config("gset"), plan=plan)
+        second = run_harness(_config("gset"), plan=plan)
         assert first.injector.log == second.injector.log
         first_events = [e for e in first.recorder.events()]
         second_events = [e for e in second.recorder.events()]

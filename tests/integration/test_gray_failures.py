@@ -3,7 +3,7 @@ hedging, and slow-leader demotion — end to end.
 
 Four layers of assurance:
 
-1. every gray fault preset, driven through :func:`run_chaos` under the
+1. every gray fault preset, driven through :func:`run_harness` under the
    adaptive (phi-accrual) detector, settles, converges, and passes BOTH
    the offline trace checker and the streaming live checker;
 2. the mitigation is load-bearing: under ``fd_mode="phi"`` a fail-slow
@@ -19,7 +19,7 @@ Four layers of assurance:
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_chaos
+from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import gset_spec
 from repro.rdma import WcStatus
 from repro.runtime import HambandCluster, RuntimeConfig
@@ -60,7 +60,7 @@ class TestGrayChaosMatrix:
     ):
         """Offline checker AND streaming checker, in one run."""
         plan = FaultPlan.named(plan_name, horizon_us=HORIZON_US)
-        run = run_chaos(_config(workload), plan, live_check=True)
+        run = run_harness(_config(workload), plan=plan, live_check=True)
         assert run.settled, f"{plan_name}/{workload} never settled"
         assert run.injector.log, "the plan injected nothing"
         assert run.stream_report is not None and run.stream_report.ok, (
@@ -79,7 +79,7 @@ class TestSlowLeaderDemotion:
         degraded, a quorum of votes carries the demotion, and the
         group re-elects away from the victim."""
         plan = FaultPlan.named("gray-leader", horizon_us=HORIZON_US)
-        run = run_chaos(_config("courseware"), plan)
+        run = run_harness(_config("courseware"), plan=plan)
         assert run.settled
         leaders = _leaders(run)
         assert "p1" not in leaders.values(), (
@@ -95,7 +95,7 @@ class TestSlowLeaderDemotion:
         This is the proof the phi detector is load-bearing, not the
         fault being fatal on its own."""
         plan = FaultPlan.named("gray-leader", horizon_us=HORIZON_US)
-        run = run_chaos(_config("courseware", fd_mode="fixed"), plan)
+        run = run_harness(_config("courseware", fd_mode="fixed"), plan=plan)
         assert run.settled
         leaders = _leaders(run)
         assert "p1" in leaders.values(), (
@@ -114,8 +114,8 @@ class TestFixedModeByteCompat:
         global state, and no phi-only code path perturbs the schedule.
         """
         plan = FaultPlan.named(plan_name, horizon_us=HORIZON_US)
-        first = run_chaos(_config("gset", fd_mode="fixed"), plan)
-        second = run_chaos(_config("gset", fd_mode="fixed"), plan)
+        first = run_harness(_config("gset", fd_mode="fixed"), plan=plan)
+        second = run_harness(_config("gset", fd_mode="fixed"), plan=plan)
         assert first.injector.log == second.injector.log
         assert list(first.recorder.events()) == list(
             second.recorder.events()

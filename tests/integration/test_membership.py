@@ -25,7 +25,7 @@ The claims under test:
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_chaos
+from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import SPEC_FACTORIES, gset_spec
 from repro.runtime import (
     HambandCluster,
@@ -221,7 +221,7 @@ class TestMembershipPresets:
         plan = FaultPlan.named(
             "scale-out-partition", n_nodes=3, horizon_us=HORIZON_US
         )
-        run = run_chaos(_config("gset", 3), plan, live_check=True)
+        run = run_harness(_config("gset", 3), plan=plan, live_check=True)
         assert run.settled, "scale-out run never settled"
         assert run.injector.counts().get("join") == 1
         assert "p4" in run.cluster.nodes
@@ -240,7 +240,7 @@ class TestMembershipPresets:
         plan = FaultPlan.named(
             "scale-in-leader", n_nodes=4, horizon_us=HORIZON_US
         )
-        run = run_chaos(_config("courseware", 4), plan, live_check=True)
+        run = run_harness(_config("courseware", 4), plan=plan, live_check=True)
         assert run.settled, "scale-in run never settled"
         assert run.injector.counts().get("leave") == 1
         departed = run.injector.log[0][2]
@@ -346,7 +346,7 @@ def seed7_run():
     plan = FaultPlan.named(
         "shard-isolate", seed=7, n_nodes=3, horizon_us=HORIZON_US
     )
-    return run_chaos(config, plan)
+    return run_harness(config, plan=plan)
 
 
 class TestSeed7LRingRegression:

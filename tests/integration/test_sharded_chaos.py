@@ -19,7 +19,7 @@ L-ring gap).  The claims under test:
 import pytest
 
 from repro.bench import ExperimentConfig
-from repro.bench.runner import run_chaos
+from repro.bench.runner import run_harness
 from repro.sim import SHARDED_PLAN_NAMES, FaultPlan, resolve_plan
 
 #: The sharded prologue (open + fund every account, then a 200us
@@ -50,7 +50,7 @@ def isolate_run():
     plan = FaultPlan.named(
         "shard-isolate", seed=5, n_nodes=3, horizon_us=HORIZON_US
     )
-    return plan, run_chaos(_config(), plan)
+    return plan, run_harness(_config(), plan=plan)
 
 
 class TestShardIsolate:

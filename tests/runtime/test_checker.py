@@ -11,7 +11,7 @@ offending call's event chain attached.
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_traced
+from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import courseware_spec, gset_spec
 from repro.runtime import (
     HambandCluster,
@@ -52,7 +52,7 @@ class TestCleanTraces:
             system="hamband", workload=workload, n_nodes=3, total_ops=150,
             update_ratio=0.5, seed=2,
         )
-        traced = run_traced(config)
+        traced = run_harness(config)
         report = traced.check()
         assert report.ok, report.summary()
         assert report.calls_checked > 0
@@ -72,7 +72,7 @@ class TestCleanTraces:
             system="mu", workload="gset", n_nodes=3, total_ops=120,
             update_ratio=0.5, seed=2,
         )
-        traced = run_traced(config)
+        traced = run_harness(config)
         report = traced.check()
         assert report.ok, report.summary()
 

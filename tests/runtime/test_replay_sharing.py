@@ -13,7 +13,7 @@ import pytest
 
 import repro.runtime.checker as checker_module
 import repro.runtime.stream_checker as stream_checker_module
-from repro.bench import ExperimentConfig, run_chaos
+from repro.bench import ExperimentConfig, run_harness
 from repro.core import Coordination, ObjectSpec, QueryDef, UpdateDef
 from repro.datatypes import SPEC_FACTORIES, courseware_spec
 from repro.runtime import (
@@ -112,7 +112,9 @@ class TestChaosDifferential:
             system="hamband", workload=workload, n_nodes=4,
             total_ops=300, update_ratio=0.25, seed=2,
         )
-        run = run_chaos(config, FaultPlan.named(plan_name, horizon_us=500.0))
+        run = run_harness(
+            config, plan=FaultPlan.named(plan_name, horizon_us=500.0)
+        )
         shared, cut, reduces = assert_sharing_invisible(
             monkeypatch, run.cluster.coordination,
             run.cluster.node_names(), run.recorder.events(),

@@ -18,7 +18,7 @@ Four layers of assurance:
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_chaos, run_traced
+from repro.bench import ExperimentConfig, run_harness
 from repro.core import Coordination
 from repro.datatypes import counter_spec, courseware_spec, gset_spec
 from repro.runtime import (
@@ -91,7 +91,7 @@ class TestChaosEquivalence:
             total_ops=300, update_ratio=0.25, seed=2,
         )
         plan = FaultPlan.named(plan_name, horizon_us=500.0)
-        run = run_chaos(config, plan, live_check=True)
+        run = run_harness(config, plan=plan, live_check=True)
         assert run.stream_report is not None
         offline = run.check()
         assert run.stream_report.ok == offline.ok, (
@@ -107,7 +107,7 @@ class TestChaosEquivalence:
             system="hamband", workload="gset", n_nodes=3,
             total_ops=150, update_ratio=0.5, seed=2,
         )
-        traced = run_traced(config, live_check=True)
+        traced = run_harness(config, live_check=True)
         assert traced.stream_report.ok, traced.stream_report.summary()
         offline = traced.check()
         assert traced.stream_report.calls_checked == offline.calls_checked
@@ -392,4 +392,4 @@ class TestLiveTap:
             total_ops=60, update_ratio=0.5, seed=1, n_shards=2,
         )
         with pytest.raises(ValueError, match="sharded"):
-            run_traced(config, live_check=True)
+            run_harness(config, live_check=True)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_traced
+from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import gset_spec
 from repro.runtime import (
     HambandCluster,
@@ -112,13 +112,13 @@ class TestMetricsEmitter:
 
 
 class TestRunnerIntegration:
-    def test_run_traced_writes_metrics(self, tmp_path):
+    def test_harness_writes_metrics(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         config = ExperimentConfig(
             system="hamband", workload="gset", n_nodes=3,
             total_ops=200, update_ratio=0.5, seed=2,
         )
-        traced = run_traced(config, live_check=True, metrics_out=str(path),
+        traced = run_harness(config, live_check=True, metrics_out=str(path),
                             metrics_interval_us=5.0)
         assert traced.stream_report.ok
         assert traced.emitter is not None
@@ -136,7 +136,7 @@ class TestRunnerIntegration:
             system="hamband", workload="gset", n_nodes=3,
             total_ops=200, update_ratio=0.5, seed=2,
         )
-        traced = run_traced(config, metrics_out=str(path),
+        traced = run_harness(config, metrics_out=str(path),
                             metrics_interval_us=5.0)
         assert traced.stream_report is None
         samples = [json.loads(line)

@@ -46,7 +46,7 @@ from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
 
 
-def run_traced(spec, workload, total_ops=150, update_ratio=0.5, n=3,
+def run_recorded(spec, workload, total_ops=150, update_ratio=0.5, n=3,
                seed=1, capacity=1 << 20):
     env = Environment()
     recorder = TraceRecorder(env, capacity=capacity)
@@ -129,7 +129,7 @@ class TestTracingProbe:
 
 class TestTraceRecorder:
     def test_traced_run_produces_ordered_events(self):
-        recorder, _cluster, result = run_traced(gset_spec(), "gset")
+        recorder, _cluster, result = run_recorded(gset_spec(), "gset")
         events = recorder.events()
         assert events, "traced run recorded no events"
         seqs = [event.seq for event in events]
@@ -141,7 +141,7 @@ class TestTraceRecorder:
         assert recorder.nodes() == ["p1", "p2", "p3"]
 
     def test_rule_vocabulary_and_gid_tags(self):
-        recorder, cluster, _result = run_traced(
+        recorder, cluster, _result = run_recorded(
             courseware_spec(), "courseware"
         )
         rules = {e.name for e in recorder.events() if e.kind == "rule"}
@@ -153,7 +153,7 @@ class TestTraceRecorder:
         assert all(e.gid for e in conf), "CONF events missing gid tags"
 
     def test_every_free_call_has_full_lifecycle(self):
-        recorder, _cluster, result = run_traced(gset_spec(), "gset")
+        recorder, _cluster, result = run_recorded(gset_spec(), "gset")
         events = recorder.events()
         frees = [e for e in events if e.kind == "rule" and e.name == "FREE"]
         assert len(frees) == result.update_calls
@@ -171,7 +171,7 @@ class TestTraceRecorder:
             assert len(applies) == 2
 
     def test_phase_histograms_merged_across_nodes(self):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             courseware_spec(), "courseware"
         )
         phases = recorder.phase_histograms()
@@ -211,7 +211,7 @@ class TestTraceRecorder:
         assert all(e.node == follower for e in forward_events)
 
     def test_transfer_events_carry_payload_sizes(self):
-        recorder, _cluster, _result = run_traced(gset_spec(), "gset")
+        recorder, _cluster, _result = run_recorded(gset_spec(), "gset")
         xfers = [e for e in recorder.events() if e.kind == "xfer"]
         assert xfers
         assert all(e.size > 0 for e in xfers if e.name == "F")
@@ -219,7 +219,7 @@ class TestTraceRecorder:
 
 class TestExports:
     def test_jsonl_round_trip(self, tmp_path):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             courseware_spec(), "courseware", total_ops=80
         )
         path = tmp_path / "trace.jsonl"
@@ -239,7 +239,7 @@ class TestExports:
             assert event_from_dict(event_to_dict(event)) == event
 
     def test_chrome_export_shape(self, tmp_path):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             courseware_spec(), "courseware", total_ops=80
         )
         path = tmp_path / "trace.json"
@@ -263,7 +263,7 @@ class TestExports:
         """Identical seed + config => byte-identical JSONL export."""
 
         def export(seed):
-            recorder, _cluster, _result = run_traced(
+            recorder, _cluster, _result = run_recorded(
                 courseware_spec(), "courseware", total_ops=120, seed=seed
             )
             buffer = io.StringIO()
@@ -278,7 +278,7 @@ class TestExports:
 
     def test_streaming_export_matches_materialized_export(self, tmp_path):
         """recorder.export_jsonl streams, byte-identical to the old path."""
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             courseware_spec(), "courseware", total_ops=120
         )
         path = tmp_path / "trace.jsonl"
@@ -289,7 +289,7 @@ class TestExports:
         assert path.read_text() == buffer.getvalue()
 
     def test_iter_jsonl_streams_the_export(self, tmp_path):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=80
         )
         path = tmp_path / "trace.jsonl"
@@ -303,7 +303,7 @@ class TestExports:
 
     def test_clean_export_has_no_gaps_key(self, tmp_path):
         """byte-compat guard: clean traces serialize exactly as before."""
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=60
         )
         path = tmp_path / "trace.jsonl"
@@ -331,7 +331,7 @@ class TestDropEpisodes:
         assert merge_gap_ranges([[5, 9, 5], [7, 12, 6]]) == [(5, 12, 11)]
 
     def test_recorder_merges_gaps_across_probes(self):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=300, capacity=256
         )
         assert recorder.dropped() > 0
@@ -343,7 +343,7 @@ class TestDropEpisodes:
         assert all(a[1] < b[0] for a, b in zip(gaps, gaps[1:]))
 
     def test_lossy_export_round_trips_gaps(self, tmp_path):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=300, capacity=256
         )
         path = tmp_path / "lossy.jsonl"
@@ -362,7 +362,7 @@ class TestDropEpisodes:
         assert probe.dropped == 6  # the ring still evicted
 
     def test_stream_to_replays_buffered_events_in_order(self):
-        recorder, cluster, _result = run_traced(
+        recorder, cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=60
         )
         seen = []
@@ -471,7 +471,7 @@ class TestSingleCopy:
     out references to it."""
 
     def test_events_twice_returns_the_identical_objects(self):
-        recorder, _cluster, _result = run_traced(
+        recorder, _cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=60
         )
         first, second = recorder.events(), recorder.events()

@@ -258,3 +258,196 @@ class TestServe:
 
     def test_unknown_workload_fails(self, capsys):
         assert main(["serve", "nope", "--duration", "100"]) == 1
+
+
+#: The flags `run`, `serve` and `chaos` accepted before their
+#: declarations were shared (df62396): option -> (default, choices,
+#: type).  "flag" marks a store_true switch; the positional is listed
+#: by its dest.
+_OBSERVE = {
+    "--per-method": (False, None, "flag"),
+    "--stats": (False, None, "flag"),
+    "--trace": (None, None, None),
+    "--trace-capacity": (1 << 20, None, "int"),
+    "--check": (False, None, "flag"),
+    "--live-check": (False, None, "flag"),
+    "--metrics-out": (None, None, None),
+    "--metrics-interval-us": (200.0, None, "float"),
+}
+PARSER_CONTRACT = {
+    "run": {
+        "workload": (None, None, None),
+        "--system": ("hamband", ("hamband", "mu", "msg"), None),
+        "--nodes": (4, None, "int"),
+        "--ops": (1200, None, "int"),
+        "--update-ratio": (0.25, None, "float"),
+        "--seed": (1, None, "int"),
+        "--shards": (1, None, "int"),
+        "--txn-mix": (0.0, None, "float"),
+        "--txn-lock-path": ("on", ("on", "off"), None),
+        "--fail-node": (None, None, None),
+        "--scale-out-at": (None, None, "float"),
+        "--wire-version": (2, (1, 2), "int"),
+        **_OBSERVE,
+    },
+    "serve": {
+        "workload": (None, None, None),
+        "--system": ("hamband", ("hamband", "mu"), None),
+        "--nodes": (4, None, "int"),
+        "--load": (1.0, None, "float"),
+        "--duration": (2000.0, None, "float"),
+        "--update-ratio": (0.25, None, "float"),
+        "--seed": (1, None, "int"),
+        "--curve": ("steady",
+                    ("steady", "diurnal", "burst", "flash-crowd"), None),
+        "--sessions": (0, None, "int"),
+        "--tenants": (1, None, "int"),
+        "--max-outstanding-per-tenant": (0, None, "int"),
+        "--max-outstanding-per-node": (64, None, "int"),
+        "--slo-p50": (None, None, "float"),
+        "--slo-p99": (None, None, "float"),
+        "--slo-p999": (None, None, "float"),
+        "--tenant-table": (False, None, "flag"),
+        "--fd-mode": ("fixed", ("fixed", "phi"), None),
+        "--faults": (None, None, None),
+        "--horizon": (None, None, "float"),
+        **_OBSERVE,
+    },
+    "chaos": {
+        "workload": (None, None, None),
+        "--system": ("hamband", ("hamband", "mu"), None),
+        "--nodes": (4, None, "int"),
+        "--ops": (600, None, "int"),
+        "--update-ratio": (0.25, None, "float"),
+        "--seed": (None, None, "int"),
+        "--shards": (1, None, "int"),
+        "--txn-mix": (0.0, None, "float"),
+        "--txn-lock-path": ("on", ("on", "off"), None),
+        "--faults": (None, None, None),
+        "--fd-mode": ("fixed", ("fixed", "phi"), None),
+        "--horizon": (1000.0, None, "float"),
+        "--save-plan": (None, None, None),
+        "--wire-version": (2, (1, 2), "int"),
+        "--ring-integrity": ("on", ("on", "off"), None),
+        "--scrub": (False, None, "flag"),
+        "--scrub-interval-us": (50.0, None, "float"),
+        **_OBSERVE,
+    },
+}
+
+
+class TestParserContract:
+    @pytest.mark.parametrize("command", sorted(PARSER_CONTRACT))
+    def test_flags_defaults_choices_and_types(self, command):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        subcommands = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        declared = {}
+        for action in subcommands.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert len(action.option_strings) <= 1  # no aliases
+            kind = None
+            if action.type is not None:
+                kind = action.type.__name__
+            elif action.nargs == 0:
+                kind = "flag"
+            declared[(action.option_strings or [action.dest])[0]] = (
+                action.default,
+                tuple(action.choices) if action.choices else None,
+                kind,
+            )
+        assert declared == PARSER_CONTRACT[command]
+
+
+class TestUsageErrorsAreNamed:
+    """A typo is reported as what it is, before the run; a KeyError
+    from inside the run is not relabelled as one."""
+
+    @pytest.mark.parametrize("command", ["run", "serve", "chaos"])
+    def test_unknown_workload(self, command, capsys):
+        extra = ["--faults", "crash-leader"] if command == "chaos" else []
+        assert main([command, "nope", *extra]) == 1
+        assert capsys.readouterr().out == (
+            "unknown workload 'nope'; try `repro list`\n"
+        )
+
+    def test_unknown_fail_node(self, capsys):
+        assert main(
+            ["run", "gset", "--ops", "200", "--fail-node", "p9"]
+        ) == 1
+        assert capsys.readouterr().out == (
+            "unknown node 'p9' for --fail-node; this cluster has "
+            "p1, p2, p3, p4\n"
+        )
+
+    def test_runtime_keyerror_surfaces(self, monkeypatch):
+        from repro import bench
+
+        def broken(*_args, **_kwargs):
+            raise KeyError("deep inside the runtime")
+
+        monkeypatch.setattr(bench, "run_harness", broken)
+        with pytest.raises(KeyError, match="deep inside"):
+            main(["run", "gset", "--ops", "40"])
+
+
+class TestGiveUpIsNotExitZero:
+    """A fault run that did not quiesce or did not settle exits 2 with
+    the reason, with or without --check.  (The real thing — `chaos gset
+    --faults corrupt-5pct --ring-integrity off --ops 400 --seed 3` —
+    simulates the whole 5 s quiesce timeout, so the outcome is forced
+    onto a quick run here.)"""
+
+    @pytest.fixture
+    def give_up(self, monkeypatch):
+        from repro import bench
+
+        harness = bench.run_harness
+
+        def arm(**outcome):
+            def run_harness(config, **options):
+                run = harness(config, **options)
+                for field, value in outcome.items():
+                    setattr(run, field, value)
+                return run
+
+            monkeypatch.setattr(bench, "run_harness", run_harness)
+
+        return arm
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "gset", "--ops", "100", "--faults", "crash-leader"],
+        ["run", "gset", "--ops", "100", "--scale-out-at", "20"],
+        ["serve", "counter", "--duration", "100", "--faults",
+         "gray-leader"],
+    ])
+    def test_unsettled_run_exits_2(self, argv, give_up, capsys):
+        assert main(argv) == 0
+        capsys.readouterr()
+        give_up(settled=False)
+        assert main(argv) == 2
+        assert capsys.readouterr().out.endswith(
+            "gave up: the cluster did not settle into a stable "
+            "converged state after the fault plan\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "gset", "--ops", "100", "--faults", "crash-leader"],
+        ["serve", "counter", "--duration", "100", "--faults",
+         "gray-leader", "--slo-p99", "50000"],
+    ])
+    def test_non_quiescent_run_exits_2(self, argv, give_up, capsys):
+        give_up(result=None)
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "did not quiesce before the driver timeout\n" in out
+        assert out.endswith(
+            "gave up: the workload did not quiesce before the driver "
+            "timeout\n"
+        )
