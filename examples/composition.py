@@ -19,7 +19,7 @@ Run:  python examples/composition.py
 from repro.core import Category, Coordination
 from repro.core.compose import map_of, product
 from repro.datatypes import account_spec, cart_spec, counter_spec
-from repro.runtime import HambandCluster
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.sim import Environment
 
 
@@ -49,7 +49,10 @@ def main() -> None:
     assert coordination.category("till.withdraw") is Category.CONFLICTING
 
     env = Environment()
-    cluster = HambandCluster.build(env, coordination, n_nodes=3)
+    recorder = TraceRecorder(env)
+    cluster = HambandCluster.build(
+        env, coordination, n_nodes=3, probe_factory=recorder.probe_factory
+    )
     leader = cluster.node("p1").current_leader("till.withdraw")
     print(f"\ntill leader: {leader}")
 
@@ -73,7 +76,7 @@ def main() -> None:
 
     assert cluster.converged()
     assert cluster.integrity_holds()
-    cluster.check_refinement()
+    cluster.check_refinement(recorder.events(), recorder.dropped())
 
     views = env.run(until=cluster.node("p3").submit("views.value"))
     alice = env.run(

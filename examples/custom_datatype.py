@@ -30,7 +30,7 @@ from repro.core import (
     Summarizer,
     UpdateDef,
 )
-from repro.runtime import HambandCluster
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.sim import Environment
 
 # State: (announced rooms, booked (room, slot, booker) entries).
@@ -126,7 +126,10 @@ def main() -> None:
     print(f"  sync groups: {[g.gid for g in coordination.sync_groups()]}")
 
     env = Environment()
-    cluster = HambandCluster.build(env, coordination, n_nodes=3)
+    recorder = TraceRecorder(env)
+    cluster = HambandCluster.build(
+        env, coordination, n_nodes=3, probe_factory=recorder.probe_factory
+    )
     leader = cluster.node("p1").current_leader("book")
     print(f"\nbooking leader: {leader}")
 
@@ -141,7 +144,7 @@ def main() -> None:
         print(f"  {name} sees bookings: {result}")
     assert cluster.converged()
     assert cluster.integrity_holds()
-    cluster.check_refinement()
+    cluster.check_refinement(recorder.events(), recorder.dropped())
     print("custom datatype example OK")
 
 

@@ -6,7 +6,7 @@ Goes beyond the paper's closed-loop harness:
 1. open-loop (Poisson) driving sweeps offered load and exposes the
    saturation knee,
 2. the visibility report measures replication lag per category from the
-   runtime's event log,
+   flight recorder's trace,
 3. fabric statistics and node counters break a run down into verbs —
    confirming the design's structural claim of one one-sided write per
    peer per update and no two-sided traffic.
@@ -16,7 +16,7 @@ Run:  python examples/measurement_tour.py
 
 from repro.datatypes import courseware_spec
 from repro.rdma import Opcode
-from repro.runtime import HambandCluster
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.sim import Environment
 from repro.workload import (
     DriverConfig,
@@ -51,7 +51,11 @@ def load_curve() -> None:
 
 def lag_and_verbs() -> None:
     env = Environment()
-    cluster = HambandCluster.build(env, courseware_spec(), n_nodes=4)
+    recorder = TraceRecorder(env, capacity=1 << 20)
+    cluster = HambandCluster.build(
+        env, courseware_spec(), n_nodes=4,
+        probe_factory=recorder.probe_factory,
+    )
     result = run_workload(
         env,
         cluster,
@@ -60,7 +64,7 @@ def lag_and_verbs() -> None:
     assert cluster.converged()
 
     print("\n== 2. replication lag (visibility) ==")
-    report = visibility_report(cluster.events, 4)
+    report = visibility_report(recorder.events(), 4, recorder.dropped())
     print("  " + report.summary())
     for rule, label in [("FREE", "conflict-free"), ("CONF", "conflicting")]:
         series = report.by_rule.get(rule)

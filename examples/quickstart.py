@@ -14,9 +14,9 @@ whole pipeline:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import Category, Coordination
+from repro.core import Category, Coordination, concrete_events
 from repro.datatypes import account_spec
-from repro.runtime import HambandCluster
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.sim import Environment
 
 
@@ -32,8 +32,13 @@ def main() -> None:
     print(f"  sync groups: {[g.gid for g in coordination.sync_groups()]}")
 
     # -- 2. a cluster ------------------------------------------------------
+    # The flight recorder on the probe seam is the run's only record:
+    # the cluster itself retains nothing per applied call.
     env = Environment()
-    cluster = HambandCluster.build(env, coordination, n_nodes=3)
+    recorder = TraceRecorder(env)
+    cluster = HambandCluster.build(
+        env, coordination, n_nodes=3, probe_factory=recorder.probe_factory
+    )
     print("\n== 3-node Hamband cluster ==")
     leader = cluster.node("p1").current_leader("withdraw")
     print(f"  withdraw leader: {leader}")
@@ -60,11 +65,12 @@ def main() -> None:
     assert cluster.converged()
     assert cluster.integrity_holds()
 
-    abstract = cluster.check_refinement()
+    trace = recorder.events()
+    abstract = cluster.check_refinement(trace, recorder.dropped())
     assert abstract.integrity_holds()
     print(
-        f"  refinement verified: {len(cluster.events)} concrete events "
-        "replay through the abstract WRDT semantics"
+        f"  refinement verified: {len(concrete_events(trace))} concrete "
+        "events replay through the abstract WRDT semantics"
     )
     print("\nquickstart OK")
 

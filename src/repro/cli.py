@@ -342,9 +342,10 @@ def _add_run_flags(sub: argparse.ArgumentParser, *,
         "--live-check",
         action="store_true",
         help="verify the run WHILE it executes: a streaming checker "
-        "taps the probes and checks integrity/order/convergence with "
-        "bounded memory (works with a small --trace-capacity); exit 2 "
-        "on violations",
+        "taps the probes and checks integrity/order/convergence in a "
+        "bounded window (works with a small --trace-capacity; the run "
+        "still keeps one dedup id per applied call per node and one "
+        "latency sample per call); exit 2 on violations",
     )
     sub.add_argument(
         "--metrics-out",

@@ -27,7 +27,7 @@ from .rdma_semantics import (
     RdmaMachine,
     dep_satisfied,
 )
-from .refinement import RefinementChecker, check_refinement
+from .refinement import RefinementChecker, check_refinement, concrete_events
 from .spec import ObjectSpec, QueryDef, SpecError, Summarizer, UpdateDef
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "UpdateDef",
     "categorize",
     "check_refinement",
+    "concrete_events",
     "dep_satisfied",
     "depends",
     "invariant_sufficient",

@@ -14,18 +14,65 @@ is a trace of the abstract WRDT semantics.  The refinement mapping:
 every abstract guard.  A :class:`GuardViolation` during replay is a
 counterexample to refinement (and the test suite asserts none occur,
 across random schedules).  The same checker validates the *runtime*:
-the Hamband system emits the same event vocabulary.
+:func:`concrete_events` derives the same event vocabulary from a
+flight-recorder trace, so a driven run is replayed from what the
+recorder saw — the runtime itself retains nothing per apply.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from .abstract_semantics import AbstractMachine, GuardViolation
+from .calls import Call
 from .categories import Coordination
 from .rdma_semantics import ConcreteEvent, RdmaMachine
 
-__all__ = ["RefinementChecker", "check_refinement"]
+__all__ = ["RefinementChecker", "check_refinement", "concrete_events"]
+
+#: Recorded rule events that are concrete transitions where they stand.
+_DIRECT_RULES = frozenset(("REDUCE", "FREE", "FREE_APP", "CONF_APP"))
+
+
+def concrete_events(trace: Iterable[Any], dropped: int = 0,
+                    ) -> list[ConcreteEvent]:
+    """The concrete transitions a recorded runtime trace witnessed.
+
+    ``trace`` is a recorder's ``events()`` (``TraceEvent`` fields, in
+    ``seq`` order).  REDUCE / FREE / FREE_APP / CONF_APP rule events map
+    one to one.  A conflicting call *issues* when its leader posts the
+    decision — the ``xfer "L:<gid>"`` event, which orders it before
+    every follower's CONF_APP — while its ``CONF`` rule event is only
+    recorded at commit: the rule event marks the call decided and
+    carries the argument, the xfer supplies position and time.  A posted
+    batch that never committed (a deposed leader's) yields nothing;
+    queries and spans are not transitions.  A truncated trace
+    (``dropped > 0``) is refused: a suffix cannot be replayed.
+    """
+    if dropped:
+        raise GuardViolation(
+            "REPLAY",
+            f"trace dropped {dropped} event(s): a truncated trace cannot "
+            "be replayed (raise the recorder capacity)",
+        )
+    trace = trace if isinstance(trace, (list, tuple)) else list(trace)
+    committed = {
+        (e.origin, e.rid): e.arg
+        for e in trace if e.kind == "rule" and e.name == "CONF"
+    }
+    derived = []
+    for e in trace:
+        if e.kind == "rule" and e.name in _DIRECT_RULES:
+            rule, arg = e.name, e.arg
+        elif (e.kind == "xfer" and e.name.startswith("L:")
+                and (e.origin, e.rid) in committed):
+            rule, arg = "CONF", committed[(e.origin, e.rid)]
+        else:
+            continue
+        derived.append(ConcreteEvent(
+            rule, e.node, Call(e.method, arg, e.origin, e.rid), at=e.t
+        ))
+    return derived
 
 
 class RefinementChecker:

@@ -14,17 +14,20 @@ every rule that mutates it:
 
 It deliberately knows nothing about ring layouts (transport), leaders
 (conflict), or control messages (control): those layers are handed in
-through :meth:`bind` by the façade, and every state transition funnels
-through :meth:`log_event`, where the instrumentation probe counts
-per-rule applies.
+through :meth:`bind` by the façade, and every state transition reports
+its rule to the instrumentation probe (``probe.apply``).  Nothing is
+retained per apply beyond the call's dedup id: a decoded call dies once
+it is folded into σ, and the flight recorder (if one is installed on
+the probe seam) is the only record of the run.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Any, Callable, Optional
 
-from ..core import Call, Category, ConcreteEvent, Coordination
+from ..core import Call, Category, Coordination
 from ..core.rdma_semantics import DependencyMap
 from ..rdma import RdmaNode, WcStatus
 from .config import RuntimeConfig, s_region
@@ -46,7 +49,7 @@ class ApplyEngine:
     """σ, A, S and the machinery that advances them at one node."""
 
     def __init__(self, rnode: RdmaNode, coordination: Coordination,
-                 config: RuntimeConfig, event_log: list,
+                 config: RuntimeConfig,
                  probe: Optional[RuntimeProbe] = None,
                  counters: Optional[dict[str, int]] = None,
                  codec: Optional[WireCodec] = None):
@@ -57,7 +60,6 @@ class ApplyEngine:
         self.spec = coordination.spec
         self.processes: list[str] = []  # filled by the summary init
         self.config = config
-        self.event_log = event_log
         self.probe = probe or RuntimeProbe()
         self.counters = counters if counters is not None else {}
         self.codec = codec or WireCodec(config.wire_version)
@@ -65,8 +67,9 @@ class ApplyEngine:
         self.sigma = self.spec.initial_state()
         #: A — applied counts for buffered (F/L) calls, incl. our own.
         self.applied: dict[tuple[str, str], int] = {}
-        #: Call keys applied via buffers or recovery, for dedup.
-        self.seen: set[tuple[str, int]] = set()
+        #: Request ids applied via buffers or recovery, per origin, for
+        #: dedup (an int per applied call, not a tuple).
+        self._seen: defaultdict[str, set[int]] = defaultdict(set)
         self._rid = itertools.count(1)
         #: Recovered-from-backup calls awaiting their dependencies.
         self.pending_recovered: list[tuple[Call, DependencyMap]] = []
@@ -127,19 +130,13 @@ class ApplyEngine:
         self.broadcast = broadcast
         self.is_suspected = is_suspected
 
-    # -- call/event bookkeeping ------------------------------------------
+    # -- call construction -----------------------------------------------
 
     def next_rid(self) -> int:
         return next(self._rid)
 
     def make_call(self, method: str, arg: Any) -> Call:
         return Call(method, arg, self.name, self.next_rid())
-
-    def log_event(self, rule: str, call: Call) -> ConcreteEvent:
-        event = ConcreteEvent(rule, self.name, call, at=self.env.now)
-        self.event_log.append(event)
-        self.probe.apply(rule)
-        return event
 
     def category(self, method: str) -> Category:
         category = self.coordination.category(method)
@@ -213,7 +210,10 @@ class ApplyEngine:
         self.applied[key] = self.applied.get(key, 0) + 1
 
     def has_seen(self, key: tuple[str, int]) -> bool:
-        return key in self.seen
+        return key[1] in self._seen.get(key[0], ())
+
+    def mark_seen(self, key: tuple[str, int]) -> None:
+        self._seen[key[0]].add(key[1])
 
     # -- applying buffered calls -----------------------------------------
 
@@ -230,8 +230,8 @@ class ApplyEngine:
         )
         self.sigma = self.spec.apply_call(call, self.sigma)
         self.bump_applied(call.origin, call.method)
-        self.seen.add(call.key())
-        self.log_event(rule, call)
+        self.mark_seen(call.key())
+        self.probe.apply(rule)
         self.probe.trace_apply(
             rule, call.method, call.origin, call.rid, call.arg
         )
@@ -243,7 +243,7 @@ class ApplyEngine:
         progressed = False
         remaining = []
         for call, dep in self.pending_recovered:
-            if call.key() in self.seen:
+            if self.has_seen(call.key()):
                 continue
             if self.dep_ok(dep):
                 yield from self.apply(call, "FREE_APP")
@@ -291,7 +291,7 @@ class ApplyEngine:
         region_name = s_region(summarizer.group, self.name)
         # Local install first (the REDUCE transition's own-process part).
         self.rnode.regions[region_name].write(0, slot_bytes)
-        self.log_event("REDUCE", call)
+        self.probe.apply("REDUCE")
         self.probe.trace_apply("REDUCE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
         self.counters["reduced"] = self.counters.get("reduced", 0) + 1
@@ -335,8 +335,8 @@ class ApplyEngine:
         dep = self.dep_projection(method)
         self.sigma = post_sigma
         self.bump_applied(self.name, method)
-        self.seen.add(call.key())
-        self.log_event("FREE", call)
+        self.mark_seen(call.key())
+        self.probe.apply("FREE")
         self.probe.trace_apply("FREE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
         self.counters["freed"] = self.counters.get("freed", 0) + 1

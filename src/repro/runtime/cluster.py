@@ -16,15 +16,16 @@ Call(...)
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from ..consensus.mu import mu_channel
 from ..core import (
     AbstractMachine,
-    ConcreteEvent,
     Coordination,
+    GuardViolation,
     ObjectSpec,
     RefinementChecker,
+    concrete_events,
 )
 from ..rdma import Fabric, RdmaConfig
 from ..sim import Environment
@@ -58,9 +59,6 @@ class HambandCluster:
         self.leaders = leaders or coordination.conflict_graph.assign_leaders(
             names
         )
-        #: Cluster-wide concrete-event log in simulation-time order,
-        #: replayable against the abstract semantics.
-        self.events: list[ConcreteEvent] = []
         for group in coordination.sync_groups():
             fabric.connect_all(channel=mu_channel(group.gid))
         self.nodes: dict[str, HambandNode] = {
@@ -70,7 +68,6 @@ class HambandCluster:
                 names,
                 self.leaders,
                 self.config,
-                self.events,
                 probe=probe_factory(name) if probe_factory else None,
             )
             for name in names
@@ -188,10 +185,24 @@ class HambandCluster:
             for failure in node.failures
         ]
 
-    def check_refinement(self) -> AbstractMachine:
-        """Replay this run's event log against the abstract semantics."""
+    def check_refinement(self, trace: Iterable[Any],
+                         dropped: int = 0) -> AbstractMachine:
+        """Replay this run against the abstract semantics (Lemma 3).
+
+        The cluster keeps no log: pass ``recorder.events()`` and
+        ``recorder.dropped()`` of the recorder whose ``probe_factory``
+        built it.  A truncated trace, or one without a transition
+        although nodes applied calls, raises rather than pass vacuously.
+        """
+        events = concrete_events(trace, dropped)
+        if not events and any(self.applied_totals().values()):
+            raise GuardViolation(
+                "REPLAY",
+                "the trace holds no transition but the cluster applied "
+                "calls: build it with probe_factory=recorder.probe_factory",
+            )
         checker = RefinementChecker(self.coordination, self.node_names())
-        return checker.replay(self.events)
+        return checker.replay(events)
 
     # -- elastic membership ------------------------------------------------
 

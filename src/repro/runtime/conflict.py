@@ -235,13 +235,10 @@ class ConflictCoordinator:
                     dones.append(accepted[1])
                     packet = accepted[2]
                     spec_sigma = accepted[3]
-            # Commit point: log the issue events at post time so every
-            # follower application orders after them in the event log.
-            logged = [
-                applier.log_event("CONF", batched_call)
-                for batched_call, _dep in entries
-            ]
+            # Commit point: the L-xfer events mark the issue instant, so
+            # every follower application orders after them in the trace.
             for batched_call, _dep in entries:
+                self.probe.apply("CONF")
                 self.probe.span_begin(
                     "decide", batched_call.method, batched_call.origin,
                     batched_call.rid,
@@ -265,23 +262,20 @@ class ConflictCoordinator:
                         batched_call, applier.sigma
                     )
                     applier.bump_applied(self.name, batched_call.method)
-                    applier.seen.add(batched_call.key())
+                    applier.mark_seen(batched_call.key())
                     # The trace records CONF at *commit* time: a deposed
-                    # leader's failed batch never reaches the trace, so
-                    # the offline checker replays only decided calls.
+                    # leader's failed batch leaves no rule event, so the
+                    # checkers replay only decided calls.
                     self.probe.trace_apply(
                         "CONF", batched_call.method, batched_call.origin,
                         batched_call.rid, batched_call.arg,
                     )
                 self.probe.conflict_batch(gid, len(entries))
-            else:
-                for event in logged:
-                    self.applier.event_log.remove(event)
-                if not mu.is_leader and mu.leader == self.name:
-                    # Deposed without having voted (e.g. cut off by a
-                    # partition): learn who leads now so redirects point
-                    # somewhere useful instead of back at us.
-                    yield from self.discover_leader(gid)
+            elif not mu.is_leader and mu.leader == self.name:
+                # Deposed without having voted (e.g. cut off by a
+                # partition): learn who leads now so redirects point
+                # somewhere useful instead of back at us.
+                yield from self.discover_leader(gid)
             for waiting, batched_call in dones:
                 if ok:
                     self.counters["conf_decided"] = (

@@ -125,7 +125,6 @@ def join_cluster(cluster, name: str, cpu_cores: int = 2,
         processes,
         leaders,
         config,
-        cluster.events,
         probe=(
             cluster.probe_factory(name) if cluster.probe_factory else None
         ),

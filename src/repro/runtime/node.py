@@ -83,7 +83,7 @@ class HambandNode:
 
     def __init__(self, rnode: RdmaNode, coordination: Coordination,
                  processes: list[str], initial_leaders: dict[str, str],
-                 config: RuntimeConfig, event_log: list,
+                 config: RuntimeConfig,
                  probe: Optional[RuntimeProbe] = None,
                  wire_processes: Optional[list[str]] = None):
         self.rnode = rnode
@@ -94,7 +94,6 @@ class HambandNode:
         self.processes = sorted(processes)
         self.peers = [p for p in self.processes if p != self.name]
         self.config = config
-        self.event_log = event_log
         #: Failure injection: a failed node refuses new requests (the
         #: paper's model — requests are redirected to live nodes) while
         #: its memory stays remotely accessible.
@@ -152,7 +151,7 @@ class HambandNode:
         )
         self.transport.health = self.health
         self.applier = ApplyEngine(
-            rnode, coordination, config, event_log, self.probe,
+            rnode, coordination, config, self.probe,
             self.counters, codec=self.codec,
         )
         self.applier.init_summaries(self.processes)
@@ -484,10 +483,6 @@ class HambandNode:
     @property
     def applied(self) -> dict[tuple[str, str], int]:
         return self.applier.applied
-
-    @property
-    def seen(self) -> set[tuple[str, int]]:
-        return self.applier.seen
 
     @property
     def pending_recovered(self) -> list:

@@ -139,7 +139,10 @@ class _RunState:
 
     def record(self, method: str, elapsed: float) -> None:
         self.latency.add(elapsed)
-        self.per_method.setdefault(method, LatencySeries()).add(elapsed)
+        series = self.per_method.get(method)
+        if series is None:
+            series = self.per_method[method] = LatencySeries()
+        series.add(elapsed)
 
 
 def _run_prologue(env, cluster, names, prologue, state):
@@ -159,8 +162,12 @@ def _client(env, cluster, coordination, name, n_ops, config, state,
         config.workload, config.seed, f"{name}#{client_index}"
     )
     rng = random.Random(f"{config.seed}:mix:{name}:{client_index}")
-    # Hoisted out of the per-op loop: the spec's query list is fixed.
-    queries = tuple(_spec_of(cluster).query_names())
+    # Hoisted out of the per-op loop: the spec's method sets and each
+    # method's category are fixed for the run.
+    spec = _spec_of(cluster)
+    updates = spec.updates
+    queries = tuple(spec.query_names())
+    leader_bound = _leader_bound_methods(spec, coordination)
     current = name
     fail_after = (
         int(n_ops * config.fail_at_fraction)
@@ -194,11 +201,11 @@ def _client(env, cluster, coordination, name, n_ops, config, state,
             method, arg = queries[rng.randrange(len(queries))], None
         issued_at = env.now
         ok = yield from _submit_with_redirect(
-            env, cluster, node, method, arg, coordination
+            env, cluster, node, method, arg, method in leader_bound
         )
         state.total_calls += 1
         state.record(method, env.now - issued_at)
-        if _is_update(cluster, method):
+        if method in updates:
             if ok:
                 state.succeeded_updates += 1
             else:
@@ -211,27 +218,25 @@ def _spec_of(cluster):
     return coordination.spec if coordination is not None else cluster.spec
 
 
-def _pick_query(cluster, rng) -> str:
-    queries = _spec_of(cluster).query_names()
-    return queries[rng.randrange(len(queries))]
-
-
-def _is_update(cluster, method: str) -> bool:
-    return method in _spec_of(cluster).updates
+def _leader_bound_methods(spec, coordination) -> frozenset:
+    """The update methods whose calls chase their group's leader —
+    resolved once per client, since a method's category is fixed."""
+    if coordination is None:
+        return frozenset()
+    return frozenset(
+        method for method in spec.updates
+        if coordination.category(method) is Category.CONFLICTING
+    )
 
 
 def _submit_with_redirect(env, cluster, node, method, arg,
-                          coordination=None):
-    """Submit, following leader redirects; returns False on rejection."""
-    # Conflicting calls wait out leader changes (paper §5: they "have to
-    # wait until the leader-change protocol elects the new leader").
-    # A method's category is fixed for the run, so decide the
-    # leader-follow question once, not per redirect attempt.
-    follow_leader = (
-        coordination is not None
-        and _is_update(cluster, method)
-        and coordination.category(method) is Category.CONFLICTING
-    )
+                          follow_leader=False):
+    """Submit, following leader redirects; returns False on rejection.
+
+    ``follow_leader`` marks a conflicting call: those wait out leader
+    changes (paper §5: they "have to wait until the leader-change
+    protocol elects the new leader").
+    """
     target = node
     for _attempt in range(50):
         if getattr(target, "failed", False):

@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 from ..sim import Environment
 from ..sim.rng import SeedSequence
-from .driver import _submit_with_redirect
+from .driver import _leader_bound_methods, _submit_with_redirect
 from .generators import make_generator, setup_calls
 from .metrics import LatencySeries, RunResult, SloTarget, slo_report
 from .serving import SessionTier, curve_peak, curve_rate
@@ -204,6 +204,7 @@ def _arrival_process(env, cluster, coordination, names, config, tier,
     update_ratio = config.update_ratio
     spec = coordination.spec if coordination is not None else cluster.spec
     updates = spec.updates
+    leader_bound = _leader_bound_methods(spec, coordination)
     queries = tuple(spec.query_names())
     n_queries = len(queries)
     pick_query_index = mix_rng.randrange
@@ -230,17 +231,18 @@ def _arrival_process(env, cluster, coordination, names, config, tier,
             is_update = method in updates
         env.process(
             _one_request(
-                env, cluster, coordination, node_cache[name], session,
-                method, arg, is_update, tier, state, latency, per_method,
+                env, cluster, node_cache[name], session, method, arg,
+                is_update, method in leader_bound, tier, state, latency,
+                per_method,
             )
         )
 
 
-def _one_request(env, cluster, coordination, node, session, method, arg,
-                 is_update, tier, state, latency, per_method):
+def _one_request(env, cluster, node, session, method, arg, is_update,
+                 follow_leader, tier, state, latency, per_method):
     issued_at = env.now
     ok = yield from _submit_with_redirect(
-        env, cluster, node, method, arg, coordination
+        env, cluster, node, method, arg, follow_leader
     )
     tier.complete(session)
     state.total_calls += 1

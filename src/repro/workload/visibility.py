@@ -1,9 +1,9 @@
-"""Visibility (replication-lag) analysis over a cluster's event log.
+"""Visibility (replication-lag) analysis over a run's recorded trace.
 
 The paper's follow-up line (Hampa) adds *recency* guarantees on top of
 well-coordination; the first step toward reasoning about recency is
-measuring it.  Given the concrete-event log a
-:class:`~repro.runtime.HambandCluster` accumulates, this module
+measuring it.  Given the trace a
+:class:`~repro.runtime.TraceRecorder` captured, this module
 computes, per buffered call, the lag from its issue transition
 (FREE/CONF) to each remote application (FREE-APP/CONF-APP), and
 aggregates per category.
@@ -17,8 +17,9 @@ latency by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterable
 
-from ..core import ConcreteEvent
+from ..core import concrete_events
 from .metrics import LatencySeries
 
 __all__ = ["VisibilityReport", "visibility_report"]
@@ -26,7 +27,7 @@ __all__ = ["VisibilityReport", "visibility_report"]
 
 @dataclass
 class VisibilityReport:
-    """Replication-lag distributions extracted from an event log."""
+    """Replication-lag distributions extracted from a recorded trace."""
 
     #: Lag from issue to each individual remote apply.
     per_apply: LatencySeries = field(default_factory=LatencySeries)
@@ -51,13 +52,14 @@ class VisibilityReport:
 _ISSUE_RULES = {"FREE": "FREE_APP", "CONF": "CONF_APP"}
 
 
-def visibility_report(events: list[ConcreteEvent],
-                      n_processes: int) -> VisibilityReport:
-    """Compute replication lags from a runtime event log."""
+def visibility_report(trace: Iterable[Any], n_processes: int,
+                      dropped: int = 0) -> VisibilityReport:
+    """Compute replication lags from ``recorder.events()``; a truncated
+    trace (``dropped > 0``) is refused, as for refinement."""
     report = VisibilityReport()
     issue_at: dict[tuple[str, int], tuple[float, str]] = {}
     applies: dict[tuple[str, int], list[float]] = {}
-    for event in events:
+    for event in concrete_events(trace, dropped):
         key = event.call.key()
         if event.rule in _ISSUE_RULES:
             issue_at[key] = (event.at, event.rule)

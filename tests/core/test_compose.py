@@ -102,12 +102,15 @@ class TestProduct:
             product("empty", [])
 
     def test_runs_on_cluster(self):
-        from repro.runtime import HambandCluster
+        from repro.runtime import HambandCluster, TraceRecorder
         from repro.sim import Environment
 
         combo = product("combo", [account_spec(), counter_spec()])
         env = Environment()
-        cluster = HambandCluster.build(env, combo, n_nodes=3)
+        recorder = TraceRecorder(env)
+        cluster = HambandCluster.build(
+            env, combo, n_nodes=3, probe_factory=recorder.probe_factory
+        )
         env.run(until=cluster.node("p1").submit("account.deposit", 10))
         env.run(until=cluster.node("p2").submit("counter.add", 4))
         leader = cluster.node("p1").current_leader("account.withdraw")
@@ -115,7 +118,7 @@ class TestProduct:
         env.run(until=env.now + 300)
         assert cluster.converged()
         assert cluster.integrity_holds()
-        cluster.check_refinement()
+        cluster.check_refinement(recorder.events(), recorder.dropped())
 
 
 class TestMapOf:

@@ -148,11 +148,15 @@ class TestOnCluster:
         ]
 
     def test_collaborative_editing_session(self):
-        from repro.runtime import HambandCluster
+        from repro.runtime import HambandCluster, TraceRecorder
         from repro.sim import Environment
 
         env = Environment()
-        cluster = HambandCluster.build(env, rga_spec(), n_nodes=3)
+        recorder = TraceRecorder(env)
+        cluster = HambandCluster.build(
+            env, rga_spec(), n_nodes=3,
+            probe_factory=recorder.probe_factory,
+        )
         # p1 types "hi"; p2 concurrently types "yo" at the head.
         a, b = (1, "p1"), (2, "p1")
         env.run(until=cluster.node("p1").submit("insert", (None, a, "h")))
@@ -165,4 +169,4 @@ class TestOnCluster:
         text = env.run(until=cluster.node("p3").submit("text"))
         assert sorted(text) == ["h", "i", "o", "y"]
         assert "hi" in text and "yo" in text  # each session stays intact
-        cluster.check_refinement()
+        cluster.check_refinement(recorder.events(), recorder.dropped())

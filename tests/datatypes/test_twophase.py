@@ -70,11 +70,15 @@ class Test2PSet:
         ) == ["add", "remove"]
 
     def test_replicates_on_cluster(self):
-        from repro.runtime import HambandCluster
+        from repro.runtime import HambandCluster, TraceRecorder
         from repro.sim import Environment
 
         env = Environment()
-        cluster = HambandCluster.build(env, twophase_set_spec(), n_nodes=3)
+        recorder = TraceRecorder(env)
+        cluster = HambandCluster.build(
+            env, twophase_set_spec(), n_nodes=3,
+            probe_factory=recorder.probe_factory,
+        )
         env.run(until=cluster.node("p1").submit("add", "x"))
         env.run(until=cluster.node("p2").submit("remove", "x"))
         env.run(until=cluster.node("p3").submit("add", "y"))
@@ -82,4 +86,4 @@ class Test2PSet:
         assert cluster.converged()
         query = cluster.node("p1").submit("elements")
         assert env.run(until=query) == frozenset({"y"})
-        cluster.check_refinement()
+        cluster.check_refinement(recorder.events(), recorder.dropped())

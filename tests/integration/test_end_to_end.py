@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import concrete_events
 from repro.datatypes import (
     SPEC_FACTORIES,
     account_spec,
@@ -15,7 +16,7 @@ from repro.datatypes import (
 )
 from repro.datatypes.orset import orset_spec
 from repro.msgpass import MsgCrdtCluster
-from repro.runtime import HambandCluster
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.sim import Environment
 from repro.smr import SmrCluster
 from repro.workload import DriverConfig, run_workload, visibility_report
@@ -27,7 +28,11 @@ ALL_FACTORIES["orset"] = orset_spec
 def drive_hamband(workload, spec_factory, total_ops=300, update_ratio=0.4,
                   n=4, seed=3):
     env = Environment()
-    cluster = HambandCluster.build(env, spec_factory(), n_nodes=n)
+    recorder = TraceRecorder(env, capacity=1 << 20)
+    cluster = HambandCluster.build(
+        env, spec_factory(), n_nodes=n,
+        probe_factory=recorder.probe_factory,
+    )
     result = run_workload(
         env,
         cluster,
@@ -38,7 +43,7 @@ def drive_hamband(workload, spec_factory, total_ops=300, update_ratio=0.4,
             seed=seed,
         ),
     )
-    return env, cluster, result
+    return recorder, cluster, result
 
 
 @pytest.mark.parametrize("workload", sorted(ALL_FACTORIES))
@@ -46,12 +51,12 @@ class TestEveryDatatypeEndToEnd:
     def test_wellcoordinated_run(self, workload):
         """Every bundled data type: drive a mixed workload, then check
         convergence, integrity, and refinement of the full runtime."""
-        env, cluster, result = drive_hamband(
+        recorder, cluster, result = drive_hamband(
             workload, ALL_FACTORIES[workload]
         )
         assert cluster.converged(), cluster.effective_states()
         assert cluster.integrity_holds()
-        abstract = cluster.check_refinement()
+        abstract = cluster.check_refinement(recorder.events(), recorder.dropped())
         assert abstract.integrity_holds()
         assert result.total_calls == 300
 
@@ -93,12 +98,14 @@ class TestCrossSystemAgreement:
 class TestLongMixedScenario:
     def test_courseware_marathon(self):
         """A longer mixed run with every category active."""
-        env, cluster, result = drive_hamband(
+        recorder, cluster, result = drive_hamband(
             "courseware", courseware_spec, total_ops=1000, update_ratio=0.6
         )
         assert cluster.converged()
         assert cluster.integrity_holds()
-        report = visibility_report(cluster.events, 4)
+        report = visibility_report(
+            recorder.events(), 4, recorder.dropped()
+        )
         assert report.incomplete == 0
         assert report.full_replication.count == report.issued
 
@@ -116,11 +123,11 @@ class TestLongMixedScenario:
         assert bank.converged() and movies.converged()
 
     def test_refinement_holds_across_thousand_events(self):
-        env, cluster, _result = drive_hamband(
+        recorder, cluster, _result = drive_hamband(
             "bankmap", bankmap_spec, total_ops=800, update_ratio=0.7
         )
-        assert len(cluster.events) > 1000
-        abstract = cluster.check_refinement()
+        assert len(concrete_events(recorder.events())) > 1000
+        abstract = cluster.check_refinement(recorder.events(), recorder.dropped())
         assert abstract.integrity_holds()
         assert abstract.convergence_holds()
 

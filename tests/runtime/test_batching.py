@@ -5,7 +5,7 @@ import pytest
 from repro.core import Call
 from repro.datatypes import account_spec, courseware_spec, movie_spec
 from repro.rdma import Opcode
-from repro.runtime import HambandCluster, RuntimeConfig
+from repro.runtime import HambandCluster, RuntimeConfig, TraceRecorder
 from repro.runtime.wire import decode_call_batch, encode_call_batch, encode_call_packet
 from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
@@ -28,17 +28,23 @@ class TestBatchWireFormat:
         assert decode_call_batch(encode_call_batch([])) == []
 
 
-def build(spec, conf_batch, n=3):
+def build_recorded(spec, conf_batch, n=3):
     env = Environment()
+    recorder = TraceRecorder(env)
     cluster = HambandCluster.build(
-        env, spec, n_nodes=n, config=RuntimeConfig(conf_batch=conf_batch)
+        env, spec, n_nodes=n, config=RuntimeConfig(conf_batch=conf_batch),
+        probe_factory=recorder.probe_factory,
     )
-    return env, cluster
+    return env, cluster, recorder
+
+
+def build(spec, conf_batch, n=3):
+    return build_recorded(spec, conf_batch, n)[:2]
 
 
 class TestBatchedExecution:
     def test_burst_of_conflicting_calls_converges(self):
-        env, cluster = build(movie_spec(), conf_batch=8)
+        env, cluster, recorder = build_recorded(movie_spec(), conf_batch=8)
         leader = cluster.node("p1").current_leader("addCustomer")
         requests = [
             cluster.node(leader).submit("addCustomer", f"c{i}")
@@ -48,7 +54,7 @@ class TestBatchedExecution:
             env.run(until=request)
         env.run(until=env.now + 400)
         assert cluster.converged()
-        cluster.check_refinement()
+        cluster.check_refinement(recorder.events(), recorder.dropped())
 
     def test_batching_reduces_log_writes(self):
         """A burst decided in batches posts fewer L-ring writes."""
@@ -70,20 +76,22 @@ class TestBatchedExecution:
         assert writes_for(conf_batch=8) < writes_for(conf_batch=1)
 
     def test_batched_run_still_refines(self):
-        env, cluster = build(account_spec(), conf_batch=4)
+        env, cluster, recorder = build_recorded(account_spec(), conf_batch=4)
         result = run_workload(
             env,
             cluster,
             DriverConfig(workload="account", total_ops=240, update_ratio=0.6),
         )
         assert cluster.converged()
-        abstract = cluster.check_refinement()
+        abstract = cluster.check_refinement(recorder.events(), recorder.dropped())
         assert abstract.integrity_holds()
 
     def test_dependencies_respected_within_batches(self):
         """courseware: enroll batched right behind its addCourse still
         applies in order at followers."""
-        env, cluster = build(courseware_spec(), conf_batch=8)
+        env, cluster, recorder = build_recorded(
+            courseware_spec(), conf_batch=8
+        )
         result = run_workload(
             env,
             cluster,
@@ -93,7 +101,7 @@ class TestBatchedExecution:
         )
         assert cluster.converged()
         assert cluster.integrity_holds()
-        abstract = cluster.check_refinement()
+        abstract = cluster.check_refinement(recorder.events(), recorder.dropped())
         assert abstract.integrity_holds()
 
     def test_impermissible_call_does_not_poison_batch(self):

@@ -19,6 +19,7 @@ from repro.runtime import (
     ImpermissibleError,
     NotLeaderError,
     RuntimeConfig,
+    TraceRecorder,
 )
 from repro.sim import Environment
 
@@ -190,7 +191,12 @@ class TestRefinementOfRuntime:
         "spec_factory", [counter_spec, gset_spec, account_spec, movie_spec]
     )
     def test_run_replays_against_abstract_machine(self, spec_factory):
-        env, cluster = build(spec_factory())
+        env = Environment()
+        recorder = TraceRecorder(env)
+        cluster = HambandCluster.build(
+            env, spec_factory(), n_nodes=3,
+            probe_factory=recorder.probe_factory,
+        )
         spec = cluster.coordination.spec
         import random
 
@@ -211,7 +217,7 @@ class TestRefinementOfRuntime:
             except Exception:
                 pass
         settle(env, cluster, us=1500)
-        abstract = cluster.check_refinement()
+        abstract = cluster.check_refinement(recorder.events(), recorder.dropped())
         assert abstract.integrity_holds()
         assert cluster.converged()
 

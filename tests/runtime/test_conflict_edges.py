@@ -4,8 +4,9 @@ Two rare interleavings that used to hide inside the god-class:
 
 1. **Demotion mid-batch** (``conf_batch > 1``): a deposed leader with a
    whole decision batch in flight must fail *every* queued client with
-   a redirect, leave no trace in the event log, and keep σ untouched —
-   the all-or-nothing commit discipline of the speculative accept.
+   a redirect, leave no transition in the recorded run, and keep σ
+   untouched — the all-or-nothing commit discipline of the speculative
+   accept.
 
 2. **Hole detection after leader change**: a deposed leader that never
    processed the election (partitioned away) has a hole in its L-log
@@ -16,23 +17,26 @@ Two rare interleavings that used to hide inside the god-class:
 
 import pytest
 
+from repro.core import concrete_events
 from repro.datatypes import account_spec
 from repro.runtime import (
     HambandCluster,
     NotLeaderError,
     RuntimeConfig,
     SubmitError,
+    TraceRecorder,
 )
 from repro.sim import Environment
 
 
-def deposed_leader_cluster(env, config=None):
+def deposed_leader_cluster(env, config=None, probe_factory=None):
     """A 4-node account cluster whose initial leader has been deposed
     by a partition-triggered election, then healed.  Returns (cluster,
     gid, old_leader, new_leader); the old leader still believes it
     leads."""
     cluster = HambandCluster.build(
-        env, account_spec(), n_nodes=4, config=config
+        env, account_spec(), n_nodes=4, config=config,
+        probe_factory=probe_factory,
     )
     env.run(until=cluster.node("p2").submit("deposit", 100))
     env.run(until=env.now + 200)
@@ -61,13 +65,15 @@ class TestDemotionMidBatch:
     def test_whole_batch_fails_atomically_at_deposed_leader(self):
         """conf_batch=4: the deposed leader accepts a 3-call batch
         speculatively, fails replication on revoked permissions, and
-        must (a) redirect every client, (b) scrub the CONF events it
-        logged at the commit point, (c) leave σ untouched."""
+        must (a) redirect every client, (b) contribute no CONF
+        transition for the batch it posted, (c) leave σ untouched."""
         env = Environment()
+        recorder = TraceRecorder(env)
         cluster, gid, old_leader, new_leader = deposed_leader_cluster(
-            env, config=RuntimeConfig(conf_batch=4)
+            env, config=RuntimeConfig(conf_batch=4),
+            probe_factory=recorder.probe_factory,
         )
-        events_before = len(cluster.events)
+        trace_before = len(recorder.events())
         requests = [
             cluster.node(old_leader).submit("withdraw", 1) for _ in range(3)
         ]
@@ -80,11 +86,18 @@ class TestDemotionMidBatch:
         redirects = [o for o in outcomes if isinstance(o, NotLeaderError)]
         assert redirects, "at least one client must get the redirect"
         assert all(r.leader == new_leader for r in redirects)
-        # (b) the speculative CONF events were scrubbed on failure.
+        # (b) the batch was posted (its L xfers are in the trace) but
+        # never committed, so the run's transitions hold no CONF for it.
+        batch_trace = recorder.events()[trace_before:]
+        posted = [
+            e for e in batch_trace
+            if e.kind == "xfer" and e.name == f"L:{gid}"
+            and e.node == old_leader
+        ]
+        assert posted
         conf_events = [
-            e
-            for e in cluster.events[events_before:]
-            if e.rule == "CONF" and e.node == old_leader
+            e for e in concrete_events(batch_trace)
+            if e.rule == "CONF" and e.process == old_leader
         ]
         assert conf_events == []
         # (c) no partial application anywhere: the balance is intact.

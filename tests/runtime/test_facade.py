@@ -99,7 +99,6 @@ class TestFacadeComposition:
         node = cluster.node("p1")
         assert node.sigma is node.applier.sigma
         assert node.applied is node.applier.applied
-        assert node.seen is node.applier.seen
         assert node.f_readers is node.transport.f_readers
         assert node.f_writers is node.transport.f_writers
         assert node.l_readers is node.transport.l_readers
@@ -114,4 +113,8 @@ class TestFacadeComposition:
         node = cluster.node("p1")
         assert "x" in node.sigma
         assert node.applied[("p1", "add")] == 1
+        # Dedup keys live on the apply layer only (no façade view).
+        assert node.applier.has_seen(("p1", 1))
+        assert not node.applier.has_seen(("p1", 2))
+        assert not node.applier.has_seen(("p2", 1))
         assert node.effective_state() == node.applier.effective_state()

@@ -7,7 +7,7 @@ and probes can be swapped or measured without a full HambandNode.
 
 import pytest
 
-from repro.core import Call, Coordination
+from repro.core import Call, Coordination, concrete_events
 from repro.datatypes import account_spec, counter_spec, gset_spec
 from repro.rdma import Fabric
 from repro.runtime import (
@@ -16,6 +16,7 @@ from repro.runtime import (
     RingTransport,
     RuntimeConfig,
     RuntimeProbe,
+    TracingProbe,
 )
 from repro.runtime.config import f_ack_region, f_region, l_region, s_region
 from repro.sim import Environment
@@ -216,27 +217,27 @@ class TestRingTransportStandalone:
 class TestApplyEngineStandalone:
     def make_engine(self, spec, n_nodes=3):
         env, coordination, fabric, transports = bare_transport(spec, n_nodes)
-        events = []
-        probe = CountingProbe()
+        probe = TracingProbe(lambda: env.now, "p1")
         engine = ApplyEngine(
-            fabric.nodes["p1"], coordination, RuntimeConfig(), events,
-            probe, {},
+            fabric.nodes["p1"], coordination, RuntimeConfig(), probe, {},
         )
         engine.init_summaries(fabric.node_names())
-        return env, engine, events, probe
+        return env, engine, probe
 
     def test_apply_buffered_advances_sigma_a_and_log(self):
-        env, engine, events, probe = self.make_engine(gset_spec())
+        env, engine, probe = self.make_engine(gset_spec())
         call = Call("add", "x", "p2", 1)
         run_gen(env, engine.apply(call, "FREE_APP"))
         assert "x" in engine.sigma
         assert engine.applied[("p2", "add")] == 1
         assert engine.has_seen(call.key())
-        assert [e.rule for e in events] == ["FREE_APP"]
+        assert [
+            e.rule for e in concrete_events(probe.events)
+        ] == ["FREE_APP"]
         assert probe.applies == {"FREE_APP": 1}
 
     def test_dep_projection_and_check(self):
-        env, engine, _events, _probe = self.make_engine(account_spec())
+        env, engine, _probe = self.make_engine(account_spec())
         # No deposits applied anywhere: projection over Dep(withdraw)
         # is empty and trivially satisfied.
         assert engine.dep_projection("withdraw") == {}
@@ -244,7 +245,7 @@ class TestApplyEngineStandalone:
         assert not engine.dep_ok({("p2", "deposit"): 1})
 
     def test_invariant_with_summaries(self):
-        env, engine, _events, _probe = self.make_engine(account_spec())
+        env, engine, _probe = self.make_engine(account_spec())
         assert engine.invariant_with_summaries(0)
         assert not engine.invariant_with_summaries(-1)
 
@@ -256,13 +257,13 @@ class TestApplyEngineStandalone:
 
         engine = ApplyEngine(
             fabric.nodes["p1"], coordination,
-            RuntimeConfig(force_buffered=True), [],
+            RuntimeConfig(force_buffered=True),
         )
         engine.init_summaries(fabric.node_names())
         assert engine.category("add") is Category.IRREDUCIBLE_CONFLICT_FREE
 
     def test_make_call_monotonic_rids(self):
-        env, engine, _events, _probe = self.make_engine(gset_spec())
+        env, engine, _probe = self.make_engine(gset_spec())
         first = engine.make_call("add", "a")
         second = engine.make_call("add", "b")
         assert first.origin == "p1"

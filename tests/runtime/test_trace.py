@@ -390,11 +390,14 @@ class TestBehaviouralInvariance:
             DriverConfig(workload=workload, total_ops=150,
                          update_ratio=0.5, seed=3),
         )
-        log = [
-            (event.rule, event.process, str(event.call), event.at)
-            for event in cluster.events
-        ]
-        return result, log
+        # The probe-independent fingerprint of a run: what the repo
+        # benchmark's ``sim_digest`` hashes.
+        fingerprint = (
+            result.total_calls, result.update_calls, result.rejected_calls,
+            result.start_us, result.replicated_us,
+            list(result.latency.samples), cluster.effective_states(),
+        )
+        return result, fingerprint
 
     @pytest.mark.parametrize("spec_factory,workload", [
         (gset_spec, "gset"),
@@ -403,14 +406,16 @@ class TestBehaviouralInvariance:
     ])
     def test_probe_choice_does_not_change_the_run(self, spec_factory,
                                                   workload):
-        baseline, base_log = self.run_with(None, spec_factory, workload)
+        baseline, base_print = self.run_with(None, spec_factory, workload)
         for factory in (
             lambda name: RuntimeProbe(),
             lambda name: CountingProbe(),
             lambda name: TracingProbe(lambda: 0.0, name),
         ):
-            result, log = self.run_with(factory, spec_factory, workload)
-            assert log == base_log
+            result, fingerprint = self.run_with(
+                factory, spec_factory, workload
+            )
+            assert fingerprint == base_print
             assert result.total_calls == baseline.total_calls
             assert result.update_calls == baseline.update_calls
             assert result.replicated_us == baseline.replicated_us

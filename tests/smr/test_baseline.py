@@ -58,8 +58,14 @@ class TestSmrCluster:
         assert cluster.effective_states() == {"p1": 6, "p2": 6, "p3": 6}
 
     def test_total_order_means_refinement_trivially_holds(self):
+        from repro.runtime import TraceRecorder
+
         env = Environment()
-        cluster = SmrCluster.build_smr(env, movie_spec(), n_nodes=3)
+        recorder = TraceRecorder(env)
+        cluster = SmrCluster.build_smr(
+            env, movie_spec(), n_nodes=3,
+            probe_factory=recorder.probe_factory,
+        )
         leader = cluster.node("p1").current_leader("addMovie")
         for i in range(5):
             env.run(until=cluster.node(leader).submit("addMovie", f"m{i}"))
@@ -69,7 +75,7 @@ class TestSmrCluster:
         env.run(until=env.now + 400)
         assert cluster.converged()
         # The SMR run is itself a well-coordinated WRDT run.
-        cluster.check_refinement()
+        cluster.check_refinement(recorder.events(), recorder.dropped())
 
     def test_shared_spec_instances_are_isolated(self):
         """An SMR deployment and a Hamband deployment built from the

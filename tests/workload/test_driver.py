@@ -10,7 +10,7 @@ from repro.datatypes import (
     orset_spec,
 )
 from repro.msgpass import MsgCrdtCluster
-from repro.runtime import HambandCluster
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.smr import SmrCluster
 from repro.sim import Environment
 from repro.workload import (
@@ -51,15 +51,20 @@ class TestHambandRuns:
         assert cluster.integrity_holds()
 
     def test_account_run_with_conflicts(self):
-        env, cluster, result = drive(
-            lambda env: HambandCluster.build(env, account_spec(), 3),
-            "account",
-            update_ratio=0.5,
+        env = Environment()
+        recorder = TraceRecorder(env)
+        cluster = HambandCluster.build(
+            env, account_spec(), 3, probe_factory=recorder.probe_factory
+        )
+        run_workload(
+            env, cluster,
+            DriverConfig(workload="account", total_ops=240,
+                         update_ratio=0.5),
         )
         assert cluster.converged()
         assert cluster.integrity_holds()
         # The run refines the abstract semantics end to end.
-        abstract = cluster.check_refinement()
+        abstract = cluster.check_refinement(recorder.events(), recorder.dropped())
         assert abstract.integrity_holds()
 
     def test_courseware_run_with_prologue(self):
