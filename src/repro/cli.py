@@ -378,18 +378,24 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .core import Coordination
+def _spec_for(name: str):
+    """The named data type's spec, or None (after telling the user)."""
     from .datatypes import SPEC_FACTORIES
     from .datatypes.orset import orset_spec
 
-    factories = dict(SPEC_FACTORIES)
-    factories["orset"] = orset_spec
-    factory = factories.get(args.datatype)
+    factory = {**SPEC_FACTORIES, "orset": orset_spec}.get(name)
     if factory is None:
-        print(f"unknown data type {args.datatype!r}; try `repro list`")
+        print(f"unknown data type {name!r}; try `repro list`")
+        return None
+    return factory()
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .core import Coordination
+
+    spec = _spec_for(args.datatype)
+    if spec is None:
         return 1
-    spec = factory()
     coordination = Coordination.analyze(spec, seed=args.seed)
     print(f"object: {spec.name}")
     print(f"updates: {', '.join(spec.update_names())}")
@@ -431,16 +437,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     from .core import Coordination
     from .core.explore import Request, explore
-    from .datatypes import SPEC_FACTORIES
-    from .datatypes.orset import orset_spec
 
-    factories = dict(SPEC_FACTORIES)
-    factories["orset"] = orset_spec
-    factory = factories.get(args.datatype)
-    if factory is None:
-        print(f"unknown data type {args.datatype!r}; try `repro list`")
+    spec = _spec_for(args.datatype)
+    if spec is None:
         return 1
-    spec = factory()
     coordination = Coordination.analyze(spec)
     rng = random.Random(args.seed)
     processes = [f"p{i}" for i in range(1, args.procs + 1)]

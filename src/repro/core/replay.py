@@ -1,7 +1,7 @@
-"""Replaying calls into per-node states — the trace checkers' σ.
+"""Replaying calls into per-node states — the trace checker's σ.
 
-Both trace checkers (:mod:`repro.runtime.checker` offline,
-:mod:`repro.runtime.stream_checker` online) verify Lemma-1 integrity
+The checker core (:mod:`repro.runtime.stream_checker`, driven live or
+by the offline :mod:`repro.runtime.checker`) verifies Lemma-1 integrity
 and Lemma-2 convergence by folding every recorded apply into a replayed
 state per node.  That fold lives here, once.
 """

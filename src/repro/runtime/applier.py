@@ -378,18 +378,22 @@ class ApplyEngine:
         cfg = self.config
         idle_us = cfg.poll_interval_us
         idle_cap = max(cfg.poll_idle_max_us, cfg.poll_interval_us)
+        waited_us = 0.0
         while True:
             progressed = False
             if self.rnode.alive:
-                progressed = yield from self.traverse_once()
+                progressed = yield from self.traverse_once(waited_us)
             if progressed:
                 idle_us = cfg.poll_interval_us
-                yield self.env.timeout(cfg.poll_hot_us)
+                waited_us = cfg.poll_hot_us
             else:
-                yield self.env.timeout(idle_us)
+                waited_us = idle_us
                 idle_us = min(idle_us * cfg.poll_backoff, idle_cap)
+            yield self.env.timeout(waited_us)
 
-    def traverse_once(self):
+    def traverse_once(self, waited_us: float = 0.0):
+        """One sweep over every ring; ``waited_us`` is the poller's wait
+        since the previous sweep (the hole detector's clock)."""
         progressed = False
         for origin, reader in self.transport.f_readers.items():
             try:
@@ -417,7 +421,7 @@ class ApplyEngine:
                 # Empty sweep: let the transport's hole detector decide
                 # whether a lost write is blocking this ring.
                 ring_progressed = yield from self.transport.maybe_repair_f(
-                    origin, self.is_suspected
+                    origin, self.is_suspected, waited_us
                 )
             progressed |= ring_progressed
         for gid in self.transport.l_readers:

@@ -1,49 +1,45 @@
-"""Offline trace analyzer: replay a flight-recorder trace and check
-the paper's Figure-5/Figure-7 obligations against what actually ran.
+"""Offline trace checker: hold a recorded flight-recorder trace to the
+paper's Figure-5/Figure-7 obligations after the run.
 
-:class:`TraceChecker` consumes the rule events of a recorded trace
-(:mod:`repro.runtime.trace`) in their global order and re-derives every
-node's state, asserting three obligations:
+The obligations are implemented once, in
+:class:`~repro.runtime.stream_checker.StreamingChecker` (they compose
+per object over a window, so the offline check *is* the streaming one
+with an unbounded window and no checkpoint):
 
 1. **Integrity (Lemma 1)** — every applied update was *permissible at
-   its apply state*: for each rule event, folding the call into the
-   applying node's replayed state must preserve the invariant (for
-   REDUCE the summary is visible at every node, so the check runs at
-   all of them).  It also rejects double-application of one call at one
-   node (the runtime's dedup obligation).
-2. **Total order per synchronization group** — the conflicting calls of
-   one sync group must be applied in a single total order on all nodes:
-   the per-node apply sequences, restricted to any pair's common calls,
-   may not contain an inversion.
+   its apply state* (a REDUCE at every node at once), and no node
+   applied one call twice (the runtime's dedup obligation).
+2. **Total order per synchronization group** — the per-node apply
+   sequences of one sync group, restricted to any pair's common calls,
+   contain no inversion.
 3. **Convergence (Lemma 2)** — at quiescence every node has applied the
    same set of calls and all replayed states are equal under
    ``spec.state_eq``.
 
-Violations carry the *causal event chain* — every recorded event
-(spans, ring transfers, rule instants) mentioning the offending call —
-so a report points from the failed obligation back to where the call
-was issued, which rings it crossed, and where it was applied.
+:meth:`TraceChecker.check` is the driver for a trace held in memory: it
+orders the events, derives the roster the run *started* with from the
+``member`` events, feeds the core, and widens every violation's *causal
+event chain* from the core's bounded cache to every recorded event
+(spans, ring transfers, rule instants) of the offending calls — from
+the failed obligation back to where the call was issued, which rings it
+crossed, and where it was applied.  :class:`ShardedTraceChecker` runs it
+per shard and adds cross-shard atomicity.
 
 A trace truncated by the recorder's bounded ring buffer cannot attest
-convergence; the checker reports that as a violation instead of
-silently passing.
-
-Chaos runs additionally record ``fault`` events (injected by
-:mod:`repro.sim.faults`) and ``repair`` events (emitted when a node
-detects a CRC-failed ring record and heals it from an authoritative
-copy).  The checker tallies both so a report correlates *injected* ⇒
-*detected* ⇒ *repaired*: a corruption campaign that converged with
-zero repairs either never landed or was silently absorbed, and either
-way the tally makes that visible.
+convergence and is reported as such, not silently passed.  ``fault``
+events (:mod:`repro.sim.faults`) and ``repair`` events (a CRC-failed
+ring record healed from an authoritative copy) are tallied, so a report
+correlates *injected* ⇒ *detected* ⇒ *repaired*: a corruption campaign
+that converged with zero repairs never landed or was silently absorbed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
-from ..core import Call, Coordination
-from ..core.replay import Replay
+from ..core import Coordination
 from .trace import LoadedTrace, TraceEvent, gap_detail, load_jsonl
 
 __all__ = [
@@ -54,8 +50,9 @@ __all__ = [
     "Violation",
 ]
 
-#: Rules that mutate σ at exactly the event's node.
-LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
+#: Event kinds that bear an obligation or a tally; spans and ring
+#: transfers — two thirds of a trace — bear none and never reach the core.
+_CHECKED_KINDS = frozenset(("rule", "member", "fault", "repair"))
 
 
 @dataclass
@@ -66,6 +63,8 @@ class Violation:
     #            truncated | vocabulary
     message: str
     chain: list[TraceEvent] = field(default_factory=list)
+    #: The offending calls' ``(origin, rid)`` identities.
+    calls: tuple = ()
 
     def render(self) -> str:
         lines = [f"[{self.kind}] {self.message}"]
@@ -126,7 +125,7 @@ class CheckReport:
 
 
 class TraceChecker:
-    """Replays recorded rule events against the object specification."""
+    """Checks a whole recorded trace against the object specification."""
 
     def __init__(self, coordination: Coordination,
                  processes: Optional[Iterable[str]] = None,
@@ -150,224 +149,44 @@ class TraceChecker:
     def check(self, events: Iterable[TraceEvent], dropped: int = 0,
               processes: Optional[Iterable[str]] = None,
               gaps: Iterable[tuple] = ()) -> CheckReport:
-        """Replay ``events``, which arrive in global ``seq`` order (as
-        the recorder's merge and a JSONL export deliver them; any other
-        order is sorted first)."""
+        """Check a whole trace: the streaming core over an unbounded
+        window.  ``events`` may arrive in any order (``seq`` orders
+        them, ties keep their input order); ``processes`` names the
+        FINAL roster — joiners included, departed excluded."""
+        from .stream_checker import StreamingChecker  # imports this module
+
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        members = [event for event in events if event.kind == "member"]
-        nodes = sorted(processes or self.processes or {
-            event.node for event in events
-        })
-        # Elastic membership: the declared node list names the FINAL
-        # roster (joiners included, departed excluded).  Reconstruct the
-        # founding roster from the member events, then evolve it during
-        # the replay — a joiner's state begins at its ``member_join``
-        # event, a departed node stops being held to convergence at its
-        # ``member_leave``.
+        by_seq = attrgetter("seq")
+        checked = [e for e in events if e.kind in _CHECKED_KINDS]
+        checked.sort(key=by_seq)
+        # The core starts on the founding roster and evolves it at the
+        # member events, as a live tap would.
+        members = [event for event in checked if event.kind == "member"]
         joins = {e.origin for e in members if e.name == "member_join"}
         leaves = {e.origin for e in members if e.name == "member_leave"}
-        initial = sorted((set(nodes) | leaves) - joins)
-        report = CheckReport(nodes=nodes)
-        if not initial:
-            report.violations.append(
-                Violation("vocabulary", "empty trace: no nodes recorded")
-            )
-            return report
-
-        def chain(origin: str, rid: int) -> list[TraceEvent]:
-            """The call's causal chain — built only for a call about to
-            be reported, so a clean trace never pays for an index."""
-            return [e for e in events if e.origin == origin and e.rid == rid]
-
-        def report_violation(kind: str, message: str,
-                             key: tuple[str, int]) -> None:
-            if len(report.violations) < self.max_violations:
-                report.violations.append(
-                    Violation(kind, message, chain(*key))
-                )
-
-        replay = Replay(self.spec, initial)
-        sigma = replay.sigma
-        applied: dict[str, set[tuple[str, int]]] = {
-            node: set() for node in initial
-        }
-        #: Nodes currently part of the cluster (evolves at member
-        #: events); convergence is only owed by the final roster.
-        present: set[str] = set(initial)
-        #: Every REDUCE replayed so far: a joiner's state starts from
-        #: ``replay.seed``, which already folds these.
-        reduced: list[tuple[str, int]] = []
-        #: Per-(gid, node) apply order of conflicting calls.
-        group_order: dict[tuple[str, str], list[tuple[str, int]]] = {}
-        seen_calls: set[tuple[str, int]] = set()
-
-        last_seq = float("-inf")
-        for event in events:
-            if event.seq < last_seq:
-                return self.check(
-                    sorted(events, key=lambda e: e.seq), dropped=dropped,
-                    processes=processes, gaps=gaps,
-                )
-            last_seq = event.seq
-            kind = event.kind
-            if kind != "rule":
-                if kind == "member":
-                    subject = event.origin
-                    if event.name == "member_join":
-                        if subject not in sigma:
-                            replay.join(subject)
-                            applied[subject] = set(reduced)
-                        present.add(subject)
-                    elif event.name == "member_leave":
-                        present.discard(subject)
-                    # state_xfer and friends are informational
-                elif kind in ("fault", "repair"):
-                    tally = report.faults if kind == "fault" else report.repairs
-                    tally[event.name] = tally.get(event.name, 0) + 1
-                continue
-            rule = event.name
-            if rule == "QUERY":
-                continue
-            node = event.node
-            key = (event.origin, event.rid)
-            call = Call(event.method, event.arg, event.origin, event.rid)
-            if node not in sigma:
-                report_violation(
-                    "vocabulary", f"event at unknown node {node!r}", key
-                )
-                continue
-            if rule == "REDUCE":
-                seen_calls.add(key)
-                report.applies_checked += 1
-                if key in applied[node]:
-                    report_violation(
-                        "duplicate", f"{call} reduced twice at {node}", key
-                    )
-                    continue
-                # A summary write is visible at every node (refinement:
-                # REDUCE = CALL at origin + immediate PROP everywhere).
-                # Departed nodes no longer see summary writes.
-                reduced.append(key)
-                for other in replay.reduce(call, sorted(present)):
-                    report_violation(
-                        "integrity",
-                        f"{call} (REDUCE at {node}) breaks the "
-                        f"invariant at {other}",
-                        key,
-                    )
-                for other in present:
-                    applied[other].add(key)
-            elif rule in LOCAL_APPLY_RULES:
-                seen_calls.add(key)
-                report.applies_checked += 1
-                if key in applied[node]:
-                    report_violation(
-                        "duplicate",
-                        f"{call} applied twice at {node} (rule {rule})",
-                        key,
-                    )
-                    continue
-                if not replay.step(call, node):
-                    report_violation(
-                        "integrity",
-                        f"{call} not permissible at its apply state "
-                        f"({rule} at {node})",
-                        key,
-                    )
-                applied[node].add(key)
-                if rule in ("CONF", "CONF_APP"):
-                    group = self.coordination.sync_group(event.method)
-                    if group is None:
-                        report_violation(
-                            "vocabulary",
-                            f"{rule} event for conflict-free method "
-                            f"{event.method!r} at {node}",
-                            key,
-                        )
-                    else:
-                        group_order.setdefault(
-                            (group.gid, node), []
-                        ).append(key)
-            else:
-                report_violation(
-                    "vocabulary", f"unknown rule {rule!r} at {node}", key
-                )
-        report.calls_checked = len(seen_calls)
-        report.nodes = sorted(present)
-
-        # The total-order obligation holds for every node that was ever
-        # a member — a departed node's (partial) order must still agree.
-        self._check_group_orders(report, group_order, chain, sorted(sigma))
-        # Convergence is owed only by the final roster: a departed node
-        # legitimately froze mid-history.
-        self._check_convergence(
-            report, replay, applied, chain, sorted(present), dropped, gaps
-        )
+        declared = processes or self.processes or {e.node for e in events}
+        report = StreamingChecker(
+            self.coordination, (set(declared) | leaves) - joins,
+            max_violations=self.max_violations, strict_seq=False,
+        ).check(checked, dropped=dropped, gaps=gaps)
+        report.label = "trace check"
+        # The core caches a bounded tail of each in-window call's rule
+        # events; this driver holds the trace, so its chains are every
+        # recorded event of the offending calls.
+        chains = {key: [] for v in report.violations for key in v.calls}
+        if chains:
+            for event in events:
+                chain = chains.get((event.origin, event.rid))
+                if chain is not None:
+                    chain.append(event)
+            for chain in chains.values():
+                chain.sort(key=by_seq)
+            for violation in report.violations:
+                violation.chain = [
+                    event for key in violation.calls for event in chains[key]
+                ]
         return report
-
-    # -- obligation 2: one total order per sync group --------------------
-
-    def _check_group_orders(self, report, group_order, chain, nodes):
-        gids = sorted({gid for gid, _node in group_order})
-        for gid in gids:
-            sequences = [
-                (node, group_order.get((gid, node), []))
-                for node in nodes
-            ]
-            for i, (node_a, seq_a) in enumerate(sequences):
-                positions = {key: idx for idx, key in enumerate(seq_a)}
-                for node_b, seq_b in sequences[i + 1:]:
-                    common = [key for key in seq_b if key in positions]
-                    last = -1
-                    for key in common:
-                        if positions[key] < last:
-                            prev = next(
-                                k for k, idx in positions.items()
-                                if idx == last
-                            )
-                            report.violations.append(Violation(
-                                "order",
-                                f"sync group {gid}: {node_a} applied "
-                                f"{key[0]}#{key[1]} before "
-                                f"{prev[0]}#{prev[1]} but {node_b} "
-                                f"applied them in the opposite order",
-                                chain(*key) + chain(*prev),
-                            ))
-                            break
-                        last = positions[key]
-
-    # -- obligation 3: convergence at quiescence -------------------------
-
-    def _check_convergence(self, report, replay, applied, chain, nodes,
-                           dropped, gaps=()):
-        if dropped:
-            report.violations.append(Violation(
-                "truncated",
-                f"trace dropped {dropped} event(s){gap_detail(gaps)}: "
-                "cannot attest convergence (raise the recorder capacity)",
-            ))
-            return
-        if not nodes:
-            return  # everyone scaled in: nobody owes convergence
-        union: set[tuple[str, int]] = set()
-        for node in nodes:
-            union |= applied[node]
-        for node in nodes:
-            missing = union - applied[node]
-            for key in sorted(missing)[:3]:
-                report.violations.append(Violation(
-                    "convergence",
-                    f"{node} never applied {key[0]}#{key[1]} "
-                    f"({len(missing)} call(s) missing at {node})",
-                    chain(*key),
-                ))
-        if any(applied[node] != union for node in nodes):
-            return  # states legitimately differ when calls are missing
-        report.violations.extend(
-            Violation("convergence", message)
-            for message in replay.divergence(nodes)
-        )
 
 
 # -- sharded topologies -----------------------------------------------------

@@ -29,9 +29,9 @@ Request processing follows the paper's four cases: queries run locally;
 reducible calls are summarized and remotely overwritten; irreducible
 conflict-free calls are applied locally and reliably broadcast into F
 rings; conflicting calls are ordered by the group leader through Mu
-into L rings.  Every issue/apply also appends a
-:class:`~repro.core.ConcreteEvent` to the cluster log, so integration
-tests replay entire runs against the abstract semantics.
+into L rings.  Every issue/apply is reported to the probe; a run
+recorded by :class:`~repro.runtime.trace.TraceRecorder` is what the
+checkers and the refinement replay (docs/semantics.md) consume.
 
 This module re-exports :class:`RuntimeConfig` and the request errors
 from their leaf modules, keeping historical import paths stable.
@@ -469,49 +469,3 @@ class HambandNode:
     def start_rejoin(self):
         """Spawn the rejoin pass (supervised) after a restart."""
         return self._spawn_supervised(self.rejoin(), f"rejoin:{self.name}")
-
-    # -- legacy layer-state views (pre-split attribute compatibility) ------
-
-    @property
-    def sigma(self) -> Any:
-        return self.applier.sigma
-
-    @sigma.setter
-    def sigma(self, value: Any) -> None:
-        self.applier.sigma = value
-
-    @property
-    def applied(self) -> dict[tuple[str, str], int]:
-        return self.applier.applied
-
-    @property
-    def pending_recovered(self) -> list:
-        return self.applier.pending_recovered
-
-    @property
-    def summary_readers(self) -> dict:
-        return self.applier.summary_readers
-
-    @property
-    def summary_mirror(self) -> dict:
-        return self.applier.summary_mirror
-
-    @property
-    def f_readers(self) -> dict:
-        return self.transport.f_readers
-
-    @property
-    def f_writers(self) -> dict:
-        return self.transport.f_writers
-
-    @property
-    def l_readers(self) -> dict:
-        return self.transport.l_readers
-
-    @property
-    def mu_groups(self) -> dict:
-        return self.conflict.mu_groups
-
-    @property
-    def conf_queues(self) -> dict:
-        return self.conflict.conf_queues

@@ -141,11 +141,6 @@ class StateTransfer:
             and node.rnode.fabric.nodes[source].alive
         ]
 
-    def _pick_source(self, origin: str) -> Optional[str]:
-        """First live, unsuspected holder of ``origin``'s ring."""
-        sources = self._sources(origin)
-        return sources[0] if sources else None
-
     def _fill_f_ring(self, origin: str):
         """Windowed bulk fill of our copy of ``origin``'s F ring.
 

@@ -1,48 +1,47 @@
-"""Streaming trace checker: verify a run *while* it executes.
+"""The trace-checker core: verify a run *while* it executes.
 
-The offline :class:`~repro.runtime.checker.TraceChecker` replays a
-whole recorded trace in memory, so its cost and footprint grow with
-trace length — it cannot attest a long-running, million-op serving
-run.  :class:`StreamingChecker` reformulates the same three
+:class:`StreamingChecker` is the one implementation of the three
 obligations (Lemma-1 integrity, one total order per synchronization
-group, Lemma-2 convergence) as an *incremental, windowed* analysis in
+group, Lemma-2 convergence), as an *incremental, windowed* analysis in
 the style of replication-aware linearizability (Enea et al.): the
-compositional per-object criterion makes it sound to verify each sync
-group's obligations over a bounded window of in-flight calls,
-checkpoint the verified prefix, and discard it.
+obligations compose per object, so it is sound to verify them over a
+bounded window of in-flight calls, checkpoint the verified prefix, and
+discard it.  Two drivers feed it events in global sequence order: the
+live tap (:meth:`~repro.runtime.trace.TraceRecorder.stream_to`, or a
+JSONL tail), and the offline
+:meth:`~repro.runtime.checker.TraceChecker.check`, which hands it a
+whole recorded trace (``strict_seq=False``) and never checkpoints.
+Memory is bounded by the *window* (calls issued but not yet applied
+everywhere), not the trace:
 
-Feed it events online — tapped directly off the per-node
-:class:`~repro.runtime.trace.TracingProbe`\\ s via
-:meth:`~repro.runtime.trace.TraceRecorder.stream_to`, or tailing a
-JSONL stream — in global sequence order.  Memory is bounded by the
-*window* (calls issued but not yet applied everywhere), not the trace:
-
-- a call **retires** once every node has applied it (REDUCE retires
-  immediately — a summary write is visible everywhere at once); its
-  chain of rule events, apply bookkeeping, and sync-group entries are
-  dropped
-  and only a compact per-origin interval set of retired request ids
-  remains (for exact duplicate detection, O(gaps) not O(calls));
+- a call **retires** once every member has applied it (a REDUCE at
+  once — a summary write is visible everywhere); its rule events, apply
+  bookkeeping and sync-group entries go, and only a per-origin interval
+  set of retired request ids stays (exact dedup in O(gaps) memory);
 - sync-group total order is checked pairwise *as applies arrive*: per
   node pair, the common in-window calls are kept sorted by one node's
   apply position, and a new common call is an inversion exactly when
   it breaks monotonicity against a neighbour.  Group calls retire in
   common-prefix order, so an inversion always surfaces while both
-  calls are still in the window;
+  calls are still in the window; the order they retired in is kept
+  run-length encoded (a run per leader term) for the nodes that apply
+  a call only *after* it retired;
+- those are a joiner, which *owes* the history retired before it joined
+  (a snapshot of the interval sets, filled in as it catches up, in the
+  retired order, due at :meth:`finish`), and a leaver, which gates
+  nothing and owes no convergence once it left but stays held — by its
+  own ledger, replayed state and group positions — to dedup, integrity
+  and order for whatever it applied or still applies;
 - convergence is asserted at :meth:`finish` over the residual window —
   every retired call was applied everywhere by construction.
 
-Sequence-number continuity doubles as gap detection: a jump in ``seq``
-means events were lost upstream (a :class:`TracingProbe` ring drop),
-and the checker reports ``gap at seq N..M`` explicitly — and declines
-to attest convergence, exactly like the offline checker on a truncated
-trace — instead of failing opaquely.
-
-:class:`CheckpointState` snapshots the full checker state (replayed
-states, retired intervals, window, group frontiers, violations so far)
-as deterministic JSON.  A checker resumed from a checkpoint skips
-already-verified events (``seq < next_seq``) and reaches the same
-verdict as an uninterrupted run.
+A jump in ``seq`` means events were lost upstream (a
+:class:`TracingProbe` ring drop): the checker reports ``gap at seq
+N..M`` and declines to attest convergence, as it does for a trace the
+recorder truncated.  :class:`CheckpointState` snapshots the full
+checker state as deterministic JSON; a checker resumed from it skips
+already-verified events (``seq < next_seq``) and reaches the verdict of
+an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from typing import Any, Iterable, Optional
 
 from ..core import Call, Coordination
 from ..core.replay import Replay
-from .checker import LOCAL_APPLY_RULES, CheckReport, Violation
+from .checker import CheckReport, Violation
 from .trace import (
     TraceEvent,
     event_from_dict,
@@ -65,15 +64,17 @@ from .trace import (
 )
 from .wire import decode_value, encode_value
 
-__all__ = [
-    "CheckpointState",
-    "StreamingChecker",
-]
+__all__ = ["CheckpointState", "StreamingChecker"]
 
+#: Rules that mutate σ at exactly the event's node.
+LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
 #: Per-call causal-chain cap: violations carry at most this many of the
-#: call's most recent rule events (the offline checker can gather every
-#: event of a call from the trace it holds — a streaming checker cannot).
+#: call's most recent rule events (the offline driver widens them to
+#: every event of the call from the trace it holds — the core cannot).
 _CHAIN_LIMIT = 48
+#: The scalar progress counters a checkpoint carries verbatim.
+_COUNTERS = ("events_checked", "calls_checked", "applies_checked",
+             "peak_window", "peak_retained", "retired_count", "last_seq")
 
 
 class _IntervalSet:
@@ -92,10 +93,9 @@ class _IntervalSet:
 
     def add(self, value: int) -> None:
         spans = self.spans
-        index = bisect.bisect_left(spans, [value])
-        if index < len(spans) and spans[index][0] <= value <= spans[index][1]:
-            return
-        if index > 0 and spans[index - 1][0] <= value <= spans[index - 1][1]:
+        # spans[:index] start at or below ``value``, spans[index:] above
+        index = bisect.bisect_right(spans, [value, float("inf")])
+        if index > 0 and spans[index - 1][1] >= value:
             return
         joins_prev = index > 0 and spans[index - 1][1] == value - 1
         joins_next = index < len(spans) and spans[index][0] == value + 1
@@ -112,10 +112,13 @@ class _IntervalSet:
     def __contains__(self, value: int) -> bool:
         spans = self.spans
         index = bisect.bisect_right(spans, [value, float("inf")])
-        return index > 0 and spans[index - 1][0] <= value <= spans[index - 1][1]
+        return index > 0 and spans[index - 1][1] >= value
 
     def __len__(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self.spans)
+
+    def snapshot(self) -> list[list[int]]:
+        return [list(span) for span in self.spans]
 
 
 @dataclass
@@ -129,6 +132,17 @@ class _CallState:
     group_pos: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
+class _Owed:
+    """What a joiner owes one origin: the ``rids`` retired when it
+    joined — ``reduces`` of them REDUCEs, which reach it as state and
+    never as applies — and the ones it has ``caught`` up on so far."""
+
+    rids: _IntervalSet
+    reduces: int = 0
+    caught: _IntervalSet = field(default_factory=_IntervalSet)
+
+
 def _pack(value: Any) -> str:
     """A replayed state as canonical wire bytes, base64 (for JSON)."""
     return base64.b64encode(encode_value(value)).decode("ascii")
@@ -136,6 +150,10 @@ def _pack(value: Any) -> str:
 
 def _unpack(text: str) -> Any:
     return decode_value(base64.b64decode(text.encode("ascii")))
+
+
+def _spans(ledger: dict[str, _IntervalSet]) -> dict[str, list]:
+    return {origin: rids.snapshot() for origin, rids in sorted(ledger.items())}
 
 
 def _key_str(key: tuple[str, int]) -> str:
@@ -162,7 +180,7 @@ class CheckpointState:
     nodes: list[str]
     next_seq: int
     payload: dict[str, Any]
-    version: int = 1
+    version: int = 2
 
     def to_json(self) -> str:
         return json.dumps(
@@ -213,9 +231,9 @@ class StreamingChecker:
 
     Events must arrive in nondecreasing ``seq`` order (the recorder's
     shared counter guarantees this for a tapped run; JSONL exports are
-    written in that order).  Events with ``seq`` below the resume
-    frontier are skipped, which makes re-feeding a stream from the
-    start after :meth:`resume` idempotent.
+    written in that order).  A checker built by :meth:`resume` skips
+    events with ``seq`` below its checkpoint, which makes re-feeding a
+    stream from the start idempotent; nothing else depends on ``seq``.
     """
 
     def __init__(self, coordination: Coordination,
@@ -227,28 +245,28 @@ class StreamingChecker:
         self.nodes = sorted(processes)
         self.max_violations = max_violations
         #: When True, a jump in sequence numbers is recorded as a gap
-        #: (events lost upstream).  Turn off to accept re-sequenced or
-        #: filtered streams the way the offline checker does.
+        #: (events lost upstream): the live tap.  Off for re-sequenced
+        #: or filtered streams: the offline and per-shard drivers.
         self.strict_seq = strict_seq
 
         #: σ per node and the REDUCE-folded seed a joiner starts from.
         self.replay = Replay(self.spec, self.nodes)
-        self._node_set = set(self.nodes)
-        #: Elastic membership: nodes that joined / left mid-stream.
-        #: A joiner replays the whole transferred history through
-        #: ordinary apply events, so applies of already-retired calls at
-        #: a joined node are catch-up (tracked exactly in
-        #: ``_joiner_caught``), not duplicates.
-        self._joined: set[str] = set()
-        self._departed: set[str] = set()
-        #: joiner -> origin -> retired rids it has replayed (exact
-        #: duplicate detection for the catch-up path).
-        self._joiner_caught: dict[str, dict[str, _IntervalSet]] = {}
+        #: A joiner replays the transferred history through ordinary
+        #: apply events: joiner -> origin -> what it owes, snapshotted
+        #: from ``retired`` at its ``member_join``.  Only those rids pass
+        #: as catch-up, and all of them are due by :meth:`finish`.
+        self._joiners: dict[str, dict[str, _Owed]] = {}
+        #: A leaver gates nothing and owes no convergence, but what it
+        #: applies is still held to dedup, integrity and order: leaver
+        #: -> origin -> the rids it has applied.
+        self._departed: dict[str, dict[str, _IntervalSet]] = {}
         #: In-window calls: issued/applied somewhere, not yet everywhere.
         self.inflight: dict[tuple[str, int], _CallState] = {}
         #: Retired request ids per origin (applied at every node).
         self.retired: dict[str, _IntervalSet] = {}
         self.retired_count = 0
+        #: How many of each origin's retired calls were REDUCEs.
+        self._reduced: dict[str, int] = {}
         #: Per-(gid, node) monotone apply-position counters.
         self._group_counts: dict[tuple[str, str], int] = {}
         #: Per-gid per-node unretired group applies, in apply order.
@@ -256,6 +274,14 @@ class StreamingChecker:
         #: Per-(gid, a, b) common in-window calls as (pos_a, pos_b, key)
         #: sorted by pos_a (a < b lexicographically).
         self._group_pairs: dict[tuple[str, str, str], list] = {}
+        #: Per-gid retired order, run-length encoded: ``[origin, lo, hi]``
+        #: is a stretch of one origin's calls retired in rising rid
+        #: order (a leader's term, typically).  ``_group_tops``: the
+        #: highest rid retired per (gid, origin); ``_group_cursor``: the
+        #: latest-retired call each (gid, node) applied, as (rank, key).
+        self._group_runs: dict[str, list[list]] = {}
+        self._group_tops: dict[tuple[str, str], int] = {}
+        self._group_cursor: dict[tuple[str, str], tuple] = {}
         #: Bounded per-call causal-event cache backing violation chains.
         self._chains: dict[tuple[str, int], list[TraceEvent]] = {}
         self._retained = 0
@@ -273,6 +299,8 @@ class StreamingChecker:
         self.peak_retained = 0
         self.last_seq = -1
         self._expect: Optional[int] = None
+        #: Set by :meth:`resume`: events below it are already verified.
+        self._resumed_at = float("-inf")
 
     # -- feeding ---------------------------------------------------------
 
@@ -282,11 +310,11 @@ class StreamingChecker:
 
     def feed(self, event: TraceEvent) -> None:
         seq = event.seq
-        if self._expect is not None:
-            if seq < self._expect:
-                return  # already verified (checkpoint resume replay)
-            if seq > self._expect and self.strict_seq:
-                self.gaps.append((self._expect, seq - 1))
+        if seq < self._resumed_at:
+            return  # already verified (checkpoint resume replay)
+        if (self._expect is not None and seq > self._expect
+                and self.strict_seq):
+            self.gaps.append((self._expect, seq - 1))
         self._expect = seq + 1
         self.last_seq = seq
         self.events_checked += 1
@@ -306,34 +334,31 @@ class StreamingChecker:
             return
 
         node = event.node
-        key = (event.origin, event.rid)
+        origin, rid = key = (event.origin, event.rid)
         self._chain_add(key, event)
-        call = Call(event.method, event.arg, event.origin, event.rid)
-        if node not in self._node_set:
-            if node in self._departed:
-                return  # trailing event from a scaled-in node
+        call = Call(event.method, event.arg, origin, rid)
+        ledger = self._departed.get(node)
+        if ledger is None and node not in self.nodes:
             self._violation(
                 "vocabulary", f"event at unknown node {node!r}", key
             )
             return
 
         state = self.inflight.get(key)
-        retired = (
-            state is None
-            and event.origin in self.retired
-            and event.rid in self.retired[event.origin]
-        )
+        retired = state is None and rid in self.retired.get(origin, ())
         if state is None and not retired:
             self.calls_checked += 1
 
         if rule == "REDUCE":
             self.applies_checked += 1
-            if retired or (state is not None and node in state.applied):
+            if retired or state is not None:
+                # A REDUCE is its call's one apply, at every node at once.
                 self._violation(
-                    "duplicate", f"{call} reduced twice at {node}", key
+                    "duplicate",
+                    f"{call} reduced at {node} over an earlier apply", key,
                 )
-                return
-            # A summary write is visible at every node at once.
+                if retired or node in state.applied:
+                    return
             for other in self.replay.reduce(call, self.nodes):
                 self._violation(
                     "integrity",
@@ -341,50 +366,35 @@ class StreamingChecker:
                     f"invariant at {other}",
                     key,
                 )
-            if state is None:
-                state = _CallState(first_seq=seq)
-                self.inflight[key] = state
-            state.applied = set(self.nodes)
-            self._retire(key, state)
+            self._reduced[origin] = self._reduced.get(origin, 0) + 1
+            self._retire(key, state or _CallState(first_seq=seq))
+            if state is not None and state.gid:
+                self._drain_group(state.gid)
         elif rule in LOCAL_APPLY_RULES:
             self.applies_checked += 1
-            if retired and node in self._joined:
-                # Catch-up replay: the joiner drains the transferred
-                # rings, re-emitting applies for calls the rest of the
-                # cluster retired long ago.  Fold them (order comes
-                # from the authoritative rings, already verified among
-                # the incumbents) and dedup exactly per origin.
-                caught = self._joiner_caught.setdefault(
-                    node, {}
-                ).setdefault(event.origin, _IntervalSet())
-                if event.rid in caught:
-                    self._violation(
-                        "duplicate",
-                        f"{call} applied twice at {node} (rule {rule})",
-                        key,
-                    )
-                    return
-                caught.add(event.rid)
-                if not self.replay.step(call, node):
-                    self._violation(
-                        "integrity",
-                        f"{call} not permissible at its apply state "
-                        f"({rule} at {node}, catch-up)",
-                        key,
-                    )
-                return
-            if retired or (state is not None and node in state.applied):
+            if ledger is None:
+                done = retired or (state is not None and node in state.applied)
+            else:
+                done = rid in ledger.get(origin, ())
+            # Catch-up: a joiner drains the transferred rings, re-emitting
+            # applies for calls the cluster retired before it joined.
+            owed = done and self._joiners.get(node, {}).get(origin)
+            if owed and rid in owed.rids and rid not in owed.caught:
+                owed.caught.add(rid)
+            elif done:
                 self._violation(
                     "duplicate",
                     f"{call} applied twice at {node} (rule {rule})",
                     key,
                 )
                 return
-            if state is None:
-                state = _CallState(first_seq=seq)
-                self.inflight[key] = state
-                if len(self.inflight) > self.peak_window:
-                    self.peak_window = len(self.inflight)
+            elif ledger is not None:
+                ledger.setdefault(origin, _IntervalSet()).add(rid)
+            if state is None and not retired:
+                state = self.inflight[key] = _CallState(first_seq=seq)
+                self.peak_window = max(self.peak_window, len(self.inflight))
+            if state is not None and ledger is None:
+                state.applied.add(node)
             if not self.replay.step(call, node):
                 self._violation(
                     "integrity",
@@ -392,19 +402,22 @@ class StreamingChecker:
                     f"({rule} at {node})",
                     key,
                 )
-            state.applied.add(node)
             if rule in ("CONF", "CONF_APP"):
                 group = self.coordination.sync_group(event.method)
-                if group is None:
+                gid = group.gid if group is not None else ""
+                mine = state.gid if state is not None else ""
+                if not gid or mine not in ("", gid):
                     self._violation(
                         "vocabulary",
-                        f"{rule} event for conflict-free method "
-                        f"{event.method!r} at {node}",
+                        f"{rule} event at {node} for {event.method!r}, which "
+                        f"is not of this call's sync group ({mine or 'none'})",
                         key,
                     )
+                elif state is None:
+                    self._late_group_apply(gid, node, key)
                 else:
-                    self._group_apply(group.gid, node, key, state)
-            if len(state.applied) == len(self.nodes):
+                    self._group_apply(gid, node, key, state)
+            if state is not None and len(state.applied) == len(self.nodes):
                 if state.gid:
                     self._drain_group(state.gid)
                 else:
@@ -421,54 +434,44 @@ class StreamingChecker:
 
         ``member_join`` seeds the joiner's replayed state from the
         running REDUCE fold (its state transfer pulls the summary
-        slots); its apply events then replay the transferred history.
-        ``member_leave`` excuses the node from convergence: in-window
-        calls stop waiting for it, and its group-order structures drop.
+        slots) and records what it owes: every call retired so far,
+        which its apply events must now replay.  After ``member_leave``
+        nothing waits for the node or holds it to convergence, but what
+        it applied, and still applies, binds as before: its replayed
+        state and group positions stay, its applied set is its ledger.
         """
         subject = event.origin
         if event.name == "member_join":
-            if subject in self._node_set:
+            if subject in self.nodes:
                 return
-            self._node_set.add(subject)
-            self.nodes = sorted(self._node_set)
-            self._joined.add(subject)
-            self._departed.discard(subject)
+            self.nodes = sorted([*self.nodes, subject])
+            self._departed.pop(subject, None)  # a leaver, back afresh
+            for gid in self._group_runs:
+                self._group_cursor.pop((gid, subject), None)
             self.replay.join(subject)
+            self._joiners[subject] = {
+                origin: _Owed(_IntervalSet(rids), self._reduced.get(origin, 0))
+                for origin, rids in _spans(self.retired).items()
+            }
         elif event.name == "member_leave":
-            if subject not in self._node_set:
+            if subject not in self.nodes:
                 return
-            self._node_set.discard(subject)
-            self.nodes = sorted(self._node_set)
-            self._departed.add(subject)
-            self.replay.sigma.pop(subject, None)
-            self._joiner_caught.pop(subject, None)
-            self._drop_node(subject)
+            self.nodes = [node for node in self.nodes if node != subject]
+            ledger = self._departed[subject] = {
+                origin: _IntervalSet(rids)
+                for origin, rids in _spans(self.retired).items()
+            }
+            # Conflict-free calls now applied at every remaining node
+            # retire; group calls through the common-prefix drain.
+            for key, state in list(self.inflight.items()):
+                if subject in state.applied:
+                    state.applied.discard(subject)
+                    ledger.setdefault(key[0], _IntervalSet()).add(key[1])
+                if not state.gid and len(state.applied) == len(self.nodes):
+                    self._retire(key, state)
+            for gid in self._group_queues:
+                self._drain_group(gid)
         # state_xfer and friends are informational
-
-    def _drop_node(self, name: str) -> None:
-        """Sweep the window after ``name`` left the cluster."""
-        for queues in self._group_queues.values():
-            queues.pop(name, None)
-        self._group_counts = {
-            (gid, node): count
-            for (gid, node), count in self._group_counts.items()
-            if node != name
-        }
-        self._group_pairs = {
-            (gid, a, b): pairs
-            for (gid, a, b), pairs in self._group_pairs.items()
-            if name not in (a, b)
-        }
-        for state in self.inflight.values():
-            state.applied.discard(name)
-            state.group_pos.pop(name, None)
-        # Conflict-free calls now applied at every remaining node retire;
-        # group calls retire through the usual common-prefix drain.
-        for key, state in list(self.inflight.items()):
-            if not state.gid and len(state.applied) == len(self.nodes):
-                self._retire(key, state)
-        for gid in list(self._group_queues):
-            self._drain_group(gid)
 
     # -- sync-group total order (obligation 2, incremental) --------------
 
@@ -495,10 +498,36 @@ class StreamingChecker:
             # so the new call is an inversion iff it breaks monotonicity
             # against an immediate neighbour.
             if index > 0 and pairs[index - 1][1] > pos_b:
-                self._order_violation(gid, a, b, key, pairs[index - 1][2])
+                self._order_violation(gid, a, b, pairs[index - 1][2], key)
             elif index < len(pairs) and pairs[index][1] < pos_b:
-                self._order_violation(gid, a, b, pairs[index][2], key)
+                self._order_violation(gid, a, b, key, pairs[index][2])
             pairs.insert(index, entry)
+
+    def _late_group_apply(self, gid: str, node: str,
+                          key: tuple[str, int]) -> None:
+        """``node`` applies a group call the members already retired (a
+        joiner catching up, a leaver's straggler).  It must extend the
+        retired order: after every retired call ``node`` applied, and
+        not after one it applied that is still in the window."""
+        origin, rid = key
+        runs = self._group_runs.get(gid, ())
+        # An out-of-order rid sits in a later run than the stretch whose
+        # span covers it, never an earlier one: the latest match is it.
+        for index in range(len(runs) - 1, -1, -1):
+            who, lo, hi = runs[index]
+            if who == origin and lo <= rid <= hi:
+                break
+        else:
+            return  # did not retire as a call of this group
+        rank = (index, rid)
+        queue = self._group_queues.get(gid, {}).get(node)
+        last = self._group_cursor.get((gid, node), ((-1,), None))
+        if queue or rank < last[0]:
+            self._order_violation(
+                gid, node, "the members", queue[0] if queue else last[1], key
+            )
+        else:
+            self._group_cursor[(gid, node)] = (rank, key)
 
     def _order_violation(self, gid: str, a: str, b: str,
                          earlier: tuple[str, int],
@@ -508,55 +537,59 @@ class StreamingChecker:
             f"sync group {gid}: {a} applied {_key_str(earlier)} before "
             f"{_key_str(later)} but {b} applied them in the opposite "
             f"order",
-            later, earlier,
+            earlier, later,
         )
 
     def _drain_group(self, gid: str) -> None:
-        """Retire the group's verified common prefix.
-
-        A group call leaves the window only when it heads *every*
-        node's unretired apply order and is applied everywhere — so a
-        retired call can never be the missing half of a future
-        inversion, and the pairwise structures shrink from the front.
-        """
+        """Retire the group's verified common prefix: a group call
+        leaves the window only when every member applied it and it
+        heads the unretired apply order of *every* node that applied
+        it, a departed member's included — so a retired call can never
+        be the missing half of a future inversion, and the pairwise
+        structures shrink from the front."""
         queues = self._group_queues.get(gid)
-        if queues is None:
-            return
-        while True:
-            if len(queues) < len(self.nodes):
-                return  # some node has not applied any group call yet
-            heads = {queue[0] if queue else None for queue in queues.values()}
-            if len(heads) != 1:
-                return
-            (head,) = heads
-            if head is None:
-                return
+        while queues and self.nodes:
+            queue = queues.get(self.nodes[0])
+            if not queue:
+                return  # nothing unretired at this member
+            head = queue[0]
             state = self.inflight.get(head)
-            if state is None or len(state.applied) < len(self.nodes):
+            if (state is None or len(state.applied) < len(self.nodes)
+                    or any(queues[a][0] != head for a in state.group_pos)):
                 return
-            for node, queue in queues.items():
-                queue.pop(0)
-                other_nodes = [m for m in state.group_pos if m != node]
-                for other in other_nodes:
-                    a, b = (node, other) if node < other else (other, node)
-                    pairs = self._group_pairs.get((gid, a, b))
-                    if not pairs:
-                        continue
-                    pos_a = state.group_pos[a]
-                    index = bisect.bisect_left(pairs, (pos_a,))
-                    if index < len(pairs) and pairs[index][2] == head:
-                        pairs.pop(index)
             self._retire(head, state)
 
     # -- retirement ------------------------------------------------------
 
     def _retire(self, key: tuple[str, int], state: _CallState) -> None:
-        self.retired.setdefault(key[0], _IntervalSet()).add(key[1])
+        origin, rid = key
+        self.retired.setdefault(origin, _IntervalSet()).add(rid)
         self.retired_count += 1
         self.inflight.pop(key, None)
         chain = self._chains.pop(key, None)
         if chain is not None:
             self._retained -= len(chain)
+        gid = state.gid
+        if not gid:
+            return
+        # A group call also leaves its appliers' queues (at the head,
+        # on the drain path) and pair lists, and extends the group's
+        # retired order, which every applier has now followed this far.
+        runs = self._group_runs.setdefault(gid, [])
+        top = self._group_tops.get((gid, origin), -1)
+        if runs and runs[-1][0] == origin and runs[-1][2] == top < rid:
+            runs[-1][2] = rid
+        else:
+            runs.append([origin, rid, rid])
+        self._group_tops[(gid, origin)] = max(top, rid)
+        appliers = sorted(state.group_pos)
+        for index, a in enumerate(appliers):
+            self._group_queues[gid][a].remove(key)
+            self._group_cursor[(gid, a)] = ((len(runs) - 1, rid), key)
+            for b in appliers[index + 1:]:
+                self._group_pairs[(gid, a, b)].remove(
+                    (state.group_pos[a], state.group_pos[b], key)
+                )
 
     def verified_seq(self) -> int:
         """The checkpointed frontier: every event at or below this
@@ -587,8 +620,6 @@ class StreamingChecker:
         longer) in-window — e.g. span events whose rule event was lost
         to a gap — oldest first."""
         excess = len(self._chains) - max(128, 2 * len(self.inflight) + 32)
-        if excess <= 0:
-            return
         for key in list(self._chains):
             if excess <= 0:
                 break
@@ -597,14 +628,12 @@ class StreamingChecker:
             self._retained -= len(self._chains.pop(key))
             excess -= 1
 
-    def _chain(self, key: tuple[str, int]) -> list[TraceEvent]:
-        return list(self._chains.get(key, ()))
-
     def _violation(self, kind: str, message: str,
                    *keys: tuple[str, int]) -> None:
-        if len(self.violations) < self.max_violations:
-            chain = [event for key in keys for event in self._chain(key)]
-            self.violations.append(Violation(kind, message, chain))
+        # Capped per kind: a flood of one never hides another.
+        if sum(v.kind == kind for v in self.violations) < self.max_violations:
+            chain = [e for key in keys for e in self._chains.get(key, ())]
+            self.violations.append(Violation(kind, message, chain, keys))
 
     # -- reporting -------------------------------------------------------
 
@@ -632,51 +661,69 @@ class StreamingChecker:
         ``dropped``/``gaps`` fold in drop accounting from an upstream
         recorder (tap mode sees every event, so both default to zero);
         gaps the checker inferred from sequence discontinuities are
-        reported either way.  Like the offline checker, a stream with
-        losses cannot attest convergence — integrity, order, and
-        duplicate findings stand regardless.
+        reported either way.  A stream with losses cannot attest
+        convergence — integrity, order, and duplicate findings stand
+        regardless.
         """
-        report = CheckReport(nodes=list(self.nodes), label="stream check")
-        report.calls_checked = self.calls_checked
-        report.applies_checked = self.applies_checked
-        report.violations = list(self.violations)
-        report.faults = dict(self.faults)
-        report.repairs = dict(self.repairs)
+        report = CheckReport(
+            list(self.nodes), self.calls_checked, self.applies_checked,
+            list(self.violations), dict(self.faults), dict(self.repairs),
+            label="stream check",
+        )
         if not self.nodes:
             if not self._departed:
                 report.violations.append(
                     Violation("vocabulary", "empty trace: no nodes recorded")
                 )
             return report
-        all_gaps = [(int(g[0]), int(g[1])) for g in self.gaps]
-        all_gaps += [(int(g[0]), int(g[1])) for g in gaps]
+        all_gaps = [(int(g[0]), int(g[1])) for g in (*self.gaps, *gaps)]
         missing = sum(hi - lo + 1 for lo, hi in self.gaps)
         if dropped or all_gaps:
             report.violations.append(Violation(
                 "truncated",
                 f"stream dropped {dropped or missing} event(s)"
-                f"{gap_detail(all_gaps)}: cannot attest convergence",
+                f"{gap_detail(all_gaps)}: cannot attest convergence "
+                "(raise the recorder capacity)",
             ))
             return report
-        union = set(self.inflight)
+        behind = False
         for node in self.nodes:
             node_missing = sorted(
                 key for key, state in self.inflight.items()
                 if node not in state.applied
             )
+            behind = behind or bool(node_missing)
             for key in node_missing[:3]:
                 report.violations.append(Violation(
                     "convergence",
                     f"{node} never applied {key[0]}#{key[1]} "
                     f"({len(node_missing)} call(s) missing at {node})",
-                    self._chain(key),
+                    list(self._chains.get(key, ())), (key,),
                 ))
-        fully_applied = all(
-            len(state.applied) == len(self.nodes)
-            for state in self.inflight.values()
-        )
-        if union and not fully_applied:
-            return report
+        # A joiner also owes the history that retired before it joined.
+        for joiner, owes in sorted(self._joiners.items()):
+            for origin, owed in sorted(owes.items()):
+                short = len(owed.rids) - owed.reduces - len(owed.caught)
+                if short <= 0 or joiner not in self.nodes:
+                    continue
+                behind = True
+                if owed.reduces:  # which owed rids were REDUCEs is not kept
+                    what, calls = f"{short} call(s)", ()
+                else:
+                    rid = next(
+                        rid for lo, hi in owed.rids.spans
+                        for rid in range(lo, hi + 1) if rid not in owed.caught
+                    )
+                    what = f"{origin}#{rid} ({short} call(s) in all)"
+                    calls = ((origin, rid),)
+                report.violations.append(Violation(
+                    "convergence",
+                    f"{joiner} never applied {what} of the history "
+                    f"{origin} had retired when it joined",
+                    calls=calls,
+                ))
+        if behind:
+            return report  # states legitimately differ
         report.violations.extend(
             Violation("convergence", message)
             for message in self.replay.divergence(self.nodes)
@@ -708,21 +755,12 @@ class StreamingChecker:
     def checkpoint(self) -> CheckpointState:
         """Snapshot the full checker state as deterministic JSON."""
         payload: dict[str, Any] = {
-            "events_checked": self.events_checked,
-            "calls_checked": self.calls_checked,
-            "applies_checked": self.applies_checked,
-            "peak_window": self.peak_window,
-            "peak_retained": self.peak_retained,
-            "retired_count": self.retired_count,
-            "last_seq": self.last_seq,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "sigma": {
                 node: _pack(state)
                 for node, state in self.replay.sigma.items()
             },
-            "retired": {
-                origin: [list(span) for span in spans.spans]
-                for origin, spans in sorted(self.retired.items())
-            },
+            "retired": _spans(self.retired),
             "group_counts": {
                 f"{gid}|{node}": count
                 for (gid, node), count in sorted(self._group_counts.items())
@@ -759,21 +797,35 @@ class StreamingChecker:
                     "kind": v.kind,
                     "message": v.message,
                     "chain": [event_to_dict(e) for e in v.chain],
+                    "calls": [_key_str(key) for key in v.calls],
                 }
                 for v in self.violations
             ],
             "faults": dict(sorted(self.faults.items())),
             "repairs": dict(sorted(self.repairs.items())),
             "gaps": [list(gap) for gap in self.gaps],
-            "joined": sorted(self._joined),
-            "departed": sorted(self._departed),
+            "departed": {
+                node: _spans(ledger)
+                for node, ledger in sorted(self._departed.items())
+            },
+            "group_runs": {
+                gid: [list(run) for run in runs]
+                for gid, runs in sorted(self._group_runs.items())
+            },
+            "group_cursor": {
+                f"{gid}|{node}": [list(rank), _key_str(key)]
+                for (gid, node), (rank, key)
+                in sorted(self._group_cursor.items())
+            },
             "reduce_sigma": _pack(self.replay.seed),
-            "joiner_caught": {
+            "reduced": dict(sorted(self._reduced.items())),
+            "joiners": {
                 joiner: {
-                    origin: [list(span) for span in spans.spans]
-                    for origin, spans in sorted(per_origin.items())
+                    origin: [owed.rids.snapshot(), owed.reduces,
+                             owed.caught.snapshot()]
+                    for origin, owed in sorted(owes.items())
                 }
-                for joiner, per_origin in sorted(self._joiner_caught.items())
+                for joiner, owes in sorted(self._joiners.items())
             },
         }
         return CheckpointState(
@@ -796,19 +848,19 @@ class StreamingChecker:
                 f"checkpoint is for spec {checkpoint.spec_name!r}, "
                 f"not {coordination.spec.name!r}"
             )
+        if checkpoint.version != CheckpointState.version:
+            raise ValueError(
+                f"unsupported checkpoint version {checkpoint.version} "
+                f"(this checker reads version {CheckpointState.version})"
+            )
         checker = cls(
             coordination, processes=checkpoint.nodes,
             max_violations=max_violations, strict_seq=strict_seq,
         )
         payload = checkpoint.payload
-        checker.events_checked = payload["events_checked"]
-        checker.calls_checked = payload["calls_checked"]
-        checker.applies_checked = payload["applies_checked"]
-        checker.peak_window = payload["peak_window"]
-        checker.peak_retained = payload["peak_retained"]
-        checker.retired_count = payload["retired_count"]
-        checker.last_seq = payload["last_seq"]
-        checker._expect = checkpoint.next_seq
+        for name in _COUNTERS:
+            setattr(checker, name, payload[name])
+        checker._expect = checker._resumed_at = checkpoint.next_seq
         checker.replay.sigma = {
             node: _unpack(data) for node, data in payload["sigma"].items()
         }
@@ -816,7 +868,6 @@ class StreamingChecker:
             origin: _IntervalSet([list(span) for span in spans])
             for origin, spans in payload["retired"].items()
         }
-        checker._group_counts = {}
         for key_text, count in payload["group_counts"].items():
             gid, _, node = key_text.rpartition("|")
             checker._group_counts[(gid, node)] = count
@@ -827,48 +878,53 @@ class StreamingChecker:
             }
             for gid, queues in payload["group_queues"].items()
         }
-        checker._group_pairs = {}
         for key_text, pairs in payload["group_pairs"].items():
             gid, a, b = key_text.rsplit("|", 2)
             checker._group_pairs[(gid, a, b)] = [
                 (pos_a, pos_b, _key_from_str(text))
                 for pos_a, pos_b, text in pairs
             ]
-        checker.inflight = {}
         for key_text, state in payload["inflight"].items():
             checker.inflight[_key_from_str(key_text)] = _CallState(
-                first_seq=state["first_seq"],
-                gid=state["gid"],
-                applied=set(state["applied"]),
-                group_pos=dict(state["group_pos"]),
+                state["first_seq"], state["gid"], set(state["applied"]),
+                dict(state["group_pos"]),
             )
-        checker._chains = {}
-        checker._retained = 0
         for key_text, chain in payload["chains"].items():
             events = [event_from_dict(record) for record in chain]
             checker._chains[_key_from_str(key_text)] = events
             checker._retained += len(events)
         checker.violations = [
             Violation(
-                record["kind"],
-                record["message"],
+                record["kind"], record["message"],
                 [event_from_dict(e) for e in record["chain"]],
+                tuple(_key_from_str(text) for text in record["calls"]),
             )
             for record in payload["violations"]
         ]
         checker.faults = dict(payload["faults"])
         checker.repairs = dict(payload["repairs"])
         checker.gaps = [tuple(gap) for gap in payload["gaps"]]
-        checker._joined = set(payload.get("joined", []))
-        checker._departed = set(payload.get("departed", []))
-        reduce_sigma = payload.get("reduce_sigma")
-        if reduce_sigma is not None:
-            checker.replay.seed = _unpack(reduce_sigma)
-        checker._joiner_caught = {
+        checker._departed = {
+            node: {o: _IntervalSet(rids) for o, rids in ledger.items()}
+            for node, ledger in payload["departed"].items()
+        }
+        for gid, runs in payload["group_runs"].items():
+            checker._group_runs[gid] = [list(run) for run in runs]
+            for origin, _lo, hi in runs:
+                top = checker._group_tops.get((gid, origin), -1)
+                checker._group_tops[(gid, origin)] = max(top, hi)
+        for key_text, (rank, text) in payload["group_cursor"].items():
+            gid, _, node = key_text.rpartition("|")
+            checker._group_cursor[(gid, node)] = (
+                tuple(rank), _key_from_str(text)
+            )
+        checker.replay.seed = _unpack(payload["reduce_sigma"])
+        checker._reduced = dict(payload["reduced"])
+        checker._joiners = {
             joiner: {
-                origin: _IntervalSet([list(span) for span in spans])
-                for origin, spans in per_origin.items()
+                origin: _Owed(_IntervalSet(rids), reduces, _IntervalSet(done))
+                for origin, (rids, reduces, done) in owes.items()
             }
-            for joiner, per_origin in payload.get("joiner_caught", {}).items()
+            for joiner, owes in payload["joiners"].items()
         }
         return checker

@@ -149,8 +149,9 @@ class RingTransport:
         #: ring (never throttled: it is a plain local memory write).
         self.f_mirror = RingWriter(cfg.ring_slots, cfg.slot_size,
                                    integrity=cfg.ring_integrity)
-        #: Consecutive empty sweeps per F ring (hole-detection input).
-        self._f_misses: dict[str, int] = {}
+        #: Consecutive empty sweeps per F ring, a backed-off one weighted
+        #: by its wait (hole-detection input).
+        self._f_misses: dict[str, float] = {}
         #: Last ring-head count acknowledged back to each writer.
         self._acked: dict[str, int] = {}
         self.l_readers = {
@@ -526,22 +527,29 @@ class RingTransport:
         return wc
 
     def reset_f_misses(self, origin: str) -> None:
-        self._f_misses[origin] = 0
+        self._f_misses[origin] = 0.0
 
     def maybe_repair_f(self, origin: str,
-                       is_suspected: Callable[[str], bool]):
+                       is_suspected: Callable[[str], bool],
+                       waited_us: float = 0.0):
         """Hole detection for ``origin``'s F ring.
 
-        Called by the applier after an empty sweep of that ring.  Every
-        256 consecutive misses we probe *ahead* of the head locally at
+        Called by the applier after an empty sweep of that ring, with
+        the poller's wait since its previous sweep.  Every 256
+        consecutive misses we probe *ahead* of the head locally at
         exponentially growing offsets; a valid record ahead of a missing
         head means a write was lost (injected fault / partition blip),
-        not that the writer is idle — trigger a repair pass.
+        not that the writer is idle — trigger a repair pass.  A sweep
+        after a backed-off wait counts as the sweeps it skipped, so the
+        patience stays ~256 poll intervals of simulated time.
         """
-        misses = self._f_misses.get(origin, 0) + 1
-        self._f_misses[origin] = misses
-        if misses % 256:
+        misses = self._f_misses.get(origin, 0.0) + max(
+            waited_us / self.config.poll_interval_us, 1.0
+        )
+        if misses < 256:
+            self._f_misses[origin] = misses
             return False
+        self._f_misses[origin] = 0.0
         reader = self.f_readers[origin]
         ahead = 1
         found_ahead = False

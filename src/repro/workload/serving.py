@@ -170,12 +170,6 @@ class SessionTier:
         #: Distinct sessions that issued at least one request.
         self.active_sessions = 0
 
-    def tenant_of(self, session: int) -> int:
-        return session % self.n_tenants
-
-    def node_of(self, session: int) -> int:
-        return session % self.n_nodes
-
     def admit(self, session: int) -> bool:
         """Admit or shed one arrival from ``session``.
 

@@ -33,7 +33,7 @@ class TestReplication:
         env, cluster = build(account_spec())
         finish(env, cluster.node("p1").submit("deposit", 50))
         leader = cluster.node("p1").current_leader("withdraw")
-        mu = cluster.node(leader).mu_groups[
+        mu = cluster.node(leader).conflict.mu_groups[
             cluster.coordination.sync_group("withdraw").gid
         ]
         before = mu.decided
@@ -119,7 +119,7 @@ class TestLeaderChange:
         request = cluster.node(old_leader).submit("withdraw", 1)
         with pytest.raises(Exception):
             finish(env, request)
-        mu = cluster.node(old_leader).mu_groups[gid]
+        mu = cluster.node(old_leader).conflict.mu_groups[gid]
         assert not mu.is_leader
 
     def test_committed_entries_survive_failover(self):
@@ -168,7 +168,7 @@ class TestLeaderChange:
             finish(
                 env, cluster.node(new_leader).submit("addCourse", f"c{i}")
             )
-        mu = cluster.node(new_leader).mu_groups[gid]
+        mu = cluster.node(new_leader).conflict.mu_groups[gid]
         assert mu.is_leader
 
     def test_two_groups_fail_over_independently(self):

@@ -53,7 +53,7 @@ class TestReduciblePath:
         finish(env, cluster.node("p1").submit("add", 5))
         settle(env, cluster)
         for node in cluster.nodes.values():
-            assert all(r.head == 0 for r in node.f_readers.values())
+            assert all(r.head == 0 for r in node.transport.f_readers.values())
 
     def test_repeated_adds_summarize(self):
         env, cluster = build(counter_spec())
@@ -85,7 +85,8 @@ class TestReduciblePath:
         finish(env, cluster.node("p1").submit("add_all", frozenset({"a"})))
         settle(env, cluster)
         assert cluster.effective_states()["p2"] == frozenset({"a"})
-        assert cluster.node("p2").f_readers["p1"].head == 1  # ring used
+        reader = cluster.node("p2").transport.f_readers["p1"]
+        assert reader.head == 1  # ring used
 
 
 class TestConflictFreePath:

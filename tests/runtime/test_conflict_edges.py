@@ -54,7 +54,7 @@ def deposed_leader_cluster(env, config=None, probe_factory=None):
     # a leader whose *belief* is stale while the followers have already
     # revoked its write permission — so re-impose the stale view
     # explicitly: belief only; the peers' revocations stay in force.
-    mu = cluster.node(old_leader).mu_groups[gid]
+    mu = cluster.node(old_leader).conflict.mu_groups[gid]
     mu.leader = old_leader
     mu.is_leader = True
     assert cluster.node(old_leader).current_leader("withdraw") == old_leader

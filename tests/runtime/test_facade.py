@@ -2,8 +2,7 @@
 
 The runtime decomposition (transport / applier / conflict / control)
 must not move any public name: these tests pin the historical import
-paths and the legacy attribute views other tests and downstream code
-rely on.
+paths and that layer state is reached through the layer attributes.
 """
 
 from repro.datatypes import account_spec, gset_spec
@@ -93,26 +92,27 @@ class TestFacadeComposition:
         assert node.conflict.probe is node.probe
         assert node.control.probe is node.probe
 
-    def test_legacy_attribute_views_alias_layer_state(self):
+    def test_layer_state_lives_on_the_layers_only(self):
+        """The pre-split delegating views (``node.sigma`` ...) are gone:
+        one path to each piece of state."""
         env = Environment()
         cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         node = cluster.node("p1")
-        assert node.sigma is node.applier.sigma
-        assert node.applied is node.applier.applied
-        assert node.f_readers is node.transport.f_readers
-        assert node.f_writers is node.transport.f_writers
-        assert node.l_readers is node.transport.l_readers
-        assert node.mu_groups is node.conflict.mu_groups
-        assert node.conf_queues is node.conflict.conf_queues
-        assert node.summary_readers is node.applier.summary_readers
+        for view in ("sigma", "applied", "pending_recovered",
+                     "summary_readers", "summary_mirror", "f_readers",
+                     "f_writers", "l_readers", "mu_groups", "conf_queues"):
+            assert not hasattr(node, view), view
+        assert node.applier.sigma == frozenset()
+        assert sorted(node.transport.f_readers) == ["p2", "p3"]
+        assert node.conflict.mu_groups == {}
 
     def test_state_flows_through_facade_views(self):
         env = Environment()
         cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         env.run(until=cluster.node("p1").submit("add", "x"))
         node = cluster.node("p1")
-        assert "x" in node.sigma
-        assert node.applied[("p1", "add")] == 1
+        assert "x" in node.applier.sigma
+        assert node.applier.applied[("p1", "add")] == 1
         # Dedup keys live on the apply layer only (no façade view).
         assert node.applier.has_seen(("p1", 1))
         assert not node.applier.has_seen(("p1", 2))

@@ -213,6 +213,42 @@ class TestRingTransportStandalone:
         assert writer.tail == 3
         assert writer.reader_acked is None  # throttling disabled
 
+    def hole_probes(self, waits):
+        """The sweeps (1-based) of an idle ring, each made after one of
+        ``waits``, at which the hole detector probes ahead."""
+        env, _coordination, _fabric, transports = bare_transport(gset_spec())
+        transport = transports["p1"]
+        reader = transport.f_readers["p2"]
+        looked = []
+        record_at = reader.record_at
+        reader.record_at = lambda index: looked.append(index) or record_at(index)
+        probed = []
+        for sweep, waited_us in enumerate(waits, start=1):
+            before = len(looked)
+            repaired = run_gen(env, transport.maybe_repair_f(
+                "p2", lambda peer: False, waited_us
+            ))
+            assert not repaired  # the writer is idle: nothing lies ahead
+            if len(looked) > before:
+                probed.append(sweep)
+        return probed
+
+    def test_hole_detector_patience_is_256_poll_intervals(self):
+        """A poller that has not backed off (hot, or one poll interval
+        per sweep) probes at every 256th miss, as it always did; one
+        backed off to 8 us waits the same ~256 us of simulated time, 32
+        sweeps, not 256 sweeps ~ 2 ms."""
+        config = RuntimeConfig()
+        assert config.poll_interval_us == 1.0
+        for waited_us in (0.0, config.poll_hot_us, config.poll_interval_us):
+            assert self.hole_probes([waited_us] * 600) == [256, 512]
+        assert self.hole_probes([config.poll_idle_max_us] * 100) == [
+            32, 64, 96
+        ]
+        # ... and on the way there each sweep counts the sweeps it skipped.
+        ramp = [1.0, 2.0, 4.0] + [8.0] * 40
+        assert self.hole_probes(ramp) == [3 + 32]
+
 
 class TestApplyEngineStandalone:
     def make_engine(self, spec, n_nodes=3):

@@ -11,7 +11,6 @@ import tracemalloc
 
 import pytest
 
-import repro.runtime.checker as checker_module
 import repro.runtime.stream_checker as stream_checker_module
 from repro.bench import ExperimentConfig, run_harness
 from repro.core import Coordination, ObjectSpec, QueryDef, UpdateDef
@@ -93,7 +92,7 @@ def assert_sharing_invisible(monkeypatch, coordination, names, events,
                              dropped=0):
     shared, cut = judge(coordination, names, events, dropped)
     with monkeypatch.context() as patch:
-        patch.setattr(checker_module, "Replay", ReferenceReplay)
+        # The one replay there is: the offline driver runs this core.
         patch.setattr(stream_checker_module, "Replay", ReferenceReplay)
         before = ReferenceReplay.steps
         reference, _cut = judge(coordination, names, events, dropped)

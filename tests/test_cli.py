@@ -377,6 +377,13 @@ class TestUsageErrorsAreNamed:
             "unknown workload 'nope'; try `repro list`\n"
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "explore"])
+    def test_unknown_datatype(self, command, capsys):
+        assert main([command, "nope"]) == 1
+        assert capsys.readouterr().out == (
+            "unknown data type 'nope'; try `repro list`\n"
+        )
+
     def test_unknown_fail_node(self, capsys):
         assert main(
             ["run", "gset", "--ops", "200", "--fail-node", "p9"]

@@ -26,3 +26,24 @@ def test_importing_the_program_loads_only_the_standard_library():
         text=True, timeout=60, check=True,
     ).stdout.strip()
     assert not foreign, f"non-stdlib modules imported: {foreign}"
+
+
+def test_the_offline_checker_has_no_replay_loop_of_its_own():
+    """One checker core: ``TraceChecker.check`` drives
+    ``StreamingChecker``.  A second replay loop growing back in
+    ``runtime/checker.py`` — importing or constructing ``Replay``,
+    stepping or reducing one — fails here, not at the next re-anchor."""
+    import ast
+
+    import repro.runtime.checker as module
+
+    with open(module.__file__, encoding="utf-8") as fp:
+        nodes = list(ast.walk(ast.parse(fp.read())))
+    named = {n.id for n in nodes if isinstance(n, ast.Name)}
+    named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    named |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+              for a in n.names}
+    assert "Replay" not in named
+    called = {n.func.attr for n in nodes if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute)}
+    assert not called & {"step", "reduce", "divergence"}
