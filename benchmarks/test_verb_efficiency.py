@@ -13,7 +13,7 @@ import pytest
 
 from repro.datatypes import account_spec, counter_spec, gset_spec
 from repro.rdma import Opcode
-from repro.runtime import HambandCluster, RuntimeConfig
+from repro.runtime import HambandCluster
 from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
 
@@ -21,28 +21,15 @@ N_NODES = 4
 OPS = 600
 
 
-def _run(spec, workload, wire_version=None):
+def _run(spec, workload):
     env = Environment()
-    config = (
-        RuntimeConfig(wire_version=wire_version)
-        if wire_version is not None else None
-    )
-    cluster = HambandCluster.build(
-        env, spec, n_nodes=N_NODES, config=config
-    )
+    cluster = HambandCluster.build(env, spec, n_nodes=N_NODES)
     result = run_workload(
         env,
         cluster,
         DriverConfig(workload=workload, total_ops=OPS, update_ratio=1.0),
     )
     return cluster, result
-
-
-def _bytes_per_update(cluster, result) -> float:
-    return (
-        cluster.fabric.stats.bytes[Opcode.WRITE]
-        / max(result.update_calls, 1)
-    )
 
 
 class TestVerbEfficiency:
@@ -88,46 +75,29 @@ class TestVerbEfficiency:
 
 
 class TestWireFormatEfficiency:
-    """The interned/varint v2 codec versus the legacy tagged v1 codec.
+    """Data-plane bytes per update, pinned exactly.
 
-    Identical workloads, identical clusters, only
-    ``RuntimeConfig.wire_version`` differs — so the bytes-per-update
-    delta isolates the wire format itself.  The v2 format (fixed packet
-    header, interned origin/method ids, packed varint dep arrays) must
-    cut data-plane bytes by at least 25% on both the buffered (gset)
-    and reducible (counter) paths; measured drops are ~63% and ~48%.
+    Written bytes and update counts for a fixed seed are deterministic,
+    so any change to the wire format (packet header, interned ids,
+    varint dependency arrays) or to what the runtime ships moves these
+    numbers.  The pins are 61.85 (gset), 116.715 (counter) and
+    ~101.605 (account) bytes per update.
     """
 
     @pytest.mark.parametrize(
-        "label,spec_factory,workload",
+        "label,spec_factory,written,updates",
         [
-            ("gset", gset_spec, "gset"),
-            ("counter", counter_spec, "counter"),
+            ("gset", gset_spec, 37110, 600),
+            ("counter", counter_spec, 70029, 600),
+            ("account", account_spec, 60760, 598),
         ],
     )
-    def test_v2_cuts_bytes_per_update(self, label, spec_factory,
-                                      workload, emit):
-        v1 = _bytes_per_update(*_run(spec_factory(), workload,
-                                     wire_version=1))
-        v2 = _bytes_per_update(*_run(spec_factory(), workload,
-                                     wire_version=2))
-        drop = 1 - v2 / v1
+    def test_bytes_per_update_pinned(self, label, spec_factory, written,
+                                     updates, emit):
+        cluster, result = _run(spec_factory(), label)
+        got = cluster.fabric.stats.bytes[Opcode.WRITE]
         emit("wire", (
-            f"{label:10s} v1={v1:8.1f} v2={v2:8.1f} B/update "
-            f"({drop:.0%} drop)"
+            f"{label:10s} {got / max(result.update_calls, 1):8.3f} "
+            f"B/update ({got} B over {result.update_calls} updates)"
         ))
-        assert drop >= 0.25, (
-            f"{label}: wire v2 saved only {drop:.0%} bytes/update "
-            f"({v1:.1f} -> {v2:.1f}); expected >= 25%"
-        )
-
-    def test_v1_and_v2_converge_identically(self):
-        """Format change, not protocol change: both versions reach the
-        same replicated state on the same workload."""
-        states = {}
-        for version in (1, 2):
-            cluster, _ = _run(gset_spec(), "gset", wire_version=version)
-            values = set(cluster.effective_states().values())
-            assert len(values) == 1  # converged within version
-            states[version] = values.pop()
-        assert states[1] == states[2]
+        assert (got, result.update_calls) == (written, updates)

@@ -76,8 +76,6 @@ class ExperimentConfig:
     #: Hamband-only ablation: full causal barrier instead of projected
     #: dependency arrays.
     full_dep_barrier: bool = False
-    #: Data-plane wire format: 2 (interned/varint) or 1 (legacy tagged).
-    wire_version: int = 2
     #: Checksummed (CRC-trailer) ring records.  Off reverts to the
     #: legacy layout — the negative control for corruption chaos runs.
     ring_integrity: bool = True
@@ -119,7 +117,6 @@ def _build_cluster(env: Environment, config: ExperimentConfig, recorder):
         force_buffered=hamband and config.force_buffered,
         full_dep_barrier=hamband and config.full_dep_barrier,
         conf_retry_limit=config.conf_retry_limit,
-        wire_version=config.wire_version,
         ring_integrity=config.ring_integrity,
         scrub_interval_us=config.scrub_interval_us,
         seed=config.seed,

@@ -281,14 +281,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *,
             "uncoordinated path — the negative control (expect "
             "--check's cross-shard atomicity obligation to fail)",
         )
-        sub.add_argument(
-            "--wire-version",
-            type=int,
-            choices=(1, 2),
-            default=2,
-            help="data-plane wire format: 2 (interned/varint, default) "
-            "or 1 (legacy tagged)",
-        )
     if faults_help is not None:
         sub.add_argument(
             "--faults", metavar="PLAN", default=None, help=faults_help
@@ -563,7 +555,6 @@ def _experiment_config(args: argparse.Namespace):
     if "ops" in flags:
         fields.update(
             total_ops=args.ops,
-            wire_version=args.wire_version,
             n_shards=args.shards,
             txn_mix=args.txn_mix,
             txn_lock_path=args.txn_lock_path == "on",

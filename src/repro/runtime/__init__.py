@@ -57,15 +57,7 @@ from .trace import ShardedRecorder, TraceEvent, TraceRecorder, TracingProbe
 from .txn import TxnCoordinator, TxnOp, TxnOutcome
 from .transport import RingTransport
 from .summary import SummarySlot, render_summary, slot_size_for
-from .wire import (
-    StringTable,
-    WireCodec,
-    WireError,
-    decode_call_packet,
-    decode_value,
-    encode_call_packet,
-    encode_value,
-)
+from .wire import StringTable, WireCodec, WireError, decode_value, encode_value
 
 __all__ = [
     "ApplyEngine",
@@ -111,9 +103,7 @@ __all__ = [
     "Violation",
     "WireCodec",
     "WireError",
-    "decode_call_packet",
     "decode_value",
-    "encode_call_packet",
     "encode_value",
     "join_cluster",
     "leave_cluster",

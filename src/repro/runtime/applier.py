@@ -62,7 +62,7 @@ class ApplyEngine:
         self.config = config
         self.probe = probe or RuntimeProbe()
         self.counters = counters if counters is not None else {}
-        self.codec = codec or WireCodec(config.wire_version)
+        self.codec = codec or WireCodec()
 
         self.sigma = self.spec.initial_state()
         #: A — applied counts for buffered (F/L) calls, incl. our own.

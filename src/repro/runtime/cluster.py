@@ -207,8 +207,7 @@ class HambandCluster:
     # -- elastic membership ------------------------------------------------
 
     def add_node(self, name: str, cpu_cores: int = 2,
-                 transfer: bool = True, barrier: bool = True,
-                 wire_version: Optional[int] = None) -> HambandNode:
+                 transfer: bool = True, barrier: bool = True) -> HambandNode:
         """Scale-out: join ``name`` into the running cluster.
 
         The joiner starts refusing requests and flips live once its
@@ -218,7 +217,7 @@ class HambandCluster:
         """
         return join_cluster(
             self, name, cpu_cores=cpu_cores, transfer=transfer,
-            barrier=barrier, wire_version=wire_version,
+            barrier=barrier,
         )
 
     def remove_node(self, name: str) -> HambandNode:

@@ -40,10 +40,6 @@ class RuntimeConfig:
     #: effective cap is ``max(poll_idle_max_us, poll_interval_us)`` so
     #: configs that slow the base cadence keep their floor.
     poll_idle_max_us: float = 8.0
-    #: Wire codec version for the data plane (see docs/wire_format.md):
-    #: 1 = self-describing tagged codec, 2 = varint/zigzag with the
-    #: per-cluster interned string table.  Decoders accept both.
-    wire_version: int = 2
     #: End-to-end ring integrity: writers emit checksummed v2 records
     #: (CRC over length+payload+generation) so readers *reject*
     #: bitflipped and torn-interior records instead of delivering

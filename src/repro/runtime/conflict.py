@@ -68,7 +68,7 @@ class ConflictCoordinator:
         self.suspected = suspected
         self.probe = probe or RuntimeProbe()
         self.counters = counters if counters is not None else {}
-        self.codec = codec or WireCodec(config.wire_version)
+        self.codec = codec or WireCodec()
         # Partially applied leader batches, per group (see drain_l).
         self._l_partial: dict[str, deque] = {
             group.gid: deque() for group in coordination.sync_groups()

@@ -45,7 +45,7 @@ class ControlPlane:
         self.config = config
         self.probe = probe or RuntimeProbe()
         self.counters = counters if counters is not None else {}
-        self.codec = codec or WireCodec(config.wire_version)
+        self.codec = codec or WireCodec()
         #: Outstanding forwarded-request waiters, by token.
         self._fwd_waiters: dict[str, Event] = {}
         #: Served forwarded requests: token -> cached reply, so a

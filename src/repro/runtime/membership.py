@@ -6,8 +6,8 @@ of Mu and the state-transfer engine:
 
 - :class:`MembershipEpoch` — the versioned member list.  Every change
   advances the version; the epoch is wire-coded with the cluster codec
-  (either wire version) and each node carries its current view in the
-  ``membership`` section of ``HambandNode.stats()``.
+  and each node carries its current view in the ``membership`` section
+  of ``HambandNode.stats()``.
 - :func:`join_cluster` — scale-out.  The new node is added to the
   fabric (all-to-all RC mesh plus the per-group Mu channels), every
   live member rewires its four layers for the extra peer
@@ -27,16 +27,11 @@ of Mu and the state-transfer engine:
   *suspected* so repair-source filters and campaign guards treat it as
   gone, Mu membership shrunk so majorities adjust), and removing a
   group leader triggers the standard staggered re-election.
-
-Rolling upgrades fall out of the wire design: v1/v2 records coexist
-per-record and every decoder accepts both, so ``join_cluster`` takes a
-``wire_version`` override and a v1 node joins a v2 cluster untouched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from ..consensus.mu import mu_channel
 from .node import HambandNode
@@ -57,7 +52,7 @@ class MembershipEpoch:
         return MembershipEpoch(self.version + 1, tuple(sorted(members)))
 
     def encode(self, codec) -> bytes:
-        """Wire-code the epoch with the cluster codec (v1 or v2)."""
+        """Wire-code the epoch with the cluster codec."""
         return codec.encode_value(("M", self.version, list(self.members)))
 
     @classmethod
@@ -87,17 +82,14 @@ def _stamp_epoch(cluster) -> None:
 
 
 def join_cluster(cluster, name: str, cpu_cores: int = 2,
-                 transfer: bool = True, barrier: bool = True,
-                 wire_version: Optional[int] = None) -> HambandNode:
+                 transfer: bool = True, barrier: bool = True) -> HambandNode:
     """Add ``name`` to a running cluster; returns the new node.
 
     ``transfer=False`` skips the state transfer entirely and
     ``barrier=False`` runs it without leader re-discovery or the
     frontier barrier — both are negative-control knobs (a joiner
     flipped live without the authoritative transfer is provably
-    behind; the chaos checkers catch it).  ``wire_version`` overrides
-    the joiner's codec version (rolling-upgrade scenarios); decoders
-    accept both versions, so mixed clusters interoperate per record.
+    behind; the chaos checkers catch it).
     """
     if name in cluster.fabric.nodes:
         raise ValueError(f"node {name!r} already exists")
@@ -115,16 +107,13 @@ def join_cluster(cluster, name: str, cpu_cores: int = 2,
     # Rewire every existing member for the extra peer.
     for node in cluster.nodes.values():
         node.add_peer(name)
-    config = cluster.config
-    if wire_version is not None and wire_version != config.wire_version:
-        config = replace(config, wire_version=wire_version)
     processes = sorted([*cluster.nodes, name])
     joiner = HambandNode(
         fabric.nodes[name],
         coordination,
         processes,
         leaders,
-        config,
+        cluster.config,
         probe=(
             cluster.probe_factory(name) if cluster.probe_factory else None
         ),

@@ -118,12 +118,12 @@ class HambandNode:
         self.probe = probe if probe is not None else CountingProbe()
         #: The cluster's wire codec: every node derives the SAME interned
         #: string table from the coordination spec and process list, so
-        #: v2 packets decode everywhere without a handshake.  A node
+        #: packets decode everywhere without a handshake.  A node
         #: joining mid-run passes the FOUNDING list as ``wire_processes``
         #: so its table matches the incumbents' — its own name (absent
         #: from the table) rides the codec's inline escape.
         self.codec = WireCodec.for_cluster(
-            config.wire_version,
+            2,
             coordination,
             sorted(wire_processes) if wire_processes else self.processes,
         )

@@ -16,8 +16,7 @@ by exactly one remote peer:
 
 The region is divided into fixed-size slots.  Two record layouts share
 the rings, discriminated by the top bit of the 4-byte length field
-(slot sizes are far below 2**31, so the bit is free) — the same
-first-byte dispatch trick the wire codec uses for v1/v2:
+(slot sizes are far below 2**31, so the bit is free):
 
 - **v1 (legacy)**: ``length(4) | payload | canary(1)``.  The canary
   detects *incomplete* writes by generation but silently accepts

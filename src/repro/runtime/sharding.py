@@ -303,13 +303,12 @@ class ShardedCluster:
         self.shards[shard].restart(name, catch_up=catch_up)
 
     def add_node(self, address: str, cpu_cores: int = 2,
-                 transfer: bool = True, barrier: bool = True,
-                 wire_version: Optional[int] = None) -> HambandNode:
+                 transfer: bool = True, barrier: bool = True) -> HambandNode:
         """Scale-out one shard: ``"s2/p4"`` joins p4 into shard 2."""
         shard, name = self.split_address(address)
         return self.shards[shard].add_node(
             name, cpu_cores=cpu_cores, transfer=transfer,
-            barrier=barrier, wire_version=wire_version,
+            barrier=barrier,
         )
 
     def remove_node(self, address: str) -> HambandNode:

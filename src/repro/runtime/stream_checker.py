@@ -180,7 +180,7 @@ class CheckpointState:
     nodes: list[str]
     next_seq: int
     payload: dict[str, Any]
-    version: int = 2
+    version: int = 3
 
     def to_json(self) -> str:
         return json.dumps(

@@ -42,8 +42,8 @@ def render_summary(seq: int, call: Call, counts: dict[str, int],
 
     The trailer sequence number sits immediately after the payload, so
     the remote write ships only record-sized bytes rather than the full
-    reserved slot.  ``codec`` selects the wire version of the payload
-    (v1 without one); readers auto-detect either version.
+    reserved slot.  ``codec`` supplies the cluster's string table;
+    without one the payload encodes every string inline.
     """
     encode = codec.encode_value if codec is not None else encode_value
     payload = encode((call.method, call.arg, call.origin, call.rid,
@@ -83,8 +83,7 @@ class SummarySlot:
         self.region = region
         self.offset = offset
         self.slot_size = slot_size
-        #: Needed to resolve interned string ids in v2 payloads; the
-        #: wire version itself is auto-detected from the payload bytes.
+        #: Needed to resolve interned string ids in the payload.
         self.codec = codec
         self._cache_seq: Optional[int] = None
         self._cache_value: Optional[SummaryValue] = None

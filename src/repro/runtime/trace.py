@@ -588,6 +588,11 @@ def gap_detail(gaps: Iterable[tuple]) -> str:
     return f" — {shown}"
 
 
+#: Version of the JSONL layout, written on the meta line.  Version 1
+#: files carry args in a wire encoding this codebase no longer reads.
+_JSONL_VERSION = 2
+
+
 def _encode_arg(arg: Any) -> tuple[str, str]:
     """Encode a rule event's argument for JSONL.
 
@@ -667,7 +672,7 @@ def export_jsonl(events: Iterable[TraceEvent], fp: TextIO,
         nodes = sorted({event.node for event in events})
     meta: dict[str, Any] = {
         "kind": "meta",
-        "version": 1,
+        "version": _JSONL_VERSION,
         "dropped": dropped,
         "nodes": nodes,
     }
@@ -719,6 +724,7 @@ def iter_jsonl(path: str) -> "Iterable[Any]":
     yields the raw meta dict(s) first (as written), then each
     :class:`TraceEvent` — the input of
     :meth:`~repro.runtime.stream_checker.StreamingChecker.check_jsonl`.
+    A meta line of any other layout version raises :class:`ValueError`.
     """
     with open(path, encoding="utf-8") as fp:
         for line in fp:
@@ -727,6 +733,12 @@ def iter_jsonl(path: str) -> "Iterable[Any]":
                 continue
             record = json.loads(line)
             if record.get("kind") == "meta":
+                version = record.get("version")
+                if version != _JSONL_VERSION:
+                    raise ValueError(
+                        f"{path}: trace layout version {version}, this "
+                        f"reader takes version {_JSONL_VERSION}"
+                    )
                 yield record
             else:
                 yield event_from_dict(record)

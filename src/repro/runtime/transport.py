@@ -75,7 +75,7 @@ class RingTransport:
         self.peers = [p for p in self.processes if p != self.name]
         self.config = config
         self.probe = probe or RuntimeProbe()
-        self.codec = codec or WireCodec(config.wire_version)
+        self.codec = codec or WireCodec()
         #: Flow-control re-arm baselines: peers whose backpressure fell
         #: back to ring-sizing mode and are being watched for fresh
         #: acks after a heal/rejoin resync (see rearm_flow_control).

@@ -1,29 +1,20 @@
 """Wire format: calls and dependency arrays as byte streams (paper §4).
 
 Hamband serializes each call, its unique id, and its variable-sized
-dependency arrays into a byte stream before the remote write.  Two
-wire versions coexist:
-
-* **v1** — the original compact *self-describing* binary codec for the
-  value shapes the bundled data types use: None, bool, int, float,
-  str, bytes, tuple, list, frozenset, and dict.  Integers travel as
-  length-prefixed ASCII decimal and every length/count is a fixed
-  4-byte field.  Simple and fuzzable, but bloated on the hot path.
-
-* **v2** — the hot-path codec (``RuntimeConfig.wire_version = 2``):
-  LEB128 varints with zigzag for signed integers, varint lengths and
-  counts, a fixed call-packet header of interned origin/method ids
-  drawn from a per-cluster :class:`StringTable` (derived
-  deterministically from the coordination analysis at build time, so
-  every node "negotiates" the identical table without a handshake),
-  and packed ``(proc_id, method_id, varint count)`` dependency
-  arrays.  v2 frames start with a magic byte (0x01 value, 0x02 call
-  packet, 0x03 batch) that no v1 tag uses, so every decoder accepts
-  both versions — v1 stays decodable forever.
+dependency arrays into a byte stream before the remote write.  One
+codec covers the value shapes the bundled data types use (None, bool,
+int, float, str, bytes, tuple, list, frozenset, dict): LEB128 varints
+with zigzag for signed integers, varint lengths and counts, a fixed
+call-packet header of interned origin/method ids drawn from a
+per-cluster :class:`StringTable` (derived deterministically from the
+coordination analysis at build time, so every node "negotiates" the
+identical table without a handshake), and packed ``(proc_id,
+method_id, varint count)`` dependency arrays.  Every frame starts with
+a magic byte (0x01 value, 0x02 call packet, 0x03 batch) and each
+decoder accepts only its own.
 
 No pickle: the format is explicit, stable, and fuzzable
-(tests/runtime/test_wire.py round-trips both versions under
-hypothesis).
+(tests/runtime/test_wire.py round-trips it under hypothesis).
 """
 
 from __future__ import annotations
@@ -38,11 +29,7 @@ __all__ = [
     "StringTable",
     "WireCodec",
     "WireError",
-    "decode_call_batch",
-    "decode_call_packet",
     "decode_value",
-    "encode_call_batch",
-    "encode_call_packet",
     "encode_value",
 ]
 
@@ -51,10 +38,7 @@ class WireError(Exception):
     """Malformed wire data."""
 
 
-# --------------------------------------------------------------------------
-# v1: self-describing tagged codec (unchanged layout)
-# --------------------------------------------------------------------------
-
+#: Value tags inside a frame.
 _NONE = b"N"
 _TRUE = b"T"
 _FALSE = b"F"
@@ -67,62 +51,10 @@ _LIST = b"l"
 _FROZENSET = b"z"
 _DICT = b"d"
 
-#: v2 frame magics.  None of these collide with a v1 tag byte (all v1
-#: tags are printable ASCII), so the first byte of any record
-#: unambiguously selects the decoder.
-_V2_VALUE = 0x01
-_V2_PACKET = 0x02
-_V2_BATCH = 0x03
-
-
-def encode_value(value: Any) -> bytes:
-    """Encode one value (v1); raises :class:`WireError` on unsupported
-    types."""
-    out = bytearray()
-    _encode_v1_into(value, out)
-    return bytes(out)
-
-
-def _encode_v1_into(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += _NONE
-    elif value is True:
-        out += _TRUE
-    elif value is False:
-        out += _FALSE
-    elif isinstance(value, int):
-        payload = str(value).encode("ascii")
-        out += _INT + struct.pack("<I", len(payload)) + payload
-    elif isinstance(value, float):
-        out += _FLOAT + struct.pack("<d", value)
-    elif isinstance(value, str):
-        payload = value.encode("utf-8")
-        out += _STR + struct.pack("<I", len(payload)) + payload
-    elif isinstance(value, bytes):
-        out += _BYTES + struct.pack("<I", len(value)) + value
-    elif isinstance(value, tuple):
-        out += _TUPLE + struct.pack("<I", len(value))
-        for item in value:
-            _encode_v1_into(item, out)
-    elif isinstance(value, list):
-        out += _LIST + struct.pack("<I", len(value))
-        for item in value:
-            _encode_v1_into(item, out)
-    elif isinstance(value, frozenset):
-        # Canonical order so equal sets encode identically.
-        items = sorted(value, key=lambda x: (repr(type(x)), repr(x)))
-        out += _FROZENSET + struct.pack("<I", len(items))
-        for item in items:
-            _encode_v1_into(item, out)
-    elif isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-        out += _DICT + struct.pack("<I", len(items))
-        for key, item in items:
-            _encode_v1_into(key, out)
-            _encode_v1_into(item, out)
-    else:
-        raise WireError(f"unsupported wire type {type(value).__name__}")
-
+#: Frame magics: the first byte of every encoded record.
+_VALUE = b"\x01"
+_PACKET = b"\x02"
+_BATCH = b"\x03"
 
 #: Exceptions the raw decoders may raise on malformed bytes; every
 #: public decode entry point converts these to :class:`WireError`.
@@ -137,72 +69,19 @@ _DECODE_ERRORS = (
 )
 
 
+def encode_value(value: Any) -> bytes:
+    """Encode one value frame with the table-less codec (every string
+    inline); raises :class:`WireError` on unsupported types."""
+    return _PLAIN.encode_value(value)
+
+
 def decode_value(data: bytes) -> Any:
-    """Decode one value frame; the whole buffer must be consumed.
-
-    Accepts both wire versions (v2 frames carry the 0x01 magic).
-    Malformed input of any shape raises :class:`WireError` —
-    lower-level decoding errors never leak.
-    """
-    return WireCodec._DEFAULT.decode_value(data)
+    """Decode one table-less value frame, consuming the whole buffer.
+    Malformed input of any shape raises :class:`WireError`."""
+    return _PLAIN.decode_value(data)
 
 
-def _decode_v1_from(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
-        raise WireError("truncated value")
-    tag = data[offset : offset + 1]
-    offset += 1
-    if tag == _NONE:
-        return None, offset
-    if tag == _TRUE:
-        return True, offset
-    if tag == _FALSE:
-        return False, offset
-    if tag == _FLOAT:
-        return struct.unpack_from("<d", data, offset)[0], offset + 8
-    if tag in (_INT, _STR, _BYTES):
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        payload = data[offset : offset + length]
-        if len(payload) != length:
-            raise WireError("truncated payload")
-        offset += length
-        if tag == _INT:
-            return int(payload.decode("ascii")), offset
-        if tag == _STR:
-            return payload.decode("utf-8"), offset
-        return bytes(payload), offset
-    if tag in (_TUPLE, _LIST, _FROZENSET):
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if count > len(data) - offset:  # each element is >= 1 byte
-            raise WireError("container count exceeds remaining bytes")
-        items = []
-        for _ in range(count):
-            item, offset = _decode_v1_from(data, offset)
-            items.append(item)
-        if tag == _TUPLE:
-            return tuple(items), offset
-        if tag == _LIST:
-            return items, offset
-        return frozenset(items), offset
-    if tag == _DICT:
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if count > len(data) - offset:
-            raise WireError("container count exceeds remaining bytes")
-        result = {}
-        for _ in range(count):
-            key, offset = _decode_v1_from(data, offset)
-            value, offset = _decode_v1_from(data, offset)
-            result[key] = value
-        return result, offset
-    raise WireError(f"unknown tag {tag!r}")
-
-
-# --------------------------------------------------------------------------
-# varint / zigzag primitives (v2)
-# --------------------------------------------------------------------------
+# -- varint / zigzag primitives ----------------------------------------------
 
 
 def _write_uvarint(value: int, out: bytearray) -> None:
@@ -235,11 +114,6 @@ def _zigzag(value: int) -> int:
 
 def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
-
-
-# --------------------------------------------------------------------------
-# StringTable: per-cluster interning, "negotiated" at build time
-# --------------------------------------------------------------------------
 
 
 class StringTable:
@@ -275,59 +149,47 @@ class StringTable:
         raise WireError(f"string id {sid} outside table of {len(self)}")
 
 
-# --------------------------------------------------------------------------
-# WireCodec: versioned encode/decode for values, packets, and batches
-# --------------------------------------------------------------------------
-
-
 class WireCodec:
-    """Versioned codec for one cluster.
+    """The codec of one cluster: values, call packets and batches.
 
-    ``version`` selects what *encoding* produces; *decoding* always
-    accepts both versions (dispatch on the frame's first byte).  A v2
-    codec without a :class:`StringTable` encodes every string inline;
+    Without a :class:`StringTable` every string encodes inline;
     decoding an interned id without a table raises :class:`WireError`.
     """
 
-    #: Module-level fallback used by the free functions below: encodes
-    #: v1, decodes both versions (v2 limited to inline strings).
-    _DEFAULT: "WireCodec"
+    __slots__ = ("table",)
 
-    __slots__ = ("version", "table")
-
-    def __init__(self, version: int = 1, table: Optional[StringTable] = None):
-        if version not in (1, 2):
-            raise ValueError(f"unsupported wire version {version}")
-        self.version = version
+    def __init__(self, table: Optional[StringTable] = None):
         self.table = table
 
     @classmethod
     def for_cluster(cls, version: int, coordination,
                     processes: Iterable[str]) -> "WireCodec":
-        """The cluster-wide codec: same inputs on every node, same table."""
+        """The cluster-wide codec: same inputs on every node, same table.
+
+        ``version`` must be 2, the number of the one wire format.
+        """
+        if version != 2:
+            raise ValueError(f"unsupported wire version {version}")
         spec = coordination.spec
         strings = list(spec.update_names())
         strings += list(spec.query_names())
         strings += list(processes)
         strings += [group.gid for group in coordination.sync_groups()]
         strings += ["F", "S"]  # broadcast record tags
-        return cls(version=version, table=StringTable(strings))
+        return cls(table=StringTable(strings))
 
     # -- value frames ------------------------------------------------------
 
     def encode_value(self, value: Any) -> bytes:
-        if self.version == 1:
-            return encode_value(value)
-        out = bytearray((_V2_VALUE,))
-        self._encode_v2_into(value, out)
+        out = bytearray(_VALUE)
+        self._encode_into(value, out)
         return bytes(out)
 
     def decode_value(self, data: bytes) -> Any:
         try:
-            if data[:1] == bytes((_V2_VALUE,)):
-                value, offset = self._decode_v2_from(data, 1)
-            else:
-                value, offset = _decode_v1_from(data, 0)
+            if data[:1] != _VALUE:
+                raise WireError("not a value frame")
+            value, offset = self._decode_from(data, 1)
         except WireError:
             raise
         except _DECODE_ERRORS as exc:
@@ -341,39 +203,26 @@ class WireCodec:
     def encode_call_packet(self, call: Call, dep: DependencyMap) -> bytes:
         """A buffered record: the call plus its dependency arrays.
 
-        The dependency map is shipped as (process, method, count)
-        triples — the paper's variable-sized per-method arrays.  v2
-        packs them as ``(proc_id, method_id, varint count)`` behind a
-        fixed five-field header.
+        The dependency map is shipped as the paper's variable-sized
+        per-method arrays, packed as ``(proc_id, method_id, varint
+        count)`` behind a fixed five-field header.
         """
-        if self.version == 1:
-            dep_triples = tuple(
-                (proc, method, count)
-                for (proc, method), count in sorted(dep.items())
-            )
-            return encode_value(
-                (call.method, call.arg, call.origin, call.rid, dep_triples)
-            )
-        out = bytearray((_V2_PACKET,))
+        out = bytearray(_PACKET)
         self._encode_packet_body(call, dep, out)
         return bytes(out)
 
     def decode_call_packet(self, data: bytes) -> tuple[Call, DependencyMap]:
         try:
-            if data[:1] == bytes((_V2_PACKET,)):
-                entry, offset = self._decode_packet_body(data, 1)
-                if offset != len(data):
-                    raise WireError(f"{len(data) - offset} trailing bytes")
-                return entry
+            if data[:1] != _PACKET:
+                raise WireError("not a call packet")
+            entry, offset = self._decode_packet_body(data, 1)
         except WireError:
             raise
         except _DECODE_ERRORS as exc:
             raise WireError(f"malformed call packet: {exc}") from exc
-        decoded = self.decode_value(data)
-        if not isinstance(decoded, tuple) or len(decoded) != 5:
-            raise WireError("malformed call packet")
-        method, arg, origin, rid, dep_triples = decoded
-        return Call(method, arg, origin, rid), _dep_from_triples(dep_triples)
+        if offset != len(data):
+            raise WireError(f"{len(data) - offset} trailing bytes")
+        return entry
 
     # -- batches -----------------------------------------------------------
 
@@ -383,23 +232,7 @@ class WireCodec:
         """A batched record: several calls (with their dependency
         arrays) decided together by the leader and shipped in one
         remote write."""
-        if self.version == 1:
-            return encode_value(
-                [
-                    (
-                        call.method,
-                        call.arg,
-                        call.origin,
-                        call.rid,
-                        tuple(
-                            (proc, method, count)
-                            for (proc, method), count in sorted(dep.items())
-                        ),
-                    )
-                    for call, dep in entries
-                ]
-            )
-        out = bytearray((_V2_BATCH,))
+        out = bytearray(_BATCH)
         _write_uvarint(len(entries), out)
         for call, dep in entries:
             self._encode_packet_body(call, dep, out)
@@ -408,47 +241,25 @@ class WireCodec:
     def decode_call_batch(
         self, data: bytes
     ) -> list[tuple[Call, DependencyMap]]:
-        """Decode either a batched record or a single call packet.
-
-        Single packets decode to a one-element batch, so readers handle
-        both shapes uniformly — in either wire version.
-        """
         try:
-            first = data[:1]
-            if first == bytes((_V2_BATCH,)):
-                count, offset = _read_uvarint(data, 1)
-                if count > len(data) - offset:
-                    raise WireError("batch count exceeds remaining bytes")
-                entries = []
-                for _ in range(count):
-                    entry, offset = self._decode_packet_body(data, offset)
-                    entries.append(entry)
-                if offset != len(data):
-                    raise WireError(f"{len(data) - offset} trailing bytes")
-                return entries
-            if first == bytes((_V2_PACKET,)):
-                return [self.decode_call_packet(data)]
+            if data[:1] != _BATCH:
+                raise WireError("not a batch frame")
+            count, offset = _read_uvarint(data, 1)
+            if count > len(data) - offset:
+                raise WireError("batch count exceeds remaining bytes")
+            entries = []
+            for _ in range(count):
+                entry, offset = self._decode_packet_body(data, offset)
+                entries.append(entry)
         except WireError:
             raise
         except _DECODE_ERRORS as exc:
             raise WireError(f"malformed batch packet: {exc}") from exc
-        decoded = self.decode_value(data)
-        if isinstance(decoded, tuple):
-            decoded = [decoded]
-        if not isinstance(decoded, list):
-            raise WireError("malformed batch packet")
-        entries = []
-        for item in decoded:
-            if not isinstance(item, tuple) or len(item) != 5:
-                raise WireError("malformed batch entry")
-            method, arg, origin, rid, dep_triples = item
-            entries.append(
-                (Call(method, arg, origin, rid),
-                 _dep_from_triples(dep_triples))
-            )
+        if offset != len(data):
+            raise WireError(f"{len(data) - offset} trailing bytes")
         return entries
 
-    # -- v2 internals ------------------------------------------------------
+    # -- internals ---------------------------------------------------------
 
     def _encode_str(self, string: str, out: bytearray) -> None:
         sid = self.table.id_of(string) if self.table is not None else None
@@ -485,7 +296,7 @@ class WireCodec:
             self._encode_str(proc, out)
             self._encode_str(method, out)
             _write_uvarint(count, out)
-        self._encode_v2_into(call.arg, out)
+        self._encode_into(call.arg, out)
 
     def _decode_packet_body(
         self, data: bytes, offset: int
@@ -503,10 +314,10 @@ class WireCodec:
             dep_method, offset = self._decode_str(data, offset)
             count, offset = _read_uvarint(data, offset)
             dep[(proc, dep_method)] = count
-        arg, offset = self._decode_v2_from(data, offset)
+        arg, offset = self._decode_from(data, offset)
         return (Call(method, arg, origin, rid), dep), offset
 
-    def _encode_v2_into(self, value: Any, out: bytearray) -> None:
+    def _encode_into(self, value: Any, out: bytearray) -> None:
         if value is None:
             out += _NONE
         elif value is True:
@@ -529,29 +340,30 @@ class WireCodec:
             out += _TUPLE
             _write_uvarint(len(value), out)
             for item in value:
-                self._encode_v2_into(item, out)
+                self._encode_into(item, out)
         elif isinstance(value, list):
             out += _LIST
             _write_uvarint(len(value), out)
             for item in value:
-                self._encode_v2_into(item, out)
+                self._encode_into(item, out)
         elif isinstance(value, frozenset):
+            # Canonical order so equal sets encode identically.
             items = sorted(value, key=lambda x: (repr(type(x)), repr(x)))
             out += _FROZENSET
             _write_uvarint(len(items), out)
             for item in items:
-                self._encode_v2_into(item, out)
+                self._encode_into(item, out)
         elif isinstance(value, dict):
             items = sorted(value.items(), key=lambda kv: repr(kv[0]))
             out += _DICT
             _write_uvarint(len(items), out)
             for key, item in items:
-                self._encode_v2_into(key, out)
-                self._encode_v2_into(item, out)
+                self._encode_into(key, out)
+                self._encode_into(item, out)
         else:
             raise WireError(f"unsupported wire type {type(value).__name__}")
 
-    def _decode_v2_from(self, data: bytes, offset: int) -> tuple[Any, int]:
+    def _decode_from(self, data: bytes, offset: int) -> tuple[Any, int]:
         if offset >= len(data):
             raise WireError("truncated value")
         tag = data[offset : offset + 1]
@@ -581,7 +393,7 @@ class WireCodec:
                 raise WireError("container count exceeds remaining bytes")
             items = []
             for _ in range(count):
-                item, offset = self._decode_v2_from(data, offset)
+                item, offset = self._decode_from(data, offset)
                 items.append(item)
             if tag == _TUPLE:
                 return tuple(items), offset
@@ -594,57 +406,14 @@ class WireCodec:
                 raise WireError("container count exceeds remaining bytes")
             result = {}
             for _ in range(count):
-                key, offset = self._decode_v2_from(data, offset)
-                value, offset = self._decode_v2_from(data, offset)
+                key, offset = self._decode_from(data, offset)
+                value, offset = self._decode_from(data, offset)
                 result[key] = value
             return result, offset
         raise WireError(f"unknown tag {tag!r}")
 
 
-WireCodec._DEFAULT = WireCodec(version=1)
-
-
-def _dep_from_triples(dep_triples: Any) -> DependencyMap:
-    """Structure-check decoded v1 dependency triples.
-
-    Well-formed *values* in the wrong *shape* (a non-tuple triple, a
-    two-element triple, an int where the array should be) must surface
-    as :class:`WireError`, never a bare TypeError/ValueError.
-    """
-    if not isinstance(dep_triples, (tuple, list)):
-        raise WireError("malformed dependency array")
-    dep: DependencyMap = {}
-    for triple in dep_triples:
-        if not isinstance(triple, (tuple, list)) or len(triple) != 3:
-            raise WireError("malformed dependency triple")
-        proc, method, count = triple
-        try:
-            dep[(proc, method)] = count
-        except TypeError as exc:  # unhashable key component
-            raise WireError(f"malformed dependency key: {exc}") from exc
-    return dep
-
-
-# --------------------------------------------------------------------------
-# Module-level convenience functions (v1 encode, version-agnostic decode)
-# --------------------------------------------------------------------------
-
-
-def encode_call_batch(entries: list[tuple[Call, DependencyMap]]) -> bytes:
-    """v1 batch encode (see :meth:`WireCodec.encode_call_batch`)."""
-    return WireCodec._DEFAULT.encode_call_batch(entries)
-
-
-def decode_call_batch(data: bytes) -> list[tuple[Call, DependencyMap]]:
-    """Version-agnostic batch decode (inline strings only for v2)."""
-    return WireCodec._DEFAULT.decode_call_batch(data)
-
-
-def encode_call_packet(call: Call, dep: DependencyMap) -> bytes:
-    """v1 packet encode (see :meth:`WireCodec.encode_call_packet`)."""
-    return WireCodec._DEFAULT.encode_call_packet(call, dep)
-
-
-def decode_call_packet(data: bytes) -> tuple[Call, DependencyMap]:
-    """Version-agnostic packet decode (inline strings only for v2)."""
-    return WireCodec._DEFAULT.decode_call_packet(data)
+#: The table-less codec behind the module-level helpers: its bytes
+#: depend on nothing but the value, so exported traces and checker
+#: checkpoints decode without the cluster that wrote them.
+_PLAIN = WireCodec()

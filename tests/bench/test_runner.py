@@ -124,25 +124,12 @@ def _flash_crowd(workload, duration_us, slo=None):
 
 
 #: One run of each shape the harness serves: name -> (config fields,
-#: run_harness keywords, fingerprint).  The fingerprints were taken at
-#: the commit before the four run_* functions became one path
-#: (df62396): total/update/rejected calls, dropped arrivals, start_us,
-#: replicated_us, sha256 of the latency samples, sha256 of the exported
-#: JSONL.  One hash is not the parent's: serving under a plan now runs
-#: the post-horizon settle window fault runs always had, which adds two
-#: late state_xfer events to the end of the open-gray-phi trace.  The
-#: sharded-chaos trace hash was re-taken when the F-ring hole detector
-#: began counting a backed-off sweep as the sweeps it skipped.  At the
-#: parent no ring of that run ever reaches 256 consecutive misses; now
-#: s0/p2's idle poller (waits of 8 us) probes `F<-p3` at t = 518.8,
-#: after the heal at 455, finds the partition's hole and repairs it
-#: before the heal-resync path gets there, so p2 drains p3's backlog —
-#: after the last call returned — from t = 519.0 instead of 520.8.
-#: That is the fix doing on this run what it does on corrupt-5pct, not
-#: a side effect: while a poller has not backed off, the detector's
-#: cadence is the parent's (tests/runtime/test_layers.py,
-#: test_hole_detector_patience_is_256_poll_intervals).  The shape's
-#: other seven fields, and the other eight shapes, did not move.
+#: run_harness keywords, fingerprint).  The fingerprint is total/update/
+#: rejected calls, dropped arrivals, start_us, replicated_us, sha256 of
+#: the latency samples and sha256 of the exported JSONL.  The JSONL
+#: hashes were re-taken when trace args moved to the cluster's one wire
+#: codec and the meta line to layout version 2, which changed those
+#: bytes but not a single decoded event.
 HARNESS_SHAPES = {
     "closed-traced": (
         dict(system="hamband", workload="courseware", n_nodes=3,
@@ -150,7 +137,7 @@ HARNESS_SHAPES = {
         {},
         (240, 64, 0, 0, 232.2636, 299.74260000000095,
          "f8f66f652300c04f3d6423c831c27503825b3de55e09b314199487a108d42dd2",
-         "f738d6d5db4c702d54f5512be882fb53ce8b79566eae3957379bb62e7b636e91"),
+         "aa35cc23f86b7854cfb2f293fe031ddd770f13927cd2a102da9f0f3d01df10dc"),
     ),
     "closed-live-metrics": (
         dict(system="mu", workload="gset", n_nodes=3, total_ops=240,
@@ -159,7 +146,7 @@ HARNESS_SHAPES = {
              metrics_interval_us=20.0),
         (240, 135, 0, 0, 0.0, 192.87759999999915,
          "5cfdc8059134ab1d01de49cca8b38026089bcbdd8dce220f99fb143bdea9507c",
-         "44edecb04779f5c693ae387c83e9fe49e5d10109969a2e7b04836ca31a49509c"),
+         "2c2daa7569f258a9f685bd59c6b0a31eee92dc07617e5fcb1375975bb68e27e8"),
     ),
     "open-flash-slo": (
         dict(system="hamband", workload="counter", n_nodes=3, seed=7),
@@ -167,7 +154,7 @@ HARNESS_SHAPES = {
                                slo=SloTarget(p99_us=2_000.0))),
         (624, 173, 0, 0, 0.0, 300.064095445503,
          "7267491a610de524f6ce194ef0fafb66b76b57840dd50a2be3f4d250636987a9",
-         "fb9a3a8200484fde6bed7cb530137d0fb38a744ead8554606ccf22abf2805275"),
+         "ddb5e35c6c1a9ee4201035d4d90a7bfae4f000028743715191cbcb34547cb83c"),
     ),
     "open-gray-phi": (
         dict(system="hamband", workload="courseware", n_nodes=4, seed=1,
@@ -176,7 +163,7 @@ HARNESS_SHAPES = {
              plan=FaultPlan.named("gray-leader", horizon_us=400.0)),
         (828, 202, 9, 0, 233.0636, 1288.2558275379351,
          "2ada54aea67a797d014d2a9123ff9e7758ea502c7f6a7463df37f009f92563a7",
-         "b8327a4f0dcac9f6d2c82173031fea520ca51c209219686236e7e3b494e07707"),
+         "1234ec08b640895d82989288a67a81aea70d79dec3857dc4e90e2fc4bd9fa682"),
     ),
     "chaos-crash-leader": (
         dict(system="hamband", workload="courseware", n_nodes=4,
@@ -184,7 +171,7 @@ HARNESS_SHAPES = {
         dict(plan=FaultPlan.named("crash-leader", horizon_us=500.0)),
         (300, 75, 10, 0, 233.0636, 423.61960000000124,
          "4e3bcc4e2537c973c2859a9e1aaa88936110f18d7eeaa4347c46cd3cbed4c16a",
-         "cb426223324243bffac02e3e617dc0452751458ef60564fef1a2361add15f98b"),
+         "deafebec87631b5ec8d93a27db8876d326d9e01510c703954959b3f040819d12"),
     ),
     "sharded-traced": (
         dict(system="hamband", workload="sharded-bank", n_nodes=3,
@@ -192,7 +179,7 @@ HARNESS_SHAPES = {
         {},
         (224, 224, 0, 0, 242.40880000000007, 298.50360000000126,
          "937695a2b236aec0b4ce028d232134e08fdef9d91d6c608a971f648d6bde32de",
-         "a011d56792711490912083c833929c214092d77e36eccfc19950013f8aacf1ab"),
+         "bae25a368336250adbbf623b59619eaf8af907133559cb0cce1d6ce21e1ea506"),
     ),
     "sharded-chaos": (
         dict(system="hamband", workload="sharded-bank", n_nodes=3,
@@ -201,7 +188,7 @@ HARNESS_SHAPES = {
                                   horizon_us=700.0)),
         (224, 224, 0, 0, 242.40880000000007, 558.446600000001,
          "4c0cded72c543b87e2da7c9b35771953ae63dd981af6a7603251b81b7e449bc4",
-         "fcd6665bc53d1b81b10b8266be3b2d5600d323a36d32d31d3536c0e74937d1f9"),
+         "3db2e320734dba4afd76f9c5585e0eb0efde2a9aa6ade86973f1c97eed51301f"),
     ),
     "scale-out": (
         dict(system="hamband", workload="gset", n_nodes=3, total_ops=300,
@@ -211,7 +198,7 @@ HARNESS_SHAPES = {
         ))),
         (300, 85, 0, 0, 0.0, 84.84380000000013,
          "72cc812558a8ac825afb3230f3ff5b7ac9255cc965942f6f92cfb9aded21fdd8",
-         "670db2aea9fa456dfc0273a0b4ce24b3b2011a57318746561ba18c82300a5c77"),
+         "57caa1f0298dda493e13f4b68ff8b59c82a8c7fd26f5c97e5e2dd0bafa634145"),
     ),
     "msg-untraced": (
         dict(system="msg", workload="counter", n_nodes=3, total_ops=120,

@@ -6,9 +6,11 @@ from repro.core import Call
 from repro.datatypes import account_spec, courseware_spec, movie_spec
 from repro.rdma import Opcode
 from repro.runtime import HambandCluster, RuntimeConfig, TraceRecorder
-from repro.runtime.wire import decode_call_batch, encode_call_batch, encode_call_packet
+from repro.runtime.wire import WireCodec
 from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
+
+CODEC = WireCodec()
 
 
 class TestBatchWireFormat:
@@ -17,15 +19,11 @@ class TestBatchWireFormat:
             (Call("a", 1, "p1", 1), {("p1", "x"): 2}),
             (Call("b", "arg", "p1", 2), {}),
         ]
-        assert decode_call_batch(encode_call_batch(entries)) == entries
-
-    def test_single_packet_decodes_as_batch_of_one(self):
-        call = Call("a", 1, "p1", 1)
-        packet = encode_call_packet(call, {("p2", "y"): 3})
-        assert decode_call_batch(packet) == [(call, {("p2", "y"): 3})]
+        encoded = CODEC.encode_call_batch(entries)
+        assert CODEC.decode_call_batch(encoded) == entries
 
     def test_empty_batch(self):
-        assert decode_call_batch(encode_call_batch([])) == []
+        assert CODEC.decode_call_batch(CODEC.encode_call_batch([])) == []
 
 
 def build_recorded(spec, conf_batch, n=3):

@@ -109,10 +109,9 @@ class TestRingTransportStandalone:
         probe = CountingProbe()
         sender, receiver = transports["p1"], transports["p2"]
         receiver.probe = probe
-        from repro.runtime.wire import encode_call_packet
 
         call = Call("add", "x", "p1", 1)
-        packet = encode_call_packet(call, {})
+        packet = sender.codec.encode_call_packet(call, {})
 
         applied = []
 

@@ -779,6 +779,23 @@ class TestCheckpointResume:
                 CheckpointState.from_json(state.to_json()),
             )
 
+    def test_resume_rejects_checkpoints_of_the_retired_codec(self, gset):
+        """Version 2 checkpoints carry σ in the retired self-describing
+        wire format; resume refuses them by version."""
+        recorder, cluster = gset
+        checker = StreamingChecker(
+            cluster.coordination, processes=cluster.node_names()
+        )
+        checker.feed_many(list(recorder.events())[:20])
+        state = checker.checkpoint()
+        assert state.version == 3
+        state.version = 2
+        with pytest.raises(ValueError, match="checkpoint version 2"):
+            StreamingChecker.resume(
+                cluster.coordination,
+                CheckpointState.from_json(state.to_json()),
+            )
+
     def test_resume_rejects_wrong_spec(self, gset):
         recorder, cluster = gset
         checker = StreamingChecker(

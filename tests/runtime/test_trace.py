@@ -312,6 +312,20 @@ class TestExports:
         assert "gaps" not in meta
         assert load_jsonl(str(path)).gaps == []
 
+    def test_older_layout_version_refused_by_name(self, tmp_path):
+        """A layout-1 trace (args in the retired self-describing wire
+        format) fails at its meta line, naming the version, instead of
+        partway through at its first arg."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"dropped":0,"kind":"meta","nodes":["p3"],"version":1}\n'
+            '{"arg":"cwMAAABrNTg=","arg_kind":"wire","kind":"rule",'
+            '"method":"add","name":"FREE","node":"p3","origin":"p3",'
+            '"rid":1,"seq":7,"t":0.48}\n'
+        )
+        with pytest.raises(ValueError, match="layout version 1"):
+            load_jsonl(str(path))
+
 
 class TestDropEpisodes:
     def test_probe_accounts_evicted_seq_ranges(self):

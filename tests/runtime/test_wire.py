@@ -9,23 +9,17 @@ from repro.runtime import (
     StringTable,
     WireCodec,
     WireError,
-    decode_call_packet,
     decode_value,
-    encode_call_packet,
     encode_value,
 )
-from repro.runtime.wire import decode_call_batch, encode_call_batch
 
 _TABLE = StringTable(["p1", "p2", "p3", "add", "worksOn", "a", "b", "F", "S"])
+_PLAIN = WireCodec()
 
 
 def _codecs():
     """Every codec configuration decoders must cope with."""
-    return [
-        WireCodec(version=1),
-        WireCodec(version=2),
-        WireCodec(version=2, table=_TABLE),
-    ]
+    return [WireCodec(), WireCodec(table=_TABLE)]
 
 
 class TestScalars:
@@ -56,7 +50,7 @@ class TestScalars:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(WireError, match="unknown tag"):
-            decode_value(b"@")
+            decode_value(b"\x01@")
 
 
 class TestContainers:
@@ -141,8 +135,8 @@ class TestProperties:
     )
     def test_call_packet_roundtrip(self, method, arg, origin, rid, dep):
         call = Call(method, arg, origin, rid)
-        decoded_call, decoded_dep = decode_call_packet(
-            encode_call_packet(call, dep)
+        decoded_call, decoded_dep = _PLAIN.decode_call_packet(
+            _PLAIN.encode_call_packet(call, dep)
         )
         assert decoded_call == call
         assert decoded_dep == dep
@@ -173,39 +167,43 @@ class TestFuzzDecoding:
 
 class TestCallPacket:
     def test_malformed_packet_rejected(self):
-        with pytest.raises(WireError, match="malformed"):
-            decode_call_packet(encode_value((1, 2)))
+        with pytest.raises(WireError, match="not a call packet"):
+            _PLAIN.decode_call_packet(encode_value((1, 2)))
 
     def test_dependency_arrays_preserved(self):
         call = Call("worksOn", ("e1", "p1"), "p2", 9)
         dep = {("p1", "addEmployee"): 3, ("p2", "addProject"): 1}
-        _, decoded = decode_call_packet(encode_call_packet(call, dep))
+        _, decoded = _PLAIN.decode_call_packet(
+            _PLAIN.encode_call_packet(call, dep)
+        )
         assert decoded == dep
 
     @pytest.mark.parametrize(
-        "dep_triples",
+        "tail",
         [
-            7,                      # not an array at all
-            "deps",                 # a string where the array should be
-            (1, 2, 3),              # triples that are bare ints
-            (("p1", "a"),),         # two-element triple
-            (("p1", "a", 1, 9),),   # four-element triple
-            ((["p"], "a", 1),),     # unhashable key component
+            b"\x09N",                                  # count past the end
+            b"\x02\x00\x02p2\x00\x01a\x03N",           # count past entries
+            b"\x80",                                   # truncated count
+            b"\x01\x7f\x00\x01a\x03N",                 # id outside table
+            b"\x01\x00\x09p2",                         # string past the end
+            b"\x01\x00\x02\xff\xfe\x00\x01a\x03N",     # invalid UTF-8
+            b"\x01\x00\x02p2\x00\x01a",                # missing count
         ],
+        ids=["count-past-end", "count-past-entries", "truncated-count",
+             "id-outside-table", "string-past-end", "invalid-utf8",
+             "missing-count"],
     )
-    def test_structurally_wrong_dep_triples_raise_wire_error(
-        self, dep_triples
-    ):
-        """Regression: well-formed VALUES in the wrong SHAPE must raise
-        WireError, not a bare TypeError/ValueError."""
-        packet = encode_value(("m", None, "p1", 1, dep_triples))
-        with pytest.raises(WireError):
-            decode_call_packet(packet)
-        with pytest.raises(WireError):
-            decode_call_batch(packet)
-        batch = encode_value([("m", None, "p1", 1, dep_triples)])
-        with pytest.raises(WireError):
-            decode_call_batch(batch)
+    def test_malformed_dependency_section_raises_wire_error(self, tail):
+        """A packet whose header is well formed but whose dependency
+        section is not raises WireError — alone and inside a batch —
+        never a bare IndexError/UnicodeDecodeError."""
+        # Call("m", None, "p1", 1) with every string inline, then `tail`.
+        body = b"\x00\x01m\x00\x02p1\x02" + tail
+        for codec in _codecs():
+            with pytest.raises(WireError):
+                codec.decode_call_packet(b"\x02" + body)
+            with pytest.raises(WireError):
+                codec.decode_call_batch(b"\x03\x01" + body)
 
 
 class TestStringTable:
@@ -223,7 +221,7 @@ class TestStringTable:
             table.string_of(7)
 
 
-class TestCodecV2:
+class TestCodec:
     @pytest.mark.parametrize(
         "value",
         [None, True, False, 0, -1, 42, 10**30, -(10**30), 3.5, "", "héllo",
@@ -234,29 +232,18 @@ class TestCodecV2:
         for codec in _codecs():
             assert codec.decode_value(codec.encode_value(value)) == value
 
-    def test_cross_version_decode(self):
-        """Every codec decodes every other codec's frames (v2 interned
-        ids need the table, so pair the tabled codec with itself)."""
-        value = ("add", {"p1": 3}, [1, 2], None)
-        for enc in _codecs():
-            data = enc.encode_value(value)
-            for dec in _codecs():
-                if enc.table is not None and dec.table is None:
-                    continue
-                assert dec.decode_value(data) == value
-
     def test_interned_id_without_table_rejected(self):
-        tabled = WireCodec(version=2, table=_TABLE)
+        tabled = WireCodec(table=_TABLE)
         data = tabled.encode_value("add")  # interned
         with pytest.raises(WireError, match="without a table"):
-            WireCodec(version=2).decode_value(data)
+            WireCodec().decode_value(data)
 
     def test_unknown_string_falls_back_to_inline(self):
-        tabled = WireCodec(version=2, table=_TABLE)
+        tabled = WireCodec(table=_TABLE)
         data = tabled.encode_value("not-in-table")
         assert tabled.decode_value(data) == "not-in-table"
         # Inline escape is table-independent.
-        assert WireCodec(version=2).decode_value(data) == "not-in-table"
+        assert WireCodec().decode_value(data) == "not-in-table"
 
     def test_packet_roundtrip_all_codecs(self):
         call = Call("worksOn", ("e1", "p1"), "p2", 9)
@@ -278,25 +265,14 @@ class TestCodecV2:
                 codec.encode_call_batch(entries)
             ) == entries
 
-    def test_v2_decodes_v1_packets(self):
-        """v1 stays decodable forever, through any codec."""
-        call = Call("add", "x", "p1", 7)
-        dep = {("p2", "add"): 2}
-        v1 = encode_call_packet(call, dep)
-        for codec in _codecs():
-            assert codec.decode_call_packet(v1) == (call, dep)
-            assert codec.decode_call_batch(v1) == [(call, dep)]
-
     def test_v2_packet_is_substantially_smaller(self):
         """The headline claim: interned header + varint deps cut the
-        per-record bytes sharply against v1."""
+        per-record bytes sharply against the old self-describing
+        format, which spent 137 bytes on this packet."""
         call = Call("worksOn", ("e1", "p1"), "p2", 12345)
         dep = {("p1", "add"): 30, ("p2", "add"): 7, ("p3", "b"): 121}
-        v1 = len(encode_call_packet(call, dep))
-        v2 = len(
-            WireCodec(version=2, table=_TABLE).encode_call_packet(call, dep)
-        )
-        assert v2 < v1 * 0.5
+        packet = WireCodec(table=_TABLE).encode_call_packet(call, dep)
+        assert len(packet) == 25
 
     def test_for_cluster_tables_agree_across_nodes(self):
         from repro.core import Coordination
@@ -308,8 +284,58 @@ class TestCodecV2:
         assert a.table.strings == b.table.strings
 
     def test_bad_version_rejected(self):
-        with pytest.raises(ValueError, match="wire version"):
-            WireCodec(version=3)
+        from repro.core import Coordination
+        from repro.datatypes import gset_spec
+
+        with pytest.raises(ValueError, match="wire version 3"):
+            WireCodec.for_cluster(3, Coordination.analyze(gset_spec()), [])
+
+    @pytest.mark.parametrize(
+        "decoder", ["decode_value", "decode_call_packet", "decode_call_batch"]
+    )
+    def test_each_decoder_accepts_only_its_own_magic(self, decoder):
+        """A value, a packet and a batch are distinct frames: a single
+        packet is not a batch of one, nor a batch a packet."""
+        call = Call("add", "x", "p1", 7)
+        dep = {("p2", "add"): 2}
+        for codec in _codecs():
+            frames = {
+                "decode_value": codec.encode_value(("add", "x")),
+                "decode_call_packet": codec.encode_call_packet(call, dep),
+                "decode_call_batch": codec.encode_call_batch([(call, dep)]),
+            }
+            decode = getattr(codec, decoder)
+            decode(frames.pop(decoder))
+            for frame in frames.values():
+                with pytest.raises(WireError, match="not a"):
+                    decode(frame)
+
+    #: A call packet as the retired self-describing format encoded
+    #: ``Call("add", "x", "p1", 7)`` with dependency ``{("p2", "add"): 2}``.
+    _OLD_PACKET = (
+        b"t\x05\x00\x00\x00s\x03\x00\x00\x00adds\x01\x00\x00\x00x"
+        b"s\x02\x00\x00\x00p1i\x01\x00\x00\x007t\x01\x00\x00\x00"
+        b"t\x03\x00\x00\x00s\x02\x00\x00\x00p2s\x03\x00\x00\x00add"
+        b"i\x01\x00\x00\x002"
+    )
+
+    def test_old_format_rejected_by_every_decoder(self):
+        """Frames of the retired self-describing format (first byte a
+        printable tag) fail loudly at all three decoders, and the
+        cluster codec refuses its version number."""
+        from repro.core import Coordination
+        from repro.datatypes import gset_spec
+
+        frames = [bytes([tag]) for tag in b"NTFifsbtlzd"]
+        frames.append(self._OLD_PACKET)
+        for codec in _codecs():
+            for decode in (codec.decode_value, codec.decode_call_packet,
+                           codec.decode_call_batch):
+                for frame in frames:
+                    with pytest.raises(WireError, match="not a"):
+                        decode(frame)
+        with pytest.raises(ValueError, match="wire version 1"):
+            WireCodec.for_cluster(1, Coordination.analyze(gset_spec()), [])
 
 
 class TestFuzzPacketLayer:
@@ -337,14 +363,11 @@ class TestFuzzPacketLayer:
             max_size=5,
         ),
         flip=st.integers(0, 2**16),
-        use_v2=st.booleans(),
+        tabled=st.booleans(),
     )
     def test_bitflipped_packets_never_crash(self, arg, rid, dep, flip,
-                                            use_v2):
-        codec = (
-            WireCodec(version=2, table=_TABLE) if use_v2
-            else WireCodec(version=1)
-        )
+                                            tabled):
+        codec = WireCodec(table=_TABLE) if tabled else WireCodec()
         call = Call("worksOn", arg, "p1", rid)
         data = bytearray(codec.encode_call_packet(call, dep))
         data[flip % len(data)] ^= 1 + (flip >> 8) % 255
@@ -360,13 +383,10 @@ class TestFuzzPacketLayer:
     @given(
         n=st.integers(1, 5),
         flip=st.integers(0, 2**16),
-        use_v2=st.booleans(),
+        tabled=st.booleans(),
     )
-    def test_bitflipped_batches_never_crash(self, n, flip, use_v2):
-        codec = (
-            WireCodec(version=2, table=_TABLE) if use_v2
-            else WireCodec(version=1)
-        )
+    def test_bitflipped_batches_never_crash(self, n, flip, tabled):
+        codec = WireCodec(table=_TABLE) if tabled else WireCodec()
         entries = [
             (Call("add", f"e{i}", "p2", i + 1), {("p1", "add"): i})
             for i in range(n)
@@ -395,7 +415,7 @@ class TestFuzzPacketLayer:
         ),
     )
     def test_v2_call_packet_roundtrip(self, method, arg, origin, rid, dep):
-        codec = WireCodec(version=2, table=_TABLE)
+        codec = WireCodec(table=_TABLE)
         call = Call(method, arg, origin, rid)
         decoded_call, decoded_dep = codec.decode_call_packet(
             codec.encode_call_packet(call, dep)

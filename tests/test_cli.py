@@ -287,7 +287,6 @@ PARSER_CONTRACT = {
         "--txn-lock-path": ("on", ("on", "off"), None),
         "--fail-node": (None, None, None),
         "--scale-out-at": (None, None, "float"),
-        "--wire-version": (2, (1, 2), "int"),
         **_OBSERVE,
     },
     "serve": {
@@ -327,7 +326,6 @@ PARSER_CONTRACT = {
         "--fd-mode": ("fixed", ("fixed", "phi"), None),
         "--horizon": (1000.0, None, "float"),
         "--save-plan": (None, None, None),
-        "--wire-version": (2, (1, 2), "int"),
         "--ring-integrity": ("on", ("on", "off"), None),
         "--scrub": (False, None, "flag"),
         "--scrub-interval-us": (50.0, None, "float"),
