@@ -84,7 +84,7 @@ def lag_and_verbs() -> None:
     print(f"  atomics: {stats.ops[Opcode.CAS]}, "
           f"two-sided sends: {stats.two_sided_ops}")
     for name in cluster.node_names():
-        counters = cluster.node(name).counters
+        counters = cluster.node(name).stats()["counters"]
         print(
             f"  {name}: freed={counters['freed']} "
             f"decided={counters['conf_decided']} "

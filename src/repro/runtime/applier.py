@@ -51,7 +51,6 @@ class ApplyEngine:
     def __init__(self, rnode: RdmaNode, coordination: Coordination,
                  config: RuntimeConfig,
                  probe: Optional[RuntimeProbe] = None,
-                 counters: Optional[dict[str, int]] = None,
                  codec: Optional[WireCodec] = None):
         self.rnode = rnode
         self.env = rnode.env
@@ -61,7 +60,6 @@ class ApplyEngine:
         self.processes: list[str] = []  # filled by the summary init
         self.config = config
         self.probe = probe or RuntimeProbe()
-        self.counters = counters if counters is not None else {}
         self.codec = codec or WireCodec()
 
         self.sigma = self.spec.initial_state()
@@ -225,9 +223,6 @@ class ApplyEngine:
         self.probe.span_end("apply", call.method, call.origin, call.rid)
 
     def apply_buffered(self, call: Call, rule: str) -> None:
-        self.counters["buffer_applied"] = (
-            self.counters.get("buffer_applied", 0) + 1
-        )
         self.sigma = self.spec.apply_call(call, self.sigma)
         self.bump_applied(call.origin, call.method)
         self.mark_seen(call.key())
@@ -247,9 +242,6 @@ class ApplyEngine:
                 continue
             if self.dep_ok(dep):
                 yield from self.apply(call, "FREE_APP")
-                self.counters["recovered_applied"] = (
-                    self.counters.get("recovered_applied", 0) + 1
-                )
                 self.probe.recovered()
                 progressed = True
             else:
@@ -261,7 +253,6 @@ class ApplyEngine:
 
     def do_query(self, method: str, arg: Any):
         yield from self.rnode.cpu.use(self.config.query_cpu_us)
-        self.counters["queries"] = self.counters.get("queries", 0) + 1
         self.probe.apply("QUERY")
         self.probe.trace_apply("QUERY", method, self.name, 0, arg)
         return self.spec.run_query(method, arg, self.effective_state())
@@ -294,7 +285,6 @@ class ApplyEngine:
         self.probe.apply("REDUCE")
         self.probe.trace_apply("REDUCE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
-        self.counters["reduced"] = self.counters.get("reduced", 0) + 1
         own_region = self.rnode.regions[region_name]
         # A retried summary write re-renders the region's CURRENT bytes
         # (used prefix only), so it never replaces a newer summary with
@@ -339,7 +329,6 @@ class ApplyEngine:
         self.probe.apply("FREE")
         self.probe.trace_apply("FREE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
-        self.counters["freed"] = self.counters.get("freed", 0) + 1
         packet = self.codec.encode_call_packet(call, dep)
         self.probe.span_begin("propagate", method, call.origin, call.rid)
         self.probe.trace_transfer(

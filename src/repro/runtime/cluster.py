@@ -125,10 +125,10 @@ class HambandCluster:
         """Per-node runtime statistics plus a cluster-wide rollup.
 
         Node names map to ``HambandNode.stats()`` snapshots; the extra
-        ``"cluster"`` key aggregates them (counters summed, probe
-        counters summed, high-water marks maxed — see
-        :func:`~repro.runtime.probe.rollup_node_stats`) so dashboards
-        and tests don't re-implement the aggregation.
+        ``"cluster"`` key aggregates them (probe counters summed,
+        high-water marks maxed, operation totals derived from the sums
+        — see :func:`~repro.runtime.probe.rollup_node_stats`) so
+        dashboards and tests don't re-implement the aggregation.
         """
         per_node = {name: node.stats() for name, node in self.nodes.items()}
         per_node["cluster"] = rollup_node_stats(per_node)

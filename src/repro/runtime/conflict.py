@@ -50,7 +50,6 @@ class ConflictCoordinator:
                  is_suspected: Callable[[str], bool],
                  suspected: Callable[[], set],
                  probe: Optional[RuntimeProbe] = None,
-                 counters: Optional[dict[str, int]] = None,
                  codec: Optional[WireCodec] = None):
         self.rnode = rnode
         self.env = rnode.env
@@ -67,13 +66,12 @@ class ConflictCoordinator:
         self.is_suspected = is_suspected
         self.suspected = suspected
         self.probe = probe or RuntimeProbe()
-        self.counters = counters if counters is not None else {}
         self.codec = codec or WireCodec()
         # Partially applied leader batches, per group (see drain_l).
         self._l_partial: dict[str, deque] = {
             group.gid: deque() for group in coordination.sync_groups()
         }
-        #: Empty-head streak counters for hole detection.
+        #: Empty-head streak lengths for hole detection, per group.
         self._l_hole_misses: dict[str, int] = {}
         self._init_consensus(initial_leaders)
 
@@ -238,7 +236,6 @@ class ConflictCoordinator:
             # Commit point: the L-xfer events mark the issue instant, so
             # every follower application orders after them in the trace.
             for batched_call, _dep in entries:
-                self.probe.apply("CONF")
                 self.probe.span_begin(
                     "decide", batched_call.method, batched_call.origin,
                     batched_call.rid,
@@ -263,9 +260,10 @@ class ConflictCoordinator:
                     )
                     applier.bump_applied(self.name, batched_call.method)
                     applier.mark_seen(batched_call.key())
-                    # The trace records CONF at *commit* time: a deposed
+                    # CONF counts and traces at *commit* time: a deposed
                     # leader's failed batch leaves no rule event, so the
                     # checkers replay only decided calls.
+                    self.probe.apply("CONF")
                     self.probe.trace_apply(
                         "CONF", batched_call.method, batched_call.origin,
                         batched_call.rid, batched_call.arg,
@@ -278,9 +276,6 @@ class ConflictCoordinator:
                 yield from self.discover_leader(gid)
             for waiting, batched_call in dones:
                 if ok:
-                    self.counters["conf_decided"] = (
-                        self.counters.get("conf_decided", 0) + 1
-                    )
                     waiting.succeed(batched_call)
                 else:
                     waiting.succeed(

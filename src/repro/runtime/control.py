@@ -37,14 +37,12 @@ class ControlPlane:
 
     def __init__(self, rnode: RdmaNode, config: RuntimeConfig,
                  probe: Optional[RuntimeProbe] = None,
-                 counters: Optional[dict[str, int]] = None,
                  codec: Optional[WireCodec] = None):
         self.rnode = rnode
         self.env = rnode.env
         self.name = rnode.name
         self.config = config
         self.probe = probe or RuntimeProbe()
-        self.counters = counters if counters is not None else {}
         self.codec = codec or WireCodec()
         #: Outstanding forwarded-request waiters, by token.
         self._fwd_waiters: dict[str, Event] = {}
@@ -181,7 +179,6 @@ class ControlPlane:
         if token in self._serving:
             return  # duplicate delivery mid-serve: the first will reply
         self._serving.add(token)
-        self.counters["forwarded"] = self.counters.get("forwarded", 0) + 1
         self.probe.forwarded(method)
         try:
             result = yield self.submit(method, arg)

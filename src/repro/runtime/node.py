@@ -63,7 +63,7 @@ from .errors import (  # noqa: F401  (re-exported for import stability)
     SubmitError,
 )
 from .heartbeat import FailureDetector, Heartbeat, PeerHealth
-from .probe import CountingProbe, RuntimeProbe
+from .probe import CountingProbe, RuntimeProbe, operation_totals
 from .scrubber import Scrubber
 from .statexfer import StateTransfer
 from .transport import RingTransport
@@ -101,16 +101,6 @@ class HambandNode:
         #: Crashed background workers (supervised): any entry here is
         #: a bug surfaced loudly instead of a silent wedge.
         self.failures: list[str] = []
-        #: Per-node operation counters for introspection/benchmarks.
-        self.counters = {
-            "queries": 0,
-            "reduced": 0,
-            "freed": 0,
-            "conf_decided": 0,
-            "buffer_applied": 0,
-            "recovered_applied": 0,
-            "forwarded": 0,
-        }
         #: Current membership-epoch version (0 = the founding epoch;
         #: bumped by the membership layer on every join/leave).
         self.membership_epoch = 0
@@ -151,8 +141,7 @@ class HambandNode:
         )
         self.transport.health = self.health
         self.applier = ApplyEngine(
-            rnode, coordination, config, self.probe,
-            self.counters, codec=self.codec,
+            rnode, coordination, config, self.probe, codec=self.codec,
         )
         self.applier.init_summaries(self.processes)
         self.broadcast = ReliableBroadcast(rnode, config.backup_size)
@@ -173,7 +162,7 @@ class HambandNode:
             probe=self.probe,
         )
         self.control = ControlPlane(
-            rnode, config, self.probe, self.counters, codec=self.codec
+            rnode, config, self.probe, codec=self.codec
         )
         self.conflict = ConflictCoordinator(
             rnode, coordination, self.processes, initial_leaders, config,
@@ -185,7 +174,6 @@ class HambandNode:
             is_suspected=self.detector.is_suspected,
             suspected=lambda: self.detector.suspected,
             probe=self.probe,
-            counters=self.counters,
             codec=self.codec,
         )
         self.applier.bind(
@@ -287,7 +275,8 @@ class HambandNode:
         return self.applier.applied_total()
 
     def stats(self) -> dict[str, Any]:
-        """Live runtime statistics: legacy counters + probe snapshot.
+        """Live runtime statistics: the probe snapshot and the operation
+        totals derived from it.
 
         The ``probe`` section carries whatever the installed
         :class:`~repro.runtime.probe.RuntimeProbe` accumulated — with
@@ -295,11 +284,15 @@ class HambandNode:
         per-rule applies, ring-occupancy high-water marks, backpressure
         stalls, conflict retries/batches, demotions, hole repairs,
         forwards, redirects, rejections, and broadcast recoveries.
+        The operation totals are read off that snapshot by
+        :func:`~repro.runtime.probe.operation_totals` (all zero under a
+        no-op probe).
         """
+        probe = self.probe.snapshot()
         return {
             "node": self.name,
-            "counters": dict(self.counters),
-            "probe": self.probe.snapshot(),
+            "counters": operation_totals(probe),
+            "probe": probe,
             "membership": {
                 "epoch": self.membership_epoch,
                 "members": list(self.processes),

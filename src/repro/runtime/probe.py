@@ -25,6 +25,7 @@ from typing import Any
 __all__ = [
     "CountingProbe",
     "RuntimeProbe",
+    "operation_totals",
     "rollup_node_stats",
     "rollup_snapshots",
 ]
@@ -210,168 +211,152 @@ class RuntimeProbe:
         return {}
 
 
+#: Every section :class:`CountingProbe` publishes, in snapshot order:
+#: ``{label: count}`` tables, then ``recoveries``, a plain total.
+SECTIONS = (
+    "applies", "ring_highwater", "records_drained", "backpressure_stalls",
+    "ack_flushes", "flow_rearms", "conflict_retries", "conflict_batches",
+    "conflict_batch_max", "demotions", "hole_repairs", "ring_resyncs",
+    "crc_rejects", "torn_detected", "slot_repairs", "wire_rejects",
+    "scrub_passes", "forwards", "redirects", "rejections", "faults",
+    "op_retries", "retry_budget_exhausted", "peer_degraded",
+    "fd_phi_suspects", "hedged_reads", "hedge_wins", "catch_ups",
+    "member_events", "recoveries",
+)
+
+
 class CountingProbe(RuntimeProbe):
-    """Counter/high-water-mark probe backing ``HambandNode.stats()``."""
+    """Counter/high-water-mark probe backing ``HambandNode.stats()``.
+
+    Every count lives once, in :attr:`sections`, under the name
+    :meth:`snapshot` publishes it by.
+    """
 
     def __init__(self) -> None:
-        self.applies: dict[str, int] = {}
-        self.ring_highwater: dict[str, int] = {}
-        self.drained: dict[str, int] = {}
-        self.backpressure_stalls: dict[str, int] = {}
-        self.ack_flushes: dict[str, int] = {}
-        self.flow_rearms: dict[str, int] = {}
-        self.conflict_retries: dict[str, int] = {}
-        self.conflict_batches: dict[str, int] = {}
-        self.conflict_batch_max: dict[str, int] = {}
-        self.demotions: dict[str, int] = {}
-        self.hole_repairs: dict[str, int] = {}
-        self.ring_resyncs: dict[str, int] = {}
-        self.crc_rejects: dict[str, int] = {}
-        self.torn_detections: dict[str, int] = {}
-        self.slot_repairs: dict[str, int] = {}
-        self.wire_rejects: dict[str, int] = {}
-        self.scrub_passes: dict[str, int] = {}
-        self.forwards: dict[str, int] = {}
-        self.redirects: dict[str, int] = {}
-        self.rejections: dict[str, int] = {}
-        self.faults: dict[str, int] = {}
-        self.op_retries: dict[str, int] = {}
-        self.retry_budget_exhaustions: dict[str, int] = {}
-        self.peer_degradations: dict[str, int] = {}
-        self.phi_suspects: dict[str, int] = {}
-        self.hedged: dict[str, int] = {}
-        self.hedge_win_counts: dict[str, int] = {}
-        self.catch_ups: dict[str, int] = {}
-        self.member_events: dict[str, int] = {}
-        self.recoveries = 0
+        self.sections: dict[str, Any] = {name: {} for name in SECTIONS}
+        self.sections["recoveries"] = 0
 
-    @staticmethod
-    def _bump(table: dict[str, int], key: str, by: int = 1) -> None:
+    def _bump(self, section: str, key: str, by: int = 1) -> None:
+        table = self.sections[section]
         table[key] = table.get(key, 0) + by
 
     def apply(self, rule: str) -> None:
-        self._bump(self.applies, rule)
+        self._bump("applies", rule)
 
     def recovered(self) -> None:
-        self.recoveries += 1
+        self.sections["recoveries"] += 1
 
     def ring_depth(self, ring: str, depth: int) -> None:
-        if depth > self.ring_highwater.get(ring, 0):
-            self.ring_highwater[ring] = depth
+        highwater = self.sections["ring_highwater"]
+        if depth > highwater.get(ring, 0):
+            highwater[ring] = depth
 
     def records_drained(self, ring: str, count: int) -> None:
-        self._bump(self.drained, ring, count)
+        self._bump("records_drained", ring, count)
 
     def backpressure_stall(self, ring: str) -> None:
-        self._bump(self.backpressure_stalls, ring)
+        self._bump("backpressure_stalls", ring)
 
     def ack_flush(self, ring: str) -> None:
-        self._bump(self.ack_flushes, ring)
+        self._bump("ack_flushes", ring)
 
     def flow_rearmed(self, ring: str) -> None:
-        self._bump(self.flow_rearms, ring)
+        self._bump("flow_rearms", ring)
 
     def conflict_retry(self, gid: str) -> None:
-        self._bump(self.conflict_retries, gid)
+        self._bump("conflict_retries", gid)
 
     def conflict_batch(self, gid: str, size: int) -> None:
-        self._bump(self.conflict_batches, gid)
-        if size > self.conflict_batch_max.get(gid, 0):
-            self.conflict_batch_max[gid] = size
+        self._bump("conflict_batches", gid)
+        largest = self.sections["conflict_batch_max"]
+        if size > largest.get(gid, 0):
+            largest[gid] = size
 
     def demoted(self, gid: str) -> None:
-        self._bump(self.demotions, gid)
+        self._bump("demotions", gid)
 
     def hole_repair(self, gid: str) -> None:
-        self._bump(self.hole_repairs, gid)
+        self._bump("hole_repairs", gid)
 
     def ring_resync(self, ring: str) -> None:
-        self._bump(self.ring_resyncs, ring)
+        self._bump("ring_resyncs", ring)
 
     def crc_reject(self, ring: str) -> None:
-        self._bump(self.crc_rejects, ring)
+        self._bump("crc_rejects", ring)
 
     def torn_detect(self, ring: str) -> None:
-        self._bump(self.torn_detections, ring)
+        self._bump("torn_detected", ring)
 
     def slot_repair(self, ring: str) -> None:
-        self._bump(self.slot_repairs, ring)
+        self._bump("slot_repairs", ring)
 
     def wire_reject(self, ring: str) -> None:
-        self._bump(self.wire_rejects, ring)
+        self._bump("wire_rejects", ring)
 
     def scrub_pass(self, ring: str) -> None:
-        self._bump(self.scrub_passes, ring)
+        self._bump("scrub_passes", ring)
 
     def forwarded(self, method: str) -> None:
-        self._bump(self.forwards, method)
+        self._bump("forwards", method)
 
     def redirected(self, method: str) -> None:
-        self._bump(self.redirects, method)
+        self._bump("redirects", method)
 
     def rejected(self, reason: str) -> None:
-        self._bump(self.rejections, reason)
+        self._bump("rejections", reason)
 
     def trace_fault(self, kind: str, target: str, detail: str) -> None:
-        self._bump(self.faults, kind)
+        self._bump("faults", kind)
 
     def op_retry(self, kind: str) -> None:
-        self._bump(self.op_retries, kind)
+        self._bump("op_retries", kind)
 
     def retry_budget_exhausted(self, kind: str) -> None:
-        self._bump(self.retry_budget_exhaustions, kind)
+        self._bump("retry_budget_exhausted", kind)
 
     def peer_degraded(self, peer: str) -> None:
-        self._bump(self.peer_degradations, peer)
+        self._bump("peer_degraded", peer)
 
     def phi_suspect(self, peer: str) -> None:
-        self._bump(self.phi_suspects, peer)
+        self._bump("fd_phi_suspects", peer)
 
     def hedged_read(self, ring: str) -> None:
-        self._bump(self.hedged, ring)
+        self._bump("hedged_reads", ring)
 
     def hedge_win(self, ring: str) -> None:
-        self._bump(self.hedge_win_counts, ring)
+        self._bump("hedge_wins", ring)
 
     def catch_up(self, source: str) -> None:
-        self._bump(self.catch_ups, source)
+        self._bump("catch_ups", source)
 
     def member_event(self, event: str, node: str, detail: str = "") -> None:
-        self._bump(self.member_events, event)
+        self._bump("member_events", event)
 
     def snapshot(self) -> dict[str, Any]:
         return {
-            "applies": dict(self.applies),
-            "ring_highwater": dict(self.ring_highwater),
-            "records_drained": dict(self.drained),
-            "backpressure_stalls": dict(self.backpressure_stalls),
-            "ack_flushes": dict(self.ack_flushes),
-            "flow_rearms": dict(self.flow_rearms),
-            "conflict_retries": dict(self.conflict_retries),
-            "conflict_batches": dict(self.conflict_batches),
-            "conflict_batch_max": dict(self.conflict_batch_max),
-            "demotions": dict(self.demotions),
-            "hole_repairs": dict(self.hole_repairs),
-            "ring_resyncs": dict(self.ring_resyncs),
-            "crc_rejects": dict(self.crc_rejects),
-            "torn_detected": dict(self.torn_detections),
-            "slot_repairs": dict(self.slot_repairs),
-            "wire_rejects": dict(self.wire_rejects),
-            "scrub_passes": dict(self.scrub_passes),
-            "forwards": dict(self.forwards),
-            "redirects": dict(self.redirects),
-            "rejections": dict(self.rejections),
-            "faults": dict(self.faults),
-            "op_retries": dict(self.op_retries),
-            "retry_budget_exhausted": dict(self.retry_budget_exhaustions),
-            "peer_degraded": dict(self.peer_degradations),
-            "fd_phi_suspects": dict(self.phi_suspects),
-            "hedged_reads": dict(self.hedged),
-            "hedge_wins": dict(self.hedge_win_counts),
-            "catch_ups": dict(self.catch_ups),
-            "member_events": dict(self.member_events),
-            "recoveries": self.recoveries,
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in self.sections.items()
         }
+
+
+def operation_totals(probe: dict[str, Any]) -> dict[str, int]:
+    """``stats()["counters"]``: the per-node operation totals, read off
+    a probe snapshot (all zero for an uninstrumented, no-op probe).
+
+    CONF counts at commit, on the leader, once replication succeeded.
+    """
+    applies = probe.get("applies", {})
+    return {
+        "queries": applies.get("QUERY", 0),
+        "reduced": applies.get("REDUCE", 0),
+        "freed": applies.get("FREE", 0),
+        "conf_decided": applies.get("CONF", 0),
+        "buffer_applied": (
+            applies.get("FREE_APP", 0) + applies.get("CONF_APP", 0)
+        ),
+        "recovered_applied": probe.get("recoveries", 0),
+        "forwarded": sum(probe.get("forwards", {}).values()),
+    }
 
 
 #: Snapshot sections that aggregate by maximum instead of by sum
@@ -379,13 +364,11 @@ class CountingProbe(RuntimeProbe):
 MAX_SECTIONS = ("ring_highwater", "conflict_batch_max")
 
 
-def rollup_snapshots(snapshots: dict[str, dict[str, Any]],
-                     max_sections: tuple[str, ...] = MAX_SECTIONS,
-                     ) -> dict[str, Any]:
+def rollup_snapshots(snapshots: dict[str, dict[str, Any]]) -> dict[str, Any]:
     """Aggregate per-node probe snapshots into one cluster-wide view.
 
     Plain integers and ``{key: int}`` sections are summed across nodes;
-    sections named in ``max_sections`` keep the per-key maximum (a
+    sections named in :data:`MAX_SECTIONS` keep the per-key maximum (a
     cluster high-water mark is the worst node's, not the total).
     Non-numeric sections (e.g. a tracing probe's nested phase
     summaries) are skipped — dashboards read those per node.
@@ -404,35 +387,27 @@ def rollup_snapshots(snapshots: dict[str, dict[str, Any]],
                         count, bool
                     ):
                         continue
-                    if section in max_sections:
+                    if section in MAX_SECTIONS:
                         merged[key] = max(merged.get(key, 0), count)
                     else:
                         merged[key] = merged.get(key, 0) + count
     return rollup
 
 
-def rollup_node_stats(per_node: dict[str, dict[str, Any]],
-                      max_sections: tuple[str, ...] = MAX_SECTIONS,
-                      ) -> dict[str, Any]:
+def rollup_node_stats(per_node: dict[str, dict[str, Any]]) -> dict[str, Any]:
     """Aggregate ``HambandNode.stats()``-shaped snapshots into one view.
 
-    Each input value is a ``{"counters": ..., "probe": ...}`` dict; the
-    result has the same shape with both sections rolled up by
-    :func:`rollup_snapshots`.  Used for the per-cluster rollup in
-    :meth:`~repro.runtime.HambandCluster.stats` and — because the
-    output shape matches the input shape — again for the global rollup
-    over per-shard rollups in
+    Each input value carries a ``"probe"`` section; the result is
+    ``{"counters": ..., "probe": ...}`` — the probes rolled up by
+    :func:`rollup_snapshots`, and the counters derived from that rollup
+    by :func:`operation_totals` (every counter is a sum, so deriving after
+    summing equals summing the per-node counters).  Used for the
+    per-cluster rollup in :meth:`~repro.runtime.HambandCluster.stats`
+    and — because the output shape matches the input shape — again for
+    the global rollup over per-shard rollups in
     :meth:`~repro.runtime.sharding.ShardedCluster.stats`.
     """
-    return {
-        "counters": rollup_snapshots(
-            {name: {"counters": stats.get("counters", {})}
-             for name, stats in per_node.items()},
-            max_sections,
-        ).get("counters", {}),
-        "probe": rollup_snapshots(
-            {name: stats.get("probe", {})
-             for name, stats in per_node.items()},
-            max_sections,
-        ),
-    }
+    probe = rollup_snapshots(
+        {name: stats.get("probe", {}) for name, stats in per_node.items()}
+    )
+    return {"counters": operation_totals(probe), "probe": probe}

@@ -236,7 +236,7 @@ class ShardedCluster:
         ``stats()["s2"]`` is shard 2's :meth:`HambandCluster.stats`
         (per-node snapshots + ``"cluster"`` rollup); ``stats()
         ["global"]`` aggregates the shard rollups with the same
-        counters-summed / high-water-maxed rules — the rollup helper is
+        summed / high-water-maxed rules — the rollup helper is
         shared, not re-implemented (see
         :func:`~repro.runtime.probe.rollup_node_stats`).
         """

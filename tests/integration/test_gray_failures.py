@@ -165,8 +165,9 @@ class TestRetryBudget:
         env.process(driver(), name="unit-retry")
         env.run(until=5_000.0)
         assert done and done[0].status is not WcStatus.SUCCESS
-        assert node.probe.op_retries.get("unit", 0) >= 1
-        assert node.probe.retry_budget_exhaustions.get("unit", 0) == 1
+        counts = node.probe.snapshot()
+        assert counts["op_retries"].get("unit", 0) >= 1
+        assert counts["retry_budget_exhausted"].get("unit", 0) == 1
 
     def test_without_budget_retries_run_to_the_attempt_cap(self):
         env, cluster = _build_cluster(2, retry_budget_us=0.0)
@@ -189,9 +190,10 @@ class TestRetryBudget:
         env.run(until=50_000.0)
         assert done
         # One op_retry per failed attempt, final attempt included.
-        assert (node.probe.op_retries.get("unit", 0)
+        counts = node.probe.snapshot()
+        assert (counts["op_retries"].get("unit", 0)
                 == node.config.op_retry_limit + 1)
-        assert node.probe.retry_budget_exhaustions.get("unit", 0) == 0
+        assert counts["retry_budget_exhausted"].get("unit", 0) == 0
 
 
 class TestHedgedRead:
@@ -218,8 +220,8 @@ class TestHedgedRead:
         env.process(driver(), name="unit-hedge")
         env.run(until=5_000.0)
         assert results == [(WcStatus.SUCCESS, "p3")]
-        assert node.probe.hedged.get("unit", 0) == 1
-        assert node.probe.hedge_win_counts.get("unit", 0) == 1
+        assert node.probe.snapshot()["hedged_reads"].get("unit", 0) == 1
+        assert node.probe.snapshot()["hedge_wins"].get("unit", 0) == 1
 
     def test_fast_primary_never_hedges(self):
         env, cluster = _build_cluster(3, hedge_delay_us=8.0)
@@ -236,5 +238,5 @@ class TestHedgedRead:
         env.process(driver(), name="unit-hedge")
         env.run(until=5_000.0)
         assert results == [(WcStatus.SUCCESS, "p2")]
-        assert node.probe.hedged.get("unit", 0) == 0
-        assert node.probe.hedge_win_counts.get("unit", 0) == 0
+        assert node.probe.snapshot()["hedged_reads"].get("unit", 0) == 0
+        assert node.probe.snapshot()["hedge_wins"].get("unit", 0) == 0

@@ -269,7 +269,7 @@ class TestApplyEngineStandalone:
         assert [
             e.rule for e in concrete_events(probe.events)
         ] == ["FREE_APP"]
-        assert probe.applies == {"FREE_APP": 1}
+        assert probe.snapshot()["applies"] == {"FREE_APP": 1}
 
     def test_dep_projection_and_check(self):
         env, engine, _probe = self.make_engine(account_spec())

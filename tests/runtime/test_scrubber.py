@@ -60,8 +60,8 @@ class TestScrubber:
         reader = node.transport.f_readers["p1"]
         healed = bytes(reader.region.read(offset, node.config.slot_size))
         assert healed == pristine, "scrubber did not restore the slot"
-        assert sum(node.probe.slot_repairs.values()) >= 1
-        assert sum(node.probe.scrub_passes.values()) >= 1
+        assert sum(node.probe.snapshot()["slot_repairs"].values()) >= 1
+        assert sum(node.probe.snapshot()["scrub_passes"].values()) >= 1
         assert not cluster.failures()
 
     def test_catches_divergence_even_without_crc(self):
@@ -76,7 +76,7 @@ class TestScrubber:
         reader = node.transport.f_readers["p1"]
         healed = bytes(reader.region.read(offset, node.config.slot_size))
         assert healed == pristine
-        assert sum(node.probe.slot_repairs.values()) >= 1
+        assert sum(node.probe.snapshot()["slot_repairs"].values()) >= 1
 
     def test_disabled_by_default(self):
         env = Environment()
@@ -87,7 +87,7 @@ class TestScrubber:
         _populate(env, cluster, n=3)
         env.run(until=env.now + 1000.0)
         assert all(
-            sum(node.probe.scrub_passes.values()) == 0
+            sum(node.probe.snapshot()["scrub_passes"].values()) == 0
             for node in cluster.nodes.values()
         )
 

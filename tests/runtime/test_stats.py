@@ -1,7 +1,11 @@
 """Tests for runtime counters, probe statistics, and fabric statistics."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import account_spec, counter_spec, gset_spec
 from repro.rdma import Opcode
 from repro.runtime import (
@@ -10,8 +14,13 @@ from repro.runtime import (
     RuntimeConfig,
     RuntimeProbe,
 )
+from repro.runtime.probe import SECTIONS
+from repro.runtime.telemetry import _PROBE_KEYS
 from repro.sim import Environment
+from repro.sim.faults import PLAN_NAMES, FaultPlan
 from repro.workload import DriverConfig, run_workload
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def run(spec, workload, total_ops=200, update_ratio=0.5, n=3):
@@ -27,28 +36,32 @@ def run(spec, workload, total_ops=200, update_ratio=0.5, n=3):
     return env, cluster, result
 
 
+def counters(node):
+    return node.stats()["counters"]
+
+
 class TestNodeCounters:
     def test_reducible_workload_counts_reduces(self):
         _env, cluster, result = run(counter_spec(), "counter")
         total_reduced = sum(
-            node.counters["reduced"] for node in cluster.nodes.values()
+            counters(node)["reduced"] for node in cluster.nodes.values()
         )
         assert total_reduced == result.update_calls
         assert all(
-            node.counters["freed"] == 0 for node in cluster.nodes.values()
+            counters(node)["freed"] == 0 for node in cluster.nodes.values()
         )
         assert all(
-            node.counters["buffer_applied"] == 0
+            counters(node)["buffer_applied"] == 0
             for node in cluster.nodes.values()
         )
 
     def test_conflict_free_workload_counts_frees_and_applies(self):
         _env, cluster, result = run(gset_spec(), "gset")
         total_freed = sum(
-            node.counters["freed"] for node in cluster.nodes.values()
+            counters(node)["freed"] for node in cluster.nodes.values()
         )
         total_applied = sum(
-            node.counters["buffer_applied"]
+            counters(node)["buffer_applied"]
             for node in cluster.nodes.values()
         )
         assert total_freed == result.update_calls
@@ -59,18 +72,18 @@ class TestNodeCounters:
         _env, cluster, result = run(counter_spec(), "counter",
                                     update_ratio=0.2)
         total_queries = sum(
-            node.counters["queries"] for node in cluster.nodes.values()
+            counters(node)["queries"] for node in cluster.nodes.values()
         )
         assert total_queries == result.total_calls - result.update_calls
 
     def test_conflicting_decisions_counted_at_leader(self):
         _env, cluster, result = run(account_spec(), "account")
         leader = cluster.node("p1").current_leader("withdraw")
-        decided = cluster.node(leader).counters["conf_decided"]
+        decided = counters(cluster.node(leader))["conf_decided"]
         assert decided > 0
         for name, node in cluster.nodes.items():
             if name != leader:
-                assert node.counters["conf_decided"] == 0
+                assert counters(node)["conf_decided"] == 0
 
 
 class TestStatsSurface:
@@ -171,8 +184,9 @@ class TestStatsSurface:
         assert flushed > 0
 
     def test_noop_probe_opt_out(self):
-        """probe_factory lets a run go uninstrumented: stats()['probe']
-        stays empty while the legacy counters still advance."""
+        """probe_factory lets a run go uninstrumented: an uninstrumented
+        run counts nothing, so stats()['probe'] stays empty and every
+        counter derived from it reads zero."""
         env = Environment()
         cluster = HambandCluster.build(
             env, gset_spec(), n_nodes=3,
@@ -182,7 +196,12 @@ class TestStatsSurface:
         env.run(until=env.now + 1000)
         stats = cluster.node("p1").stats()
         assert stats["probe"] == {}
-        assert stats["counters"]["freed"] == 1
+        assert set(stats["counters"]) == {
+            "queries", "reduced", "freed", "conf_decided",
+            "buffer_applied", "recovered_applied", "forwarded",
+        }
+        assert not any(stats["counters"].values())
+        assert cluster.converged()
 
     def test_custom_counting_probe_instance(self):
         env = Environment()
@@ -198,8 +217,8 @@ class TestStatsSurface:
         env.run(until=cluster.node("p1").submit("add", "x"))
         env.run(until=env.now + 1000)
         assert cluster.node("p1").probe is probes["p1"]
-        assert probes["p1"].applies["FREE"] == 1
-        assert probes["p2"].applies["FREE_APP"] == 1
+        assert probes["p1"].snapshot()["applies"]["FREE"] == 1
+        assert probes["p2"].snapshot()["applies"]["FREE_APP"] == 1
 
 
 class TestFabricStats:
@@ -299,3 +318,265 @@ class TestClusterRollup:
             "ring_highwater": {"F": 5},
             "recoveries": 1,
         }
+
+
+class TestSectionNames:
+    """One name list: the probe's sections are what the docs, the
+    metrics stream and the CLI summary lines call them."""
+
+    def test_snapshot_publishes_exactly_the_sections(self):
+        assert tuple(CountingProbe().snapshot()) == SECTIONS
+
+    def test_every_section_is_documented(self):
+        doc = (ROOT / "docs" / "observability.md").read_text()
+        missing = [name for name in SECTIONS if f"`{name}`" not in doc]
+        assert not missing
+
+    def test_telemetry_keys_are_sections(self):
+        assert set(_PROBE_KEYS) <= set(SECTIONS)
+
+    def test_cli_summary_keys_are_sections(self):
+        source = (ROOT / "src" / "repro" / "cli.py").read_text()
+        keys = set(re.findall(r"_total\('([a-z_]+)'\)", source))
+        assert keys
+        assert keys <= set(SECTIONS)
+
+
+COUNTER_NAMES = ("queries", "reduced", "freed", "conf_decided",
+                 "buffer_applied", "recovered_applied", "forwarded")
+
+#: ``stats()["counters"]`` per node, as the hand-maintained counter
+#: dict produced it before the counters were derived from the probe
+#: (tuples in :data:`COUNTER_NAMES` order): 600-op, 4-node, seed-3 fault
+#: runs and 400-op clean runs (plan ``None``).
+PINNED_COUNTERS = {
+    ("gset", "crash-leader"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "partition-minority"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "lossy-10pct"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "delay-spike"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "restart-follower"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "corrupt-5pct"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "torn-writes"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "corrupt-crash"): {
+        "p1": (114, 0, 36, 0, 107, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("gset", "scale-in-leader"): {
+        "p2": (124, 0, 26, 0, 117, 0, 0),
+        "p3": (107, 0, 43, 0, 100, 0, 0),
+        "p4": (112, 0, 38, 0, 105, 0, 0),
+    },
+    ("account", "crash-leader"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "partition-minority"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "lossy-10pct"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "delay-spike"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "restart-follower"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "corrupt-5pct"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "torn-writes"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "corrupt-crash"): {
+        "p1": (111, 22, 0, 75, 0, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("account", "scale-in-leader"): {
+        "p2": (112, 20, 0, 0, 75, 0, 0),
+        "p3": (110, 19, 0, 0, 75, 0, 0),
+        "p4": (113, 18, 0, 0, 75, 0, 0),
+    },
+    ("courseware", "crash-leader"): {
+        "p1": (107, 0, 11, 19, 148, 0, 0),
+        "p2": (116, 0, 15, 103, 60, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "partition-minority"): {
+        "p1": (111, 0, 11, 122, 45, 0, 0),
+        "p2": (112, 0, 15, 0, 163, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "lossy-10pct"): {
+        "p1": (111, 0, 11, 122, 45, 0, 0),
+        "p2": (112, 0, 15, 0, 163, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "delay-spike"): {
+        "p1": (111, 0, 11, 122, 45, 0, 0),
+        "p2": (112, 0, 15, 0, 163, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "restart-follower"): {
+        "p1": (112, 0, 12, 122, 44, 0, 0),
+        "p2": (111, 0, 14, 0, 164, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "corrupt-5pct"): {
+        "p1": (111, 0, 11, 122, 45, 0, 0),
+        "p2": (112, 0, 15, 0, 163, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "torn-writes"): {
+        "p1": (111, 0, 11, 122, 45, 0, 0),
+        "p2": (112, 0, 15, 0, 163, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "corrupt-crash"): {
+        "p1": (114, 0, 12, 122, 44, 0, 0),
+        "p2": (109, 0, 14, 0, 164, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("courseware", "scale-in-leader"): {
+        "p2": (151, 0, 20, 36, 122, 0, 0),
+        "p3": (110, 0, 15, 0, 163, 0, 0),
+        "p4": (113, 0, 15, 0, 163, 0, 0),
+    },
+    ("gset", None): {
+        "p1": (75, 0, 25, 0, 75, 0, 0),
+        "p2": (81, 0, 19, 0, 81, 0, 0),
+        "p3": (70, 0, 30, 0, 70, 0, 0),
+        "p4": (74, 0, 26, 0, 74, 0, 0),
+    },
+    ("counter", None): {
+        "p1": (74, 26, 0, 0, 0, 0, 0),
+        "p2": (77, 23, 0, 0, 0, 0, 0),
+        "p3": (71, 29, 0, 0, 0, 0, 0),
+        "p4": (75, 25, 0, 0, 0, 0, 0),
+    },
+    ("account", None): {
+        "p1": (74, 16, 0, 49, 0, 0, 0),
+        "p2": (77, 12, 0, 0, 49, 0, 0),
+        "p3": (71, 13, 0, 0, 49, 0, 0),
+        "p4": (75, 13, 0, 0, 49, 0, 0),
+    },
+    ("courseware", None): {
+        "p1": (74, 0, 7, 86, 34, 0, 0),
+        "p2": (77, 0, 8, 0, 119, 0, 0),
+        "p3": (71, 0, 12, 0, 115, 0, 0),
+        "p4": (75, 0, 14, 0, 113, 0, 0),
+    },
+}
+
+
+def _chaos_run(workload, plan, total_ops):
+    return run_harness(
+        ExperimentConfig(system="hamband", workload=workload,
+                         total_ops=total_ops, n_nodes=4, seed=3),
+        plan=None if plan is None else FaultPlan.named(plan, seed=3,
+                                                       n_nodes=4),
+    )
+
+
+class TestPinnedCounters:
+    def test_matrix_covers_every_preset(self):
+        chaos = {plan for _wl, plan in PINNED_COUNTERS if plan}
+        assert chaos == set(PLAN_NAMES) | {"scale-in-leader"}
+
+    @pytest.mark.parametrize(
+        "workload,plan", sorted(PINNED_COUNTERS, key=str),
+        ids=lambda value: str(value),
+    )
+    def test_derived_counters_match_pinned(self, workload, plan):
+        run = _chaos_run(workload, plan, 400 if plan is None else 600)
+        got = {
+            name: tuple(counters(node)[key] for key in COUNTER_NAMES)
+            for name, node in sorted(run.cluster.nodes.items())
+        }
+        assert got == PINNED_COUNTERS[(workload, plan)]
+
+
+class TestConfCountedAtCommit:
+    def test_conf_applies_equal_trace_conf_events(self):
+        """A deposed leader's failed batch is neither counted nor
+        traced: applies['CONF'] matches the trace's CONF rule events
+        and conf_decided on every node."""
+        run = _chaos_run("courseware", "crash-leader", 600)
+        traced = {}
+        for event in run.recorder.events():
+            if event.kind == "rule" and event.name == "CONF":
+                traced[event.node] = traced.get(event.node, 0) + 1
+        assert traced
+        for name, node in run.cluster.nodes.items():
+            stats = node.stats()
+            conf = stats["probe"]["applies"].get("CONF", 0)
+            assert conf == traced.get(name, 0), name
+            assert conf == stats["counters"]["conf_decided"]
+        assert counters(run.cluster.node("p1"))["conf_decided"] == 19
