@@ -19,10 +19,16 @@ checking and inference … is a topic of active research", citing
 Hamsaz's SMT approach).  This module provides the closest executable
 equivalent: **bounded checking** over sampled states and arguments from
 the spec's generators, falsifying universally-quantified properties by
-counterexample.  A spec can also *declare* relations, which skips
-sampling; the bundled data types declare nothing and rely on checking,
-and the test suite pins the inferred relations against the paper's
-ground truth.
+counterexample.  A spec can also *declare* its conflicts and
+dependencies, which skips checking them (invariant-sufficiency is still
+probed wherever the spec can sample arguments); the op-based CRDTs
+declare, every other bundled data type relies on checking, and the test
+suite pins the inferred relations against the paper's ground truth.
+
+Every relation is a view of two kernels: :func:`_posts` evaluates one
+call on a list of states, :func:`_pair` evaluates all five relations of
+an unordered call pair in one pass.  The analyzer runs them once per
+distinct probe point (:class:`_Points`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .calls import Call
 from .spec import ObjectSpec
@@ -48,7 +55,81 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Call-level checks over a finite set of probe states
+# The two kernels: one call, one unordered call pair
+# ---------------------------------------------------------------------------
+
+def _posts(spec: ObjectSpec, call: Call,
+           states: Iterable[Any]) -> list[tuple[Any, bool]]:
+    """``(c(σ), P(σ, c))`` for every state σ."""
+    posts = []
+    for sigma in states:
+        post = spec.apply_call(call, sigma)
+        posts.append((post, bool(spec.invariant(post))))
+    return posts
+
+
+class _Pair(NamedTuple):
+    """Every relation of calls ``a`` and ``b`` over one set of states."""
+
+    s_commute: bool  # a <->_S b
+    a_r_b: bool      # a ▷_P b
+    b_r_a: bool      # b ▷_P a
+    a_l_b: bool      # a ◁_P b
+    b_l_a: bool      # b ◁_P a
+
+    def flipped(self) -> "_Pair":
+        """The same verdict with ``a`` and ``b`` swapped."""
+        return _Pair(self.s_commute, self.b_r_a, self.a_r_b, self.b_l_a,
+                     self.a_l_b)
+
+
+def _pair(spec: ObjectSpec, a: Call, b: Call,
+          a_posts: list[tuple[Any, bool]],
+          b_posts: list[tuple[Any, bool]]) -> _Pair:
+    """All five relations of ``a`` and ``b`` in one pass.
+
+    ``a_posts``/``b_posts`` are :func:`_posts` over the same invariant
+    states.  Each state costs ``b(a(σ))`` and ``a(b(σ))`` once; the
+    invariant of a composition is evaluated only at well-formed points
+    (the call applied first was permissible) and only while a relation
+    still depends on it.  The pass stops once all five are falsified.
+    """
+    commute = a_r_b = b_r_a = a_l_b = b_l_a = True
+    for (a_post, a_ok), (b_post, b_ok) in zip(a_posts, b_posts):
+        ab = spec.apply_call(b, a_post)
+        ba = ab if a is b else spec.apply_call(a, b_post)
+        if commute and not spec.state_eq(ab, ba):
+            commute = False
+        # Where a was permissible, I(b(a(σ))) = P(a(σ), b) decides
+        # b ▷_P a if b was permissible too, b ◁_P a if it was not;
+        # symmetrically for a after b.
+        if a_ok:
+            if b_ok:
+                if b_r_a:
+                    b_r_a = bool(spec.invariant(ab))
+            elif b_l_a:
+                b_l_a = not spec.invariant(ab)
+        if b_ok:
+            if a_ok:
+                if a_r_b:
+                    a_r_b = bool(spec.invariant(ba))
+            elif a_l_b:
+                a_l_b = not spec.invariant(ba)
+        if not (commute or a_r_b or b_r_a or a_l_b or b_l_a):
+            break
+    return _Pair(commute, a_r_b, b_r_a, a_l_b, b_l_a)
+
+
+def _over(spec: ObjectSpec, a: Call, b: Call,
+          states: Iterable[Any]) -> _Pair:
+    """:func:`_pair` over the invariant members of ``states``."""
+    invariant = [sigma for sigma in states if spec.invariant(sigma)]
+    return _pair(spec, a, b, _posts(spec, a, invariant),
+                 _posts(spec, b, invariant))
+
+
+# ---------------------------------------------------------------------------
+# Call-level relations over a finite set of probe states
 # ---------------------------------------------------------------------------
 
 def s_commute(spec: ObjectSpec, c1: Call, c2: Call,
@@ -58,23 +139,14 @@ def s_commute(spec: ObjectSpec, c1: Call, c2: Call,
     Probed over invariant states only: execution histories never pass
     through non-invariant states, so divergence there is unobservable.
     """
-    for sigma in states:
-        if not spec.invariant(sigma):
-            continue
-        left = spec.apply_call(c2, spec.apply_call(c1, sigma))
-        right = spec.apply_call(c1, spec.apply_call(c2, sigma))
-        if not spec.state_eq(left, right):
-            return False
-    return True
+    return _over(spec, c1, c2, states).s_commute
 
 
 def invariant_sufficient(spec: ObjectSpec, call: Call,
                          states: Iterable[Any]) -> bool:
     """``I(σ) ⇒ P(σ, c)`` on every probe state."""
-    for sigma in states:
-        if spec.invariant(sigma) and not spec.permissible(sigma, call):
-            return False
-    return True
+    invariant = [sigma for sigma in states if spec.invariant(sigma)]
+    return all(ok for _post, ok in _posts(spec, call, invariant))
 
 
 def p_r_commutes(spec: ObjectSpec, c1: Call, c2: Call,
@@ -86,15 +158,7 @@ def p_r_commutes(spec: ObjectSpec, c1: Call, c2: Call,
     only ever executes when permissible, so other schedules cannot
     arise).
     """
-    for sigma in states:
-        if not spec.invariant(sigma):
-            continue
-        if not spec.permissible(sigma, c2):
-            continue
-        if spec.permissible(sigma, c1):
-            if not spec.permissible(spec.apply_call(c2, sigma), c1):
-                return False
-    return True
+    return _over(spec, c1, c2, states).a_r_b
 
 
 def p_l_commutes(spec: ObjectSpec, c2: Call, c1: Call,
@@ -104,15 +168,7 @@ def p_l_commutes(spec: ObjectSpec, c2: Call, c1: Call,
     As with :func:`p_r_commutes`, only well-formed points are probed:
     invariant pre-state with c1 permissible in it.
     """
-    for sigma in states:
-        if not spec.invariant(sigma):
-            continue
-        if not spec.permissible(sigma, c1):
-            continue
-        if spec.permissible(spec.apply_call(c1, sigma), c2):
-            if not spec.permissible(sigma, c2):
-                return False
-    return True
+    return _over(spec, c2, c1, states).a_l_b
 
 
 def depends(spec: ObjectSpec, c2: Call, c1: Call,
@@ -181,6 +237,75 @@ class _Probe:
     calls_by_method: dict[str, list[Call]]
 
 
+def _distinct(items: Iterable[Any],
+              key: Optional[Callable[[Any], Any]] = None) -> list[Any]:
+    """``items`` in order, each kept only at its first occurrence.
+
+    Two items repeat when their keys have the same type and compare
+    ``==`` — the equality :meth:`Replay.reduce` relies on; never
+    ``state_eq``, which may be coarser.
+    """
+    kept: list[Any] = []
+    seen: list[Any] = []
+    for item in items:
+        k = item if key is None else key(item)
+        if not any(type(s) is type(k) and s == k for s in seen):
+            kept.append(item)
+            seen.append(k)
+    return kept
+
+
+class _Points:
+    """The probe with every distinct point evaluated at most once.
+
+    States are the distinct invariant ones (every relation quantifies
+    over invariant states only, so filtering once is exact); calls are
+    distinct per method by argument (an update reads only ``(arg, σ)``).
+    A call's posts and a pair's verdict are computed on first use, so
+    the analyzer's early exits still skip work, and a pair keeps only
+    its five booleans.
+    """
+
+    def __init__(self, spec: ObjectSpec, probe: _Probe):
+        self.spec = spec
+        self.states = _distinct(s for s in probe.states if spec.invariant(s))
+        self.calls: list[Call] = []
+        #: method -> indices into ``calls``
+        self.by_method: dict[str, range] = {}
+        for method, calls in probe.calls_by_method.items():
+            calls = _distinct(calls, key=lambda c: c.arg)
+            start = len(self.calls)
+            self.calls += calls
+            self.by_method[method] = range(start, len(self.calls))
+        self._posts_of: dict[int, list[tuple[Any, bool]]] = {}
+        self._pair_of: dict[tuple[int, int], _Pair] = {}
+
+    def posts(self, i: int) -> list[tuple[Any, bool]]:
+        posts = self._posts_of.get(i)
+        if posts is None:
+            posts = self._posts_of[i] = _posts(self.spec, self.calls[i],
+                                               self.states)
+        return posts
+
+    def sufficient(self, method: str) -> bool:
+        """Every probed call on ``method`` is invariant-sufficient."""
+        return all(
+            ok for i in self.by_method[method] for _post, ok in self.posts(i)
+        )
+
+    def pair(self, i: int, j: int) -> _Pair:
+        """The verdict of calls ``i`` and ``j`` as ``(a, b) = (i, j)``."""
+        if i > j:
+            return self.pair(j, i).flipped()
+        verdict = self._pair_of.get((i, j))
+        if verdict is None:
+            verdict = self._pair_of[i, j] = _pair(
+                self.spec, self.calls[i], self.calls[j], self.posts(i),
+                self.posts(j),
+            )
+        return verdict
+
+
 class CoordinationAnalyzer:
     """Bounded checker computing :class:`MethodRelations` for a spec.
 
@@ -189,7 +314,8 @@ class CoordinationAnalyzer:
     method; surviving properties are assumed to hold.  For the data
     types in this repository the generators cover the relevant state
     space and the inferred relations match the paper's (pinned in
-    tests/core/test_analysis.py and tests/datatypes/).
+    tests/core/test_analysis.py, tests/core/test_analysis_pin.py and
+    tests/datatypes/).
     """
 
     def __init__(self, spec: ObjectSpec, seed: int = 0, n_states: int = 40,
@@ -199,7 +325,9 @@ class CoordinationAnalyzer:
         self.n_states = n_states
         self.n_args = n_args
 
-    def _probe(self) -> _Probe:
+    @cached_property
+    def probe(self) -> _Probe:
+        """The sampled states and calls, drawn once per analyzer."""
         rng = random.Random(self.seed)
         states = self.spec.sample_states(rng, self.n_states)
         calls = {
@@ -214,32 +342,43 @@ class CoordinationAnalyzer:
         return _Probe(states, calls)
 
     def analyze(self) -> MethodRelations:
-        probe = self._probe()
         spec = self.spec
         methods = spec.update_names()
+        points = _Points(spec, self.probe)
 
-        inv_suff = {
-            u
-            for u in methods
-            if all(
-                invariant_sufficient(spec, c, probe.states)
-                for c in probe.calls_by_method[u]
+        if spec.declared_conflicts is not None:
+            # Declared conflicts and dependencies are trusted (the
+            # op-based CRDT case).  Invariant-sufficiency is still probed
+            # wherever the spec can sample arguments; causal arguments
+            # have no generator, and those methods are taken as
+            # sufficient.
+            return MethodRelations(
+                methods=methods,
+                conflicts=set(spec.declared_conflicts),
+                dependencies={
+                    u: set(spec.declared_dependencies.get(u, set()))
+                    for u in methods
+                },
+                invariant_sufficient={
+                    u for u in methods
+                    if u not in spec.arg_gens or points.sufficient(u)
+                },
             )
+
+        inv_suff = {u for u in methods if points.sufficient(u)}
+        conflicts = {
+            frozenset((u1, u2))
+            for u1, u2 in itertools.combinations_with_replacement(methods, 2)
+            if self._methods_conflict(points, u1, u2, inv_suff)
         }
-
-        conflicts: set[frozenset[str]] = set()
-        for u1, u2 in itertools.combinations_with_replacement(methods, 2):
-            if self._methods_conflict(probe, u1, u2, inv_suff):
-                conflicts.add(frozenset((u1, u2)))
-
-        dependencies: dict[str, set[str]] = {u: set() for u in methods}
-        for u2 in methods:
-            if u2 in inv_suff:
-                continue  # invariant-sufficient calls are independent
-            for u1 in methods:
-                if self._method_depends(probe, u2, u1):
-                    dependencies[u2].add(u1)
-
+        # Invariant-sufficient calls are independent.
+        dependencies = {
+            u2: {
+                u1 for u1 in methods
+                if u2 not in inv_suff and self._method_depends(points, u2, u1)
+            }
+            for u2 in methods
+        }
         return MethodRelations(
             methods=methods,
             conflicts=conflicts,
@@ -247,31 +386,29 @@ class CoordinationAnalyzer:
             invariant_sufficient=inv_suff,
         )
 
-    def _methods_conflict(self, probe: _Probe, u1: str, u2: str,
+    @staticmethod
+    def _methods_conflict(points: _Points, u1: str, u2: str,
                           inv_suff: set[str]) -> bool:
         """∃ calls c1 on u1, c2 on u2 that conflict (paper §3.3)."""
-        spec = self.spec
-        for c1 in probe.calls_by_method[u1]:
-            for c2 in probe.calls_by_method[u2]:
-                if not s_commute(spec, c1, c2, probe.states):
+        for i in points.by_method[u1]:
+            for j in points.by_method[u2]:
+                verdict = points.pair(i, j)
+                if not verdict.s_commute:
                     return True
-                c1_concurs = u1 in inv_suff or p_r_commutes(
-                    spec, c1, c2, probe.states
-                )
-                c2_concurs = u2 in inv_suff or p_r_commutes(
-                    spec, c2, c1, probe.states
-                )
+                c1_concurs = u1 in inv_suff or verdict.a_r_b
+                c2_concurs = u2 in inv_suff or verdict.b_r_a
                 if not (c1_concurs and c2_concurs):
                     return True
         return False
 
-    def _method_depends(self, probe: _Probe, u2: str, u1: str) -> bool:
+    @staticmethod
+    def _method_depends(points: _Points, u2: str, u1: str) -> bool:
         """∃ c2 on u2, c1 on u1 with c2 dependent on c1."""
-        for c2 in probe.calls_by_method[u2]:
-            for c1 in probe.calls_by_method[u1]:
-                if not p_l_commutes(self.spec, c2, c1, probe.states):
-                    return True
-        return False
+        return any(
+            not points.pair(j, i).a_l_b
+            for j in points.by_method[u2]
+            for i in points.by_method[u1]
+        )
 
     def verify_summarizers(self) -> list[str]:
         """Check Summarize correctness on probe states; return violations.
@@ -279,9 +416,10 @@ class CoordinationAnalyzer:
         For each summarization group and each pair of calls c1, c2 on
         its methods, ``combine(c1, c2)`` must satisfy
         ``c2(c1(σ)) == combine(c1,c2)(σ)``, and the identity call must
-        be a no-op.
+        be a no-op.  Runs over the raw probe: ``combine`` may read a
+        call's ``origin``/``rid``, so equal-argument calls are not merged.
         """
-        probe = self._probe()
+        probe = self.probe
         spec = self.spec
         problems: list[str] = []
         for summarizer in spec.summarizers:

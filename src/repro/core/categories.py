@@ -60,7 +60,8 @@ class Coordination:
     @classmethod
     def analyze(cls, spec: ObjectSpec, seed: int = 0, n_states: int = 40,
                 n_args: int = 8) -> "Coordination":
-        """Run the bounded analysis end to end for ``spec``."""
+        """Run the bounded analysis end to end for ``spec``; the
+        summarizer check and the relations share one sampled probe."""
         analyzer = CoordinationAnalyzer(
             spec, seed=seed, n_states=n_states, n_args=n_args
         )
@@ -69,19 +70,7 @@ class Coordination:
             raise ValueError(
                 f"spec {spec.name!r} has broken summarizers: {problems}"
             )
-        if spec.declared_conflicts is not None:
-            # Trust the spec's ground truth (op-based CRDT case).
-            relations = MethodRelations(
-                methods=spec.update_names(),
-                conflicts=set(spec.declared_conflicts),
-                dependencies={
-                    u: set(spec.declared_dependencies.get(u, set()))
-                    for u in spec.update_names()
-                },
-                invariant_sufficient=set(spec.update_names()),
-            )
-        else:
-            relations = analyzer.analyze()
+        relations = analyzer.analyze()
         conflict_graph = ConflictGraph(relations)
         dependency_graph = DependencyGraph(relations)
         categories = categorize(spec, conflict_graph, dependency_graph)

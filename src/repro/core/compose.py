@@ -108,11 +108,11 @@ def _product_declarations(components):
 
     Cross-component pairs are structurally independent (they touch
     disjoint parts of the tuple state), so the composite's relations are
-    the disjoint union of per-component relations: declared ones are
-    taken as-is, undeclared ones are derived by running the bounded
-    analysis on the *component* — which is both cheaper and sounder
-    than re-probing the whole product (a declared component's causal
-    arguments never need to survive composite sampling).
+    the disjoint union of per-component relations, each taken from the
+    analysis of the *component* (declared ones as-is) — which is both
+    cheaper and sounder than re-probing the whole product (a declared
+    component's causal arguments never need to survive composite
+    sampling).
     """
     from .analysis import CoordinationAnalyzer  # local: avoid cycle
 
@@ -120,16 +120,10 @@ def _product_declarations(components):
     dependencies: dict[str, set[str]] = {}
     for component in components:
         prefix = component.name
-        if component.declared_conflicts is not None:
-            component_conflicts = component.declared_conflicts
-            component_dependencies = component.declared_dependencies
-        else:
-            relations = CoordinationAnalyzer(component).analyze()
-            component_conflicts = relations.conflicts
-            component_dependencies = relations.dependencies
-        for pair in component_conflicts:
+        relations = CoordinationAnalyzer(component).analyze()
+        for pair in relations.conflicts:
             conflicts.add(frozenset(f"{prefix}.{m}" for m in pair))
-        for method, deps in component_dependencies.items():
+        for method, deps in relations.dependencies.items():
             dependencies[f"{prefix}.{method}"] = {
                 f"{prefix}.{d}" for d in deps
             }
@@ -210,7 +204,10 @@ def map_of(name: str, component: ObjectSpec,
                                                       _as_dict, _with))
         )
         gen = component.arg_gens.get(update.name)
-        arg_gens[update.name] = _lift_keyed_gen(keys, gen)
+        # A declared component's causal arguments stay unsampled in the
+        # family, so the analysis does not probe them with a bare key.
+        if gen is not None or component.declared_conflicts is None:
+            arg_gens[update.name] = _lift_keyed_gen(keys, gen)
     for query in component.queries.values():
         queries.append(
             QueryDef(query.name, _lift_keyed_query(component, query.compute,

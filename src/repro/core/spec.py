@@ -18,8 +18,10 @@ runtime, and both baselines) shares the spec, which is what makes
 cross-system convergence checks meaningful — and the trace checkers rely
 on the contract twice over: replicas may hold the *same* state object,
 and a REDUCE is stepped once per distinct pre-state of its event
-(:class:`repro.core.replay.Replay`).  ``tests/datatypes`` pins it
-for every bundled data type.
+(:class:`repro.core.replay.Replay`).  Equal arguments and equal states
+(same type, ``==``) are therefore interchangeable, which the
+coordination analyzer and ``Replay`` rely on.  ``tests/datatypes`` pins
+it for every bundled data type.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class ObjectSpec:
         #: analyzer trusts them instead of bounded checking — required
         #: for op-based CRDTs (ORSet, carts) whose commutativity rests
         #: on causal-tag arguments that independent sampling cannot see.
+        #: Invariant-sufficiency is still probed for every method with
+        #: an argument generator.
         self.declared_conflicts = declared_conflicts
         self.declared_dependencies = declared_dependencies
         if (declared_conflicts is None) != (declared_dependencies is None):

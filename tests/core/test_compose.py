@@ -4,7 +4,12 @@ import pytest
 
 from repro.core import Call, Category, Coordination, SpecError
 from repro.core.compose import map_of, product
-from repro.datatypes import account_spec, counter_spec, gset_spec, orset_spec
+from repro.datatypes import (
+    account_spec,
+    counter_spec,
+    courseware_spec,
+    orset_spec,
+)
 
 
 class TestProduct:
@@ -92,6 +97,30 @@ class TestProduct:
             is Category.IRREDUCIBLE_CONFLICT_FREE
         )
         assert coordination.category("counter.add") is Category.REDUCIBLE
+
+    def test_declared_composite_probes_invariant_sufficiency(self):
+        """A product declares its conflicts and dependencies, but
+        withdraw and enroll can still break the invariant."""
+        combo = product("x", [account_spec(), courseware_spec()])
+        coordination = Coordination.analyze(combo)
+        assert coordination.relations.invariant_sufficient == {
+            "account.deposit",
+            "courseware.addCourse",
+            "courseware.deleteCourse",
+            "courseware.registerStudent",
+        }
+
+    def test_unsampled_causal_methods_stay_sufficient(self):
+        """The orset's causal arguments have no generator: its methods
+        are not probed (probing them would raise) and stay sufficient."""
+        combo = product("y", [orset_spec(), counter_spec()])
+        coordination = Coordination.analyze(combo)
+        assert coordination.relations.invariant_sufficient == {
+            "counter.add",
+            "orset.add",
+            "orset.remove",
+        }
+        assert coordination.relations.conflicts == set()
 
     def test_duplicate_component_names_rejected(self):
         with pytest.raises(SpecError, match="unique"):

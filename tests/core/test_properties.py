@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Call, Category, Coordination
-from repro.datatypes import SPEC_FACTORIES
+from repro.core.compose import product
+from repro.datatypes import (
+    SPEC_FACTORIES,
+    account_spec,
+    counter_spec,
+    courseware_spec,
+)
 from repro.datatypes.orset import orset_spec
 
 ALL_FACTORIES = dict(SPEC_FACTORIES)
@@ -50,12 +56,31 @@ class TestAnalysisInvariants:
             assert coordination.sync_group(method) is None
 
     def test_analysis_stable_across_seeds(self, name):
-        spec_a = ALL_FACTORIES[name]()
-        spec_b = ALL_FACTORIES[name]()
-        a = Coordination.analyze(spec_a, seed=1)
-        b = Coordination.analyze(spec_b, seed=99)
-        assert a.relations.conflicts == b.relations.conflicts
-        assert a.relations.dependencies == b.relations.dependencies
+        assert_stable_across_seeds(ALL_FACTORIES[name]())
+
+
+COMPOSITES = {
+    "account_x_courseware": lambda: product(
+        "x", [account_spec(), courseware_spec()]
+    ),
+    "orset_x_counter": lambda: product("y", [orset_spec(), counter_spec()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+def test_composite_analysis_stable_across_seeds(name):
+    assert_stable_across_seeds(COMPOSITES[name]())
+
+
+def assert_stable_across_seeds(spec, seeds=range(64)):
+    """Every sampler seed infers the same relations for ``spec``."""
+
+    def relations(seed):
+        r = Coordination.analyze(spec, seed=seed).relations
+        return r.conflicts, r.dependencies, r.invariant_sufficient
+
+    first = relations(seeds[0])
+    assert [s for s in seeds[1:] if relations(s) != first] == []
 
 
 class TestPermissibleChainsPreserveIntegrity:
