@@ -76,9 +76,6 @@ class ExperimentConfig:
     #: Hamband-only ablation: full causal barrier instead of projected
     #: dependency arrays.
     full_dep_barrier: bool = False
-    #: Checksummed (CRC-trailer) ring records.  Off reverts to the
-    #: legacy layout — the negative control for corruption chaos runs.
-    ring_integrity: bool = True
     #: Background scrubber tick; 0 (the default) disables the worker.
     scrub_interval_us: float = 0.0
     #: Sharded topology: >1 builds a :class:`ShardedCluster` of
@@ -117,7 +114,6 @@ def _build_cluster(env: Environment, config: ExperimentConfig, recorder):
         force_buffered=hamband and config.force_buffered,
         full_dep_barrier=hamband and config.full_dep_barrier,
         conf_retry_limit=config.conf_retry_limit,
-        ring_integrity=config.ring_integrity,
         scrub_interval_us=config.scrub_interval_us,
         seed=config.seed,
         fd_mode=config.fd_mode,

@@ -34,11 +34,10 @@ Commands:
   restart-follower, corrupt-5pct, torn-writes, corrupt-crash) or a
   plan JSON file, while ``--seed N`` alone generates a
   randomized-but-reproducible plan.  The run reports injected-fault
-  and corruption-repair counts next to the usual metrics;
-  ``--ring-integrity off`` reverts to unchecksummed ring records (the
-  negative control — corruption then reaches the applied state and
-  ``--check`` fails); ``--scrub`` additionally runs the background
-  scrubber over at-rest ring replicas.  ``--check`` gates the run with
+  and corruption-repair counts next to the usual metrics (ring records
+  always carry a CRC, so corrupt and torn writes are detected and
+  repaired); ``--scrub`` additionally runs the background scrubber
+  over at-rest ring replicas.  ``--check`` gates the run with
   the trace checker (exit 2 on violations), which is how the CI chaos
   matrix decides pass/fail; a run that never quiesced or never settled
   exits 2 on its own.  ``--shards N`` runs the sharded bank
@@ -201,14 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the resolved plan as canonical JSON (replayable "
         "via --faults FILE)",
-    )
-    chaos.add_argument(
-        "--ring-integrity",
-        choices=("on", "off"),
-        default="on",
-        help="checksummed ring records (CRC trailer): 'off' reverts to "
-        "the legacy layout — the negative control for corruption plans "
-        "(expect --check to fail under corrupt/torn faults)",
     )
     chaos.add_argument(
         "--scrub",
@@ -561,12 +552,9 @@ def _experiment_config(args: argparse.Namespace):
         )
     if "fd_mode" in flags:
         fields.update(fd_mode=args.fd_mode)
-    if "ring_integrity" in flags:
+    if "scrub" in flags:
         fields.update(
-            ring_integrity=args.ring_integrity == "on",
-            scrub_interval_us=(
-                args.scrub_interval_us if args.scrub else 0.0
-            ),
+            scrub_interval_us=args.scrub_interval_us if args.scrub else 0.0
         )
     if "fail_node" in flags:
         fields.update(fail_node=args.fail_node)

@@ -1,5 +1,5 @@
 """Mu-style consensus for synchronization groups (paper §4)."""
 
-from .mu import MuConfig, MuGroup, mu_channel
+from .mu import MuGroup, mu_channel
 
-__all__ = ["MuConfig", "MuGroup", "mu_channel"]
+__all__ = ["MuGroup", "mu_channel"]

@@ -19,14 +19,14 @@ majority but not to everyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Environment, Event, Store
+from ..runtime.config import RuntimeConfig
 from ..runtime.ringbuffer import RingError, RingWriter, parse_record  # shared layout
 
-__all__ = ["MuGroup", "MuConfig", "mu_channel"]
+__all__ = ["MuGroup", "mu_channel"]
 
 
 def mu_channel(gid: str) -> str:
@@ -34,23 +34,9 @@ def mu_channel(gid: str) -> str:
     return f"mu:{gid}"
 
 
-@dataclass
-class MuConfig:
-    ring_slots: int
-    slot_size: int
-    #: Emit checksummed (CRC-trailer) log records; readers of the
-    #: shared ring layout auto-detect either framing per record.
-    integrity: bool = False
-    #: How long a campaigner waits for vote acks before giving up.
-    vote_timeout_us: float = 500.0
-    #: Pause between checks while waiting to finish applying the log.
-    catchup_poll_us: float = 5.0
-    #: Transiently failed log writes (injected faults, partition blips)
-    #: retry this many times with capped exponential backoff — the same
-    #: record to the same offset, so retries are idempotent.
-    op_retry_limit: int = 6
-    op_retry_us: float = 2.0
-    op_retry_cap_us: float = 64.0
+#: Pause between checks while waiting for the reader to drain (or to
+#: finish applying the log before serving as leader).
+CATCHUP_POLL_US = 5.0
 
 
 class _WindowCache:
@@ -69,7 +55,7 @@ class MuGroup:
     """One node's endpoint of the consensus instance for one group."""
 
     def __init__(self, node: RdmaNode, gid: str, members: list[str],
-                 initial_leader: str, region_name: str, config: MuConfig,
+                 initial_leader: str, region_name: str, config: RuntimeConfig,
                  control_send: Callable, local_head: Callable[[], int],
                  ack_of: Optional[Callable[[str], Optional[int]]] = None,
                  on_demoted: Optional[Callable[[], None]] = None,
@@ -123,8 +109,7 @@ class MuGroup:
             if peer == self.node.name:
                 continue
             writer = RingWriter(self.config.ring_slots,
-                                self.config.slot_size,
-                                integrity=self.config.integrity)
+                                self.config.slot_size)
             writer.tail = start_tail
             if start_tail == 0 and self._ack_of(peer) is not None:
                 # Fresh log with flow control wired: track reader acks.
@@ -180,7 +165,7 @@ class MuGroup:
                         writer.reader_acked = None
                         offset, slot = writer.render(payload)
                         break
-                    yield self.env.timeout(self.config.catchup_poll_us)
+                    yield self.env.timeout(CATCHUP_POLL_US)
                     ack = self._ack_of(peer)
                     if ack is not None:
                         writer.ack_up_to(min(ack, writer.tail))
@@ -371,7 +356,7 @@ class MuGroup:
         tail = yield from self._reconcile(suspected)
         # Serve only after applying everything the old leader decided.
         while self._local_head() < tail:
-            yield self.env.timeout(self.config.catchup_poll_us)
+            yield self.env.timeout(CATCHUP_POLL_US)
         self._init_writers(start_tail=tail)
         self.is_leader = True
         self.leader = self.node.name
@@ -395,8 +380,7 @@ class MuGroup:
         self.members = sorted([*self.members, name])
         if self.is_leader and name != self.node.name:
             writer = RingWriter(self.config.ring_slots,
-                                self.config.slot_size,
-                                integrity=self.config.integrity)
+                                self.config.slot_size)
             writer.tail = self.decided
             self._writers[name] = writer
 

@@ -9,6 +9,7 @@ here: every layer and the Mu wiring agree on the naming scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = [
     "RuntimeConfig",
@@ -40,12 +41,8 @@ class RuntimeConfig:
     #: effective cap is ``max(poll_idle_max_us, poll_interval_us)`` so
     #: configs that slow the base cadence keep their floor.
     poll_idle_max_us: float = 8.0
-    #: End-to-end ring integrity: writers emit checksummed v2 records
-    #: (CRC over length+payload+generation) so readers *reject*
-    #: bitflipped and torn-interior records instead of delivering
-    #: garbage.  Readers accept both layouts regardless, so toggling
-    #: only changes what this node ships (see docs/wire_format.md).
-    ring_integrity: bool = True
+    #: Read by benchmarks/perf/isolated.py; not a field (always on).
+    ring_integrity: ClassVar[bool] = True
     #: Background scrubber: 0 disables; otherwise each node re-verifies
     #: a bounded window of its committed F-ring prefixes against the
     #: writer's authoritative copy every ``scrub_interval_us``,
@@ -109,6 +106,7 @@ class RuntimeConfig:
     #: calls are ordered, applied, and replicated in ONE remote write
     #: per follower.  1 disables batching (the paper's configuration).
     conf_batch: int = 1
+    #: How long a Mu campaigner waits for vote acks before giving up.
     vote_timeout_us: float = 800.0
     #: Treat reducible methods as irreducible conflict-free (the paper's
     #: Figure 9 GSet-with-buffers configuration).

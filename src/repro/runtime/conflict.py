@@ -22,18 +22,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from ..consensus.mu import MuConfig, MuGroup
+from ..consensus.mu import MuGroup
 from ..core import Coordination
 from ..rdma import RdmaNode
 from ..sim import Store
 from .config import RuntimeConfig, l_ack_region, l_region
 from .errors import ImpermissibleError, NotLeaderError, SubmitError
 from .probe import RuntimeProbe
-from .ringbuffer import (
-    RingCorruptionError,
-    classify_corruption,
-    record_overhead,
-)
+from .ringbuffer import RECORD_OVERHEAD, RingCorruptionError
 from .wire import WireCodec, WireError
 
 __all__ = ["ConflictCoordinator"]
@@ -76,15 +72,6 @@ class ConflictCoordinator:
         self._init_consensus(initial_leaders)
 
     def _init_consensus(self, initial_leaders: dict[str, str]) -> None:
-        mu_config = MuConfig(
-            ring_slots=self.config.ring_slots,
-            slot_size=self.config.slot_size,
-            integrity=self.config.ring_integrity,
-            vote_timeout_us=self.config.vote_timeout_us,
-            op_retry_limit=self.config.op_retry_limit,
-            op_retry_us=self.config.op_retry_us,
-            op_retry_cap_us=self.config.op_retry_cap_us,
-        )
         self.mu_groups: dict[str, MuGroup] = {}
         self.conf_queues: dict[str, Store] = {}
         for group in self.coordination.sync_groups():
@@ -95,7 +82,7 @@ class ConflictCoordinator:
                 self.processes,
                 initial_leaders[gid],
                 l_region(gid),
-                mu_config,
+                self.config,
                 control_send=self.control_send,
                 local_head=lambda gid=gid: (
                     self.transport.l_readers[gid].head
@@ -202,10 +189,7 @@ class ConflictCoordinator:
             except Exception as exc:
                 done.succeed(SubmitError(f"cannot encode {call}: {exc}"))
                 continue
-            max_payload = cfg.slot_size - record_overhead(
-                cfg.ring_integrity
-            )
-            if len(packet) > max_payload:
+            if len(packet) > cfg.slot_size - RECORD_OVERHEAD:
                 done.succeed(
                     SubmitError(
                         f"record of {len(packet)} bytes exceeds ring slots"
@@ -323,9 +307,7 @@ class ConflictCoordinator:
         except Exception as exc:
             done.succeed(SubmitError(f"cannot encode {call}: {exc}"))
             return None
-        if len(packet) > cfg.slot_size - record_overhead(
-            cfg.ring_integrity
-        ):
+        if len(packet) > cfg.slot_size - RECORD_OVERHEAD:
             # Record full: leave the call for the next decision.
             queue.put((method, arg, done, call, retries))
             return "full"
@@ -366,10 +348,10 @@ class ConflictCoordinator:
                 try:
                     partial.extend(self.codec.decode_call_batch(payload))
                 except WireError:
-                    # Only reachable with ring integrity off: garbage
-                    # that passed the canary check.  Skip the record
-                    # rather than crash the drain; the offline checker
-                    # flags the resulting divergence.
+                    # A CRC-valid record the codec rejects: a writer
+                    # bug.  Skip the record rather than crash the
+                    # drain; the offline checker flags the resulting
+                    # divergence.
                     self.probe.wire_reject(f"L:{gid}")
                 reader.advance()
                 continue
@@ -409,11 +391,7 @@ class ConflictCoordinator:
         record = reader.record_at(index)
         if record is None:
             return False
-        kind = classify_corruption(before, record)
-        if kind == "torn":
-            self.probe.torn_detect(ring)
-        self.probe.slot_repair(ring)
-        self.probe.trace_repair(ring, index, kind)
+        self.transport.note_slot_repair(ring, index, before, record)
         return True
 
     def _maybe_detect_hole(self, gid: str, reader) -> None:

@@ -105,8 +105,8 @@ class RuntimeProbe:
 
     def wire_reject(self, ring: str) -> None:
         """A drained record's payload failed wire decoding and was
-        skipped (only reachable with ring integrity off — the CRC
-        rejects such records first)."""
+        skipped.  The record passed its CRC (corrupted bytes are
+        rejected before decoding), so this is a writer bug."""
 
     def scrub_pass(self, ring: str) -> None:
         """The background scrubber completed one verification window

@@ -14,26 +14,20 @@ by exactly one remote peer:
 - slots before the head are implicitly free and are reused on the next
   lap ("to avoid memory overflow, these locations are reused").
 
-The region is divided into fixed-size slots.  Two record layouts share
-the rings, discriminated by the top bit of the 4-byte length field
-(slot sizes are far below 2**31, so the bit is free):
+The region is divided into fixed-size slots, each holding at most one
+record laid out as ``length(4, MSB set) | payload | canary(1) |
+crc(4)``.  The CRC covers length + payload + canary (so it binds the
+generation, not just the bytes): the canary alone only detects
+*incomplete* writes, and a one-sided RDMA write is not atomic.  A
+record whose canary claims the expected generation but whose CRC
+disagrees is *corrupt* (bitflipped or torn-interior) and is rejected
+loudly via :class:`RingCorruptionError` so the runtime can quarantine
+and repair the slot instead of delivering garbage.  A length field
+without its top bit set is not a record at all — a virgin slot, or
+framing that has not landed or was damaged — and reads as a hole.
 
-- **v1 (legacy)**: ``length(4) | payload | canary(1)``.  The canary
-  detects *incomplete* writes by generation but silently accepts
-  bitflips and torn interior bytes — a one-sided RDMA write is not
-  atomic.
-- **v2 (checksummed)**: ``length(4, MSB set) | payload | canary(1) |
-  crc(4)``, where the CRC covers length + payload + canary (so it
-  binds the generation, not just the bytes).  A record whose canary
-  claims the expected generation but whose CRC disagrees is *corrupt*
-  (bitflipped or torn-interior) and is rejected loudly via
-  :class:`RingCorruptionError` so the runtime can quarantine and
-  repair the slot instead of delivering garbage.
-
-Readers auto-detect the layout per record; ``RingWriter(integrity=...)``
-selects what new records ship (``RuntimeConfig.ring_integrity``, on by
-default).  The generation is ``1 + (lap % 251)``, never zero, so a
-zeroed region never yields a valid canary.
+The generation is ``1 + (lap % 251)``, never zero, so a zeroed region
+never yields a valid canary.
 """
 
 from __future__ import annotations
@@ -45,13 +39,13 @@ from typing import Optional
 from ..rdma import MemoryRegion
 
 __all__ = [
+    "RECORD_OVERHEAD",
     "RingReader",
     "RingWriter",
     "RingError",
     "RingCorruptionError",
     "classify_corruption",
     "record_crc",
-    "record_overhead",
     "record_status",
     "ring_region_size",
 ]
@@ -59,10 +53,15 @@ __all__ = [
 _LEN_BYTES = 4
 _GENERATIONS = 251  # prime, and fits a byte with zero excluded
 
-#: Top bit of the length field marks the checksummed v2 layout.
-_INTEGRITY_FLAG = 0x8000_0000
-_LEN_MASK = _INTEGRITY_FLAG - 1
+#: Top bit of the length field, set on every record (slot sizes are far
+#: below 2**31, so the bit is free).
+_RECORD_FLAG = 0x8000_0000
+_LEN_MASK = _RECORD_FLAG - 1
 _CRC_BYTES = 4
+
+#: Per-record framing bytes: length + canary + CRC trailer.  Payload-size
+#: checks outside the writer (e.g. the leader's batch packing) use this.
+RECORD_OVERHEAD = _LEN_BYTES + 1 + _CRC_BYTES
 
 
 def record_crc(data: bytes) -> int:
@@ -81,7 +80,7 @@ class RingError(Exception):
 
 
 class RingCorruptionError(RingError):
-    """A checksummed record failed CRC verification.
+    """A record failed CRC verification.
 
     Raised when a slot's canary claims a plausible generation but the
     record's CRC disagrees — a bitflip or a torn interior write landed.
@@ -99,52 +98,44 @@ def ring_region_size(slots: int, slot_size: int) -> int:
     return slots * slot_size
 
 
-def record_overhead(integrity: bool) -> int:
-    """Per-record framing bytes: length + canary (+ CRC trailer).
-
-    Payload-size checks outside the writer (e.g. the leader's batch
-    packing) must use this instead of hard-coding the v1 overhead.
-    """
-    return _LEN_BYTES + 1 + (_CRC_BYTES if integrity else 0)
-
-
 def _generation(index: int, slots: int) -> int:
     return 1 + (index // slots) % _GENERATIONS
 
 
 def _frame(buf, base: int,
-           size: Optional[int]) -> Optional[tuple[int, int, bool]]:
+           size: Optional[int]) -> Optional[tuple[int, int]]:
     """Decode, in place, the framing of the ``size``-byte slot that
     starts at ``buf[base]`` (None: the rest of ``buf``):
-    ``(payload_length, canary, checksummed)``.
+    ``(payload_length, canary)``.
 
     ``buf`` is anything with the buffer protocol and integer indexing —
     a region's storage (or a memoryview of it), a ``bytes`` snapshot a
     one-sided read returned, a lone slot — so no caller has to slice a
     slot out before asking what it holds.  An empty slot costs one
-    4-byte unpack and one byte load.
+    4-byte unpack.
 
     Validates the length field against the slot size *before* any
     further indexing, so hostile or torn bytes can never surface a
     ``struct.error``/``IndexError`` out of the parse path.  Returns
-    None when the slot is too short or the length field (either
-    layout) points outside the slot.
+    None when the slot is too short, the length field lacks the record
+    flag (virgin, unlanded or damaged framing), or the length points
+    outside the slot.
     """
     if size is None:
         size = len(buf) - base
-    if size < _LEN_BYTES + 1:
-        return None  # cannot even hold a length field + canary
+    if size < RECORD_OVERHEAD:
+        return None  # cannot even hold an empty record
     (field,) = struct.unpack_from("<I", buf, base)
-    checksummed = bool(field & _INTEGRITY_FLAG)
+    if not field & _RECORD_FLAG:
+        return None  # not a record: reads as a hole
     length = field & _LEN_MASK
-    overhead = _LEN_BYTES + 1 + (_CRC_BYTES if checksummed else 0)
-    if length > size - overhead:
+    if length > size - RECORD_OVERHEAD:
         return None  # garbage or partially-landed length
-    return length, buf[base + _LEN_BYTES + length], checksummed
+    return length, buf[base + _LEN_BYTES + length]
 
 
 def _crc_ok(buf, base: int, length: int) -> bool:
-    """Verify a v2 record's stored CRC against its bytes, in place."""
+    """Verify a record's stored CRC against its bytes, in place."""
     end = base + _LEN_BYTES + length + 1
     (stored,) = struct.unpack_from("<I", buf, end)
     return record_crc(buf[base:end]) == stored
@@ -160,9 +151,9 @@ def scan_frontier(raw: bytes, head: int, slots: int,
     index present plus one is the frontier.  The lap is recovered as
     the smallest lap at or beyond the reader's whose generation matches
     the canary — consistent while the writer is fewer than 251 laps
-    ahead, the same horizon as the reader's lap detection.  Checksummed
-    slots that fail CRC are skipped (a corrupt canary must not invent a
-    frontier).  Returns None when no slot holds a parseable record.
+    ahead, the same horizon as the reader's lap detection.  Slots that
+    fail CRC are skipped (a corrupt canary must not invent a frontier).
+    Returns None when no slot holds a parseable record.
     """
     base_lap = head // slots
     frontier = None
@@ -170,12 +161,10 @@ def scan_frontier(raw: bytes, head: int, slots: int,
         base = s * slot_size
         parts = _frame(raw, base, slot_size)
         if parts is None:
-            continue  # garbage or partially-landed record
-        length, canary, checksummed = parts
-        if canary == 0:
-            continue  # virgin slot
-        if checksummed and not _crc_ok(raw, base, length):
-            continue  # corrupt record: its canary proves nothing
+            continue  # virgin, garbage or partially-landed record
+        length, canary = parts
+        if canary == 0 or not _crc_ok(raw, base, length):
+            continue  # zero canary or corrupt record: proves nothing
         lap = base_lap + (canary - 1 - base_lap) % _GENERATIONS
         index = lap * slots + s
         if frontier is None or index >= frontier:
@@ -188,39 +177,32 @@ def parse_record(buf, index: int, slots: int, base: int = 0,
     """Parse the slot at ``buf[base : base + size]`` (by default all of
     ``buf``) as the record for absolute ``index``, in place.
 
-    Returns a copy of the full record (length + payload + canary, plus
-    the CRC trailer for checksummed records) when the slot holds a
-    valid record of ``index``'s generation, else None — a checksummed
-    record whose CRC fails is *not* valid, so repair paths treat
-    corrupt slots exactly like holes and refetch them.  Shared by the
-    ring reader, the F-ring repair path, the scrubber, state transfer
-    and Mu's log reconciliation; only the record's own bytes are ever
-    copied, never the slot or the window around it.
+    Returns a copy of the full record (length + payload + canary + CRC)
+    when the slot holds a valid record of ``index``'s generation, else
+    None — a record whose CRC fails is *not* valid, so repair paths
+    treat corrupt slots exactly like holes and refetch them.  Shared by
+    the ring reader, the F-ring repair path, the scrubber, state
+    transfer and Mu's log reconciliation; only the record's own bytes
+    are ever copied, never the slot or the window around it.
     """
     parts = _frame(buf, base, size)
     if parts is None:
         return None
-    length, canary, checksummed = parts
-    if canary != _generation(index, slots):
+    length, canary = parts
+    if canary != _generation(index, slots) or not _crc_ok(buf, base, length):
         return None
-    end = _LEN_BYTES + length + 1
-    if checksummed:
-        if not _crc_ok(buf, base, length):
-            return None
-        end += _CRC_BYTES
-    return bytes(buf[base : base + end])
+    return bytes(buf[base : base + length + RECORD_OVERHEAD])
 
 
 def record_status(buf, index: int, slots: int, base: int = 0,
                   size: Optional[int] = None) -> str:
     """Classify one slot relative to absolute ``index``'s record.
 
-    - ``"valid"``: holds ``index``'s record (CRC-verified when
-      checksummed),
+    - ``"valid"``: holds ``index``'s CRC-verified record,
     - ``"empty"``: virgin, a previous lap's intact record, or framing
       bytes that have not fully landed — nothing wrong, just absent,
-    - ``"corrupt"``: a checksummed record claims a plausible generation
-      but fails CRC — a bitflip or torn interior write landed.
+    - ``"corrupt"``: a record claims a plausible generation but fails
+      CRC — a bitflip or torn interior write landed.
 
     Tells *holes* (record never landed) from *silent corruption*
     (record landed wrong); addressed like :func:`parse_record`.
@@ -228,16 +210,12 @@ def record_status(buf, index: int, slots: int, base: int = 0,
     parts = _frame(buf, base, size)
     if parts is None:
         return "empty"
-    length, canary, checksummed = parts
-    if canary == _generation(index, slots):
-        if checksummed and not _crc_ok(buf, base, length):
-            return "corrupt"
-        return "valid"
+    length, canary = parts
     if canary == 0:
         return "empty"
-    if checksummed and not _crc_ok(buf, base, length):
+    if not _crc_ok(buf, base, length):
         return "corrupt"
-    return "empty"
+    return "valid" if canary == _generation(index, slots) else "empty"
 
 
 def classify_corruption(before: bytes, authoritative: bytes) -> str:
@@ -279,27 +257,19 @@ class RingWriter:
     asserts on overrun rather than blocking).
     """
 
-    def __init__(self, slots: int, slot_size: int,
-                 integrity: bool = False):
-        overhead = _LEN_BYTES + 1 + (_CRC_BYTES if integrity else 0)
-        if slots <= 0 or slot_size <= overhead:
+    def __init__(self, slots: int, slot_size: int, integrity: bool = True):
+        if not integrity:  # accepted for benchmarks/perf/isolated.py
+            raise ValueError("ring records are always checksummed")
+        if slots <= 0 or slot_size <= RECORD_OVERHEAD:
             raise RingError("ring too small")
         self.slots = slots
         self.slot_size = slot_size
-        #: Emit checksummed v2 records (length MSB set, CRC trailer).
-        #: Readers auto-detect per record, so mixed rings — e.g. after
-        #: a rolling config change — stay readable.
-        self.integrity = integrity
+        self.max_payload = slot_size - RECORD_OVERHEAD
         self.tail = 0  # kept locally by the single writer
         #: Optional flow-control feedback; None disables the overrun
         #: check (the runtime sizes rings so the reader never lags a
         #: full lap, and the reader independently detects being lapped).
         self.reader_acked: Optional[int] = None
-
-    @property
-    def max_payload(self) -> int:
-        overhead = _LEN_BYTES + 1 + (_CRC_BYTES if self.integrity else 0)
-        return self.slot_size - overhead
 
     def render(self, payload: bytes) -> tuple[int, bytes]:
         """Render the next record; returns (region offset, record bytes).
@@ -326,14 +296,8 @@ class RingWriter:
                 f"{self.max_payload}"
             )
         body = _LEN_BYTES + len(payload) + 1
-        if not self.integrity:
-            record = bytearray(body)
-            struct.pack_into("<I", record, 0, len(payload))
-            record[_LEN_BYTES : _LEN_BYTES + len(payload)] = payload
-            record[-1] = _generation(self.tail, self.slots)
-            return bytes(record)
         record = bytearray(body + _CRC_BYTES)
-        struct.pack_into("<I", record, 0, len(payload) | _INTEGRITY_FLAG)
+        struct.pack_into("<I", record, 0, len(payload) | _RECORD_FLAG)
         record[_LEN_BYTES : _LEN_BYTES + len(payload)] = payload
         record[body - 1] = _generation(self.tail, self.slots)
         struct.pack_into("<I", record, body,
@@ -439,8 +403,7 @@ class RingReader:
         indistinguishable from the previous lap; the runtime's rings
         detect the overrun ~250 laps earlier.)
 
-        Checksummed (v2) records are CRC-verified before any canary
-        verdict is trusted:
+        Records are CRC-verified before any canary verdict is trusted:
 
         - expected generation + bad CRC ⇒ :class:`RingCorruptionError`
           — a bitflip or torn interior write would otherwise be
@@ -453,16 +416,18 @@ class RingReader:
           this state); the probe-ahead repair path picks it up if it
           never completes.
 
-        The length field is validated against the slot size before any
-        indexing, so hostile bytes surface as None or a RingError
-        subclass — never ``struct.error``/``IndexError``.
+        A length field without the record flag is no record at all: it
+        reads as None, and the head-slot / probe-ahead repair paths
+        refill it.  The length field is validated against the slot size
+        before any indexing, so hostile bytes surface as None or a
+        RingError subclass — never ``struct.error``/``IndexError``.
         """
         parts = _frame(buf, base, size)
         if parts is None:
-            return None  # short slot, stale or garbage length
-        length, canary, checksummed = parts
+            return None  # short slot, unflagged, stale or garbage length
+        length, canary = parts
         if canary == _generation(index, self.slots):
-            if checksummed and not _crc_ok(buf, base, length):
+            if not _crc_ok(buf, base, length):
                 raise RingCorruptionError(
                     f"record {index} failed CRC: bitflipped or "
                     f"torn-interior write", index,
@@ -475,7 +440,7 @@ class RingReader:
             index - self.slots, self.slots
         ):
             return None  # previous lap's record: ours is in flight
-        if checksummed and not _crc_ok(buf, base, length):
+        if not _crc_ok(buf, base, length):
             raise RingCorruptionError(
                 f"record {index} failed CRC under a foreign canary: "
                 f"corruption, not a lap", index,

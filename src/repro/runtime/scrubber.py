@@ -25,8 +25,9 @@ Each local slot in the window is compared against the authoritative
 bytes.  A slot that fails to parse (quarantined, torn, or bitflipped)
 or parses to *different* record bytes is overwritten with the
 authoritative record and counted as a repair.  Because the comparison
-is byte-level, the scrubber detects divergence even with ring
-integrity **off** — it is the defense-in-depth layer behind the CRC.
+is byte-level, the scrubber also catches what the CRC cannot: a
+different, well-formed record at the same index — the
+defense-in-depth layer behind the CRC.
 
 Scrubbing repairs the at-rest replica only: a corrupt record that was
 already consumed and applied is the consumption-time CRC check's job
@@ -181,9 +182,9 @@ class Scrubber:
                 # source, or corruption the reader never touched.
                 corruption = "scrub"
             else:
-                # Parseable but divergent: with integrity off a
-                # corrupted record can still carry a valid canary —
-                # byte comparison is what catches it.
+                # Parseable but divergent: a different CRC-valid record
+                # at the same index — byte comparison is what catches
+                # it.
                 corruption = classify_corruption(
                     reader.slot_bytes(index), authoritative
                 )

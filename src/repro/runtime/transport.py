@@ -138,8 +138,7 @@ class RingTransport:
         }
         #: Our writer state toward each peer's copy of our F ring.
         self.f_writers = {
-            peer: RingWriter(cfg.ring_slots, cfg.slot_size,
-                             integrity=cfg.ring_integrity)
+            peer: RingWriter(cfg.ring_slots, cfg.slot_size)
             for peer in self.peers
         }
         if cfg.ack_every:
@@ -147,8 +146,7 @@ class RingTransport:
                 writer.reader_acked = 0
         #: Writer state for the local authoritative mirror of our own F
         #: ring (never throttled: it is a plain local memory write).
-        self.f_mirror = RingWriter(cfg.ring_slots, cfg.slot_size,
-                                   integrity=cfg.ring_integrity)
+        self.f_mirror = RingWriter(cfg.ring_slots, cfg.slot_size)
         #: Consecutive empty sweeps per F ring, a backed-off one weighted
         #: by its wait (hole-detection input).
         self._f_misses: dict[str, float] = {}
@@ -196,8 +194,7 @@ class RingTransport:
             cfg.ring_slots,
             cfg.slot_size,
         )
-        writer = RingWriter(cfg.ring_slots, cfg.slot_size,
-                            integrity=cfg.ring_integrity)
+        writer = RingWriter(cfg.ring_slots, cfg.slot_size)
         writer.tail = self.f_mirror.tail
         self.f_writers[peer] = writer
         if cfg.ack_every:
@@ -377,11 +374,10 @@ class RingTransport:
                 try:
                     call, dep = self.codec.decode_call_packet(payload)
                 except WireError:
-                    # Only reachable with ring integrity off: a
-                    # corrupted record passed the canary check and its
-                    # garbage payload reached the codec.  Skip it —
-                    # losing the call (the checker will flag the
-                    # divergence) beats crashing the poll worker.
+                    # A CRC-valid record the codec rejects: a writer
+                    # bug.  Skip it — losing the call (the checker will
+                    # flag the divergence) beats crashing the poll
+                    # worker.
                     self.probe.wire_reject(label or "F")
                     reader.advance()
                     continue
@@ -567,11 +563,24 @@ class RingTransport:
             # to attempt a repair pass (a virgin head just means the
             # writer is idle; a previous-lap leftover costs one failed
             # fetch per miss cycle).
-            if not any(reader.slot_bytes(reader.head)):
+            head = reader.head
+            before = reader.slot_bytes(head)
+            if not any(before):
                 return False
             repaired = yield from self.repair_f_ring(origin, is_suspected)
             if repaired:
                 self.probe.hole_repair(f"F:{origin}")
+                slots = self.config.ring_slots
+                record = reader.record_at(head)
+                stale = head >= slots and parse_record(
+                    before, head - slots, slots
+                ) is not None
+                if record is not None and not stale:
+                    # Not last lap's intact record: the head was damaged
+                    # (e.g. a length field without its record flag).
+                    self.note_slot_repair(
+                        f"F:{origin}", head, before, record
+                    )
             return repaired > 0
         self.probe.hole_repair(f"F:{origin}")
         repaired = yield from self.repair_f_ring(origin, is_suspected)
@@ -654,8 +663,7 @@ class RingTransport:
                       is_suspected: Callable[[str], bool]):
         """Fetch ``origin``'s F record at absolute ``index`` from an
         authoritative copy: the origin's own mirror first, then any
-        peer's replica.  Returns the validated record bytes (CRC
-        checked for checksummed records) or None.
+        peer's replica.  Returns the CRC-checked record bytes or None.
 
         Phi mode hedges each fetch: a straggling source no longer
         serializes the whole repair pass (see :meth:`hedged_read`).
@@ -805,10 +813,16 @@ class RingTransport:
         found = yield from self._fetch_record(origin, index, is_suspected)
         if found is None:
             return False
-        kind = classify_corruption(before, found)
+        reader.region.write(reader.offset_of(index), found)
+        self.note_slot_repair(ring, index, before, found)
+        return True
+
+    def note_slot_repair(self, ring: str, index: int, before: bytes,
+                         record: bytes) -> None:
+        """Count and trace one damaged slot rewritten with ``record``,
+        its pre-repair bytes ``before`` classified torn or bitflip."""
+        kind = classify_corruption(before, record)
         if kind == "torn":
             self.probe.torn_detect(ring)
-        reader.region.write(reader.offset_of(index), found)
         self.probe.slot_repair(ring)
         self.probe.trace_repair(ring, index, kind)
-        return True

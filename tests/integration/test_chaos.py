@@ -18,7 +18,13 @@ import pytest
 
 from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import gset_spec
-from repro.runtime import HambandCluster, TraceChecker, TraceRecorder
+from repro.runtime import (
+    HambandCluster,
+    RuntimeConfig,
+    TraceChecker,
+    TraceRecorder,
+    ringbuffer,
+)
 from repro.sim import PLAN_NAMES, Environment, FaultPlan
 
 OPS = 400
@@ -182,20 +188,59 @@ class TestCorruptionResilience:
         report = run.check()
         assert report.ok, report.summary()
 
-    def test_negative_control_integrity_off_fails_checker(self):
-        """The same corruption campaign with checksums disabled must
-        FAIL the checker: corrupted records reach the applied state (or
-        wedge a ring) and the cluster diverges.  This is the proof the
-        CRC layer is load-bearing."""
+    def test_negative_control_integrity_off_fails_checker(self, monkeypatch):
+        """The same corruption campaign with CRC verification patched
+        out must FAIL the checker: corrupted records reach the applied
+        state (or wedge a ring) and the cluster diverges.  This is the
+        proof the CRC layer is load-bearing."""
+        monkeypatch.setattr(ringbuffer, "_crc_ok", lambda *a: True)
         plan = FaultPlan.named("corrupt-5pct", horizon_us=HORIZON_US)
-        config = replace(_config("gset"), ring_integrity=False)
-        run = run_harness(config, plan=plan)
+        run = run_harness(_config("gset"), plan=plan)
         assert run.injector.counts().get("corrupt", 0) > 0
         report = run.check()
         assert not report.ok, (
-            "checker passed a corruption run with ring integrity off — "
-            "the CRC layer would be unverifiable"
+            "checker passed a corruption run with CRC verification "
+            "patched out — the CRC layer would be unverifiable"
         )
+
+    def test_flag_flipped_head_record_is_repaired(self):
+        """The final record of a burst lands with its length MSB (the
+        record flag) cleared at a live reader's head.  It must read as
+        a hole, not be delivered, and the head-slot repair path must
+        refill it from the writer's mirror and converge."""
+        env = Environment()
+        cluster = HambandCluster.build(
+            env, gset_spec(), n_nodes=3,
+            config=RuntimeConfig(force_buffered=True),  # via F rings
+        )
+        for i in range(3):
+            _add(env, cluster, "p1", i)
+        env.run(until=env.now + 200.0)
+        node = cluster.node("p2")
+        reader = node.transport.f_readers["p1"]
+        index = reader.head
+        target = reader.offset_of(index)
+        land = reader.region.write
+        flipped = []
+
+        def write(offset, payload):
+            if not flipped and offset == target:
+                payload = bytearray(payload)
+                payload[3] ^= 0x80  # clear the record flag, nothing else
+                flipped.append(offset)
+            land(offset, bytes(payload))
+
+        reader.region.write = write
+        _add(env, cluster, "p1", 99)
+        env.run(until=env.now + 50.0)
+        assert flipped, "the record never landed at p2's head"
+        # Not delivered: the head waits at a hole.
+        assert reader.head == index and reader.record_at(index) is None
+        env.run(until=env.now + 3000.0)
+        assert sum(node.probe.snapshot()["slot_repairs"].values()) >= 1
+        assert not cluster.failures()
+        assert cluster.converged()
+        assert set(cluster.applied_totals().values()) == {4}
 
     def test_scrubber_runs_under_corruption_and_checks(self):
         plan = FaultPlan.named("corrupt-5pct", horizon_us=HORIZON_US)

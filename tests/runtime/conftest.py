@@ -2,7 +2,7 @@
 
 The default profile keeps local/tier-1 runs fast.  CI's dedicated
 wire-fuzz job exports ``HYPOTHESIS_PROFILE=ci-fuzz`` to push a much
-larger example budget through the codec fuzz suites; tests that pin ``max_examples`` explicitly keep their pins
+larger example budget through the codec and ring-parser fuzz suites; tests that pin ``max_examples`` explicitly keep their pins
 — only unpinned settings scale with the profile.
 """
 

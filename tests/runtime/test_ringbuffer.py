@@ -201,7 +201,7 @@ class TestLimits:
 class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(
-        payloads=st.lists(st.binary(max_size=SLOT_SIZE - 6), max_size=40),
+        payloads=st.lists(st.binary(max_size=SLOT_SIZE - 9), max_size=40),
         read_pattern=st.lists(st.booleans(), max_size=80),
     )
     def test_never_loses_or_reorders(self, payloads, read_pattern):
@@ -231,57 +231,35 @@ class TestProperties:
         assert len(got) == len(payloads)
 
 
-# -- checksummed (v2) record layout -------------------------------------
+# -- checksummed records ------------------------------------------------
 
 
 from repro.runtime import RingCorruptionError  # noqa: E402
 from repro.runtime.ringbuffer import (  # noqa: E402
+    RECORD_OVERHEAD,
     classify_corruption,
     parse_record,
-    record_overhead,
     record_status,
 )
 
 
-@pytest.fixture
-def v2_ring():
-    region = MemoryRegion(
-        "host", "ring", ring_region_size(SLOTS, SLOT_SIZE), Access.ALL
-    )
-    return (
-        RingWriter(SLOTS, SLOT_SIZE, integrity=True),
-        RingReader(region, SLOTS, SLOT_SIZE),
-        region,
-    )
-
-
 class TestChecksummedRecords:
-    def test_roundtrip(self, v2_ring):
-        writer, reader, region = v2_ring
+    def test_roundtrip(self, ring):
+        writer, reader, region = ring
         push(writer, region, b"hello")
         assert reader.try_read() == b"hello"
 
-    def test_record_overhead(self):
-        assert record_overhead(False) == 5
-        assert record_overhead(True) == 9
-        assert RingWriter(SLOTS, SLOT_SIZE, integrity=True).max_payload \
-            == SLOT_SIZE - 9
-        assert RingWriter(SLOTS, SLOT_SIZE).max_payload == SLOT_SIZE - 5
+    def test_framing_overhead(self):
+        assert RECORD_OVERHEAD == 9
+        assert RingWriter(SLOTS, SLOT_SIZE).max_payload == SLOT_SIZE - 9
 
-    def test_mixed_layouts_in_one_ring(self, ring):
-        """Readers dispatch per record: a rolling integrity upgrade
-        leaves v1 and v2 records interleaved in one ring."""
-        v1_writer, reader, region = ring
-        v2_writer = RingWriter(SLOTS, SLOT_SIZE, integrity=True)
-        push(v1_writer, region, b"legacy")
-        v2_writer.tail = v1_writer.tail
-        push(v2_writer, region, b"checksummed")
-        v1_writer.tail = v2_writer.tail
-        assert reader.try_read() == b"legacy"
-        assert reader.try_read() == b"checksummed"
+    def test_writer_accepts_only_checksummed_records(self):
+        RingWriter(SLOTS, SLOT_SIZE, integrity=True)
+        with pytest.raises(ValueError, match="always checksummed"):
+            RingWriter(SLOTS, SLOT_SIZE, integrity=False)
 
-    def test_bitflip_in_payload_raises_corruption(self, v2_ring):
-        writer, reader, region = v2_ring
+    def test_bitflip_in_payload_raises_corruption(self, ring):
+        writer, reader, region = ring
         push(writer, region, b"hello")
         raw = bytearray(region.read(0, SLOT_SIZE))
         raw[5] ^= 0x40  # flip one payload bit
@@ -290,10 +268,10 @@ class TestChecksummedRecords:
             reader.peek()
         assert excinfo.value.index == 0
 
-    def test_flipped_canary_is_corruption_not_lapped(self, v2_ring):
+    def test_flipped_canary_is_corruption_not_lapped(self, ring):
         """A foreign-generation canary with a failing CRC must not fake
         the 'reader lapped' verdict and trigger a needless resync."""
-        writer, reader, region = v2_ring
+        writer, reader, region = ring
         push(writer, region, b"hello")
         raw = bytearray(region.read(0, SLOT_SIZE))
         canary_at = 4 + len(b"hello")
@@ -302,8 +280,8 @@ class TestChecksummedRecords:
         with pytest.raises(RingCorruptionError):
             reader.peek()
 
-    def test_torn_interior_write_raises_corruption(self, v2_ring):
-        writer, reader, region = v2_ring
+    def test_torn_interior_write_raises_corruption(self, ring):
+        writer, reader, region = ring
         offset, record = writer.render(b"abcdefgh")
         # Land the framing and a prefix of the payload, including the
         # canary position via the full record length... then zero the
@@ -314,18 +292,24 @@ class TestChecksummedRecords:
         with pytest.raises(RingCorruptionError):
             reader.peek()
 
-    def test_v1_records_still_accept_bitflips(self, ring):
-        """The legacy layout has no CRC: a payload bitflip is silently
-        delivered — the negative-space property motivating v2."""
+    def test_record_without_flag_is_a_hole(self, ring):
+        """A landed record whose only change is a cleared length MSB is
+        no record: never delivered, never called valid — it reads as a
+        hole for the repair paths to refill."""
         writer, reader, region = ring
         push(writer, region, b"hello")
-        raw = bytearray(region.read(0, SLOT_SIZE))
-        raw[5] ^= 0x40
-        region.write(0, bytes(raw))
-        assert reader.try_read() != b"hello"  # wrong record, no error
+        push(writer, region, b"world")
+        slot = bytearray(region.read(0, SLOT_SIZE))
+        slot[3] ^= 0x80  # the length field's top bit
+        region.write(0, bytes(slot))
+        assert reader.peek() is None
+        assert reader.peek_run() == []
+        assert reader.record_at(0) is None
+        assert parse_record(bytes(slot), 0, SLOTS) is None
+        assert record_status(bytes(slot), 0, SLOTS) == "empty"
 
-    def test_quarantine_turns_corruption_into_hole(self, v2_ring):
-        writer, reader, region = v2_ring
+    def test_quarantine_turns_corruption_into_hole(self, ring):
+        writer, reader, region = ring
         push(writer, region, b"hello")
         raw = bytearray(region.read(0, SLOT_SIZE))
         raw[5] ^= 0x40
@@ -336,8 +320,8 @@ class TestChecksummedRecords:
             region.read(0, SLOT_SIZE), 0, SLOTS
         ) == "empty"
 
-    def test_parse_record_treats_corrupt_as_hole(self, v2_ring):
-        writer, reader, region = v2_ring
+    def test_parse_record_treats_corrupt_as_hole(self, ring):
+        writer, reader, region = ring
         push(writer, region, b"hello")
         slot = bytearray(region.read(0, SLOT_SIZE))
         assert parse_record(bytes(slot), 0, SLOTS) is not None
@@ -355,11 +339,11 @@ class TestChecksummedRecords:
         torn = authoritative[:10] + b"\x00" * 22
         assert classify_corruption(torn, authoritative) == "torn"
 
-    def test_in_flight_overwrite_reads_none_not_corrupt(self, v2_ring):
+    def test_in_flight_overwrite_reads_none_not_corrupt(self, ring):
         """A torn overwrite of a previous-lap record leaves the old
         canary in place: that is a legitimate in-flight state, not
         corruption."""
-        writer, reader, region = v2_ring
+        writer, reader, region = ring
         for lap in range(SLOTS):
             push(writer, region, b"first")
         for _ in range(SLOTS):

@@ -6,11 +6,11 @@ Two obligations, mirrored from the wire codec's fuzz suite:
    with fault injection those bytes are hostile.  Arbitrary slot
    contents must surface as None / a :class:`RingError` subclass —
    never ``struct.error`` or ``IndexError``.
-2. **Never lie (integrity on).** A checksummed record with any bytes
-   flipped must never be *delivered as a different record*: the reader
-   either returns the original payload (flips landed outside the
-   record bytes), returns None (in-flight verdicts), or rejects loudly
-   via :class:`RingCorruptionError`.
+2. **Never lie.** A record with any bytes flipped must never be
+   *delivered as a different record*: the reader either returns the
+   original payload (flips landed outside the record bytes), returns
+   None (in-flight verdicts, or a cleared record flag), or rejects
+   loudly via :class:`RingCorruptionError`.
 
 3. **In place is by copy.** The reader parses the region's storage
    where it lies and skips a ring whose write stamp has not moved; on
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.rdma import Access, MemoryRegion
 from repro.runtime.ringbuffer import (
+    RECORD_OVERHEAD,
     RingCorruptionError,
     RingError,
     RingReader,
@@ -40,8 +41,7 @@ from repro.runtime.ringbuffer import (
 
 SLOTS = 8
 SLOT_SIZE = 64
-#: v2 overhead: length(4) + canary(1) + crc(4).
-MAX_PAYLOAD = SLOT_SIZE - 9
+MAX_PAYLOAD = SLOT_SIZE - RECORD_OVERHEAD
 
 
 class _Region:
@@ -66,8 +66,8 @@ def _reader() -> RingReader:
     return RingReader(_Region(SLOTS * SLOT_SIZE), SLOTS, SLOT_SIZE)
 
 
-def _build_at(index: int, payload: bytes, integrity: bool) -> bytes:
-    writer = RingWriter(SLOTS, SLOT_SIZE, integrity=integrity)
+def _build_at(index: int, payload: bytes) -> bytes:
+    writer = RingWriter(SLOTS, SLOT_SIZE)
     writer.tail = index
     return writer.build(payload)
 
@@ -121,7 +121,7 @@ class TestIntegrityNeverLies:
     def test_flipped_bytes_never_deliver_a_wrong_record(
         self, payload, index, flips
     ):
-        record = _build_at(index, payload, integrity=True)
+        record = _build_at(index, payload)
         slot = bytearray(SLOT_SIZE)
         slot[: len(record)] = record
         for position, mask in flips:
@@ -141,7 +141,7 @@ class TestIntegrityNeverLies:
         cut=st.data(),
     )
     def test_torn_prefix_is_never_delivered(self, payload, index, cut):
-        record = _build_at(index, payload, integrity=True)
+        record = _build_at(index, payload)
         landed = cut.draw(
             st.integers(0, len(record) - 1), label="torn cut"
         )
@@ -166,15 +166,14 @@ class TestIntegrityNeverLies:
         payload=st.binary(max_size=MAX_PAYLOAD),
         index=st.integers(0, 3 * SLOTS),
     )
-    def test_intact_records_round_trip_both_layouts(self, payload, index):
-        for integrity in (False, True):
-            record = _build_at(index, payload, integrity=integrity)
-            slot = bytearray(SLOT_SIZE)
-            slot[: len(record)] = record
-            out = _reader()._parse_slot(bytes(slot), index)
-            assert out is not None and bytes(out) == payload
-            assert parse_record(bytes(slot), index, SLOTS) == record
-            assert record_status(bytes(slot), index, SLOTS) == "valid"
+    def test_intact_records_round_trip(self, payload, index):
+        record = _build_at(index, payload)
+        slot = bytearray(SLOT_SIZE)
+        slot[: len(record)] = record
+        out = _reader()._parse_slot(bytes(slot), index)
+        assert out is not None and bytes(out) == payload
+        assert parse_record(bytes(slot), index, SLOTS) == record
+        assert record_status(bytes(slot), index, SLOTS) == "valid"
 
 
 # -- in place == by copy ----------------------------------------------------
@@ -186,7 +185,6 @@ _KINDS = ("virgin", "intact", "previous", "lapped", "torn", "flipped",
 
 _slot_plans = st.tuples(
     st.sampled_from(_KINDS),
-    st.booleans(),                                   # integrity
     st.binary(max_size=MAX_PAYLOAD),                 # payload
     st.integers(1, 3),                               # laps ahead ("lapped")
     st.integers(0, SLOT_SIZE - 1),                   # torn cut
@@ -197,18 +195,18 @@ _slot_plans = st.tuples(
 
 
 def _slot_bytes(index, plan) -> bytes:
-    kind, integrity, payload, laps, cut, flips, noise = plan
+    kind, payload, laps, cut, flips, noise = plan
     slot = bytearray(SLOT_SIZE)
     if kind == "noise":
         return noise
     if kind == "virgin" or (kind == "previous" and index < SLOTS):
         return bytes(slot)
     at = {"previous": index - SLOTS, "lapped": index + laps * SLOTS}
-    record = _build_at(at.get(kind, index), payload, integrity)
+    record = _build_at(at.get(kind, index), payload)
     if kind == "torn":
         # A torn overwrite: the prefix lands over last lap's record.
         if index >= SLOTS:
-            old = _build_at(index - SLOTS, payload[::-1], integrity)
+            old = _build_at(index - SLOTS, payload[::-1])
             slot[: len(old)] = old
         record = record[: min(cut, len(record))]
     slot[: len(record)] = record
@@ -290,7 +288,6 @@ class TestInPlaceReaderMatchesByCopy:
     @given(
         payloads=st.lists(st.binary(max_size=MAX_PAYLOAD), min_size=1,
                           max_size=3 * SLOTS),
-        integrity=st.booleans(),
         moves=st.lists(
             st.tuples(st.sampled_from(("render", "land", "peek")),
                       st.integers(0, 255)),
@@ -298,7 +295,7 @@ class TestInPlaceReaderMatchesByCopy:
         ),
     )
     def test_skipped_peek_never_hides_a_landed_record(
-        self, payloads, integrity, moves
+        self, payloads, moves
     ):
         """Random interleavings of the writer (render now, land later,
         possibly out of order) and the reader (peek_run, advance some):
@@ -311,7 +308,7 @@ class TestInPlaceReaderMatchesByCopy:
         control = RingReader(
             _Region(region.size, data=region.data), SLOTS, SLOT_SIZE
         )
-        writer = RingWriter(SLOTS, SLOT_SIZE, integrity=integrity)
+        writer = RingWriter(SLOTS, SLOT_SIZE)
         to_render = list(payloads)
         in_flight: list[tuple[int, bytes]] = []
         consumed = []

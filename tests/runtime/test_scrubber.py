@@ -4,21 +4,20 @@ The consumption-time CRC paths cannot see corruption that lands (or is
 planted) in a slot *after* the reader consumed it — but those slots are
 exactly what hole repair and rejoin catch-up read from.  These tests
 corrupt consumed records directly in a replica's memory and assert the
-scrubber restores them from the authoritative copy, with and without
-the CRC layer (the scrubber compares bytes, so it is the
-defense-in-depth behind integrity-off deployments too).
+scrubber restores them from the authoritative copy — including a
+different record that passes its CRC, which only the scrubber's byte
+comparison can catch.
 """
 
 from repro.datatypes import gset_spec
-from repro.runtime import HambandCluster, RuntimeConfig
+from repro.runtime import HambandCluster, RingWriter, RuntimeConfig
 from repro.sim import Environment
 
 
-def _scrubbing_cluster(ring_integrity=True, scrub_interval_us=20.0):
+def _scrubbing_cluster(scrub_interval_us=20.0):
     env = Environment()
     config = RuntimeConfig(
         force_buffered=True,  # push adds through the F rings
-        ring_integrity=ring_integrity,
         scrub_interval_us=scrub_interval_us,
     )
     cluster = HambandCluster.build(
@@ -65,17 +64,23 @@ class TestScrubber:
         assert not cluster.failures()
 
     def test_catches_divergence_even_without_crc(self):
-        """With integrity off the flipped record still parses (valid
-        canary) — only the scrubber's byte comparison against the
-        authoritative copy can catch it."""
-        env, cluster = _scrubbing_cluster(ring_integrity=False)
+        """A well-formed, CRC-valid record with a different payload at a
+        consumed index parses fine — only the scrubber's byte comparison
+        against the authoritative copy can catch it."""
+        env, cluster = _scrubbing_cluster()
         _populate(env, cluster)
         node = cluster.node("p2")
-        offset, pristine = _corrupt_consumed_slot(node)
-        env.run(until=env.now + 2000.0)
+        cfg = node.config
         reader = node.transport.f_readers["p1"]
-        healed = bytes(reader.region.read(offset, node.config.slot_size))
-        assert healed == pristine
+        index = reader.head - 1
+        pristine = reader.record_at(index)
+        impostor = RingWriter(cfg.ring_slots, cfg.slot_size)
+        impostor.tail = index
+        record = impostor.build(b"not the authoritative payload")
+        reader.region.write(reader.offset_of(index), record)
+        assert reader.record_at(index) == record  # parseable, divergent
+        env.run(until=env.now + 2000.0)
+        assert reader.record_at(index) == pristine
         assert sum(node.probe.snapshot()["slot_repairs"].values()) >= 1
 
     def test_disabled_by_default(self):

@@ -326,7 +326,6 @@ PARSER_CONTRACT = {
         "--fd-mode": ("fixed", ("fixed", "phi"), None),
         "--horizon": (1000.0, None, "float"),
         "--save-plan": (None, None, None),
-        "--ring-integrity": ("on", ("on", "off"), None),
         "--scrub": (False, None, "flag"),
         "--scrub-interval-us": (50.0, None, "float"),
         **_OBSERVE,
@@ -361,6 +360,23 @@ class TestParserContract:
                 kind,
             )
         assert declared == PARSER_CONTRACT[command]
+
+
+class TestScrubFlags:
+    """``chaos --scrub`` reaches the experiment config; nothing else
+    scrubs."""
+
+    @pytest.mark.parametrize("argv,interval", [
+        (["chaos", "gset", "--scrub", "--scrub-interval-us", "30"], 30.0),
+        (["chaos", "gset", "--scrub-interval-us", "30"], 0.0),
+        (["run", "gset"], 0.0),
+        (["serve", "gset"], 0.0),
+    ])
+    def test_scrub_interval(self, argv, interval):
+        from repro.cli import _build_parser, _experiment_config
+
+        config = _experiment_config(_build_parser().parse_args(argv))
+        assert config.scrub_interval_us == interval
 
 
 class TestUsageErrorsAreNamed:
@@ -404,10 +420,9 @@ class TestUsageErrorsAreNamed:
 
 class TestGiveUpIsNotExitZero:
     """A fault run that did not quiesce or did not settle exits 2 with
-    the reason, with or without --check.  (The real thing — `chaos gset
-    --faults corrupt-5pct --ring-integrity off --ops 400 --seed 3` —
-    simulates the whole 5 s quiesce timeout, so the outcome is forced
-    onto a quick run here.)"""
+    the reason, with or without --check.  (A real give-up simulates the
+    whole 5 s quiesce timeout, so the outcome is forced onto a quick run
+    here.)"""
 
     @pytest.fixture
     def give_up(self, monkeypatch):
