@@ -28,7 +28,14 @@ from .rdma_semantics import (
     dep_satisfied,
 )
 from .refinement import RefinementChecker, check_refinement, concrete_events
-from .spec import ObjectSpec, QueryDef, SpecError, Summarizer, UpdateDef
+from .spec import (
+    ObjectSpec,
+    QueryDef,
+    SpecError,
+    Summarizer,
+    UpdateDef,
+    keeps_always,
+)
 
 __all__ = [
     "AbstractMachine",
@@ -62,6 +69,7 @@ __all__ = [
     "dep_satisfied",
     "depends",
     "invariant_sufficient",
+    "keeps_always",
     "p_l_commutes",
     "p_r_commutes",
     "s_commute",

@@ -18,6 +18,12 @@ practitioners reach for first and preserve the analysis structure:
   Lifted methods are not summarizable (two calls on different keys have
   no single-call composition), so reducible component methods become
   irreducible conflict-free in the family.
+
+Both keep a component's declared delta invariant (``UpdateDef.keeps``):
+the composite invariant is a conjunction over parts and a call changes
+only its own part (in a family, the keyed part, which starts from the
+component's initial state when absent), so the delta reads that part
+exactly as a query does and is lifted the same way.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ def product(name: str, components: list[ObjectSpec]) -> ObjectSpec:
                 UpdateDef(
                     f"{prefix}.{update.name}",
                     _lift_update(index, update.apply),
+                    _lift_query(index, update.keeps)
+                    if update.keeps is not None else None,
                 )
             )
             gen = component.arg_gens.get(update.name)
@@ -200,8 +208,12 @@ def map_of(name: str, component: ObjectSpec,
     arg_gens: dict[str, Callable] = {}
     for update in component.updates.values():
         updates.append(
-            UpdateDef(update.name, _lift_keyed_update(component, update.apply,
-                                                      _as_dict, _with))
+            UpdateDef(
+                update.name,
+                _lift_keyed_update(component, update.apply, _as_dict, _with),
+                _lift_keyed_query(component, update.keeps, _as_dict)
+                if update.keeps is not None else None,
+            )
         )
         gen = component.arg_gens.get(update.name)
         # A declared component's causal arguments stay unsampled in the

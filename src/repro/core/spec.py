@@ -22,6 +22,19 @@ and a REDUCE is stepped once per distinct pre-state of its event
 (same type, ``==``) are therefore interchangeable, which the
 coordination analyzer and ``Replay`` rely on.  ``tests/datatypes`` pins
 it for every bundled data type.
+
+An update may also declare its *delta invariant* ``keeps(arg, pre) ->
+bool``.  The contract: whenever ``I(pre)`` holds, ``keeps(arg, pre) ==
+I(apply(arg, pre))``, and ``keeps`` reads only what the call touches
+(an invariant-sufficient method keeps trivially; a foreign-key insert
+checks its two referenced rows, not every row).  Permissibility is then
+decided by :meth:`ObjectSpec.holds_after`: the delta when the pre-state
+is known to satisfy ``I``, the whole-state ``I`` otherwise — so a spec
+that declares no delta is checked exactly as before.  Nothing trusts a
+declaration: ``tests/core/test_deltas.py`` checks every declared delta
+against the whole-state ``I`` on sampled invariant states, and the
+trace checkers re-evaluate the whole-state ``I`` per node at the end of
+every check.
 """
 
 from __future__ import annotations
@@ -32,9 +45,17 @@ from typing import Any, Callable, Optional
 
 from .calls import Call
 
-__all__ = ["ObjectSpec", "QueryDef", "SpecError", "Summarizer", "UpdateDef"]
+__all__ = [
+    "ObjectSpec", "QueryDef", "SpecError", "Summarizer", "UpdateDef",
+    "keeps_always",
+]
 
 StateFn = Callable[[Any, Any], Any]
+
+
+def keeps_always(_arg: Any, _pre: Any) -> bool:
+    """The delta of an invariant-sufficient method: ``I(pre) ⇒ I(post)``."""
+    return True
 
 
 class SpecError(Exception):
@@ -43,10 +64,12 @@ class SpecError(Exception):
 
 @dataclass(frozen=True)
 class UpdateDef:
-    """An update method ``u := λx, σ. e``."""
+    """An update method ``u := λx, σ. e``, and optionally its delta
+    invariant (see the module docstring for the ``keeps`` contract)."""
 
     name: str
     apply: StateFn  # (arg, pre_state) -> post_state
+    keeps: Optional[Callable[[Any, Any], bool]] = None  # (arg, pre_state)
 
 
 @dataclass(frozen=True)
@@ -155,6 +178,17 @@ class ObjectSpec:
     def permissible(self, state: Any, call: Call) -> bool:
         """``P(σ, c) := I(c(σ))`` (paper §3.2)."""
         return bool(self.invariant(self.apply_call(call, state)))
+
+    def holds_after(self, call: Call, pre: Any, post: Any,
+                    pre_holds: bool) -> bool:
+        """``I(post)`` for ``post = call(pre)``: the method's declared
+        delta when ``pre_holds`` (``I(pre)`` is known), else the
+        whole-state invariant."""
+        if pre_holds:
+            keeps = self.updates[call.method].keeps
+            if keeps is not None:
+                return bool(keeps(call.arg, pre))
+        return bool(self.invariant(post))
 
     def summarizer_of(self, method: str) -> Optional[Summarizer]:
         """The summarization group of a method, or None (``SumGroup(u)=⊥``)."""

@@ -11,12 +11,14 @@ single account.
 State: ``(accounts, balances)`` where balances is a frozenset of
 ``(account, balance)`` pairs (kept canonical: no zero-amount noise,
 one entry per account).  Invariant: every balance row references an
-open account and is non-negative.
+open account and is non-negative.  The delta invariants
+(``UpdateDef.keeps``): ``open`` always keeps it; ``deposit`` and
+``withdraw`` check only the touched account's row.
 """
 
 from __future__ import annotations
 
-from ..core import ObjectSpec, QueryDef, UpdateDef
+from ..core import ObjectSpec, QueryDef, UpdateDef, keeps_always
 
 __all__ = ["bankmap_spec"]
 
@@ -59,15 +61,30 @@ def _balance(account: str, state: State) -> int:
     return _balances_dict(state).get(account, 0)
 
 
+def _keeps_row(state: State, account: str, balance: int) -> bool:
+    """``I`` once ``account``'s row reads ``balance``, given ``I``
+    before: no other row changed, and a zero row is dropped."""
+    accounts, _balances = state
+    return balance == 0 or (account in accounts and balance > 0)
+
+def _deposit_keeps(arg: tuple[str, int], state: State) -> bool:
+    account, amount = arg
+    return _keeps_row(state, account, _balance(account, state) + amount)
+
+def _withdraw_keeps(arg: tuple[str, int], state: State) -> bool:
+    account, amount = arg
+    return _keeps_row(state, account, _balance(account, state) - amount)
+
+
 def bankmap_spec() -> ObjectSpec:
     return ObjectSpec(
         name="bankmap",
         initial_state=lambda: (frozenset(), frozenset()),
         invariant=_invariant,
         updates=[
-            UpdateDef("open", _open),
-            UpdateDef("deposit", _deposit),
-            UpdateDef("withdraw", _withdraw),
+            UpdateDef("open", _open, keeps_always),
+            UpdateDef("deposit", _deposit, _deposit_keeps),
+            UpdateDef("withdraw", _withdraw, _withdraw_keeps),
         ],
         queries=[QueryDef("balance", _balance)],
         state_gen=_random_state,

@@ -10,11 +10,16 @@ course.  The analysis yields the paper's structure:
   *single* student (not summarizable): **irreducible conflict-free**,
   which is why Figure 13(b) shows its response time unaffected by
   leader failure.
+
+Every method declares its delta invariant (``UpdateDef.keeps``): adding
+a course or a student and the cascading delete cannot break a foreign
+key, and an enrollment keeps the invariant iff its student and course
+exist — so a guard reads two rows, not every enrollment.
 """
 
 from __future__ import annotations
 
-from ..core import ObjectSpec, QueryDef, UpdateDef
+from ..core import ObjectSpec, QueryDef, UpdateDef, keeps_always
 
 __all__ = ["courseware_spec"]
 
@@ -50,6 +55,12 @@ def _enroll(enrollment: tuple[str, str], state: State) -> State:
     courses, students, enrollments = state
     return (courses, students, enrollments | {enrollment})
 
+def _enroll_keeps(enrollment: tuple[str, str], state: State) -> bool:
+    """The delta of ``enroll``: only the new row's two references."""
+    student, course = enrollment
+    courses, students, _enrollments = state
+    return student in students and course in courses
+
 def _report(_arg: object, state: State) -> tuple[int, int, int]:
     courses, students, enrollments = state
     return (len(courses), len(students), len(enrollments))
@@ -61,10 +72,10 @@ def courseware_spec() -> ObjectSpec:
         initial_state=lambda: (frozenset(), frozenset(), frozenset()),
         invariant=_invariant,
         updates=[
-            UpdateDef("addCourse", _add_course),
-            UpdateDef("deleteCourse", _delete_course),
-            UpdateDef("registerStudent", _register_student),
-            UpdateDef("enroll", _enroll),
+            UpdateDef("addCourse", _add_course, keeps_always),
+            UpdateDef("deleteCourse", _delete_course, keeps_always),
+            UpdateDef("registerStudent", _register_student, keeps_always),
+            UpdateDef("enroll", _enroll, _enroll_keeps),
         ],
         queries=[QueryDef("query", _report)],
         state_gen=_random_state,

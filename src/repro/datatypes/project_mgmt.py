@@ -15,12 +15,22 @@ which yields exactly the paper's analysis:
   is conflict- and dependence-free: **reducible**.
 
 With a conflicting group, a reducible method, dependencies, and a
-query, this is the mixed-category workload of Figure 11.
+query, this is the mixed-category workload of Figure 11.  The delta
+invariants (``UpdateDef.keeps``) have courseware's shape: every method
+but ``worksOn`` keeps the invariant, and ``worksOn`` keeps it iff its
+employee and project exist.
 """
 
 from __future__ import annotations
 
-from ..core import Call, ObjectSpec, QueryDef, Summarizer, UpdateDef
+from ..core import (
+    Call,
+    ObjectSpec,
+    QueryDef,
+    Summarizer,
+    UpdateDef,
+    keeps_always,
+)
 
 __all__ = ["project_mgmt_spec"]
 
@@ -58,6 +68,12 @@ def _works_on(assignment: tuple[str, str], state: State) -> State:
     projects, employees, assignments = state
     return (projects, employees, assignments | {assignment})
 
+def _works_on_keeps(assignment: tuple[str, str], state: State) -> bool:
+    """The delta of ``worksOn``: only the new row's two references."""
+    employee, project = assignment
+    projects, employees, _assignments = state
+    return employee in employees and project in projects
+
 def _report(_arg: object, state: State) -> tuple[int, int, int]:
     projects, employees, assignments = state
     return (len(projects), len(employees), len(assignments))
@@ -73,10 +89,10 @@ def project_mgmt_spec() -> ObjectSpec:
         initial_state=lambda: (frozenset(), frozenset(), frozenset()),
         invariant=_invariant,
         updates=[
-            UpdateDef("addProject", _add_project),
-            UpdateDef("deleteProject", _delete_project),
-            UpdateDef("addEmployee", _add_employee),
-            UpdateDef("worksOn", _works_on),
+            UpdateDef("addProject", _add_project, keeps_always),
+            UpdateDef("deleteProject", _delete_project, keeps_always),
+            UpdateDef("addEmployee", _add_employee, keeps_always),
+            UpdateDef("worksOn", _works_on, _works_on_keeps),
         ],
         queries=[QueryDef("query", _report)],
         summarizers=[

@@ -7,7 +7,8 @@ every rule that mutates it:
 - the dedup set of applied call keys,
 - the summary mirror and summary-slot readers (``S``),
 - dependency projection (``A | Dep(u)``) and dependency checks,
-- permissibility (the invariant folded over the summaries),
+- permissibility (the method's declared delta, or the invariant folded
+  over the summaries on a node with summary slots),
 - the REDUCE / FREE / QUERY request paths,
 - the buffer-traversal loop that drives the transport's F drains, the
   conflict coordinator's L drains, and the recovered-call queue.
@@ -170,6 +171,21 @@ class ApplyEngine:
                 total += sum(value[1].values())
         return total
 
+    def permits(self, call: Call, pre: Any, post: Any) -> bool:
+        """The FREE/CONF guard ``P(pre, call)``, given ``post = call(pre)``.
+
+        ``pre`` is this node's σ, or a leader batch's speculative
+        successor of it, and ``I`` holds on both (Lemma 1: σ advances
+        only by permissible calls, and the checkers verify that it
+        does), so the method's declared delta decides
+        (:meth:`ObjectSpec.holds_after`).  A node with summary slots
+        checks the whole state with the summaries folded in: folding
+        does not commute with a delta.
+        """
+        if self.summary_readers:
+            return self.invariant_with_summaries(post)
+        return self.spec.holds_after(call, pre, post, True)
+
     def invariant_with_summaries(self, sigma: Any) -> bool:
         state = sigma
         for slot in self.summary_readers.values():
@@ -318,7 +334,7 @@ class ApplyEngine:
         call = self.make_call(method, arg)
         self.probe.span_begin("invoke", method, call.origin, call.rid)
         post_sigma = self.spec.apply_call(call, self.sigma)
-        if not self.invariant_with_summaries(post_sigma):
+        if not self.permits(call, self.sigma, post_sigma):
             self.probe.span_end("invoke", method, call.origin, call.rid)
             self.probe.rejected("impermissible")
             raise ImpermissibleError(f"{call} violates the invariant")

@@ -163,7 +163,7 @@ class ConflictCoordinator:
                 yield from self.rnode.cpu.use(cfg.local_cpu_us)
                 call = applier.make_call(method, arg)
             post_sigma = self.spec.apply_call(call, applier.sigma)
-            if not applier.invariant_with_summaries(post_sigma):
+            if not applier.permits(call, applier.sigma, post_sigma):
                 # Not (yet) permissible: its dependencies may still be
                 # in flight toward this leader (Fig. 11b/13b).  Other
                 # calls of the group must not head-block behind it —
@@ -291,7 +291,7 @@ class ConflictCoordinator:
             yield from self.rnode.cpu.use(cfg.local_cpu_us)
             call = applier.make_call(method, arg)
         post_sigma = self.spec.apply_call(call, spec_sigma)
-        if not applier.invariant_with_summaries(post_sigma):
+        if not applier.permits(call, spec_sigma, post_sigma):
             if retries >= cfg.conf_retry_limit:
                 self.probe.rejected("impermissible")
                 done.succeed(

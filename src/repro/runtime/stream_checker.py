@@ -663,12 +663,18 @@ class StreamingChecker:
         gaps the checker inferred from sequence discontinuities are
         reported either way.  A stream with losses cannot attest
         convergence — integrity, order, and duplicate findings stand
-        regardless.
+        regardless.  Integrity was stepped on the spec's declared
+        deltas, so the whole-state invariant is evaluated once per node
+        here (:meth:`Replay.audit`): a delta that broke its contract is
+        an ``integrity`` violation naming the last method stepped there.
         """
         report = CheckReport(
             list(self.nodes), self.calls_checked, self.applies_checked,
             list(self.violations), dict(self.faults), dict(self.repairs),
             label="stream check",
+        )
+        report.violations.extend(
+            Violation("integrity", message) for message in self.replay.audit()
         )
         if not self.nodes:
             if not self._departed:
@@ -861,9 +867,10 @@ class StreamingChecker:
         for name in _COUNTERS:
             setattr(checker, name, payload[name])
         checker._expect = checker._resumed_at = checkpoint.next_seq
-        checker.replay.sigma = {
-            node: _unpack(data) for node, data in payload["sigma"].items()
-        }
+        checker.replay.restore(
+            {node: _unpack(data) for node, data in payload["sigma"].items()},
+            _unpack(payload["reduce_sigma"]),
+        )
         checker.retired = {
             origin: _IntervalSet([list(span) for span in spans])
             for origin, spans in payload["retired"].items()
@@ -918,7 +925,6 @@ class StreamingChecker:
             checker._group_cursor[(gid, node)] = (
                 tuple(rank), _key_from_str(text)
             )
-        checker.replay.seed = _unpack(payload["reduce_sigma"])
         checker._reduced = dict(payload["reduced"])
         checker._joiners = {
             joiner: {

@@ -1,19 +1,28 @@
-"""Replay sharing must be invisible and free: the shared-replay
+"""Replay sharing and declared deltas must be invisible and free: the
 checkers agree with a reference replay that steps every replica on its
-own — verdicts, violation kinds, messages, chains and checkpoint bytes —
-on chaos runs, on the seeded-corruption corpus, across a kill/resume
-mid-window, and for a spec whose state is unhashable; and the replay
-pins no state beyond one per node, however long the window.
+own, on the whole-state invariant — verdicts, violation kinds,
+messages, chains and checkpoint bytes — on chaos runs, on the
+seeded-corruption corpus, across a kill/resume mid-window (a node
+resumed in a broken state included), and for a spec whose state is
+unhashable; a delta that lies is caught at the end of the check; and
+the replay pins no state beyond one per node, however long the window.
 """
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 import repro.runtime.stream_checker as stream_checker_module
 from repro.bench import ExperimentConfig, run_harness
-from repro.core import Coordination, ObjectSpec, QueryDef, UpdateDef
+from repro.core import (
+    Coordination,
+    ObjectSpec,
+    QueryDef,
+    UpdateDef,
+    keeps_always,
+)
 from repro.datatypes import SPEC_FACTORIES, courseware_spec
 from repro.runtime import (
     CheckpointState,
@@ -29,13 +38,19 @@ from .test_stream_checker import reseq, traced_run
 
 class ReferenceReplay(Replay):
     """Every replica starts from its own state object and takes its own
-    step: what both checkers did before they shared one."""
+    step on the whole-state invariant: what both checkers did before
+    they shared one state and stepped the spec's declared deltas."""
 
     steps = 0
 
     def __init__(self, spec, nodes):
         super().__init__(spec, nodes)
         self.sigma = {node: spec.initial_state() for node in nodes}
+
+    def step(self, call, node):
+        post = self.sigma[node] = self.spec.apply_call(call, self.sigma[node])
+        ok = self.holds[node] = bool(self.spec.invariant(post))
+        return ok
 
     def reduce(self, call, nodes):
         ReferenceReplay.steps += 1
@@ -160,14 +175,15 @@ def corruption_corpus(events):
     yield "unknown-rule", unknown
 
 
-class TestCorruptionDifferential:
-    @pytest.fixture(scope="class")
-    def courseware(self):
-        recorder, cluster = traced_run(
-            courseware_spec, "courseware", total_ops=150
-        )
-        return cluster, recorder.events()
+@pytest.fixture(scope="module")
+def courseware():
+    recorder, cluster = traced_run(
+        courseware_spec, "courseware", total_ops=150
+    )
+    return cluster, recorder.events()
 
+
+class TestCorruptionDifferential:
     def test_corpus(self, monkeypatch, courseware):
         cluster, events = courseware
         seen = set()
@@ -192,6 +208,104 @@ class TestCorruptionDifferential:
         ).check(tampered)
         flagged = [v for v in report.violations if v.kind == "integrity"]
         assert len(flagged) >= len(cluster.node_names())
+
+
+def ghost_enrollment(events):
+    """Every apply of the first ``enroll`` rewritten to reference a
+    student and a course that never exist: the replicas still converge,
+    and no cascade ever deletes the row, so only integrity catches it."""
+    victim = next(
+        (e.origin, e.rid) for e in events
+        if e.kind == "rule" and e.method == "enroll"
+    )
+    return [
+        e._replace(arg=("ghost-student", "ghost-course"))
+        if e.kind == "rule" and (e.origin, e.rid) == victim else e
+        for e in events
+    ]
+
+
+def integrity(report):
+    return [v for v in report.violations if v.kind == "integrity"]
+
+
+class TestDeltaOracle:
+    """The checkers step courseware's declared deltas; the reference
+    steps the whole state."""
+
+    def test_resume_recomputes_the_flag_of_a_broken_node(self, courseware):
+        cluster, events = courseware
+        coordination, names = cluster.coordination, cluster.node_names()
+        tampered = dict(corruption_corpus(events))["mutated-argument"]
+        cut = next(
+            i for i, (a, b) in enumerate(zip(events, tampered)) if a is not b
+        ) + 1
+        node = tampered[cut - 1].node
+        first = StreamingChecker(coordination, processes=names)
+        first.feed_many(tampered[:cut])
+        assert first.replay.holds[node] is False
+        at_cut = first.checkpoint().to_json()
+
+        def resumed(carry_flag=False):
+            checker = StreamingChecker.resume(
+                coordination, CheckpointState.from_json(at_cut)
+            )
+            assert checker.replay.holds == first.replay.holds
+            if carry_flag:
+                checker.replay.holds[node] = True
+            checker.feed_many(tampered[cut:])
+            return checker.finish()
+
+        straight = StreamingChecker(coordination, processes=names).check(
+            tampered
+        )
+        # The broken node keeps failing the whole-state check after the
+        # cut; the resumed checker must keep reporting it.
+        assert sum(f"at {node})" in v.message
+                   for v in integrity(straight)) > 1
+        assert signature(resumed()) == signature(straight)
+        # A flag carried over the checkpoint as True steps the broken
+        # node on deltas and drops those violations.
+        assert signature(resumed(carry_flag=True)) != signature(straight)
+
+    def test_a_lying_delta_fails_the_check(self, monkeypatch, courseware):
+        cluster, events = courseware
+        names = cluster.node_names()
+        tampered = ghost_enrollment(events)
+        # Honest deltas: the same verdict as the whole-state reference.
+        shared, _cut, _reduces = assert_sharing_invisible(
+            monkeypatch, cluster.coordination, names, tampered
+        )
+        assert {kind for kind, _m, _c in shared["offline"][-1]} == {
+            "integrity"
+        }
+
+        lying = courseware_spec()
+        lying.updates["enroll"] = replace(
+            lying.updates["enroll"], keeps=keeps_always
+        )
+        coordination = Coordination.analyze(lying)
+        assert TraceChecker(coordination, processes=names).check(events).ok
+        for report in (
+            TraceChecker(coordination, processes=names).check(tampered),
+            StreamingChecker(coordination, processes=names).check(tampered),
+        ):
+            # Every replica applied the ghost row while its flag said
+            # sound: the end-of-check audit flags each of them.
+            audited = integrity(report)
+            assert len(audited) == len(names), report.summary()
+            assert all(
+                "the whole-state invariant is False but the declared "
+                "deltas say True" in v.message
+                and "last method stepped there: " in v.message
+                for v in audited
+            )
+        with monkeypatch.context() as patch:
+            patch.setattr(stream_checker_module, "Replay", ReferenceReplay)
+            reference = TraceChecker(coordination, processes=names).check(
+                tampered
+            )
+        assert integrity(reference) and not reference.ok
 
 
 def dict_state_spec(applies):
