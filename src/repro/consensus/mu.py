@@ -174,7 +174,7 @@ class MuGroup:
             if suspected:
                 pending.append((qp, region, offset, slot, None))
                 continue
-            yield from self.node.cpu.use(qp.config.post_cpu_us)
+            yield self.node.cpu.hold(qp.config.post_cpu_us)
             pending.append(
                 (qp, region, offset, slot, qp.post_write(region, offset, slot))
             )
@@ -201,7 +201,7 @@ class MuGroup:
                 retries += 1
                 yield self.env.timeout(delay)
                 delay = min(delay * 2, self.config.op_retry_cap_us)
-                yield from self.node.cpu.use(qp.config.post_cpu_us)
+                yield self.node.cpu.hold(qp.config.post_cpu_us)
                 wc = yield qp.post_write(region, offset, slot)
             if wc.status is WcStatus.SUCCESS:
                 acked += 1

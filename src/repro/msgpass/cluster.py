@@ -45,12 +45,12 @@ class MsgCrdtNode:
         return self.env.process(self._do_update(method, arg))
 
     def _do_query(self, method: str, arg: Any):
-        yield from self.host.cpu.use(0.2)
+        yield self.host.cpu.hold(0.2)
         return self.spec.run_query(method, arg, self.sigma)
 
     def _do_update(self, method: str, arg: Any):
         call = Call(method, arg, self.name, next(self._rid))
-        yield from self.host.cpu.use(0.1)
+        yield self.host.cpu.hold(0.1)
         self.sigma = self.spec.apply_call(call, self.sigma)
         self._bump(self.name, method)
         acks = []
@@ -73,7 +73,7 @@ class MsgCrdtNode:
                 continue
             method, arg, origin, rid = delivery.payload
             call = Call(method, arg, origin, rid)
-            yield from self.host.cpu.use(0.1)
+            yield self.host.cpu.hold(0.1)
             self.sigma = self.spec.apply_call(call, self.sigma)
             self._bump(origin, method)
             self.host.ack_back(delivery)

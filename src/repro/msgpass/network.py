@@ -71,7 +71,7 @@ class MsgHost:
         await it.
         """
         config = self.network.config
-        yield from self.cpu.use(
+        yield self.cpu.hold(
             config.send_cpu_us + config.byte_us * _size_of(payload)
         )
         ack = Event(self.env) if want_ack else None
@@ -123,7 +123,7 @@ class MsgHost:
         """Take one message out of the stack, paying receive CPU."""
         delivery = yield self.inbox.get()
         config = self.network.config
-        yield from self.cpu.use(
+        yield self.cpu.hold(
             config.recv_cpu_us + config.byte_us * _size_of(delivery.payload)
         )
         return delivery

@@ -308,31 +308,31 @@ class QueuePair:
     def write(self, region: MemoryRegion, offset: int,
               payload: bytes) -> Generator[Event, Any, WorkCompletion]:
         """``yield from`` helper: post a write and wait for its completion."""
-        yield from self.local.cpu.use(self.config.post_cpu_us)
+        yield self.local.cpu.hold(self.config.post_cpu_us)
         completion = yield self.post_write(region, offset, payload)
         return completion
 
     def read(self, region: MemoryRegion, offset: int,
              length: int) -> Generator[Event, Any, WorkCompletion]:
-        yield from self.local.cpu.use(self.config.post_cpu_us)
+        yield self.local.cpu.hold(self.config.post_cpu_us)
         completion = yield self.post_read(region, offset, length)
         return completion
 
     def cas(self, region: MemoryRegion, offset: int, expected: int,
             swap: int) -> Generator[Event, Any, WorkCompletion]:
-        yield from self.local.cpu.use(self.config.post_cpu_us)
+        yield self.local.cpu.hold(self.config.post_cpu_us)
         completion = yield self.post_cas(region, offset, expected, swap)
         return completion
 
     def send(self, payload: bytes) -> Generator[Event, Any, WorkCompletion]:
-        yield from self.local.cpu.use(self.config.post_cpu_us)
+        yield self.local.cpu.hold(self.config.post_cpu_us)
         completion = yield self.post_send(payload)
         return completion
 
     def recv(self) -> Generator[Event, Any, _Incoming]:
         """``yield from`` helper: take one incoming SEND, paying recv CPU."""
         incoming = yield self.recv_queue.get()
-        yield from self.local.cpu.use(self.config.recv_cpu_us)
+        yield self.local.cpu.hold(self.config.recv_cpu_us)
         return incoming
 
     # -- internals ---------------------------------------------------------
@@ -428,7 +428,7 @@ def post_write_batch(
     """
     if not writes:
         return []
-    yield from cpu.use(writes[0][0].config.post_cpu_us)
+    yield cpu.hold(writes[0][0].config.post_cpu_us)
     return [
         qp.post_write(region, offset, payload)
         for qp, region, offset, payload in writes

@@ -31,6 +31,7 @@ from typing import Any, Callable, Optional
 from ..core import Call, Category, Coordination
 from ..core.rdma_semantics import DependencyMap
 from ..rdma import RdmaNode, WcStatus
+from ..sim import Event
 from .config import RuntimeConfig, s_region
 from .errors import ImpermissibleError
 from .probe import RuntimeProbe
@@ -234,7 +235,7 @@ class ApplyEngine:
     def apply(self, call: Call, rule: str):
         """Generator: pay the apply CPU cost, then commit the call."""
         self.probe.span_begin("apply", call.method, call.origin, call.rid)
-        yield from self.rnode.cpu.use(self.config.apply_cpu_us)
+        yield self.rnode.cpu.hold(self.config.apply_cpu_us)
         self.apply_buffered(call, rule)
         self.probe.span_end("apply", call.method, call.origin, call.rid)
 
@@ -267,15 +268,32 @@ class ApplyEngine:
 
     # -- request paths (cases 1-3) ---------------------------------------
 
-    def do_query(self, method: str, arg: Any):
-        yield from self.rnode.cpu.use(self.config.query_cpu_us)
-        self.probe.apply("QUERY")
-        self.probe.trace_apply("QUERY", method, self.name, 0, arg)
-        return self.spec.run_query(method, arg, self.effective_state())
+    def query(self, method: str, arg: Any) -> Event:
+        """Case 1, QUERY, without a process: a deferred start, one CPU
+        hold, and a callback on it that answers the returned event — in
+        the slots a process's start, charge and completion took."""
+        result = Event(self.env)
+
+        def answer(_hold: Event) -> None:
+            self.probe.apply("QUERY")
+            self.probe.trace_apply("QUERY", method, self.name, 0, arg)
+            try:
+                value = self.spec.run_query(method, arg, self.effective_state())
+            except Exception as exc:  # noqa: BLE001 - the caller's to handle
+                result.fail(exc)
+            else:
+                result.succeed(value)
+
+        def start() -> None:
+            hold = self.rnode.cpu.hold(self.config.query_cpu_us)
+            hold.callbacks.append(answer)
+
+        self.env.call_later(0, start)
+        return result
 
     # Case 2: reducible — summarize locally, one remote write per peer.
     def do_reduce(self, method: str, arg: Any):
-        yield from self.rnode.cpu.use(self.config.local_cpu_us)
+        yield self.rnode.cpu.hold(self.config.local_cpu_us)
         call = self.make_call(method, arg)
         self.probe.span_begin("invoke", method, call.origin, call.rid)
         state = self.effective_state()
@@ -330,7 +348,7 @@ class ApplyEngine:
 
     # Case 3: irreducible conflict-free — local apply + F-ring fan-out.
     def do_free(self, method: str, arg: Any):
-        yield from self.rnode.cpu.use(self.config.local_cpu_us)
+        yield self.rnode.cpu.hold(self.config.local_cpu_us)
         call = self.make_call(method, arg)
         self.probe.span_begin("invoke", method, call.origin, call.rid)
         post_sigma = self.spec.apply_call(call, self.sigma)

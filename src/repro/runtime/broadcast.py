@@ -107,7 +107,7 @@ class ReliableBroadcast:
         slot still covers recovery if the suspicion was wrong.
         """
         self._write_backup(message)
-        yield from self.node.cpu.use(self.local_write_us)
+        yield self.node.cpu.hold(self.local_write_us)
         pending = list(writes)
         results: list = []
         if skip_suspected and is_suspected is not None:
@@ -170,7 +170,7 @@ class ReliableBroadcast:
         if abandoned:
             return results  # keep the backup set: survivors can recover
         self._clear_backup()
-        yield from self.node.cpu.use(self.local_write_us)
+        yield self.node.cpu.hold(self.local_write_us)
         return results
 
     def _observe(self, peer: str, posted: float):

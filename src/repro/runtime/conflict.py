@@ -160,7 +160,7 @@ class ConflictCoordinator:
                 done.succeed(NotLeaderError(method, mu.leader))
                 continue
             if call is None:
-                yield from self.rnode.cpu.use(cfg.local_cpu_us)
+                yield self.rnode.cpu.hold(cfg.local_cpu_us)
                 call = applier.make_call(method, arg)
             post_sigma = self.spec.apply_call(call, applier.sigma)
             if not applier.permits(call, applier.sigma, post_sigma):
@@ -288,7 +288,7 @@ class ConflictCoordinator:
             item if len(item) == 5 else (*item, None, 0)
         )
         if call is None:
-            yield from self.rnode.cpu.use(cfg.local_cpu_us)
+            yield self.rnode.cpu.hold(cfg.local_cpu_us)
             call = applier.make_call(method, arg)
         post_sigma = self.spec.apply_call(call, spec_sigma)
         if not applier.permits(call, spec_sigma, post_sigma):

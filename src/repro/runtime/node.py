@@ -232,10 +232,7 @@ class HambandNode:
         if self.failed:
             raise SubmitError(f"node {self.name} has failed")
         if method in self.spec.queries:
-            return self.env.process(
-                self.applier.do_query(method, arg),
-                name=f"q:{self.name}:{method}",
-            )
+            return self.applier.query(method, arg)
         category = self.applier.category(method)
         if category is Category.REDUCIBLE:
             gen = self.applier.do_reduce(method, arg)

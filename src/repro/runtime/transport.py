@@ -498,7 +498,7 @@ class RingTransport:
         wc = None
         for _attempt in range(cfg.op_retry_limit + 1):
             started = self.env.now
-            yield from self.rnode.cpu.use(qp.config.post_cpu_us)
+            yield self.rnode.cpu.hold(qp.config.post_cpu_us)
             wc = yield qp.post_write(region, offset, payload)
             if (
                 wc.status is WcStatus.SUCCESS

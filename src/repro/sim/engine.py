@@ -28,8 +28,11 @@ it — so it is arranged for CPython:
   instead of a full event-plus-lambda (the RDMA fabric applies every
   in-flight one-sided write this way — it is the hottest scheduling
   primitive under load);
-- ``run()`` inlines the dispatch rather than calling :meth:`step` per
-  event, with heap/queue handles hoisted into locals.
+- a CPU charge is one event (``Resource.hold``): granted FIFO, armed
+  as a timer, released by its first callback;
+- ``run()`` is one inlined loop for both ``until`` forms (a deadline or
+  an event), with heap/queue handles hoisted into locals; ``_pop``
+  serves only :meth:`step`.
 
 ``sim/microbench.py`` measures this loop and ``scripts/bench_gate.py``
 gates it (the ``sim-engine-speed`` scenario), so regressions here fail
@@ -227,13 +230,13 @@ class Process(Event):
         return self._value is _PENDING
 
     def _start(self) -> None:
-        self._step(None, ok=True)
+        self._step(None, True)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self.name} has already terminated")
-        if self._target is self.env.active_process:
+        if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
         env = self.env
         exc = Interrupt(cause)
@@ -250,11 +253,11 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        self._step(exc, ok=False)
+        self._step(exc, False)
 
     def _resume(self, event: Event) -> None:
         self._target = None
-        self._step(event._value, ok=event._ok)
+        self._step(event._value, event._ok)
 
     def _step(self, value: Any, ok: bool) -> None:
         env = self.env
@@ -481,30 +484,18 @@ class Environment:
         ``until`` may be a simulation time or an :class:`Event`; when it
         is an event, its value is returned (failures re-raise).
         """
+        if isinstance(until, Event):
+            stop, deadline = until, float("inf")
+        else:
+            # Never triggers: the deadline or a drained queue ends the loop.
+            stop = Event(self)
+            deadline = float("inf") if until is None else float(until)
+            if deadline < self._now:
+                raise SimulationError("cannot run into the past")
         now_queue = self._now_queue
         queue = self._queue
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:
-                item = self._pop()
-                if item is None:
-                    raise SimulationError(
-                        "queue drained before the awaited event triggered"
-                    )
-                if item.__class__ is _Deferred:
-                    item.fn()
-                    continue
-                callbacks, item.callbacks = item.callbacks, None
-                for callback in callbacks:
-                    callback(item)
-            if not stop._ok:
-                raise stop._value
-            return stop._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            raise SimulationError("cannot run into the past")
         # Inlined dispatch: this loop dominates every run's profile.
-        while True:
+        while stop.callbacks is not None:
             if now_queue:
                 if queue:
                     head = queue[0]
@@ -524,6 +515,14 @@ class Environment:
             callbacks, item.callbacks = item.callbacks, None
             for callback in callbacks:
                 callback(item)
+        if stop is until:
+            if stop.callbacks is not None:
+                raise SimulationError(
+                    "queue drained before the awaited event triggered"
+                )
+            if not stop._ok:
+                raise stop._value
+            return stop._value
         if deadline != float("inf"):
             self._now = deadline
         return None

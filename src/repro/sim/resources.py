@@ -6,16 +6,17 @@ Two primitives cover everything the substrates need:
   ``get``.  Message channels, completion queues, and request queues are
   stores.
 - :class:`Resource` — a counted semaphore.  Each simulated CPU core is a
-  ``Resource(capacity=1)``; holding it while yielding a timeout models
-  CPU occupancy, which is what makes throughput saturate realistically.
+  ``Resource(capacity=1)``; a :meth:`Resource.hold` models CPU
+  occupancy, which is what makes throughput saturate realistically.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from heapq import heappush
+from typing import Any, Optional
 
-from .engine import Environment, Event, SimulationError
+from .engine import Environment, Event, SimulationError, _Deferred
 
 __all__ = ["Store", "Resource"]
 
@@ -88,6 +89,19 @@ class Store:
             event.succeed()
 
 
+class _Hold(Event):
+    """One CPU charge (:meth:`Resource.hold`); released by callback 0."""
+
+    __slots__ = ("cost",)
+
+    def __init__(self, env: Environment, cost: float, release) -> None:
+        self.env = env
+        self.callbacks = [release]
+        self._value = None
+        self._ok = True
+        self.cost = cost
+
+
 class Resource:
     """A counted semaphore with FIFO granting."""
 
@@ -98,10 +112,15 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         #: Execution speed factor: 1.0 is nominal; a ``cpuslow`` fault
-        #: window lowers it, stretching every :meth:`use` duration by
-        #: ``1/speed`` for as long as the window is open.
+        #: window lowers it, stretching every :meth:`hold` granted while
+        #: the window is open by ``1/speed``.
         self.speed = 1.0
         self._waiters: deque[Event] = deque()
+        #: Granted holds not yet armed.  Grants dispatch in the order
+        #: made, so one shared now-queue entry arms them all.
+        self._granted: deque[_Hold] = deque()
+        self._arm_entry = _Deferred(self._arm)
+        self._release_cb = self.release
 
     @property
     def available(self) -> int:
@@ -117,25 +136,52 @@ class Resource:
             self._waiters.append(event)
         return event
 
-    def release(self) -> None:
+    def release(self, _hold: Optional[Event] = None) -> None:
+        """Free one unit for the oldest waiter (an ending hold's callback)."""
         if self.in_use <= 0:
             raise SimulationError("release without acquire")
         while self._waiters:
             waiter = self._waiters.popleft()
+            if waiter.__class__ is _Hold:
+                self._grant(waiter)
+                return
             if not waiter.triggered:
                 waiter.succeed()
                 return
         self.in_use -= 1
 
-    def use(self, duration: float) -> Generator[Event, None, None]:
-        """Process helper: hold one unit for ``duration`` time units.
+    def hold(self, cost: float) -> Event:
+        """Occupy one unit for ``cost`` time units: ``yield cpu.hold(cost)``.
 
-        Usage: ``yield from resource.use(cost)``.
+        The returned event triggers once the unit is released again.
+        Holds queue FIFO with :meth:`acquire` callers; ``speed`` is read
+        when the hold is granted.  Two rules follow from the hold being
+        an event rather than a step of its caller: a hold whose process
+        is interrupted while it is queued is still granted and released
+        (the unit never leaks), and an interrupted holder keeps its unit
+        until the hold ends.
         """
-        yield self.acquire()
-        try:
-            yield self.env.timeout(
-                duration if self.speed == 1.0 else duration / self.speed
-            )
-        finally:
-            self.release()
+        if cost < 0:
+            raise SimulationError(f"negative hold cost {cost}")
+        hold = _Hold(self.env, cost, self._release_cb)
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            self._grant(hold)
+        else:
+            self._waiters.append(hold)
+        return hold
+
+    def _grant(self, hold: _Hold) -> None:
+        env = self.env
+        self._granted.append(hold)
+        env._now_queue.append((next(env._seq), self._arm_entry))
+
+    def _arm(self) -> None:
+        """Start the oldest granted hold's timer (the grant's slot)."""
+        hold = self._granted.popleft()
+        env = self.env
+        cost = hold.cost if self.speed == 1.0 else hold.cost / self.speed
+        if cost:
+            heappush(env._queue, (env._now + cost, next(env._seq), hold))
+        else:
+            env._now_queue.append((next(env._seq), hold))

@@ -200,9 +200,20 @@ def _client(env, cluster, coordination, name, n_ops, config, state,
         else:
             method, arg = queries[rng.randrange(len(queries))], None
         issued_at = env.now
-        ok = yield from _submit_with_redirect(
-            env, cluster, node, method, arg, method in leader_bound
-        )
+        if method in leader_bound or getattr(node, "failed", False):
+            ok = yield from _submit_with_redirect(
+                env, cluster, node, method, arg, method in leader_bound
+            )
+        else:
+            try:
+                yield node.submit(method, arg)
+                ok = True
+            except ImpermissibleError:
+                ok = False
+            except SubmitError as error:
+                ok = yield from _submit_with_redirect(
+                    env, cluster, node, method, arg, error=error
+                )
         state.total_calls += 1
         state.record(method, env.now - issued_at)
         if method in updates:
@@ -230,45 +241,51 @@ def _leader_bound_methods(spec, coordination) -> frozenset:
 
 
 def _submit_with_redirect(env, cluster, node, method, arg,
-                          follow_leader=False):
+                          follow_leader=False, error=None):
     """Submit, following leader redirects; returns False on rejection.
 
     ``follow_leader`` marks a conflicting call: those wait out leader
     changes (paper §5: they "have to wait until the leader-change
-    protocol elects the new leader").
+    protocol elects the new leader").  ``error`` is the failure of a
+    first attempt the caller made inline; the loop starts by handling
+    it, so attempts and waits match a call that started here.
     """
     target = node
     for _attempt in range(50):
-        if getattr(target, "failed", False):
-            # Crashed/failed node: the paper redirects its clients to
-            # the live nodes rather than erroring out.
-            live = [
-                n for n in cluster.node_names()
-                if not getattr(cluster.node(n), "failed", False)
-            ]
-            if live:
-                target = cluster.node(live[0])
-        if follow_leader and hasattr(target, "current_leader"):
-            leader = target.current_leader(method)
+        if error is None:
+            if getattr(target, "failed", False):
+                # Crashed/failed node: the paper redirects its clients
+                # to the live nodes rather than erroring out.
+                live = [
+                    n for n in cluster.node_names()
+                    if not getattr(cluster.node(n), "failed", False)
+                ]
+                if live:
+                    target = cluster.node(live[0])
+            if follow_leader and hasattr(target, "current_leader"):
+                leader = target.current_leader(method)
+                try:
+                    target = cluster.node(leader)
+                except KeyError:
+                    # The believed leader scaled in; wait out
+                    # re-election.
+                    yield env.timeout(50.0)
+                    continue
             try:
-                target = cluster.node(leader)
-            except KeyError:
-                # The believed leader scaled in; wait out re-election.
-                yield env.timeout(50.0)
-                continue
-        try:
-            request = target.submit(method, arg)
-            yield request
-            return True
-        except NotLeaderError as redirect:
+                yield target.submit(method, arg)
+                return True
+            except ImpermissibleError:
+                return False
+            except SubmitError as exc:
+                error = exc
+        if isinstance(error, NotLeaderError):
             try:
-                target = cluster.node(redirect.leader)
+                target = cluster.node(error.leader)
             except KeyError:
                 yield env.timeout(50.0)  # redirect to a departed node
-        except ImpermissibleError:
-            return False
-        except SubmitError:
+        else:
             yield env.timeout(50.0)  # e.g. mid-failover; retry
+        error = None
     return False
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..runtime.errors import ImpermissibleError, SubmitError
 from ..sim import Environment
 from ..sim.rng import SeedSequence
 from .driver import _leader_bound_methods, _submit_with_redirect
@@ -241,9 +242,20 @@ def _arrival_process(env, cluster, coordination, names, config, tier,
 def _one_request(env, cluster, node, session, method, arg, is_update,
                  follow_leader, tier, state, latency, per_method):
     issued_at = env.now
-    ok = yield from _submit_with_redirect(
-        env, cluster, node, method, arg, follow_leader
-    )
+    if follow_leader or getattr(node, "failed", False):
+        ok = yield from _submit_with_redirect(
+            env, cluster, node, method, arg, follow_leader
+        )
+    else:
+        try:
+            yield node.submit(method, arg)
+            ok = True
+        except ImpermissibleError:
+            ok = False
+        except SubmitError as error:
+            ok = yield from _submit_with_redirect(
+                env, cluster, node, method, arg, error=error
+            )
     tier.complete(session)
     state.total_calls += 1
     elapsed = env.now - issued_at

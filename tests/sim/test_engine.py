@@ -302,6 +302,38 @@ class TestInterrupts:
         assert resumed == ["interrupt", "second"]
         assert v.value is None
 
+    def test_process_cannot_interrupt_itself(self, env):
+        def selfish(env):
+            yield env.timeout(1)
+            env.active_process.interrupt()
+
+        p = env.process(selfish(env))
+        env.run()
+        assert isinstance(p.value, SimulationError)
+        assert "itself" in str(p.value)
+
+    def test_awaited_process_can_interrupt_its_waiter(self, env):
+        """The self-check compares the interrupter with the target, not
+        with what the target waits on."""
+        causes = []
+
+        def waiter(env):
+            try:
+                yield callee
+            except Interrupt as inter:
+                causes.append((inter.cause, env.now))
+
+        def callee_body(env):
+            yield env.timeout(2)
+            waiting.interrupt("give-up")
+            yield env.timeout(1)
+
+        callee = env.process(callee_body(env))
+        waiting = env.process(waiter(env))
+        env.run()
+        assert causes == [("give-up", 2.0)]
+        assert callee.ok
+
 
 class TestConditions:
     def test_all_of_collects_values(self, env):

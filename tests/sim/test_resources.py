@@ -1,9 +1,23 @@
 """Unit tests for Store and Resource."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, Interrupt, SimulationError
 from repro.sim.resources import Resource, Store
+
+
+def reference_use(resource, duration):
+    """The acquire/timeout/release generator ``Resource.hold`` replaced:
+    ``yield from reference_use(cpu, cost)``."""
+    yield resource.acquire()
+    try:
+        yield resource.env.timeout(
+            duration if resource.speed == 1.0 else duration / resource.speed
+        )
+    finally:
+        resource.release()
 
 
 @pytest.fixture
@@ -150,11 +164,11 @@ class TestResource:
         with pytest.raises(SimulationError):
             cpu.release()
 
-    def test_use_helper_releases_on_completion(self, env):
+    def test_hold_releases_on_completion(self, env):
         cpu = Resource(env)
 
         def job(env):
-            yield from cpu.use(3)
+            yield cpu.hold(3)
             return env.now
 
         p = env.process(job(env))
@@ -176,3 +190,127 @@ class TestResource:
     def test_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
             Resource(env, capacity=0)
+
+
+def _trace(capacity, jobs, slow_at, slow_speed, use_hold):
+    """Run ``jobs`` — (start, cost, kind) with kind ``hold`` or
+    ``acquire`` — on one resource whose speed drops at ``slow_at``;
+    ``(time, tag)`` per job start and end, and the final free units."""
+    env = Environment()
+    cpu = Resource(env, capacity=capacity)
+    trace = []
+
+    def job(tag, start, cost, kind):
+        yield env.timeout(start)
+        trace.append((env.now, f"{tag}+"))
+        if kind == "acquire":
+            yield cpu.acquire()
+            yield env.timeout(cost)
+            cpu.release()
+        elif use_hold:
+            yield cpu.hold(cost)
+        else:
+            yield from reference_use(cpu, cost)
+        trace.append((env.now, f"{tag}-"))
+
+    def slow():
+        yield env.timeout(slow_at)
+        cpu.speed = slow_speed
+        trace.append((env.now, "slow"))
+
+    env.process(slow())
+    for tag, (start, cost, kind) in enumerate(jobs):
+        env.process(job(tag, start, cost, kind))
+    env.run()
+    return trace, cpu.available
+
+
+class TestHold:
+    @given(
+        capacity=st.integers(1, 3),
+        jobs=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),
+                st.sampled_from(["hold", "hold", "acquire"]),
+            ),
+            min_size=1, max_size=12,
+        ),
+        slow_at=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        slow_speed=st.sampled_from([1.0, 0.5, 0.25]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hold_matches_the_reference_generator(
+        self, capacity, jobs, slow_at, slow_speed
+    ):
+        assert _trace(capacity, jobs, slow_at, slow_speed, True) == _trace(
+            capacity, jobs, slow_at, slow_speed, False
+        )
+
+    def test_hold_is_one_plain_event(self, env):
+        cpu = Resource(env)
+        hold = cpu.hold(2)
+        assert not hasattr(hold, "send")
+        env.run(until=hold)
+        assert env.now == 2.0
+        assert cpu.available == 1
+
+    def test_negative_cost_raises_before_taking_a_unit(self, env):
+        cpu = Resource(env)
+        with pytest.raises(SimulationError):
+            cpu.hold(-1)
+        assert cpu.available == 1
+
+    def test_interrupted_while_queued_does_not_leak_the_unit(self, env):
+        # The reference generator leaks here: the queued acquire is
+        # granted after the interrupt and never released.
+        cpu = Resource(env)
+        log = []
+
+        def holder():
+            yield cpu.hold(5)
+
+        def waiter():
+            try:
+                yield cpu.hold(3)
+            except Interrupt:
+                log.append(("interrupted", env.now))
+
+        def attacker(target):
+            yield env.timeout(1)
+            target.interrupt()
+
+        env.process(holder())
+        env.process(attacker(env.process(waiter())))
+        env.run()
+        # The queued hold is still granted at 5 and released at 8.
+        assert log == [("interrupted", 1.0)]
+        assert env.now == 8.0
+        assert cpu.available == 1
+
+    def test_interrupted_holder_keeps_its_unit_until_the_hold_ends(
+        self, env
+    ):
+        cpu = Resource(env)
+        log = []
+
+        def holder():
+            try:
+                yield cpu.hold(5)
+            except Interrupt:
+                log.append(("interrupted", env.now, cpu.available))
+
+        def next_job():
+            yield env.timeout(1)
+            yield cpu.hold(1)
+            log.append(("next", env.now))
+
+        def attacker(target):
+            yield env.timeout(2)
+            target.interrupt()
+
+        env.process(attacker(env.process(holder())))
+        env.process(next_job())
+        env.run()
+        assert log == [("interrupted", 2.0, 0), ("next", 6.0)]
+        assert cpu.available == 1

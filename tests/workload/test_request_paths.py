@@ -1,0 +1,275 @@
+"""The client request paths: the simulated schedule they produce, the
+process-free query path, and the drivers' inline first attempt."""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.core import Category, QueryDef
+from repro.datatypes import counter_spec, courseware_spec, gset_spec
+from repro.runtime import (
+    HambandCluster,
+    ImpermissibleError,
+    NotLeaderError,
+    RuntimeConfig,
+    SubmitError,
+)
+from repro.sim import Environment, Event, Process
+from repro.workload import (
+    DriverConfig,
+    OpenLoopConfig,
+    run_open_loop,
+    run_workload,
+)
+
+
+def canonical(value):
+    """A JSON form of a replica state independent of set/dict order."""
+    if isinstance(value, (list, tuple)):
+        return [canonical(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted((canonical(v) for v in value), key=repr)
+    if isinstance(value, dict):
+        return sorted(
+            ([canonical(k), canonical(v)] for k, v in value.items()),
+            key=repr,
+        )
+    return value
+
+
+def schedule_digest(result, cluster) -> str:
+    return hashlib.sha256(json.dumps([
+        result.latency.samples, canonical(cluster.effective_states()),
+    ]).encode()).hexdigest()
+
+
+class TestSchedulePin:
+    """Every latency sample and final state of three small seed-1 runs
+    on one-core nodes, where requests contend for the CPU.
+
+    The constants were recorded before queries, CPU charges and the
+    drivers' first attempt stopped being processes: moving a request's
+    events to other ``(time, seq)`` slots changes them.
+    """
+
+    def test_gset_mostly_queries(self):
+        env = Environment()
+        cluster = HambandCluster.build(env, gset_spec(), 4, cpu_cores=1)
+        result = run_workload(env, cluster, DriverConfig(
+            workload="gset", total_ops=800, update_ratio=0.05, seed=1,
+            clients_per_node=3,
+        ))
+        assert schedule_digest(result, cluster) == GSET_READ_DIGEST
+
+    def test_courseware_half_updates(self):
+        env = Environment()
+        cluster = HambandCluster.build(
+            env, courseware_spec(), 4, cpu_cores=1
+        )
+        result = run_workload(env, cluster, DriverConfig(
+            workload="courseware", total_ops=400, update_ratio=0.5, seed=1,
+            clients_per_node=2,
+        ))
+        assert schedule_digest(result, cluster) == COURSEWARE_DIGEST
+
+    def test_counter_flash_crowd_open_loop(self):
+        env = Environment()
+        cluster = HambandCluster.build(env, counter_spec(), 4, cpu_cores=1)
+        result = run_open_loop(env, cluster, OpenLoopConfig(
+            workload="counter", offered_load_ops_per_us=3.0,
+            duration_us=300.0, update_ratio=0.5, seed=1,
+            arrival_curve="flash-crowd", n_sessions=1000, n_tenants=4,
+        ))
+        assert schedule_digest(result, cluster) == COUNTER_SERVE_DIGEST
+
+
+GSET_READ_DIGEST = (
+    "7e97f0a556b3186a9c11b96e7c0a2392c932004db3ec6d35322d0b793d469c74"
+)
+COURSEWARE_DIGEST = (
+    "fe1ec4c27000238e538d0faa19ab84f9367462d90ef1cf674f07c7c962616f81"
+)
+COUNTER_SERVE_DIGEST = (
+    "33c7e2c7abda155435dd131f1788ce4ccb9e6f2c29774f29286a1993ea1bd356"
+)
+
+
+@pytest.fixture
+def gset_cluster():
+    env = Environment()
+    cluster = HambandCluster.build(env, gset_spec(), 3, cpu_cores=1)
+    return env, cluster, cluster.node(cluster.node_names()[0])
+
+
+class TestQueryPath:
+    def test_query_is_a_plain_event(self, gset_cluster):
+        env, _cluster, node = gset_cluster
+        request = node.submit("size")
+        assert type(request) is Event
+        assert not isinstance(request, Process)
+        assert env.run(until=request) == 0
+
+    def test_query_behind_a_busy_cpu_waits_fifo(self, gset_cluster):
+        env, _cluster, node = gset_cluster
+        cost = RuntimeConfig().query_cpu_us
+        blocker = node.rnode.cpu.hold(5.0)
+        first = node.submit("size")
+        second = node.submit("elements")
+        done = []
+        first.callbacks.append(lambda ev: done.append(("first", env.now)))
+        second.callbacks.append(lambda ev: done.append(("second", env.now)))
+        env.run(until=second)
+        assert blocker.processed
+        assert [tag for tag, _ in done] == ["first", "second"]
+        assert done[0][1] >= 5.0 + cost
+        assert done[1][1] >= done[0][1] + cost
+
+    def test_failing_query_fails_the_event_for_the_client(
+        self, gset_cluster
+    ):
+        env, _cluster, node = gset_cluster
+
+        def boom(_arg, _state):
+            raise ValueError("query blew up")
+
+        node.applier.spec.queries["size"] = QueryDef("size", boom)
+
+        def client():
+            try:
+                yield node.submit("size")
+            except ValueError as exc:
+                return str(exc)
+
+        seen = env.process(client())
+        assert env.run(until=seen) == "query blew up"
+        assert node.failures == []
+
+
+# -- the drivers' inline first attempt ---------------------------------------
+
+
+class _StubNode:
+    """Serves each call after 1 us, or fails it per ``script``: one
+    exception (or None) per call, then success."""
+
+    def __init__(self, env, name, script=(), leader=None):
+        self.env = env
+        self.name = name
+        self.script = list(script)
+        self.leader = leader or name
+        self.calls = 0
+
+    def current_leader(self, _method):
+        return self.leader
+
+    def submit(self, method, arg=None):
+        self.calls += 1
+        error = self.script.pop(0) if self.script else None
+        if error is None:
+            return self.env.timeout(1.0)
+        return self.env.event().fail(error)
+
+
+class _StubCoordination:
+    def __init__(self, spec, conflicting=()):
+        self.spec = spec
+        self.conflicting = set(conflicting)
+
+    def category(self, method):
+        if method in self.conflicting:
+            return Category.CONFLICTING
+        return Category.IRREDUCIBLE_CONFLICT_FREE
+
+
+class _StubCluster:
+    """``clients`` get a client each; ``nodes`` may hold more (a leader
+    nobody is pointed at directly)."""
+
+    def __init__(self, env, nodes, clients, conflicting=()):
+        self.env = env
+        self.nodes = nodes
+        self.clients = clients
+        self.coordination = _StubCoordination(gset_spec(), conflicting)
+
+    def node_names(self):
+        return list(self.clients)
+
+    def node(self, name):
+        return self.nodes[name]
+
+    def quiesce(self, _target, timeout_us=0.0):
+        yield self.env.timeout(0)
+        return self.env.now
+
+
+def _closed(cluster, **config):
+    return run_workload(cluster.env, cluster, DriverConfig(
+        workload="gset", update_ratio=1.0, seed=1, **config,
+    ))
+
+
+def _open(cluster):
+    return run_open_loop(cluster.env, cluster, OpenLoopConfig(
+        workload="gset", offered_load_ops_per_us=0.05, duration_us=400.0,
+        update_ratio=1.0, seed=1, n_sessions=8,
+    ))
+
+
+class TestInlineFirstSubmit:
+    def test_closed_loop_submit_error_waits_once(self):
+        env = Environment()
+        node = _StubNode(env, "p0", [SubmitError("mid-failover")])
+        result = _closed(_StubCluster(env, {"p0": node}, ["p0"]),
+                         total_ops=1)
+        assert node.calls == 2
+        assert result.latency.samples == [51.0]
+        assert result.update_calls == 1
+
+    def test_closed_loop_impermissible_is_rejected(self):
+        env = Environment()
+        node = _StubNode(env, "p0", [ImpermissibleError("no")] * 3)
+        result = _closed(_StubCluster(env, {"p0": node}, ["p0"]),
+                         total_ops=3)
+        assert node.calls == 3
+        assert result.rejected_calls == 3
+        assert result.update_calls == 0
+
+    def test_closed_loop_leader_bound_follows_the_redirect(self):
+        env = Environment()
+        follower = _StubNode(env, "p1", [NotLeaderError("add", "p0")])
+        leader = _StubNode(env, "p0")
+        result = _closed(
+            _StubCluster(env, {"p0": leader, "p1": follower}, ["p1"],
+                         conflicting={"add"}),
+            total_ops=1,
+        )
+        assert (follower.calls, leader.calls) == (1, 1)
+        assert result.latency.samples == [1.0]
+
+    def test_open_loop_submit_error_waits_once(self):
+        env = Environment()
+        node = _StubNode(env, "p0", [SubmitError("mid-failover")])
+        result = _open(_StubCluster(env, {"p0": node}, ["p0"]))
+        assert result.total_calls > 1
+        assert node.calls == result.total_calls + 1
+        slowest = sorted(result.latency.samples)[-2:]
+        assert slowest == pytest.approx([1.0, 51.0])
+
+    def test_open_loop_impermissible_is_rejected(self):
+        env = Environment()
+        node = _StubNode(env, "p0", [ImpermissibleError("no")] * 1000)
+        result = _open(_StubCluster(env, {"p0": node}, ["p0"]))
+        assert node.calls == result.total_calls > 0
+        assert result.rejected_calls == result.total_calls
+
+    def test_open_loop_leader_bound_follows_the_redirect(self):
+        env = Environment()
+        follower = _StubNode(env, "p1", [NotLeaderError("add", "p0")] * 1000)
+        leader = _StubNode(env, "p0")
+        result = _open(_StubCluster(
+            env, {"p0": leader, "p1": follower}, ["p1"], conflicting={"add"},
+        ))
+        assert follower.calls == leader.calls == result.total_calls > 0
+        samples = result.latency.samples
+        assert samples == pytest.approx([1.0] * len(samples))
