@@ -8,7 +8,14 @@ benchmarks.
 
 from __future__ import annotations
 
-from ..core import Call, ObjectSpec, QueryDef, Summarizer, UpdateDef
+from ..core import (
+    Call,
+    ObjectSpec,
+    QueryDef,
+    Summarizer,
+    UpdateDef,
+    keeps_always,
+)
 
 __all__ = ["counter_spec"]
 
@@ -29,7 +36,7 @@ def counter_spec() -> ObjectSpec:
         name="counter",
         initial_state=lambda: 0,
         invariant=lambda _value: True,
-        updates=[UpdateDef("add", _add)],
+        updates=[UpdateDef("add", _add, keeps_always)],
         queries=[QueryDef("value", _value)],
         summarizers=[
             Summarizer(

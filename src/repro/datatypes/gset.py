@@ -12,7 +12,14 @@
 
 from __future__ import annotations
 
-from ..core import Call, ObjectSpec, QueryDef, Summarizer, UpdateDef
+from ..core import (
+    Call,
+    ObjectSpec,
+    QueryDef,
+    Summarizer,
+    UpdateDef,
+    keeps_always,
+)
 
 __all__ = ["gset_spec", "gset_union_spec"]
 
@@ -47,7 +54,7 @@ def gset_spec() -> ObjectSpec:
         name="gset",
         initial_state=frozenset,
         invariant=lambda _state: True,
-        updates=[UpdateDef("add", _add)],
+        updates=[UpdateDef("add", _add, keeps_always)],
         queries=_QUERIES,
         state_gen=lambda rng: frozenset(
             e for e in _UNIVERSE if rng.random() < 0.4
@@ -66,7 +73,7 @@ def gset_union_spec() -> ObjectSpec:
         name="gset_union",
         initial_state=frozenset,
         invariant=lambda _state: True,
-        updates=[UpdateDef("add_all", _add_all)],
+        updates=[UpdateDef("add_all", _add_all, keeps_always)],
         queries=_QUERIES,
         summarizers=[
             Summarizer(

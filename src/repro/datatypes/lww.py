@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core import Call, ObjectSpec, QueryDef, Summarizer, UpdateDef
+from ..core import (
+    Call,
+    ObjectSpec,
+    QueryDef,
+    Summarizer,
+    UpdateDef,
+    keeps_always,
+)
 
 __all__ = ["lww_spec"]
 
@@ -42,7 +49,7 @@ def lww_spec() -> ObjectSpec:
         name="lww",
         initial_state=lambda: _INITIAL,
         invariant=lambda _state: True,
-        updates=[UpdateDef("write", _write)],
+        updates=[UpdateDef("write", _write, keeps_always)],
         queries=[QueryDef("read", _read), QueryDef("stamp", _stamp_of)],
         summarizers=[
             Summarizer(

@@ -11,7 +11,7 @@ Figure 10 experiment.
 
 from __future__ import annotations
 
-from ..core import ObjectSpec, QueryDef, UpdateDef
+from ..core import ObjectSpec, QueryDef, UpdateDef, keeps_always
 
 __all__ = ["movie_spec"]
 
@@ -48,10 +48,10 @@ def movie_spec() -> ObjectSpec:
         initial_state=lambda: (frozenset(), frozenset()),
         invariant=lambda _state: True,
         updates=[
-            UpdateDef("addCustomer", _add_customer),
-            UpdateDef("deleteCustomer", _delete_customer),
-            UpdateDef("addMovie", _add_movie),
-            UpdateDef("deleteMovie", _delete_movie),
+            UpdateDef("addCustomer", _add_customer, keeps_always),
+            UpdateDef("deleteCustomer", _delete_customer, keeps_always),
+            UpdateDef("addMovie", _add_movie, keeps_always),
+            UpdateDef("deleteMovie", _delete_movie, keeps_always),
         ],
         queries=[QueryDef("count", _count)],
         state_gen=lambda rng: (

@@ -14,7 +14,7 @@ union variants would be.  Categories: both irreducible conflict-free.
 
 from __future__ import annotations
 
-from ..core import ObjectSpec, QueryDef, UpdateDef
+from ..core import ObjectSpec, QueryDef, UpdateDef, keeps_always
 
 __all__ = ["twophase_set_spec"]
 
@@ -45,7 +45,10 @@ def twophase_set_spec() -> ObjectSpec:
         name="twophase_set",
         initial_state=lambda: (frozenset(), frozenset()),
         invariant=lambda _state: True,
-        updates=[UpdateDef("add", _add), UpdateDef("remove", _remove)],
+        updates=[
+            UpdateDef("add", _add, keeps_always),
+            UpdateDef("remove", _remove, keeps_always),
+        ],
         queries=[
             QueryDef("contains", _contains),
             QueryDef("elements", _elements),

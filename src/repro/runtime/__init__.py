@@ -57,9 +57,17 @@ from .trace import ShardedRecorder, TraceEvent, TraceRecorder, TracingProbe
 from .txn import TxnCoordinator, TxnOp, TxnOutcome
 from .transport import RingTransport
 from .summary import SummarySlot, render_summary, slot_size_for
-from .wire import StringTable, WireCodec, WireError, decode_value, encode_value
+from .wire import (
+    MEMO_FRAMES,
+    StringTable,
+    WireCodec,
+    WireError,
+    decode_value,
+    encode_value,
+)
 
 __all__ = [
+    "MEMO_FRAMES",
     "ApplyEngine",
     "CheckReport",
     "CheckpointState",

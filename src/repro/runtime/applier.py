@@ -8,7 +8,8 @@ every rule that mutates it:
 - the summary mirror and summary-slot readers (``S``),
 - dependency projection (``A | Dep(u)``) and dependency checks,
 - permissibility (the method's declared delta, or the invariant folded
-  over the summaries on a node with summary slots),
+  over the summaries on a node with summary slots; a method declaring
+  ``keeps_always`` needs neither),
 - the REDUCE / FREE / QUERY request paths,
 - the buffer-traversal loop that drives the transport's F drains, the
   conflict coordinator's L drains, and the recovered-call queue.
@@ -28,7 +29,7 @@ import itertools
 from collections import defaultdict
 from typing import Any, Callable, Optional
 
-from ..core import Call, Category, Coordination
+from ..core import Call, Category, Coordination, keeps_always
 from ..core.rdma_semantics import DependencyMap
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Event
@@ -39,9 +40,11 @@ from .ringbuffer import RingCorruptionError, RingError
 from .summary import (
     SummarySlot,
     current_record_bytes,
+    parse_slot,
     render_summary,
     slot_size_for,
 )
+from .transport import HOLE_PATIENCE
 from .wire import WireCodec
 
 __all__ = ["ApplyEngine"]
@@ -63,6 +66,12 @@ class ApplyEngine:
         self.config = config
         self.probe = probe or RuntimeProbe()
         self.codec = codec or WireCodec()
+        #: Methods whose guard cannot fail (``keeps_always``): they
+        #: need no effective state to be permitted.
+        self._always = frozenset(
+            name for name, update in self.spec.updates.items()
+            if update.keeps is keeps_always
+        )
 
         self.sigma = self.spec.initial_state()
         #: A — applied counts for buffered (F/L) calls, incl. our own.
@@ -86,21 +95,30 @@ class ApplyEngine:
         the ``s_region`` memory regions first.
         """
         self.processes = sorted(processes)
-        summary_size = slot_size_for(self.config.summary_payload)
         self.summary_readers: dict[tuple[str, str], SummarySlot] = {}
         #: Our in-memory mirror: group -> (seq, summary call, counts).
         self.summary_mirror: dict[str, tuple[int, Call, dict[str, int]]] = {}
+        #: Sweeps each damaged peer slot has stayed unreadable (the
+        #: summary half of the hole detector).
+        self._slot_misses: dict[tuple[str, str], float] = {}
         for summarizer in self.spec.summarizers:
             for owner in self.processes:
-                region = self.rnode.regions[s_region(summarizer.group, owner)]
-                self.summary_readers[(summarizer.group, owner)] = SummarySlot(
-                    region, 0, summary_size, codec=self.codec
-                )
+                self._add_summary_reader(summarizer.group, owner)
             self.summary_mirror[summarizer.group] = (
                 0,
                 summarizer.identity(self.name),
                 {},
             )
+
+    def _add_summary_reader(self, group: str, owner: str) -> None:
+        region = self.rnode.regions[s_region(group, owner)]
+        self.summary_readers[(group, owner)] = SummarySlot(
+            region, 0, slot_size_for(self.config.summary_payload),
+            codec=self.codec,
+        )
+        self._slots = list(self.summary_readers.values())
+        #: ``effective_state``'s fold, keyed on σ and the slot stamps.
+        self._folded: tuple = (None, None, None)
 
     def add_process(self, name: str) -> None:
         """Rewire the apply layer for a newly joined process.
@@ -115,12 +133,8 @@ class ApplyEngine:
         if name in self.processes:
             return
         self.processes = sorted([*self.processes, name])
-        summary_size = slot_size_for(self.config.summary_payload)
         for summarizer in self.spec.summarizers:
-            region = self.rnode.regions[s_region(summarizer.group, name)]
-            self.summary_readers[(summarizer.group, name)] = SummarySlot(
-                region, 0, summary_size, codec=self.codec
-            )
+            self._add_summary_reader(summarizer.group, name)
 
     def bind(self, transport, conflict, broadcast,
              is_suspected: Callable[[str], bool]) -> None:
@@ -147,13 +161,25 @@ class ApplyEngine:
     # -- state views -----------------------------------------------------
 
     def effective_state(self) -> Any:
-        """``Apply(S)(σ)``: summaries folded over the stored state."""
+        """``Apply(S)(σ)``: summaries folded over the stored state.
+
+        The fold is redone only when σ or a slot region has changed
+        since the last call (updates are pure, so σ's identity stands
+        for its value)."""
         sigma = self.sigma
-        for (_group, _owner), slot in self.summary_readers.items():
+        if not self.summary_readers:
+            return sigma
+        stamps = [slot.region.stamp for slot in self._slots]
+        folded_sigma, folded_stamps, state = self._folded
+        if sigma is folded_sigma and stamps == folded_stamps:
+            return state
+        state = sigma
+        for slot in self._slots:
             value = slot.read()
             if value is not None:
-                sigma = self.spec.apply_call(value[0], sigma)
-        return sigma
+                state = self.spec.apply_call(value[0], state)
+        self._folded = (sigma, stamps, state)
+        return state
 
     def applied_count(self, process: str, method: str) -> int:
         """A(p, u), consulting summary slots for reducible methods."""
@@ -180,10 +206,13 @@ class ApplyEngine:
         only by permissible calls, and the checkers verify that it
         does), so the method's declared delta decides
         (:meth:`ObjectSpec.holds_after`).  A node with summary slots
-        checks the whole state with the summaries folded in: folding
-        does not commute with a delta.
+        checks the whole state with the summaries folded in (folding
+        does not commute with a delta), unless the method declares
+        ``keeps_always``: such a call keeps ``I`` on every state.
         """
         if self.summary_readers:
+            if call.method in self._always:
+                return True
             return self.invariant_with_summaries(post)
         return self.spec.holds_after(call, pre, post, True)
 
@@ -296,8 +325,9 @@ class ApplyEngine:
         yield self.rnode.cpu.hold(self.config.local_cpu_us)
         call = self.make_call(method, arg)
         self.probe.span_begin("invoke", method, call.origin, call.rid)
-        state = self.effective_state()
-        if not self.spec.invariant(self.spec.apply_call(call, state)):
+        if method not in self._always and not self.spec.invariant(
+            self.spec.apply_call(call, self.effective_state())
+        ):
             self.probe.span_end("invoke", method, call.origin, call.rid)
             self.probe.rejected("impermissible")
             raise ImpermissibleError(f"{call} violates the invariant")
@@ -315,11 +345,11 @@ class ApplyEngine:
         )
         region_name = s_region(summarizer.group, self.name)
         # Local install first (the REDUCE transition's own-process part).
-        self.rnode.regions[region_name].write(0, slot_bytes)
+        own_region = self.rnode.regions[region_name]
+        own_region.write(0, slot_bytes)
         self.probe.apply("REDUCE")
         self.probe.trace_apply("REDUCE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
-        own_region = self.rnode.regions[region_name]
         # A retried summary write re-renders the region's CURRENT bytes
         # (used prefix only), so it never replaces a newer summary with
         # a stale one and never ships the whole reserved region.
@@ -332,7 +362,7 @@ class ApplyEngine:
             )
             for peer in self.transport.peers
         ]
-        message = self.codec.encode_value(("S", summarizer.group, slot_bytes))
+        message = self.codec.encode_s_backup(summarizer.group, slot_bytes)
         self.probe.span_begin("propagate", method, call.origin, call.rid)
         self.probe.trace_transfer(
             f"S:{summarizer.group}", method, call.origin, call.rid,
@@ -371,7 +401,7 @@ class ApplyEngine:
         writes = yield from self.transport.prepare_f_writes(
             packet, self.is_suspected
         )
-        message = self.codec.encode_value(("F", packet))
+        message = self.codec.encode_f_backup(packet)
         # Due flow-control acks coalesce onto this fan-out's doorbell
         # batch instead of paying their own post later.
         yield from self.broadcast.broadcast(
@@ -449,6 +479,8 @@ class ApplyEngine:
             progressed |= ring_progressed
         for gid in self.transport.l_readers:
             progressed |= yield from self.conflict.drain_l(gid)
+        if self.summary_readers:
+            progressed |= yield from self.repair_summaries(waited_us)
         if self.pending_recovered:
             progressed |= yield from self.drain_recovered()
         if self.config.ack_every:
@@ -463,7 +495,10 @@ class ApplyEngine:
         half of the rejoin/catch-up path.
 
         ``owners`` restricts which processes' slots to refresh (e.g. a
-        single peer just cleared of suspicion); None refreshes all.
+        single peer just cleared of suspicion); None refreshes all.  A
+        local slot that does not parse adopts the first copy that does,
+        whatever its seq (the owner's first), and the adoption counts
+        as a repair of ring ``S:<group>:<owner>``.
         """
         summary_size = slot_size_for(self.config.summary_payload)
         refreshed = 0
@@ -481,6 +516,22 @@ class ApplyEngine:
                     wc = yield from qp.read(remote, 0, summary_size)
                     if wc.status is not WcStatus.SUCCESS or not wc.data:
                         continue
+                    slot = self.summary_readers[(summarizer.group, owner)]
+                    slot.read()
+                    if slot.damaged:
+                        remote_seq, payload = parse_slot(
+                            wc.data, 0, summary_size
+                        )
+                        if payload is None:
+                            continue  # this copy is damaged too
+                        used = slot_size_for(len(payload))
+                        self.transport.note_slot_repair(
+                            f"S:{summarizer.group}:{owner}", remote_seq,
+                            local.read(0, used), wc.data[:used],
+                        )
+                        local.write(0, wc.data)
+                        refreshed += 1
+                        break
                     remote_seq = int.from_bytes(wc.data[:8], "little")
                     local_seq = int.from_bytes(local.read(0, 8), "little")
                     if remote_seq > local_seq:
@@ -488,6 +539,40 @@ class ApplyEngine:
                         refreshed += 1
                     break  # first reachable source wins
         return refreshed
+
+    def repair_summaries(self, waited_us: float = 0.0):
+        """Hole detection for summary slots.
+
+        A peer's slot that does not parse (a torn or corrupted write)
+        is never replaced by anything but the owner's next summary
+        write, and a quiet owner writes none.  So once a damaged slot
+        has stayed unreadable for the F-ring hole detector's patience
+        (sweeps after a backed-off wait count as the sweeps they
+        skipped), it is re-read from its owner.
+        """
+        repaired = False
+        misses = self._slot_misses
+        for key, slot in self.summary_readers.items():
+            if key[1] == self.name:
+                continue
+            slot.read()
+            if not slot.damaged:
+                if misses:
+                    misses.pop(key, None)
+                continue
+            if key not in misses:
+                self.probe.crc_reject(f"S:{key[0]}:{key[1]}")
+            count = misses.get(key, 0.0) + max(
+                waited_us / self.config.poll_interval_us, 1.0
+            )
+            if count < HOLE_PATIENCE:
+                misses[key] = count
+                continue
+            misses[key] = 0.0
+            self.probe.hole_repair(f"S:{key[0]}:{key[1]}")
+            adopted = yield from self.pull_summaries(owners=[key[1]])
+            repaired |= adopted > 0
+        return repaired
 
     def _summary_sources(self, owner: str) -> list[str]:
         """Sources to read ``owner``'s summary from: the owner itself

@@ -32,6 +32,7 @@ from ..sim import Environment
 from .membership import MembershipEpoch, join_cluster, leave_cluster
 from .node import HambandNode, RuntimeConfig
 from .probe import rollup_node_stats
+from .wire import WireCodec
 
 __all__ = ["HambandCluster"]
 
@@ -49,10 +50,14 @@ class HambandCluster:
         self.config = config or RuntimeConfig()
         self.probe_factory = probe_factory
         names = fabric.node_names()
-        #: The founding member list: the wire codec's string table is
-        #: derived from it on every node forever (joiners included), so
-        #: elastic membership never perturbs interned ids mid-run.
+        #: The founding member list, from which the codec's string table
+        #: is derived.
         self.founding = list(names)
+        #: The ONE wire codec of the cluster, shared by every node and
+        #: handed to joiners, so elastic membership never perturbs
+        #: interned ids mid-run (a joiner's name rides the inline
+        #: escape) and each landed frame decodes once.
+        self.codec = WireCodec.for_cluster(2, coordination, names)
         #: Nodes removed by scale-in, kept addressable for inspection.
         self.departed: dict[str, HambandNode] = {}
         self.epoch = MembershipEpoch(0, tuple(names))
@@ -69,6 +74,7 @@ class HambandCluster:
                 self.leaders,
                 self.config,
                 probe=probe_factory(name) if probe_factory else None,
+                codec=self.codec,
             )
             for name in names
         }

@@ -14,13 +14,13 @@ of Mu and the state-transfer engine:
   (:meth:`~repro.runtime.node.HambandNode.add_peer`: F ring + ack
   regions and reader/writer state, summary slots, failure-detector
   polling, a control listener, Mu membership with write permission
-  denied), and the joiner is built against the *founding* process list
-  for wire parity — its own name rides the codec's inline escape, so
-  a joiner never perturbs the interned string table the founders
-  agreed on.  The joiner starts ``failed`` (requests redirected away)
-  and flips live only after a :class:`~repro.runtime.statexfer.
-  StateTransfer` pass installs the committed prefix under the frontier
-  barrier — the SAME engine restarts and partition heals use.
+  denied), and the joiner is handed the cluster's one codec — its own
+  name rides the codec's inline escape, so a joiner never perturbs the
+  interned string table the founders agreed on.  The joiner starts
+  ``failed`` (requests redirected away) and flips live only after a
+  :class:`~repro.runtime.statexfer.StateTransfer` pass installs the
+  committed prefix under the frontier barrier — the SAME engine
+  restarts and partition heals use.
 - :func:`leave_cluster` — scale-in.  The departing node is stopped
   (fail-stop), every remaining member unwires it (writers dropped,
   readers kept so landed records still drain, detector pinned to
@@ -117,10 +117,9 @@ def join_cluster(cluster, name: str, cpu_cores: int = 2,
         probe=(
             cluster.probe_factory(name) if cluster.probe_factory else None
         ),
-        # Wire parity: the codec's interned string table is derived
-        # from the FOUNDING member list on every node, joiner included;
-        # the joiner's own name encodes via the inline escape.
-        wire_processes=cluster.founding,
+        # Wire parity: the joiner shares the cluster's codec (its table
+        # is the founders'); its own name encodes via the inline escape.
+        codec=cluster.codec,
     )
     # Mirror of the cluster-construction tail: the joiner is never the
     # leader of an existing group, and non-leaders must hold no write

@@ -85,7 +85,7 @@ class HambandNode:
                  processes: list[str], initial_leaders: dict[str, str],
                  config: RuntimeConfig,
                  probe: Optional[RuntimeProbe] = None,
-                 wire_processes: Optional[list[str]] = None):
+                 codec: Optional[WireCodec] = None):
         self.rnode = rnode
         self.env: Environment = rnode.env
         self.name = rnode.name
@@ -106,16 +106,12 @@ class HambandNode:
         self.membership_epoch = 0
         #: The instrumentation seam shared by all four layers.
         self.probe = probe if probe is not None else CountingProbe()
-        #: The cluster's wire codec: every node derives the SAME interned
-        #: string table from the coordination spec and process list, so
-        #: packets decode everywhere without a handshake.  A node
-        #: joining mid-run passes the FOUNDING list as ``wire_processes``
-        #: so its table matches the incumbents' — its own name (absent
-        #: from the table) rides the codec's inline escape.
-        self.codec = WireCodec.for_cluster(
-            2,
-            coordination,
-            sorted(wire_processes) if wire_processes else self.processes,
+        #: The cluster's wire codec, one object shared by every node (a
+        #: joiner included), so each landed frame decodes once per
+        #: cluster.  A node built alone derives the same table from the
+        #: coordination spec and its process list.
+        self.codec = codec if codec is not None else WireCodec.for_cluster(
+            2, coordination, self.processes
         )
 
         # -- compose the four layers -----------------------------------

@@ -5,26 +5,44 @@ slot holding that process's current summary call and its applied
 counts.  The owner of the summary (the issuing process) overwrites the
 slot locally and at every peer with one RDMA write each.
 
-Slot layout (seqlock pattern): an 8-byte sequence number, a 4-byte
-payload length, the payload, and the same sequence number again in the
-slot's final 8 bytes.  A reader that observes mismatched sequence
-numbers is seeing a write in flight and retries — the moral equivalent
-of the ring buffers' canary byte for an overwrite-in-place slot.
+Slot layout (seqlock pattern plus a checksum), 20 bytes of framing::
+
+    seq u64 | length u32 | payload | seq mod 2^32 u32 | crc32 u32
+
+The trailer repeats the sequence number, so a reader that observes
+mismatched halves is seeing a write in flight — the moral equivalent
+of the ring buffers' canary byte for an overwrite-in-place slot.  The
+CRC-32 covers the header and payload, so a bitflipped payload behind
+an intact seqlock is detected too.  A slot that stays unreadable is
+re-read from its owner by the apply layer's repair pass
+(:meth:`~repro.runtime.applier.ApplyEngine.repair_summaries`): nothing
+else would ever replace it while the owner stays quiet.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Optional
 
 from ..core import Call
 from ..rdma import MemoryRegion
 from .wire import WireCodec, WireError, decode_value, encode_value
 
-__all__ = ["SummarySlot", "SummaryValue", "render_summary", "slot_size_for"]
+__all__ = [
+    "SummarySlot",
+    "SummaryValue",
+    "parse_slot",
+    "render_summary",
+    "slot_size_for",
+]
 
-_HEADER = 12  # 8-byte seq + 4-byte length
-_TRAILER = 8
+_HEAD = struct.Struct("<QI")  # seq, payload length
+_TAIL = struct.Struct("<II")  # seq mod 2^32, crc32(head + payload)
+_HEADER = _HEAD.size
+_TRAILER = _TAIL.size
+#: :func:`parse_slot`'s sequence number for a slot that does not parse.
+_UNREADABLE = -1
 
 #: What a slot stores: the summary call and the per-method applied
 #: counts of the owning process within this summarization group.
@@ -40,26 +58,44 @@ def render_summary(seq: int, call: Call, counts: dict[str, int],
                    codec: Optional[WireCodec] = None) -> bytes:
     """Render the used prefix of the slot for one RDMA write.
 
-    The trailer sequence number sits immediately after the payload, so
-    the remote write ships only record-sized bytes rather than the full
-    reserved slot.  ``codec`` supplies the cluster's string table;
-    without one the payload encodes every string inline.
+    The trailer sits immediately after the payload, so the remote write
+    ships only record-sized bytes rather than the full reserved slot.
+    ``codec`` supplies the cluster's string table; without one the
+    payload encodes every string inline.
     """
-    encode = codec.encode_value if codec is not None else encode_value
-    payload = encode((call.method, call.arg, call.origin, call.rid,
-                      counts))
+    if codec is not None:
+        payload = codec.encode_summary(call, counts)
+    else:
+        payload = encode_value(
+            (call.method, call.arg, call.origin, call.rid, counts)
+        )
     used = _HEADER + len(payload) + _TRAILER
     if used > slot_size:
         raise ValueError(
             f"summary payload of {len(payload)} bytes exceeds slot size "
             f"{slot_size}"
         )
-    slot = bytearray(used)
-    struct.pack_into("<Q", slot, 0, seq)
-    struct.pack_into("<I", slot, 8, len(payload))
-    slot[_HEADER : _HEADER + len(payload)] = payload
-    struct.pack_into("<Q", slot, used - _TRAILER, seq)
-    return bytes(slot)
+    head = _HEAD.pack(seq, len(payload)) + payload
+    return head + _TAIL.pack(seq & 0xFFFFFFFF, zlib.crc32(head))
+
+
+def parse_slot(data, offset: int, slot_size: int):
+    """``(seq, payload)`` of the slot at ``offset`` of ``data``: ``(0,
+    None)`` for a never-written slot, ``(_UNREADABLE, None)`` for a torn,
+    in-flight or corrupted one."""
+    seq, length = _HEAD.unpack_from(data, offset)
+    if seq == 0 and length == 0:
+        return 0, None
+    end = offset + _HEADER + length
+    if _HEADER + length + _TRAILER > slot_size:
+        return _UNREADABLE, None  # garbage length
+    seq_lo, crc = _TAIL.unpack_from(data, end)
+    if seq_lo != seq & 0xFFFFFFFF:
+        return _UNREADABLE, None
+    head = data[offset:end]
+    if zlib.crc32(head) != crc:
+        return _UNREADABLE, None
+    return seq, head[_HEADER:]
 
 
 def current_record_bytes(region) -> bytes:
@@ -69,14 +105,21 @@ def current_record_bytes(region) -> bytes:
     shipping record-sized data, never the whole reserved region.
     """
     (length,) = struct.unpack_from("<I", region.data, 8)
-    used = _HEADER + length + _TRAILER
-    if used > region.size:
-        used = region.size
-    return region.read(0, used)
+    return region.data[: min(_HEADER + length + _TRAILER, region.size)]
 
 
 class SummarySlot:
-    """Reader view over one summary slot region."""
+    """Reader view over one summary slot region.
+
+    Reads are gated on the region's write stamp: while nothing has
+    landed in the region, :meth:`read` returns its previous result
+    without touching the bytes.  Otherwise it parses the slot in place
+    and decodes the payload through the codec's memo, so the readers of
+    one summary version share a single decode.
+    """
+
+    __slots__ = ("region", "offset", "slot_size", "codec", "damaged",
+                 "_decode_value", "_stamp", "_value")
 
     def __init__(self, region: MemoryRegion, offset: int, slot_size: int,
                  codec: Optional[WireCodec] = None):
@@ -85,46 +128,43 @@ class SummarySlot:
         self.slot_size = slot_size
         #: Needed to resolve interned string ids in the payload.
         self.codec = codec
-        self._cache_seq: Optional[int] = None
-        self._cache_value: Optional[SummaryValue] = None
+        self._decode_value = (
+            codec.decode_value if codec is not None else decode_value
+        )
+        #: True while the slot holds bytes that do not parse: a torn or
+        #: corrupted write that only the repair pass replaces.
+        self.damaged = False
+        self._stamp = -1
+        self._value: Optional[SummaryValue] = None
 
     def read(self) -> Optional[SummaryValue]:
-        """Current summary, or None while the slot is empty/in flight.
-
-        Decodes are cached by sequence number: the hot path (applied-
-        count checks in the buffer traversal loops) re-reads slots far
-        more often than they change.
-        """
-        raw = self.region.read(self.offset, self.slot_size)
-        (seq1,) = struct.unpack_from("<Q", raw, 0)
-        if seq1 == 0:
-            return None
-        (length,) = struct.unpack_from("<I", raw, 8)
-        if _HEADER + length + _TRAILER > self.slot_size:
-            return None  # garbage length: treat as in-flight
-        (seq2,) = struct.unpack_from("<Q", raw, _HEADER + length)
-        if seq1 != seq2:
-            return None
-        if seq1 == self._cache_seq:
-            return self._cache_value
-        decode = (
-            self.codec.decode_value if self.codec is not None
-            else decode_value
+        """Current summary, or None while the slot is empty/unreadable."""
+        stamp = self.region.stamp
+        if stamp == self._stamp:
+            return self._value
+        self._stamp = stamp
+        seq, payload = parse_slot(
+            self.region.data, self.offset, self.slot_size
         )
-        try:
-            method, arg, origin, rid, counts = decode(
-                bytes(raw[_HEADER : _HEADER + length])
-            )
-        except (WireError, ValueError, TypeError):
-            # A corrupted payload behind an intact seqlock (the seqlock
-            # only catches *incomplete* overwrites, like the rings'
-            # canary byte): treat as in flight — the owner's next
-            # summary write replaces the slot wholesale.
-            return None
-        value = (Call(method, arg, origin, rid), counts)
-        self._cache_seq = seq1
-        self._cache_value = value
+        value = None if payload is None else self._decode(payload)
+        self.damaged = value is None and seq != 0
+        self._value = value
         return value
+
+    def _decode(self, payload: bytes) -> Optional[SummaryValue]:
+        try:
+            decoded = self._decode_value(payload)
+        except WireError:
+            return None
+        # A CRC-valid payload of the wrong shape is a writer bug; it
+        # reads as unreadable rather than crashing the reader.
+        if type(decoded) is not tuple or len(decoded) != 5:
+            return None
+        method, arg, origin, rid, counts = decoded
+        if not (isinstance(method, str) and isinstance(origin, str)
+                and isinstance(rid, int) and isinstance(counts, dict)):
+            return None
+        return Call(method, arg, origin, rid), counts
 
     def applied_count(self, method: str) -> int:
         value = self.read()

@@ -54,10 +54,13 @@ from .ringbuffer import (
 from .summary import slot_size_for
 from .wire import WireCodec, WireError
 
-__all__ = ["RingTransport"]
+__all__ = ["HOLE_PATIENCE", "RingTransport"]
 
 #: Upper bound on records parsed per drain sweep (one region read).
 _DRAIN_RUN = 64
+#: Empty sweeps (in poll intervals) before the hole detector suspects
+#: a lost write on an F ring or a damaged summary slot.
+HOLE_PATIENCE = 256
 
 
 class RingTransport:
@@ -542,7 +545,7 @@ class RingTransport:
         misses = self._f_misses.get(origin, 0.0) + max(
             waited_us / self.config.poll_interval_us, 1.0
         )
-        if misses < 256:
+        if misses < HOLE_PATIENCE:
             self._f_misses[origin] = misses
             return False
         self._f_misses[origin] = 0.0

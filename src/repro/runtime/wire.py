@@ -13,8 +13,20 @@ method_id, varint count)`` dependency arrays.  Every frame starts with
 a magic byte (0x01 value, 0x02 call packet, 0x03 batch) and each
 decoder accepts only its own.
 
+A cluster shares ONE codec object, and the codec decodes each frame
+once: a bounded FIFO memo (:data:`MEMO_FRAMES`) maps frame bytes to the
+decoded value, so the N−1 readers of one F record, the followers of one
+L batch and the readers of one summary version share a single decode.
+Decoding is a pure function of (bytes, table): corrupted bytes never
+hit, and only successful decodes are remembered.  Decoded values are
+shared, so consumers must treat them as immutable.  The fixed fields
+are compiled at construction: interned ids, ``(method, origin)``
+headers, dependency keys and the backup-message prefixes are
+pre-packed bytes, and encoders and decoders dispatch on type and tag.
+
 No pickle: the format is explicit, stable, and fuzzable
-(tests/runtime/test_wire.py round-trips it under hypothesis).
+(tests/runtime/test_wire.py round-trips it under hypothesis, and
+tests/runtime/test_wire_compiled.py pins golden bytes).
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from ..core import Call
 from ..core.rdma_semantics import DependencyMap
 
 __all__ = [
+    "MEMO_FRAMES",
     "StringTable",
     "WireCodec",
     "WireError",
@@ -56,6 +69,11 @@ _VALUE = b"\x01"
 _PACKET = b"\x02"
 _BATCH = b"\x03"
 
+#: Decoded frames a codec remembers: enough for every reader of one
+#: record to share its decode while the cluster writes on, small enough
+#: that the memo's memory stays flat.
+MEMO_FRAMES = 64
+
 #: Exceptions the raw decoders may raise on malformed bytes; every
 #: public decode entry point converts these to :class:`WireError`.
 _DECODE_ERRORS = (
@@ -68,6 +86,14 @@ _DECODE_ERRORS = (
     RecursionError,
 )
 
+_MISS = object()
+_DOUBLE = struct.Struct("<d")
+#: ``i`` + one-byte zigzag varint, for every int in [-64, 63].
+_SMALL_INTS = tuple(_INT + bytes((zz,)) for zz in range(0x80))
+#: A summary payload, ``(method, arg, origin, rid, counts)``, up to the
+#: method's string id.
+_SUMMARY_HEAD = _VALUE + _TUPLE + b"\x05" + _STR
+
 
 def encode_value(value: Any) -> bytes:
     """Encode one value frame with the table-less codec (every string
@@ -77,8 +103,9 @@ def encode_value(value: Any) -> bytes:
 
 def decode_value(data: bytes) -> Any:
     """Decode one table-less value frame, consuming the whole buffer.
-    Malformed input of any shape raises :class:`WireError`."""
-    return _PLAIN.decode_value(data)
+    Malformed input of any shape raises :class:`WireError`.  Never
+    memoized: exported traces and checkpoints get values of their own."""
+    return _PLAIN._decode_value(data)
 
 
 # -- varint / zigzag primitives ----------------------------------------------
@@ -92,6 +119,12 @@ def _write_uvarint(value: int, out: bytearray) -> None:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
     out.append(value)
+
+
+def _uvarint(value: int) -> bytes:
+    out = bytearray()
+    _write_uvarint(value, out)
+    return bytes(out)
 
 
 def _read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
@@ -110,10 +143,6 @@ def _read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
 
 def _zigzag(value: int) -> int:
     return value * 2 if value >= 0 else -value * 2 - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
 
 
 class StringTable:
@@ -156,10 +185,60 @@ class WireCodec:
     decoding an interned id without a table raises :class:`WireError`.
     """
 
-    __slots__ = ("table",)
+    __slots__ = (
+        "table", "_sids", "_strings", "_headers", "_dep_keys",
+        "_f_prefix", "_s_prefix", "_s_heads", "_encoders", "_decoders",
+        "_memo",
+    )
 
     def __init__(self, table: Optional[StringTable] = None):
         self.table = table
+        strings = table.strings if table is not None else ()
+        #: Interned string -> its pre-packed id bytes.
+        self._sids = {s: _uvarint(i + 1) for i, s in enumerate(strings)}
+        #: Id -> string; id 0 is the inline escape.
+        self._strings = (None, *strings)
+        #: Pre-packed ``(method, origin)`` headers and ``(proc, method)``
+        #: dependency keys, for interned pairs only (bounded by the
+        #: table, whatever strings a caller sends).
+        self._headers: dict[tuple[str, str], bytes] = {}
+        self._dep_keys: dict[tuple[str, str], bytes] = {}
+        #: ``encode_value(("F", packet))`` / ``(("S", group, slot))``
+        #: up to the variable part.
+        self._f_prefix = (
+            _VALUE + _TUPLE + b"\x02" + _STR + self._str_bytes("F") + _BYTES
+        )
+        self._s_prefix = (
+            _VALUE + _TUPLE + b"\x03" + _STR + self._str_bytes("S") + _STR
+        )
+        #: Summarization group -> the S prefix through the group (the
+        #: spec's handful of groups).
+        self._s_heads: dict[str, bytes] = {}
+        self._encoders = {
+            type(None): self._enc_none,
+            bool: self._enc_bool,
+            int: self._enc_int,
+            float: self._enc_float,
+            str: self._enc_str,
+            bytes: self._enc_bytes,
+            tuple: self._enc_tuple,
+            list: self._enc_list,
+            frozenset: self._enc_frozenset,
+            dict: self._enc_dict,
+        }
+        decoders = [self._dec_unknown] * 256
+        for tag, decoder in (
+            (_NONE, self._dec_none), (_TRUE, self._dec_true),
+            (_FALSE, self._dec_false), (_INT, self._dec_int),
+            (_FLOAT, self._dec_float), (_STR, self._dec_str),
+            (_BYTES, self._dec_bytes), (_TUPLE, self._dec_tuple),
+            (_LIST, self._dec_list), (_FROZENSET, self._dec_frozenset),
+            (_DICT, self._dec_dict),
+        ):
+            decoders[tag[0]] = decoder
+        self._decoders = tuple(decoders)
+        #: Frame bytes -> decoded value, oldest first (see MEMO_FRAMES).
+        self._memo: dict[bytes, Any] = {}
 
     @classmethod
     def for_cluster(cls, version: int, coordination,
@@ -186,10 +265,15 @@ class WireCodec:
         return bytes(out)
 
     def decode_value(self, data: bytes) -> Any:
+        """Decode one value frame (memoized; treat the result as
+        immutable)."""
+        return self._memoized(data, _VALUE[0], self._decode_value)
+
+    def _decode_value(self, data: bytes) -> Any:
         try:
             if data[:1] != _VALUE:
                 raise WireError("not a value frame")
-            value, offset = self._decode_from(data, 1)
+            value, offset = self._value_at(data, 1)
         except WireError:
             raise
         except _DECODE_ERRORS as exc:
@@ -212,10 +296,15 @@ class WireCodec:
         return bytes(out)
 
     def decode_call_packet(self, data: bytes) -> tuple[Call, DependencyMap]:
+        """Decode one call packet (memoized; treat the call's dependency
+        map as immutable)."""
+        return self._memoized(data, _PACKET[0], self._decode_call_packet)
+
+    def _decode_call_packet(self, data: bytes) -> tuple[Call, DependencyMap]:
         try:
             if data[:1] != _PACKET:
                 raise WireError("not a call packet")
-            entry, offset = self._decode_packet_body(data, 1)
+            entry, offset = self._packet_at(data, 1)
         except WireError:
             raise
         except _DECODE_ERRORS as exc:
@@ -241,6 +330,14 @@ class WireCodec:
     def decode_call_batch(
         self, data: bytes
     ) -> list[tuple[Call, DependencyMap]]:
+        """Decode one batch (memoized: a fresh list of shared entries)."""
+        return list(
+            self._memoized(data, _BATCH[0], self._decode_call_batch)
+        )
+
+    def _decode_call_batch(
+        self, data: bytes
+    ) -> tuple[tuple[Call, DependencyMap], ...]:
         try:
             if data[:1] != _BATCH:
                 raise WireError("not a batch frame")
@@ -249,7 +346,7 @@ class WireCodec:
                 raise WireError("batch count exceeds remaining bytes")
             entries = []
             for _ in range(count):
-                entry, offset = self._decode_packet_body(data, offset)
+                entry, offset = self._packet_at(data, offset)
                 entries.append(entry)
         except WireError:
             raise
@@ -257,160 +354,317 @@ class WireCodec:
             raise WireError(f"malformed batch packet: {exc}") from exc
         if offset != len(data):
             raise WireError(f"{len(data) - offset} trailing bytes")
-        return entries
+        return tuple(entries)
+
+    # -- pre-packed runtime frames -----------------------------------------
+
+    def encode_f_backup(self, packet: bytes) -> bytes:
+        """``encode_value(("F", packet))``: an F broadcast's backup."""
+        size = len(packet)
+        length = bytes((size,)) if size < 0x80 else _uvarint(size)
+        return self._f_prefix + length + packet
+
+    def encode_s_backup(self, group: str, slot: bytes) -> bytes:
+        """``encode_value(("S", group, slot))``: a summary's backup."""
+        head = self._s_heads.get(group)
+        if head is None:
+            head = self._s_prefix + self._str_bytes(group) + _BYTES
+            self._s_heads[group] = head
+        size = len(slot)
+        length = bytes((size,)) if size < 0x80 else _uvarint(size)
+        return head + length + slot
+
+    def encode_summary(self, call: Call, counts: dict[str, int]) -> bytes:
+        """``encode_value((method, arg, origin, rid, counts))``: the
+        payload of a summary slot."""
+        out = bytearray(_SUMMARY_HEAD)
+        self._encode_str(call.method, out)
+        self._encode_into(call.arg, out)
+        out += _STR
+        self._encode_str(call.origin, out)
+        self._enc_int(call.rid, out)
+        self._enc_dict(counts, out)
+        return bytes(out)
 
     # -- internals ---------------------------------------------------------
 
-    def _encode_str(self, string: str, out: bytearray) -> None:
-        sid = self.table.id_of(string) if self.table is not None else None
+    def _memoized(self, data: bytes, magic: int, decode) -> Any:
+        """``decode(data)``, once per distinct frame of kind ``magic``.
+
+        A hit checks the magic, so a frame never answers for another
+        kind's decoder; a failed decode raises before it is remembered.
+        Buffers other than ``bytes`` (unhashable) are decoded afresh.
+        """
+        if type(data) is not bytes:
+            return decode(data)
+        memo = self._memo
+        value = memo.get(data, _MISS)
+        if value is _MISS or data[0] != magic:
+            value = decode(data)
+            if len(memo) >= MEMO_FRAMES:
+                del memo[next(iter(memo))]  # the oldest frame
+            memo[data] = value
+        return value
+
+    def _str_bytes(self, string: str) -> bytes:
+        sid = self._sids.get(string)
         if sid is not None:
-            _write_uvarint(sid, out)
+            return sid
+        out = bytearray()
+        self._encode_str(string, out)
+        return bytes(out)
+
+    def _encode_str(self, string: str, out: bytearray) -> None:
+        sid = self._sids.get(string)
+        if sid is not None:
+            out += sid
         else:
             payload = string.encode("utf-8")
             out.append(0)  # id 0: inline escape
             _write_uvarint(len(payload), out)
             out += payload
 
-    def _decode_str(self, data: bytes, offset: int) -> tuple[str, int]:
-        sid, offset = _read_uvarint(data, offset)
-        if sid == 0:
-            length, offset = _read_uvarint(data, offset)
-            payload = data[offset : offset + length]
-            if len(payload) != length:
-                raise WireError("truncated string payload")
-            return payload.decode("utf-8"), offset + length
-        if self.table is None:
-            raise WireError(f"interned string id {sid} without a table")
-        return self.table.string_of(sid), offset
+    def _str_at(self, data: bytes, offset: int) -> tuple[str, int]:
+        sid = data[offset]
+        if sid < 0x80:
+            offset += 1
+        else:
+            sid, offset = _read_uvarint(data, offset)
+        if sid:
+            if sid < len(self._strings):
+                return self._strings[sid], offset
+            if self.table is None:
+                raise WireError(f"interned string id {sid} without a table")
+            raise WireError(
+                f"string id {sid} outside table of {len(self.table)}"
+            )
+        length, offset = _read_uvarint(data, offset)
+        payload = data[offset : offset + length]
+        if len(payload) != length:
+            raise WireError("truncated string payload")
+        return payload.decode("utf-8"), offset + length
+
+    def _pair_bytes(self, cache: dict, first: str, second: str) -> bytes:
+        """Two strings' encodings back to back, pre-packed when both
+        are interned."""
+        key = (first, second)
+        packed = cache.get(key)
+        if packed is None:
+            packed = self._str_bytes(first) + self._str_bytes(second)
+            if first in self._sids and second in self._sids:
+                cache[key] = packed
+        return packed
 
     def _encode_packet_body(self, call: Call, dep: DependencyMap,
                             out: bytearray) -> None:
         # Fixed 5-tuple header: method, origin, rid, dep count, deps —
         # then the (self-delimiting) argument body.
-        self._encode_str(call.method, out)
-        self._encode_str(call.origin, out)
-        _write_uvarint(_zigzag(call.rid), out)
-        items = sorted(dep.items())
-        _write_uvarint(len(items), out)
-        for (proc, method), count in items:
-            self._encode_str(proc, out)
-            self._encode_str(method, out)
-            _write_uvarint(count, out)
+        out += self._pair_bytes(self._headers, call.method, call.origin)
+        zz = _zigzag(call.rid)
+        if zz < 0x80:
+            out.append(zz)
+        else:
+            _write_uvarint(zz, out)
+        if not dep:
+            out.append(0)
+        else:
+            _write_uvarint(len(dep), out)
+            dep_keys = self._dep_keys
+            for (proc, method), count in sorted(dep.items()):
+                out += self._pair_bytes(dep_keys, proc, method)
+                if 0 <= count < 0x80:
+                    out.append(count)
+                else:
+                    _write_uvarint(count, out)
         self._encode_into(call.arg, out)
 
-    def _decode_packet_body(
+    def _packet_at(
         self, data: bytes, offset: int
     ) -> tuple[tuple[Call, DependencyMap], int]:
-        method, offset = self._decode_str(data, offset)
-        origin, offset = self._decode_str(data, offset)
-        zz, offset = _read_uvarint(data, offset)
-        rid = _unzigzag(zz)
-        n_deps, offset = _read_uvarint(data, offset)
+        str_at = self._str_at
+        method, offset = str_at(data, offset)
+        origin, offset = str_at(data, offset)
+        zz = data[offset]
+        if zz < 0x80:
+            offset += 1
+        else:
+            zz, offset = _read_uvarint(data, offset)
+        rid = (zz >> 1) ^ -(zz & 1)
+        n_deps = data[offset]
+        if n_deps < 0x80:
+            offset += 1
+        else:
+            n_deps, offset = _read_uvarint(data, offset)
         if n_deps > len(data) - offset:  # each dep is >= 3 bytes
             raise WireError("dependency count exceeds remaining bytes")
         dep: DependencyMap = {}
         for _ in range(n_deps):
-            proc, offset = self._decode_str(data, offset)
-            dep_method, offset = self._decode_str(data, offset)
-            count, offset = _read_uvarint(data, offset)
+            proc, offset = str_at(data, offset)
+            dep_method, offset = str_at(data, offset)
+            count = data[offset]
+            if count < 0x80:
+                offset += 1
+            else:
+                count, offset = _read_uvarint(data, offset)
             dep[(proc, dep_method)] = count
-        arg, offset = self._decode_from(data, offset)
+        arg, offset = self._value_at(data, offset)
         return (Call(method, arg, origin, rid), dep), offset
 
-    def _encode_into(self, value: Any, out: bytearray) -> None:
-        if value is None:
-            out += _NONE
-        elif value is True:
-            out += _TRUE
-        elif value is False:
-            out += _FALSE
-        elif isinstance(value, int):
-            out += _INT
-            _write_uvarint(_zigzag(value), out)
-        elif isinstance(value, float):
-            out += _FLOAT + struct.pack("<d", value)
-        elif isinstance(value, str):
-            out += _STR
-            self._encode_str(value, out)
-        elif isinstance(value, bytes):
-            out += _BYTES
-            _write_uvarint(len(value), out)
-            out += value
-        elif isinstance(value, tuple):
-            out += _TUPLE
-            _write_uvarint(len(value), out)
-            for item in value:
-                self._encode_into(item, out)
-        elif isinstance(value, list):
-            out += _LIST
-            _write_uvarint(len(value), out)
-            for item in value:
-                self._encode_into(item, out)
-        elif isinstance(value, frozenset):
-            # Canonical order so equal sets encode identically.
-            items = sorted(value, key=lambda x: (repr(type(x)), repr(x)))
-            out += _FROZENSET
-            _write_uvarint(len(items), out)
-            for item in items:
-                self._encode_into(item, out)
-        elif isinstance(value, dict):
-            items = sorted(value.items(), key=lambda kv: repr(kv[0]))
-            out += _DICT
-            _write_uvarint(len(items), out)
-            for key, item in items:
-                self._encode_into(key, out)
-                self._encode_into(item, out)
-        else:
-            raise WireError(f"unsupported wire type {type(value).__name__}")
+    # -- value encoders, dispatched on type ----------------------------------
 
-    def _decode_from(self, data: bytes, offset: int) -> tuple[Any, int]:
+    def _encode_into(self, value: Any, out: bytearray) -> None:
+        encoder = self._encoders.get(type(value))
+        if encoder is None:
+            encoder = self._encoder_of_subclass(value)
+        encoder(value, out)
+
+    def _encoder_of_subclass(self, value: Any):
+        for base in (int, float, str, bytes, tuple, list, frozenset, dict):
+            if isinstance(value, base):
+                return self._encoders[base]
+        raise WireError(f"unsupported wire type {type(value).__name__}")
+
+    def _enc_none(self, _value: None, out: bytearray) -> None:
+        out += _NONE
+
+    def _enc_bool(self, value: bool, out: bytearray) -> None:
+        out += _TRUE if value else _FALSE
+
+    def _enc_int(self, value: int, out: bytearray) -> None:
+        zz = value * 2 if value >= 0 else -value * 2 - 1
+        if zz < 0x80:
+            out += _SMALL_INTS[zz]
+            return
+        out += _INT
+        while zz >= 0x80:
+            out.append((zz & 0x7F) | 0x80)
+            zz >>= 7
+        out.append(zz)
+
+    def _enc_float(self, value: float, out: bytearray) -> None:
+        out += _FLOAT + _DOUBLE.pack(value)
+
+    def _enc_str(self, value: str, out: bytearray) -> None:
+        out += _STR
+        self._encode_str(value, out)
+
+    def _enc_bytes(self, value: bytes, out: bytearray) -> None:
+        out += _BYTES
+        _write_uvarint(len(value), out)
+        out += value
+
+    def _enc_items(self, tag: bytes, items, out: bytearray) -> None:
+        out += tag
+        _write_uvarint(len(items), out)
+        encode = self._encode_into
+        for item in items:
+            encode(item, out)
+
+    def _enc_tuple(self, value: tuple, out: bytearray) -> None:
+        self._enc_items(_TUPLE, value, out)
+
+    def _enc_list(self, value: list, out: bytearray) -> None:
+        self._enc_items(_LIST, value, out)
+
+    def _enc_frozenset(self, value: frozenset, out: bytearray) -> None:
+        # Canonical order so equal sets encode identically.
+        items = sorted(value, key=lambda x: (repr(type(x)), repr(x)))
+        self._enc_items(_FROZENSET, items, out)
+
+    def _enc_dict(self, value: dict, out: bytearray) -> None:
+        items = value.items()
+        if len(items) > 1:
+            items = sorted(items, key=lambda kv: repr(kv[0]))
+        out += _DICT
+        _write_uvarint(len(items), out)
+        encode = self._encode_into
+        for key, item in items:
+            encode(key, out)
+            encode(item, out)
+
+    # -- value decoders, dispatched on tag -----------------------------------
+
+    def _value_at(self, data: bytes, offset: int) -> tuple[Any, int]:
         if offset >= len(data):
             raise WireError("truncated value")
-        tag = data[offset : offset + 1]
-        offset += 1
-        if tag == _NONE:
-            return None, offset
-        if tag == _TRUE:
-            return True, offset
-        if tag == _FALSE:
-            return False, offset
-        if tag == _FLOAT:
-            return struct.unpack_from("<d", data, offset)[0], offset + 8
-        if tag == _INT:
+        return self._decoders[data[offset]](data, offset + 1)
+
+    def _count_at(self, data: bytes, offset: int) -> tuple[int, int]:
+        """A container's element count; each element is >= 1 byte."""
+        count = data[offset]
+        if count < 0x80:
+            offset += 1
+        else:
+            count, offset = _read_uvarint(data, offset)
+        if count > len(data) - offset:
+            raise WireError("container count exceeds remaining bytes")
+        return count, offset
+
+    def _items_at(self, data: bytes, offset: int) -> tuple[list, int]:
+        # The count check guarantees a tag byte for every element, so
+        # elements dispatch on their tag without _value_at's check.
+        count, offset = self._count_at(data, offset)
+        decoders = self._decoders
+        items = []
+        for _ in range(count):
+            item, offset = decoders[data[offset]](data, offset + 1)
+            items.append(item)
+        return items, offset
+
+    def _dec_unknown(self, data: bytes, offset: int):
+        raise WireError(f"unknown tag {data[offset - 1 : offset]!r}")
+
+    def _dec_none(self, _data: bytes, offset: int) -> tuple[None, int]:
+        return None, offset
+
+    def _dec_true(self, _data: bytes, offset: int) -> tuple[bool, int]:
+        return True, offset
+
+    def _dec_false(self, _data: bytes, offset: int) -> tuple[bool, int]:
+        return False, offset
+
+    def _dec_int(self, data: bytes, offset: int) -> tuple[int, int]:
+        zz = data[offset]
+        if zz < 0x80:
+            offset += 1
+        else:
             zz, offset = _read_uvarint(data, offset)
-            return _unzigzag(zz), offset
-        if tag == _STR:
-            return self._decode_str(data, offset)
-        if tag == _BYTES:
-            length, offset = _read_uvarint(data, offset)
-            payload = data[offset : offset + length]
-            if len(payload) != length:
-                raise WireError("truncated payload")
-            return bytes(payload), offset + length
-        if tag in (_TUPLE, _LIST, _FROZENSET):
-            count, offset = _read_uvarint(data, offset)
-            if count > len(data) - offset:  # each element is >= 1 byte
-                raise WireError("container count exceeds remaining bytes")
-            items = []
-            for _ in range(count):
-                item, offset = self._decode_from(data, offset)
-                items.append(item)
-            if tag == _TUPLE:
-                return tuple(items), offset
-            if tag == _LIST:
-                return items, offset
-            return frozenset(items), offset
-        if tag == _DICT:
-            count, offset = _read_uvarint(data, offset)
-            if count > len(data) - offset:
-                raise WireError("container count exceeds remaining bytes")
-            result = {}
-            for _ in range(count):
-                key, offset = self._decode_from(data, offset)
-                value, offset = self._decode_from(data, offset)
-                result[key] = value
-            return result, offset
-        raise WireError(f"unknown tag {tag!r}")
+        return (zz >> 1) ^ -(zz & 1), offset
+
+    def _dec_float(self, data: bytes, offset: int) -> tuple[float, int]:
+        return _DOUBLE.unpack_from(data, offset)[0], offset + 8
+
+    def _dec_str(self, data: bytes, offset: int) -> tuple[str, int]:
+        return self._str_at(data, offset)
+
+    def _dec_bytes(self, data: bytes, offset: int) -> tuple[bytes, int]:
+        length, offset = _read_uvarint(data, offset)
+        payload = data[offset : offset + length]
+        if len(payload) != length:
+            raise WireError("truncated payload")
+        return bytes(payload), offset + length
+
+    def _dec_tuple(self, data: bytes, offset: int) -> tuple[tuple, int]:
+        items, offset = self._items_at(data, offset)
+        return tuple(items), offset
+
+    def _dec_list(self, data: bytes, offset: int) -> tuple[list, int]:
+        return self._items_at(data, offset)
+
+    def _dec_frozenset(self, data: bytes,
+                       offset: int) -> tuple[frozenset, int]:
+        items, offset = self._items_at(data, offset)
+        return frozenset(items), offset
+
+    def _dec_dict(self, data: bytes, offset: int) -> tuple[dict, int]:
+        count, offset = self._count_at(data, offset)
+        value_at = self._value_at
+        result = {}
+        for _ in range(count):
+            key, offset = value_at(data, offset)
+            value, offset = value_at(data, offset)
+            result[key] = value
+        return result, offset
 
 
 #: The table-less codec behind the module-level helpers: its bytes
