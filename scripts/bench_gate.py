@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
+from unittest import mock
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -41,6 +43,7 @@ from repro.bench import (  # noqa: E402
     run_experiment,
     run_harness,
 )
+from repro.runtime import heartbeat  # noqa: E402
 from repro.sim import FaultPlan  # noqa: E402
 from repro.workload import OpenLoopConfig, SloTarget  # noqa: E402
 
@@ -103,14 +106,14 @@ def _gray_slo() -> float:
     leader.
 
     The ``gray-leader`` plan stretches every RDMA op touching the
-    group-0 leader 12x for a window covering the arrival spike.  Under
-    ``fd_mode="phi"`` the adaptive detector must classify the leader
-    degraded from data-plane latency, a follower quorum demotes it,
-    and the serve keeps its p99 SLO; the SAME plan under the fixed-
-    timeout detector (which a fail-slow node never trips) must MISS
-    the SLO — the negative control proving demotion is load-bearing,
-    not the SLO merely slack.  The gated metric is the phi run's
-    throughput."""
+    group-0 leader 12x for a window covering the arrival spike.  The
+    peer-health tracker must classify the leader degraded from one-sided
+    op latency, a follower quorum demotes it, and the serve keeps its
+    p99 SLO; the SAME plan with degraded classification switched off
+    (so only heartbeat silence, which a fail-slow node never shows, can
+    trigger suspicion) must MISS the SLO — the negative control proving
+    demotion is load-bearing, not the SLO merely slack.  The gated
+    metric is the demoting run's throughput."""
     loop = OpenLoopConfig(
         workload="courseware",
         offered_load_ops_per_us=3.0,
@@ -123,26 +126,26 @@ def _gray_slo() -> float:
     )
     plan = FaultPlan.named("gray-leader", horizon_us=1_500.0)
 
-    def serve(fd_mode: str):
-        config = ExperimentConfig(
-            system="hamband",
-            workload="courseware",
-            n_nodes=4,
-            seed=1,
-            update_ratio=0.25,
-            fd_mode=fd_mode,
-        )
+    config = ExperimentConfig(
+        system="hamband",
+        workload="courseware",
+        n_nodes=4,
+        seed=1,
+        update_ratio=0.25,
+    )
+
+    def serve(label: str):
         run = run_harness(config, loop=loop, live_check=True, plan=plan)
         if run.result is None:
-            raise SystemExit(f"gray-slo: {fd_mode} run did not quiesce")
+            raise SystemExit(f"gray-slo: {label} run did not quiesce")
+        if run.stream_report is not None and not run.stream_report.ok:
+            raise SystemExit(f"gray-slo: {run.stream_report.summary()}")
         return run
 
-    run = serve("phi")
-    if run.stream_report is not None and not run.stream_report.ok:
-        raise SystemExit(f"gray-slo: {run.stream_report.summary()}")
+    run = serve("demoting")
     if not run.result.slo.ok:
         raise SystemExit(
-            f"gray-slo: phi mode missed SLO: {run.result.slo.summary()}"
+            f"gray-slo: missed SLO: {run.result.slo.summary()}"
         )
     witness = run.cluster.node("p2")
     leaders = {
@@ -154,12 +157,14 @@ def _gray_slo() -> float:
             "gray-slo: slow leader p1 was never demoted "
             f"(leaders: {leaders})"
         )
-    control = serve("fixed")
+    # Negative control: no peer is ever classified degraded.
+    with mock.patch.object(heartbeat, "DEGRADED_FACTOR", math.inf):
+        control = serve("control")
     if control.result.slo.ok:
         raise SystemExit(
-            "gray-slo: negative control failed — fixed-timeout mode "
-            "met the SLO, so the gate is not exercising demotion: "
-            f"{control.result.slo.summary()}"
+            "gray-slo: negative control failed — without degraded "
+            "classification the serve met the SLO, so the gate is not "
+            f"exercising demotion: {control.result.slo.summary()}"
         )
     return run.result.throughput_ops_per_us
 

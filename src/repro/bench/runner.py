@@ -89,12 +89,6 @@ class ExperimentConfig:
     #: Negative control: route conflicting txns down the uncoordinated
     #: path (expect the cross-shard atomicity check to fail).
     txn_lock_path: bool = True
-    #: Failure-detection mode: ``"fixed"`` (byte-stable stale-count
-    #: suspicion, the default) or ``"phi"`` (phi-accrual suspicion +
-    #: latency-EWMA degraded classification, hedged reads, jittered
-    #: retry backoff, and slow-leader demotion — the gray-failure
-    #: toolkit).
-    fd_mode: str = "fixed"
 
     @property
     def sharded(self) -> bool:
@@ -116,7 +110,6 @@ def _build_cluster(env: Environment, config: ExperimentConfig, recorder):
         conf_retry_limit=config.conf_retry_limit,
         scrub_interval_us=config.scrub_interval_us,
         seed=config.seed,
-        fd_mode=config.fd_mode,
     )
     if config.sharded:
         sharded = ShardedCluster.build(

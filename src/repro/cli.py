@@ -111,8 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         systems=("hamband", "mu"),
         faults_help="arm a fault plan under the serving run: a named "
         "preset (e.g. gray-leader, flaky-link) or a plan JSON file — "
-        "'--faults gray-leader --fd-mode phi' is the gray-failure "
-        "SLO repro (compare --fd-mode fixed on the same seed)",
+        "'--faults gray-leader' is the gray-failure SLO repro",
     )
     serve.add_argument(
         "--load",
@@ -275,15 +274,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *,
     if faults_help is not None:
         sub.add_argument(
             "--faults", metavar="PLAN", default=None, help=faults_help
-        )
-        sub.add_argument(
-            "--fd-mode",
-            choices=("fixed", "phi"),
-            default="fixed",
-            help="failure detection: 'fixed' (byte-stable stale-count "
-            "suspicion, default) or 'phi' (phi-accrual + latency-EWMA "
-            "degraded classification, hedged reads, jittered retries, "
-            "slow-leader demotion — the gray-failure toolkit)",
         )
         sub.add_argument(
             "--horizon",
@@ -550,8 +540,6 @@ def _experiment_config(args: argparse.Namespace):
             txn_mix=args.txn_mix,
             txn_lock_path=args.txn_lock_path == "on",
         )
-    if "fd_mode" in flags:
-        fields.update(fd_mode=args.fd_mode)
     if "scrub" in flags:
         fields.update(
             scrub_interval_us=args.scrub_interval_us if args.scrub else 0.0
@@ -618,12 +606,12 @@ def _run(args: argparse.Namespace, **options):
         progress_done()
 
 
-def _plan_lines(run, note: str = "") -> list[str]:
+def _plan_lines(run) -> list[str]:
     from .bench import fault_counts_line
 
     return [
         f"plan: {run.plan.name} seed={run.plan.seed} "
-        f"horizon={run.plan.horizon_us():.0f}us{note}",
+        f"horizon={run.plan.horizon_us():.0f}us",
         fault_counts_line(run.injector.counts()),
     ]
 
@@ -760,7 +748,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     result = run.result
     own = []
     if plan is not None:
-        own += _plan_lines(run, note=f" fd={args.fd_mode}")
+        own += _plan_lines(run)
     tier_stats = run.tier.stats()
     own.append(
         f"sessions: {tier_stats['active_sessions']}/"
@@ -809,14 +797,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"wire_rejects={_total('wire_rejects')} "
         f"scrub_passes={_total('scrub_passes')}"
     )
-    if args.fd_mode == "phi":
-        own.append(
-            f"gray: degraded={_total('peer_degraded')} "
-            f"phi_suspects={_total('fd_phi_suspects')} "
-            f"hedged={_total('hedged_reads')}/{_total('hedge_wins')} "
-            f"retries={_total('op_retries')} "
-            f"budget_exhausted={_total('retry_budget_exhausted')}"
-        )
+    own.append(
+        f"gray: degraded={_total('peer_degraded')} "
+        f"phi_suspects={_total('fd_phi_suspects')} "
+        f"hedged={_total('hedged_reads')}/{_total('hedge_wins')} "
+        f"retries={_total('op_retries')} "
+        f"budget_exhausted={_total('retry_budget_exhausted')}"
+    )
     own.append(f"settled: {'yes' if run.settled else 'NO'}")
     return _report(args, run, own, phases=False)
 

@@ -37,6 +37,9 @@ def mu_channel(gid: str) -> str:
 #: Pause between checks while waiting for the reader to drain (or to
 #: finish applying the log before serving as leader).
 CATCHUP_POLL_US = 5.0
+#: How long a campaigner waits for vote acks before giving up (the
+#: runtime's campaign stagger builds on it too).
+VOTE_TIMEOUT_US = 800.0
 
 
 class _WindowCache:
@@ -64,10 +67,9 @@ class MuGroup:
         control-plane SEND; ``local_head()`` reports how many log
         records this node has applied (the L ring reader's head);
         ``ack_of(peer)`` reads the peer's flow-control ack (None when
-        acks are disabled); ``is_suspected(peer)`` (wired in phi mode
-        only) lets the leader skip posting decisions toward suspected —
-        possibly fail-slow — followers instead of gating every commit
-        on their completions."""
+        acks are disabled); ``is_suspected(peer)`` lets the leader skip
+        posting decisions toward suspected — possibly fail-slow —
+        followers instead of gating every commit on their completions."""
         self.node = node
         self.env: Environment = node.env
         self.gid = gid
@@ -87,7 +89,7 @@ class MuGroup:
         self._local_head = local_head
         self._ack_of = ack_of or (lambda peer: None)
         self._on_demoted = on_demoted or (lambda: None)
-        self._is_suspected = is_suspected
+        self._is_suspected = is_suspected or (lambda peer: False)
         #: Set while this node believes itself the leader.
         self.is_leader = node.name == initial_leader
         #: Writers toward each follower's log region (leader only).
@@ -126,6 +128,11 @@ class MuGroup:
 
         A permission error on any follower means a newer leader exists;
         this node steps down and returns False.
+
+        A decided record is also written into the leader's own log
+        region with a plain local write, never exposed to in-flight
+        faults: follower repair falls back on that copy when every
+        follower copy of the record was damaged.
         """
         if not self.is_leader:
             return False
@@ -138,9 +145,7 @@ class MuGroup:
             # land later content at stale indices).  Only the *post*
             # is skipped: a slow follower's completion would gate this
             # and every following decision on the straggler.
-            suspected = (
-                self._is_suspected is not None and self._is_suspected(peer)
-            )
+            suspected = self._is_suspected(peer)
             ack = self._ack_of(peer)
             if ack is not None and writer.reader_acked is not None:
                 # Clamp to our own tail: a corrupt/torn ack write must
@@ -211,6 +216,12 @@ class MuGroup:
             # A majority accepted the write: still the leader.  A stray
             # permission error (e.g. a deposed predecessor that never
             # voted for us) does not matter — majorities rule.
+            if pending:
+                # Uncharged like ``writer.render``: the cost model bills
+                # posted verbs only, and in Mu the leader's own log slot
+                # is the buffer its follower writes are posted from.
+                _qp, _region, offset, slot, _completion = pending[-1]
+                self.node.regions[self.region_name].write(offset, slot)
             self.decided += 1
             return True
         if permission_errors:
@@ -333,7 +344,7 @@ class MuGroup:
             )
         needed = len(self.members) // 2  # + self = majority
         voters: set[str] = set()
-        deadline = self.env.timeout(self.config.vote_timeout_us)
+        deadline = self.env.timeout(VOTE_TIMEOUT_US)
         while len(voters) < needed:
             get_ev = acks.get()
             result = yield self.env.any_of([get_ev, deadline])

@@ -371,7 +371,6 @@ class ApplyEngine:
         yield from self.broadcast.broadcast(
             message, writes, is_suspected=self.is_suspected,
             piggyback=self._due_ack_piggyback(),
-            skip_suspected=self.config.fd_mode == "phi",
         )
         self.probe.span_end("propagate", method, call.origin, call.rid)
         return call
@@ -407,7 +406,6 @@ class ApplyEngine:
         yield from self.broadcast.broadcast(
             message, writes, is_suspected=self.is_suspected,
             piggyback=self._due_ack_piggyback(),
-            skip_suspected=self.config.fd_mode == "phi",
         )
         self.probe.span_end("propagate", method, call.origin, call.rid)
         return call

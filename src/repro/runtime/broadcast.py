@@ -54,11 +54,6 @@ class ReliableBroadcast:
         #: memory stays remotely readable (the RDMA failure model: a
         #: crashed process's NIC still serves one-sided reads).
         self.halted = False
-        #: Peer-health latency tracker (phi mode only, wired by the
-        #: node façade): every fan-out write completion feeds it a
-        #: per-target latency sample, so fail-slow detection runs at
-        #: data-plane cadence instead of the detector's poll interval.
-        self.health = None
 
     # -- source side -----------------------------------------------------
 
@@ -70,7 +65,6 @@ class ReliableBroadcast:
         max_retries: int = 50,
         retry_us: float = 20.0,
         piggyback: list[tuple[QueuePair, MemoryRegion, int, Any]] = (),
-        skip_suspected: bool = False,
     ) -> Generator[Event, Any, list]:
         """``yield from`` helper: backup, fan out (with retries), clear.
 
@@ -98,19 +92,19 @@ class ReliableBroadcast:
         and the backup is exactly what lets survivors finish the
         delivery (the paper's §4 agreement argument).
 
-        ``skip_suspected`` (phi mode): don't post toward
-        already-suspected targets at all.  A *fail-slow* peer completes
-        writes eventually but late — waiting on its completion gates
-        the whole batch behind the straggler.  Under crash-stop a
-        suspected node is owed nothing, so skipping the post is the
-        same contract as giving up on a failed write to it; the backup
-        slot still covers recovery if the suspicion was wrong.
+        Already-suspected targets are not posted to at all.  A
+        *fail-slow* peer completes writes eventually but late — waiting
+        on its completion gates the whole batch behind the straggler.
+        Under crash-stop a suspected node is owed nothing, so skipping
+        the post is the same contract as giving up on a failed write to
+        it; the backup slot still covers recovery if the suspicion was
+        wrong.
         """
         self._write_backup(message)
         yield self.node.cpu.hold(self.local_write_us)
         pending = list(writes)
         results: list = []
-        if skip_suspected and is_suspected is not None:
+        if is_suspected is not None:
             live = [w for w in pending
                     if not is_suspected(w[0].remote.name)]
             results.extend([None] * (len(pending) - len(live)))
@@ -127,17 +121,6 @@ class ReliableBroadcast:
                 for qp, region, offset, payload in pending + extra
             ]
             completions = yield from post_write_batch(self.node.cpu, batch)
-            if self.health is not None:
-                # Per-completion callbacks, NOT the batch wait below:
-                # all_of resolves at the straggler's time, which would
-                # smear one slow target's latency over every peer.
-                posted = self.env.now
-                for (qp, _r, _o, _p), completion in zip(
-                    batch, completions
-                ):
-                    completion._add_callback(
-                        self._observe(qp.remote.name, posted)
-                    )
             # ONE completion wait for the whole doorbell batch.
             done = yield self.env.all_of(completions)
             retry = []
@@ -172,16 +155,6 @@ class ReliableBroadcast:
         self._clear_backup()
         yield self.node.cpu.hold(self.local_write_us)
         return results
-
-    def _observe(self, peer: str, posted: float):
-        """A completion callback feeding the health tracker on success."""
-
-        def callback(event):
-            wc = event.value
-            if wc is not None and getattr(wc, "ok", False):
-                self.health.record(peer, self.env.now - posted)
-
-        return callback
 
     def _write_backup(self, message: bytes) -> None:
         if _HEADER + len(message) > self.backup.size:

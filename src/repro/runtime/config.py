@@ -53,52 +53,16 @@ class RuntimeConfig:
     apply_cpu_us: float = 0.15
     local_cpu_us: float = 0.08
     query_cpu_us: float = 0.20
-    hb_interval_us: float = 20.0
-    fd_poll_us: float = 60.0
+    #: Stale heartbeat polls before a peer is suspected while its
+    #: phi-accrual model is still cold (see runtime/heartbeat.py).
     suspect_after: int = 3
     #: Root seed for runtime-internal randomness (retry jitter); the
     #: harness threads the experiment seed through so same seed ⇒ same
     #: schedule.
     seed: int = 0
-    #: Failure detection mode: ``"fixed"`` is the classic
-    #: count-stale-polls timeout (byte-compatible with all existing
-    #: traces); ``"phi"`` layers a phi-accrual detector over
-    #: inter-heartbeat arrival samples plus a poll-read latency health
-    #: tracker that classifies limping-but-alive peers as *degraded* —
-    #: the gray-failure story (see docs/fault_injection.md).
-    fd_mode: str = "fixed"
-    #: Phi threshold: suspect a peer once the accrued suspicion level
-    #: (-log10 of the probability that the heartbeat is merely late)
-    #: crosses this.  8 ≈ "one false positive per 10^8 arrivals".
-    fd_phi_threshold: float = 8.0
-    #: Sliding window of inter-arrival samples per peer.
-    fd_phi_window: int = 32
-    #: Floor on the arrival-interval std-dev so a perfectly regular
-    #: heartbeat stream doesn't make phi explode on the first wobble.
-    fd_phi_min_std_us: float = 10.0
-    #: Peer-health EWMA smoothing for one-sided poll-read latency.
-    health_alpha: float = 0.2
-    #: A peer is *degraded* when its latency EWMA exceeds the healthy
-    #: baseline by this factor (after ``degraded_min_samples`` reads),
-    #: and recovers below ``degraded_clear_factor``.
-    degraded_factor: float = 3.0
-    degraded_min_samples: int = 8
-    degraded_clear_factor: float = 1.5
-    #: Hedged reads (phi mode): fire a second read at the next-best
-    #: source after this long; once enough latency samples accrue the
-    #: delay adapts to the observed p99 instead.
-    hedge_delay_us: float = 8.0
-    #: Retry jitter fraction (phi mode only — fixed mode keeps the
-    #: bare exponential schedule for byte-compat): each backoff is
-    #: multiplied by ``1 ± uniform(0, retry_jitter)``.
-    retry_jitter: float = 0.25
     #: Per-op retry budget in microseconds of cumulative backoff;
     #: 0 = unlimited (the attempt cap alone bounds the loop).
     retry_budget_us: float = 0.0
-    #: Demote a leader that a quorum of health trackers classify
-    #: degraded (phi mode only): the detectors pin suspicion on it and
-    #: the existing rank-staggered re-election takes over.
-    demote_slow_leader: bool = True
     #: Conflicting calls waiting for permissibility retry at this pace.
     conf_retry_us: float = 2.0
     conf_retry_limit: int = 800
@@ -106,8 +70,6 @@ class RuntimeConfig:
     #: calls are ordered, applied, and replicated in ONE remote write
     #: per follower.  1 disables batching (the paper's configuration).
     conf_batch: int = 1
-    #: How long a Mu campaigner waits for vote acks before giving up.
-    vote_timeout_us: float = 800.0
     #: Treat reducible methods as irreducible conflict-free (the paper's
     #: Figure 9 GSet-with-buffers configuration).
     force_buffered: bool = False
@@ -129,17 +91,6 @@ class RuntimeConfig:
     op_retry_limit: int = 6
     op_retry_us: float = 2.0
     op_retry_cap_us: float = 64.0
-    #: Recovery: a forwarded conflicting call waits this long for the
-    #: leader's reply before re-resolving the leader and retrying.
-    fwd_timeout_us: float = 2000.0
-    #: Recovery: the k-th ranked successor candidate waits k stagger
-    #: units on top of the vote timeout before campaigning, so healthy
-    #: clusters elect the first candidate without duelling elections.
-    campaign_stagger_us: float = 200.0
-    #: Recovery: a candidate re-campaigns up to this many times while
-    #: the suspected leader stays suspected and unled.
-    campaign_retry_limit: int = 4
-    campaign_retry_us: float = 400.0
     #: State transfer: the frontier barrier polls applied progress at
     #: this cadence and gives up (never wedges) after ``xfer_barrier_us``
     #: — a record blocked on a dependency that cannot arrive degrades

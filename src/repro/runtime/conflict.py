@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from ..consensus.mu import MuGroup
+from .. import consensus
+from ..consensus import MuGroup
 from ..core import Coordination
 from ..rdma import RdmaNode
 from ..sim import Store
@@ -33,6 +34,16 @@ from .ringbuffer import RECORD_OVERHEAD, RingCorruptionError
 from .wire import WireCodec, WireError
 
 __all__ = ["ConflictCoordinator"]
+
+#: The k-th ranked successor candidate waits k stagger units on top of
+#: the vote timeout before campaigning, so healthy clusters elect the
+#: first candidate without duelling elections.
+CAMPAIGN_STAGGER_US = 200.0
+#: A candidate re-campaigns up to this many times, this far apart,
+#: while the suspected leader stays suspected and unled; then it gives
+#: up (counted as a ``campaign_giveups`` probe event).
+CAMPAIGN_RETRY_LIMIT = 4
+CAMPAIGN_RETRY_US = 400.0
 
 
 class ConflictCoordinator:
@@ -97,13 +108,7 @@ class ConflictCoordinator:
                     else None
                 ),
                 on_demoted=lambda gid=gid: self.on_demoted(gid),
-                # Phi mode only: let the leader skip posting decisions
-                # toward suspected (fail-slow) followers — in fixed
-                # mode Mu keeps its seed-identical behaviour.
-                is_suspected=(
-                    self.is_suspected
-                    if self.config.fd_mode == "phi" else None
-                ),
+                is_suspected=self.is_suspected,
             )
             self.conf_queues[gid] = Store(self.env)
             self.spawn(self._conf_worker(gid), f"conf:{self.name}:{gid}")
@@ -324,6 +329,10 @@ class ConflictCoordinator:
         dependencies are unsatisfied — exactly the per-call semantics,
         with the batch only changing the wire framing.
         """
+        if self.mu_groups[gid].is_leader:
+            # Only our own decided records land in a leader's log copy
+            # (kept as the repair source); they are applied at commit.
+            return False
         reader = self.transport.l_readers[gid]
         applier = self.applier
         progressed = False
@@ -430,10 +439,11 @@ class ConflictCoordinator:
     def on_demoted(self, gid: str) -> None:
         """This node just stopped leading ``gid``: rejoin as follower.
 
-        As leader it applied its decided records directly (its own L
-        ring was never written), so the ring reader fast-forwards to
-        ``decided`` and a self-repair scan copies any records it missed
-        from healthy peers' log copies.
+        As leader it applied its decided records at commit (its own L
+        ring only holds them as a repair source and was never drained),
+        so the ring reader fast-forwards to ``decided`` and a self-repair
+        scan copies any records it missed from healthy peers' log
+        copies.
         """
         mu = self.mu_groups[gid]
         reader = self.transport.l_readers[gid]
@@ -508,27 +518,27 @@ class ConflictCoordinator:
     def _campaign_loop(self, gid: str, suspect: str, rank: int):
         """Staggered, retrying election driver for one suspicion event."""
         mu = self.mu_groups[gid]
-        cfg = self.config
-        if rank:
-            yield self.env.timeout(
-                rank * (cfg.vote_timeout_us + cfg.campaign_stagger_us)
-            )
-        for _attempt in range(cfg.campaign_retry_limit):
-            if (
+
+        def resolved() -> bool:  # elected / recovered / we died
+            return (
                 mu.leader != suspect
                 or not self.is_suspected(suspect)
                 or self.is_failed()
                 or not self.rnode.alive
-            ):
-                return  # resolved meanwhile (elected / recovered / we died)
+            )
+
+        if rank:
+            yield self.env.timeout(
+                rank * (consensus.mu.VOTE_TIMEOUT_US + CAMPAIGN_STAGGER_US)
+            )
+        for _attempt in range(CAMPAIGN_RETRY_LIMIT):
+            if resolved():
+                return
             won = yield from mu.campaign(set(self.suspected()))
             if won or mu.leader != suspect:
                 return
-            yield self.env.timeout(cfg.campaign_retry_us)
-
-    def campaign(self, gid: str):
-        mu = self.mu_groups[gid]
-        won = yield from mu.campaign(set(self.suspected()))
-        if won:
-            # Old leader's queued clients at this node now proceed here.
-            pass
+            yield self.env.timeout(CAMPAIGN_RETRY_US)
+        if not resolved():
+            # Every attempt lost and the suspect still leads: surface
+            # the give-up instead of leaving the group silently unled.
+            self.probe.campaign_giveup(gid, suspect)

@@ -31,6 +31,10 @@ from .wire import WireCodec
 
 __all__ = ["ControlPlane"]
 
+#: A forwarded conflicting call waits this long for the leader's reply
+#: before re-resolving the leader and retrying.
+FWD_TIMEOUT_US = 2000.0
+
 
 class ControlPlane:
     """Two-sided listener + forwarding + broadcast recovery."""
@@ -61,7 +65,7 @@ class ControlPlane:
         #: Optional rejoin hook: ``on_resync(peer)`` is a generator that
         #: pulls ``peer``'s rings/summaries (wired by the façade).
         self.on_resync = None
-        #: Optional slow-leader ballot hook (phi mode):
+        #: Optional slow-leader ballot hook:
         #: ``on_slow_leader(voter, victim)`` tallies a peer's claim that
         #: ``victim`` is degraded (wired by the façade).
         self.on_slow_leader = None
@@ -146,7 +150,7 @@ class ControlPlane:
             self._fwd_waiters[token] = waiter
             self.probe.span_begin("forward", method, self.name, token_rid)
             yield from self.send(leader, ("fwd_req", token, method, arg))
-            deadline = self.env.timeout(self.config.fwd_timeout_us)
+            deadline = self.env.timeout(FWD_TIMEOUT_US)
             result = yield self.env.any_of([waiter, deadline])
             self.probe.span_end("forward", method, self.name, token_rid)
             if waiter not in result:

@@ -6,23 +6,21 @@ suspect the node when it stops advancing.  Failure injection in the
 paper's experiments suspends the heartbeat thread — :meth:`suspend`
 reproduces that exactly, leaving the node's other threads running.
 
-Two detection modes (``RuntimeConfig.fd_mode``):
+One detector: a phi-accrual model (Hayashibara et al.) over the
+observed inter-advance intervals of each peer's counter.  Suspicion is
+a *probability* (-log10 that the heartbeat is merely late given the
+learned arrival distribution), so irregular-but-alive peers aren't
+falsely suspected and silent ones are suspected faster than a
+worst-case fixed timeout.  Until a peer's model has warmed up (fewer
+than :data:`PhiAccrual.MIN_SAMPLES` intervals) the detector falls back
+to counting stale polls against ``RuntimeConfig.suspect_after``.
 
-* ``"fixed"`` — the classic count-stale-polls timeout, unchanged since
-  the seed (byte-compatible with every recorded trace);
-* ``"phi"`` — a phi-accrual detector (Hayashibara et al.) over the
-  observed inter-advance intervals of each peer's counter: suspicion
-  is a *probability* (-log10 that the heartbeat is merely late given
-  the learned arrival distribution), so irregular-but-alive peers
-  aren't falsely suspected and silent ones are suspected faster than a
-  worst-case fixed timeout.
-
-Fail-*slow* peers defeat both: the heartbeat counter is written
-**locally**, so it keeps advancing on time even when every RDMA op
-toward the node crawls.  :class:`PeerHealth` closes that gap — the
-detector's own poll reads (and the transport's one-sided ops) feed a
-per-peer latency EWMA, and a peer whose EWMA blows past its observed
-healthy floor is classified *degraded*.  Degraded suspicion is pinned
+Fail-*slow* peers defeat heartbeats alone: the heartbeat counter is
+written **locally**, so it keeps advancing on time even when every RDMA
+op toward the node crawls.  :class:`PeerHealth` closes that gap — the
+detector's own poll reads (and the transport's timed one-sided ops)
+feed a per-peer latency EWMA, and a peer whose EWMA blows past its
+observed healthy floor is classified *degraded*.  Degraded suspicion is pinned
 (:meth:`FailureDetector.mark_degraded`): a merely-advancing counter
 does not clear it, only a latency recovery does.
 """
@@ -39,15 +37,35 @@ from ..sim import Environment
 __all__ = ["FailureDetector", "Heartbeat", "PeerHealth", "PhiAccrual"]
 
 HB_REGION = "hamband:heartbeat"
+#: Heartbeat counter increment period.
+HB_INTERVAL_US = 20.0
+#: Detector poll period: every peer's counter is remote-read this often.
+FD_POLL_US = 60.0
+#: Suspect a peer once its accrued suspicion level (-log10 of the
+#: probability that the heartbeat is merely late) crosses this.
+#: 8 ≈ "one false positive per 10^8 arrivals".
+PHI_THRESHOLD = 8.0
+#: Sliding window of inter-arrival samples per peer.
+PHI_WINDOW = 32
+#: Floor on the arrival-interval std-dev, so a perfectly regular
+#: heartbeat stream doesn't make phi explode on its first wobble.
+PHI_MIN_STD_US = 10.0
+#: Peer-health EWMA smoothing for one-sided op latency.
+HEALTH_ALPHA = 0.2
+#: A peer is *degraded* when its latency EWMA exceeds its healthy floor
+#: (and the median peer) by this factor, after ``DEGRADED_MIN_SAMPLES``
+#: samples, and recovers below ``DEGRADED_CLEAR_FACTOR`` times the floor.
+DEGRADED_FACTOR = 3.0
+DEGRADED_MIN_SAMPLES = 8
+DEGRADED_CLEAR_FACTOR = 1.5
 
 
 class Heartbeat:
     """The local heartbeat thread of one node."""
 
-    def __init__(self, node: RdmaNode, interval_us: float = 20.0):
+    def __init__(self, node: RdmaNode):
         self.node = node
         self.env: Environment = node.env
-        self.interval_us = interval_us
         self.region = node.register(
             HB_REGION, 8, access=Access.LOCAL | Access.REMOTE_READ
         )
@@ -67,7 +85,7 @@ class Heartbeat:
             if not self.suspended and self.node.alive:
                 count += 1
                 self.region.write_u64(0, count)
-            yield self.env.timeout(self.interval_us)
+            yield self.env.timeout(HB_INTERVAL_US)
 
 
 class PhiAccrual:
@@ -78,14 +96,13 @@ class PhiAccrual:
     intervals, with a floor on the std-dev so a perfectly regular
     stream doesn't explode on its first wobble.  Until a peer has
     :data:`MIN_SAMPLES` intervals the model is unwarmed and
-    :meth:`phi` returns ``None`` (callers fall back to fixed counting).
+    :meth:`phi` returns ``None`` (the detector falls back to counting
+    stale polls).
     """
 
     MIN_SAMPLES = 3
 
-    def __init__(self, window: int = 32, min_std_us: float = 10.0):
-        self.window = window
-        self.min_std_us = min_std_us
+    def __init__(self):
         self._intervals: dict[str, deque] = {}
         self._last_arrival: dict[str, float] = {}
 
@@ -94,7 +111,7 @@ class PhiAccrual:
         last = self._last_arrival.get(peer)
         if last is not None:
             self._intervals.setdefault(
-                peer, deque(maxlen=self.window)
+                peer, deque(maxlen=PHI_WINDOW)
             ).append(now - last)
         self._last_arrival[peer] = now
 
@@ -109,7 +126,7 @@ class PhiAccrual:
         elapsed = now - self._last_arrival[peer]
         mean = sum(dq) / len(dq)
         var = sum((x - mean) ** 2 for x in dq) / len(dq)
-        std = max(math.sqrt(var), self.min_std_us)
+        std = max(math.sqrt(var), PHI_MIN_STD_US)
         p_later = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))
         return -math.log10(max(p_later, 1e-300))
 
@@ -117,31 +134,25 @@ class PhiAccrual:
 class PeerHealth:
     """Healthy/degraded classification from one-sided op latency.
 
-    Every successful one-sided op toward a peer (detector poll reads
-    at a steady cadence, plus transport data-plane ops and broadcast
-    fan-out completions) feeds :meth:`record`.  A peer is *degraded*
+    Every successful timed one-sided op toward a peer (detector poll
+    reads at a steady cadence, plus the transport's retried writes and
+    repair/hedged reads) feeds :meth:`record`.  A peer is *degraded*
     once its latency EWMA exceeds its observed healthy floor (best
-    single sample) by ``degraded_factor`` — the fail-slow signal a
+    single sample) by :data:`DEGRADED_FACTOR` — the fail-slow signal a
     heartbeat counter can never carry — and *recovers* once the EWMA
-    drops back under ``clear_factor`` times the floor.
+    drops back under :data:`DEGRADED_CLEAR_FACTOR` times the floor.
 
     Degradation additionally requires the peer to be an *outlier
-    relative to the other peers* (EWMA above ``degraded_factor`` times
+    relative to the other peers* (EWMA above ``DEGRADED_FACTOR`` times
     the median peer EWMA): a load spike at THIS node inflates observed
     latency toward everyone at once, and classifying the whole cluster
     as fail-slow would be self-diagnosis, not detection.  A genuinely
     slow link elevates exactly one peer against a quiet median.
     """
 
-    def __init__(self, alpha: float = 0.2, degraded_factor: float = 3.0,
-                 min_samples: int = 8, clear_factor: float = 1.5,
-                 on_degraded: Optional[Callable[[str], None]] = None,
+    def __init__(self, on_degraded: Optional[Callable[[str], None]] = None,
                  on_recovered: Optional[Callable[[str], None]] = None,
                  probe=None):
-        self.alpha = alpha
-        self.degraded_factor = degraded_factor
-        self.min_samples = min_samples
-        self.clear_factor = clear_factor
         self.on_degraded = on_degraded
         self.on_recovered = on_recovered
         self.probe = probe
@@ -156,23 +167,23 @@ class PeerHealth:
         prev = self._ewma.get(peer)
         ewma = (
             latency_us if prev is None
-            else self.alpha * latency_us + (1.0 - self.alpha) * prev
+            else HEALTH_ALPHA * latency_us + (1.0 - HEALTH_ALPHA) * prev
         )
         self._ewma[peer] = ewma
         best = self._best.get(peer)
         if best is None or latency_us < best:
             self._best[peer] = best = latency_us
-        if n < self.min_samples:
+        if n < DEGRADED_MIN_SAMPLES:
             return
         if peer not in self.degraded:
-            if (ewma > best * self.degraded_factor
+            if (ewma > best * DEGRADED_FACTOR
                     and self._outlier(peer, ewma)):
                 self.degraded.add(peer)
                 if self.probe is not None:
                     self.probe.peer_degraded(peer)
                 if self.on_degraded is not None:
                     self.on_degraded(peer)
-        elif ewma < best * self.clear_factor:
+        elif ewma < best * DEGRADED_CLEAR_FACTOR:
             self.degraded.discard(peer)
             if self.on_recovered is not None:
                 self.on_recovered(peer)
@@ -185,7 +196,7 @@ class PeerHealth:
         if not others:
             return True
         median = others[len(others) // 2]
-        return ewma > self.degraded_factor * median
+        return ewma > DEGRADED_FACTOR * median
 
     def is_degraded(self, peer: str) -> bool:
         return peer in self.degraded
@@ -210,35 +221,26 @@ class PeerHealth:
 class FailureDetector:
     """Per-node detector polling every peer's heartbeat by remote read.
 
-    ``mode="fixed"`` counts stale polls against ``suspect_after``
-    (seed behaviour); ``mode="phi"`` accrues suspicion via
-    :class:`PhiAccrual` (falling back to fixed counting until the
-    per-peer model warms up) and feeds poll-read latencies into an
-    optional :class:`PeerHealth` tracker.
+    Suspicion accrues via :class:`PhiAccrual`; while a peer's model is
+    still cold the detector counts stale polls against
+    ``suspect_after`` instead.  Every successful poll read feeds its
+    latency to ``health`` (the node's shared :class:`PeerHealth`).
     """
 
-    def __init__(self, node: RdmaNode, peers: list[str],
-                 poll_interval_us: float = 60.0, suspect_after: int = 3,
+    def __init__(self, node: RdmaNode, peers: list[str], health: PeerHealth,
+                 suspect_after: int = 3,
                  on_suspect: Optional[Callable[[str], None]] = None,
                  on_clear: Optional[Callable[[str], None]] = None,
-                 mode: str = "fixed", phi_threshold: float = 8.0,
-                 phi_window: int = 32, phi_min_std_us: float = 10.0,
-                 health: Optional[PeerHealth] = None, probe=None):
+                 probe=None):
         self.node = node
         self.env: Environment = node.env
         self.peers = [p for p in peers if p != node.name]
-        self.poll_interval_us = poll_interval_us
         self.suspect_after = suspect_after
         self.on_suspect = on_suspect
         #: Fired when a previously suspected peer proves alive again
         #: (heals from a partition, restarts): the rejoin/catch-up hook.
         self.on_clear = on_clear
-        self.mode = mode
-        self.phi_threshold = phi_threshold
-        self.phi = (
-            PhiAccrual(window=phi_window, min_std_us=phi_min_std_us)
-            if mode == "phi" else None
-        )
+        self.phi = PhiAccrual()
         self.health = health
         self.probe = probe
         self.suspected: set[str] = set()
@@ -298,15 +300,13 @@ class FailureDetector:
         self._last_seen.pop(name, None)
         self._stale_polls.pop(name, None)
         self.degraded.discard(name)
-        if self.phi is not None:
-            self.phi.forget(name)
-        if self.health is not None:
-            self.health.forget(name)
+        self.phi.forget(name)
+        self.health.forget(name)
         self.suspected.add(name)
 
     def _run(self):
         while True:
-            yield self.env.timeout(self.poll_interval_us)
+            yield self.env.timeout(FD_POLL_US)
             if not self.node.alive:
                 continue
             for peer in self.peers:
@@ -317,14 +317,12 @@ class FailureDetector:
                 if completion.status is not WcStatus.SUCCESS:
                     self._note_stale(peer)
                     continue
-                if self.health is not None:
-                    self.health.record(peer, self.env.now - started)
+                self.health.record(peer, self.env.now - started)
                 count = int.from_bytes(completion.data, "little")
                 if count > self._last_seen[peer]:
                     self._last_seen[peer] = count
                     self._stale_polls[peer] = 0
-                    if self.phi is not None:
-                        self.phi.arrival(peer, self.env.now)
+                    self.phi.arrival(peer, self.env.now)
                     if peer in self.suspected and peer not in self.degraded:
                         self.suspected.discard(peer)
                         if self.on_clear is not None:
@@ -336,17 +334,16 @@ class FailureDetector:
         self._stale_polls[peer] += 1
         if peer in self.suspected:
             return
-        if self.phi is not None:
-            level = self.phi.phi(peer, self.env.now)
-            if level is not None:
-                # Warmed model: suspicion is probabilistic, not counted.
-                if level >= self.phi_threshold:
-                    self.suspected.add(peer)
-                    if self.probe is not None:
-                        self.probe.phi_suspect(peer)
-                    if self.on_suspect is not None:
-                        self.on_suspect(peer)
-                return
+        level = self.phi.phi(peer, self.env.now)
+        if level is not None:
+            # Warmed model: suspicion is probabilistic, not counted.
+            if level >= PHI_THRESHOLD:
+                self.suspected.add(peer)
+                if self.probe is not None:
+                    self.probe.phi_suspect(peer)
+                if self.on_suspect is not None:
+                    self.on_suspect(peer)
+            return
         if self._stale_polls[peer] >= self.suspect_after:
             self.suspected.add(peer)
             if self.on_suspect is not None:

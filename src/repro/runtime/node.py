@@ -62,6 +62,7 @@ from .errors import (  # noqa: F401  (re-exported for import stability)
     NotLeaderError,
     SubmitError,
 )
+from . import heartbeat
 from .heartbeat import FailureDetector, Heartbeat, PeerHealth
 from .probe import CountingProbe, RuntimeProbe, operation_totals
 from .scrubber import Scrubber
@@ -115,45 +116,32 @@ class HambandNode:
         )
 
         # -- compose the four layers -----------------------------------
-        #: Peer-health latency tracker (phi mode only): classifies
-        #: limping-but-alive peers as degraded from one-sided op
-        #: latency, driving hedged reads and slow-leader demotion.
-        self.health: Optional[PeerHealth] = None
+        #: Peer-health latency tracker: classifies limping-but-alive
+        #: peers as degraded from one-sided op latency, driving hedged
+        #: reads and slow-leader demotion.
+        self.health = PeerHealth(
+            on_degraded=self._on_peer_degraded,
+            on_recovered=self._on_peer_recovered,
+            probe=self.probe,
+        )
         #: Slow-leader demotion ballots: victim -> set of voters.
         self._slow_votes: dict[str, set] = {}
-        if config.fd_mode == "phi":
-            self.health = PeerHealth(
-                alpha=config.health_alpha,
-                degraded_factor=config.degraded_factor,
-                min_samples=config.degraded_min_samples,
-                clear_factor=config.degraded_clear_factor,
-                on_degraded=self._on_peer_degraded,
-                on_recovered=self._on_peer_recovered,
-                probe=self.probe,
-            )
         self.transport = RingTransport(
-            rnode, coordination, self.processes, config, self.probe,
-            codec=self.codec,
+            rnode, coordination, self.processes, config, self.health,
+            self.probe, codec=self.codec,
         )
-        self.transport.health = self.health
         self.applier = ApplyEngine(
             rnode, coordination, config, self.probe, codec=self.codec,
         )
         self.applier.init_summaries(self.processes)
         self.broadcast = ReliableBroadcast(rnode, config.backup_size)
-        self.broadcast.health = self.health
-        self.heartbeat = Heartbeat(rnode, config.hb_interval_us)
+        self.heartbeat = Heartbeat(rnode)
         self.detector = FailureDetector(
             rnode,
             self.processes,
-            poll_interval_us=config.fd_poll_us,
             suspect_after=config.suspect_after,
             on_suspect=self._on_suspect,
             on_clear=self._on_clear,
-            mode=config.fd_mode,
-            phi_threshold=config.fd_phi_threshold,
-            phi_window=config.fd_phi_window,
-            phi_min_std_us=config.fd_phi_min_std_us,
             health=self.health,
             probe=self.probe,
         )
@@ -369,7 +357,7 @@ class HambandNode:
         frontier barrier)."""
         yield from StateTransfer(self).run(sources=[peer], reason=peer)
 
-    # -- gray-failure handling (phi mode) ----------------------------------
+    # -- gray-failure handling ---------------------------------------------
 
     def _leads_any(self, peer: str) -> bool:
         return any(self.conflict.leader_of(gid) == peer
@@ -387,7 +375,7 @@ class HambandNode:
         not depose a healthy leader — so we gather a quorum of
         independent detectors through the ``slow_leader`` ballot first.
         """
-        if self.config.demote_slow_leader and self._leads_any(peer):
+        if self._leads_any(peer):
             self._spawn_supervised(
                 self._slow_leader_ballot(peer),
                 f"ballot:{self.name}:{peer}",
@@ -405,7 +393,6 @@ class HambandNode:
         demotion."""
         for _round in range(5):
             if (not self.rnode.alive or self.failed
-                    or self.health is None
                     or not self.health.is_degraded(victim)
                     or self.detector.is_degraded(victim)):
                 return
@@ -416,7 +403,7 @@ class HambandNode:
                 yield from self.control.send(
                     peer, ("slow_leader", victim)
                 )
-            yield self.env.timeout(4.0 * self.config.fd_poll_us)
+            yield self.env.timeout(4.0 * heartbeat.FD_POLL_US)
 
     def _slow_leader_vote(self, voter: str, victim: str) -> None:
         """Control-plane entry: ``voter`` claims ``victim`` is slow."""

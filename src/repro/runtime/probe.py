@@ -84,6 +84,10 @@ class RuntimeProbe:
     def hole_repair(self, gid: str) -> None:
         """The hole detector triggered a log self-repair for ``gid``."""
 
+    def campaign_giveup(self, gid: str, suspect: str) -> None:
+        """This candidate lost every campaign for ``gid`` while the
+        suspected leader ``suspect`` still led it, and stopped trying."""
+
     def ring_resync(self, ring: str) -> None:
         """A lapped reader fast-forwarded past an overwritten window
         of ``ring`` (records there recovered out of band)."""
@@ -216,10 +220,10 @@ class RuntimeProbe:
 SECTIONS = (
     "applies", "ring_highwater", "records_drained", "backpressure_stalls",
     "ack_flushes", "flow_rearms", "conflict_retries", "conflict_batches",
-    "conflict_batch_max", "demotions", "hole_repairs", "ring_resyncs",
-    "crc_rejects", "torn_detected", "slot_repairs", "wire_rejects",
-    "scrub_passes", "forwards", "redirects", "rejections", "faults",
-    "op_retries", "retry_budget_exhausted", "peer_degraded",
+    "conflict_batch_max", "demotions", "hole_repairs", "campaign_giveups",
+    "ring_resyncs", "crc_rejects", "torn_detected", "slot_repairs",
+    "wire_rejects", "scrub_passes", "forwards", "redirects", "rejections",
+    "faults", "op_retries", "retry_budget_exhausted", "peer_degraded",
     "fd_phi_suspects", "hedged_reads", "hedge_wins", "catch_ups",
     "member_events", "recoveries",
 )
@@ -277,6 +281,9 @@ class CountingProbe(RuntimeProbe):
 
     def hole_repair(self, gid: str) -> None:
         self._bump("hole_repairs", gid)
+
+    def campaign_giveup(self, gid: str, suspect: str) -> None:
+        self._bump("campaign_giveups", gid)
 
     def ring_resync(self, ring: str) -> None:
         self._bump("ring_resyncs", ring)

@@ -156,15 +156,7 @@ class StateTransfer:
         sources = self._sources(origin)
         if not sources:
             return 0
-        source = sources[0]
-        qp = node.rnode.qp_to(source)
-        remote = node.rnode.region_of(source, f_region(origin))
-        # Phi mode: hedge each window to the lowest-latency backup
-        # replica, so one limping source cannot serialize the whole
-        # bulk transfer.  A backup holding fewer records just ends the
-        # fill early — the per-slot multi-source repair that follows
-        # in run() covers the remainder.
-        hedge = cfg.fd_mode == "phi" and len(sources) > 1
+        source, backups = sources[0], sources[1:]
         slots, slot_size = cfg.ring_slots, cfg.slot_size
         installed = 0
         index = reader.head
@@ -178,19 +170,17 @@ class StateTransfer:
             ):
                 start = index % slots
                 count = min(_WINDOW, slots - start)
-                if hedge:
-                    backups = sources[1:]
-                    if transport.health is not None:
-                        backups = transport.health.rank(backups)
-                    wc, _src = yield from transport.hedged_read(
-                        [source] + backups[:1], f_region(origin),
-                        start * slot_size, count * slot_size,
-                        label=f"xfer:{origin}",
-                    )
-                else:
-                    wc = yield from qp.read(
-                        remote, start * slot_size, count * slot_size
-                    )
+                # Hedge each window to the lowest-latency backup
+                # replica, so one limping source cannot serialize the
+                # whole bulk transfer.  A backup holding fewer records
+                # just ends the fill early — the per-slot multi-source
+                # repair that follows in run() covers the remainder.
+                wc, _src = yield from transport.hedged_read(
+                    [source] + transport.health.rank(backups)[:1],
+                    f_region(origin),
+                    start * slot_size, count * slot_size,
+                    label=f"xfer:{origin}",
+                )
                 if wc.status is not WcStatus.SUCCESS or wc.data is None:
                     return installed
                 window = (index, count, wc.data)

@@ -39,7 +39,7 @@ _PROBE_KEYS = (
     "op_retries",
     "rejections",
     "faults",
-    # Gray-failure detection/mitigation (all zero in fixed fd mode).
+    # Gray-failure detection/mitigation.
     "peer_degraded",
     "fd_phi_suspects",
     "hedged_reads",

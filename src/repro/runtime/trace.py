@@ -222,6 +222,13 @@ class TracingProbe(CountingProbe):
         super().trace_repair(ring, index, kind)
         self._record("repair", kind, ring, self.node, index)
 
+    def campaign_giveup(self, gid: str, suspect: str) -> None:
+        """A candidate gave up electing a successor for ``gid``: the
+        event is ``giveup``/``campaign`` with the suspect in
+        ``origin`` and the group in ``gid``."""
+        super().campaign_giveup(gid, suspect)
+        self._record("giveup", "campaign", "", suspect, 0, gid=gid)
+
     def member_event(self, event: str, node: str, detail: str = "") -> None:
         """A membership change (``member_join``/``member_leave``) or a
         completed state transfer (``state_xfer``) became visible.  The

@@ -42,6 +42,7 @@ from .config import (
     l_region,
     s_region,
 )
+from .heartbeat import PeerHealth
 from .probe import RuntimeProbe
 from .ringbuffer import (
     RingError,
@@ -61,6 +62,12 @@ _DRAIN_RUN = 64
 #: Empty sweeps (in poll intervals) before the hole detector suspects
 #: a lost write on an F ring or a damaged summary slot.
 HOLE_PATIENCE = 256
+#: Retry jitter fraction: each backoff is multiplied by
+#: ``1 ± uniform(0, RETRY_JITTER)`` to de-synchronize retry storms.
+RETRY_JITTER = 0.25
+#: Hedged reads: fire a second read at the next-best source after this
+#: long, until enough latency samples accrue to use their p99 instead.
+HEDGE_DELAY_US = 8.0
 
 
 class RingTransport:
@@ -68,6 +75,7 @@ class RingTransport:
 
     def __init__(self, rnode: RdmaNode, coordination: Coordination,
                  processes: list[str], config: RuntimeConfig,
+                 health: PeerHealth,
                  probe: Optional[RuntimeProbe] = None,
                  codec: Optional[WireCodec] = None):
         self.rnode = rnode
@@ -83,13 +91,11 @@ class RingTransport:
         #: back to ring-sizing mode and are being watched for fresh
         #: acks after a heal/rejoin resync (see rearm_flow_control).
         self._rearm_baseline: dict[str, int] = {}
-        #: Peer-health latency tracker (phi mode only; wired by the
-        #: node façade).  Successful one-sided ops feed it, and the
-        #: hedged-read path ranks fallback sources by its EWMA.
-        self.health = None
-        #: Retry-jitter substream: deterministic per (seed, node), and
-        #: only ever drawn from in phi mode so fixed-mode schedules are
-        #: byte-identical to the seed.
+        #: Peer-health latency tracker (the node's shared one).  Timed
+        #: one-sided ops feed it, and the hedged-read path ranks
+        #: fallback sources by its EWMA.
+        self.health = health
+        #: Retry-jitter substream: deterministic per (seed, node).
         self._retry_rng = SeedSequence(config.seed).derive(
             f"retry:{self.name}"
         )
@@ -480,14 +486,12 @@ class RingTransport:
         """One-sided write with capped exponential backoff on transient
         failures (injected NIC faults, partition blips).
 
-        In phi mode each backoff is jittered by ``±retry_jitter``
-        (drawn from a per-node seed substream, so same seed ⇒ same
-        schedule) to de-synchronize retry storms, and a nonzero
-        ``retry_budget_us`` bounds the *cumulative* backoff a single op
-        may spend — exhausting it surfaces as
-        ``retry_budget_exhausted``, distinct from running out of
-        attempts.  Fixed mode keeps the bare exponential schedule
-        byte-identical to the seed.
+        Each backoff is jittered by ``±RETRY_JITTER`` (drawn from a
+        per-node seed substream, so same seed ⇒ same schedule) to
+        de-synchronize retry storms, and a nonzero ``retry_budget_us``
+        bounds the *cumulative* backoff a single op may spend —
+        exhausting it surfaces as ``retry_budget_exhausted``, distinct
+        from running out of attempts.
 
         Permission errors are *not* transient — they are Mu's leader-
         change signal and must surface immediately.  Returns the last
@@ -495,7 +499,6 @@ class RingTransport:
         """
         cfg = self.config
         delay = cfg.op_retry_us
-        jitter = cfg.retry_jitter if cfg.fd_mode == "phi" else 0.0
         budget = cfg.retry_budget_us
         spent = 0.0
         wc = None
@@ -507,16 +510,16 @@ class RingTransport:
                 wc.status is WcStatus.SUCCESS
                 or wc.status is WcStatus.PERMISSION_ERROR
             ):
-                if wc.status is WcStatus.SUCCESS and self.health is not None:
+                if wc.status is WcStatus.SUCCESS:
                     self.health.record(qp.remote.name,
                                        self.env.now - started)
                 return wc
             if not self.rnode.alive:
                 return wc  # we crashed mid-retry: stop
             self.probe.op_retry(label)
-            wait = delay
-            if jitter > 0.0:
-                wait *= 1.0 + self._retry_rng.uniform(-jitter, jitter)
+            wait = delay * (
+                1.0 + self._retry_rng.uniform(-RETRY_JITTER, RETRY_JITTER)
+            )
             if budget > 0.0 and spent + wait > budget:
                 self.probe.retry_budget_exhausted(label)
                 return wc
@@ -662,48 +665,15 @@ class RingTransport:
             index += 1
         return repaired
 
-    def _fetch_record(self, origin: str, index: int,
-                      is_suspected: Callable[[str], bool]):
-        """Fetch ``origin``'s F record at absolute ``index`` from an
-        authoritative copy: the origin's own mirror first, then any
-        peer's replica.  Returns the CRC-checked record bytes or None.
-
-        Phi mode hedges each fetch: a straggling source no longer
-        serializes the whole repair pass (see :meth:`hedged_read`).
-        Fixed mode keeps the serial loop byte-identical to the seed.
-        """
-        cfg = self.config
-        if cfg.fd_mode == "phi":
-            return (
-                yield from self._hedged_fetch(origin, index, is_suspected)
-            )
-        region_name = f_region(origin)
-        offset = (index % cfg.ring_slots) * cfg.slot_size
-        sources = [origin] + [p for p in self.peers if p != origin]
-        for source in sources:
-            if source == self.name or is_suspected(source):
-                continue
-            if not self.rnode.fabric.nodes[source].alive:
-                continue
-            qp = self.rnode.qp_to(source)
-            remote = self.rnode.region_of(source, region_name)
-            wc = yield from qp.read(remote, offset, cfg.slot_size)
-            if wc.status is not WcStatus.SUCCESS or wc.data is None:
-                continue
-            record = parse_record(wc.data, index, cfg.ring_slots)
-            if record is not None:
-                return record
-        return None
-
-    # -- hedged reads (phi mode) ------------------------------------------
+    # -- hedged reads ------------------------------------------------------
 
     def _hedge_delay_us(self) -> float:
         """Adaptive hedge trigger: p99 of recent successful repair-read
-        latencies, or the configured floor until enough samples accrue."""
+        latencies, or :data:`HEDGE_DELAY_US` until enough samples accrue."""
         if len(self._read_lat) >= 8:
             ordered = sorted(self._read_lat)
             return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-        return self.config.hedge_delay_us
+        return HEDGE_DELAY_US
 
     def _read_from(self, source: str, region_name: str, offset: int,
                    length: int):
@@ -715,8 +685,7 @@ class RingTransport:
         if wc.status is WcStatus.SUCCESS:
             latency = self.env.now - started
             self._read_lat.append(latency)
-            if self.health is not None:
-                self.health.record(source, latency)
+            self.health.record(source, latency)
         return wc
 
     def hedged_read(self, sources: list[str], region_name: str,
@@ -761,12 +730,15 @@ class RingTransport:
         wc = yield second  # primary failed: the hedge is the fallback
         return wc, backup
 
-    def _hedged_fetch(self, origin: str, index: int,
+    def _fetch_record(self, origin: str, index: int,
                       is_suspected: Callable[[str], bool]):
-        """Phi-mode record fetch: same source preference as the serial
-        loop (the origin's authoritative mirror first), but each
-        attempt hedges to the lowest-latency remaining replica so one
-        limping source cannot serialize the repair."""
+        """Fetch ``origin``'s F record at absolute ``index`` from an
+        authoritative copy: the origin's own mirror first, then any
+        peer's replica.  Returns the CRC-checked record bytes or None.
+
+        Each attempt hedges to the lowest-latency remaining replica
+        (see :meth:`hedged_read`), so one limping source cannot
+        serialize the repair."""
         cfg = self.config
         region_name = f_region(origin)
         offset = (index % cfg.ring_slots) * cfg.slot_size
@@ -775,22 +747,16 @@ class RingTransport:
             if s != self.name and not is_suspected(s)
             and self.rnode.fabric.nodes[s].alive
         ]
-        i = 0
-        while i < len(sources):
-            primary = sources[i]
-            backups = sources[i + 1:]
-            if self.health is not None:
-                backups = self.health.rank(backups)
-            pair = [primary] + backups[:1]
+        for i, primary in enumerate(sources):
+            backups = self.health.rank(sources[i + 1:])
             wc, _source = yield from self.hedged_read(
-                pair, region_name, offset, cfg.slot_size,
-                label=f"F:{origin}",
+                [primary] + backups[:1], region_name, offset,
+                cfg.slot_size, label=f"F:{origin}",
             )
             if wc.status is WcStatus.SUCCESS and wc.data is not None:
                 record = parse_record(wc.data, index, cfg.ring_slots)
                 if record is not None:
                     return record
-            i += 1
         return None
 
     def repair_corrupt_f(self, origin: str, index: int,

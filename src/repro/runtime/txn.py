@@ -274,7 +274,8 @@ class TxnCoordinator:
 
         Mirrors the workload driver's redirect discipline: failed-node
         fallback, leader routing for conflicting methods,
-        ``NotLeaderError`` redirects, and timed retries over transient
+        ``NotLeaderError`` redirects (waiting while the named node does
+        not lead yet), and timed retries over transient
         ``SubmitError``\\ s (mid-failover).
         """
         shard = self.sharded.shard(shard_index)
@@ -296,7 +297,12 @@ class TxnCoordinator:
                 call = yield request
                 return call
             except NotLeaderError as redirect:
-                target = shard.node(redirect.leader)
+                named = shard.node(redirect.leader)
+                if (named is target
+                        or named.current_leader(op.method) != named.name):
+                    # Mid leader change: wait rather than bounce.
+                    yield self.env.timeout(self.retry_wait_us)
+                target = named
             except ImpermissibleError:
                 self.counters["rejected_calls"] += 1
                 return None

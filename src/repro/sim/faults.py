@@ -123,9 +123,8 @@ SHARDED_PLAN_NAMES = ("shard-isolate",)
 MEMBERSHIP_PLAN_NAMES = ("scale-out-partition", "scale-in-leader")
 
 #: Gray-failure presets: a fail-slow leader and a flaky link.  These
-#: exercise the adaptive failure detector (``fd_mode="phi"``), hedged
-#: reads, and slow-leader demotion; kept out of :data:`PLAN_NAMES` so
-#: the base matrix (and its byte-identical fixed-mode traces) is
+#: exercise the peer-health tracker, hedged reads, and slow-leader
+#: demotion; kept out of :data:`PLAN_NAMES` so the base matrix is
 #: unchanged.
 GRAY_PLAN_NAMES = ("gray-leader", "flaky-link")
 
@@ -539,11 +538,11 @@ class FaultPlan:
             # leader — either direction, as a degraded NIC slows both
             # its RX and TX paths — is stretched 12x (plus jitter) for
             # most of the run.  The victim never *fails* an op and its
-            # heartbeat counter keeps advancing, so a fixed-timeout
-            # detector never trips while the leader's replication
-            # fan-out limps and conflicting calls queue behind it.  The
-            # adaptive detector (fd_mode="phi") must classify the
-            # leader degraded from data-plane latency and demote it.
+            # heartbeat counter keeps advancing, so heartbeat silence
+            # never trips while the leader's replication fan-out limps
+            # and conflicting calls queue behind it.  The peer-health
+            # tracker must classify the leader degraded from one-sided
+            # op latency and demote it.
             actions = (
                 FaultAction(
                     at_us=0.10 * h,

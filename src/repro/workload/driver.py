@@ -280,9 +280,17 @@ def _submit_with_redirect(env, cluster, node, method, arg,
                 error = exc
         if isinstance(error, NotLeaderError):
             try:
-                target = cluster.node(error.leader)
+                redirect = cluster.node(error.leader)
             except KeyError:
                 yield env.timeout(50.0)  # redirect to a departed node
+            else:
+                if (redirect is target
+                        or redirect.current_leader(method) != redirect.name):
+                    # Mid leader change: the named node does not lead
+                    # yet (or named itself), so hopping on would burn
+                    # the attempts in no time.
+                    yield env.timeout(50.0)
+                target = redirect
         else:
             yield env.timeout(50.0)  # e.g. mid-failover; retry
         error = None

@@ -5,7 +5,7 @@ import pytest
 from repro.datatypes import account_spec, courseware_spec, movie_spec
 from repro.rdma import WcStatus
 from repro.runtime import HambandCluster, NotLeaderError, RuntimeConfig
-from repro.sim import Environment
+from repro.sim import Environment, FaultDecision
 
 
 def build(spec, n=4, **kwargs):
@@ -171,6 +171,49 @@ class TestLeaderChange:
         mu = cluster.node(new_leader).conflict.mu_groups[gid]
         assert mu.is_leader
 
+    def test_campaign_giveup_is_counted_and_traced(self, monkeypatch):
+        """Every campaign loses: each candidate gives up after its
+        retry limit while the suspect still leads, and says so — one
+        ``campaign_giveups`` count and one ``giveup`` trace event per
+        candidate, keyed by group."""
+        from repro.consensus.mu import MuGroup
+        from repro.runtime import TraceRecorder
+        from repro.runtime.conflict import CAMPAIGN_RETRY_LIMIT
+
+        campaigns = []
+
+        def always_lose(mu, suspected):
+            campaigns.append(mu.node.name)
+            yield mu.env.timeout(1.0)
+            return False
+
+        monkeypatch.setattr(MuGroup, "campaign", always_lose)
+        env = Environment()
+        recorder = TraceRecorder(env)
+        cluster = HambandCluster.build(
+            env, courseware_spec(), n_nodes=4,
+            probe_factory=recorder.probe_factory,
+        )
+        recorder.attach(cluster.coordination)
+        gid = cluster.coordination.sync_group("enroll").gid
+        leader = cluster.leaders[gid]
+        cluster.suspend_heartbeat(leader)
+        env.run(until=env.now + 10_000)
+        candidates = [n for n in cluster.node_names() if n != leader]
+        assert sorted(campaigns) == sorted(
+            candidates * CAMPAIGN_RETRY_LIMIT
+        )
+        for name in candidates:
+            node = cluster.node(name)
+            assert node.current_leader("enroll") == leader
+            giveups = node.stats()["probe"]["campaign_giveups"]
+            assert giveups == {gid: 1}
+        events = [e for e in recorder.events() if e.kind == "giveup"]
+        assert sorted(e.node for e in events) == candidates
+        assert {(e.name, e.origin, e.gid) for e in events} == {
+            ("campaign", leader, gid)
+        }
+
     def test_two_groups_fail_over_independently(self):
         env, cluster = build(movie_spec())
         gid_customers = cluster.coordination.sync_group("addCustomer").gid
@@ -187,3 +230,37 @@ class TestLeaderChange:
         assert cluster.node(survivor).current_leader("addMovie") == leader_m
         assert cluster.node(survivor).current_leader("addCustomer") != leader_c
         finish(env, cluster.node(leader_m).submit("addMovie", "heat"))
+
+
+class TestLeaderLogCopy:
+    def test_record_damaged_at_every_follower_is_repaired_from_leader(self):
+        """Both followers' copies of one decided record land corrupted:
+        the leader's own log copy (written locally at commit, never on
+        the wire) is the repair source, so nobody wedges at the hole."""
+        env = Environment()
+        cluster = HambandCluster.build(env, account_spec(), n_nodes=3)
+        finish(env, cluster.node("p2").submit("deposit", 100))
+        env.run(until=env.now + 200)
+        gid = cluster.coordination.sync_group("withdraw").gid
+        leader = cluster.leaders[gid]
+        armed = [True]
+
+        def corrupt_leader_writes(op, src, dst, nbytes):
+            if armed[0] and op == "write" and src == leader:
+                return FaultDecision("corrupt", flips=((nbytes // 2, 1),))
+            return None
+
+        cluster.fabric.fault_hook = corrupt_leader_writes
+        finish(env, cluster.node(leader).submit("withdraw", 10))
+        armed[0] = False
+        env.run(until=env.now + 2000)
+        assert {
+            cluster.node(name).effective_state()
+            for name in cluster.node_names()
+        } == {90}
+        for name in cluster.node_names():
+            if name == leader:
+                continue
+            probe = cluster.node(name).stats()["probe"]
+            assert probe["crc_rejects"] == {f"L:{gid}": 1}
+            assert probe["slot_repairs"] == {f"L:{gid}": 1}

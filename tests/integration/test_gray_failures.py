@@ -3,26 +3,29 @@ hedging, and slow-leader demotion — end to end.
 
 Four layers of assurance:
 
-1. every gray fault preset, driven through :func:`run_harness` under the
-   adaptive (phi-accrual) detector, settles, converges, and passes BOTH
-   the offline trace checker and the streaming live checker;
-2. the mitigation is load-bearing: under ``fd_mode="phi"`` a fail-slow
-   leader is demoted by a quorum of data-plane health detectors, while
-   the fixed-timeout control on the *identical* plan never notices
-   (the victim's heartbeat keeps beating — that is the gray failure);
-3. byte-compat: in fixed mode the gray machinery is fully dormant —
-   same seed ⇒ byte-identical injector log and trace events;
+1. every gray fault preset, driven through :func:`run_harness`,
+   settles, converges, and passes BOTH the offline trace checker and
+   the streaming live checker;
+2. the mitigation is load-bearing: a fail-slow leader is demoted by a
+   quorum of data-plane health detectors, while a control on the
+   *identical* plan with degraded classification switched off never
+   notices (the victim's heartbeat keeps beating — that is the gray
+   failure);
+3. determinism: same seed ⇒ byte-identical injector log and trace
+   events;
 4. unit seams: the retry budget and the hedged read are exercised
    directly against an armed injector, proving the probe counters the
    docs and the bench gate rely on actually fire where claimed.
 """
+
+import math
 
 import pytest
 
 from repro.bench import ExperimentConfig, run_harness
 from repro.datatypes import gset_spec
 from repro.rdma import WcStatus
-from repro.runtime import HambandCluster, RuntimeConfig
+from repro.runtime import HambandCluster, RuntimeConfig, heartbeat
 from repro.runtime.config import f_region
 from repro.sim import GRAY_PLAN_NAMES, Environment, FaultAction, FaultInjector, FaultPlan
 
@@ -30,7 +33,7 @@ OPS = 400
 HORIZON_US = 500.0
 
 
-def _config(workload, fd_mode="phi"):
+def _config(workload):
     return ExperimentConfig(
         system="hamband",
         workload=workload,
@@ -38,7 +41,6 @@ def _config(workload, fd_mode="phi"):
         total_ops=OPS,
         update_ratio=0.25,
         seed=2,
-        fd_mode=fd_mode,
     )
 
 
@@ -74,7 +76,7 @@ class TestGrayChaosMatrix:
 
 
 class TestSlowLeaderDemotion:
-    def test_phi_mode_demotes_the_slow_leader(self):
+    def test_slow_leader_is_demoted(self):
         """The adaptive path: data-plane latency classifies the leader
         degraded, a quorum of votes carries the demotion, and the
         group re-elects away from the victim."""
@@ -88,34 +90,36 @@ class TestSlowLeaderDemotion:
         assert _probe_total(run, "peer_degraded") > 0
         assert run.check().ok
 
-    def test_fixed_mode_never_notices_the_gray_failure(self):
-        """Negative control: the identical plan under the fixed timeout.
-        The victim's heartbeat keeps beating, so nothing is suspected,
-        nothing is demoted — and the run still converges (slowly).
-        This is the proof the phi detector is load-bearing, not the
-        fault being fatal on its own."""
+    def test_without_degraded_classification_nobody_notices(
+        self, monkeypatch
+    ):
+        """Negative control: the identical plan with degraded
+        classification switched off.  The victim's heartbeat keeps
+        beating, so nothing is suspected, nothing is demoted — and the
+        run still converges (slowly).  This is the proof the health
+        tracker is load-bearing, not the fault being fatal on its own."""
+        monkeypatch.setattr(heartbeat, "DEGRADED_FACTOR", math.inf)
         plan = FaultPlan.named("gray-leader", horizon_us=HORIZON_US)
-        run = run_harness(_config("courseware", fd_mode="fixed"), plan=plan)
+        run = run_harness(_config("courseware"), plan=plan)
         assert run.settled
         leaders = _leaders(run)
         assert "p1" in leaders.values(), (
-            f"fixed mode should keep the slow leader: {leaders}"
+            f"the slow leader should keep leading: {leaders}"
         )
         assert _probe_total(run, "peer_degraded") == 0
-        assert _probe_total(run, "hedged_reads") == 0
         assert run.check().ok
 
 
-class TestFixedModeByteCompat:
+class TestDeterminism:
     @pytest.mark.parametrize("plan_name", GRAY_PLAN_NAMES)
-    def test_same_seed_same_trace_in_fixed_mode(self, plan_name):
-        """With the gray machinery dormant the run is still seeded and
-        byte-identical — the injector draws from plan substreams, not
-        global state, and no phi-only code path perturbs the schedule.
-        """
+    def test_same_seed_same_trace(self, plan_name):
+        """The gray machinery (phi suspicion, jittered retries, hedged
+        reads) is seeded: the injector draws from plan substreams and
+        the retry jitter from per-node seed substreams, never global
+        state, so the same seed gives a byte-identical schedule."""
         plan = FaultPlan.named(plan_name, horizon_us=HORIZON_US)
-        first = run_harness(_config("gset", fd_mode="fixed"), plan=plan)
-        second = run_harness(_config("gset", fd_mode="fixed"), plan=plan)
+        first = run_harness(_config("gset"), plan=plan)
+        second = run_harness(_config("gset"), plan=plan)
         assert first.injector.log == second.injector.log
         assert list(first.recorder.events()) == list(
             second.recorder.events()
@@ -125,9 +129,9 @@ class TestFixedModeByteCompat:
 # -- unit seams: retry budget and hedged reads ----------------------------
 
 
-def _build_cluster(n_nodes, fd_mode="phi", **overrides):
+def _build_cluster(n_nodes, **overrides):
     env = Environment()
-    config = RuntimeConfig(fd_mode=fd_mode, **overrides)
+    config = RuntimeConfig(**overrides)
     cluster = HambandCluster.build(
         env, gset_spec(), n_nodes=n_nodes, config=config
     )
@@ -201,7 +205,7 @@ class TestHedgedRead:
         """A fail-slow window on the primary source stretches the first
         read past the hedge delay; the backup read is posted and wins.
         """
-        env, cluster = _build_cluster(3, hedge_delay_us=8.0)
+        env, cluster = _build_cluster(3)
         _arm(cluster, FaultAction(
             at_us=0.0, kind="slow", target="node:p2",
             until_us=100_000.0, rate=1.0, mult=50.0,
@@ -224,7 +228,7 @@ class TestHedgedRead:
         assert node.probe.snapshot()["hedge_wins"].get("unit", 0) == 1
 
     def test_fast_primary_never_hedges(self):
-        env, cluster = _build_cluster(3, hedge_delay_us=8.0)
+        env, cluster = _build_cluster(3)
         node = cluster.node("p1")
         results = []
 

@@ -155,9 +155,9 @@ class TestDemotionMidBatch:
 class TestHoleDetectionAfterLeaderChange:
     def test_partitioned_ex_leader_repairs_log_hole(self):
         """The ex-leader's L copy has holes (records decided while it
-        was cut off were never written to it, and its own decisions
-        never touched its own ring).  New records landing beyond the
-        hole must trip the detector and the self-repair catch-up."""
+        was cut off were never written to it).  New records landing
+        beyond the hole must trip the detector and the self-repair
+        catch-up."""
         env = Environment()
         cluster = HambandCluster.build(env, account_spec(), n_nodes=4)
         env.run(until=cluster.node("p2").submit("deposit", 100))
@@ -165,8 +165,8 @@ class TestHoleDetectionAfterLeaderChange:
         gid = cluster.coordination.sync_group("withdraw").gid
         old_leader = cluster.leaders[gid]
         others = [n for n in cluster.node_names() if n != old_leader]
-        # Record 0: decided by the old leader (applied directly at it —
-        # its own ring stays empty).
+        # Record 0: decided by the old leader (applied at commit; its
+        # own ring keeps a copy as a repair source).
         env.run(until=cluster.node(old_leader).submit("withdraw", 10))
         env.run(until=env.now + 300)
         cluster.partition([old_leader], others)

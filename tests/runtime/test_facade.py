@@ -118,3 +118,31 @@ class TestFacadeComposition:
         assert not node.applier.has_seen(("p1", 2))
         assert not node.applier.has_seen(("p2", 1))
         assert node.effective_state() == node.applier.effective_state()
+
+
+class TestConfigSurface:
+    """The configuration cannot silently grow back: a new knob needs a
+    caller that sets it, and then a deliberate bump here."""
+
+    def test_runtime_config_field_count(self):
+        import dataclasses
+
+        from repro.runtime import RuntimeConfig
+
+        assert len(dataclasses.fields(RuntimeConfig)) == 29
+
+    def test_experiment_config_field_count(self):
+        import dataclasses
+
+        from repro.bench import ExperimentConfig
+
+        assert len(dataclasses.fields(ExperimentConfig)) == 16
+
+    def test_perf_harness_surface_kept(self):
+        """The perf harness builds ``RuntimeConfig(seed=...)`` and reads
+        ``slot_size`` and the ``ring_integrity`` class constant."""
+        from repro.runtime import RuntimeConfig
+
+        config = RuntimeConfig(seed=7)
+        assert config.seed == 7 and config.slot_size > 0
+        assert RuntimeConfig.ring_integrity is True

@@ -3,23 +3,28 @@
 import pytest
 
 from repro.rdma import Fabric
-from repro.runtime.heartbeat import FailureDetector, Heartbeat
+from repro.runtime.heartbeat import (
+    FD_POLL_US,
+    FailureDetector,
+    Heartbeat,
+    PeerHealth,
+    PhiAccrual,
+)
 from repro.sim import Environment
 
 
-def build(n=3, fd_poll=50.0, suspect_after=3):
+def build(n=3, suspect_after=3):
     env = Environment()
     fabric = Fabric.build(env, n)
     heartbeats = {
-        name: Heartbeat(fabric.nodes[name], interval_us=20.0)
-        for name in fabric.node_names()
+        name: Heartbeat(fabric.nodes[name]) for name in fabric.node_names()
     }
     suspicions = []
     detectors = {
         name: FailureDetector(
             fabric.nodes[name],
             fabric.node_names(),
-            poll_interval_us=fd_poll,
+            PeerHealth(),
             suspect_after=suspect_after,
             on_suspect=lambda peer, me=name: suspicions.append((me, peer)),
         )
@@ -64,7 +69,7 @@ class TestSuspension:
     def test_suspicion_needs_consecutive_stale_polls(self):
         env, _fabric, hbs, detectors, _s = build(suspect_after=5)
         hbs["p2"].suspend()
-        env.run(until=220)  # only 4 polls at 50us: below the threshold
+        env.run(until=250)  # only 4 polls at 60us: below the threshold
         assert not detectors["p1"].is_suspected("p2")
         env.run(until=2000)
         assert detectors["p1"].is_suspected("p2")
@@ -145,8 +150,6 @@ class TestPhiAccrual:
 
 class TestPeerHealth:
     def _health(self, **kwargs):
-        from repro.runtime.heartbeat import PeerHealth
-
         events = []
         health = PeerHealth(
             on_degraded=lambda p: events.append(("degraded", p)),
@@ -215,36 +218,51 @@ class TestPeerHealth:
         assert health.ewma_us("p2") is None
 
 
-# -- the detector's phi mode -------------------------------------------
+# -- the one detector: phi suspicion, stale-count fallback, degraded pins
 
 
-def build_phi(n=3, fd_poll=50.0):
-    env = Environment()
-    fabric = Fabric.build(env, n)
-    heartbeats = {
-        name: Heartbeat(fabric.nodes[name], interval_us=20.0)
-        for name in fabric.node_names()
-    }
-    detectors = {
-        name: FailureDetector(
-            fabric.nodes[name],
-            fabric.node_names(),
-            poll_interval_us=fd_poll,
-            mode="phi",
+class TestDetectionLatency:
+    """Suspicion delay after p1's heartbeat stops (hb 20us, poll 60us)."""
+
+    def _delays(self, suspend_at):
+        env, _fabric, hbs, detectors, _s = build()
+        suspected_at = {}
+        for name, detector in detectors.items():
+            detector.on_suspect = (
+                lambda peer, me=name: suspected_at.setdefault(me, env.now)
+            )
+        env.run(until=suspend_at)
+        hbs["p1"].suspend()
+        env.run(until=suspend_at + 2000)
+        assert set(suspected_at) == {"p2", "p3"}
+        return [t - suspend_at for t in suspected_at.values()]
+
+    def test_warmed_model_suspects_a_poll_before_the_stale_count(
+        self, monkeypatch
+    ):
+        warmed = self._delays(suspend_at=1000)
+        monkeypatch.setattr(PhiAccrual, "MIN_SAMPLES", 10**9)
+        counted = self._delays(suspend_at=1000)
+        assert warmed == pytest.approx([188.2, 188.2], abs=1.0)
+        assert counted == pytest.approx([250.8, 250.8], abs=1.0)
+        assert all(c - w >= FD_POLL_US for w, c in zip(warmed, counted))
+
+    def test_cold_model_falls_back_to_suspect_after(self):
+        """Suspended before three arrivals were seen: the stale-poll
+        count against ``suspect_after`` still decides."""
+        assert self._delays(suspend_at=100) == pytest.approx(
+            [211.7, 211.7], abs=1.0
         )
-        for name in fabric.node_names()
-    }
-    return env, fabric, heartbeats, detectors
 
 
 class TestPhiDetectorMode:
     def test_healthy_cluster_stays_unsuspected(self):
-        env, _fabric, _hbs, detectors = build_phi()
+        env, _fabric, _hbs, detectors, _s = build()
         env.run(until=2000)
         assert all(not d.suspected for d in detectors.values())
 
     def test_suspended_node_suspected_via_phi(self):
-        env, _fabric, hbs, detectors = build_phi()
+        env, _fabric, hbs, detectors, _s = build()
         env.run(until=1000)  # warm the per-peer interval models
         hbs["p2"].suspend()
         env.run(until=3000)
@@ -254,7 +272,7 @@ class TestPhiDetectorMode:
     def test_degraded_pin_survives_advancing_counter(self):
         """The fail-slow case: the victim's heartbeat keeps advancing,
         so only the pin (not counter staleness) carries suspicion."""
-        env, _fabric, _hbs, detectors = build_phi()
+        env, _fabric, _hbs, detectors, _s = build()
         env.run(until=500)
         detectors["p1"].mark_degraded("p2")
         assert detectors["p1"].is_suspected("p2")
@@ -263,7 +281,7 @@ class TestPhiDetectorMode:
         assert detectors["p1"].is_degraded("p2")
 
     def test_clear_degraded_lets_the_counter_unsuspect(self):
-        env, _fabric, _hbs, detectors = build_phi()
+        env, _fabric, _hbs, detectors, _s = build()
         env.run(until=500)
         detectors["p1"].mark_degraded("p2")
         detectors["p1"].clear_degraded("p2")
@@ -271,10 +289,10 @@ class TestPhiDetectorMode:
         assert not detectors["p1"].is_suspected("p2")
 
     def test_mark_degraded_fires_on_suspect_once(self):
-        env, _fabric, _hbs, _detectors = build_phi()
+        _env, fabric, _hbs, _detectors, _s = build()
         fired = []
         detector = FailureDetector(
-            _fabric.nodes["p1"], _fabric.node_names(), mode="phi",
+            fabric.nodes["p1"], fabric.node_names(), PeerHealth(),
             on_suspect=fired.append,
         )
         detector.mark_degraded("p2")

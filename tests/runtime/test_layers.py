@@ -19,6 +19,7 @@ from repro.runtime import (
     TracingProbe,
 )
 from repro.runtime.config import f_ack_region, f_region, l_region, s_region
+from repro.runtime.heartbeat import PeerHealth
 from repro.sim import Environment
 
 
@@ -30,7 +31,7 @@ def bare_transport(spec, n_nodes=3, config=None, probe=None):
     transports = {
         name: RingTransport(
             fabric.nodes[name], coordination, names, config or RuntimeConfig(),
-            probe,
+            PeerHealth(), probe,
         )
         for name in names
     }

@@ -196,7 +196,7 @@ class TestChaosEquivalence:
     def test_gray_plan_is_pinned(self, plan_name):
         config = ExperimentConfig(
             system="hamband", workload="courseware", n_nodes=4,
-            total_ops=300, update_ratio=0.25, seed=2, fd_mode="phi",
+            total_ops=300, update_ratio=0.25, seed=2,
         )
         plan = FaultPlan.named(plan_name, horizon_us=500.0)
         run = run_harness(config, plan=plan, live_check=True)
@@ -1055,7 +1055,9 @@ PINNED = {
     "corrupt-5pct/gset": (True, {}, 80, 320),
     "corrupt-crash/courseware": (True, {}, 109, 436),
     "corrupt-crash/gset": (True, {}, 80, 320),
-    "crash-leader/courseware": (True, {}, 99, 396),
+    # Re-recorded: a client redirected to a node that does not lead yet
+    # waits instead of bouncing, so no call is rejected mid-failover.
+    "crash-leader/courseware": (True, {}, 109, 436),
     "crash-leader/gset": (True, {}, 80, 320),
     "delay-spike/courseware": (True, {}, 109, 436),
     "delay-spike/gset": (True, {}, 80, 320),
@@ -1082,7 +1084,10 @@ PINNED = {
         ],
         "order": ["p1#70", "p1#72"],
     }),
-    "gray-leader/courseware": (True, {}, 110, 440),
+    # Re-recorded: peer health now learns only from timed reads and
+    # retried writes (no per-broadcast feed), so the slow leader is
+    # demoted later and one fewer call lands in the run.
+    "gray-leader/courseware": (True, {}, 109, 436),
     "group-join/catch-up-after-in-window": (False, {
         "order": ["p1#1", "p1#3"],
     }),

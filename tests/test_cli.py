@@ -307,7 +307,6 @@ PARSER_CONTRACT = {
         "--slo-p99": (None, None, "float"),
         "--slo-p999": (None, None, "float"),
         "--tenant-table": (False, None, "flag"),
-        "--fd-mode": ("fixed", ("fixed", "phi"), None),
         "--faults": (None, None, None),
         "--horizon": (None, None, "float"),
         **_OBSERVE,
@@ -323,7 +322,6 @@ PARSER_CONTRACT = {
         "--txn-mix": (0.0, None, "float"),
         "--txn-lock-path": ("on", ("on", "off"), None),
         "--faults": (None, None, None),
-        "--fd-mode": ("fixed", ("fixed", "phi"), None),
         "--horizon": (1000.0, None, "float"),
         "--save-plan": (None, None, None),
         "--scrub": (False, None, "flag"),
@@ -377,6 +375,17 @@ class TestScrubFlags:
 
         config = _experiment_config(_build_parser().parse_args(argv))
         assert config.scrub_interval_us == interval
+
+
+class TestChaosSummary:
+    def test_gray_line_is_always_printed(self, capsys):
+        """One detector, so no flag gates the gray counters."""
+        assert main(
+            ["chaos", "gset", "--ops", "100", "--faults", "crash-leader"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "\ngray: degraded=" in out
+        assert "phi_suspects=" in out
 
 
 class TestUsageErrorsAreNamed:

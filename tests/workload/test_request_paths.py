@@ -273,3 +273,44 @@ class TestInlineFirstSubmit:
         assert follower.calls == leader.calls == result.total_calls > 0
         samples = result.latency.samples
         assert samples == pytest.approx([1.0] * len(samples))
+
+
+class _CatchingUpNode(_StubNode):
+    """A campaign winner still catching up: until ``leads_at`` it names
+    the old leader and redirects every call there."""
+
+    def __init__(self, env, name, old_leader, leads_at):
+        super().__init__(env, name)
+        self.old_leader = old_leader
+        self.leads_at = leads_at
+
+    def current_leader(self, _method):
+        if self.env.now < self.leads_at:
+            return self.old_leader
+        return self.name
+
+    def submit(self, method, arg=None):
+        if self.env.now < self.leads_at:
+            self.calls += 1
+            return self.env.event().fail(
+                NotLeaderError(method, self.old_leader)
+            )
+        return super().submit(method, arg)
+
+
+class TestRedirectDuringLeaderChange:
+    def test_redirect_to_a_node_that_does_not_lead_yet_waits(self):
+        """The old leader already names the candidate, the candidate
+        still names the old leader: the client waits out the catch-up
+        instead of burning its 50 redirects in no sim time."""
+        env = Environment()
+        old = _StubNode(env, "p0", leader="p1")
+        candidate = _CatchingUpNode(env, "p1", "p0", leads_at=200.0)
+        result = _closed(
+            _StubCluster(env, {"p0": old, "p1": candidate}, ["p0"],
+                         conflicting={"add"}),
+            total_ops=1,
+        )
+        assert result.rejected_calls == 0
+        assert candidate.calls == 5  # at t = 0, 50, 100, 150 and 200
+        assert result.latency.samples == [201.0]
