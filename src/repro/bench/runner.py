@@ -485,4 +485,5 @@ def average_results(results: list[RunResult]) -> RunResult:
         latency=merged_latency,
         per_method=merged_methods,
         dropped_arrivals=sum(r.dropped_arrivals for r in results),
+        redirect_giveups=sum(r.redirect_giveups for r in results),
     )

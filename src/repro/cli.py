@@ -509,6 +509,8 @@ def _print_txn_counters(coordinator) -> None:
         f"locked={c['txns_locked']} commits={c['commits']} "
         f"aborts={c['aborts']} lock_waits={c['lock_waits']} "
         f"rejected_calls={c['rejected_calls']}"
+        + (f" redirect_giveups={c['redirect_giveups']}"
+           if c["redirect_giveups"] else "")
     )
 
 

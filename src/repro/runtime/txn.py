@@ -105,6 +105,8 @@ class TxnCoordinator:
             "aborts": 0,
             "lock_waits": 0,
             "rejected_calls": 0,
+            #: Calls that ran out of ``max_attempts``.
+            "redirect_giveups": 0,
         }
 
     # -- classification --------------------------------------------------
@@ -308,6 +310,7 @@ class TxnCoordinator:
                 return None
             except SubmitError:
                 yield self.env.timeout(self.retry_wait_us)
+        self.counters["redirect_giveups"] += 1
         return None
 
     # -- recording -------------------------------------------------------

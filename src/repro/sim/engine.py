@@ -430,6 +430,29 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A timer that fires at the absolute time ``when``.
+
+        ``timeout(when - now)`` is not the same timer: ``now + (when -
+        now)`` need not round back to ``when``.  A caller that sums its
+        own delays (the open-loop arrival draws) schedules the sum
+        exactly here.
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(f"timer at {when} is before now ({now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event.delay = when - now
+        event._ok = True
+        event._value = value
+        if when > now:
+            heappush(self._queue, (when, next(self._seq), event))
+        else:
+            self._now_queue.append((next(self._seq), event))
+        return event
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 

@@ -125,6 +125,7 @@ def run_workload(env: Environment, cluster: Any,
         replicated_us=replicated_at,
         latency=state.latency,
         per_method=state.per_method,
+        redirect_giveups=state.giveups,
     )
 
 
@@ -134,6 +135,7 @@ class _RunState:
     succeeded_updates: int = 0
     base_updates: int = 0  # prologue updates, excluded from metrics
     rejected: int = 0
+    giveups: int = 0
     latency: LatencySeries = field(default_factory=LatencySeries)
     per_method: dict[str, LatencySeries] = field(default_factory=dict)
 
@@ -216,11 +218,13 @@ def _client(env, cluster, coordination, name, n_ops, config, state,
                 )
         state.total_calls += 1
         state.record(method, env.now - issued_at)
-        if method in updates:
-            if ok:
+        if ok:
+            if method in updates:
                 state.succeeded_updates += 1
-            else:
-                state.rejected += 1
+        else:
+            state.rejected += 1
+            if ok is None:
+                state.giveups += 1
 
 
 def _spec_of(cluster):
@@ -242,7 +246,10 @@ def _leader_bound_methods(spec, coordination) -> frozenset:
 
 def _submit_with_redirect(env, cluster, node, method, arg,
                           follow_leader=False, error=None):
-    """Submit, following leader redirects; returns False on rejection.
+    """Submit, following leader redirects.
+
+    Returns True once a node serves the call, False when it is refused
+    (impermissible), and None when the attempts run out (a give-up).
 
     ``follow_leader`` marks a conflicting call: those wait out leader
     changes (paper §5: they "have to wait until the leader-change
@@ -294,7 +301,7 @@ def _submit_with_redirect(env, cluster, node, method, arg,
         else:
             yield env.timeout(50.0)  # e.g. mid-failover; retry
         error = None
-    return False
+    return None
 
 
 # -- sharded (keyed, transactional) workloads -------------------------------

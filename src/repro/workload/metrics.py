@@ -235,6 +235,10 @@ class RunResult:
     dropped_arrivals: int = 0
     #: SLO attainment, when the run declared a target.
     slo: Optional[SloReport] = None
+    #: Calls whose redirect loop ran out of attempts (leader changes
+    #: that never settled, failed targets that never recovered).  Each
+    #: is also counted in ``rejected_calls``, update or query.
+    redirect_giveups: int = 0
 
     @property
     def duration_us(self) -> float:
@@ -264,4 +268,6 @@ class RunResult:
         )
         if self.dropped_arrivals:
             row += f" [{self.dropped_arrivals} dropped]"
+        if self.redirect_giveups:
+            row += f" [{self.redirect_giveups} redirect give-ups]"
         return row

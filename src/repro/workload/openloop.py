@@ -25,15 +25,20 @@ idiom), so the same seed produces a byte-identical trace JSONL.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 from ..runtime.errors import ImpermissibleError, SubmitError
-from ..sim import Environment
+from ..sim import Environment, Event
 from ..sim.rng import SeedSequence
-from .driver import _leader_bound_methods, _submit_with_redirect
+from .driver import (
+    _leader_bound_methods,
+    _run_prologue,
+    _submit_with_redirect,
+)
 from .generators import make_generator, setup_calls
 from .metrics import LatencySeries, RunResult, SloTarget, slo_report
-from .serving import SessionTier, curve_peak, curve_rate
+from .serving import SessionTier, arrival_instants
 
 __all__ = ["OpenLoopConfig", "run_open_loop"]
 
@@ -69,12 +74,96 @@ class OpenLoopConfig:
     slo: Optional[SloTarget] = None
 
 
-@dataclass
-class _OpenState:
-    total_calls: int = 0
-    succeeded_updates: int = 0
-    base_updates: int = 0
-    rejected: int = 0
+class _OpenRun:
+    """One open-loop run's accounting, and the request callbacks.
+
+    An admitted request costs its node's call path plus one
+    :meth:`reply` callback on the returned event; only a request that
+    must be redirected runs a process (:meth:`_redirected`).
+    """
+
+    __slots__ = ("env", "cluster", "tier", "latency", "per_method",
+                 "total_calls", "succeeded_updates", "base_updates",
+                 "rejected", "giveups", "drained")
+
+    def __init__(self, env, cluster, tier: SessionTier):
+        self.env = env
+        self.cluster = cluster
+        self.tier = tier
+        self.latency = LatencySeries()
+        self.per_method: dict[str, LatencySeries] = {}
+        self.total_calls = 0
+        self.succeeded_updates = 0
+        self.base_updates = 0  # prologue updates, excluded from metrics
+        self.rejected = 0
+        self.giveups = 0
+        #: Armed once the arrivals end; the last completion triggers it.
+        self.drained: Optional[Event] = None
+
+    def reply(self, node, session, method, arg, is_update, issued_at,
+              request: Event) -> None:
+        """The callback on an admitted request's submit event."""
+        if request.ok:
+            self.finish(session, method, is_update, issued_at, True)
+        else:
+            self.failed(node, session, method, arg, is_update, issued_at,
+                        request.value)
+
+    def failed(self, node, session, method, arg, is_update, issued_at,
+               error: BaseException) -> None:
+        """A first attempt failed, raised by ``submit`` or on its event."""
+        if isinstance(error, ImpermissibleError):
+            self.finish(session, method, is_update, issued_at, False)
+        elif isinstance(error, SubmitError):
+            self.redirect(node, session, method, arg, is_update, issued_at,
+                          False, error)
+        else:
+            raise error
+
+    def redirect(self, node, session, method, arg, is_update, issued_at,
+                 follow_leader, error=None) -> None:
+        process = self.env.process(self._redirected(
+            node, session, method, arg, is_update, issued_at,
+            follow_leader, error,
+        ))
+        process.callbacks.append(_raise_failure)
+
+    def _redirected(self, node, session, method, arg, is_update,
+                    issued_at, follow_leader, error):
+        ok = yield from _submit_with_redirect(
+            self.env, self.cluster, node, method, arg, follow_leader,
+            error=error,
+        )
+        self.finish(session, method, is_update, issued_at, ok)
+
+    def finish(self, session, method, is_update, issued_at, ok) -> None:
+        """Account one completed request (``ok`` as
+        :func:`~repro.workload.driver._submit_with_redirect` returns it)."""
+        tier = self.tier
+        tier.complete(session)
+        self.total_calls += 1
+        elapsed = self.env.now - issued_at
+        self.latency.add(elapsed)
+        series = self.per_method.get(method)
+        if series is None:
+            series = self.per_method[method] = LatencySeries()
+        series.add(elapsed)
+        if ok:
+            if is_update:
+                self.succeeded_updates += 1
+        else:
+            self.rejected += 1
+            if ok is None:
+                self.giveups += 1
+        if self.drained is not None and not tier.outstanding_total:
+            self.drained.succeed()
+
+
+def _raise_failure(process: Event) -> None:
+    """Propagate an unexpected error out of ``env.run`` instead of
+    leaving it on a process nobody waits for."""
+    if not process.ok:
+        raise process.value
 
 
 def build_tier(config: OpenLoopConfig, n_nodes: int) -> SessionTier:
@@ -102,6 +191,11 @@ def run_open_loop(env: Environment, cluster: Any, config: OpenLoopConfig,
     (cluster-side refusals), and an :class:`SloReport` when the config
     declares a target.  Pass ``tier`` to keep a reference to the
     per-tenant accounting; otherwise one is built from the config.
+
+    Raises ``TimeoutError`` naming the outstanding count when admitted
+    requests are still in flight ``config.quiesce_timeout_us`` after
+    the last arrival, and re-raises any error a request fails with that
+    is not a :class:`SubmitError`.
     """
     names = cluster.node_names()
     coordination = getattr(cluster, "coordination", None)
@@ -112,14 +206,12 @@ def run_open_loop(env: Environment, cluster: Any, config: OpenLoopConfig,
             f"tier routes over {tier.n_nodes} nodes but the cluster "
             f"has {len(names)}"
         )
-    state = _OpenState()
-    latency = LatencySeries()
-    per_method: dict[str, LatencySeries] = {}
+    run = _OpenRun(env, cluster, tier)
 
     prologue = setup_calls(config.workload)
     if prologue:
         done = env.process(
-            _prologue(env, cluster, names, prologue, state)
+            _run_prologue(env, cluster, names, prologue, run)
         )
         env.run(until=done)
         if not done.ok:
@@ -127,19 +219,15 @@ def run_open_loop(env: Environment, cluster: Any, config: OpenLoopConfig,
 
     start = env.now
     arrivals = env.process(
-        _arrival_process(
-            env, cluster, coordination, names, config, tier, state,
-            latency, per_method,
-        ),
+        _arrival_process(env, cluster, coordination, names, config, run),
         name="openloop:arrivals",
     )
     env.run(until=arrivals)
     if not arrivals.ok:
         raise arrivals.value
-    # Drain in-flight requests before quiescing.
-    while tier.outstanding_total > 0:
-        env.run(until=env.now + 10.0)
-    target = state.base_updates + state.succeeded_updates
+    if tier.outstanding_total:
+        _drain(env, run, config.quiesce_timeout_us)
+    target = run.base_updates + run.succeeded_updates
     quiesce = env.process(
         cluster.quiesce(target, timeout_us=config.quiesce_timeout_us)
     )
@@ -148,36 +236,58 @@ def run_open_loop(env: Environment, cluster: Any, config: OpenLoopConfig,
         system=config.system_label,
         workload=config.workload,
         n_nodes=len(names),
-        total_calls=state.total_calls,
-        update_calls=state.succeeded_updates,
-        rejected_calls=state.rejected,
+        total_calls=run.total_calls,
+        update_calls=run.succeeded_updates,
+        rejected_calls=run.rejected,
         start_us=start,
         replicated_us=replicated_at,
-        latency=latency,
-        per_method=per_method,
+        latency=run.latency,
+        per_method=run.per_method,
         dropped_arrivals=tier.dropped_total,
-        slo=(slo_report(latency, config.slo)
+        slo=(slo_report(run.latency, config.slo)
              if config.slo is not None else None),
+        redirect_giveups=run.giveups,
     )
 
 
-def _prologue(env, cluster, names, prologue, state):
-    for i, (method, arg) in enumerate(prologue):
-        node = cluster.node(names[i % len(names)])
-        yield from _submit_with_redirect(env, cluster, node, method, arg)
-        state.base_updates += 1
-    yield env.timeout(200.0)
+#: The drain's polling grid after the last arrival, in µs.
+DRAIN_TICK_US = 10.0
 
 
-def _arrival_process(env, cluster, coordination, names, config, tier,
-                     state, latency, per_method):
+def _drain(env: Environment, run: _OpenRun, timeout_us: float) -> None:
+    """Wait for the in-flight requests, then advance to the first drain
+    tick at or after the last completion.
+
+    The wait is one event the last completion triggers.  Quiesce polls
+    from the instant it starts, so it starts on a fixed grid of
+    ``DRAIN_TICK_US`` steps from the last arrival: ``replicated_us``
+    stays what a poll of the outstanding count on that grid gives.
+    """
+    end = env.now
+    run.drained = env.event()
+    env.run(until=env.any_of([run.drained, env.timeout(timeout_us)]))
+    outstanding = run.tier.outstanding_total
+    if outstanding:
+        raise TimeoutError(
+            f"open-loop requests did not drain: {outstanding} still "
+            f"outstanding {timeout_us:g} us after the last arrival"
+        )
+    tick = end + DRAIN_TICK_US
+    while tick < env.now:
+        tick += DRAIN_TICK_US
+    env.run(until=tick)
+
+
+def _arrival_process(env, cluster, coordination, names, config, run):
     """The single aggregate arrival generator.
 
-    Draws a homogeneous Poisson process at ``offered_load * peak`` and
-    accepts each draw with probability ``rate(phase)/peak`` (Lewis
-    thinning), which realizes the configured curve exactly without
-    per-step rate integration.  One process regardless of session
-    count — sessions are rows in ``tier``, not generators.
+    Wakes once per candidate that survives thinning
+    (:func:`~repro.workload.serving.arrival_instants`), on an
+    absolute-time timer at that candidate's exact instant; a thinned
+    candidate costs no event.  Each wakeup admits or sheds one arrival
+    and submits an admitted one inline, with :meth:`_OpenRun.reply` as
+    the callback on its event.  One process regardless of session
+    count — sessions are rows in the tier, not generators.
     """
     seq = SeedSequence(config.seed).spawn("openloop")
     arrivals_rng = seq.derive("arrivals")
@@ -187,42 +297,39 @@ def _arrival_process(env, cluster, coordination, names, config, tier,
         name: make_generator(config.workload, config.seed, name)
         for name in names
     }
-    curve = config.arrival_curve
-    peak = curve_peak(curve)
-    peak_rate = config.offered_load_ops_per_us * peak
-    duration = config.duration_us
+    tier = run.tier
     start = env.now
-    deadline = start + duration
+    deadline = start + config.duration_us
+    instants = arrival_instants(
+        arrivals_rng.random, config.arrival_curve,
+        config.offered_load_ops_per_us, start, config.duration_us,
+    )
     # Hot-path hoists: bound methods, the update set, the query tuple,
     # and the tier's session count — nothing allocated per arrival but
-    # the admitted requests themselves.
-    timeout = env.timeout
-    expovariate = arrivals_rng.expovariate
-    thin = arrivals_rng.random
+    # an admitted request's callback.
+    timeout_at = env.timeout_at
     pick_session = session_rng.randrange
     mix = mix_rng.random
+    pick_query_index = mix_rng.randrange
+    admit = tier.admit
     n_sessions = tier.n_sessions
+    n_nodes = tier.n_nodes
     update_ratio = config.update_ratio
     spec = coordination.spec if coordination is not None else cluster.spec
     updates = spec.updates
     leader_bound = _leader_bound_methods(spec, coordination)
     queries = tuple(spec.query_names())
     n_queries = len(queries)
-    pick_query_index = mix_rng.randrange
     node_cache = {name: cluster.node(name) for name in names}
-    while True:
-        yield timeout(expovariate(peak_rate))
-        now = env.now
+    reply = run.reply
+    for now in instants:
+        yield timeout_at(now)
         if now >= deadline:
             break
-        if peak > 1.0:
-            phase = (now - start) / duration
-            if thin() * peak >= curve_rate(curve, phase):
-                continue  # thinned out: no arrival at this instant
         session = pick_session(n_sessions)
-        if not tier.admit(session):
+        if not admit(session):
             continue  # shed with accounting (tier counts the drop)
-        name = names[session % tier.n_nodes]
+        name = names[session % n_nodes]
         if mix() < update_ratio:
             method, arg = next(streams[name])
             is_update = True
@@ -230,42 +337,17 @@ def _arrival_process(env, cluster, coordination, names, config, tier,
             method = queries[pick_query_index(n_queries)]
             arg = None
             is_update = method in updates
-        env.process(
-            _one_request(
-                env, cluster, node_cache[name], session, method, arg,
-                is_update, method in leader_bound, tier, state, latency,
-                per_method,
-            )
-        )
-
-
-def _one_request(env, cluster, node, session, method, arg, is_update,
-                 follow_leader, tier, state, latency, per_method):
-    issued_at = env.now
-    if follow_leader or getattr(node, "failed", False):
-        ok = yield from _submit_with_redirect(
-            env, cluster, node, method, arg, follow_leader
-        )
-    else:
+        node = node_cache[name]
+        follow_leader = method in leader_bound
+        if follow_leader or getattr(node, "failed", False):
+            run.redirect(node, session, method, arg, is_update, now,
+                         follow_leader)
+            continue
         try:
-            yield node.submit(method, arg)
-            ok = True
-        except ImpermissibleError:
-            ok = False
+            request = node.submit(method, arg)
         except SubmitError as error:
-            ok = yield from _submit_with_redirect(
-                env, cluster, node, method, arg, error=error
-            )
-    tier.complete(session)
-    state.total_calls += 1
-    elapsed = env.now - issued_at
-    latency.add(elapsed)
-    series = per_method.get(method)
-    if series is None:
-        series = per_method[method] = LatencySeries()
-    series.add(elapsed)
-    if is_update:
-        if ok:
-            state.succeeded_updates += 1
-        else:
-            state.rejected += 1
+            run.failed(node, session, method, arg, is_update, now, error)
+            continue
+        request.callbacks.append(
+            partial(reply, node, session, method, arg, is_update, now)
+        )

@@ -10,10 +10,11 @@ Scalability comes from representing sessions as **data, not
 processes**: a session is an integer id whose per-session state lives
 in flat ``array`` slabs (one unsigned counter each), so a hundred
 thousand — or a million — sessions cost a few megabytes and zero
-scheduler pressure.  The only simulation processes are the single
+scheduler pressure.  The only simulation process is the single
 aggregate arrival generator (thinned Poisson over the session
-population) and the bounded set of in-flight requests admitted past
-the per-tenant caps.
+population, :func:`arrival_instants`); an admitted request is a
+callback on its node's reply, and a redirected one the only request
+that runs a process of its own.
 
 Admission control is SafarDB-flavoured: tenants are session groups
 with a bounded number of outstanding requests each; an arrival beyond
@@ -36,11 +37,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 __all__ = [
     "ARRIVAL_CURVES",
     "SessionTier",
     "TenantStats",
+    "arrival_instants",
     "curve_peak",
     "curve_rate",
 ]
@@ -60,6 +63,12 @@ _FLASH_LO = 0.5  # 0.1*5.5 + 0.9*0.5 == 1.0
 
 #: Diurnal modulation amplitude (day/night swing around the mean).
 _DIURNAL_AMP = 0.8
+
+#: The step curves as (window, high, low), for the candidate loop.
+_STEPS = {
+    "burst": (_BURST_WINDOW, _BURST_HI, _BURST_LO),
+    "flash-crowd": (_FLASH_WINDOW, _FLASH_HI, _FLASH_LO),
+}
 
 
 def curve_rate(curve: str, phase: float) -> float:
@@ -99,6 +108,53 @@ def curve_peak(curve: str) -> float:
         f"unknown arrival curve {curve!r}; expected one of "
         f"{', '.join(ARRIVAL_CURVES)}"
     )
+
+
+def arrival_instants(random: Callable[[], float], curve: str,
+                     offered_load: float, start: float,
+                     duration: float) -> Iterator[float]:
+    """The instants at which a run's arrivals wake the driver.
+
+    Candidates are a homogeneous Poisson process at ``offered_load *
+    curve_peak(curve)`` from ``start``; each is kept with probability
+    ``rate(phase)/peak`` (Lewis thinning).  Yields every kept candidate
+    before ``start + duration``, then the first candidate at or past it,
+    and stops.  A thinned candidate costs two draws, no event and no
+    function call: the curve is resolved into its shape once, and the
+    loop computes :func:`curve_rate`'s float inline.
+
+    ``random`` is the stream's ``Random.random``.  Per candidate it
+    draws the exponential gap (``Random.expovariate``, inlined) and,
+    for every curve but ``steady``, the thinning draw.  Instants are
+    the running sum ``t + gap``: the floats a chain of relative timers
+    reaches, which an absolute-time timer then hits exactly.
+    """
+    peak = curve_peak(curve)
+    peak_rate = offered_load * peak
+    thinning = peak > 1.0
+    step = curve in _STEPS
+    if step:
+        (lo, hi), high, low = _STEPS[curve]
+    amp = _DIURNAL_AMP
+    two_pi = 2.0 * math.pi
+    log = math.log
+    sin = math.sin
+    deadline = start + duration
+    t = start
+    while True:
+        t += -log(1.0 - random()) / peak_rate
+        if t >= deadline:
+            yield t
+            return
+        if thinning:
+            phase = (t - start) / duration
+            if step:
+                rate = high if lo <= phase < hi else low
+            else:  # diurnal: the one thinned curve that is not a step
+                rate = 1.0 + amp * sin(two_pi * phase)
+            if random() * peak >= rate:
+                continue
+        yield t
 
 
 @dataclass

@@ -183,6 +183,23 @@ class TestCommitPaths:
         assert coordinator.counters["commits"] == 2
 
 
+class TestRedirectGiveUps:
+    def test_exhausted_attempts_are_counted(self):
+        env, sharded, _, _ = build()
+        coordinator = TxnCoordinator(sharded, max_attempts=3)
+        a, _b = pin_two_accounts(sharded)
+        open_and_fund(env, sharded, (a,))
+        for name in sharded.shard(0).node_names():
+            sharded.shard(0).node(name).failed = True
+        outcome = env.run(until=coordinator.submit([
+            TxnOp(a, "deposit", (a, 10)),
+        ]))
+        assert not outcome.committed
+        assert outcome.rejected == 1
+        assert coordinator.counters["redirect_giveups"] == 1
+        assert coordinator.counters["rejected_calls"] == 0
+
+
 class TestAtomicityGate:
     def run_overdraft(self, lock_path_enabled):
         env, sharded, coordinator, recorder = build(

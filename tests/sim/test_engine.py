@@ -63,6 +63,45 @@ class TestTimeouts:
         assert log == ["a", "b", "c"]
 
 
+class TestAbsoluteTimeouts:
+    def test_fires_at_when_exactly(self):
+        # 0.7 + (2.9 - 0.7) rounds to 2.9000000000000004: a relative
+        # timer cannot land on 2.9 from 0.7.
+        start, when = 0.7, 2.9
+        assert start + (when - start) != when
+        env = Environment(initial_time=start)
+        fired = []
+        timer = env.timeout_at(when, value="v")
+        timer.callbacks.append(lambda ev: fired.append((env.now, ev.value)))
+        env.run()
+        assert fired == [(when, "v")]
+
+    def test_before_now_rejected(self):
+        env = Environment(initial_time=2.0)
+        with pytest.raises(SimulationError):
+            env.timeout_at(1.999)
+
+    def test_at_now_fires_in_the_current_instant(self, env):
+        order = []
+        env.timeout_at(0.0).callbacks.append(lambda ev: order.append("at"))
+        env.timeout(0).callbacks.append(lambda ev: order.append("rel"))
+        env.run()
+        assert order == ["at", "rel"]
+        assert env.now == 0.0
+
+    def test_ties_break_by_creation_order(self, env):
+        order = []
+        for tag, make in [
+            ("rel-a", lambda: env.timeout(5)),
+            ("abs-b", lambda: env.timeout_at(5.0)),
+            ("rel-c", lambda: env.timeout(5)),
+            ("abs-d", lambda: env.timeout_at(5.0)),
+        ]:
+            make().callbacks.append(lambda ev, tag=tag: order.append(tag))
+        env.run()
+        assert order == ["rel-a", "abs-b", "rel-c", "abs-d"]
+
+
 class TestRun:
     def test_run_until_time_stops_clock_there(self, env):
         def proc(env):

@@ -1,13 +1,16 @@
 """Tests for the open-loop (Poisson) driver and the serving tier."""
 
+import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
 
-from repro.datatypes import counter_spec, courseware_spec
+from repro.datatypes import counter_spec, courseware_spec, gset_spec
 from repro.runtime import HambandCluster
 from repro.sim import Environment
+from repro.sim.rng import SeedSequence
 from repro.workload import (
     ARRIVAL_CURVES,
     OpenLoopConfig,
@@ -20,6 +23,7 @@ from repro.workload import (
 )
 from repro.workload.metrics import LatencySeries
 from repro.workload.openloop import build_tier
+from repro.workload.serving import arrival_instants
 
 
 def drive(load, duration=800.0, workload="counter", spec=None, n=3,
@@ -163,6 +167,127 @@ class TestArrivalCurves:
         steady_n = steady.total_calls + steady.dropped_arrivals
         diurnal_n = diurnal.total_calls + diurnal.dropped_arrivals
         assert diurnal_n == pytest.approx(steady_n, rel=0.2)
+
+
+def reference_wakeups(env, rng, curve, load, duration, out):
+    """The arrival loop before thinned candidates stopped being events:
+    one relative timer per candidate, ``Random.expovariate`` gaps and
+    :func:`curve_rate` per thinning test.  Records every wakeup that
+    survives thinning."""
+    peak = curve_peak(curve)
+    start = env.now
+    deadline = start + duration
+    while True:
+        yield env.timeout(rng.expovariate(load * peak))
+        now = env.now
+        if now >= deadline:
+            return
+        if peak > 1.0:
+            phase = (now - start) / duration
+            if rng.random() * peak >= curve_rate(curve, phase):
+                continue
+        out.append(now)
+
+
+class _RecordingNode:
+    """Serves every call after 1 us and records when it was submitted."""
+
+    def __init__(self, env):
+        self.env = env
+        self.submitted = []
+
+    def submit(self, method, arg=None):
+        self.submitted.append(self.env.now)
+        return self.env.timeout(1.0)
+
+
+class _OneNodeCluster:
+    def __init__(self, env):
+        self.env = env
+        self.spec = gset_spec()
+        self.only = _RecordingNode(env)
+
+    def node_names(self):
+        return ["p0"]
+
+    def node(self, _name):
+        return self.only
+
+    def quiesce(self, _target, timeout_us=0.0):
+        yield self.env.timeout(0)
+        return self.env.now
+
+
+class _RelativeTimerEnvironment(Environment):
+    """Negative control: an absolute timer built from a relative one."""
+
+    __slots__ = ()
+
+    def timeout_at(self, when, value=None):
+        return self.timeout(when - self.now, value)
+
+
+LOAD, DURATION = 3.0, 200.0
+
+#: Every curve, eight seeds, a run from t = 0 and two from small t > 0.
+WAKEUP_CASES = list(itertools.product(
+    ARRIVAL_CURVES, range(1, 9), (0.0, 0.001, 0.7),
+))
+
+
+def reference_instants(curve, seed, start):
+    env = Environment(initial_time=start)
+    rng = SeedSequence(seed).spawn("openloop").derive("arrivals")
+    out = []
+    env.process(reference_wakeups(env, rng, curve, LOAD, DURATION, out))
+    env.run()
+    return out
+
+
+def driver_instants(curve, seed, start, environment=Environment):
+    """When ``run_open_loop`` submitted each arrival (caps high enough
+    that every wakeup is admitted)."""
+    env = environment()
+    if start:
+        env.run(until=start)
+    cluster = _OneNodeCluster(env)
+    run_open_loop(env, cluster, OpenLoopConfig(
+        workload="gset", offered_load_ops_per_us=LOAD, duration_us=DURATION,
+        seed=seed, arrival_curve=curve, n_sessions=64,
+        max_outstanding_per_node=10**6,
+    ))
+    return cluster.only.submitted
+
+
+class TestArrivalInstants:
+    """The driver wakes at bitwise the instants of the old
+    one-timer-per-candidate loop, which also pins the inlined
+    exponential draw to ``Random.expovariate``."""
+
+    def test_wakeups_match_the_reference_bitwise(self):
+        for curve, seed, start in WAKEUP_CASES:
+            reference = reference_instants(curve, seed, start)
+            assert len(reference) > 100
+            assert driver_instants(curve, seed, start) == reference, (
+                curve, seed, start)
+
+    def test_relative_timers_miss_the_reference(self):
+        """``timeout(t - now)`` need not land on ``t``: the check above
+        fails for a driver that schedules that way."""
+        missed = [
+            case for case in WAKEUP_CASES
+            if driver_instants(*case, _RelativeTimerEnvironment)
+            != reference_instants(*case)
+        ]
+        assert missed
+
+    def test_last_instant_is_the_first_candidate_past_the_end(self):
+        instants = list(arrival_instants(
+            random.Random(5).random, "flash-crowd", 2.0, 10.0, 100.0,
+        ))
+        assert all(t < 110.0 for t in instants[:-1])
+        assert instants[-1] >= 110.0
+        assert instants == sorted(instants)
 
 
 class TestSessionTier:

@@ -3,6 +3,7 @@ process-free query path, and the drivers' inline first attempt."""
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -45,11 +46,13 @@ def schedule_digest(result, cluster) -> str:
 
 
 class TestSchedulePin:
-    """Every latency sample and final state of three small seed-1 runs
-    on one-core nodes, where requests contend for the CPU.
+    """Every latency sample and final state of small runs on one-core
+    nodes, where requests contend for the CPU.
 
-    The constants were recorded before queries, CPU charges and the
-    drivers' first attempt stopped being processes: moving a request's
+    The three seed-1 constants were recorded before queries, CPU
+    charges and the drivers' first attempt stopped being processes; the
+    seed-3 open-loop ones before thinned arrivals stopped being timers
+    and admitted requests stopped being processes.  Moving a request's
     events to other ``(time, seq)`` slots changes them.
     """
 
@@ -83,6 +86,38 @@ class TestSchedulePin:
         ))
         assert schedule_digest(result, cluster) == COUNTER_SERVE_DIGEST
 
+    @pytest.mark.parametrize(
+        ("workload", "spec", "curve", "load", "per_tenant"),
+        [
+            ("counter", counter_spec, "steady", 3.0, 0),
+            ("counter", counter_spec, "burst", 3.0, 0),
+            ("counter", counter_spec, "diurnal", 3.0, 0),
+            # 865 arrivals shed by the per-tenant cap.
+            ("counter", counter_spec, "flash-crowd", 6.0, 2),
+            # Leader-bound CONF calls through the redirect path.
+            ("courseware", courseware_spec, "flash-crowd", 1.0, 0),
+            ("gset", gset_spec, "burst", 2.0, 0),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_open_loop_curves(self, workload, spec, curve, load,
+                              per_tenant):
+        """Recorded while every admitted request was its own process
+        and every thinned candidate its own timer."""
+        env = Environment()
+        cluster = HambandCluster.build(env, spec(), 4, cpu_cores=1)
+        result = run_open_loop(env, cluster, OpenLoopConfig(
+            workload=workload, offered_load_ops_per_us=load,
+            duration_us=300.0, update_ratio=0.5, seed=3,
+            arrival_curve=curve, n_sessions=1000, n_tenants=4,
+            max_outstanding_per_tenant=per_tenant,
+        ))
+        # ``replicated_us`` pins where the drain handed over to quiesce.
+        assert (
+            schedule_digest(result, cluster), result.replicated_us,
+            result.dropped_arrivals,
+        ) == OPEN_LOOP_PINS[(workload, curve, load)]
+
 
 GSET_READ_DIGEST = (
     "7e97f0a556b3186a9c11b96e7c0a2392c932004db3ec6d35322d0b793d469c74"
@@ -93,6 +128,26 @@ COURSEWARE_DIGEST = (
 COUNTER_SERVE_DIGEST = (
     "33c7e2c7abda155435dd131f1788ce4ccb9e6f2c29774f29286a1993ea1bd356"
 )
+OPEN_LOOP_PINS = {
+    ("counter", "steady", 3.0): (
+        "199477d8e1a65864e98af3524e09034831c7aec752760da07ef8562c7e42ad42",
+        300.49299799359005, 0),
+    ("counter", "burst", 3.0): (
+        "235abb7a34b69d7841f04198f923249487e5a4544c6deddea6729fde58a6248b",
+        310.33147812282203, 0),
+    ("counter", "diurnal", 3.0): (
+        "aafcf0a803b75a9c0264c85fffa74fc765a9f4561600930242a8c491ce761b06",
+        310.20330670454257, 0),
+    ("counter", "flash-crowd", 6.0): (
+        "a6cf1b145d4f71157b26df5ceee712e2dee59294a42340a96ee9139d9505ed79",
+        310.0995965644054, 865),
+    ("courseware", "flash-crowd", 1.0): (
+        "dece7072350420ca3fda95efe02e5ead510c77c21546f8552e87bc2f14bdd888",
+        538.2557005616889, 0),
+    ("gset", "burst", 2.0): (
+        "91504a1e090a6467441368165ff32b2c20acb62a2c73e21a593777554b29d2d1",
+        300.03542741752995, 0),
+}
 
 
 @pytest.fixture
@@ -209,11 +264,13 @@ def _closed(cluster, **config):
     ))
 
 
-def _open(cluster):
-    return run_open_loop(cluster.env, cluster, OpenLoopConfig(
+def _open(cluster, **overrides):
+    config = dict(
         workload="gset", offered_load_ops_per_us=0.05, duration_us=400.0,
         update_ratio=1.0, seed=1, n_sessions=8,
-    ))
+    )
+    config.update(overrides)
+    return run_open_loop(cluster.env, cluster, OpenLoopConfig(**config))
 
 
 class TestInlineFirstSubmit:
@@ -314,3 +371,91 @@ class TestRedirectDuringLeaderChange:
         assert result.rejected_calls == 0
         assert candidate.calls == 5  # at t = 0, 50, 100, 150 and 200
         assert result.latency.samples == [201.0]
+
+
+def _never_leading(env):
+    """A client pointed at ``p0``, which names ``p1`` as leader, while
+    ``p1`` never takes over and redirects every call back."""
+    old = _StubNode(env, "p0", leader="p1")
+    candidate = _CatchingUpNode(env, "p1", "p0", leads_at=math.inf)
+    return _StubCluster(env, {"p0": old, "p1": candidate}, ["p0"],
+                        conflicting={"add"})
+
+
+class TestRedirectGiveUps:
+    def test_closed_loop_counts_every_give_up(self):
+        env = Environment()
+        result = _closed(_never_leading(env), total_ops=3)
+        assert result.total_calls == 3
+        assert result.redirect_giveups == 3
+        assert result.rejected_calls == 3
+        assert result.update_calls == 0
+        assert "[3 redirect give-ups]" in result.summary_row()
+
+    def test_open_loop_counts_every_give_up(self):
+        env = Environment()
+        result = _open(_never_leading(env))
+        assert result.total_calls > 0
+        assert result.redirect_giveups == result.total_calls
+        assert result.rejected_calls == result.total_calls
+        assert result.update_calls == 0
+
+    @pytest.mark.parametrize("loop", ["closed", "open"])
+    def test_a_query_that_gives_up_is_rejected(self, loop):
+        env = Environment()
+        node = _StubNode(env, "p0", [SubmitError("mid-failover")] * 10_000)
+        cluster = _StubCluster(env, {"p0": node}, ["p0"])
+        if loop == "closed":
+            result = run_workload(env, cluster, DriverConfig(
+                workload="gset", update_ratio=0.0, seed=1, total_ops=2,
+            ))
+        else:
+            result = _open(cluster, update_ratio=0.0)
+        assert result.total_calls > 0
+        assert result.redirect_giveups == result.total_calls
+        assert result.rejected_calls == result.total_calls
+
+    def test_healthy_run_prints_no_give_ups(self):
+        env = Environment()
+        result = _open(_StubCluster(env, {"p0": _StubNode(env, "p0")},
+                                    ["p0"]))
+        assert result.redirect_giveups == 0
+        assert "give-up" not in result.summary_row()
+
+
+class _SilentNode(_StubNode):
+    """Accepts every call and never answers it."""
+
+    def submit(self, method, arg=None):
+        self.calls += 1
+        return self.env.event()
+
+
+class _BrokenNode(_StubNode):
+    """Fails every call with an error that is not a SubmitError."""
+
+    def submit(self, method, arg=None):
+        self.calls += 1
+        return self.env.event().fail(ValueError("node bug"))
+
+
+class TestOpenLoopEnd:
+    def test_drain_gives_up_after_the_quiesce_timeout(self):
+        env = Environment()
+        node = _SilentNode(env, "p0")
+        with pytest.raises(TimeoutError) as raised:
+            _open(_StubCluster(env, {"p0": node}, ["p0"]),
+                  quiesce_timeout_us=1_000.0)
+        assert node.calls > 0
+        assert f"{node.calls} still outstanding" in str(raised.value)
+        # The last arrival lands just past 400 us; then one bounded wait.
+        assert 1_400.0 <= env.now < 1_500.0
+
+    @pytest.mark.parametrize("conflicting", [(), ("add",)])
+    def test_an_unexpected_error_propagates(self, conflicting):
+        """Raised on the callback path and in the redirect process."""
+        env = Environment()
+        node = _BrokenNode(env, "p0")
+        with pytest.raises(ValueError, match="node bug"):
+            _open(_StubCluster(env, {"p0": node}, ["p0"],
+                               conflicting=set(conflicting)))
