@@ -17,7 +17,7 @@ every rule that mutates it:
 It deliberately knows nothing about ring layouts (transport), leaders
 (conflict), or control messages (control): those layers are handed in
 through :meth:`bind` by the façade, and every state transition reports
-its rule to the instrumentation probe (``probe.apply``).  Nothing is
+its rule to the instrumentation probe (``probe.trace_apply``).  Nothing is
 retained per apply beyond the call's dedup id: a decoded call dies once
 it is folded into σ, and the flight recorder (if one is installed on
 the probe seam) is the only record of the run.
@@ -272,7 +272,6 @@ class ApplyEngine:
         self.sigma = self.spec.apply_call(call, self.sigma)
         self.bump_applied(call.origin, call.method)
         self.mark_seen(call.key())
-        self.probe.apply(rule)
         self.probe.trace_apply(
             rule, call.method, call.origin, call.rid, call.arg
         )
@@ -288,7 +287,7 @@ class ApplyEngine:
                 continue
             if self.dep_ok(dep):
                 yield from self.apply(call, "FREE_APP")
-                self.probe.recovered()
+                self.probe.count("recoveries", "FREE_APP")
                 progressed = True
             else:
                 remaining.append((call, dep))
@@ -304,7 +303,6 @@ class ApplyEngine:
         result = Event(self.env)
 
         def answer(_hold: Event) -> None:
-            self.probe.apply("QUERY")
             self.probe.trace_apply("QUERY", method, self.name, 0, arg)
             try:
                 value = self.spec.run_query(method, arg, self.effective_state())
@@ -329,7 +327,7 @@ class ApplyEngine:
             self.spec.apply_call(call, self.effective_state())
         ):
             self.probe.span_end("invoke", method, call.origin, call.rid)
-            self.probe.rejected("impermissible")
+            self.probe.count("rejections", "impermissible")
             raise ImpermissibleError(f"{call} violates the invariant")
         summarizer = self.spec.summarizer_of(method)
         seq, current, counts = self.summary_mirror[summarizer.group]
@@ -347,7 +345,6 @@ class ApplyEngine:
         # Local install first (the REDUCE transition's own-process part).
         own_region = self.rnode.regions[region_name]
         own_region.write(0, slot_bytes)
-        self.probe.apply("REDUCE")
         self.probe.trace_apply("REDUCE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
         # A retried summary write re-renders the region's CURRENT bytes
@@ -383,13 +380,12 @@ class ApplyEngine:
         post_sigma = self.spec.apply_call(call, self.sigma)
         if not self.permits(call, self.sigma, post_sigma):
             self.probe.span_end("invoke", method, call.origin, call.rid)
-            self.probe.rejected("impermissible")
+            self.probe.count("rejections", "impermissible")
             raise ImpermissibleError(f"{call} violates the invariant")
         dep = self.dep_projection(method)
         self.sigma = post_sigma
         self.bump_applied(self.name, method)
         self.mark_seen(call.key())
-        self.probe.apply("FREE")
         self.probe.trace_apply("FREE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
         packet = self.codec.encode_call_packet(call, dep)
@@ -559,7 +555,7 @@ class ApplyEngine:
                     misses.pop(key, None)
                 continue
             if key not in misses:
-                self.probe.crc_reject(f"S:{key[0]}:{key[1]}")
+                self.probe.count("crc_rejects", f"S:{key[0]}:{key[1]}")
             count = misses.get(key, 0.0) + max(
                 waited_us / self.config.poll_interval_us, 1.0
             )
@@ -567,7 +563,7 @@ class ApplyEngine:
                 misses[key] = count
                 continue
             misses[key] = 0.0
-            self.probe.hole_repair(f"S:{key[0]}:{key[1]}")
+            self.probe.count("hole_repairs", f"S:{key[0]}:{key[1]}")
             adopted = yield from self.pull_summaries(owners=[key[1]])
             repaired |= adopted > 0
         return repaired

@@ -41,7 +41,7 @@ __all__ = ["ConflictCoordinator"]
 CAMPAIGN_STAGGER_US = 200.0
 #: A candidate re-campaigns up to this many times, this far apart,
 #: while the suspected leader stays suspected and unled; then it gives
-#: up (counted as a ``campaign_giveups`` probe event).
+#: up (counted as a ``campaign`` give-up in ``giveups``).
 CAMPAIGN_RETRY_LIMIT = 4
 CAMPAIGN_RETRY_US = 400.0
 
@@ -138,7 +138,7 @@ class ConflictCoordinator:
         group = self.coordination.sync_group(method)
         mu = self.mu_groups[group.gid]
         if mu.leader != self.name:
-            self.probe.rejected("not_leader")
+            self.probe.count("rejections", "not_leader")
             raise NotLeaderError(method, mu.leader)
         done = self.env.event()
         self.conf_queues[group.gid].put((method, arg, done))
@@ -175,12 +175,12 @@ class ConflictCoordinator:
                 # the leader is free to order any enabled call first —
                 # so requeue it and move on.
                 if retries >= cfg.conf_retry_limit:
-                    self.probe.rejected("impermissible")
+                    self.probe.count("rejections", "impermissible")
                     done.succeed(
                         ImpermissibleError(f"{call} violates the invariant")
                     )
                 else:
-                    self.probe.conflict_retry(gid)
+                    self.probe.count("conflict_retries", gid)
                     yield self.env.timeout(cfg.conf_retry_us)
                     queue.put((method, arg, done, call, retries + 1))
                 continue
@@ -252,12 +252,12 @@ class ConflictCoordinator:
                     # CONF counts and traces at *commit* time: a deposed
                     # leader's failed batch leaves no rule event, so the
                     # checkers replay only decided calls.
-                    self.probe.apply("CONF")
                     self.probe.trace_apply(
                         "CONF", batched_call.method, batched_call.origin,
                         batched_call.rid, batched_call.arg,
                     )
-                self.probe.conflict_batch(gid, len(entries))
+                self.probe.count("conflict_batches", gid)
+                self.probe.peak("conflict_batch_max", gid, len(entries))
             elif not mu.is_leader and mu.leader == self.name:
                 # Deposed without having voted (e.g. cut off by a
                 # partition): learn who leads now so redirects point
@@ -298,12 +298,12 @@ class ConflictCoordinator:
         post_sigma = self.spec.apply_call(call, spec_sigma)
         if not applier.permits(call, spec_sigma, post_sigma):
             if retries >= cfg.conf_retry_limit:
-                self.probe.rejected("impermissible")
+                self.probe.count("rejections", "impermissible")
                 done.succeed(
                     ImpermissibleError(f"{call} violates the invariant")
                 )
                 return None
-            self.probe.conflict_retry(gid)
+            self.probe.count("conflict_retries", gid)
             queue.put((method, arg, done, call, retries + 1))
             return "requeued"
         dep = applier.dep_projection(method, overlay)
@@ -361,7 +361,7 @@ class ConflictCoordinator:
                     # bug.  Skip the record rather than crash the
                     # drain; the offline checker flags the resulting
                     # divergence.
-                    self.probe.wire_reject(f"L:{gid}")
+                    self.probe.count("wire_rejects", f"L:{gid}")
                 reader.advance()
                 continue
             call, dep = partial[0]
@@ -378,7 +378,7 @@ class ConflictCoordinator:
             drained += 1
             progressed = True
         if drained:
-            self.probe.records_drained(f"L<-{gid}", drained)
+            self.probe.count("records_drained", f"L<-{gid}", drained)
         return progressed
 
     def _repair_corrupt_l(self, gid: str, reader, index: int):
@@ -393,7 +393,7 @@ class ConflictCoordinator:
         """
         ring = f"L:{gid}"
         before = reader.slot_bytes(index)
-        self.probe.crc_reject(ring)
+        self.probe.count("crc_rejects", ring)
         reader.quarantine(index)
         mu = self.mu_groups[gid]
         yield from mu.self_repair(set(self.suspected()))
@@ -415,7 +415,7 @@ class ConflictCoordinator:
         offset_index = 1
         while offset_index <= 1024:
             if reader.record_at(reader.head + offset_index) is not None:
-                self.probe.hole_repair(gid)
+                self.probe.count("hole_repairs", gid)
                 self.spawn(
                     self.rejoin_repair(gid), f"hole-repair:{self.name}"
                 )
@@ -448,7 +448,7 @@ class ConflictCoordinator:
         mu = self.mu_groups[gid]
         reader = self.transport.l_readers[gid]
         reader.head = max(reader.head, mu.decided)
-        self.probe.demoted(gid)
+        self.probe.count("demotions", gid)
         self.spawn(self.rejoin_repair(gid), f"rejoin:{self.name}:{gid}")
 
     def rejoin_repair(self, gid: str):
@@ -541,4 +541,4 @@ class ConflictCoordinator:
         if not resolved():
             # Every attempt lost and the suspect still leads: surface
             # the give-up instead of leaving the group silently unled.
-            self.probe.campaign_giveup(gid, suspect)
+            self.probe.giveup("campaign", suspect, gid)

@@ -167,7 +167,7 @@ class ControlPlane:
                 raise ImpermissibleError(data)
             if outcome == "redirect":
                 # The peer no longer leads; adopt its view and retry.
-                self.probe.redirected(method)
+                self.probe.count("redirects", method)
                 self.conflict.set_leader_view(gid, data)
                 continue
             raise SubmitError(str(data))
@@ -183,7 +183,7 @@ class ControlPlane:
         if token in self._serving:
             return  # duplicate delivery mid-serve: the first will reply
         self._serving.add(token)
-        self.probe.forwarded(method)
+        self.probe.count("forwards", method)
         try:
             result = yield self.submit(method, arg)
             reply = ("ok", (result.method, result.arg, result.origin,

@@ -180,7 +180,7 @@ class PeerHealth:
                     and self._outlier(peer, ewma)):
                 self.degraded.add(peer)
                 if self.probe is not None:
-                    self.probe.peer_degraded(peer)
+                    self.probe.count("peer_degraded", peer)
                 if self.on_degraded is not None:
                     self.on_degraded(peer)
         elif ewma < best * DEGRADED_CLEAR_FACTOR:
@@ -340,7 +340,7 @@ class FailureDetector:
             if level >= PHI_THRESHOLD:
                 self.suspected.add(peer)
                 if self.probe is not None:
-                    self.probe.phi_suspect(peer)
+                    self.probe.count("fd_phi_suspects", peer)
                 if self.on_suspect is not None:
                     self.on_suspect(peer)
             return

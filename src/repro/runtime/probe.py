@@ -1,21 +1,14 @@
 """Instrumentation seam threaded through the four runtime layers.
 
-Every layer calls a handful of :class:`RuntimeProbe` hooks on its hot
-and rare paths.  The base class is a **no-op** — layers can be used
-bare (e.g. in micro-tests) with zero instrumentation cost beyond an
-empty method call.  :class:`CountingProbe` is the live implementation
-the :class:`~repro.runtime.HambandNode` façade installs by default and
-surfaces through ``HambandNode.stats()``, so perf work can measure
-before optimizing:
-
-- per-rule applies (REDUCE / FREE / CONF / FREE_APP / CONF_APP / QUERY),
-- ring occupancy high-water marks (writer-side tail − acked depth),
-- records drained per ring (reader-side consumption totals),
-- backpressure stalls per ring (and flow-control re-arms after a
-  reader heals),
-- conflict-path retries, decided-batch sizes, demotions, hole repairs,
-- control-plane forwards, redirects, and rejected calls,
-- flow-control ack flushes and broadcast recoveries.
+Every layer reports to one :class:`RuntimeProbe`.  Plain counts go
+through two generic calls, :meth:`~RuntimeProbe.count` and
+:meth:`~RuntimeProbe.peak`, named by a :data:`SECTIONS` entry; the
+remaining hooks carry call or fault identity a tracing probe records.
+The base class is a **no-op** — layers can be used bare (e.g. in
+micro-tests) with zero instrumentation cost beyond an empty method
+call.  :class:`CountingProbe` is the live implementation the
+:class:`~repro.runtime.HambandNode` façade installs by default and
+surfaces through ``HambandNode.stats()``.
 """
 
 from __future__ import annotations
@@ -39,145 +32,17 @@ class RuntimeProbe:
     probe can aggregate however it likes (counters, histograms, traces).
     """
 
-    # -- apply engine ----------------------------------------------------
+    # -- counts ------------------------------------------------------------
 
-    def apply(self, rule: str) -> None:
-        """One concrete-semantics transition fired (per-rule counter)."""
+    def count(self, section: str, key: str, by: int = 1) -> None:
+        """Add ``by`` to ``key`` of ``section`` (a :data:`SECTIONS`
+        name outside :data:`MAX_SECTIONS`)."""
 
-    def recovered(self) -> None:
-        """One broadcast-recovered call delivered via the pending queue."""
+    def peak(self, section: str, key: str, value: int) -> None:
+        """Raise ``key`` of ``section`` (a :data:`MAX_SECTIONS` name) to
+        ``value`` if it is larger: a high-water mark."""
 
-    # -- transport -------------------------------------------------------
-
-    def ring_depth(self, ring: str, depth: int) -> None:
-        """Observed occupancy of ``ring`` (high-water mark is kept).
-
-        Reserved for *occupancy*: writer-side this is tail − acked;
-        per-sweep drain counts go through :meth:`records_drained`.
-        """
-
-    def records_drained(self, ring: str, count: int) -> None:
-        """``count`` records consumed from ``ring`` in one sweep."""
-
-    def backpressure_stall(self, ring: str) -> None:
-        """A writer waited one backpressure round on ``ring``."""
-
-    def ack_flush(self, ring: str) -> None:
-        """One flow-control ack write pushed back to ``ring``'s writer."""
-
-    def flow_rearmed(self, ring: str) -> None:
-        """Backpressure re-armed against ``ring``'s reader: after a
-        fallback to ring-sizing mode, a fresh ack proved the reader is
-        draining again."""
-
-    # -- conflict coordinator --------------------------------------------
-
-    def conflict_retry(self, gid: str) -> None:
-        """A conflicting call was requeued awaiting permissibility."""
-
-    def conflict_batch(self, gid: str, size: int) -> None:
-        """A decision of ``size`` calls committed for group ``gid``."""
-
-    def demoted(self, gid: str) -> None:
-        """This node stopped leading ``gid``."""
-
-    def hole_repair(self, gid: str) -> None:
-        """The hole detector triggered a log self-repair for ``gid``."""
-
-    def campaign_giveup(self, gid: str, suspect: str) -> None:
-        """This candidate lost every campaign for ``gid`` while the
-        suspected leader ``suspect`` still led it, and stopped trying."""
-
-    def ring_resync(self, ring: str) -> None:
-        """A lapped reader fast-forwarded past an overwritten window
-        of ``ring`` (records there recovered out of band)."""
-
-    # -- silent-corruption detection and repair --------------------------
-
-    def crc_reject(self, ring: str) -> None:
-        """A checksummed record on ``ring`` failed CRC verification —
-        a bitflip or torn interior write was *detected* instead of
-        delivered."""
-
-    def torn_detect(self, ring: str) -> None:
-        """A repaired slot's pre-repair bytes were classified as a torn
-        (prefix-only) write rather than a bitflip."""
-
-    def slot_repair(self, ring: str) -> None:
-        """One quarantined/corrupt/diverged slot was refetched from an
-        authoritative copy and rewritten locally."""
-
-    def wire_reject(self, ring: str) -> None:
-        """A drained record's payload failed wire decoding and was
-        skipped.  The record passed its CRC (corrupted bytes are
-        rejected before decoding), so this is a writer bug."""
-
-    def scrub_pass(self, ring: str) -> None:
-        """The background scrubber completed one verification window
-        over ``ring``'s committed prefix."""
-
-    def trace_repair(self, ring: str, index: int, kind: str) -> None:
-        """A detected corruption on ``ring`` at record ``index`` was
-        repaired; ``kind`` classifies it (``bitflip`` / ``torn`` /
-        ``scrub``).  Recorded by tracing probes so the offline checker
-        can correlate injected faults with repairs."""
-
-    # -- control plane ---------------------------------------------------
-
-    def forwarded(self, method: str) -> None:
-        """A conflicting call was served on behalf of a remote client."""
-
-    def redirected(self, method: str) -> None:
-        """A forwarded call bounced: the serving peer no longer leads."""
-
-    def rejected(self, reason: str) -> None:
-        """A request failed (reason: impermissible / not_leader / ...)."""
-
-    # -- faults and recovery ---------------------------------------------
-
-    def trace_fault(self, kind: str, target: str, detail: str) -> None:
-        """The fault injector injected ``kind`` at/against ``target``."""
-
-    def op_retry(self, kind: str) -> None:
-        """A one-sided op failed transiently and was retried."""
-
-    def retry_budget_exhausted(self, kind: str) -> None:
-        """A retry loop gave up because its cumulative backoff budget
-        ran out (distinct from exhausting the attempt cap)."""
-
-    # -- adaptive failure detection and hedging --------------------------
-
-    def peer_degraded(self, peer: str) -> None:
-        """The latency health tracker classified ``peer`` as degraded
-        (limping but alive): its one-sided poll-read EWMA crossed the
-        degraded threshold."""
-
-    def phi_suspect(self, peer: str) -> None:
-        """The phi-accrual detector crossed its threshold for ``peer``
-        (heartbeat arrivals stopped fitting the learned distribution)."""
-
-    def hedged_read(self, ring: str) -> None:
-        """A hedge fired: the primary read outlived the hedge delay and
-        a second read was posted to the next-best source."""
-
-    def hedge_win(self, ring: str) -> None:
-        """The hedge read completed first (the hedge paid off)."""
-
-    def catch_up(self, source: str) -> None:
-        """This node completed a rejoin/catch-up pass (from ``source``,
-        or ``"restart"`` for a full post-restart rejoin)."""
-
-    # -- membership -------------------------------------------------------
-
-    def member_event(self, event: str, node: str, detail: str = "") -> None:
-        """A membership change became visible at this node:
-        ``member_join`` / ``member_leave`` when the epoch advanced (the
-        subject is ``node``), or ``state_xfer`` when a joining or
-        rejoining node completed its authoritative state transfer.
-        Tracing probes record these so the trace checkers account for
-        mid-run membership."""
-
-    # -- causal tracing (no-op unless a TracingProbe is installed) --------
+    # -- causal tracing ----------------------------------------------------
     #
     # The span/trace hooks carry enough identity (method, origin, rid)
     # for a tracing probe to stitch per-call lifecycles —
@@ -195,7 +60,8 @@ class RuntimeProbe:
 
     def trace_apply(self, rule: str, method: str, origin: str, rid: int,
                     arg: Any = None) -> None:
-        """A concrete-semantics transition became *visible* in σ here.
+        """A concrete-semantics transition became *visible* in σ here
+        (counted in ``applies`` by ``rule``).
 
         Fired at commit time — REDUCE/FREE at the issuing node, CONF at
         the leader only after replication succeeded, FREE_APP/CONF_APP
@@ -208,7 +74,31 @@ class RuntimeProbe:
                        rid: int, size: int) -> None:
         """``size`` payload bytes for one call crossed ``ring``."""
 
-    # -- reporting -------------------------------------------------------
+    def trace_fault(self, kind: str, target: str, detail: str) -> None:
+        """The fault injector injected ``kind`` at/against ``target``
+        (counted in ``faults``)."""
+
+    def trace_repair(self, ring: str, index: int, kind: str) -> None:
+        """One damaged slot of ``ring`` at record ``index`` was
+        refetched from an authoritative copy and rewritten (counted in
+        ``slot_repairs``); ``kind`` classifies the damage (``bitflip``
+        / ``torn`` / ``scrub``), so the offline checker can correlate
+        injected faults with repairs."""
+
+    def giveup(self, loop: str, subject: str, gid: str = "") -> None:
+        """A bounded recovery ``loop`` (``campaign``, ``xfer_barrier``,
+        ``backpressure``) stopped waiting on ``subject`` without
+        success (counted in ``giveups`` by loop)."""
+
+    def member_event(self, event: str, node: str, detail: str = "") -> None:
+        """A membership change became visible at this node (counted in
+        ``member_events``): ``member_join`` / ``member_leave`` when the
+        epoch advanced (the subject is ``node``), or ``state_xfer`` when
+        a joining or rejoining node completed its authoritative state
+        transfer.  Tracing probes record these so the trace checkers
+        account for mid-run membership."""
+
+    # -- reporting ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """A point-in-time copy of whatever the probe accumulated."""
@@ -220,7 +110,7 @@ class RuntimeProbe:
 SECTIONS = (
     "applies", "ring_highwater", "records_drained", "backpressure_stalls",
     "ack_flushes", "flow_rearms", "conflict_retries", "conflict_batches",
-    "conflict_batch_max", "demotions", "hole_repairs", "campaign_giveups",
+    "conflict_batch_max", "demotions", "hole_repairs", "giveups",
     "ring_resyncs", "crc_rejects", "torn_detected", "slot_repairs",
     "wire_rejects", "scrub_passes", "forwards", "redirects", "rejections",
     "faults", "op_retries", "retry_budget_exhausted", "peer_degraded",
@@ -228,122 +118,58 @@ SECTIONS = (
     "member_events", "recoveries",
 )
 
+#: Sections that keep a per-key maximum (written by ``peak``, and
+#: rolled up by maximum instead of by sum: high-water marks are not
+#: additive across nodes).
+MAX_SECTIONS = ("ring_highwater", "conflict_batch_max")
+
 
 class CountingProbe(RuntimeProbe):
     """Counter/high-water-mark probe backing ``HambandNode.stats()``.
 
     Every count lives once, in :attr:`sections`, under the name
-    :meth:`snapshot` publishes it by.
+    :meth:`snapshot` publishes it by.  ``recoveries`` is kept as a
+    table like the rest and published as its total.
     """
 
     def __init__(self) -> None:
-        self.sections: dict[str, Any] = {name: {} for name in SECTIONS}
-        self.sections["recoveries"] = 0
+        self.sections: dict[str, dict[str, int]] = {
+            name: {} for name in SECTIONS
+        }
 
-    def _bump(self, section: str, key: str, by: int = 1) -> None:
+    def count(self, section: str, key: str, by: int = 1) -> None:
         table = self.sections[section]
         table[key] = table.get(key, 0) + by
 
-    def apply(self, rule: str) -> None:
-        self._bump("applies", rule)
+    def peak(self, section: str, key: str, value: int) -> None:
+        table = self.sections[section]
+        if value > table.get(key, 0):
+            table[key] = value
 
-    def recovered(self) -> None:
-        self.sections["recoveries"] += 1
-
-    def ring_depth(self, ring: str, depth: int) -> None:
-        highwater = self.sections["ring_highwater"]
-        if depth > highwater.get(ring, 0):
-            highwater[ring] = depth
-
-    def records_drained(self, ring: str, count: int) -> None:
-        self._bump("records_drained", ring, count)
-
-    def backpressure_stall(self, ring: str) -> None:
-        self._bump("backpressure_stalls", ring)
-
-    def ack_flush(self, ring: str) -> None:
-        self._bump("ack_flushes", ring)
-
-    def flow_rearmed(self, ring: str) -> None:
-        self._bump("flow_rearms", ring)
-
-    def conflict_retry(self, gid: str) -> None:
-        self._bump("conflict_retries", gid)
-
-    def conflict_batch(self, gid: str, size: int) -> None:
-        self._bump("conflict_batches", gid)
-        largest = self.sections["conflict_batch_max"]
-        if size > largest.get(gid, 0):
-            largest[gid] = size
-
-    def demoted(self, gid: str) -> None:
-        self._bump("demotions", gid)
-
-    def hole_repair(self, gid: str) -> None:
-        self._bump("hole_repairs", gid)
-
-    def campaign_giveup(self, gid: str, suspect: str) -> None:
-        self._bump("campaign_giveups", gid)
-
-    def ring_resync(self, ring: str) -> None:
-        self._bump("ring_resyncs", ring)
-
-    def crc_reject(self, ring: str) -> None:
-        self._bump("crc_rejects", ring)
-
-    def torn_detect(self, ring: str) -> None:
-        self._bump("torn_detected", ring)
-
-    def slot_repair(self, ring: str) -> None:
-        self._bump("slot_repairs", ring)
-
-    def wire_reject(self, ring: str) -> None:
-        self._bump("wire_rejects", ring)
-
-    def scrub_pass(self, ring: str) -> None:
-        self._bump("scrub_passes", ring)
-
-    def forwarded(self, method: str) -> None:
-        self._bump("forwards", method)
-
-    def redirected(self, method: str) -> None:
-        self._bump("redirects", method)
-
-    def rejected(self, reason: str) -> None:
-        self._bump("rejections", reason)
+    def trace_apply(self, rule: str, method: str, origin: str, rid: int,
+                    arg: Any = None) -> None:
+        # Inlined rather than ``self.count``: it fires once per apply.
+        applies = self.sections["applies"]
+        applies[rule] = applies.get(rule, 0) + 1
 
     def trace_fault(self, kind: str, target: str, detail: str) -> None:
-        self._bump("faults", kind)
+        self.count("faults", kind)
 
-    def op_retry(self, kind: str) -> None:
-        self._bump("op_retries", kind)
+    def trace_repair(self, ring: str, index: int, kind: str) -> None:
+        self.count("slot_repairs", ring)
 
-    def retry_budget_exhausted(self, kind: str) -> None:
-        self._bump("retry_budget_exhausted", kind)
-
-    def peer_degraded(self, peer: str) -> None:
-        self._bump("peer_degraded", peer)
-
-    def phi_suspect(self, peer: str) -> None:
-        self._bump("fd_phi_suspects", peer)
-
-    def hedged_read(self, ring: str) -> None:
-        self._bump("hedged_reads", ring)
-
-    def hedge_win(self, ring: str) -> None:
-        self._bump("hedge_wins", ring)
-
-    def catch_up(self, source: str) -> None:
-        self._bump("catch_ups", source)
+    def giveup(self, loop: str, subject: str, gid: str = "") -> None:
+        self.count("giveups", loop)
 
     def member_event(self, event: str, node: str, detail: str = "") -> None:
-        self._bump("member_events", event)
+        self.count("member_events", event)
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            name: dict(value) if isinstance(value, dict) else value
-            for name, value in self.sections.items()
+        snapshot: dict[str, Any] = {
+            name: dict(table) for name, table in self.sections.items()
         }
+        snapshot["recoveries"] = sum(snapshot["recoveries"].values())
+        return snapshot
 
 
 def operation_totals(probe: dict[str, Any]) -> dict[str, int]:
@@ -364,11 +190,6 @@ def operation_totals(probe: dict[str, Any]) -> dict[str, int]:
         "recovered_applied": probe.get("recoveries", 0),
         "forwarded": sum(probe.get("forwards", {}).values()),
     }
-
-
-#: Snapshot sections that aggregate by maximum instead of by sum
-#: (high-water marks are not additive across nodes).
-MAX_SECTIONS = ("ring_highwater", "conflict_batch_max")
 
 
 def rollup_snapshots(snapshots: dict[str, dict[str, Any]]) -> dict[str, Any]:

@@ -189,8 +189,7 @@ class Scrubber:
                     reader.slot_bytes(index), authoritative
                 )
             reader.region.write(reader.offset_of(index), authoritative)
-            self.probe.slot_repair(ring)
             self.probe.trace_repair(ring, index, corruption)
             repaired += 1
-        self.probe.scrub_pass(ring)
+        self.probe.count("scrub_passes", ring)
         return repaired

@@ -77,9 +77,10 @@ class StateTransfer:
         ``barrier=False`` skips leader re-discovery and the frontier
         barrier (the negative-control knob: a joiner flipped live
         without the barrier is provably behind).  ``reason`` is the
-        label reported through ``probe.catch_up`` — callers preserve
-        the historical labels (peer name for heals, ``"restart"`` for
-        rejoins, ``"join"`` for scale-out).
+        label counted in ``catch_ups`` — callers preserve the
+        historical labels (peer name for heals, ``"restart"`` for
+        rejoins, ``"join"`` for scale-out).  A barrier that times out
+        is reported as an ``xfer_barrier`` give-up on ``reason``.
         """
         node = self.node
         transport = node.transport
@@ -118,10 +119,12 @@ class StateTransfer:
             # Phase 3: wait (bounded) until the poll loop has APPLIED
             # everything installed above, so the caller flips the node
             # live at parity rather than merely in possession of bytes.
-            yield from self._frontier_barrier(f_targets, l_targets)
+            reached = yield from self._frontier_barrier(f_targets, l_targets)
+            if not reached:
+                node.probe.giveup("xfer_barrier", reason)
         for origin in origins:
             transport.rearm_flow_control(origin)
-        node.probe.catch_up(reason)
+        node.probe.count("catch_ups", reason)
         node.probe.member_event("state_xfer", node.name, reason)
 
     # -- phase 2 helpers -------------------------------------------------

@@ -3,8 +3,9 @@
 :class:`MetricsEmitter` is a background sim process (same idiom as the
 scrubber) that samples, at a fixed sim-time interval:
 
-- the cluster-wide probe counter rollup (applies, drained records, CRC
-  rejects, repairs, rejections, faults),
+- the cluster-wide probe rollup, one number per section of
+  :data:`~repro.runtime.probe.SECTIONS` (a sum, or the maximum for a
+  high-water section),
 - the recorder's per-phase latency histograms (count/mean/p50/p95/
   p99/p999),
 - the trace ring's drop accounting, and
@@ -26,32 +27,25 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Optional, TextIO, Union
 
+from .probe import MAX_SECTIONS, SECTIONS
+
 __all__ = ["MetricsEmitter"]
 
-#: Probe rollup counters surfaced in each sample (summed over labels).
-_PROBE_KEYS = (
-    "applies",
-    "records_drained",
-    "crc_rejects",
-    "slot_repairs",
-    "hole_repairs",
-    "ring_resyncs",
-    "op_retries",
-    "rejections",
-    "faults",
-    # Gray-failure detection/mitigation.
-    "peer_degraded",
-    "fd_phi_suspects",
-    "hedged_reads",
-    "hedge_wins",
-    "retry_budget_exhausted",
-)
 
-
-def _total(section: Any) -> int:
-    if isinstance(section, dict):
-        return sum(section.values())
-    return int(section or 0)
+def _rollup_row(probe: dict[str, Any]) -> dict[str, int]:
+    """One number per probe section: the worst key of a high-water
+    section, the sum of every other section's keys."""
+    row = {}
+    for name in SECTIONS:
+        section = probe.get(name) or 0
+        if isinstance(section, dict):
+            values = section.values()
+            section = (
+                max(values, default=0) if name in MAX_SECTIONS
+                else sum(values)
+            )
+        row[name] = int(section)
+    return row
 
 
 class MetricsEmitter:
@@ -140,14 +134,7 @@ class MetricsEmitter:
             stats = self.cluster.stats()
             rollup = stats.get("cluster") or stats.get("global") or {}
             probe = rollup.get("probe", {})
-            record["probe"] = {
-                key: _total(probe.get(key)) for key in _PROBE_KEYS
-            }
-            highwater = probe.get("ring_highwater")
-            if isinstance(highwater, dict) and highwater:
-                record["probe"]["ring_highwater_max"] = max(
-                    highwater.values()
-                )
+            record["probe"] = _rollup_row(probe)
         if self.recorder is not None:
             record["trace"] = {
                 "dropped": self.recorder.dropped(),

@@ -199,6 +199,8 @@ class TracingProbe(CountingProbe):
 
     def trace_apply(self, rule: str, method: str, origin: str, rid: int,
                     arg: Any = None) -> None:
+        applies = self.sections["applies"]
+        applies[rule] = applies.get(rule, 0) + 1
         self._record(
             "rule", rule, method, origin, rid,
             gid=self._gid_of(method), arg=arg,
@@ -222,12 +224,13 @@ class TracingProbe(CountingProbe):
         super().trace_repair(ring, index, kind)
         self._record("repair", kind, ring, self.node, index)
 
-    def campaign_giveup(self, gid: str, suspect: str) -> None:
-        """A candidate gave up electing a successor for ``gid``: the
-        event is ``giveup``/``campaign`` with the suspect in
-        ``origin`` and the group in ``gid``."""
-        super().campaign_giveup(gid, suspect)
-        self._record("giveup", "campaign", "", suspect, 0, gid=gid)
+    def giveup(self, loop: str, subject: str, gid: str = "") -> None:
+        """A bounded recovery loop stopped: the event is ``giveup`` with
+        the loop in ``name``, its subject (the suspect leader, the
+        stalled reader, the transfer reason) in ``origin`` and the
+        group, if any, in ``gid``."""
+        super().giveup(loop, subject, gid)
+        self._record("giveup", loop, "", subject, 0, gid=gid)
 
     def member_event(self, event: str, node: str, detail: str = "") -> None:
         """A membership change (``member_join``/``member_leave``) or a

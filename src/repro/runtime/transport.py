@@ -238,7 +238,8 @@ class RingTransport:
         The reader's acks land in our local ack region; refreshing it is
         a local memory read.  A reader that stops acking entirely (dead
         or suspected) stops throttling us: we fall back to ring-sizing
-        mode rather than blocking behind a corpse — until
+        mode rather than blocking behind a corpse (past
+        ``backpressure_limit`` waits, a ``backpressure`` give-up) — until
         :meth:`rearm_flow_control` observes the reader acking again.
 
         ``record`` may carry record bytes pre-rendered for ring index
@@ -265,8 +266,9 @@ class RingTransport:
                     self._maybe_rearm(writer, reader, acked)
                 writer.ack_up_to(acked)
                 if writer.reader_acked is not None:
-                    self.probe.ring_depth(
-                        f"F->{reader}", writer.tail - writer.reader_acked
+                    self.probe.peak(
+                        "ring_highwater", f"F->{reader}",
+                        writer.tail - writer.reader_acked,
                     )
             try:
                 if record is not None and writer.tail == record_index:
@@ -274,13 +276,16 @@ class RingTransport:
                 return writer.render(payload)
             except RingError:
                 waited += 1
-                self.probe.backpressure_stall(f"F->{reader}")
-                if waited > cfg.backpressure_limit or is_suspected(reader):
-                    self._disarm(writer, reader)
-                    if record is not None and writer.tail == record_index:
-                        return writer.claim(), record
-                    return writer.render(payload)
-                yield self.env.timeout(cfg.backpressure_wait_us)
+                self.probe.count("backpressure_stalls", f"F->{reader}")
+                if waited > cfg.backpressure_limit:
+                    self.probe.giveup("backpressure", reader)
+                elif not is_suspected(reader):
+                    yield self.env.timeout(cfg.backpressure_wait_us)
+                    continue
+                self._disarm(writer, reader)
+                if record is not None and writer.tail == record_index:
+                    return writer.claim(), record
+                return writer.render(payload)
 
     @staticmethod
     def _reader_of(ack_region_name: str) -> str:
@@ -305,7 +310,7 @@ class RingTransport:
         if baseline is not None and acked > baseline:
             writer.reader_acked = acked
             del self._rearm_baseline[reader]
-            self.probe.flow_rearmed(f"F->{reader}")
+            self.probe.count("flow_rearms", f"F->{reader}")
 
     def rearm_flow_control(self, peer: str) -> None:
         """Watch for ``peer``'s acks resuming after a heal/rejoin.
@@ -387,7 +392,7 @@ class RingTransport:
                     # bug.  Skip it — losing the call (the checker will
                     # flag the divergence) beats crashing the poll
                     # worker.
-                    self.probe.wire_reject(label or "F")
+                    self.probe.count("wire_rejects", label or "F")
                     reader.advance()
                     continue
                 if sink.has_seen(call.key()):
@@ -406,8 +411,8 @@ class RingTransport:
                 progressed = True
         if drained and label:
             # Reader-side consumption total; occupancy (tail − acked)
-            # is the writer's to report via ring_depth.
-            self.probe.records_drained(label, drained)
+            # is the writer's to report as ring_highwater.
+            self.probe.count("records_drained", label, drained)
         return progressed
 
     # -- flow-control acks -----------------------------------------------
@@ -444,7 +449,7 @@ class RingTransport:
         for key, target, region_name, head in self._due_acks(leader_of):
             if target is not None:
                 yield from self.post_ack(target, region_name, head)
-                self.probe.ack_flush(key)
+                self.probe.count("ack_flushes", key)
             self._acked[key] = head
 
     def piggyback_ack_writes(self, leader_of: Callable[[str], str]):
@@ -468,7 +473,7 @@ class RingTransport:
                         head.to_bytes(8, "little"),
                     )
                 )
-                self.probe.ack_flush(key)
+                self.probe.count("ack_flushes", key)
             self._acked[key] = head
         return writes
 
@@ -516,12 +521,12 @@ class RingTransport:
                 return wc
             if not self.rnode.alive:
                 return wc  # we crashed mid-retry: stop
-            self.probe.op_retry(label)
+            self.probe.count("op_retries", label)
             wait = delay * (
                 1.0 + self._retry_rng.uniform(-RETRY_JITTER, RETRY_JITTER)
             )
             if budget > 0.0 and spent + wait > budget:
-                self.probe.retry_budget_exhausted(label)
+                self.probe.count("retry_budget_exhausted", label)
                 return wc
             spent += wait
             yield self.env.timeout(wait)
@@ -575,7 +580,7 @@ class RingTransport:
                 return False
             repaired = yield from self.repair_f_ring(origin, is_suspected)
             if repaired:
-                self.probe.hole_repair(f"F:{origin}")
+                self.probe.count("hole_repairs", f"F:{origin}")
                 slots = self.config.ring_slots
                 record = reader.record_at(head)
                 stale = head >= slots and parse_record(
@@ -588,7 +593,7 @@ class RingTransport:
                         f"F:{origin}", head, before, record
                     )
             return repaired > 0
-        self.probe.hole_repair(f"F:{origin}")
+        self.probe.count("hole_repairs", f"F:{origin}")
         repaired = yield from self.repair_f_ring(origin, is_suspected)
         return repaired > 0
 
@@ -634,7 +639,7 @@ class RingTransport:
         oldest_surviving = max(frontier - cfg.ring_slots, 0)
         moved = oldest_surviving > reader.head
         reader.fast_forward(oldest_surviving)
-        self.probe.ring_resync(f"F:{origin}")
+        self.probe.count("ring_resyncs", f"F:{origin}")
         repaired = yield from self.repair_f_ring(origin, is_suspected)
         return moved or repaired > 0
 
@@ -710,7 +715,7 @@ class RingTransport:
         done = yield self.env.any_of([first, timer])
         if first in done:
             return done[first], primary
-        self.probe.hedged_read(label)
+        self.probe.count("hedged_reads", label)
         backup = sources[1]
         second = self.env.process(
             self._read_from(backup, region_name, offset, length),
@@ -720,7 +725,7 @@ class RingTransport:
         if second in done:
             wc = done[second]
             if wc.status is WcStatus.SUCCESS:
-                self.probe.hedge_win(label)
+                self.probe.count("hedge_wins", label)
                 return wc, backup
             wc = yield first  # hedge failed: fall back to the primary
             return wc, primary
@@ -777,7 +782,7 @@ class RingTransport:
         reader = self.f_readers[origin]
         ring = f"F:{origin}"
         before = reader.slot_bytes(index)
-        self.probe.crc_reject(ring)
+        self.probe.count("crc_rejects", ring)
         reader.quarantine(index)
         found = yield from self._fetch_record(origin, index, is_suspected)
         if found is None:
@@ -792,6 +797,5 @@ class RingTransport:
         its pre-repair bytes ``before`` classified torn or bitflip."""
         kind = classify_corruption(before, record)
         if kind == "torn":
-            self.probe.torn_detect(ring)
-        self.probe.slot_repair(ring)
+            self.probe.count("torn_detected", ring)
         self.probe.trace_repair(ring, index, kind)

@@ -174,8 +174,8 @@ class TestLeaderChange:
     def test_campaign_giveup_is_counted_and_traced(self, monkeypatch):
         """Every campaign loses: each candidate gives up after its
         retry limit while the suspect still leads, and says so — one
-        ``campaign_giveups`` count and one ``giveup`` trace event per
-        candidate, keyed by group."""
+        ``campaign`` count in ``giveups`` and one ``giveup`` trace event
+        per candidate, tagged with the group."""
         from repro.consensus.mu import MuGroup
         from repro.runtime import TraceRecorder
         from repro.runtime.conflict import CAMPAIGN_RETRY_LIMIT
@@ -206,8 +206,8 @@ class TestLeaderChange:
         for name in candidates:
             node = cluster.node(name)
             assert node.current_leader("enroll") == leader
-            giveups = node.stats()["probe"]["campaign_giveups"]
-            assert giveups == {gid: 1}
+            giveups = node.stats()["probe"]["giveups"]
+            assert giveups == {"campaign": 1}
         events = [e for e in recorder.events() if e.kind == "giveup"]
         assert sorted(e.node for e in events) == candidates
         assert {(e.name, e.origin, e.gid) for e in events} == {

@@ -64,11 +64,11 @@ class TestChaosMatrix:
         assert first.check().ok
 
 
-def _build_recorded_gset(n_nodes=3):
+def _build_recorded_gset(n_nodes=3, config=None):
     env = Environment()
     recorder = TraceRecorder(env, capacity=1 << 18)
     cluster = HambandCluster.build(
-        env, gset_spec(), n_nodes=n_nodes,
+        env, gset_spec(), n_nodes=n_nodes, config=config,
         probe_factory=recorder.probe_factory,
     )
     recorder.attach(cluster.coordination)
@@ -151,6 +151,26 @@ class TestRestartCatchUp:
             violation.kind == "convergence"
             for violation in report.violations
         ), report.summary()
+
+    def test_frontier_barrier_timeout_is_a_counted_giveup(self):
+        """A barrier shorter than one poll cannot see the restarted
+        node apply the four adds it missed: the rejoin pass gives up
+        waiting, and says so — one ``xfer_barrier`` count and one
+        ``giveup`` trace event, at the restarted node only.  The late
+        flip still converges."""
+        env, recorder, cluster = _build_recorded_gset(
+            config=RuntimeConfig(xfer_barrier_us=1.0)
+        )
+        _crash_restart_scenario(env, cluster, catch_up=True)
+
+        for name in cluster.node_names():
+            giveups = cluster.node(name).stats()["probe"]["giveups"]
+            assert giveups == ({"xfer_barrier": 1} if name == "p3" else {})
+        events = [e for e in recorder.events() if e.kind == "giveup"]
+        assert [(e.node, e.name, e.origin) for e in events] == [
+            ("p3", "xfer_barrier", "restart")
+        ]
+        assert _check(recorder, cluster).ok
 
 
 # -- silent-corruption resilience ---------------------------------------

@@ -48,20 +48,22 @@ def run_gen(env, generator):
 class TestCountingProbe:
     def test_noop_base_snapshot_is_empty(self):
         probe = RuntimeProbe()
-        probe.apply("FREE")
-        probe.backpressure_stall("F->p2")
+        probe.trace_apply("FREE", "add", "p1", 1)
+        probe.count("backpressure_stalls", "F->p2")
         assert probe.snapshot() == {}
 
     def test_counters_accumulate(self):
         probe = CountingProbe()
-        probe.apply("FREE")
-        probe.apply("FREE")
-        probe.apply("CONF_APP")
-        probe.conflict_retry("g0")
-        probe.conflict_batch("g0", 3)
-        probe.conflict_batch("g0", 2)
-        probe.ring_depth("F->p2", 5)
-        probe.ring_depth("F->p2", 2)  # high-water keeps the max
+        probe.trace_apply("FREE", "add", "p1", 1)
+        probe.trace_apply("FREE", "add", "p1", 2)
+        probe.trace_apply("CONF_APP", "enroll", "p2", 1)
+        probe.count("conflict_retries", "g0")
+        probe.count("conflict_batches", "g0")
+        probe.peak("conflict_batch_max", "g0", 3)
+        probe.count("conflict_batches", "g0")
+        probe.peak("conflict_batch_max", "g0", 2)
+        probe.peak("ring_highwater", "F->p2", 5)
+        probe.peak("ring_highwater", "F->p2", 2)  # high-water keeps the max
         snap = probe.snapshot()
         assert snap["applies"] == {"FREE": 2, "CONF_APP": 1}
         assert snap["conflict_retries"] == {"g0": 1}
@@ -69,11 +71,28 @@ class TestCountingProbe:
         assert snap["conflict_batch_max"] == {"g0": 3}
         assert snap["ring_highwater"] == {"F->p2": 5}
 
+    def test_repairs_count_in_their_trace_hook(self):
+        probe = CountingProbe()
+        probe.trace_repair("F:p1", 7, "bitflip")
+        probe.trace_repair("F:p1", 8, "torn")
+        assert probe.snapshot()["slot_repairs"] == {"F:p1": 2}
+
+    def test_recoveries_publish_a_plain_total(self):
+        probe = CountingProbe()
+        assert probe.snapshot()["recoveries"] == 0
+        probe.count("recoveries", "FREE_APP")
+        probe.count("recoveries", "FREE_APP")
+        assert probe.snapshot()["recoveries"] == 2
+
+    def test_unknown_section_raises(self):
+        with pytest.raises(KeyError):
+            CountingProbe().count("no_such_section", "x")
+
     def test_snapshot_is_a_copy(self):
         probe = CountingProbe()
-        probe.apply("FREE")
+        probe.trace_apply("FREE", "add", "p1", 1)
         snap = probe.snapshot()
-        probe.apply("FREE")
+        probe.trace_apply("FREE", "add", "p1", 2)
         assert snap["applies"] == {"FREE": 1}
 
 
@@ -209,9 +228,44 @@ class TestRingTransportStandalone:
                 writer, f_ack_region("p2"), b"y", lambda p: p == "p2"
             )
 
+        probe = CountingProbe()
+        sender.probe = probe
         run_gen(env, scenario())
         assert writer.tail == 3
         assert writer.reader_acked is None  # throttling disabled
+        # Releasing a suspected reader is not a give-up.
+        assert probe.snapshot()["giveups"] == {}
+
+    def test_backpressure_limit_is_a_counted_giveup(self):
+        """A reader that is not suspected but never acks: after
+        ``backpressure_limit`` waits the writer disarms flow control,
+        with one ``backpressure`` count and one ``giveup`` event."""
+        config = RuntimeConfig(ring_slots=2, ack_every=1,
+                               backpressure_wait_us=1.0,
+                               backpressure_limit=3)
+        env, _coordination, _fabric, transports = bare_transport(
+            gset_spec(), config=config
+        )
+        sender = transports["p1"]
+        probe = sender.probe = TracingProbe(lambda: env.now, "p1")
+        writer = sender.f_writers["p2"]
+
+        def scenario():
+            for _ in range(3):
+                yield from sender.render_with_backpressure(
+                    writer, f_ack_region("p2"), b"y", lambda p: False
+                )
+
+        run_gen(env, scenario())
+        assert writer.tail == 3
+        assert writer.reader_acked is None  # throttling disabled
+        snapshot = probe.snapshot()
+        assert snapshot["backpressure_stalls"] == {"F->p2": 4}
+        assert snapshot["giveups"] == {"backpressure": 1}
+        events = [e for e in probe.events if e.kind == "giveup"]
+        assert [(e.name, e.origin) for e in events] == [
+            ("backpressure", "p2")
+        ]
 
     def hole_probes(self, waits):
         """The sweeps (1-based) of an idle ring, each made after one of

@@ -11,11 +11,11 @@ from repro.rdma import Opcode
 from repro.runtime import (
     CountingProbe,
     HambandCluster,
+    MetricsEmitter,
     RuntimeConfig,
     RuntimeProbe,
 )
-from repro.runtime.probe import SECTIONS
-from repro.runtime.telemetry import _PROBE_KEYS
+from repro.runtime.probe import MAX_SECTIONS, SECTIONS
 from repro.sim import Environment
 from repro.sim.faults import PLAN_NAMES, FaultPlan
 from repro.workload import DriverConfig, run_workload
@@ -332,8 +332,52 @@ class TestSectionNames:
         missing = [name for name in SECTIONS if f"`{name}`" not in doc]
         assert not missing
 
-    def test_telemetry_keys_are_sections(self):
-        assert set(_PROBE_KEYS) <= set(SECTIONS)
+    def test_metrics_sample_carries_every_section(self):
+        env, cluster, _result = run(gset_spec(), "gset", total_ops=100)
+        row = MetricsEmitter(env, cluster=cluster).sample()["probe"]
+        assert tuple(row) == SECTIONS
+        highwater = cluster.stats()["cluster"]["probe"]["ring_highwater"]
+        assert row["ring_highwater"] == max(highwater.values())
+        assert row["applies"] == sum(
+            cluster.stats()["cluster"]["probe"]["applies"].values()
+        )
+
+    def test_call_site_sections_are_registered(self):
+        """The no-op probe accepts any string, so a misspelled section
+        would only fail under a counting probe: every literal section a
+        ``count``/``peak`` call in ``src/`` names is registered, ``peak``
+        writes only high-water sections and ``count`` never does, and
+        every section has a writer."""
+        sources = {
+            path: path.read_text()
+            for path in (ROOT / "src").rglob("*.py")
+        }
+        written: dict[str, set[str]] = {"count": set(), "peak": set()}
+        for text in sources.values():
+            for hook, name in re.findall(
+                r'\.(count|peak)\(\s*"([a-z_]+)"', text
+            ):
+                written[hook].add(name)
+        assert written["count"] and written["peak"]
+        assert written["count"] | written["peak"] <= set(SECTIONS)
+        assert written["peak"] <= set(MAX_SECTIONS)
+        assert not written["count"] & set(MAX_SECTIONS)
+        # Sections a tracing hook counts have a writer wherever the
+        # runtime calls that hook.
+        hook_counted = {
+            "applies": "trace_apply", "slot_repairs": "trace_repair",
+            "faults": "trace_fault", "giveups": "giveup",
+            "member_events": "member_event",
+        }
+        callers = "\n".join(
+            text for path, text in sources.items()
+            if path.name not in ("probe.py", "trace.py")
+        )
+        for name, hook in hook_counted.items():
+            if f".{hook}(" in callers:
+                written["count"].add(name)
+        missing = set(SECTIONS) - written["count"] - written["peak"]
+        assert not missing
 
     def test_cli_summary_keys_are_sections(self):
         source = (ROOT / "src" / "repro" / "cli.py").read_text()

@@ -117,8 +117,7 @@ class TestTracingProbe:
 
     def test_counters_still_work(self):
         probe = TracingProbe(lambda: 0.0, "p1")
-        probe.ring_depth("F", 10)
-        probe.apply("FREE")
+        probe.peak("ring_highwater", "F", 10)
         probe.trace_apply("FREE", "add", "p1", 1)
         snapshot = probe.snapshot()
         assert snapshot["ring_highwater"]["F"] == 10
