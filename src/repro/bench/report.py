@@ -79,7 +79,7 @@ def fault_counts_line(counts: Mapping[str, int]) -> str:
 
 
 #: Display order for lifecycle phases in the phase-latency table.
-PHASE_ORDER = ("invoke", "propagate", "decide", "apply", "forward")
+PHASE_ORDER = ("invoke", "propagate", "decide", "apply")
 
 
 def phase_latency_table(title: str,

@@ -29,12 +29,17 @@ from ..core import (
 )
 from ..rdma import Fabric, RdmaConfig
 from ..sim import Environment
+from .errors import ImpermissibleError, NotLeaderError, SubmitError
 from .membership import MembershipEpoch, join_cluster, leave_cluster
 from .node import HambandNode, RuntimeConfig
 from .probe import rollup_node_stats
 from .wire import WireCodec
 
-__all__ = ["HambandCluster"]
+__all__ = ["HambandCluster", "submit_redirected"]
+
+#: How long a redirected call waits before its next attempt while a
+#: leader change or fail-over settles.
+REDIRECT_WAIT_US = 50.0
 
 
 class HambandCluster:
@@ -275,3 +280,78 @@ class HambandCluster:
 
     def heal(self) -> None:
         self.fabric.heal_all()
+
+
+def submit_redirected(env: Environment, cluster: Any, node: Any,
+                      method: str, arg: Any = None,
+                      follow_leader: bool = False,
+                      error: Optional[SubmitError] = None,
+                      attempts: int = 50):
+    """Submit at ``node``, following leader redirects: the paper's
+    "conflicting calls are automatically redirected to the
+    corresponding leader node(s)".  The one redirect policy of the
+    closed loop, the open loop and the transaction coordinator.
+
+    A generator returning ``(ok, value)``: ``ok`` is True once a node
+    serves the call (``value`` is its response), False when it is
+    refused as impermissible, and None when ``attempts`` run out.  A
+    give-up reports ``giveup("redirect", method)`` to the probe of the
+    node last addressed, if it has one.
+
+    ``follow_leader`` marks a conflicting call: those wait out leader
+    changes (paper §5: they "have to wait until the leader-change
+    protocol elects the new leader").  ``error`` is the failure of a
+    first attempt the caller made inline; the loop starts by handling
+    it, so attempts and waits match a call that started here.
+
+    ``cluster`` is duck-typed: ``node(name)``, raising ``KeyError`` for
+    a node that is no longer a member, and ``node_names()``.
+    """
+    target = node
+    for _attempt in range(attempts):
+        if error is None:
+            if getattr(target, "failed", False):
+                # Crashed/failed node: the paper redirects its clients
+                # to the live nodes rather than erroring out.
+                live = [
+                    name for name in cluster.node_names()
+                    if not getattr(cluster.node(name), "failed", False)
+                ]
+                if live:
+                    target = cluster.node(live[0])
+            if follow_leader and hasattr(target, "current_leader"):
+                leader = target.current_leader(method)
+                try:
+                    target = cluster.node(leader)
+                except KeyError:
+                    # The believed leader scaled in; wait out
+                    # re-election.
+                    yield env.timeout(REDIRECT_WAIT_US)
+                    continue
+            try:
+                value = yield target.submit(method, arg)
+                return True, value
+            except ImpermissibleError:
+                return False, None
+            except SubmitError as exc:
+                error = exc
+        if isinstance(error, NotLeaderError):
+            try:
+                redirect = cluster.node(error.leader)
+            except KeyError:
+                yield env.timeout(REDIRECT_WAIT_US)  # a departed node
+            else:
+                if (redirect is target
+                        or redirect.current_leader(method) != redirect.name):
+                    # Mid leader change: the named node does not lead
+                    # yet (or named itself), so hopping on would burn
+                    # the attempts in no time.
+                    yield env.timeout(REDIRECT_WAIT_US)
+                target = redirect
+        else:
+            yield env.timeout(REDIRECT_WAIT_US)  # e.g. mid-failover
+        error = None
+    probe = getattr(target, "probe", None)
+    if probe is not None:
+        probe.giveup("redirect", method)
+    return None, None

@@ -118,10 +118,6 @@ class ConflictCoordinator:
     def leader_of(self, gid: str) -> str:
         return self.mu_groups[gid].leader
 
-    def set_leader_view(self, gid: str, leader: str) -> None:
-        """Adopt a peer's view of who leads (forwarding redirects)."""
-        self.mu_groups[gid].leader = leader
-
     def current_leader(self, method: str) -> str:
         group = self.coordination.sync_group(method)
         if group is None:

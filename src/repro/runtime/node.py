@@ -2,7 +2,7 @@
 
 :class:`HambandNode` composes the four runtime layers into one replica
 of a Hamband-replicated object and keeps the public request API
-(:meth:`submit`, :meth:`submit_any`, :meth:`effective_state`,
+(:meth:`submit`, :meth:`effective_state`,
 :meth:`applied_count`, :meth:`stats`) stable while each mechanism
 lives in its own module:
 
@@ -17,13 +17,14 @@ lives in its own module:
   leader path: decision batching, demotion/campaign/rejoin repair,
   hole detection, the L-ring drain (``runtime/conflict.py``);
 - :class:`~repro.runtime.control.ControlPlane` — the two-sided
-  listener, leader discovery dispatch, request forwarding, and
-  broadcast recovery (``runtime/control.py``).
+  listener, leader discovery dispatch and broadcast recovery
+  (``runtime/control.py``).
 
 A single :class:`~repro.runtime.probe.RuntimeProbe` instrumentation
-seam is threaded through all four layers (a no-op interface by
-default; the node installs a :class:`~repro.runtime.probe.CountingProbe`
-unless told otherwise) and surfaces through :meth:`stats`.
+seam is threaded through the transport, apply and conflict layers (a
+no-op interface by default; the node installs a
+:class:`~repro.runtime.probe.CountingProbe` unless told otherwise) and
+surfaces through :meth:`stats`.
 
 Request processing follows the paper's four cases: queries run locally;
 reducible calls are summarized and remotely overwritten; irreducible
@@ -105,7 +106,7 @@ class HambandNode:
         #: Current membership-epoch version (0 = the founding epoch;
         #: bumped by the membership layer on every join/leave).
         self.membership_epoch = 0
-        #: The instrumentation seam shared by all four layers.
+        #: The instrumentation seam shared by the layers that count.
         self.probe = probe if probe is not None else CountingProbe()
         #: The cluster's wire codec, one object shared by every node (a
         #: joiner included), so each landed frame decodes once per
@@ -145,9 +146,7 @@ class HambandNode:
             health=self.health,
             probe=self.probe,
         )
-        self.control = ControlPlane(
-            rnode, config, self.probe, codec=self.codec
-        )
+        self.control = ControlPlane(rnode, config, codec=self.codec)
         self.conflict = ConflictCoordinator(
             rnode, coordination, self.processes, initial_leaders, config,
             applier=self.applier,
@@ -165,7 +164,7 @@ class HambandNode:
             self.detector.is_suspected,
         )
         self.control.bind(
-            self.conflict, self.applier, self.broadcast, self.submit,
+            self.conflict, self.applier, self.broadcast,
             on_resync=self._catch_up_from,
             on_slow_leader=self._slow_leader_vote,
         )
@@ -226,23 +225,6 @@ class HambandNode:
             gen = self.conflict.submit_conf(method, arg)
         return self.env.process(gen, name=f"u:{self.name}:{method}")
 
-    def submit_any(self, method: str, arg: Any = None) -> Event:
-        """Like :meth:`submit`, but a conflicting call at a non-leader
-        is forwarded to the leader over the control plane instead of
-        erroring with a redirect."""
-        if method in self.spec.queries:
-            return self.submit(method, arg)
-        category = self.applier.category(method)
-        if category is not Category.CONFLICTING:
-            return self.submit(method, arg)
-        group = self.coordination.sync_group(method)
-        if self.conflict.leader_of(group.gid) == self.name:
-            return self.submit(method, arg)
-        return self.env.process(
-            self.control.forward_to_leader(group.gid, method, arg),
-            name=f"fwd-client:{self.name}:{method}",
-        )
-
     def effective_state(self) -> Any:
         """``Apply(S)(σ)``: summaries folded over the stored state."""
         return self.applier.effective_state()
@@ -264,7 +246,7 @@ class HambandNode:
         the default :class:`~repro.runtime.probe.CountingProbe`:
         per-rule applies, ring-occupancy high-water marks, backpressure
         stalls, conflict retries/batches, demotions, hole repairs,
-        forwards, redirects, rejections, and broadcast recoveries.
+        rejections, and broadcast recoveries.
         The operation totals are read off that snapshot by
         :func:`~repro.runtime.probe.operation_totals` (all zero under a
         no-op probe).

@@ -86,9 +86,9 @@ class RuntimeProbe:
         injected faults with repairs."""
 
     def giveup(self, loop: str, subject: str, gid: str = "") -> None:
-        """A bounded recovery ``loop`` (``campaign``, ``xfer_barrier``,
-        ``backpressure``) stopped waiting on ``subject`` without
-        success (counted in ``giveups`` by loop)."""
+        """A bounded ``loop`` (``campaign``, ``xfer_barrier``,
+        ``backpressure``, ``redirect``) stopped waiting on ``subject``
+        without success (counted in ``giveups`` by loop)."""
 
     def member_event(self, event: str, node: str, detail: str = "") -> None:
         """A membership change became visible at this node (counted in
@@ -112,10 +112,10 @@ SECTIONS = (
     "ack_flushes", "flow_rearms", "conflict_retries", "conflict_batches",
     "conflict_batch_max", "demotions", "hole_repairs", "giveups",
     "ring_resyncs", "crc_rejects", "torn_detected", "slot_repairs",
-    "wire_rejects", "scrub_passes", "forwards", "redirects", "rejections",
-    "faults", "op_retries", "retry_budget_exhausted", "peer_degraded",
-    "fd_phi_suspects", "hedged_reads", "hedge_wins", "catch_ups",
-    "member_events", "recoveries",
+    "wire_rejects", "scrub_passes", "rejections", "faults", "op_retries",
+    "retry_budget_exhausted", "peer_degraded", "fd_phi_suspects",
+    "hedged_reads", "hedge_wins", "catch_ups", "member_events",
+    "recoveries",
 )
 
 #: Sections that keep a per-key maximum (written by ``peak``, and
@@ -188,7 +188,6 @@ def operation_totals(probe: dict[str, Any]) -> dict[str, int]:
             applies.get("FREE_APP", 0) + applies.get("CONF_APP", 0)
         ),
         "recovered_applied": probe.get("recoveries", 0),
-        "forwarded": sum(probe.get("forwards", {}).values()),
     }
 
 

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Canonical lifecycle phase order (also the Chrome-export lane order).
-PHASES = ("invoke", "propagate", "decide", "apply", "forward")
+PHASES = ("invoke", "propagate", "decide", "apply")
 
 #: The concrete-semantics rule vocabulary recorded by rule events.
 RULES = ("REDUCE", "FREE", "CONF", "FREE_APP", "CONF_APP", "QUERY")
@@ -225,10 +225,10 @@ class TracingProbe(CountingProbe):
         self._record("repair", kind, ring, self.node, index)
 
     def giveup(self, loop: str, subject: str, gid: str = "") -> None:
-        """A bounded recovery loop stopped: the event is ``giveup`` with
-        the loop in ``name``, its subject (the suspect leader, the
-        stalled reader, the transfer reason) in ``origin`` and the
-        group, if any, in ``gid``."""
+        """A bounded loop stopped: the event is ``giveup`` with the loop
+        in ``name``, its subject (the suspect leader, the stalled
+        reader, the transfer reason, the redirected method) in
+        ``origin`` and the group, if any, in ``gid``."""
         super().giveup(loop, subject, gid)
         self._record("giveup", loop, "", subject, 0, gid=gid)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from ..sim import Resource
-from .node import ImpermissibleError, NotLeaderError, SubmitError
+from .cluster import submit_redirected
 
 __all__ = ["TxnCoordinator", "TxnOp", "TxnOutcome"]
 
@@ -81,8 +81,7 @@ class TxnCoordinator:
     """
 
     def __init__(self, sharded, recorder: Optional[Any] = None,
-                 lock_path_enabled: bool = True,
-                 retry_wait_us: float = 50.0, max_attempts: int = 50):
+                 lock_path_enabled: bool = True, max_attempts: int = 50):
         self.sharded = sharded
         self.env = sharded.env
         self.relations = sharded.coordination.relations
@@ -90,7 +89,6 @@ class TxnCoordinator:
         #: The load-bearing safety knob: False sends conflicting
         #: transactions down the uncoordinated path (negative control).
         self.lock_path_enabled = lock_path_enabled
-        self.retry_wait_us = retry_wait_us
         self.max_attempts = max_attempts
         self._locks = [
             Resource(self.env, capacity=1)
@@ -271,47 +269,22 @@ class TxnCoordinator:
         return results
 
     def _submit_op(self, shard_index: int, op: TxnOp, to_leader: bool):
-        """Submit one call to its shard; returns the committed
-        :class:`~repro.core.Call` or None on rejection.
-
-        Mirrors the workload driver's redirect discipline: failed-node
-        fallback, leader routing for conflicting methods,
-        ``NotLeaderError`` redirects (waiting while the named node does
-        not lead yet), and timed retries over transient
-        ``SubmitError``\\ s (mid-failover).
-        """
+        """Submit one call to its shard through the runtime's redirect
+        policy (:func:`~repro.runtime.cluster.submit_redirected`),
+        starting at a round-robin gateway; returns the committed
+        :class:`~repro.core.Call` or None on rejection."""
         shard = self.sharded.shard(shard_index)
         names = shard.node_names()
-        gateway = names[next(self._gateway_rr) % len(names)]
-        target = shard.node(gateway)
-        for _attempt in range(self.max_attempts):
-            if getattr(target, "failed", False):
-                live = [
-                    name for name in names
-                    if not getattr(shard.node(name), "failed", False)
-                ]
-                if live:
-                    target = shard.node(live[0])
-            if to_leader and hasattr(target, "current_leader"):
-                target = shard.node(target.current_leader(op.method))
-            try:
-                request = target.submit(op.method, op.arg)
-                call = yield request
-                return call
-            except NotLeaderError as redirect:
-                named = shard.node(redirect.leader)
-                if (named is target
-                        or named.current_leader(op.method) != named.name):
-                    # Mid leader change: wait rather than bounce.
-                    yield self.env.timeout(self.retry_wait_us)
-                target = named
-            except ImpermissibleError:
-                self.counters["rejected_calls"] += 1
-                return None
-            except SubmitError:
-                yield self.env.timeout(self.retry_wait_us)
-        self.counters["redirect_giveups"] += 1
-        return None
+        gateway = shard.node(names[next(self._gateway_rr) % len(names)])
+        ok, call = yield from submit_redirected(
+            self.env, shard, gateway, op.method, op.arg, to_leader,
+            attempts=self.max_attempts,
+        )
+        if ok is False:
+            self.counters["rejected_calls"] += 1
+        elif ok is None:
+            self.counters["redirect_giveups"] += 1
+        return call
 
     # -- recording -------------------------------------------------------
 

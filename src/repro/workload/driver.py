@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core import Category
-from ..runtime.errors import ImpermissibleError, NotLeaderError, SubmitError
+from ..runtime.cluster import submit_redirected
+from ..runtime.errors import ImpermissibleError, SubmitError
 from ..sim import Environment
 from .generators import (
     bank_accounts,
@@ -150,7 +151,7 @@ class _RunState:
 def _run_prologue(env, cluster, names, prologue, state):
     for i, (method, arg) in enumerate(prologue):
         node = cluster.node(names[i % len(names)])
-        yield from _submit_with_redirect(env, cluster, node, method, arg)
+        yield from submit_redirected(env, cluster, node, method, arg)
         state.base_updates += 1
     # Let the prologue replicate before measuring.
     yield env.timeout(200.0)
@@ -203,7 +204,7 @@ def _client(env, cluster, coordination, name, n_ops, config, state,
             method, arg = queries[rng.randrange(len(queries))], None
         issued_at = env.now
         if method in leader_bound or getattr(node, "failed", False):
-            ok = yield from _submit_with_redirect(
+            ok, _ = yield from submit_redirected(
                 env, cluster, node, method, arg, method in leader_bound
             )
         else:
@@ -213,7 +214,7 @@ def _client(env, cluster, coordination, name, n_ops, config, state,
             except ImpermissibleError:
                 ok = False
             except SubmitError as error:
-                ok = yield from _submit_with_redirect(
+                ok, _ = yield from submit_redirected(
                     env, cluster, node, method, arg, error=error
                 )
         state.total_calls += 1
@@ -242,66 +243,6 @@ def _leader_bound_methods(spec, coordination) -> frozenset:
         method for method in spec.updates
         if coordination.category(method) is Category.CONFLICTING
     )
-
-
-def _submit_with_redirect(env, cluster, node, method, arg,
-                          follow_leader=False, error=None):
-    """Submit, following leader redirects.
-
-    Returns True once a node serves the call, False when it is refused
-    (impermissible), and None when the attempts run out (a give-up).
-
-    ``follow_leader`` marks a conflicting call: those wait out leader
-    changes (paper §5: they "have to wait until the leader-change
-    protocol elects the new leader").  ``error`` is the failure of a
-    first attempt the caller made inline; the loop starts by handling
-    it, so attempts and waits match a call that started here.
-    """
-    target = node
-    for _attempt in range(50):
-        if error is None:
-            if getattr(target, "failed", False):
-                # Crashed/failed node: the paper redirects its clients
-                # to the live nodes rather than erroring out.
-                live = [
-                    n for n in cluster.node_names()
-                    if not getattr(cluster.node(n), "failed", False)
-                ]
-                if live:
-                    target = cluster.node(live[0])
-            if follow_leader and hasattr(target, "current_leader"):
-                leader = target.current_leader(method)
-                try:
-                    target = cluster.node(leader)
-                except KeyError:
-                    # The believed leader scaled in; wait out
-                    # re-election.
-                    yield env.timeout(50.0)
-                    continue
-            try:
-                yield target.submit(method, arg)
-                return True
-            except ImpermissibleError:
-                return False
-            except SubmitError as exc:
-                error = exc
-        if isinstance(error, NotLeaderError):
-            try:
-                redirect = cluster.node(error.leader)
-            except KeyError:
-                yield env.timeout(50.0)  # redirect to a departed node
-            else:
-                if (redirect is target
-                        or redirect.current_leader(method) != redirect.name):
-                    # Mid leader change: the named node does not lead
-                    # yet (or named itself), so hopping on would burn
-                    # the attempts in no time.
-                    yield env.timeout(50.0)
-                target = redirect
-        else:
-            yield env.timeout(50.0)  # e.g. mid-failover; retry
-        error = None
-    return None
 
 
 # -- sharded (keyed, transactional) workloads -------------------------------
@@ -421,7 +362,7 @@ def _sharded_prologue(env, sharded, accounts, config, targets):
         shard_index = sharded.shard_of(key)
         shard = sharded.shard(shard_index)
         node = shard.node(shard.node_names()[0])
-        yield from _submit_with_redirect(env, shard, node, method, arg)
+        yield from submit_redirected(env, shard, node, method, arg)
         targets[shard_index] += 1
     # Let the prologue replicate before measuring.
     yield env.timeout(200.0)

@@ -28,14 +28,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional
 
+from ..runtime.cluster import submit_redirected
 from ..runtime.errors import ImpermissibleError, SubmitError
 from ..sim import Environment, Event
 from ..sim.rng import SeedSequence
-from .driver import (
-    _leader_bound_methods,
-    _run_prologue,
-    _submit_with_redirect,
-)
+from .driver import _leader_bound_methods, _run_prologue
 from .generators import make_generator, setup_calls
 from .metrics import LatencySeries, RunResult, SloTarget, slo_report
 from .serving import SessionTier, arrival_instants
@@ -130,7 +127,7 @@ class _OpenRun:
 
     def _redirected(self, node, session, method, arg, is_update,
                     issued_at, follow_leader, error):
-        ok = yield from _submit_with_redirect(
+        ok, _ = yield from submit_redirected(
             self.env, self.cluster, node, method, arg, follow_leader,
             error=error,
         )
@@ -138,7 +135,7 @@ class _OpenRun:
 
     def finish(self, session, method, is_update, issued_at, ok) -> None:
         """Account one completed request (``ok`` as
-        :func:`~repro.workload.driver._submit_with_redirect` returns it)."""
+        :func:`~repro.runtime.cluster.submit_redirected` returns it)."""
         tier = self.tier
         tier.complete(session)
         self.total_calls += 1

@@ -96,8 +96,8 @@ class TestStatsSurface:
         assert stats["node"] == "p1"
         assert set(stats) == {"node", "counters", "probe", "membership"}
         for key in ("applies", "ring_highwater", "backpressure_stalls",
-                    "conflict_retries", "conflict_batches", "forwards",
-                    "rejections", "recoveries"):
+                    "conflict_retries", "conflict_batches", "rejections",
+                    "giveups", "recoveries"):
             assert key in stats["probe"]
 
     def test_per_rule_applies_advance_end_to_end(self):
@@ -198,7 +198,7 @@ class TestStatsSurface:
         assert stats["probe"] == {}
         assert set(stats["counters"]) == {
             "queries", "reduced", "freed", "conf_decided",
-            "buffer_applied", "recovered_applied", "forwarded",
+            "buffer_applied", "recovered_applied",
         }
         assert not any(stats["counters"].values())
         assert cluster.converged()
@@ -387,7 +387,7 @@ class TestSectionNames:
 
 
 COUNTER_NAMES = ("queries", "reduced", "freed", "conf_decided",
-                 "buffer_applied", "recovered_applied", "forwarded")
+                 "buffer_applied", "recovered_applied")
 
 #: ``stats()["counters"]`` per node, as the hand-maintained counter
 #: dict produced it before the counters were derived from the probe
@@ -398,187 +398,187 @@ COUNTER_NAMES = ("queries", "reduced", "freed", "conf_decided",
 #: serves which calls (every run still settles and checks OK).
 PINNED_COUNTERS = {
     ("gset", "crash-leader"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "partition-minority"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "lossy-10pct"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "delay-spike"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "restart-follower"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "corrupt-5pct"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "torn-writes"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "corrupt-crash"): {
-        "p1": (114, 0, 36, 0, 107, 0, 0),
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p1": (114, 0, 36, 0, 107, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("gset", "scale-in-leader"): {
-        "p2": (124, 0, 26, 0, 117, 0, 0),
-        "p3": (107, 0, 43, 0, 100, 0, 0),
-        "p4": (112, 0, 38, 0, 105, 0, 0),
+        "p2": (124, 0, 26, 0, 117, 0),
+        "p3": (107, 0, 43, 0, 100, 0),
+        "p4": (112, 0, 38, 0, 105, 0),
     },
     ("account", "crash-leader"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "partition-minority"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "lossy-10pct"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "delay-spike"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "restart-follower"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "corrupt-5pct"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "torn-writes"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "corrupt-crash"): {
-        "p1": (111, 22, 0, 75, 0, 0, 0),
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p1": (111, 22, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("account", "scale-in-leader"): {
-        "p2": (112, 20, 0, 0, 75, 0, 0),
-        "p3": (110, 19, 0, 0, 75, 0, 0),
-        "p4": (113, 18, 0, 0, 75, 0, 0),
+        "p2": (112, 20, 0, 0, 75, 0),
+        "p3": (110, 19, 0, 0, 75, 0),
+        "p4": (113, 18, 0, 0, 75, 0),
     },
     ("courseware", "crash-leader"): {
-        "p1": (14, 0, 5, 19, 154, 0, 0),
-        "p2": (209, 0, 21, 103, 54, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (14, 0, 5, 19, 154, 0),
+        "p2": (209, 0, 21, 103, 54, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "partition-minority"): {
-        "p1": (111, 0, 11, 122, 45, 0, 0),
-        "p2": (112, 0, 15, 0, 163, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (111, 0, 11, 122, 45, 0),
+        "p2": (112, 0, 15, 0, 163, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "lossy-10pct"): {
-        "p1": (111, 0, 11, 122, 45, 0, 0),
-        "p2": (112, 0, 15, 0, 163, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (111, 0, 11, 122, 45, 0),
+        "p2": (112, 0, 15, 0, 163, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "delay-spike"): {
-        "p1": (111, 0, 11, 122, 45, 0, 0),
-        "p2": (112, 0, 15, 0, 163, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (111, 0, 11, 122, 45, 0),
+        "p2": (112, 0, 15, 0, 163, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "restart-follower"): {
-        "p1": (209, 0, 22, 122, 34, 0, 0),
-        "p2": (14, 0, 4, 0, 174, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (209, 0, 22, 122, 34, 0),
+        "p2": (14, 0, 4, 0, 174, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "corrupt-5pct"): {
-        "p1": (111, 0, 11, 122, 45, 0, 0),
-        "p2": (112, 0, 15, 0, 163, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (111, 0, 11, 122, 45, 0),
+        "p2": (112, 0, 15, 0, 163, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "torn-writes"): {
-        "p1": (111, 0, 11, 122, 45, 0, 0),
-        "p2": (112, 0, 15, 0, 163, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (111, 0, 11, 122, 45, 0),
+        "p2": (112, 0, 15, 0, 163, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "corrupt-crash"): {
-        "p1": (168, 0, 20, 122, 36, 0, 0),
-        "p2": (55, 0, 6, 0, 172, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p1": (168, 0, 20, 122, 36, 0),
+        "p2": (55, 0, 6, 0, 172, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("courseware", "scale-in-leader"): {
-        "p2": (151, 0, 20, 36, 122, 0, 0),
-        "p3": (110, 0, 15, 0, 163, 0, 0),
-        "p4": (113, 0, 15, 0, 163, 0, 0),
+        "p2": (151, 0, 20, 36, 122, 0),
+        "p3": (110, 0, 15, 0, 163, 0),
+        "p4": (113, 0, 15, 0, 163, 0),
     },
     ("gset", None): {
-        "p1": (75, 0, 25, 0, 75, 0, 0),
-        "p2": (81, 0, 19, 0, 81, 0, 0),
-        "p3": (70, 0, 30, 0, 70, 0, 0),
-        "p4": (74, 0, 26, 0, 74, 0, 0),
+        "p1": (75, 0, 25, 0, 75, 0),
+        "p2": (81, 0, 19, 0, 81, 0),
+        "p3": (70, 0, 30, 0, 70, 0),
+        "p4": (74, 0, 26, 0, 74, 0),
     },
     ("counter", None): {
-        "p1": (74, 26, 0, 0, 0, 0, 0),
-        "p2": (77, 23, 0, 0, 0, 0, 0),
-        "p3": (71, 29, 0, 0, 0, 0, 0),
-        "p4": (75, 25, 0, 0, 0, 0, 0),
+        "p1": (74, 26, 0, 0, 0, 0),
+        "p2": (77, 23, 0, 0, 0, 0),
+        "p3": (71, 29, 0, 0, 0, 0),
+        "p4": (75, 25, 0, 0, 0, 0),
     },
     ("account", None): {
-        "p1": (74, 16, 0, 49, 0, 0, 0),
-        "p2": (77, 12, 0, 0, 49, 0, 0),
-        "p3": (71, 13, 0, 0, 49, 0, 0),
-        "p4": (75, 13, 0, 0, 49, 0, 0),
+        "p1": (74, 16, 0, 49, 0, 0),
+        "p2": (77, 12, 0, 0, 49, 0),
+        "p3": (71, 13, 0, 0, 49, 0),
+        "p4": (75, 13, 0, 0, 49, 0),
     },
     ("courseware", None): {
-        "p1": (74, 0, 7, 86, 34, 0, 0),
-        "p2": (77, 0, 8, 0, 119, 0, 0),
-        "p3": (71, 0, 12, 0, 115, 0, 0),
-        "p4": (75, 0, 14, 0, 113, 0, 0),
+        "p1": (74, 0, 7, 86, 34, 0),
+        "p2": (77, 0, 8, 0, 119, 0),
+        "p3": (71, 0, 12, 0, 115, 0),
+        "p4": (75, 0, 14, 0, 113, 0),
     },
 }
 

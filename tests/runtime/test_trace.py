@@ -181,34 +181,6 @@ class TestTraceRecorder:
         # Decide spans cross the Mu replication round trip: non-zero.
         assert phases["decide"].mean > 0.0
 
-    def test_forwarded_call_records_a_forward_span(self):
-        from repro.datatypes import account_spec
-
-        env = Environment()
-        recorder = TraceRecorder(env)
-        cluster = HambandCluster.build(
-            env, account_spec(), n_nodes=3,
-            probe_factory=recorder.probe_factory,
-        )
-        recorder.attach(cluster.coordination)
-        env.run(until=cluster.node("p2").submit("deposit", 10))
-        leader = cluster.node("p1").current_leader("withdraw")
-        follower = next(
-            n for n in cluster.node_names() if n != leader
-        )
-        env.run(until=cluster.node(follower).submit_any("withdraw", 4))
-        env.run(until=env.now + 500)
-        phases = recorder.phase_histograms()
-        assert phases["forward"].count == 1
-        # The forward round trip subsumes the leader's decide.
-        assert phases["forward"].mean > phases["decide"].mean
-        forward_events = [
-            e for e in recorder.events()
-            if e.kind in ("B", "E") and e.name == "forward"
-        ]
-        assert [e.kind for e in forward_events] == ["B", "E"]
-        assert all(e.node == follower for e in forward_events)
-
     def test_transfer_events_carry_payload_sizes(self):
         recorder, _cluster, _result = run_recorded(gset_spec(), "gset")
         xfers = [e for e in recorder.events() if e.kind == "xfer"]

@@ -200,6 +200,32 @@ class TestRedirectGiveUps:
         assert coordinator.counters["rejected_calls"] == 0
 
 
+class TestScaledInLeader:
+    def test_coordinator_waits_out_a_removed_leader(self):
+        """``p1`` leads ``withdraw`` on shard 0 and scales in while the
+        survivors still name it: the call waits and re-resolves the
+        leader instead of raising ``KeyError`` out of ``env.run``."""
+        env, sharded, coordinator, _ = build()
+        a, _b = pin_two_accounts(sharded)
+        open_and_fund(env, sharded, (a,))
+        shard = sharded.shard(0)
+        assert shard.node("p1").current_leader("withdraw") == "p1"
+        sharded.remove_node("s0/p1")
+        assert {
+            shard.node(name).current_leader("withdraw")
+            for name in shard.node_names()
+        } == {"p1"}
+        outcome = env.run(until=coordinator.submit([
+            TxnOp(a, "withdraw", (a, 1)),
+        ]))
+        if outcome.committed:
+            assert [origin for _s, _m, origin, _r in outcome.issued] != [
+                "p1"
+            ]
+        else:
+            assert coordinator.counters["redirect_giveups"] == 1
+
+
 class TestAtomicityGate:
     def run_overdraft(self, lock_path_enabled):
         env, sharded, coordinator, recorder = build(

@@ -8,19 +8,28 @@ import math
 import pytest
 
 from repro.core import Category, QueryDef
-from repro.datatypes import counter_spec, courseware_spec, gset_spec
+from repro.datatypes import (
+    bankmap_spec,
+    counter_spec,
+    courseware_spec,
+    gset_spec,
+)
 from repro.runtime import (
     HambandCluster,
     ImpermissibleError,
     NotLeaderError,
     RuntimeConfig,
+    ShardedCluster,
     SubmitError,
+    TxnCoordinator,
 )
 from repro.sim import Environment, Event, Process
 from repro.workload import (
     DriverConfig,
     OpenLoopConfig,
+    ShardedDriverConfig,
     run_open_loop,
+    run_sharded_workload,
     run_workload,
 )
 
@@ -42,6 +51,17 @@ def canonical(value):
 def schedule_digest(result, cluster) -> str:
     return hashlib.sha256(json.dumps([
         result.latency.samples, canonical(cluster.effective_states()),
+    ]).encode()).hexdigest()
+
+
+def sharded_schedule_digest(result, sharded) -> str:
+    states = {
+        f"s{index}/{name}": state
+        for index, shard in enumerate(sharded.shards)
+        for name, state in shard.effective_states().items()
+    }
+    return hashlib.sha256(json.dumps([
+        result.latency.samples, canonical(states),
     ]).encode()).hexdigest()
 
 
@@ -118,6 +138,22 @@ class TestSchedulePin:
             result.dropped_arrivals,
         ) == OPEN_LOOP_PINS[(workload, curve, load)]
 
+    def test_sharded_bank_coordinator(self):
+        """Transactions through the coordinator's per-call redirect
+        loop: withdraws chase their shard's leader.  Recorded before
+        the coordinator shared the drivers' redirect policy."""
+        env = Environment()
+        sharded = ShardedCluster.build(
+            env, bankmap_spec(), n_shards=2, n_nodes=4, cpu_cores=1,
+        )
+        result = run_sharded_workload(
+            env, sharded, TxnCoordinator(sharded),
+            ShardedDriverConfig(total_txns=320, txn_mix=0.2, seed=1),
+        )
+        assert (
+            sharded_schedule_digest(result, sharded), result.replicated_us,
+        ) == SHARDED_BANK_PIN
+
 
 GSET_READ_DIGEST = (
     "7e97f0a556b3186a9c11b96e7c0a2392c932004db3ec6d35322d0b793d469c74"
@@ -127,6 +163,10 @@ COURSEWARE_DIGEST = (
 )
 COUNTER_SERVE_DIGEST = (
     "33c7e2c7abda155435dd131f1788ce4ccb9e6f2c29774f29286a1993ea1bd356"
+)
+SHARDED_BANK_PIN = (
+    "6d73391c4b083db19809d490d58172f4205dc4b8d5b767b2c1385bf296d27408",
+    456.1513999999976,
 )
 OPEN_LOOP_PINS = {
     ("counter", "steady", 3.0): (
