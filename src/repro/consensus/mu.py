@@ -24,7 +24,13 @@ from typing import Any, Callable, Generator, Optional
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Environment, Event, Store
 from ..runtime.config import RuntimeConfig
-from ..runtime.ringbuffer import RingError, RingWriter, parse_record  # shared layout
+from ..runtime.ringbuffer import (  # shared layout
+    RingError,
+    RingReader,
+    RingWriter,
+    record_continues,
+    span_of,
+)
 
 __all__ = ["MuGroup", "mu_channel"]
 
@@ -40,18 +46,6 @@ CATCHUP_POLL_US = 5.0
 #: How long a campaigner waits for vote acks before giving up (the
 #: runtime's campaign stagger builds on it too).
 VOTE_TIMEOUT_US = 800.0
-
-
-class _WindowCache:
-    """A contiguous window of a peer's log slots, fetched in one read."""
-
-    def __init__(self, start_index: int, count: int, data: bytes):
-        self.start_index = start_index
-        self.count = count
-        self.data = data
-
-    def covers(self, index: int) -> bool:
-        return self.start_index <= index < self.start_index + self.count
 
 
 class MuGroup:
@@ -84,6 +78,9 @@ class MuGroup:
         #: relayer's possibly-inflated term.
         self.leader_term = 0
         self.config = config
+        #: Our own log copy, read in place (its head is unused).
+        self._log = RingReader(node.regions[region_name],
+                               config.ring_slots, config.slot_size)
         self.region_name = region_name
         self._control_send = control_send
         self._local_head = local_head
@@ -98,7 +95,7 @@ class MuGroup:
             self._init_writers(start_tail=0)
         #: Vote acks awaited during a campaign: (term -> Store of acks).
         self._ack_stores: dict[int, Store] = {}
-        #: Count of decided records (leader's own tally).
+        #: Log slots filled by decided records (leader's own tally).
         self.decided = 0
         #: One-shot flag armed by :meth:`expect_authoritative_leader`:
         #: the next ``leader_is`` reply is accepted even at an older
@@ -126,6 +123,8 @@ class MuGroup:
     def replicate(self, payload: bytes) -> Generator[Event, Any, bool]:
         """Leader: append one record; True once a majority acknowledged.
 
+        The record is one span of log slots, posted to each follower
+        as one write (two, in one doorbell, when it crosses the wrap).
         A permission error on any follower means a newer leader exists;
         this node steps down and returns False.
 
@@ -176,41 +175,46 @@ class MuGroup:
                         writer.ack_up_to(min(ack, writer.tail))
             region = self.node.region_of(peer, self.region_name)
             qp = self.node.qp_to(peer, mu_channel(self.gid))
+            pieces = writer.pieces(offset, slot)
             if suspected:
-                pending.append((qp, region, offset, slot, None))
+                pending.append((qp, region, pieces, None))
                 continue
             yield self.node.cpu.hold(qp.config.post_cpu_us)
-            pending.append(
-                (qp, region, offset, slot, qp.post_write(region, offset, slot))
-            )
+            pending.append((qp, region, pieces, [
+                qp.post_write(region, piece_offset, data)
+                for piece_offset, data in pieces
+            ]))
         needed = len(self.members) // 2  # + self = majority
         acked = 0
         permission_errors = 0
-        for qp, region, offset, slot, completion in pending:
-            if completion is None:
+        for qp, region, pieces, completions in pending:
+            if completions is None:
                 continue  # skipped suspected follower: owed nothing
-            wc = yield completion
-            # Transient failures (injected NIC faults, partition blips)
-            # retry the SAME record to the SAME offset — idempotent.
-            # Permission errors are the leader-change signal and must
-            # surface immediately.
-            retries = 0
-            delay = self.config.op_retry_us
-            while (
-                wc.status is not WcStatus.SUCCESS
-                and wc.status is not WcStatus.PERMISSION_ERROR
-                and retries < self.config.op_retry_limit
-                and self.node.alive
-                and self.is_leader
-            ):
-                retries += 1
-                yield self.env.timeout(delay)
-                delay = min(delay * 2, self.config.op_retry_cap_us)
-                yield self.node.cpu.hold(qp.config.post_cpu_us)
-                wc = yield qp.post_write(region, offset, slot)
-            if wc.status is WcStatus.SUCCESS:
+            statuses = set()
+            for (offset, data), completion in zip(pieces, completions):
+                wc = yield completion
+                # Transient failures (injected NIC faults, partition
+                # blips) retry the SAME bytes to the SAME offset —
+                # idempotent.  Permission errors are the leader-change
+                # signal and must surface immediately.
+                retries = 0
+                delay = self.config.op_retry_us
+                while (
+                    wc.status is not WcStatus.SUCCESS
+                    and wc.status is not WcStatus.PERMISSION_ERROR
+                    and retries < self.config.op_retry_limit
+                    and self.node.alive
+                    and self.is_leader
+                ):
+                    retries += 1
+                    yield self.env.timeout(delay)
+                    delay = min(delay * 2, self.config.op_retry_cap_us)
+                    yield self.node.cpu.hold(qp.config.post_cpu_us)
+                    wc = yield qp.post_write(region, offset, data)
+                statuses.add(wc.status)
+            if statuses == {WcStatus.SUCCESS}:
                 acked += 1
-            elif wc.status is WcStatus.PERMISSION_ERROR:
+            elif WcStatus.PERMISSION_ERROR in statuses:
                 permission_errors += 1
         if acked >= needed:
             # A majority accepted the write: still the leader.  A stray
@@ -220,9 +224,9 @@ class MuGroup:
                 # Uncharged like ``writer.render``: the cost model bills
                 # posted verbs only, and in Mu the leader's own log slot
                 # is the buffer its follower writes are posted from.
-                _qp, _region, offset, slot, _completion = pending[-1]
-                self.node.regions[self.region_name].write(offset, slot)
-            self.decided += 1
+                for offset, data in pending[-1][2]:
+                    self._log.region.write(offset, data)
+            self.decided += span_of(len(payload), self.config.slot_size)
             return True
         if permission_errors:
             # Could not reach a majority and someone revoked us: a newer
@@ -403,7 +407,8 @@ class MuGroup:
         self._writers.pop(name, None)
 
     def self_repair(self, suspected: set[str]) -> Generator[Event, Any, int]:
-        """Fill holes in OUR log copy from reachable peers' copies.
+        """Fill holes in OUR log copy from reachable peers' copies;
+        returns the frontier, the end of the last whole span found.
 
         Used by a demoted ex-leader rejoining as a follower (it never
         received the records it decided itself, nor those written while
@@ -417,12 +422,15 @@ class MuGroup:
             for p in self.members
             if p != self.node.name and p not in suspected
         ]
-        caches: dict[str, _WindowCache] = {}
+        caches: dict[str, tuple[int, bytes]] = {}
+        end = index
         while True:
             record = yield from self._adopt_record(index, peers, caches)
             if record is None:
-                return index
+                return end
             index += 1
+            if not record_continues(record):
+                end = index
 
     def _adopt_record(self, index: int, peers: list[str], caches):
         """The record for ``index``: ours if our log copy holds it, else
@@ -430,16 +438,13 @@ class MuGroup:
         when no copy has it.  Every slot is parsed in place — in our
         region or in the fetched window — and only a found record's
         bytes are copied."""
-        own_region = self.node.regions[self.region_name]
-        slots, slot_size = self.config.ring_slots, self.config.slot_size
-        offset = (index % slots) * slot_size
-        record = parse_record(own_region.data, index, slots, offset,
-                              slot_size)
+        record = self._log.record_at(index)
         if record is None:
             for peer in peers:
                 record = yield from self._peer_record(peer, index, caches)
                 if record is not None:
-                    own_region.write(offset, record)
+                    self._log.region.write(self._log.offset_of(index),
+                                           record)
                     break
         return record
 
@@ -451,25 +456,17 @@ class MuGroup:
     def _peer_record(self, peer: str, index: int, caches):
         """``index``'s record in a peer's log region (None when absent
         or unreachable), via a cached windowed read."""
-        slots, slot_size = self.config.ring_slots, self.config.slot_size
-        cache = caches.get(peer)
-        if cache is None or not cache.covers(index):
-            start = index % slots
-            count = min(self._WINDOW, slots - start)
+        log = self._log
+        start, data = caches.get(peer, (index, b""))
+        if not log.covers(start, data, index):
             region = self.node.region_of(peer, self.region_name)
             qp = self.node.qp_to(peer, mu_channel(self.gid))
-            wc = yield from qp.read(
-                region, start * slot_size, count * slot_size
-            )
+            wc = yield from qp.read(region, *log.window(index, self._WINDOW))
             if wc.status is not WcStatus.SUCCESS:
-                caches[peer] = _WindowCache(index, 0, b"")
+                caches[peer] = (index, b"")
                 return None
-            caches[peer] = _WindowCache(index, count, wc.data)
-            cache = caches[peer]
-        return parse_record(
-            cache.data, index, slots,
-            (index - cache.start_index) * slot_size, slot_size,
-        )
+            start, data = caches[peer] = (index, wc.data)
+        return log.record_in(start, data, index)
 
     def _reconcile(self, suspected: set[str]) -> Generator[Event, Any, int]:
         """Adopt any record the old leader wrote anywhere; return the tail.
@@ -477,25 +474,28 @@ class MuGroup:
         Scans forward from this node's applied head across its own
         region and every reachable follower's region; any valid record
         found is written into every reachable region (idempotent: the
-        bytes at one index are identical everywhere).
+        bytes at one index are identical everywhere).  The tail is the
+        end of the last whole span: fragments of a span no copy holds
+        in full are left for the new leader's writes to overwrite.
         """
-        slots, slot_size = self.config.ring_slots, self.config.slot_size
         peers = [
             p
             for p in self.members
             if p != self.node.name and p not in suspected
         ]
-        caches: dict[str, _WindowCache] = {}
+        caches: dict[str, tuple[int, bytes]] = {}
 
         # Walk indices from our head until no copy has a valid record.
-        index = self._local_head()
+        index = end = self._local_head()
         while True:
             record = yield from self._adopt_record(index, peers, caches)
             if record is None:
-                return index
-            offset = (index % slots) * slot_size
+                return end
+            offset = self._log.offset_of(index)
             for peer in peers:
                 region = self.node.region_of(peer, self.region_name)
                 qp = self.node.qp_to(peer, mu_channel(self.gid))
                 yield from qp.write(region, offset, record)
             index += 1
+            if not record_continues(record):
+                end = index

@@ -26,7 +26,7 @@ class RuntimeConfig:
     """Tunables of the Hamband runtime (times in microseconds)."""
 
     ring_slots: int = 8192
-    slot_size: int = 512
+    slot_size: int = 128
     summary_payload: int = 4096
     backup_size: int = 4608
     #: Buffer-traversal cadence when the last sweep found nothing.
@@ -74,7 +74,8 @@ class RuntimeConfig:
     #: Figure 9 GSet-with-buffers configuration).
     force_buffered: bool = False
     #: Flow control: readers acknowledge ring progress every this many
-    #: applied records (one tiny one-sided write back to the writer);
+    #: consumed slots — a record spanning k slots counts k — (one tiny
+    #: one-sided write back to the writer);
     #: writers block (backpressure) instead of lapping a slow reader.
     #: 0 disables acks — then writers rely on ring sizing alone.
     ack_every: int = 64

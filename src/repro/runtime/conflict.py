@@ -30,7 +30,7 @@ from ..sim import Store
 from .config import RuntimeConfig, l_ack_region, l_region
 from .errors import ImpermissibleError, NotLeaderError, SubmitError
 from .probe import RuntimeProbe
-from .ringbuffer import RECORD_OVERHEAD, RingCorruptionError
+from .ringbuffer import MAX_RECORD_PAYLOAD, RingCorruptionError
 from .wire import WireCodec, WireError
 
 __all__ = ["ConflictCoordinator"]
@@ -190,7 +190,7 @@ class ConflictCoordinator:
             except Exception as exc:
                 done.succeed(SubmitError(f"cannot encode {call}: {exc}"))
                 continue
-            if len(packet) > cfg.slot_size - RECORD_OVERHEAD:
+            if len(packet) > MAX_RECORD_PAYLOAD:
                 done.succeed(
                     SubmitError(
                         f"record of {len(packet)} bytes exceeds ring slots"
@@ -308,7 +308,7 @@ class ConflictCoordinator:
         except Exception as exc:
             done.succeed(SubmitError(f"cannot encode {call}: {exc}"))
             return None
-        if len(packet) > cfg.slot_size - RECORD_OVERHEAD:
+        if len(packet) > MAX_RECORD_PAYLOAD:
             # Record full: leave the call for the next decision.
             queue.put((method, arg, done, call, retries))
             return "full"
@@ -337,7 +337,7 @@ class ConflictCoordinator:
         while True:
             if not partial:
                 try:
-                    payload = reader.peek()
+                    run = reader.peek_run(1)
                 except RingCorruptionError as corrupt:
                     # A checksummed log record failed CRC: quarantine
                     # and repair it from peers' log copies in place of
@@ -347,11 +347,11 @@ class ConflictCoordinator:
                         gid, reader, corrupt.index
                     )
                     break
-                if payload is None:
+                if not run:
                     self._maybe_detect_hole(gid, reader)
                     break
                 try:
-                    partial.extend(self.codec.decode_call_batch(payload))
+                    partial.extend(self.codec.decode_call_batch(run[0]))
                 except WireError:
                     # A CRC-valid record the codec rejects: a writer
                     # bug.  Skip the record rather than crash the

@@ -21,7 +21,7 @@ import struct
 from typing import Any, Callable, Optional
 
 from ..rdma import RdmaNode
-from .config import RuntimeConfig, s_region
+from .config import s_region
 from .wire import WireCodec
 
 __all__ = ["ControlPlane"]
@@ -30,12 +30,10 @@ __all__ = ["ControlPlane"]
 class ControlPlane:
     """Two-sided listener + broadcast recovery."""
 
-    def __init__(self, rnode: RdmaNode, config: RuntimeConfig,
-                 codec: Optional[WireCodec] = None):
+    def __init__(self, rnode: RdmaNode, codec: Optional[WireCodec] = None):
         self.rnode = rnode
         self.env = rnode.env
         self.name = rnode.name
-        self.config = config
         self.codec = codec or WireCodec()
         # Collaborators, wired by the façade via bind().
         self.conflict = None

@@ -146,7 +146,7 @@ class HambandNode:
             health=self.health,
             probe=self.probe,
         )
-        self.control = ControlPlane(rnode, config, codec=self.codec)
+        self.control = ControlPlane(rnode, codec=self.codec)
         self.conflict = ConflictCoordinator(
             rnode, coordination, self.processes, initial_leaders, config,
             applier=self.applier,

@@ -14,9 +14,22 @@ by exactly one remote peer:
 - slots before the head are implicitly free and are reused on the next
   lap ("to avoid memory overflow, these locations are reused").
 
-The region is divided into fixed-size slots, each holding at most one
-record laid out as ``length(4, MSB set) | payload | canary(1) |
-crc(4)``.  The CRC covers length + payload + canary (so it binds the
+The region is divided into fixed-size slots, each holding one
+self-framed *fragment* laid out as ``length(4, MSB set) | payload |
+canary(1) | crc(4)``.  A record whose payload fits one slot is one
+fragment with no other flag set.  A longer record (up to
+:data:`MAX_RECORD_PAYLOAD` bytes) *spans* consecutive slots: every
+fragment but the last fills its slot, so the span is one contiguous
+run of bytes, and two more bits of the length field frame it —
+bit 30 (*more follows*) on every fragment but the last, bit 29
+(*continuation*) on every fragment but the first.  Each fragment
+carries its own slot's canary and CRC, so every slot still parses on
+its own: the repair, scrub, state-transfer and log-reconciliation
+paths work index by index and never need to know about spans.  Only
+the reader assembles: it delivers a spanned payload once its last
+fragment has landed and consumes the whole span at once.
+
+The CRC covers length + payload + canary (so it binds the
 generation, not just the bytes): the canary alone only detects
 *incomplete* writes, and a one-sided RDMA write is not atomic.  A
 record whose canary claims the expected generation but whose CRC
@@ -39,29 +52,43 @@ from typing import Optional
 from ..rdma import MemoryRegion
 
 __all__ = [
+    "MAX_RECORD_PAYLOAD",
     "RECORD_OVERHEAD",
     "RingReader",
     "RingWriter",
     "RingError",
     "RingCorruptionError",
     "classify_corruption",
+    "record_continues",
     "record_crc",
     "record_status",
     "ring_region_size",
+    "span_of",
 ]
 
 _LEN_BYTES = 4
 _GENERATIONS = 251  # prime, and fits a byte with zero excluded
 
-#: Top bit of the length field, set on every record (slot sizes are far
-#: below 2**31, so the bit is free).
+#: Top bit of the length field, set on every fragment (slot sizes are
+#: far below 2**29, so the top three bits are free).
 _RECORD_FLAG = 0x8000_0000
-_LEN_MASK = _RECORD_FLAG - 1
+#: Span framing: more fragments of this record follow / this fragment
+#: continues the record begun in an earlier slot.
+_MORE = 0x4000_0000
+_CONT = 0x2000_0000
+_LEN_MASK = _CONT - 1
+#: The span bits as they sit in the length field's last (little-endian)
+#: byte, so the reader tests them with one byte load.
+_MORE_BYTE = _MORE >> 24
+_CONT_BYTE = _CONT >> 24
 _CRC_BYTES = 4
 
-#: Per-record framing bytes: length + canary + CRC trailer.  Payload-size
-#: checks outside the writer (e.g. the leader's batch packing) use this.
+#: Per-fragment framing bytes: length + canary + CRC trailer.
 RECORD_OVERHEAD = _LEN_BYTES + 1 + _CRC_BYTES
+#: Largest payload one record carries, however many slots it spans
+#: (one 512-byte slot's worth).  Payload-size checks outside the
+#: writer (e.g. the leader's batch packing) use this.
+MAX_RECORD_PAYLOAD = 512 - RECORD_OVERHEAD
 
 
 def record_crc(data: bytes) -> int:
@@ -98,6 +125,17 @@ def ring_region_size(slots: int, slot_size: int) -> int:
     return slots * slot_size
 
 
+def span_of(payload_len: int, slot_size: int) -> int:
+    """Slots a record of ``payload_len`` payload bytes occupies."""
+    step = slot_size - RECORD_OVERHEAD
+    return max(1, -(-payload_len // step))
+
+
+def record_continues(record: bytes) -> bool:
+    """Whether more fragments follow this :func:`parse_record` one."""
+    return bool(record[_LEN_BYTES - 1] & _MORE_BYTE)
+
+
 def _generation(index: int, slots: int) -> int:
     return 1 + (index // slots) % _GENERATIONS
 
@@ -119,7 +157,8 @@ def _frame(buf, base: int,
     ``struct.error``/``IndexError`` out of the parse path.  Returns
     None when the slot is too short, the length field lacks the record
     flag (virgin, unlanded or damaged framing), or the length points
-    outside the slot.
+    outside the slot.  The span bits are ignored here: a fragment
+    parses like any record.
     """
     if size is None:
         size = len(buf) - base
@@ -251,8 +290,9 @@ class RingWriter:
 
     The writer does not touch the region directly — it renders each
     record and hands (offset, payload) to the caller, which issues one
-    RDMA write per record.  A local mirror tracks how many records were
-    produced; ``credits`` throttling is the writer's guard against
+    RDMA write per record (two for a span that crosses the wrap, see
+    :meth:`pieces`).  A local mirror tracks how many slots were
+    claimed; ``credits`` throttling is the writer's guard against
     lapping a slow reader (the runtime sizes rings generously and
     asserts on overrun rather than blocking).
     """
@@ -264,6 +304,7 @@ class RingWriter:
             raise RingError("ring too small")
         self.slots = slots
         self.slot_size = slot_size
+        #: Payload bytes one slot carries; a longer payload spans slots.
         self.max_payload = slot_size - RECORD_OVERHEAD
         self.tail = 0  # kept locally by the single writer
         #: Optional flow-control feedback; None disables the overrun
@@ -274,47 +315,75 @@ class RingWriter:
     def render(self, payload: bytes) -> tuple[int, bytes]:
         """Render the next record; returns (region offset, record bytes).
 
-        Only the used prefix of the slot is rendered — length, payload,
-        and the canary byte immediately after the payload (the paper:
-        "each call in the buffer contains a canary bit as the last
-        bit") — so the RDMA write ships record-sized, not slot-sized.
+        Only the used prefix of the last slot is rendered — length,
+        payload, and the canary byte immediately after the payload (the
+        paper: "each call in the buffer contains a canary bit as the
+        last bit") — so the RDMA write ships record-sized, not
+        slot-sized.
         """
         record = self.build(payload)
-        return self.claim(), record
+        return self.claim(record), record
 
     def build(self, payload: bytes) -> bytes:
         """Record bytes for the *current* tail, without claiming it.
 
-        Fan-out writers with lockstep tails (the F mirror and the
-        per-peer writers) render the record ONCE and :meth:`claim` a
-        slot per writer — the generation byte only depends on the tail
-        index, which is identical across them.
+        A payload longer than one slot carries is cut into fragments,
+        one per slot from the tail on, each framed and checksummed
+        with its own slot's generation; a one-slot record has no span
+        bits set.  Fan-out writers with lockstep tails (the F mirror
+        and the per-peer writers) render the record ONCE and
+        :meth:`claim` its slots per writer — the generation bytes only
+        depend on the tail index, which is identical across them.
         """
-        if len(payload) > self.max_payload:
+        size = len(payload)
+        span = 1 if size <= self.max_payload else span_of(size, self.slot_size)
+        if size > MAX_RECORD_PAYLOAD or span > self.slots:
             raise RingError(
-                f"payload of {len(payload)} bytes exceeds slot capacity "
-                f"{self.max_payload}"
+                f"payload of {size} bytes exceeds record capacity "
+                f"{MAX_RECORD_PAYLOAD}"
             )
-        body = _LEN_BYTES + len(payload) + 1
+        if span == 1:
+            return self._fragment(payload, self.tail, 0)
+        step = self.max_payload
+        return b"".join(
+            self._fragment(
+                payload[i * step : (i + 1) * step], self.tail + i,
+                (_MORE if i < span - 1 else 0) | (_CONT if i else 0),
+            )
+            for i in range(span)
+        )
+
+    def _fragment(self, chunk: bytes, index: int, flags: int) -> bytes:
+        body = _LEN_BYTES + len(chunk) + 1
         record = bytearray(body + _CRC_BYTES)
-        struct.pack_into("<I", record, 0, len(payload) | _RECORD_FLAG)
-        record[_LEN_BYTES : _LEN_BYTES + len(payload)] = payload
-        record[body - 1] = _generation(self.tail, self.slots)
+        struct.pack_into("<I", record, 0, len(chunk) | _RECORD_FLAG | flags)
+        record[_LEN_BYTES : body - 1] = chunk
+        record[body - 1] = _generation(index, self.slots)
         struct.pack_into("<I", record, body,
                          record_crc(record[:body]))
         return bytes(record)
 
-    def claim(self) -> int:
-        """Claim the tail slot (overrun check + advance); returns its
-        region offset.  ``render`` = ``build`` + ``claim``."""
+    def claim(self, record: Optional[bytes] = None) -> int:
+        """Claim the slots ``record`` spans (one when omitted) at the
+        tail (overrun check + advance); returns the region offset of
+        the first.  ``render`` = ``build`` + ``claim``."""
+        span = 1 if record is None else (len(record) - 1) // self.slot_size + 1
         if (
             self.reader_acked is not None
-            and self.tail - self.reader_acked >= self.slots
+            and self.tail + span - self.reader_acked > self.slots
         ):
             raise RingError("ring overrun: writer lapped the reader")
         offset = (self.tail % self.slots) * self.slot_size
-        self.tail += 1
+        self.tail += span
         return offset
+
+    def pieces(self, offset: int, record: bytes) -> list[tuple[int, bytes]]:
+        """The ``(offset, bytes)`` writes that land ``record`` at region
+        ``offset``: one, or two when its span crosses the wrap."""
+        cut = self.slots * self.slot_size - offset
+        if len(record) <= cut:
+            return [(offset, record)]
+        return [(offset, record[:cut]), (0, record[cut:])]
 
     def ack_up_to(self, count: int) -> None:
         """Record reader progress (fed back out of band for flow control).
@@ -334,7 +403,8 @@ class RingReader:
     long-lived ``memoryview``): looking at a slot costs a 4-byte unpack
     and a byte load, a landed record costs a CRC over the view plus a
     copy of its payload, and nothing is ever copied out of the region
-    just to be looked at.
+    just to be looked at.  The head counts slots, so a spanned record
+    moves it by its span.
     """
 
     def __init__(self, region: MemoryRegion, slots: int, slot_size: int):
@@ -351,10 +421,34 @@ class RingReader:
         #: stamp (a test double) never matches: always re-peek.
         self._stamped = hasattr(region, "stamp")
         self._idle: Optional[tuple[int, int]] = None
+        #: Set by :meth:`fast_forward` until the next :meth:`advance`:
+        #: the head may sit on a continuation whose first fragment was
+        #: overwritten, and such orphans are skipped.
+        self._resumed = False
 
     def offset_of(self, index: int) -> int:
         """Region offset of absolute ``index``'s slot."""
         return (index % self.slots) * self.slot_size
+
+    def window(self, index: int, count: int) -> tuple[int, int]:
+        """Region ``(offset, length)`` of up to ``count`` slots from
+        absolute ``index``, clipped at the wrap so it is one read — the
+        shape of every fetch from another copy of this ring (repair,
+        scrub, state transfer, Mu's log reconciliation)."""
+        start = index % self.slots
+        return (start * self.slot_size,
+                min(count, self.slots - start) * self.slot_size)
+
+    def covers(self, start: int, data, index: int) -> bool:
+        """Whether ``data``, a :meth:`window` read that began at
+        absolute ``start``, holds ``index``'s slot."""
+        return 0 <= index - start < len(data) // self.slot_size
+
+    def record_in(self, start: int, data, index: int) -> Optional[bytes]:
+        """:func:`parse_record` of ``index``'s slot inside ``data``, a
+        :meth:`window` read that began at absolute ``start``."""
+        return parse_record(data, index, self.slots,
+                            (index - start) * self.slot_size, self.slot_size)
 
     def peek(self) -> Optional[bytes]:
         """The record at the head, or None if it has not landed yet.
@@ -363,14 +457,8 @@ class RingReader:
         slot this lap or a write is still in flight — in both cases the
         paper's traversal simply retries later.
         """
-        if self._stamped and self._idle == (self.head, self.region.stamp):
-            return None
-        payload = self._parse_slot(
-            self._view, self.head, self.offset_of(self.head), self.slot_size
-        )
-        if payload is None and self._stamped:
-            self._idle = (self.head, self.region.stamp)
-        return payload
+        run = self.peek_run(1)
+        return run[0] if run else None
 
     def record_at(self, index: int) -> Optional[bytes]:
         """:func:`parse_record` of ``index``'s slot in our own copy:
@@ -382,6 +470,19 @@ class RingReader:
             self.slot_size,
         )
 
+    def frontier(self) -> int:
+        """End of the last whole record our copy holds from the head
+        on: the head a complete drain of it reaches."""
+        index = end = self.head
+        for _ in range(self.slots):
+            record = self.record_at(index)
+            if record is None:
+                break
+            index += 1
+            if not record_continues(record):
+                end = index
+        return end
+
     def slot_bytes(self, index: int) -> bytes:
         """A copy of ``index``'s raw slot, valid or not — what the
         corruption classifiers and the dirty-head check look at."""
@@ -389,7 +490,7 @@ class RingReader:
 
     def _parse_slot(self, buf, index: int, base: int = 0,
                     size: Optional[int] = None) -> Optional[bytes]:
-        """The payload of absolute ``index``'s record, parsed in place
+        """The payload of absolute ``index``'s fragment, parsed in place
         from the slot at ``buf[base : base + size]`` (default: all of
         ``buf``); None when it has not landed.
 
@@ -453,35 +554,64 @@ class RingReader:
     def peek_run(self, max_records: int = 64) -> list[bytes]:
         """Consecutive landed records starting at the head, oldest first.
 
-        Walks the slots in place, up to ``max_records`` (clamped at the
-        ring's wrap point), and stops at the first slot whose record has
-        not landed: a sweep of an empty ring looks at one length field
-        and one canary byte, and one that finds a train of records
-        copies out their payloads and nothing else.  The caller consumes
+        Walks the slots in place, up to ``max_records`` records (clamped
+        at the ring's wrap point, past which only a span begun before it
+        continues), and stops at the first slot whose fragment has not
+        landed: a sweep of an empty ring looks at one length field and
+        one canary byte, and one that finds a train of records copies
+        out their payloads and nothing else.  A spanned payload is
+        delivered only once its last fragment has landed; a fragment
+        out of place (a continuation with no start, or a start where a
+        continuation belongs) reads as not landed.  The caller consumes
         via :meth:`advance` — records beyond what it consumes are simply
         re-peeked on the next sweep.
         """
         if self._stamped and self._idle == (self.head, self.region.stamp):
             return []
-        head = self.head
-        first = head % self.slots
-        size = self.slot_size
-        view = self._view
+        slots, size, view = self.slots, self.slot_size, self._view
+        index = self.head
+        wrap = index - index % slots + slots
         run: list[bytes] = []
-        for i in range(min(max_records, self.slots - first)):
-            payload = self._parse_slot(
-                view, head + i, (first + i) * size, size
-            )
+        parts: Optional[list[bytes]] = None  # a span being assembled
+        while len(run) < max_records and (index < wrap or parts):
+            base = (index % slots) * size
+            payload = self._parse_slot(view, index, base, size)
             if payload is None:
                 break
-            run.append(payload)
+            span = view[base + _LEN_BYTES - 1] & (_MORE_BYTE | _CONT_BYTE)
+            index += 1
+            if not span and parts is None:
+                run.append(payload)  # a one-slot record
+                continue
+            if span & _CONT_BYTE:
+                if parts is None:
+                    if self._resumed and not run:
+                        self.head = index  # orphan: its start was lapped
+                        continue
+                    break
+                parts.append(payload)
+            elif parts is not None:
+                break
+            else:
+                parts = [payload]
+            if not span & _MORE_BYTE:
+                run.append(b"".join(parts))
+                parts = None
         if not run and self._stamped:
-            self._idle = (head, self.region.stamp)
+            self._idle = (self.head, self.region.stamp)
         return run
 
     def advance(self) -> None:
-        """Consume the head record (caller must have peeked it)."""
-        self.head += 1
+        """Consume the head record, every slot of its span (the caller
+        must have peeked it)."""
+        index, view = self.head, self._view
+        last = index + self.slots - 1
+        while index < last and view[
+            (index % self.slots) * self.slot_size + _LEN_BYTES - 1
+        ] & _MORE_BYTE:
+            index += 1
+        self.head = index + 1
+        self._resumed = False
 
     def fast_forward(self, index: int) -> None:
         """Skip the head forward to absolute ``index`` (never backward).
@@ -490,10 +620,14 @@ class RingReader:
         old head and ``index`` were overwritten in every surviving copy
         and must be recovered out of band (summaries, broadcast
         backups) — the ring itself can only resume from the writer's
-        surviving window.
+        surviving window.  ``index`` may fall inside a span whose
+        first fragments were overwritten: the next peek skips its
+        continuations to the next record's start.
         """
         if index > self.head:
             self.head = index
+            self._resumed = True
+            self._idle = None
 
     def quarantine(self, index: int) -> None:
         """Zero absolute ``index``'s slot so a corrupt record reads as

@@ -43,7 +43,7 @@ from typing import Callable
 from ..rdma import RdmaNode, WcStatus
 from .config import RuntimeConfig, f_region, l_region
 from .probe import RuntimeProbe
-from .ringbuffer import classify_corruption, parse_record
+from .ringbuffer import classify_corruption
 from .transport import RingTransport
 
 __all__ = ["Scrubber"]
@@ -149,29 +149,22 @@ class Scrubber:
         cursor = self._cursors.get(ring, lo)
         if cursor < lo or cursor >= head:
             cursor = lo  # wrap (or the window slid past the cursor)
-        # Stay inside one contiguous stretch of the circular region so
-        # the window is a single read.
-        batch = min(
-            cfg.scrub_batch,
-            head - cursor,
-            cfg.ring_slots - cursor % cfg.ring_slots,
+        # The window stops at the wrap, so it is a single read.
+        offset, length = reader.window(
+            cursor, min(cfg.scrub_batch, head - cursor)
         )
-        offset = (cursor % cfg.ring_slots) * cfg.slot_size
+        batch = length // reader.slot_size
         self._cursors[ring] = (
             lo if cursor + batch >= head else cursor + batch
         )
         qp = self.rnode.qp_to(source)
         remote = self.rnode.region_of(source, region_name)
-        wc = yield from qp.read(remote, offset, batch * cfg.slot_size)
+        wc = yield from qp.read(remote, offset, length)
         if wc.status is not WcStatus.SUCCESS or wc.data is None:
             return 0
         repaired = 0
-        for i in range(batch):
-            index = cursor + i
-            authoritative = parse_record(
-                wc.data, index, cfg.ring_slots, i * cfg.slot_size,
-                cfg.slot_size,
-            )
+        for index in range(cursor, cursor + batch):
+            authoritative = reader.record_in(cursor, wc.data, index)
             if authoritative is None:
                 continue  # the source no longer holds this index
             local = reader.record_at(index)

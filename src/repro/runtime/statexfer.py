@@ -45,7 +45,6 @@ from typing import Optional
 
 from ..rdma import WcStatus
 from .config import f_region
-from .ringbuffer import parse_record
 
 __all__ = ["StateTransfer"]
 
@@ -104,7 +103,7 @@ class StateTransfer:
             # Multi-source per-slot fallback for records the primary
             # source lacked (it may itself hold holes).
             yield from transport.repair_f_ring(origin, is_suspected)
-            f_targets[origin] = self._local_frontier(reader)
+            f_targets[origin] = reader.frontier()
         yield from node.applier.pull_summaries(sources)
         l_targets: dict[str, int] = {}
         for gid, mu in node.conflict.mu_groups.items():
@@ -153,26 +152,20 @@ class StateTransfer:
         Returns the number of installed records.
         """
         node = self.node
-        cfg = node.config
         transport = node.transport
         reader = transport.f_readers[origin]
         sources = self._sources(origin)
         if not sources:
             return 0
         source, backups = sources[0], sources[1:]
-        slots, slot_size = cfg.ring_slots, cfg.slot_size
         installed = 0
         index = reader.head
-        window: Optional[tuple[int, int, bytes]] = None
-        for _ in range(slots):
+        window: tuple[int, bytes] = (index, b"")
+        for _ in range(reader.slots):
             if reader.record_at(index) is not None:
                 index += 1
                 continue
-            if window is None or not (
-                window[0] <= index < window[0] + window[1]
-            ):
-                start = index % slots
-                count = min(_WINDOW, slots - start)
+            if not reader.covers(*window, index):
                 # Hedge each window to the lowest-latency backup
                 # replica, so one limping source cannot serialize the
                 # whole bulk transfer.  A backup holding fewer records
@@ -180,32 +173,19 @@ class StateTransfer:
                 # repair that follows in run() covers the remainder.
                 wc, _src = yield from transport.hedged_read(
                     [source] + transport.health.rank(backups)[:1],
-                    f_region(origin),
-                    start * slot_size, count * slot_size,
+                    f_region(origin), *reader.window(index, _WINDOW),
                     label=f"xfer:{origin}",
                 )
                 if wc.status is not WcStatus.SUCCESS or wc.data is None:
                     return installed
-                window = (index, count, wc.data)
-            record = parse_record(
-                window[2], index, slots, (index - window[0]) * slot_size,
-                slot_size,
-            )
+                window = (index, wc.data)
+            record = reader.record_in(*window, index)
             if record is None:
                 return installed  # the source's frontier
             reader.region.write(reader.offset_of(index), record)
             installed += 1
             index += 1
         return installed
-
-    def _local_frontier(self, reader) -> int:
-        """First index past the reader head our local copy lacks."""
-        index = reader.head
-        for _ in range(self.node.config.ring_slots):
-            if reader.record_at(index) is None:
-                return index
-            index += 1
-        return index
 
     # -- phase 3 ---------------------------------------------------------
 

@@ -50,6 +50,7 @@ from .ringbuffer import (
     RingWriter,
     classify_corruption,
     parse_record,
+    ring_region_size,
     scan_frontier,
 )
 from .summary import slot_size_for
@@ -107,23 +108,22 @@ class RingTransport:
 
     # -- setup -----------------------------------------------------------
 
+    def _register_ring(self, name: str) -> None:
+        cfg = self.config
+        self.rnode.register(name, ring_region_size(cfg.ring_slots,
+                                                   cfg.slot_size))
+
     def _register_regions(self) -> None:
         cfg = self.config
         for peer in self.peers:
-            self.rnode.register(
-                f_region(peer), cfg.ring_slots * cfg.slot_size
-            )
+            self._register_ring(f_region(peer))
         #: Our own F ring mirror: the same records we fan out to peers,
         #: kept locally (and remotely readable) so any node can repair a
         #: hole in its copy of our ring by reading the authoritative
         #: source — the rejoin/catch-up path reads these.
-        self.rnode.register(
-            f_region(self.name), cfg.ring_slots * cfg.slot_size
-        )
+        self._register_ring(f_region(self.name))
         for group in self.coordination.sync_groups():
-            self.rnode.register(
-                l_region(group.gid), cfg.ring_slots * cfg.slot_size
-            )
+            self._register_ring(l_region(group.gid))
         for reader in self.peers:
             self.rnode.register(f_ack_region(reader), 8)
             for group in self.coordination.sync_groups():
@@ -187,9 +187,7 @@ class RingTransport:
         cfg = self.config
         if peer == self.name or peer in self.f_readers:
             return
-        self.rnode.register(
-            f_region(peer), cfg.ring_slots * cfg.slot_size
-        )
+        self._register_ring(f_region(peer))
         self.rnode.register(f_ack_region(peer), 8)
         for group in self.coordination.sync_groups():
             self.rnode.register(l_ack_region(group.gid, peer), 8)
@@ -272,7 +270,7 @@ class RingTransport:
                     )
             try:
                 if record is not None and writer.tail == record_index:
-                    return writer.claim(), record
+                    return writer.claim(record), record
                 return writer.render(payload)
             except RingError:
                 waited += 1
@@ -284,7 +282,7 @@ class RingTransport:
                     continue
                 self._disarm(writer, reader)
                 if record is not None and writer.tail == record_index:
-                    return writer.claim(), record
+                    return writer.claim(record), record
                 return writer.render(payload)
 
     @staticmethod
@@ -331,9 +329,10 @@ class RingTransport:
 
     def prepare_f_writes(self, packet: bytes,
                          is_suspected: Callable[[str], bool]):
-        """Render ``packet`` ONCE and claim a slot in every peer's F
+        """Render ``packet`` ONCE and claim its slots in every peer's F
         writer; return the (qp, region, offset, bytes) write list for
-        the broadcaster's doorbell batch.
+        the broadcaster's doorbell batch — one write per peer, two for
+        a record whose span crosses the wrap.
 
         The mirror and the per-peer writers each advance their tail
         exactly once per fan-out, so in the common (uncontended) case
@@ -346,23 +345,21 @@ class RingTransport:
         writes = []
         # Authoritative local mirror first: repair sources read this
         # region.
-        index = self.f_mirror.tail
-        record = self.f_mirror.build(packet)
-        offset = self.f_mirror.claim()
-        self.rnode.regions[f_region(self.name)].write(offset, record)
+        mirror = self.f_mirror
+        index = mirror.tail
+        record = mirror.build(packet)
+        region = self.rnode.regions[f_region(self.name)]
+        for offset, data in mirror.pieces(mirror.claim(record), record):
+            region.write(offset, data)
         for peer in self.peers:
             offset, slot = yield from self.render_with_backpressure(
                 self.f_writers[peer], f_ack_region(peer), packet,
                 is_suspected, record=record, record_index=index,
             )
-            writes.append(
-                (
-                    self.rnode.qp_to(peer),
-                    self.rnode.region_of(peer, f_region(self.name)),
-                    offset,
-                    slot,
-                )
-            )
+            qp = self.rnode.qp_to(peer)
+            remote = self.rnode.region_of(peer, f_region(self.name))
+            for piece_offset, data in mirror.pieces(offset, slot):
+                writes.append((qp, remote, piece_offset, data))
         return writes
 
     # -- reader path -----------------------------------------------------
@@ -583,12 +580,14 @@ class RingTransport:
                 self.probe.count("hole_repairs", f"F:{origin}")
                 slots = self.config.ring_slots
                 record = reader.record_at(head)
-                stale = head >= slots and parse_record(
-                    before, head - slots, slots
-                ) is not None
-                if record is not None and not stale:
-                    # Not last lap's intact record: the head was damaged
-                    # (e.g. a length field without its record flag).
+                intact = any(
+                    parse_record(before, index, slots) is not None
+                    for index in (head, head - slots) if index >= 0
+                )
+                if record is not None and not intact:
+                    # Neither a span's intact head nor last lap's record:
+                    # the head was damaged (e.g. a length field without
+                    # its record flag).
                     self.note_slot_repair(
                         f"F:{origin}", head, before, record
                     )
@@ -612,7 +611,6 @@ class RingTransport:
         to fill our local copy from there.  Returns True when the head
         moved or records were repaired.
         """
-        cfg = self.config
         reader = self.f_readers[origin]
         region_name = f_region(origin)
         sources = [origin] + [p for p in self.peers if p != origin]
@@ -624,19 +622,17 @@ class RingTransport:
                 continue
             qp = self.rnode.qp_to(source)
             remote = self.rnode.region_of(source, region_name)
-            wc = yield from qp.read(
-                remote, 0, cfg.ring_slots * cfg.slot_size
-            )
+            wc = yield from qp.read(remote, *reader.window(0, reader.slots))
             if wc.status is not WcStatus.SUCCESS or wc.data is None:
                 continue
             frontier = scan_frontier(
-                wc.data, reader.head, cfg.ring_slots, cfg.slot_size
+                wc.data, reader.head, reader.slots, reader.slot_size
             )
             if frontier is not None:
                 break
         if frontier is None:
             return False  # nobody reachable holds a parseable record
-        oldest_surviving = max(frontier - cfg.ring_slots, 0)
+        oldest_surviving = max(frontier - reader.slots, 0)
         moved = oldest_surviving > reader.head
         reader.fast_forward(oldest_surviving)
         self.probe.count("ring_resyncs", f"F:{origin}")
@@ -744,9 +740,7 @@ class RingTransport:
         Each attempt hedges to the lowest-latency remaining replica
         (see :meth:`hedged_read`), so one limping source cannot
         serialize the repair."""
-        cfg = self.config
-        region_name = f_region(origin)
-        offset = (index % cfg.ring_slots) * cfg.slot_size
+        reader = self.f_readers[origin]
         sources = [
             s for s in [origin] + [p for p in self.peers if p != origin]
             if s != self.name and not is_suspected(s)
@@ -755,11 +749,11 @@ class RingTransport:
         for i, primary in enumerate(sources):
             backups = self.health.rank(sources[i + 1:])
             wc, _source = yield from self.hedged_read(
-                [primary] + backups[:1], region_name, offset,
-                cfg.slot_size, label=f"F:{origin}",
+                [primary] + backups[:1], f_region(origin),
+                *reader.window(index, 1), label=f"F:{origin}",
             )
             if wc.status is WcStatus.SUCCESS and wc.data is not None:
-                record = parse_record(wc.data, index, cfg.ring_slots)
+                record = reader.record_in(index, wc.data, index)
                 if record is not None:
                     return record
         return None

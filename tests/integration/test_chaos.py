@@ -87,8 +87,11 @@ def _check(recorder, cluster):
 
 
 def _crash_restart_scenario(env, cluster, catch_up=True,
-                            disable_self_heal=False):
-    """Shared scenario: adds, crash p3, adds it misses, restart."""
+                            disable_self_heal=False, missed=4,
+                            restart_cpu_speed=1.0):
+    """Shared scenario: adds, crash p3, ``missed`` adds it misses,
+    restart — with p3's CPU at ``restart_cpu_speed`` of full speed for
+    the first 4 ms back (a box limping back from a reboot)."""
     survivors = ["p1", "p2"]
     for i in range(4):
         _add(env, cluster, cluster.node_names()[i % 3], i)
@@ -96,7 +99,7 @@ def _crash_restart_scenario(env, cluster, catch_up=True,
 
     cluster.crash("p3")
     env.run(until=env.now + 500.0)  # heartbeat silence -> suspicion
-    for i in range(4):
+    for i in range(missed):
         _add(env, cluster, survivors[i % 2], 100 + i)
     env.run(until=env.now + 500.0)
 
@@ -111,8 +114,11 @@ def _crash_restart_scenario(env, cluster, catch_up=True,
             yield  # unreachable: makes this a generator function
 
         node.transport.maybe_repair_f = _no_repair
+    cpu = cluster.node("p3").rnode.cpu
+    cpu.speed = restart_cpu_speed
     cluster.restart("p3", catch_up=catch_up)
     env.run(until=env.now + 4000.0)
+    cpu.speed = 1.0
 
 
 class TestRestartCatchUp:
@@ -153,15 +159,19 @@ class TestRestartCatchUp:
         ), report.summary()
 
     def test_frontier_barrier_timeout_is_a_counted_giveup(self):
-        """A barrier shorter than one poll cannot see the restarted
-        node apply the four adds it missed: the rejoin pass gives up
-        waiting, and says so — one ``xfer_barrier`` count and one
-        ``giveup`` trace event, at the restarted node only.  The late
-        flip still converges."""
+        """A barrier shorter than one poll cannot see a restarted node
+        whose CPU runs at a fifth of full speed apply the eight adds it
+        missed: the rejoin pass gives up waiting, and says so — one
+        ``xfer_barrier`` count and one ``giveup`` trace event, at the
+        restarted node only.  The late flip still converges.  (At full
+        speed the poll loop may drain the few installed records in the
+        microseconds between the last ring fill and the barrier's look,
+        depending on where its back-off sleep happens to end.)"""
         env, recorder, cluster = _build_recorded_gset(
             config=RuntimeConfig(xfer_barrier_us=1.0)
         )
-        _crash_restart_scenario(env, cluster, catch_up=True)
+        _crash_restart_scenario(env, cluster, catch_up=True, missed=8,
+                                restart_cpu_speed=0.2)
 
         for name in cluster.node_names():
             giveups = cluster.node(name).stats()["probe"]["giveups"]

@@ -18,9 +18,13 @@ from repro.runtime import (
     HambandCluster,
     ImpermissibleError,
     NotLeaderError,
+    RingError,
     RuntimeConfig,
+    SubmitError,
+    TraceChecker,
     TraceRecorder,
 )
+from repro.runtime.ringbuffer import RECORD_OVERHEAD, span_of
 from repro.sim import Environment
 
 
@@ -237,3 +241,93 @@ class TestQueries:
         finish(env, cluster.node("p2").submit("value"))
         # Purely local: well under one network round trip.
         assert env.now - before < 1.0
+
+
+# -- records longer than one slot -----------------------------------------
+
+
+def _recorded4(spec, **config):
+    env = Environment()
+    recorder = TraceRecorder(env, capacity=1 << 16)
+    cluster = HambandCluster.build(
+        env, spec, n_nodes=4, config=RuntimeConfig(**config),
+        probe_factory=recorder.probe_factory,
+    )
+    recorder.attach(cluster.coordination)
+    return env, recorder, cluster
+
+
+def _check_ok(recorder, cluster):
+    return TraceChecker(
+        cluster.coordination, processes=cluster.node_names()
+    ).check(recorder.events(), dropped=recorder.dropped()).ok
+
+
+class TestSpannedRecords:
+    """A ring payload longer than one slot carries spans consecutive
+    slots; everything up to the 503-byte record cap still replicates."""
+
+    def test_free_call_with_a_400_byte_argument_converges(self):
+        env, recorder, cluster = _recorded4(gset_spec())
+        env.run(until=cluster.node("p2").submit("add", "x" * 400))
+        env.run(until=env.now + 500)
+        (size,) = [e.size for e in recorder.events()
+                   if e.kind == "xfer" and e.name == "F"]
+        span = span_of(size, RuntimeConfig().slot_size)
+        assert span == 4
+        for name in ("p1", "p3", "p4"):
+            reader = cluster.node(name).transport.f_readers["p2"]
+            assert reader.head == span  # the whole span consumed
+        assert cluster.converged()
+        assert _check_ok(recorder, cluster)
+
+    def test_batched_decision_longer_than_a_slot_converges(self):
+        env, recorder, cluster = _recorded4(courseware_spec(), conf_batch=8)
+        leader = cluster.node("p1").current_leader("addCourse")
+        requests = [
+            cluster.node(leader).submit("addCourse", f"course-{i:02d}")
+            for i in range(16)
+        ]
+        for request in requests:
+            env.run(until=request)
+        env.run(until=env.now + 500)
+        slot_payload = RuntimeConfig().slot_size - RECORD_OVERHEAD
+        sizes = [e.size for e in recorder.events()
+                 if e.kind == "xfer" and e.name.startswith("L:")]
+        assert max(sizes) > slot_payload
+        mu = cluster.node(leader).conflict.mu_groups
+        for gid, group in mu.items():
+            for name in cluster.node_names():
+                if name != leader:
+                    reader = cluster.node(name).transport.l_readers[gid]
+                    assert reader.head == group.decided
+        assert cluster.converged()
+        assert _check_ok(recorder, cluster)
+
+    def test_spans_crossing_the_wrap_converge(self):
+        """Three-slot records on a 16-slot ring: each origin's sixth
+        record sits at slots 15, 0 and 1, landed as two writes."""
+        env, recorder, cluster = _recorded4(
+            gset_spec(), ring_slots=16, ack_every=2
+        )
+        for i in range(24):
+            node = cluster.node(f"p{1 + i % 4}")
+            env.run(until=node.submit("add", f"{i:03d}" + "y" * 300))
+        env.run(until=env.now + 1000)
+        heads = {
+            reader.head
+            for name in cluster.node_names()
+            for reader in cluster.node(name).transport.f_readers.values()
+        }
+        assert heads == {18}
+        assert cluster.converged()
+        assert _check_ok(recorder, cluster)
+
+    def test_payload_over_the_record_cap_is_refused(self):
+        env, _recorder, cluster = _recorded4(gset_spec())
+        with pytest.raises(RingError, match="exceeds"):
+            env.run(until=cluster.node("p2").submit("add", "x" * 520))
+        env, _recorder, cluster = _recorded4(courseware_spec())
+        leader = cluster.node("p1").current_leader("addCourse")
+        with pytest.raises(SubmitError, match="exceeds"):
+            env.run(until=cluster.node(leader).submit("addCourse", "c" * 520))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.rdma import Access, MemoryRegion
 from repro.runtime import RingError, RingReader, RingWriter, ring_region_size
+from repro.runtime.ringbuffer import MAX_RECORD_PAYLOAD
 
 SLOTS, SLOT_SIZE = 8, 32
 
@@ -162,7 +163,12 @@ class TestLimits:
     def test_oversized_payload_rejected(self, ring):
         writer, _reader, _region = ring
         with pytest.raises(RingError, match="exceeds"):
-            writer.render(b"x" * SLOT_SIZE)
+            writer.render(b"x" * (MAX_RECORD_PAYLOAD + 1))
+        with pytest.raises(RingError, match="exceeds"):
+            # Fits the record cap but would span more slots than the
+            # ring has.
+            writer.render(b"x" * (SLOTS * writer.max_payload + 1))
+        assert writer.tail == 0
 
     def test_max_payload_fits(self, ring):
         writer, reader, region = ring

@@ -29,14 +29,17 @@ from hypothesis import strategies as st
 
 from repro.rdma import Access, MemoryRegion
 from repro.runtime.ringbuffer import (
+    MAX_RECORD_PAYLOAD,
     RECORD_OVERHEAD,
     RingCorruptionError,
     RingError,
     RingReader,
     RingWriter,
     parse_record,
+    record_continues,
     record_status,
     scan_frontier,
+    span_of,
 )
 
 SLOTS = 8
@@ -339,3 +342,202 @@ class TestInPlaceReaderMatchesByCopy:
             step("peek", -1)  # -1 % (len(run) + 1) == len(run): take all
             assert len(consumed) > before, "a landed record stayed hidden"
         assert consumed == payloads
+
+
+# -- spans ------------------------------------------------------------------
+
+#: The runtime's geometry: a 503-byte payload spans 5 slots of 128 B.
+SPAN_SLOTS = 16
+SPAN_SIZE = 128
+FRAGMENT = SPAN_SIZE - RECORD_OVERHEAD
+
+
+def _span_ring(region=None):
+    region = region or MemoryRegion(
+        "p1", "ring", SPAN_SLOTS * SPAN_SIZE, Access.ALL
+    )
+    return (RingWriter(SPAN_SLOTS, SPAN_SIZE),
+            RingReader(region, SPAN_SLOTS, SPAN_SIZE), region)
+
+
+def _land(region, writer, payload) -> tuple[int, bytes]:
+    """Render ``payload`` at the writer's tail and land every piece;
+    returns (first index, record bytes)."""
+    index = writer.tail
+    offset, record = writer.render(payload)
+    for piece in writer.pieces(offset, record):
+        region.write(*piece)
+    return index, record
+
+
+def _fragment_of(record: bytes, i: int) -> bytes:
+    """The ``i``-th fragment's bytes inside a rendered span."""
+    return record[i * SPAN_SIZE : (i + 1) * SPAN_SIZE]
+
+
+def _assemble_by_copy(raw: bytes, head: int):
+    """Reference span reader: copy each slot out, judge it alone with
+    :func:`parse_record`, and join fragments by their framing bits.
+    Returns (payloads delivered, head after consuming them)."""
+    payloads, parts, index, end = [], [], head, head
+    for _ in range(SPAN_SLOTS):
+        begin = (index % SPAN_SLOTS) * SPAN_SIZE
+        record = parse_record(raw[begin : begin + SPAN_SIZE], index,
+                              SPAN_SLOTS)
+        if record is None:
+            break
+        parts.append(record[4:-5])
+        index += 1
+        if not record_continues(record):
+            payloads.append(b"".join(parts))
+            parts, end = [], index
+    return payloads, end
+
+
+def _drain(reader, max_records=64):
+    got = []
+    while True:
+        run = reader.peek_run(max_records)
+        if not run:
+            return got
+        for payload in run:
+            reader.advance()
+            got.append(payload)
+
+
+class TestSpans:
+    @given(
+        sizes=st.lists(st.integers(0, MAX_RECORD_PAYLOAD), min_size=1,
+                       max_size=6),
+        start=st.integers(0, 3 * SPAN_SLOTS),
+        max_records=st.integers(1, 4),
+    )
+    def test_spans_read_the_same_in_place_and_slot_by_slot(
+        self, sizes, start, max_records
+    ):
+        payloads = [bytes([n % 251]) * n for n in sizes]
+        total = sum(span_of(n, SPAN_SIZE) for n in sizes)
+        if total > SPAN_SLOTS:
+            payloads = payloads[:1]
+        real = MemoryRegion("p1", "ring", SPAN_SLOTS * SPAN_SIZE,
+                            Access.ALL)
+        writer = RingWriter(SPAN_SLOTS, SPAN_SIZE)
+        writer.tail = start
+        for payload in payloads:
+            _land(real, writer, payload)
+        assert writer.tail == start + sum(
+            span_of(len(p), SPAN_SIZE) for p in payloads
+        )
+        assert _assemble_by_copy(bytes(real.data), start) == (
+            payloads, writer.tail,
+        )
+        double = _Region(real.size, data=bytearray(real.data))
+        for region in (real, double):
+            reader = RingReader(region, SPAN_SLOTS, SPAN_SIZE)
+            reader.head = start
+            assert _drain(reader, max_records) == payloads
+            assert reader.head == writer.tail
+            # Every slot of every span still parses on its own.
+            for index in range(start, writer.tail):
+                assert record_status(
+                    region.data, index, SPAN_SLOTS,
+                    reader.offset_of(index), SPAN_SIZE,
+                ) == "valid"
+                assert reader.record_at(index) is not None
+
+    def test_spans_of_two_to_five_slots(self):
+        for slots in range(2, 6):
+            writer, reader, region = _span_ring()
+            payload = bytes(i % 251 for i in range(FRAGMENT * (slots - 1) + 1))
+            _index, record = _land(region, writer, payload)
+            assert len(record) == (slots - 1) * SPAN_SIZE + RECORD_OVERHEAD + 1
+            assert writer.tail == slots
+            assert reader.peek() == payload
+            reader.advance()
+            assert reader.head == slots
+
+    def test_a_one_slot_record_keeps_the_unspanned_layout(self):
+        writer, reader, region = _span_ring()
+        writer.tail = 37
+        # The bytes a 512-byte-slot writer rendered for this record.
+        assert writer.build(b"hamband").hex() == (
+            "0700008068616d62616e64030c620449"
+        )
+        _index, record = _land(region, writer, b"x" * FRAGMENT)
+        assert len(record) == SPAN_SIZE and not record_continues(record)
+        assert record[3] == 0x80  # only the record flag in the top byte
+
+    def test_hole_in_a_middle_fragment_withholds_the_span(self):
+        writer, reader, region = _span_ring()
+        _land(region, writer, b"before")
+        index, record = _land(region, writer, b"s" * (3 * FRAGMENT + 7))
+        _land(region, writer, b"after")
+        region.write(reader.offset_of(index + 2), bytes(SPAN_SIZE))
+        assert reader.peek_run() == [b"before"]
+        reader.advance()
+        assert reader.peek_run() == []  # the span waits for its fragment
+        assert reader.peek() is None and reader.head == index
+        region.write(reader.offset_of(index + 2), _fragment_of(record, 2))
+        assert reader.peek_run() == [b"s" * (3 * FRAGMENT + 7), b"after"]
+
+    def test_corrupt_middle_fragment_is_rejected_quarantined_repaired(self):
+        writer, reader, region = _span_ring()
+        mirror = MemoryRegion("p0", "mirror", region.size, Access.ALL)
+        payload = bytes(range(200)) * 2
+        index, record = _land(region, writer, payload)
+        mirror.write(0, bytes(region.data))
+        bad = index + 1
+        damaged = bytearray(_fragment_of(record, 1))
+        damaged[40] ^= 0x10
+        region.write(reader.offset_of(bad), bytes(damaged))
+        try:
+            reader.peek_run()
+        except RingCorruptionError as err:
+            assert err.index == bad
+        else:
+            raise AssertionError("a corrupt fragment was not rejected")
+        assert record_status(region.data, bad, SPAN_SLOTS,
+                             reader.offset_of(bad), SPAN_SIZE) == "corrupt"
+        reader.quarantine(bad)
+        assert reader.peek_run() == [] and reader.record_at(bad) is None
+        source = RingReader(mirror, SPAN_SLOTS, SPAN_SIZE)
+        region.write(reader.offset_of(bad), source.record_at(bad))
+        assert reader.peek_run() == [payload]
+
+    def test_span_crossing_the_wrap_is_two_writes(self):
+        writer, reader, region = _span_ring()
+        writer.tail = reader.head = 3 * SPAN_SLOTS - 2
+        payload = b"w" * (3 * FRAGMENT + 1)
+        offset, record = writer.render(payload)
+        pieces = writer.pieces(offset, record)
+        assert [p[0] for p in pieces] == [(SPAN_SLOTS - 2) * SPAN_SIZE, 0]
+        assert b"".join(p[1] for p in pieces) == record
+        region.write(*pieces[0])
+        assert reader.peek_run() == []  # the tail has not landed
+        region.write(*pieces[1])
+        assert reader.peek_run() == [payload]
+        reader.advance()
+        assert reader.head == 3 * SPAN_SLOTS + 2 == writer.tail
+        # Fragments after the wrap carry the next lap's generation.
+        assert parse_record(region.data, 3 * SPAN_SLOTS, SPAN_SLOTS,
+                            0, SPAN_SIZE) is not None
+
+    def test_lapped_fast_forward_skips_to_the_next_span_start(self):
+        writer, reader, region = _span_ring()
+        spanned = b"a" * (2 * FRAGMENT + 5)      # 3 slots
+        index, _record = _land(region, writer, spanned)
+        _land(region, writer, b"next")
+        # A stale continuation at the head is not a record...
+        reader.head = index + 1
+        assert reader.peek_run() == [] and reader.head == index + 1
+        # ...but after a lapped resync its start is gone for good.
+        reader.head = 0
+        reader.fast_forward(index + 1)
+        assert reader.peek_run() == [b"next"]
+        assert reader.head == index + 3
+        reader.advance()
+        assert reader.head == writer.tail
+        # A later continuation at the head is again just not landed.
+        _land(region, writer, spanned)
+        region.write(reader.offset_of(reader.head), bytes(SPAN_SIZE))
+        assert reader.peek_run() == []

@@ -67,7 +67,13 @@ def failed_batch_calls(trace):
 #: shape -> (builder, sha256 of cluster.events at 17edc78, event count).
 #: ``crash-leader`` is re-recorded for the phi-accrual detector, which
 #: suspects the crashed leader a poll earlier than the stale count did
-#: (same event count, checker and refinement replay unchanged).
+#: (same event count, checker and refinement replay unchanged).  With
+#: 128-byte ring slots ``crash-leader`` moves again because the new
+#: leader's log reconciliation reads 64-slot windows of 8 KiB instead of
+#: 32 KiB, and ``courseware-batch4`` because a batch longer than one
+#: slot carries 9 framing bytes per extra fragment, so its log write
+#: lands a few nanoseconds later.  Both keep their event count, the
+#: same CONF commit order and the same batches.
 PINNED = {
     "gset": (
         lambda: driven("gset"),
@@ -91,12 +97,12 @@ PINNED = {
     ),
     "courseware-batch4": (
         lambda: driven("courseware", conf_batch=4),
-        "bb7b0a8e16c948a8242483d2ff02aeaf4bca4d4f9f4f23ef5384368c7cb76d08",
+        "cb1427a5c2c8e97d9d805c4a9c1bd87929b59bf1bff9886a2b62dfacbe93ee3f",
         952,
     ),
     "crash-leader": (  # includes a deposed leader's failed batch
         crashed_leader,
-        "50b5f570458400b28feab15cab96edfde0a0038dbb6984b7e7eb5a190338f530",
+        "208eaffc8dad4f3efd660564b282fbb08517b50c8bd9d27763988796537dd1b3",
         1784,
     ),
 }
