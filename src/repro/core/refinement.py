@@ -38,16 +38,17 @@ def concrete_events(trace: Iterable[Any], dropped: int = 0,
                     ) -> list[ConcreteEvent]:
     """The concrete transitions a recorded runtime trace witnessed.
 
-    ``trace`` is a recorder's ``events()`` (``TraceEvent`` fields, in
-    ``seq`` order).  REDUCE / FREE / FREE_APP / CONF_APP rule events map
-    one to one.  A conflicting call *issues* when its leader posts the
-    decision — the ``xfer "L:<gid>"`` event, which orders it before
-    every follower's CONF_APP — while its ``CONF`` rule event is only
-    recorded at commit: the rule event marks the call decided and
-    carries the argument, the xfer supplies position and time.  A posted
-    batch that never committed (a deposed leader's) yields nothing;
-    queries and spans are not transitions.  A truncated trace
-    (``dropped > 0``) is refused: a suffix cannot be replayed.
+    ``trace`` is a recorder's ``events()`` view (read through its
+    ``iter_kinds``, so spans are never built) or any ``TraceEvent``
+    sequence in ``seq`` order.  REDUCE / FREE / FREE_APP / CONF_APP
+    rule events map one to one.  A conflicting call *issues* when its
+    leader posts the decision — the ``xfer "L:<gid>"`` event, which
+    orders it before every follower's CONF_APP — while its ``CONF``
+    rule event is only recorded at commit: the rule event marks the
+    call decided and carries the argument, the xfer supplies position
+    and time.  A posted batch that never committed (a deposed leader's)
+    yields nothing; queries and spans are not transitions.  A truncated
+    trace (``dropped > 0``) is refused: a suffix cannot be replayed.
     """
     if dropped:
         raise GuardViolation(
@@ -55,13 +56,19 @@ def concrete_events(trace: Iterable[Any], dropped: int = 0,
             f"trace dropped {dropped} event(s): a truncated trace cannot "
             "be replayed (raise the recorder capacity)",
         )
-    trace = trace if isinstance(trace, (list, tuple)) else list(trace)
+    if hasattr(trace, "iter_kinds"):
+        # A recorder's view: read only the rule and transfer rows.
+        rules = trace.iter_kinds(("rule",))
+        steps = trace.iter_kinds(("rule", "xfer"))
+    else:
+        trace = trace if isinstance(trace, (list, tuple)) else list(trace)
+        rules = steps = trace
     committed = {
         (e.origin, e.rid): e.arg
-        for e in trace if e.kind == "rule" and e.name == "CONF"
+        for e in rules if e.kind == "rule" and e.name == "CONF"
     }
     derived = []
-    for e in trace:
+    for e in steps:
         if e.kind == "rule" and e.name in _DIRECT_RULES:
             rule, arg = e.name, e.arg
         elif (e.kind == "xfer" and e.name.startswith("L:")

@@ -34,9 +34,9 @@ from ..core.rdma_semantics import DependencyMap
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Event
 from .config import RuntimeConfig, s_region
-from .errors import ImpermissibleError
+from .errors import ImpermissibleError, SubmitError
 from .probe import RuntimeProbe
-from .ringbuffer import RingCorruptionError, RingError
+from .ringbuffer import MAX_RECORD_PAYLOAD, RingCorruptionError, RingError
 from .summary import (
     SummarySlot,
     current_record_bytes,
@@ -82,6 +82,9 @@ class ApplyEngine:
         self._rid = itertools.count(1)
         #: Recovered-from-backup calls awaiting their dependencies.
         self.pending_recovered: list[tuple[Call, DependencyMap]] = []
+        #: ``F<-<origin>`` per F ring read, formatted once per origin
+        #: (a joiner's on its first sweep), not once per sweep.
+        self._drain_labels: dict[str, str] = {}
         # Collaborators, wired by the façade via bind().
         self.transport = None
         self.conflict = None
@@ -383,12 +386,23 @@ class ApplyEngine:
             self.probe.count("rejections", "impermissible")
             raise ImpermissibleError(f"{call} violates the invariant")
         dep = self.dep_projection(method)
+        # Render the record before σ changes: a call the F ring cannot
+        # carry is refused here, not after the origin already holds it.
+        try:
+            packet = self.codec.encode_call_packet(call, dep)
+        except Exception as exc:
+            self.probe.span_end("invoke", method, call.origin, call.rid)
+            raise SubmitError(f"cannot encode {call}: {exc}") from exc
+        if len(packet) > MAX_RECORD_PAYLOAD:
+            self.probe.span_end("invoke", method, call.origin, call.rid)
+            raise SubmitError(
+                f"record of {len(packet)} bytes exceeds ring slots"
+            )
         self.sigma = post_sigma
         self.bump_applied(self.name, method)
         self.mark_seen(call.key())
         self.probe.trace_apply("FREE", method, call.origin, call.rid, arg)
         self.probe.span_end("invoke", method, call.origin, call.rid)
-        packet = self.codec.encode_call_packet(call, dep)
         self.probe.span_begin("propagate", method, call.origin, call.rid)
         self.probe.trace_transfer(
             "F", method, call.origin, call.rid, len(packet)
@@ -442,10 +456,14 @@ class ApplyEngine:
         """One sweep over every ring; ``waited_us`` is the poller's wait
         since the previous sweep (the hole detector's clock)."""
         progressed = False
+        labels = self._drain_labels
         for origin, reader in self.transport.f_readers.items():
+            label = labels.get(origin)
+            if label is None:
+                label = labels[origin] = f"F<-{origin}"
             try:
                 ring_progressed = yield from self.transport.drain(
-                    reader, "FREE_APP", self, label=f"F<-{origin}"
+                    reader, "FREE_APP", self, label=label
                 )
             except RingCorruptionError as corrupt:
                 # A checksummed record failed CRC: a bitflipped or torn

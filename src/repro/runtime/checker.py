@@ -40,7 +40,9 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from ..core import Coordination
-from .trace import LoadedTrace, TraceEvent, gap_detail, load_jsonl
+from .trace import (
+    LoadedTrace, TraceEvent, TraceView, gap_detail, load_jsonl,
+)
 
 __all__ = [
     "CheckReport",
@@ -150,19 +152,27 @@ class TraceChecker:
               processes: Optional[Iterable[str]] = None,
               gaps: Iterable[tuple] = ()) -> CheckReport:
         """Check a whole trace: the streaming core over an unbounded
-        window.  ``events`` may arrive in any order (``seq`` orders
-        them, ties keep their input order); ``processes`` names the
-        FINAL roster — joiners included, departed excluded."""
+        window.  A recorder's :class:`~repro.runtime.trace.TraceView`
+        streams into the core as it stands; any other iterable may
+        arrive in any order (``seq`` orders it, ties keep their input
+        order).  ``processes`` names the FINAL roster — joiners
+        included, departed excluded."""
         from .stream_checker import StreamingChecker  # imports this module
 
-        if not isinstance(events, (list, tuple)):
-            events = list(events)
         by_seq = attrgetter("seq")
-        checked = [e for e in events if e.kind in _CHECKED_KINDS]
-        checked.sort(key=by_seq)
+        if isinstance(events, TraceView):
+            # Already in seq order: stream the checked rows straight
+            # from the rings; the other rows are never built.
+            checked = events.iter_kinds(_CHECKED_KINDS)
+            members = list(events.iter_kinds(("member",)))
+        else:
+            if not isinstance(events, (list, tuple)):
+                events = list(events)
+            checked = [e for e in events if e.kind in _CHECKED_KINDS]
+            checked.sort(key=by_seq)
+            members = [event for event in checked if event.kind == "member"]
         # The core starts on the founding roster and evolves it at the
         # member events, as a live tap would.
-        members = [event for event in checked if event.kind == "member"]
         joins = {e.origin for e in members if e.name == "member_join"}
         leaves = {e.origin for e in members if e.name == "member_leave"}
         declared = processes or self.processes or {e.node for e in events}
@@ -310,6 +320,8 @@ class ShardedTraceChecker:
         applied_at: dict[int, dict[tuple[str, int], int]] = {}
         for shard, events in shard_events.items():
             first = applied_at.setdefault(shard, {})
+            if isinstance(events, TraceView):
+                events = events.iter_kinds(("rule",))
             for event in events:
                 if event.kind == "rule" and event.name != "QUERY":
                     first.setdefault((event.origin, event.rid), event.seq)

@@ -78,6 +78,13 @@ class ConflictCoordinator:
         self._l_partial: dict[str, deque] = {
             group.gid: deque() for group in coordination.sync_groups()
         }
+        #: Per group, the L ring's trace and count labels: the log the
+        #: leader posts to (``L:<gid>``) and a follower's drain of it
+        #: (``L<-<gid>``), formatted once instead of per call.
+        self._l_labels: dict[str, tuple[str, str]] = {
+            group.gid: (f"L:{group.gid}", f"L<-{group.gid}")
+            for group in coordination.sync_groups()
+        }
         #: Empty-head streak lengths for hole detection, per group.
         self._l_hole_misses: dict[str, int] = {}
         self._init_consensus(initial_leaders)
@@ -220,13 +227,14 @@ class ConflictCoordinator:
                     spec_sigma = accepted[3]
             # Commit point: the L-xfer events mark the issue instant, so
             # every follower application orders after them in the trace.
+            posted = self._l_labels[gid][0]
             for batched_call, _dep in entries:
                 self.probe.span_begin(
                     "decide", batched_call.method, batched_call.origin,
                     batched_call.rid,
                 )
                 self.probe.trace_transfer(
-                    f"L:{gid}", batched_call.method, batched_call.origin,
+                    posted, batched_call.method, batched_call.origin,
                     batched_call.rid, len(packet),
                 )
             ok = yield from mu.replicate(packet)
@@ -334,6 +342,7 @@ class ConflictCoordinator:
         progressed = False
         drained = 0
         partial = self._l_partial[gid]
+        posted, label = self._l_labels[gid]
         while True:
             if not partial:
                 try:
@@ -357,7 +366,7 @@ class ConflictCoordinator:
                     # bug.  Skip the record rather than crash the
                     # drain; the offline checker flags the resulting
                     # divergence.
-                    self.probe.count("wire_rejects", f"L:{gid}")
+                    self.probe.count("wire_rejects", posted)
                 reader.advance()
                 continue
             call, dep = partial[0]
@@ -367,14 +376,14 @@ class ConflictCoordinator:
             if not applier.dep_ok(dep):
                 break
             self.probe.trace_transfer(
-                f"L<-{gid}", call.method, call.origin, call.rid, 0
+                label, call.method, call.origin, call.rid, 0
             )
             yield from applier.apply(call, "CONF_APP")
             partial.popleft()
             drained += 1
             progressed = True
         if drained:
-            self.probe.count("records_drained", f"L<-{gid}", drained)
+            self.probe.count("records_drained", label, drained)
         return progressed
 
     def _repair_corrupt_l(self, gid: str, reader, index: int):

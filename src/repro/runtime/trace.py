@@ -16,6 +16,8 @@ turns the seam into a real observability layer:
   :meth:`~TraceRecorder.probe_factory` to
   :meth:`~repro.runtime.HambandCluster.build` and every node records
   into one globally sequenced trace.
+- :class:`TraceView` — what ``events()`` returns: a read-only,
+  ``seq``-ordered view over one or more rings.
 - Exporters — newline-delimited JSON (:func:`export_jsonl`, one event
   per line, deterministic bytes for a deterministic run) and the Chrome
   ``trace_event`` format (:func:`export_chrome_trace`, loadable in
@@ -26,12 +28,16 @@ The offline integrity/convergence analyzer over recorded traces lives
 in :mod:`repro.runtime.checker`.
 
 Probes must never change runtime behaviour: :class:`TracingProbe` adds
-no simulated delays, allocates exactly one immutable
-:class:`TraceEvent` per hook — the ring, the live tap and every view
-and exporter hand out that same object — and drops the *oldest* events
-once the ring buffer is full (the ``dropped`` counter records how many
-— the offline checker refuses to attest convergence for a truncated
-trace).
+no simulated delays and stores each event as columns — ``seq``, ``t``,
+``rid`` and ``size`` in :mod:`array` columns, the argument in a list,
+and ``(node, kind, name, method, origin, gid)`` as an interned *site*
+id — so a retained event costs its fields (~40 B), not an 11-field
+tuple.  No object is built per hook unless a live tap is attached (the
+tap gets one :class:`TraceEvent` per hook); a view materializes the
+rows it hands out, each equal to, not the same object as, the row any
+other read returns.  The ring drops the *oldest* events once full (the
+``dropped`` counter records how many — the offline checker refuses to
+attest convergence for a truncated trace).
 """
 
 from __future__ import annotations
@@ -39,10 +45,16 @@ from __future__ import annotations
 import base64
 import itertools
 import json
-from collections import defaultdict, deque
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, TextIO
+from itertools import chain, compress
+from operator import eq, itemgetter
+from typing import (
+    Any, Callable, Iterable, Iterator, NamedTuple, Optional, TextIO,
+)
 
 from ..workload.metrics import Histogram
 from .probe import CountingProbe
@@ -51,6 +63,7 @@ from .wire import WireError, decode_value, encode_value
 __all__ = [
     "ShardedRecorder",
     "TraceEvent",
+    "TraceView",
     "TracingProbe",
     "TraceRecorder",
     "export_chrome_trace",
@@ -67,7 +80,7 @@ RULES = ("REDUCE", "FREE", "CONF", "FREE_APP", "CONF_APP", "QUERY")
 
 
 class TraceEvent(NamedTuple):
-    """One recorded probe event (immutable; shared by reference).
+    """One recorded probe event (immutable).
 
     ``kind`` is ``"rule"`` (a transition became visible in σ at
     ``node``), ``"B"``/``"E"`` (a lifecycle span began/ended), or
@@ -95,7 +108,7 @@ class TraceEvent(NamedTuple):
 
 
 #: What ``TraceEvent(...)`` calls, minus its generated Python-level
-#: ``__new__`` frame: the probe's per-hook hot path builds events here.
+#: ``__new__`` frame: the tap and the views build rows here.
 _new_event = tuple.__new__
 _BY_SEQ = itemgetter(0)
 
@@ -113,8 +126,8 @@ class TracingProbe(CountingProbe):
     """A :class:`CountingProbe` that additionally records a trace.
 
     Counters keep backing ``HambandNode.stats()`` exactly as before;
-    on top, every span/trace hook appends a :class:`TraceEvent` to a
-    bounded ring buffer and span ends feed per-phase
+    on top, every span/trace hook appends one row to a bounded columnar
+    ring and span ends feed per-phase
     :class:`~repro.workload.Histogram`\\ s.
 
     ``clock`` supplies timestamps (pass ``lambda: env.now``); ``seq``
@@ -132,9 +145,21 @@ class TracingProbe(CountingProbe):
         self.clock = clock
         self.node = node
         self.capacity = capacity
-        #: The retained events; the hot path pays one tuple allocation
-        #: and a deque append per hook.
-        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
+        #: The ring, one column per field: filled by appending up to
+        #: ``capacity`` rows, then overwritten in place from ``_head``,
+        #: the oldest row's index.
+        self._seqs = array("q")
+        self._ts = array("d")
+        self._rids = array("q")
+        self._sizes = array("I")
+        self._sites = array("I")
+        self._args: list[Any] = []
+        self._head = 0
+        #: Interned sites: ``(kind, name, method, origin, gid)`` -> id,
+        #: and per id the row's ``(node, kind, name, method, origin,
+        #: gid)``.
+        self._site_ids: dict[tuple[str, str, str, str, str], int] = {}
+        self._site_rows: list[tuple[str, str, str, str, str, str]] = []
         self.dropped = 0
         #: Overflow episodes as ``[first_seq, last_seq, count]`` — the
         #: sequence range of evicted events, so consumers can localize
@@ -142,8 +167,8 @@ class TracingProbe(CountingProbe):
         #: trace.  A ring that reached capacity drops continuously, so
         #: in practice this holds one episode per probe.
         self.drop_episodes: list[list[int]] = []
-        #: Optional live tap: called with each TraceEvent as recorded —
-        #: the very object the ring holds (see
+        #: Optional live tap: called with a :class:`TraceEvent` per
+        #: hook, equal to the row the ring keeps (see
         #: :meth:`TraceRecorder.stream_to`).  Tap consumers see every
         #: event even when the bounded ring evicts old ones.
         self.sink: Optional[Callable[[TraceEvent], None]] = None
@@ -162,24 +187,44 @@ class TracingProbe(CountingProbe):
     def _record(self, kind: str, name: str, method: str, origin: str,
                 rid: int, gid: str = "", size: int = 0,
                 arg: Any = None) -> float:
-        buffer = self._buffer
-        if len(buffer) == self.capacity:
+        key = (kind, name, method, origin, gid)
+        site = self._site_ids.get(key)
+        if site is None:
+            site = self._site_ids[key] = len(self._site_rows)
+            self._site_rows.append((self.node, *key))
+        seq = self._next_seq()
+        t = self.clock()
+        seqs = self._seqs
+        if len(seqs) < self.capacity:
+            seqs.append(seq)
+            self._ts.append(t)
+            self._rids.append(rid)
+            self._sizes.append(size)
+            self._sites.append(site)
+            self._args.append(arg)
+        else:
+            index = self._head
+            evicted = seqs[index]
             self.dropped += 1
-            evicted = buffer[0][0]
             episodes = self.drop_episodes
             if episodes:
                 episodes[-1][1] = evicted
                 episodes[-1][2] += 1
             else:
                 episodes.append([evicted, evicted, 1])
-        t = self.clock()
-        event = _new_event(TraceEvent, (
-            self._next_seq(), t, self.node, kind, name, method, origin,
-            rid, gid, size, arg,
-        ))
-        buffer.append(event)
+            seqs[index] = seq
+            self._ts[index] = t
+            self._rids[index] = rid
+            self._sizes[index] = size
+            self._sites[index] = site
+            self._args[index] = arg
+            index += 1
+            self._head = 0 if index == self.capacity else index
         if self.sink is not None:
-            self.sink(event)
+            self.sink(_new_event(TraceEvent, (
+                seq, t, self.node, kind, name, method, origin, rid, gid,
+                size, arg,
+            )))
         return t
 
     def span_begin(self, phase: str, method: str, origin: str,
@@ -244,19 +289,48 @@ class TracingProbe(CountingProbe):
     # -- reporting -------------------------------------------------------
 
     @property
-    def events(self) -> list[TraceEvent]:
-        """The buffered events (oldest first), by reference."""
-        return list(self._buffer)
+    def events(self) -> "TraceView":
+        """The retained events, oldest first, as a :class:`TraceView`."""
+        return TraceView([self])
 
-    def iter_events(self) -> "Iterable[TraceEvent]":
-        """Iterate a snapshot of the ring (refs only), oldest first:
-        the probe may keep recording meanwhile."""
-        return iter(self.events)
+    def _stream(self, table: list[tuple], sites: Optional[frozenset] = None
+                ) -> tuple[Sequence[int], Iterator[TraceEvent]]:
+        """``(seqs, events)`` of the retained rows, oldest first: every
+        row, or only those whose site id is in ``sites``.  ``table``
+        resolves site ids (``_site_rows``, or a relabelled copy)."""
+        seqs, head = self._seqs, self._head
+        if sites is None:
+            indices = chain(range(head, len(seqs)), range(head))
+            return self._seqs_by_age(), self._rows(indices, table)
+        if not sites:
+            return (), iter(())
+        kept = array("I", compress(
+            range(len(seqs)), map(sites.__contains__, self._sites)
+        ))
+        split = bisect_left(kept, head)
+        indices = kept[split:] + kept[:split]
+        return array("q", map(seqs.__getitem__, indices)), self._rows(
+            indices, table)
+
+    def _seqs_by_age(self) -> Sequence[int]:
+        head = self._head
+        return self._seqs[head:] + self._seqs[:head] if head else self._seqs
+
+    def _rows(self, indices: Iterable[int], table: list[tuple]
+              ) -> Iterator[TraceEvent]:
+        seqs, ts, rids, sizes = self._seqs, self._ts, self._rids, self._sizes
+        sites, args = self._sites, self._args
+        for index in indices:
+            node, kind, name, method, origin, gid = table[sites[index]]
+            yield _new_event(TraceEvent, (
+                seqs[index], ts[index], node, kind, name, method, origin,
+                rids[index], gid, sizes[index], args[index],
+            ))
 
     def snapshot(self) -> dict[str, Any]:
         snapshot = super().snapshot()
         snapshot["trace"] = {
-            "events": len(self._buffer),
+            "events": len(self._seqs),
             "dropped": self.dropped,
             "phases": {
                 phase: histogram.summary()
@@ -264,6 +338,130 @@ class TracingProbe(CountingProbe):
             },
         }
         return snapshot
+
+
+#: The ``seq`` span one merge window covers: a merged read allocates
+#: one byte per sequence number of the current window, never a sorted
+#: copy of the trace.
+_MERGE_WINDOW = 1 << 16
+
+
+def _merge_order(keys: list[Sequence[int]]) -> Sequence[int]:
+    """Each row's ring number (1-based: ``keys[0]`` is ring 1) in
+    ``seq`` order, given every ring's ascending ``seq`` keys.  Window
+    by window, each ring marks the slots of its keys in a table indexed
+    by ``seq``; the marks, read in slot order with the holes dropped,
+    are the merge."""
+    wide = len(keys) >= 255
+    order = array("H") if wide else bytearray()
+    cursors = [0] * len(keys)
+    live = [ring for ring in range(len(keys)) if keys[ring]]
+    while live:
+        low = min(keys[ring][cursors[ring]] for ring in live)
+        slots = (array("H", bytes(2 * _MERGE_WINDOW)) if wide
+                 else bytearray(_MERGE_WINDOW))
+        for ring in live:
+            ring_keys, start = keys[ring], cursors[ring]
+            end = bisect_left(ring_keys, low + _MERGE_WINDOW, start)
+            mark = ring + 1
+            for seq in ring_keys[start:end]:
+                slots[seq - low] = mark
+            cursors[ring] = end
+        if wide:
+            order.extend(filter(None, slots))
+        else:
+            order += slots.replace(b"\0", b"")
+        live = [ring for ring in live if cursors[ring] < len(keys[ring])]
+    if len(order) != sum(map(len, keys)):
+        raise ValueError("the rings of one view must draw seq from one "
+                         "counter: two of them hold the same seq")
+    return order
+
+
+class TraceView(Sequence):
+    """A read-only view of one or more probes' rings in ``seq`` order.
+
+    ``recorder.events()`` and ``probe.events`` return one.  Making it
+    copies nothing; each read materializes the :class:`TraceEvent`\\ s
+    it hands out, equal to those any other read returns.  It supports
+    ``len``, int and slice indexing (a slice is a list), ``==`` against
+    a list or another view, and repeated iteration, and
+    :meth:`iter_kinds` yields only rows of the given kinds, skipping
+    the others at the column level without building them.  A read sees
+    the rings as they are when it starts; ``probes`` may be a live
+    collection (a recorder's probe table), re-read at every read.
+    ``prefixes`` relabel each probe's node (``"s0/"`` for shard 0).
+    """
+
+    def __init__(self, probes: Iterable[TracingProbe],
+                 prefixes: Sequence[str] = ()):
+        self._probes = probes
+        self._prefixes = prefixes
+        #: ``(stamp, order, ranks)`` for indexing, rebuilt once the
+        #: rings record again: each row's ring and its rank there.
+        self._index: Optional[tuple] = None
+
+    def _table(self, ring: int, probe: TracingProbe) -> list[tuple]:
+        prefix = self._prefixes[ring] if ring < len(self._prefixes) else ""
+        if not prefix:
+            return probe._site_rows
+        return [(prefix + row[0], *row[1:]) for row in probe._site_rows]
+
+    def _read(self, kinds: Optional[frozenset]) -> Iterator[TraceEvent]:
+        streams = []
+        for ring, probe in enumerate(self._probes):
+            table = self._table(ring, probe)
+            sites = None if kinds is None else frozenset(
+                site for site, row in enumerate(table) if row[1] in kinds
+            )
+            streams.append(probe._stream(table, sites))
+        if len(streams) == 1:
+            return streams[0][1]
+        order = _merge_order([keys for keys, _events in streams])
+        rows = [None, *(events for _keys, events in streams)]
+        return map(next, map(rows.__getitem__, order))
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return self._read(None)
+
+    def iter_kinds(self, kinds: Iterable[str]) -> Iterator[TraceEvent]:
+        """The rows whose ``kind`` is in ``kinds``, in ``seq`` order;
+        rows of other kinds are skipped by site id, never built."""
+        return self._read(frozenset(kinds))
+
+    def __len__(self) -> int:
+        return sum(len(probe._seqs) for probe in self._probes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        probes = list(self._probes)
+        stamp = [probe.dropped + len(probe._seqs) for probe in probes]
+        if self._index is None or self._index[0] != stamp:
+            order = _merge_order([probe._seqs_by_age() for probe in probes])
+            counts = [0] * (len(probes) + 1)
+            ranks = array("I")
+            for ring in order:
+                ranks.append(counts[ring])
+                counts[ring] += 1
+            self._index = (stamp, order, ranks)
+        _stamp, order, ranks = self._index
+        ring = order[index] - 1
+        probe = probes[ring]
+        row = probe._head + ranks[index]  # the rank-th oldest row
+        if row >= len(probe._seqs):
+            row -= len(probe._seqs)
+        return next(probe._rows((row,), self._table(ring, probe)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, TraceView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<TraceView of {len(self)} events>"
 
 
 class TraceRecorder:
@@ -346,7 +544,7 @@ class TraceRecorder:
         only the most recent events.
         """
         if replay:
-            for event in self.iter_events():
+            for event in self.events():
                 sink(event)
         self._sink = sink
         for probe in self.probes.values():
@@ -355,19 +553,10 @@ class TraceRecorder:
 
     # -- views -----------------------------------------------------------
 
-    def events(self) -> list[TraceEvent]:
-        """All nodes' events merged into the global total order: a
-        fresh list of references to the events the rings hold (each
-        ring is already seq-sorted, so the sort is a run merge)."""
-        merged = [
-            event for probe in self.probes.values()
-            for event in probe._buffer
-        ]
-        merged.sort(key=_BY_SEQ)
-        return merged
-
-    def iter_events(self) -> Iterable[TraceEvent]:
-        return iter(self.events())
+    def events(self) -> TraceView:
+        """All nodes' events in the global total order, as a
+        :class:`TraceView` over the live probe table."""
+        return TraceView(self.probes.values())
 
     def dropped(self) -> int:
         return sum(probe.dropped for probe in self.probes.values())
@@ -435,9 +624,11 @@ class ShardedRecorder:
             TraceRecorder(env, capacity=capacity, seq=self._seq)
             for _ in range(n_shards)
         ]
-        self._txn_events: deque[TraceEvent] = deque(maxlen=capacity)
-        self._txn_dropped = 0
-        self._txn_episodes: list[list[int]] = []
+        #: The txn instants, in a ring of their own.
+        self._txn = TracingProbe(
+            clock=lambda: env.now, node="txn", capacity=capacity,
+            seq=self._seq,
+        )
 
     @property
     def n_shards(self) -> int:
@@ -466,30 +657,15 @@ class ShardedRecorder:
         event's method field, the participating shards in ``gid``, and
         the issued call identities in ``arg``.
         """
-        if len(self._txn_events) == self._txn_events.maxlen:
-            self._txn_dropped += 1
-            evicted = self._txn_events[0].seq
-            if self._txn_episodes:
-                self._txn_episodes[-1][1] = evicted
-                self._txn_episodes[-1][2] += 1
-            else:
-                self._txn_episodes.append([evicted, evicted, 1])
-        self._txn_events.append(TraceEvent(
-            seq=next(self._seq),
-            t=self.env.now,
-            node="txn",
-            kind="txn",
-            name=name,
-            method=classification,
-            origin="txn",
-            rid=txn_id,
+        self._txn._record(
+            "txn", name, classification, "txn", txn_id,
             gid="+".join(f"s{index}" for index in sorted(shards)),
             arg=tuple(tuple(identity) for identity in issued),
-        ))
+        )
 
     # -- views -----------------------------------------------------------
 
-    def shard_events(self) -> dict[int, list[TraceEvent]]:
+    def shard_events(self) -> dict[int, TraceView]:
         """Per-shard event streams with unprefixed node names (the
         per-shard checker input)."""
         return {
@@ -497,36 +673,32 @@ class ShardedRecorder:
             for index, recorder in enumerate(self.shard_recorders)
         }
 
-    def txn_events(self) -> list[TraceEvent]:
-        return sorted(self._txn_events, key=_BY_SEQ)
+    def txn_events(self) -> TraceView:
+        return self._txn.events
 
-    def events(self) -> list[TraceEvent]:
+    def events(self) -> TraceView:
         """All shards' events merged, nodes labelled ``s<i>/<node>``,
         txn instants interleaved — one exportable total order."""
-        merged = [
-            event._replace(node=f"s{index}/{event.node}")
-            for index, recorder in enumerate(self.shard_recorders)
-            for event in recorder.events()
-        ]
-        merged.extend(self._txn_events)
-        merged.sort(key=_BY_SEQ)
-        return merged
+        probes, prefixes = [], []
+        for index, recorder in enumerate(self.shard_recorders):
+            for probe in recorder.probes.values():
+                probes.append(probe)
+                prefixes.append(f"s{index}/")
+        probes.append(self._txn)
+        prefixes.append("")
+        return TraceView(probes, prefixes)
 
     def dropped(self) -> int:
-        return self._txn_dropped + sum(
+        return self._txn.dropped + sum(
             recorder.dropped() for recorder in self.shard_recorders
         )
 
     def drop_gaps(self) -> list[tuple[int, int, int]]:
         """Ring-overflow gaps across every shard plus the txn ring."""
-        episodes = [list(self._txn_episodes)]
-        episodes += [
-            [list(gap) for gap in recorder.drop_gaps()]
-            for recorder in self.shard_recorders
-        ]
-        return merge_gap_ranges(
-            [gap for group in episodes for gap in group]
-        )
+        episodes = list(self._txn.drop_episodes)
+        for recorder in self.shard_recorders:
+            episodes += recorder.drop_gaps()
+        return merge_gap_ranges(episodes)
 
     def nodes(self) -> list[str]:
         return [

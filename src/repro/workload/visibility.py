@@ -54,8 +54,9 @@ _ISSUE_RULES = {"FREE": "FREE_APP", "CONF": "CONF_APP"}
 
 def visibility_report(trace: Iterable[Any], n_processes: int,
                       dropped: int = 0) -> VisibilityReport:
-    """Compute replication lags from ``recorder.events()``; a truncated
-    trace (``dropped > 0``) is refused, as for refinement."""
+    """Compute replication lags from ``recorder.events()`` (only its
+    rule and transfer rows are read, through :func:`concrete_events`);
+    a truncated trace (``dropped > 0``) is refused, as for refinement."""
     report = VisibilityReport()
     issue_at: dict[tuple[str, int], tuple[float, str]] = {}
     applies: dict[tuple[str, int], list[float]] = {}

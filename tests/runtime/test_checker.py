@@ -127,7 +127,7 @@ class TestFaultInjection:
 
     def test_swapped_group_applies_break_total_order(self, courseware):
         recorder, checker = courseware
-        events = recorder.events()
+        events = list(recorder.events())
         # Swap two CONF_APP events of the same group at one node: that
         # node now applies the pair opposite to everyone else.
         idx = [i for i, e in enumerate(events)
@@ -164,7 +164,7 @@ class TestFaultInjection:
 
     def test_duplicated_apply_is_caught(self, courseware):
         recorder, checker = courseware
-        events = recorder.events()
+        events = list(recorder.events())
         target = next(
             e for e in events if e.kind == "rule" and e.name == "FREE_APP"
         )

@@ -18,7 +18,6 @@ from repro.runtime import (
     HambandCluster,
     ImpermissibleError,
     NotLeaderError,
-    RingError,
     RuntimeConfig,
     SubmitError,
     TraceChecker,
@@ -324,9 +323,17 @@ class TestSpannedRecords:
         assert _check_ok(recorder, cluster)
 
     def test_payload_over_the_record_cap_is_refused(self):
-        env, _recorder, cluster = _recorded4(gset_spec())
-        with pytest.raises(RingError, match="exceeds"):
+        env, recorder, cluster = _recorded4(gset_spec())
+        with pytest.raises(SubmitError, match="exceeds"):
             env.run(until=cluster.node("p2").submit("add", "x" * 520))
+        # Refused before σ changed: nothing to replicate, nothing traced
+        # as issued, and the cluster still converges and checks.
+        env.run(until=cluster.node("p2").submit("add", "short"))
+        env.run(until=env.now + 500)
+        assert cluster.converged()
+        assert _check_ok(recorder, cluster)
+        assert not any(e.kind == "rule" and e.arg == "x" * 520
+                       for e in recorder.events())
         env, _recorder, cluster = _recorded4(courseware_spec())
         leader = cluster.node("p1").current_leader("addCourse")
         with pytest.raises(SubmitError, match="exceeds"):

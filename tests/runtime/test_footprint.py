@@ -11,8 +11,8 @@ import gc
 import tracemalloc
 
 from repro.core import ConcreteEvent
-from repro.datatypes import gset_spec
-from repro.runtime import HambandCluster
+from repro.datatypes import courseware_spec, gset_spec
+from repro.runtime import HambandCluster, TraceRecorder
 from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
 
@@ -62,3 +62,47 @@ def test_untraced_run_leaves_no_concrete_event_behind():
     cluster = untraced_gset(400)
     assert cluster.converged()
     assert live_concrete_events() == before
+
+
+def courseware_heap(total_ops, traced):
+    """Traced heap live after a 4-node courseware run, and how many
+    events its recorder (if any) retains."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        env = Environment()
+        recorder = TraceRecorder(env, capacity=1 << 20) if traced else None
+        cluster = HambandCluster.build(
+            env, courseware_spec(), n_nodes=4,
+            probe_factory=recorder.probe_factory if traced else None,
+        )
+        if traced:
+            recorder.attach(cluster.coordination)
+        run_workload(
+            env, cluster,
+            DriverConfig(workload="courseware", total_ops=total_ops,
+                         update_ratio=0.25, seed=1),
+        )
+        gc.collect()
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cluster.converged()
+    return current, len(recorder.events()) if traced else 0
+
+
+def test_a_retained_trace_event_costs_under_64_bytes():
+    # What the recorder keeps alive is the traced run's heap minus the
+    # same (deterministic) run's untraced heap; the slope between two
+    # run lengths cancels the fixed costs.  Measured ~52 B per event
+    # (five array columns, the arg list and their growth slack) against
+    # ~211 B when the ring held an 11-field tuple, a seq int and a
+    # deque slot per event.
+    short, short_events = courseware_heap(2_000, traced=True)
+    long, long_events = courseware_heap(6_000, traced=True)
+    short_base, _ = courseware_heap(2_000, traced=False)
+    long_base, _ = courseware_heap(6_000, traced=False)
+    per_event = ((long - long_base) - (short - short_base)) / (
+        long_events - short_events)
+    assert long_events - short_events > 15_000
+    assert per_event <= 64, f"{per_event:.0f} B retained per trace event"

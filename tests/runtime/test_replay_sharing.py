@@ -180,7 +180,7 @@ def courseware():
     recorder, cluster = traced_run(
         courseware_spec, "courseware", total_ops=150
     )
-    return cluster, recorder.events()
+    return cluster, list(recorder.events())
 
 
 class TestCorruptionDifferential:

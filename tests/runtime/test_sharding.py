@@ -206,18 +206,20 @@ class TestShardedRecorderAndChecker:
         assert any(v.kind == "atomicity" for v in report.violations)
 
 
-_FOOTPRINT_CHILD = """
-import resource
-import sys
+_RESIDENT = """
+import os
+
+def resident():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+"""
+
+_FOOTPRINT_CHILD = _RESIDENT + """
 from repro.datatypes import bankmap_spec
 from repro.runtime import ShardedCluster
 from repro.sim import Environment
 
-def peak_kib():
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak // 1024 if sys.platform == "darwin" else peak
-
-before = peak_kib()
+before = resident()
 cluster = ShardedCluster.build(
     Environment(), bankmap_spec(), n_shards=4, n_nodes=4
 )
@@ -227,21 +229,16 @@ registered = sum(
     for node in shard.nodes.values()
     for region in node.rnode.regions.values()
 )
-print(registered, (peak_kib() - before) * 1024)
+print(registered, resident() - before)
 """
 
 
-_WRITE_PATH_CHILD = """
-import os
+_WRITE_PATH_CHILD = _RESIDENT + """
 from repro.core import Coordination
 from repro.datatypes import gset_spec
 from repro.runtime import HambandCluster
 from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
-
-def resident():
-    with open("/proc/self/statm") as statm:
-        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 env = Environment()
 cluster = HambandCluster.build(
@@ -264,30 +261,32 @@ def _child(source: str) -> list[str]:
     ).stdout.split()
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the resident set from /proc")
 class TestHostFootprint:
+    """Both children read their current resident set, not
+    ``ru_maxrss``: a child's peak starts at its parent's, which would
+    hide the growth under the test process's own footprint."""
+
     def test_building_4x4_bank_keeps_registered_rings_non_resident(self):
         """A 4 x 4 cluster registers 80 rings (per node, 4 F rings and
         1 L ring) of ring_slots * slot_size each and writes none of it
-        while building: peak RSS must not grow with what is registered."""
+        while building: the resident set must not grow with what is
+        registered (it grows by ~0.4 MiB)."""
         registered, grown = map(int, _child(_FOOTPRINT_CHILD))
         config = RuntimeConfig()
         ring = config.ring_slots * config.slot_size
         assert registered > 80 * ring  # the premise: still registered
-        assert grown < 16 << 20, (
-            f"building grew peak RSS by {grown >> 20} MiB for "
+        assert grown < 8 << 20, (
+            f"building grew the resident set by {grown >> 20} MiB for "
             f"{registered >> 20} MiB of registered, unwritten regions"
         )
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
-                        reason="reads the resident set from /proc")
     def test_a_written_record_costs_its_slot_not_512_bytes(self):
         """8 000 FREE updates on 4 nodes land 32 000 ring records (the
         origin's mirror plus 3 peers).  At 128 B per slot that is
         3.9 MiB of ring pages; 512 B slots made it 15.6 MiB, and the
-        run grew the resident set by ~18 MiB against ~6 MiB now.  The
-        child reads its current resident set, not ``ru_maxrss``: a
-        child's peak starts at its parent's, which would hide the
-        growth under the test process's own footprint."""
+        run grew the resident set by ~18 MiB against ~6 MiB now."""
         converged, grown = _child(_WRITE_PATH_CHILD)
         assert converged == "True"
         assert int(grown) < 10 << 20, (

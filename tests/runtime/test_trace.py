@@ -32,9 +32,12 @@ from repro.runtime import (
     TraceRecorder,
     TracingProbe,
 )
+from repro.runtime import trace as trace_module
 from repro.runtime.trace import (
     PHASES,
     RULES,
+    TraceEvent,
+    TraceView,
     event_from_dict,
     event_to_dict,
     export_jsonl,
@@ -456,32 +459,60 @@ class TestOverhead:
         )
 
 
-class TestSingleCopy:
-    """One TraceEvent per hook: the ring, the tap and every view hand
-    out references to it."""
+class TestColumnarRing:
+    """The ring keeps columns, not events: a hook builds no object
+    unless a tap is attached, and every read builds rows equal to the
+    event the tap saw."""
 
-    def test_events_twice_returns_the_identical_objects(self):
+    @staticmethod
+    def record_three(probe):
+        probe.span_begin("invoke", "add", "p1", 1)
+        probe.trace_apply("FREE", "add", "p1", 1, arg="x")
+        probe.trace_transfer("F:p1", "add", "p1", 1, size=24)
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        built = []
+        new_event = trace_module._new_event
+
+        def counted(cls, fields):
+            built.append(fields)
+            return new_event(cls, fields)
+
+        monkeypatch.setattr(trace_module, "_new_event", counted)
+        return built
+
+    def test_the_tap_receives_an_event_equal_to_the_rings_row(self):
+        probe = TracingProbe(clock=lambda: 1.0, node="p1", capacity=8)
+        tapped = []
+        probe.sink = tapped.append
+        self.record_three(probe)
+        assert len(tapped) == 3
+        assert all(isinstance(event, TraceEvent) for event in tapped)
+        assert probe.events == tapped
+        assert [tuple(e) for e in probe.events] == [tuple(e) for e in tapped]
+
+    def test_no_object_is_built_per_hook_without_a_tap(self, monkeypatch):
+        built = self.counting_builds(monkeypatch)
+        probe = TracingProbe(clock=lambda: 1.0, node="p1", capacity=8)
+        for _ in range(5):
+            self.record_three(probe)
+        assert built == []
+        probe.sink = lambda event: None
+        self.record_three(probe)
+        assert len(built) == 3
+        assert len(list(probe.events)) == 8  # reads build their rows
+
+    def test_events_twice_returns_equal_rows(self):
         recorder, _cluster, _result = run_recorded(
             gset_spec(), "gset", total_ops=60
         )
         first, second = recorder.events(), recorder.events()
-        assert first is not second  # a fresh list the caller may edit
+        assert first is not second
         assert len(first) == len(second) > 0
-        assert all(a is b for a, b in zip(first, second))
+        assert first == second and list(first) == list(second)
         probe = recorder.probes["p1"]
-        assert all(a is b for a, b in zip(probe.events, probe.iter_events()))
-        held = {id(event) for event in probe.events}
-        assert {id(e) for e in first if e.node == "p1"} == held
-
-    def test_the_tap_receives_the_object_the_ring_holds(self):
-        probe = TracingProbe(clock=lambda: 1.0, node="p1", capacity=8)
-        tapped = []
-        probe.sink = tapped.append
-        probe.span_begin("invoke", "add", "p1", 1)
-        probe.trace_apply("FREE", "add", "p1", 1, arg="x")
-        probe.trace_transfer("F:p1", "add", "p1", 1, size=24)
-        assert len(tapped) == 3
-        assert all(a is b for a, b in zip(tapped, probe.events))
+        assert [e for e in first if e.node == "p1"] == probe.events
 
     def test_events_are_immutable_and_copy_with_replace(self):
         probe = TracingProbe(clock=lambda: 1.0, node="p1")
@@ -505,13 +536,144 @@ class TestSingleCopy:
             env.run(until=sharded.shard(shard).node("p1").submit(
                 "open", account))
         env.run(until=env.process(sharded.quiesce({0: 1, 1: 1})))
-        before = recorder.shard_events()
+        before = {k: list(v) for k, v in recorder.shard_events().items()}
         merged = recorder.events()
         assert {e.node.split("/")[0] for e in merged} == {"s0", "s1"}
+        assert [e.seq for e in merged] == sorted(e.seq for e in merged)
+        assert len(merged) == sum(len(v) for v in before.values())
         after = recorder.shard_events()
         for shard in (0, 1):
-            assert all(a is b for a, b in zip(before[shard], after[shard]))
+            assert after[shard] == before[shard]
             assert all("/" not in e.node for e in after[shard])
+            assert [e._replace(node=f"s{shard}/{e.node}")
+                    for e in after[shard]] == [
+                e for e in merged if e.node.startswith(f"s{shard}/")]
+
+
+class _Clock:
+    now = 0.0
+
+
+class TestTraceView:
+    """``events()`` is a seq-ordered view: it answers like the list of
+    the rows each ring keeps, merged by seq, across wrapped rings."""
+
+    KINDS = ("B", "E", "rule", "xfer", "member")
+
+    def recorded(self, capacity=5, hooks=60, seed=3):
+        """Three probes of one recorder, hooks spread at random so that
+        every ring wraps; returns the recorder and the rows each ring
+        must keep, merged by seq (from a tap that saw every event)."""
+        import random
+
+        rng = random.Random(seed)
+        clock = _Clock()
+        recorder = TraceRecorder(clock, capacity=capacity)
+        probes = [recorder.probe_factory(f"p{i}") for i in (1, 2, 3)]
+        tapped = []
+        recorder.stream_to(tapped.append)
+        for rid in range(hooks):
+            clock.now += 0.5
+            probe = rng.choice(probes)
+            kind = rng.choice(self.KINDS)
+            if kind == "rule":
+                probe.trace_apply("FREE", "add", probe.node, rid, arg=rid)
+            elif kind == "xfer":
+                probe.trace_transfer("F", "add", probe.node, rid, rid % 7)
+            elif kind == "member":
+                probe.member_event("member_join", "p9", "1")
+            elif kind == "B":
+                probe.span_begin("invoke", "add", probe.node, rid)
+            else:
+                probe.span_end("invoke", "add", probe.node, rid)
+        kept = [
+            event
+            for name in ("p1", "p2", "p3")
+            for event in [e for e in tapped if e.node == name][-capacity:]
+        ]
+        kept.sort(key=lambda event: event.seq)
+        return recorder, kept
+
+    def test_a_wrapped_view_reads_like_the_merged_rows(self):
+        recorder, expected = self.recorded()
+        assert all(probe.dropped for probe in recorder.probes.values())
+        view = recorder.events()
+        assert len(view) == len(expected) == 15
+        assert view == expected and expected == view
+        assert list(view) == expected and list(view) == expected
+        assert [view[i] for i in range(len(view))] == expected
+        assert [view[-i] for i in range(1, 4)] == expected[-1:-4:-1]
+        assert view[2:7] == expected[2:7]
+        assert view[::-3] == expected[::-3]
+        assert view[100:] == []
+        with pytest.raises(IndexError):
+            view[len(expected)]
+        assert view != expected[:-1]
+        assert view != [*expected[:-1], expected[-1]._replace(t=-1.0)]
+        with pytest.raises(TypeError):
+            hash(view)
+
+    @pytest.mark.parametrize("kinds", [
+        ("rule",), ("B", "E"), ("rule", "member", "xfer"), (), ("txn",),
+        ("B", "E", "rule", "xfer", "member"),
+    ])
+    def test_iter_kinds_equals_filtering_the_rows(self, kinds):
+        recorder, expected = self.recorded()
+        view = recorder.events()
+        wanted = [e for e in expected if e.kind in kinds]
+        assert list(view.iter_kinds(kinds)) == wanted
+        assert list(view.iter_kinds(kinds)) == wanted  # re-readable
+
+    def test_iter_kinds_builds_only_the_rows_it_yields(self, monkeypatch):
+        recorder, expected = self.recorded()
+        built = TestColumnarRing.counting_builds(monkeypatch)
+        rules = list(recorder.events().iter_kinds(("rule",)))
+        assert len(built) == len(rules) == sum(
+            e.kind == "rule" for e in expected)
+
+    def test_a_view_follows_the_rings_as_they_record(self):
+        recorder, expected = self.recorded(capacity=4, hooks=12)
+        view = recorder.events()
+        assert view[0] == expected[0]
+        probe = recorder.probes["p1"]
+        for rid in range(100, 104):  # p1's ring turns over entirely
+            probe.trace_apply("FREE", "add", "p1", rid, arg=rid)
+        after = sorted(
+            [*(e for e in expected if e.node != "p1"), *probe.events],
+            key=lambda event: event.seq,
+        )
+        assert [e.rid for e in probe.events] == [100, 101, 102, 103]
+        assert view == after and view[-1] == after[-1]
+
+    def test_a_view_of_more_rings_than_a_byte_counts_merges(self):
+        clock = _Clock()
+        recorder = TraceRecorder(clock, capacity=4)
+        probes = [recorder.probe_factory(f"n{i}") for i in range(300)]
+        tapped = []
+        recorder.stream_to(tapped.append)
+        for rid in range(3):
+            for probe in reversed(probes):
+                probe.trace_apply("FREE", "add", probe.node, rid, arg=rid)
+        view = recorder.events()
+        assert view == tapped
+        assert view[-1] == tapped[-1] and view[300] == tapped[300]
+
+    def test_rings_with_separate_counters_are_refused(self):
+        first = TracingProbe(lambda: 0.0, "p1")
+        second = TracingProbe(lambda: 0.0, "p2")
+        for probe in (first, second):
+            probe.trace_apply("FREE", "add", probe.node, 1)
+        with pytest.raises(ValueError, match="one counter"):
+            list(TraceView([first, second]))
+
+    def test_a_long_merge_crosses_windows(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_MERGE_WINDOW", 7)
+        recorder, expected = self.recorded(capacity=40, hooks=300, seed=5)
+        view = recorder.events()
+        assert view == expected
+        assert list(view.iter_kinds(("rule",))) == [
+            e for e in expected if e.kind == "rule"]
+        assert [view[i] for i in range(len(view))] == expected
 
 
 _CHECK_FOOTPRINT_CHILD = """

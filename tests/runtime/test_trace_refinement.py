@@ -151,14 +151,14 @@ class TestNegativeControls:
         taken for a failed batch, so its followers' CONF_APPs apply a
         call that was never issued."""
         cluster, recorder = courseware_run
-        trace = recorder.events()
+        trace = list(recorder.events())
         del trace[first_index(trace, "rule", "CONF")]
         with pytest.raises(GuardViolation, match="has not executed"):
             cluster.check_refinement(trace)
 
     def test_free_app_ahead_of_its_free_fails(self, courseware_run):
         cluster, recorder = courseware_run
-        trace = recorder.events()
+        trace = list(recorder.events())
         issue = first_index(trace, "rule", "FREE")
         key = (trace[issue].origin, trace[issue].rid)
         apply = next(
@@ -172,7 +172,7 @@ class TestNegativeControls:
 
     def test_duplicated_apply_fails(self, courseware_run):
         cluster, recorder = courseware_run
-        trace = recorder.events()
+        trace = list(recorder.events())
         apply = first_index(trace, "rule", "CONF_APP")
         trace.insert(apply + 1, trace[apply])
         with pytest.raises(GuardViolation, match="already executed"):
