@@ -12,9 +12,10 @@ write permission before granting the candidate's* on the group's
 dedicated queue pairs.  A majority of grants makes the candidate the
 leader; a deposed leader discovers its demotion through permission
 errors on its next replication attempt.  Before serving, the new leader
-reconciles: it remote-reads every reachable follower's log region and
-adopts/refills any records the old leader managed to write to a
-majority but not to everyone.
+reconciles: it fills its own log copy from every reachable follower's
+(the runtime's one ring repairer) and pushes each adopted record to
+the followers, so any record the old leader managed to write to a
+majority but not to everyone survives.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from typing import Any, Callable, Generator, Optional
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Environment, Event, Store
 from ..runtime.config import RuntimeConfig
-from ..runtime.ringbuffer import (  # shared layout
-    RingError,
-    RingReader,
-    RingWriter,
-    record_continues,
-    span_of,
-)
+from ..runtime.ringbuffer import RingError, RingWriter, span_of
 
 __all__ = ["MuGroup", "mu_channel"]
 
@@ -52,18 +47,20 @@ class MuGroup:
     """One node's endpoint of the consensus instance for one group."""
 
     def __init__(self, node: RdmaNode, gid: str, members: list[str],
-                 initial_leader: str, region_name: str, config: RuntimeConfig,
-                 control_send: Callable, local_head: Callable[[], int],
+                 initial_leader: str, repairer, config: RuntimeConfig,
+                 control_send: Callable,
                  ack_of: Optional[Callable[[str], Optional[int]]] = None,
                  on_demoted: Optional[Callable[[], None]] = None,
                  is_suspected: Optional[Callable[[str], bool]] = None):
-        """``control_send(peer, message)`` is a generator posting a
-        control-plane SEND; ``local_head()`` reports how many log
-        records this node has applied (the L ring reader's head);
-        ``ack_of(peer)`` reads the peer's flow-control ack (None when
-        acks are disabled); ``is_suspected(peer)`` lets the leader skip
-        posting decisions toward suspected — possibly fail-slow —
-        followers instead of gating every commit on their completions."""
+        """``repairer`` is the :class:`~repro.runtime.transport.
+        RingRepairer` of this node's log copy: its reader's head counts
+        the log records this node has applied, and its ``fill`` adopts
+        records from the other copies.  ``control_send(peer, message)``
+        is a generator posting a control-plane SEND; ``ack_of(peer)``
+        reads the peer's flow-control ack (None when acks are
+        disabled); ``is_suspected(peer)`` lets the leader skip posting
+        decisions toward suspected — possibly fail-slow — followers
+        instead of gating every commit on their completions."""
         self.node = node
         self.env: Environment = node.env
         self.gid = gid
@@ -78,12 +75,11 @@ class MuGroup:
         #: relayer's possibly-inflated term.
         self.leader_term = 0
         self.config = config
-        #: Our own log copy, read in place (its head is unused).
-        self._log = RingReader(node.regions[region_name],
-                               config.ring_slots, config.slot_size)
-        self.region_name = region_name
+        self._repairer = repairer
+        #: Our own log copy; the reader's head is the applied count.
+        self._log = repairer.reader
+        self.region_name = repairer.region_name
         self._control_send = control_send
-        self._local_head = local_head
         self._ack_of = ack_of or (lambda peer: None)
         self._on_demoted = on_demoted or (lambda: None)
         self._is_suspected = is_suspected or (lambda peer: False)
@@ -370,7 +366,7 @@ class MuGroup:
             return False
         tail = yield from self._reconcile(suspected)
         # Serve only after applying everything the old leader decided.
-        while self._local_head() < tail:
+        while self._log.head < tail:
             yield self.env.timeout(CATCHUP_POLL_US)
         self._init_writers(start_tail=tail)
         self.is_leader = True
@@ -406,96 +402,31 @@ class MuGroup:
         self.members.remove(name)
         self._writers.pop(name, None)
 
-    def self_repair(self, suspected: set[str]) -> Generator[Event, Any, int]:
-        """Fill holes in OUR log copy from reachable peers' copies;
-        returns the frontier, the end of the last whole span found.
-
-        Used by a demoted ex-leader rejoining as a follower (it never
-        received the records it decided itself, nor those written while
-        it was cut off) and by the hole detector.  Unlike a campaign's
-        reconciliation it does not push records to anyone — a follower
-        has no write permission anyway.
-        """
-        index = self._local_head()
-        peers = [
-            p
-            for p in self.members
-            if p != self.node.name and p not in suspected
-        ]
-        caches: dict[str, tuple[int, bytes]] = {}
-        end = index
-        while True:
-            record = yield from self._adopt_record(index, peers, caches)
-            if record is None:
-                return end
-            index += 1
-            if not record_continues(record):
-                end = index
-
-    def _adopt_record(self, index: int, peers: list[str], caches):
-        """The record for ``index``: ours if our log copy holds it, else
-        the first reachable peer copy's, installed into ours.  None
-        when no copy has it.  Every slot is parsed in place — in our
-        region or in the fetched window — and only a found record's
-        bytes are copied."""
-        record = self._log.record_at(index)
-        if record is None:
-            for peer in peers:
-                record = yield from self._peer_record(peer, index, caches)
-                if record is not None:
-                    self._log.region.write(self._log.offset_of(index),
-                                           record)
-                    break
-        return record
-
-    #: Slots fetched per remote read while scanning peers' log copies —
-    #: bounded windows instead of whole multi-megabyte ring regions,
-    #: so elections stay in the sub-millisecond regime.
-    _WINDOW = 64
-
-    def _peer_record(self, peer: str, index: int, caches):
-        """``index``'s record in a peer's log region (None when absent
-        or unreachable), via a cached windowed read."""
-        log = self._log
-        start, data = caches.get(peer, (index, b""))
-        if not log.covers(start, data, index):
-            region = self.node.region_of(peer, self.region_name)
-            qp = self.node.qp_to(peer, mu_channel(self.gid))
-            wc = yield from qp.read(region, *log.window(index, self._WINDOW))
-            if wc.status is not WcStatus.SUCCESS:
-                caches[peer] = (index, b"")
-                return None
-            start, data = caches[peer] = (index, wc.data)
-        return log.record_in(start, data, index)
-
     def _reconcile(self, suspected: set[str]) -> Generator[Event, Any, int]:
         """Adopt any record the old leader wrote anywhere; return the tail.
 
-        Scans forward from this node's applied head across its own
-        region and every reachable follower's region; any valid record
-        found is written into every reachable region (idempotent: the
-        bytes at one index are identical everywhere).  The tail is the
-        end of the last whole span: fragments of a span no copy holds
-        in full are left for the new leader's writes to overwrite.
+        Fills our log copy from the applied head across every member's
+        copy this campaign did not suspect — the old leader's included,
+        which may lag records a majority holds, so no one copy bounds
+        the scan — then writes each adopted record into every such
+        follower's region (idempotent: the bytes at one index are
+        identical everywhere).  The tail is the end of the last whole
+        span: fragments of a span no copy holds in full are left for the
+        new leader's writes to overwrite.
         """
         peers = [
             p
             for p in self.members
             if p != self.node.name and p not in suspected
         ]
-        caches: dict[str, tuple[int, bytes]] = {}
-
-        # Walk indices from our head until no copy has a valid record.
-        index = end = self._local_head()
-        while True:
-            record = yield from self._adopt_record(index, peers, caches)
-            if record is None:
-                return end
-            offset = self._log.offset_of(index)
+        log = self._log
+        head = log.head
+        tail, _ = yield from self._repairer.fill(head, sources=peers)
+        for index in range(head, tail):
+            record = log.record_at(index)
+            offset = log.offset_of(index)
             for peer in peers:
                 region = self.node.region_of(peer, self.region_name)
                 qp = self.node.qp_to(peer, mu_channel(self.gid))
                 yield from qp.write(region, offset, record)
-            index += 1
-            if not record_continues(record):
-                end = index
+        return tail

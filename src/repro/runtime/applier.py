@@ -85,6 +85,12 @@ class ApplyEngine:
         #: ``F<-<origin>`` per F ring read, formatted once per origin
         #: (a joiner's on its first sweep), not once per sweep.
         self._drain_labels: dict[str, str] = {}
+        #: ``S:<group>`` per summarization group, the trace label of a
+        #: REDUCE call's transfer, formatted once.
+        self._s_labels = {
+            summarizer.group: f"S:{summarizer.group}"
+            for summarizer in self.spec.summarizers
+        }
         # Collaborators, wired by the façade via bind().
         self.transport = None
         self.conflict = None
@@ -365,7 +371,7 @@ class ApplyEngine:
         message = self.codec.encode_s_backup(summarizer.group, slot_bytes)
         self.probe.span_begin("propagate", method, call.origin, call.rid)
         self.probe.trace_transfer(
-            f"S:{summarizer.group}", method, call.origin, call.rid,
+            self._s_labels[summarizer.group], method, call.origin, call.rid,
             len(slot_bytes),
         )
         yield from self.broadcast.broadcast(
@@ -407,9 +413,7 @@ class ApplyEngine:
         self.probe.trace_transfer(
             "F", method, call.origin, call.rid, len(packet)
         )
-        writes = yield from self.transport.prepare_f_writes(
-            packet, self.is_suspected
-        )
+        writes = yield from self.transport.prepare_f_writes(packet)
         message = self.codec.encode_f_backup(packet)
         # Due flow-control acks coalesce onto this fan-out's doorbell
         # batch instead of paying their own post later.
@@ -457,40 +461,33 @@ class ApplyEngine:
         since the previous sweep (the hole detector's clock)."""
         progressed = False
         labels = self._drain_labels
-        for origin, reader in self.transport.f_readers.items():
+        for origin, repairer in self.transport.f_repairers.items():
             label = labels.get(origin)
             if label is None:
                 label = labels[origin] = f"F<-{origin}"
             try:
                 ring_progressed = yield from self.transport.drain(
-                    reader, "FREE_APP", self, label=label
+                    repairer.reader, "FREE_APP", self, label=label
                 )
             except RingCorruptionError as corrupt:
                 # A checksummed record failed CRC: a bitflipped or torn
                 # one-sided write landed.  Quarantine the slot and
                 # refetch it from an authoritative copy — detection
                 # without delivery, repair without restart.
-                ring_progressed = yield from self.transport.repair_corrupt_f(
-                    origin, corrupt.index, self.is_suspected
-                )
+                ring_progressed = yield from repairer.refetch(corrupt.index)
             except RingError:
                 # Lapped while cut off: fast-forward past the
                 # overwritten window (recovered out of band) and
                 # resume from the writer's surviving records.
-                ring_progressed = yield from self.transport.resync_lapped_f(
-                    origin, self.is_suspected
-                )
+                ring_progressed = yield from repairer.resync()
             if ring_progressed:
-                self.transport.reset_f_misses(origin)
+                repairer.waited = 0.0
             else:
-                # Empty sweep: let the transport's hole detector decide
-                # whether a lost write is blocking this ring.
-                ring_progressed = yield from self.transport.maybe_repair_f(
-                    origin, self.is_suspected, waited_us
-                )
+                # Empty sweep: is a lost write blocking this ring?
+                ring_progressed = yield from repairer.detect(waited_us)
             progressed |= ring_progressed
         for gid in self.transport.l_readers:
-            progressed |= yield from self.conflict.drain_l(gid)
+            progressed |= yield from self.conflict.drain_l(gid, waited_us)
         if self.summary_readers:
             progressed |= yield from self.repair_summaries(waited_us)
         if self.pending_recovered:

@@ -175,7 +175,10 @@ class TraceChecker:
         # member events, as a live tap would.
         joins = {e.origin for e in members if e.name == "member_join"}
         leaves = {e.origin for e in members if e.name == "member_leave"}
-        declared = processes or self.processes or {e.node for e in events}
+        declared = processes or self.processes or (
+            events.nodes() if isinstance(events, TraceView)
+            else {e.node for e in events}
+        )
         report = StreamingChecker(
             self.coordination, (set(declared) | leaves) - joins,
             max_violations=self.max_violations, strict_seq=False,

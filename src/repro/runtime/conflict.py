@@ -6,7 +6,8 @@
 - the per-group serialization queue and its worker (speculative accept,
   decision batching, apply-on-commit),
 - the L-ring drain, including partially applied leader batches,
-- hole detection on the L log and the self-repair it triggers,
+- the repairer of each L log copy (:class:`~repro.runtime.transport.
+  RingRepairer`, leader first among its sources),
 - demotion handling (head fast-forward + rejoin repair), campaigns on
   leader suspicion, and leader discovery for deposed nodes.
 
@@ -31,6 +32,7 @@ from .config import RuntimeConfig, l_ack_region, l_region
 from .errors import ImpermissibleError, NotLeaderError, SubmitError
 from .probe import RuntimeProbe
 from .ringbuffer import MAX_RECORD_PAYLOAD, RingCorruptionError
+from .transport import RingRepairer
 from .wire import WireCodec, WireError
 
 __all__ = ["ConflictCoordinator"]
@@ -85,8 +87,16 @@ class ConflictCoordinator:
             group.gid: (f"L:{group.gid}", f"L<-{group.gid}")
             for group in coordination.sync_groups()
         }
-        #: Empty-head streak lengths for hole detection, per group.
-        self._l_hole_misses: dict[str, int] = {}
+        #: The repairer of our copy of each group's L log: the leader's
+        #: copy holds every decided record, then any member's.
+        self.l_repairers = {
+            group.gid: RingRepairer(
+                transport, f"L:{group.gid}", transport.l_readers[group.gid],
+                l_region(group.gid),
+                lambda gid=group.gid: [self.leader_of(gid), *self.processes],
+            )
+            for group in coordination.sync_groups()
+        }
         self._init_consensus(initial_leaders)
 
     def _init_consensus(self, initial_leaders: dict[str, str]) -> None:
@@ -99,12 +109,9 @@ class ConflictCoordinator:
                 gid,
                 self.processes,
                 initial_leaders[gid],
-                l_region(gid),
+                self.l_repairers[gid],
                 self.config,
                 control_send=self.control_send,
-                local_head=lambda gid=gid: (
-                    self.transport.l_readers[gid].head
-                ),
                 ack_of=(
                     (
                         lambda peer, gid=gid: self.rnode.regions[
@@ -325,19 +332,23 @@ class ConflictCoordinator:
 
     # -- L-ring drain ----------------------------------------------------
 
-    def drain_l(self, gid: str):
+    def drain_l(self, gid: str, waited_us: float = 0.0):
         """Apply conflicting records, which may be leader-side batches.
 
         A consumed ring record expands into the partial queue; entries
         are applied strictly in order, blocking at the first whose
         dependencies are unsatisfied — exactly the per-call semantics,
-        with the batch only changing the wire framing.
+        with the batch only changing the wire framing.  A sweep that
+        finds the head empty and applied nothing runs the repairer's
+        hole detection (``waited_us`` is the poller's wait since its
+        previous sweep).
         """
         if self.mu_groups[gid].is_leader:
             # Only our own decided records land in a leader's log copy
             # (kept as the repair source); they are applied at commit.
             return False
-        reader = self.transport.l_readers[gid]
+        repairer = self.l_repairers[gid]
+        reader = repairer.reader
         applier = self.applier
         progressed = False
         drained = 0
@@ -349,15 +360,13 @@ class ConflictCoordinator:
                     run = reader.peek_run(1)
                 except RingCorruptionError as corrupt:
                     # A checksummed log record failed CRC: quarantine
-                    # and repair it from peers' log copies in place of
-                    # this sweep — the head record blocks the buffer
-                    # either way.
-                    yield from self._repair_corrupt_l(
-                        gid, reader, corrupt.index
-                    )
+                    # and refetch it in place of this sweep — the head
+                    # record blocks the buffer either way.
+                    yield from repairer.refetch(corrupt.index)
                     break
                 if not run:
-                    self._maybe_detect_hole(gid, reader)
+                    if not progressed:
+                        progressed = yield from repairer.detect(waited_us)
                     break
                 try:
                     partial.extend(self.codec.decode_call_batch(run[0]))
@@ -384,60 +393,8 @@ class ConflictCoordinator:
             progressed = True
         if drained:
             self.probe.count("records_drained", label, drained)
+            repairer.waited = 0.0
         return progressed
-
-    def _repair_corrupt_l(self, gid: str, reader, index: int):
-        """Detect-and-repair for one CRC-rejected L-log record.
-
-        Mirrors the transport's F-ring path: quarantine the slot (it
-        then reads as a hole), run Mu's self-repair to refill it from
-        reachable peers' log copies, and classify the pre-repair bytes
-        against the restored record for the ``torn_detected`` counter.
-        A slot that stays unrepaired (no reachable source yet) is
-        retried by the hole detector on later sweeps.
-        """
-        ring = f"L:{gid}"
-        before = reader.slot_bytes(index)
-        self.probe.count("crc_rejects", ring)
-        reader.quarantine(index)
-        mu = self.mu_groups[gid]
-        yield from mu.self_repair(set(self.suspected()))
-        record = reader.record_at(index)
-        if record is None:
-            return False
-        self.transport.note_slot_repair(ring, index, before, record)
-        return True
-
-    def _maybe_detect_hole(self, gid: str, reader) -> None:
-        """A valid record AHEAD of an empty head means our log copy has
-        a hole (e.g. writes lost while we were partitioned): repair it
-        from peers.  Probed exponentially and rate-limited — the common
-        empty-head case costs a few slot reads every 256 misses."""
-        misses = self._l_hole_misses.get(gid, 0) + 1
-        self._l_hole_misses[gid] = misses
-        if misses % 256:
-            return
-        offset_index = 1
-        while offset_index <= 1024:
-            if reader.record_at(reader.head + offset_index) is not None:
-                self.probe.count("hole_repairs", gid)
-                self.spawn(
-                    self.rejoin_repair(gid), f"hole-repair:{self.name}"
-                )
-                return
-            offset_index *= 2
-        # Frontier analogue of the F-ring wedge fix (see
-        # Transport.maybe_repair_f): the *head* record itself can be
-        # corrupted into bytes that parse as "not landed" (a flipped
-        # length field), and the final record of a burst never gets a
-        # valid record ahead of it to trip the probe above.  A nonzero
-        # head slot that still reads as a hole is suspicious enough to
-        # schedule a self-repair pass; a previous-lap leftover costs
-        # one redundant (idempotent) repair scan per 256 misses.
-        if any(reader.slot_bytes(reader.head)):
-            self.spawn(
-                self.rejoin_repair(gid), f"hole-repair:{self.name}"
-            )
 
     # -- leader change ---------------------------------------------------
 
@@ -446,19 +403,15 @@ class ConflictCoordinator:
 
         As leader it applied its decided records at commit (its own L
         ring only holds them as a repair source and was never drained),
-        so the ring reader fast-forwards to ``decided`` and a self-repair
-        scan copies any records it missed from healthy peers' log
-        copies.
+        so the ring reader fast-forwards to ``decided`` and a fill copies
+        any records it missed from healthy peers' log copies.
         """
         mu = self.mu_groups[gid]
-        reader = self.transport.l_readers[gid]
+        repairer = self.l_repairers[gid]
+        reader = repairer.reader
         reader.head = max(reader.head, mu.decided)
         self.probe.count("demotions", gid)
-        self.spawn(self.rejoin_repair(gid), f"rejoin:{self.name}:{gid}")
-
-    def rejoin_repair(self, gid: str):
-        mu = self.mu_groups[gid]
-        yield from mu.self_repair(set(self.suspected()))
+        self.spawn(repairer.fill(reader.head), f"rejoin:{self.name}:{gid}")
 
     def discover_leader(self, gid: str):
         """Ask reachable peers who currently leads ``gid``.

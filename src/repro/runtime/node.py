@@ -127,15 +127,6 @@ class HambandNode:
         )
         #: Slow-leader demotion ballots: victim -> set of voters.
         self._slow_votes: dict[str, set] = {}
-        self.transport = RingTransport(
-            rnode, coordination, self.processes, config, self.health,
-            self.probe, codec=self.codec,
-        )
-        self.applier = ApplyEngine(
-            rnode, coordination, config, self.probe, codec=self.codec,
-        )
-        self.applier.init_summaries(self.processes)
-        self.broadcast = ReliableBroadcast(rnode, config.backup_size)
         self.heartbeat = Heartbeat(rnode)
         self.detector = FailureDetector(
             rnode,
@@ -146,6 +137,16 @@ class HambandNode:
             health=self.health,
             probe=self.probe,
         )
+        self.transport = RingTransport(
+            rnode, coordination, self.processes, config, self.health,
+            self.probe, codec=self.codec,
+            is_suspected=self.detector.is_suspected,
+        )
+        self.applier = ApplyEngine(
+            rnode, coordination, config, self.probe, codec=self.codec,
+        )
+        self.applier.init_summaries(self.processes)
+        self.broadcast = ReliableBroadcast(rnode, config.backup_size)
         self.control = ControlPlane(rnode, codec=self.codec)
         self.conflict = ConflictCoordinator(
             rnode, coordination, self.processes, initial_leaders, config,
@@ -169,10 +170,8 @@ class HambandNode:
             on_slow_leader=self._slow_leader_vote,
         )
         self.scrubber = Scrubber(
-            rnode, self.transport, config, self.probe,
-            leader_of=self.conflict.leader_of,
+            rnode, self.transport, self.conflict.l_repairers, config,
             is_failed=lambda: self.failed,
-            is_suspected=self.detector.is_suspected,
         )
         self._spawn_supervised(self.applier.poll_loop(), f"poll:{self.name}")
         if config.scrub_interval_us > 0:

@@ -470,19 +470,6 @@ class RingReader:
             self.slot_size,
         )
 
-    def frontier(self) -> int:
-        """End of the last whole record our copy holds from the head
-        on: the head a complete drain of it reaches."""
-        index = end = self.head
-        for _ in range(self.slots):
-            record = self.record_at(index)
-            if record is None:
-                break
-            index += 1
-            if not record_continues(record):
-                end = index
-        return end
-
     def slot_bytes(self, index: int) -> bytes:
         """A copy of ``index``'s raw slot, valid or not — what the
         corruption classifiers and the dirty-head check look at."""

@@ -19,15 +19,12 @@ leader-ordered records decided after the heal bounced off it forever.
    a rejoining minority's failed campaigns may have inflated its term
    past the cluster's real one, and the guard that normally rejects
    older-term ``leader_is`` replies must not reject the truth.
-2. **Bulk install of the committed at-rest prefix.**  For every source
-   ring the worker walks from the local reader head and fills holes
-   with *windowed* one-sided reads of an authoritative copy (the
-   scrubber's read idiom — one ``qp.read`` covers up to
-   :data:`_WINDOW` slots), falling back to the transport's per-slot
-   multi-source repair for records the primary source lacks.  The
-   leader-ordered L log is bulk-read the same way through Mu's
-   ``self_repair`` (its windowed cache *is* the L bulk path), and
-   summary slots are refreshed with the apply engine's pull.
+2. **Bulk install of the committed at-rest prefix.**  Every source
+   ring — each requested peer's F ring and each L log this node
+   follows — is brought up to its authoritative prefix by one
+   :meth:`~repro.runtime.transport.RingRepairer.fill` from the local
+   reader head, which returns the ring's frontier; summary slots are
+   refreshed with the apply engine's pull.
 3. **Frontier barrier** (``barrier=True``): the per-ring frontiers
    captured in step 2 become targets; the worker waits (bounded — it
    never wedges on a dependency that cannot arrive) until the node has
@@ -43,14 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..rdma import WcStatus
-from .config import f_region
-
 __all__ = ["StateTransfer"]
-
-#: Ring slots fetched per one-sided read while bulk-filling (the
-#: scrubber/Mu window idiom: bounded reads, not whole ring regions).
-_WINDOW = 64
 
 
 class StateTransfer:
@@ -83,7 +73,6 @@ class StateTransfer:
         """
         node = self.node
         transport = node.transport
-        is_suspected = node.detector.is_suspected
         origins = list(sources) if sources is not None else list(
             transport.peers
         )
@@ -96,23 +85,20 @@ class StateTransfer:
         # Phase 2: bulk-install the committed at-rest prefix.
         f_targets: dict[str, int] = {}
         for origin in origins:
-            reader = transport.f_readers.get(origin)
-            if reader is None:
+            repairer = transport.f_repairers.get(origin)
+            if repairer is None:
                 continue
-            yield from self._fill_f_ring(origin)
-            # Multi-source per-slot fallback for records the primary
-            # source lacked (it may itself hold holes).
-            yield from transport.repair_f_ring(origin, is_suspected)
-            f_targets[origin] = reader.frontier()
+            f_targets[origin], _ = yield from repairer.fill(
+                repairer.reader.head
+            )
         yield from node.applier.pull_summaries(sources)
         l_targets: dict[str, int] = {}
         for gid, mu in node.conflict.mu_groups.items():
             if mu.leader == node.name:
                 continue
-            # Mu's self-repair is the L bulk path: windowed one-sided
-            # reads of reachable log copies; it returns the frontier.
-            l_targets[gid] = yield from mu.self_repair(
-                set(node.detector.suspected)
+            repairer = node.conflict.l_repairers[gid]
+            l_targets[gid], _ = yield from repairer.fill(
+                repairer.reader.head
             )
         if barrier:
             # Phase 3: wait (bounded) until the poll loop has APPLIED
@@ -125,67 +111,6 @@ class StateTransfer:
             transport.rearm_flow_control(origin)
         node.probe.count("catch_ups", reason)
         node.probe.member_event("state_xfer", node.name, reason)
-
-    # -- phase 2 helpers -------------------------------------------------
-
-    def _sources(self, origin: str) -> list[str]:
-        """Live, unsuspected holders of ``origin``'s ring, preference
-        order: the origin's own mirror is authoritative, then any
-        peer's replica."""
-        node = self.node
-        candidates = [origin] + [
-            p for p in node.transport.peers if p != origin
-        ]
-        return [
-            source for source in candidates
-            if source != node.name
-            and not node.detector.is_suspected(source)
-            and node.rnode.fabric.nodes[source].alive
-        ]
-
-    def _fill_f_ring(self, origin: str):
-        """Windowed bulk fill of our copy of ``origin``'s F ring.
-
-        Walks from the reader head; each missing local slot is served
-        from a cached :data:`_WINDOW`-slot one-sided read of the chosen
-        source.  Stops at the source's frontier (first index it lacks).
-        Returns the number of installed records.
-        """
-        node = self.node
-        transport = node.transport
-        reader = transport.f_readers[origin]
-        sources = self._sources(origin)
-        if not sources:
-            return 0
-        source, backups = sources[0], sources[1:]
-        installed = 0
-        index = reader.head
-        window: tuple[int, bytes] = (index, b"")
-        for _ in range(reader.slots):
-            if reader.record_at(index) is not None:
-                index += 1
-                continue
-            if not reader.covers(*window, index):
-                # Hedge each window to the lowest-latency backup
-                # replica, so one limping source cannot serialize the
-                # whole bulk transfer.  A backup holding fewer records
-                # just ends the fill early — the per-slot multi-source
-                # repair that follows in run() covers the remainder.
-                wc, _src = yield from transport.hedged_read(
-                    [source] + transport.health.rank(backups)[:1],
-                    f_region(origin), *reader.window(index, _WINDOW),
-                    label=f"xfer:{origin}",
-                )
-                if wc.status is not WcStatus.SUCCESS or wc.data is None:
-                    return installed
-                window = (index, wc.data)
-            record = reader.record_in(*window, index)
-            if record is None:
-                return installed  # the source's frontier
-            reader.region.write(reader.offset_of(index), record)
-            installed += 1
-            index += 1
-        return installed
 
     # -- phase 3 ---------------------------------------------------------
 
@@ -207,12 +132,10 @@ class StateTransfer:
             f_ok = all(
                 transport.f_readers[origin].head >= target
                 for origin, target in f_targets.items()
-                if origin in transport.f_readers
             )
             l_ok = all(
                 transport.l_readers[gid].head >= target
                 for gid, target in l_targets.items()
-                if gid in transport.l_readers
             )
             if f_ok and l_ok:
                 return True

@@ -432,6 +432,14 @@ class TraceView(Sequence):
     def __len__(self) -> int:
         return sum(len(probe._seqs) for probe in self._probes)
 
+    def nodes(self) -> set[str]:
+        """The nodes with a row in the view, read off their rings' site
+        tables; no row is built."""
+        return {
+            self._table(ring, probe)[0][0]
+            for ring, probe in enumerate(self._probes) if len(probe._seqs)
+        }
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]

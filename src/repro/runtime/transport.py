@@ -14,7 +14,11 @@ records between nodes over one-sided writes:
   and the reader-side ack flush (`flush_acks` / `post_ack`),
 - the generic drain loop over a ring (`drain`), which delegates all
   application *decisions* (dedup, dependency checks, the apply itself)
-  to an apply sink — the transport never touches σ or A.
+  to an apply sink — the transport never touches σ or A,
+- :class:`RingRepairer`, the one way a ring copy is repaired: hole
+  detection, fill, refetch of a CRC-rejected slot, the scrubber's
+  at-rest compare and the lapped-reader resync, for F rings and L logs
+  alike.
 
 The sink protocol (duck-typed; :class:`~repro.runtime.applier.ApplyEngine`
 implements it):
@@ -50,19 +54,23 @@ from .ringbuffer import (
     RingWriter,
     classify_corruption,
     parse_record,
+    record_continues,
     ring_region_size,
     scan_frontier,
 )
 from .summary import slot_size_for
 from .wire import WireCodec, WireError
 
-__all__ = ["HOLE_PATIENCE", "RingTransport"]
+__all__ = ["HOLE_PATIENCE", "REPAIR_WINDOW", "RingRepairer", "RingTransport"]
 
 #: Upper bound on records parsed per drain sweep (one region read).
 _DRAIN_RUN = 64
 #: Empty sweeps (in poll intervals) before the hole detector suspects
-#: a lost write on an F ring or a damaged summary slot.
+#: a lost write on a ring or a damaged summary slot.
 HOLE_PATIENCE = 256
+#: Ring slots fetched per one-sided read while filling a ring copy:
+#: bounded reads, not whole ring regions.
+REPAIR_WINDOW = 64
 #: Retry jitter fraction: each backoff is multiplied by
 #: ``1 ± uniform(0, RETRY_JITTER)`` to de-synchronize retry storms.
 RETRY_JITTER = 0.25
@@ -78,7 +86,8 @@ class RingTransport:
                  processes: list[str], config: RuntimeConfig,
                  health: PeerHealth,
                  probe: Optional[RuntimeProbe] = None,
-                 codec: Optional[WireCodec] = None):
+                 codec: Optional[WireCodec] = None,
+                 is_suspected: Callable[[str], bool] = lambda peer: False):
         self.rnode = rnode
         self.env = rnode.env
         self.name = rnode.name
@@ -92,10 +101,16 @@ class RingTransport:
         #: back to ring-sizing mode and are being watched for fresh
         #: acks after a heal/rejoin resync (see rearm_flow_control).
         self._rearm_baseline: dict[str, int] = {}
+        #: Per F ack region: the reader it names and the ``F-><reader>``
+        #: flow-control label, formatted once instead of per record.
+        self._flow_labels: dict[str, tuple[str, str]] = {}
         #: Peer-health latency tracker (the node's shared one).  Timed
         #: one-sided ops feed it, and the hedged-read path ranks
         #: fallback sources by its EWMA.
         self.health = health
+        #: The failure detector's verdict on a peer: a suspected reader
+        #: stops throttling its writer, and repair sources skip it.
+        self.is_suspected = is_suspected
         #: Retry-jitter substream: deterministic per (seed, node).
         self._retry_rng = SeedSequence(config.seed).derive(
             f"retry:{self.name}"
@@ -103,72 +118,70 @@ class RingTransport:
         #: Recent successful repair/fetch read latencies — the adaptive
         #: hedge delay is their p99.
         self._read_lat: deque = deque(maxlen=64)
-        self._register_regions()
         self._init_rings()
 
     # -- setup -----------------------------------------------------------
 
-    def _register_ring(self, name: str) -> None:
+    def _ring(self, name: str) -> RingReader:
+        """Register a ring region; returns a reader over it."""
         cfg = self.config
-        self.rnode.register(name, ring_region_size(cfg.ring_slots,
-                                                   cfg.slot_size))
-
-    def _register_regions(self) -> None:
-        cfg = self.config
-        for peer in self.peers:
-            self._register_ring(f_region(peer))
-        #: Our own F ring mirror: the same records we fan out to peers,
-        #: kept locally (and remotely readable) so any node can repair a
-        #: hole in its copy of our ring by reading the authoritative
-        #: source — the rejoin/catch-up path reads these.
-        self._register_ring(f_region(self.name))
-        for group in self.coordination.sync_groups():
-            self._register_ring(l_region(group.gid))
-        for reader in self.peers:
-            self.rnode.register(f_ack_region(reader), 8)
-            for group in self.coordination.sync_groups():
-                self.rnode.register(l_ack_region(group.gid, reader), 8)
-        summary_size = slot_size_for(cfg.summary_payload)
-        for summarizer in self.coordination.spec.summarizers:
-            for owner in self.processes:
-                self.rnode.register(
-                    s_region(summarizer.group, owner), summary_size
-                )
+        region = self.rnode.register(
+            name, ring_region_size(cfg.ring_slots, cfg.slot_size)
+        )
+        return RingReader(region, cfg.ring_slots, cfg.slot_size)
 
     def _init_rings(self) -> None:
         cfg = self.config
-        self.f_readers = {
-            peer: RingReader(
-                self.rnode.regions[f_region(peer)],
-                cfg.ring_slots,
-                cfg.slot_size,
-            )
-            for peer in self.peers
-        }
+        #: Our copy of each peer's F ring, and its repairer.
+        self.f_readers: dict[str, RingReader] = {}
+        self.f_repairers: dict[str, RingRepairer] = {}
         #: Our writer state toward each peer's copy of our F ring.
-        self.f_writers = {
-            peer: RingWriter(cfg.ring_slots, cfg.slot_size)
-            for peer in self.peers
-        }
-        if cfg.ack_every:
-            for writer in self.f_writers.values():
-                writer.reader_acked = 0
+        self.f_writers: dict[str, RingWriter] = {}
+        #: Last ring-head count acknowledged back to each writer.
+        self._acked: dict[str, int] = {}
         #: Writer state for the local authoritative mirror of our own F
         #: ring (never throttled: it is a plain local memory write).
         self.f_mirror = RingWriter(cfg.ring_slots, cfg.slot_size)
-        #: Consecutive empty sweeps per F ring, a backed-off one weighted
-        #: by its wait (hole-detection input).
-        self._f_misses: dict[str, float] = {}
-        #: Last ring-head count acknowledged back to each writer.
-        self._acked: dict[str, int] = {}
+        #: The mirror itself: the same records we fan out to peers, kept
+        #: locally (and remotely readable) as the authoritative source
+        #: every other copy of our ring is repaired from.
+        self._ring(f_region(self.name))
         self.l_readers = {
-            group.gid: RingReader(
-                self.rnode.regions[l_region(group.gid)],
-                cfg.ring_slots,
-                cfg.slot_size,
-            )
+            group.gid: self._ring(l_region(group.gid))
             for group in self.coordination.sync_groups()
         }
+        self._register_slots(self.name)
+        for peer in self.peers:
+            self._wire_peer(peer)
+            if cfg.ack_every:
+                self.f_writers[peer].reader_acked = 0
+
+    def _register_slots(self, owner: str) -> None:
+        """Register ``owner``'s summary slots and, for a peer, the ack
+        slots its reads of our rings are acknowledged in."""
+        cfg = self.config
+        if owner != self.name:
+            self.rnode.register(f_ack_region(owner), 8)
+            for group in self.coordination.sync_groups():
+                self.rnode.register(l_ack_region(group.gid, owner), 8)
+        summary_size = slot_size_for(cfg.summary_payload)
+        for summarizer in self.coordination.spec.summarizers:
+            self.rnode.register(
+                s_region(summarizer.group, owner), summary_size
+            )
+
+    def _wire_peer(self, origin: str) -> None:
+        """Regions, reader, repairer and writer for one peer; the
+        origin's own mirror is authoritative for its ring, then any
+        peer's replica."""
+        cfg = self.config
+        self._register_slots(origin)
+        self.f_readers[origin] = reader = self._ring(f_region(origin))
+        self.f_repairers[origin] = RingRepairer(
+            self, f"F:{origin}", reader, f_region(origin),
+            lambda: [origin, *self.peers],
+        )
+        self.f_writers[origin] = RingWriter(cfg.ring_slots, cfg.slot_size)
 
     # -- membership ------------------------------------------------------
 
@@ -184,27 +197,11 @@ class RingTransport:
         first observed ack (a fresh reader has acked nothing yet, and a
         mirror tail past one lap would wedge a zero-armed writer).
         """
-        cfg = self.config
         if peer == self.name or peer in self.f_readers:
             return
-        self._register_ring(f_region(peer))
-        self.rnode.register(f_ack_region(peer), 8)
-        for group in self.coordination.sync_groups():
-            self.rnode.register(l_ack_region(group.gid, peer), 8)
-        summary_size = slot_size_for(cfg.summary_payload)
-        for summarizer in self.coordination.spec.summarizers:
-            self.rnode.register(
-                s_region(summarizer.group, peer), summary_size
-            )
-        self.f_readers[peer] = RingReader(
-            self.rnode.regions[f_region(peer)],
-            cfg.ring_slots,
-            cfg.slot_size,
-        )
-        writer = RingWriter(cfg.ring_slots, cfg.slot_size)
-        writer.tail = self.f_mirror.tail
-        self.f_writers[peer] = writer
-        if cfg.ack_every:
+        self._wire_peer(peer)
+        self.f_writers[peer].tail = self.f_mirror.tail
+        if self.config.ack_every:
             self._rearm_baseline[peer] = 0
         self.processes = sorted([*self.processes, peer])
         self.peers = [p for p in self.processes if p != self.name]
@@ -228,7 +225,6 @@ class RingTransport:
 
     def render_with_backpressure(self, writer: RingWriter,
                                  ack_region_name: str, payload: bytes,
-                                 is_suspected: Callable[[str], bool],
                                  record: Optional[bytes] = None,
                                  record_index: Optional[int] = None):
         """Render a ring record, waiting for reader progress when full.
@@ -250,7 +246,13 @@ class RingTransport:
         re-renders at its own tail instead.
         """
         cfg = self.config
-        reader = self._reader_of(ack_region_name)
+        labels = self._flow_labels.get(ack_region_name)
+        if labels is None:
+            reader = ack_region_name.rsplit(":", 1)[-1]
+            labels = self._flow_labels[ack_region_name] = (
+                reader, f"F->{reader}"
+            )
+        reader, label = labels
         waited = 0
         while True:
             if cfg.ack_every:
@@ -265,7 +267,7 @@ class RingTransport:
                 writer.ack_up_to(acked)
                 if writer.reader_acked is not None:
                     self.probe.peak(
-                        "ring_highwater", f"F->{reader}",
+                        "ring_highwater", label,
                         writer.tail - writer.reader_acked,
                     )
             try:
@@ -274,20 +276,16 @@ class RingTransport:
                 return writer.render(payload)
             except RingError:
                 waited += 1
-                self.probe.count("backpressure_stalls", f"F->{reader}")
+                self.probe.count("backpressure_stalls", label)
                 if waited > cfg.backpressure_limit:
                     self.probe.giveup("backpressure", reader)
-                elif not is_suspected(reader):
+                elif not self.is_suspected(reader):
                     yield self.env.timeout(cfg.backpressure_wait_us)
                     continue
                 self._disarm(writer, reader)
                 if record is not None and writer.tail == record_index:
                     return writer.claim(record), record
                 return writer.render(payload)
-
-    @staticmethod
-    def _reader_of(ack_region_name: str) -> str:
-        return ack_region_name.rsplit(":", 1)[-1]
 
     def _disarm(self, writer: RingWriter, reader: str) -> None:
         """Stop throttling on ``reader`` (dead/stuck): ring-sizing mode."""
@@ -327,8 +325,7 @@ class RingTransport:
             f_ack_region(peer)
         ].read_u64(0)
 
-    def prepare_f_writes(self, packet: bytes,
-                         is_suspected: Callable[[str], bool]):
+    def prepare_f_writes(self, packet: bytes):
         """Render ``packet`` ONCE and claim its slots in every peer's F
         writer; return the (qp, region, offset, bytes) write list for
         the broadcaster's doorbell batch — one write per peer, two for
@@ -354,7 +351,7 @@ class RingTransport:
         for peer in self.peers:
             offset, slot = yield from self.render_with_backpressure(
                 self.f_writers[peer], f_ack_region(peer), packet,
-                is_suspected, record=record, record_index=index,
+                record=record, record_index=index,
             )
             qp = self.rnode.qp_to(peer)
             remote = self.rnode.region_of(peer, f_region(self.name))
@@ -481,7 +478,7 @@ class RingTransport:
             qp, region, 0, head.to_bytes(8, "little"), label="ack"
         )
 
-    # -- recovery: retries and ring repair -------------------------------
+    # -- recovery: retries -----------------------------------------------
 
     def retry_write(self, qp, region, offset: int, payload: bytes,
                     label: str = "write"):
@@ -529,142 +526,6 @@ class RingTransport:
             yield self.env.timeout(wait)
             delay = min(delay * 2, cfg.op_retry_cap_us)
         return wc
-
-    def reset_f_misses(self, origin: str) -> None:
-        self._f_misses[origin] = 0.0
-
-    def maybe_repair_f(self, origin: str,
-                       is_suspected: Callable[[str], bool],
-                       waited_us: float = 0.0):
-        """Hole detection for ``origin``'s F ring.
-
-        Called by the applier after an empty sweep of that ring, with
-        the poller's wait since its previous sweep.  Every 256
-        consecutive misses we probe *ahead* of the head locally at
-        exponentially growing offsets; a valid record ahead of a missing
-        head means a write was lost (injected fault / partition blip),
-        not that the writer is idle — trigger a repair pass.  A sweep
-        after a backed-off wait counts as the sweeps it skipped, so the
-        patience stays ~256 poll intervals of simulated time.
-        """
-        misses = self._f_misses.get(origin, 0.0) + max(
-            waited_us / self.config.poll_interval_us, 1.0
-        )
-        if misses < HOLE_PATIENCE:
-            self._f_misses[origin] = misses
-            return False
-        self._f_misses[origin] = 0.0
-        reader = self.f_readers[origin]
-        ahead = 1
-        found_ahead = False
-        while ahead <= 1024:
-            if reader.record_at(reader.head + ahead) is not None:
-                found_ahead = True
-                break
-            ahead *= 2
-        if not found_ahead:
-            # No record ahead — but a *frontier* record can be damaged
-            # too: a corrupted length field makes the final record of a
-            # burst parse as "not landed yet", and with nothing ever
-            # landing ahead of it the probe above never fires.  Nonzero
-            # bytes that do not parse at the head are suspicious enough
-            # to attempt a repair pass (a virgin head just means the
-            # writer is idle; a previous-lap leftover costs one failed
-            # fetch per miss cycle).
-            head = reader.head
-            before = reader.slot_bytes(head)
-            if not any(before):
-                return False
-            repaired = yield from self.repair_f_ring(origin, is_suspected)
-            if repaired:
-                self.probe.count("hole_repairs", f"F:{origin}")
-                slots = self.config.ring_slots
-                record = reader.record_at(head)
-                intact = any(
-                    parse_record(before, index, slots) is not None
-                    for index in (head, head - slots) if index >= 0
-                )
-                if record is not None and not intact:
-                    # Neither a span's intact head nor last lap's record:
-                    # the head was damaged (e.g. a length field without
-                    # its record flag).
-                    self.note_slot_repair(
-                        f"F:{origin}", head, before, record
-                    )
-            return repaired > 0
-        self.probe.count("hole_repairs", f"F:{origin}")
-        repaired = yield from self.repair_f_ring(origin, is_suspected)
-        return repaired > 0
-
-    def resync_lapped_f(self, origin: str,
-                        is_suspected: Callable[[str], bool]):
-        """Recover a reader that was *lapped* on ``origin``'s F ring.
-
-        While we were cut off (partitioned / restarting), the writer —
-        disarmed from acks by our silence — kept claiming slots and
-        overwrote records we never consumed.  Those records are gone
-        from every surviving ring copy; they reach us out of band
-        (summary transfer, broadcast recovery).  The ring itself can
-        only resume from the writer's surviving window: scan an
-        authoritative copy for the frontier, fast-forward the head to
-        the oldest index still present, then run the normal hole repair
-        to fill our local copy from there.  Returns True when the head
-        moved or records were repaired.
-        """
-        reader = self.f_readers[origin]
-        region_name = f_region(origin)
-        sources = [origin] + [p for p in self.peers if p != origin]
-        frontier = None
-        for source in sources:
-            if source == self.name or is_suspected(source):
-                continue
-            if not self.rnode.fabric.nodes[source].alive:
-                continue
-            qp = self.rnode.qp_to(source)
-            remote = self.rnode.region_of(source, region_name)
-            wc = yield from qp.read(remote, *reader.window(0, reader.slots))
-            if wc.status is not WcStatus.SUCCESS or wc.data is None:
-                continue
-            frontier = scan_frontier(
-                wc.data, reader.head, reader.slots, reader.slot_size
-            )
-            if frontier is not None:
-                break
-        if frontier is None:
-            return False  # nobody reachable holds a parseable record
-        oldest_surviving = max(frontier - reader.slots, 0)
-        moved = oldest_surviving > reader.head
-        reader.fast_forward(oldest_surviving)
-        self.probe.count("ring_resyncs", f"F:{origin}")
-        repaired = yield from self.repair_f_ring(origin, is_suspected)
-        return moved or repaired > 0
-
-    def repair_f_ring(self, origin: str,
-                      is_suspected: Callable[[str], bool]):
-        """Fill holes in our copy of ``origin``'s F ring by reading
-        other copies — the origin's authoritative mirror first, then any
-        peer's replica — with one-sided reads.
-
-        Scans forward from the reader head, repairing every missing
-        index until no reachable source has the next one (i.e. we hit
-        the true frontier).  Returns the number of repaired records.
-        """
-        cfg = self.config
-        reader = self.f_readers[origin]
-        repaired = 0
-        index = reader.head
-        for _ in range(cfg.ring_slots):
-            if reader.record_at(index) is not None:
-                index += 1  # already have this one
-                continue
-            found = yield from self._fetch_record(origin, index,
-                                                  is_suspected)
-            if found is None:
-                break  # true frontier: nobody has the next record
-            reader.region.write(reader.offset_of(index), found)
-            repaired += 1
-            index += 1
-        return repaired
 
     # -- hedged reads ------------------------------------------------------
 
@@ -731,60 +592,6 @@ class RingTransport:
         wc = yield second  # primary failed: the hedge is the fallback
         return wc, backup
 
-    def _fetch_record(self, origin: str, index: int,
-                      is_suspected: Callable[[str], bool]):
-        """Fetch ``origin``'s F record at absolute ``index`` from an
-        authoritative copy: the origin's own mirror first, then any
-        peer's replica.  Returns the CRC-checked record bytes or None.
-
-        Each attempt hedges to the lowest-latency remaining replica
-        (see :meth:`hedged_read`), so one limping source cannot
-        serialize the repair."""
-        reader = self.f_readers[origin]
-        sources = [
-            s for s in [origin] + [p for p in self.peers if p != origin]
-            if s != self.name and not is_suspected(s)
-            and self.rnode.fabric.nodes[s].alive
-        ]
-        for i, primary in enumerate(sources):
-            backups = self.health.rank(sources[i + 1:])
-            wc, _source = yield from self.hedged_read(
-                [primary] + backups[:1], f_region(origin),
-                *reader.window(index, 1), label=f"F:{origin}",
-            )
-            if wc.status is WcStatus.SUCCESS and wc.data is not None:
-                record = reader.record_in(index, wc.data, index)
-                if record is not None:
-                    return record
-        return None
-
-    def repair_corrupt_f(self, origin: str, index: int,
-                         is_suspected: Callable[[str], bool]):
-        """Detect-and-repair for one CRC-rejected F record.
-
-        The corrupt slot is *quarantined* (zeroed, so it reads as a
-        hole) and refetched from an authoritative copy — the origin's
-        local mirror is written with plain memory writes and is never
-        exposed to in-flight corruption.  The pre-repair bytes are
-        classified against the authoritative record: a prefix that
-        matches followed by a tail that does not is a *torn* write; a
-        mostly-matching record with isolated flipped bytes is a
-        *bitflip*.  Returns True when the record was restored (False
-        leaves the slot quarantined for the probe-ahead repair pass to
-        retry once a source is reachable).
-        """
-        reader = self.f_readers[origin]
-        ring = f"F:{origin}"
-        before = reader.slot_bytes(index)
-        self.probe.count("crc_rejects", ring)
-        reader.quarantine(index)
-        found = yield from self._fetch_record(origin, index, is_suspected)
-        if found is None:
-            return False
-        reader.region.write(reader.offset_of(index), found)
-        self.note_slot_repair(ring, index, before, found)
-        return True
-
     def note_slot_repair(self, ring: str, index: int, before: bytes,
                          record: bytes) -> None:
         """Count and trace one damaged slot rewritten with ``record``,
@@ -793,3 +600,264 @@ class RingTransport:
         if kind == "torn":
             self.probe.count("torn_detected", ring)
         self.probe.trace_repair(ring, index, kind)
+
+
+class RingRepairer:
+    """Brings this node's copy of one ring up to an authoritative prefix.
+
+    One per ring copy a node reads: each peer's F ring (built by the
+    transport) and each L log (built by the conflict coordinator).
+    Record bytes at one absolute index are identical in every copy, so
+    a copy is repaired from the others by one-sided reads, in the order
+    ``candidates()`` names them — the authority first: an F ring's
+    origin mirror or an L log's leader, both written by local memory
+    writes that never meet an in-flight fault.  Candidates that are this
+    node, suspected or down are skipped.  :meth:`detect` finds holes,
+    :meth:`fill` installs missing slots, :meth:`refetch` replaces a
+    CRC-rejected slot, :meth:`compare` heals at-rest divergence (the
+    scrubber) and :meth:`resync` resumes a lapped reader.
+    """
+
+    def __init__(self, transport: RingTransport, ring: str,
+                 reader: RingReader, region_name: str,
+                 candidates: Callable[[], list[str]]):
+        self.transport = transport
+        #: Count, trace and hedge label: ``F:<origin>`` or ``L:<gid>``.
+        self.ring = ring
+        self.reader = reader
+        self.region_name = region_name
+        self.candidates = candidates
+        #: Poll intervals waited since the ring last made progress.
+        self.waited = 0.0
+        self._poll_us = transport.config.poll_interval_us
+
+    def _usable(self, source: str) -> bool:
+        transport = self.transport
+        return (source != transport.name
+                and not transport.is_suspected(source)
+                and transport.rnode.fabric.nodes[source].alive)
+
+    def _sources(self) -> list[str]:
+        return [s for s in dict.fromkeys(self.candidates()) if self._usable(s)]
+
+    def detect(self, waited_us: float = 0.0):
+        """Hole detection after a sweep of the ring made no progress;
+        ``waited_us`` is the poller's wait since its previous sweep.
+
+        After :data:`HOLE_PATIENCE` poll intervals of idle simulated time
+        (a sweep after a backed-off wait counts the sweeps it skipped),
+        probe ahead of the head at 1, 2, 4 … 1024 slots: a record ahead
+        of a missing head means a write was lost.  With nothing ahead, a
+        damaged frontier record still wedges the ring (a flipped length
+        field reads as "not landed"), so non-zero head bytes that do not
+        parse start a fill too, and are classified as a damaged slot;
+        head bytes that are last lap's record are an idle writer, like
+        a virgin head.  Each detection that starts a fill counts one
+        ``hole_repairs``.  Returns whether the fill installed a record.
+        """
+        waited = self.waited + max(waited_us / self._poll_us, 1.0)
+        if waited < HOLE_PATIENCE:
+            self.waited = waited
+            return False
+        self.waited = 0.0
+        reader = self.reader
+        head = reader.head
+        slots = reader.slots
+        before = None
+        ahead = 1
+        while reader.record_at(head + ahead) is None:
+            ahead *= 2
+            if ahead > 1024:
+                before = reader.slot_bytes(head)
+                if not any(before) or (
+                    head >= slots
+                    and parse_record(before, head - slots, slots) is not None
+                ):
+                    return False  # the writer is idle
+                break
+        self.transport.probe.count("hole_repairs", self.ring)
+        _end, installed = yield from self.fill(head)
+        if before is not None and parse_record(before, head, slots) is None:
+            record = reader.record_at(head)
+            if record is not None:
+                self.transport.note_slot_repair(
+                    self.ring, head, before, record
+                )
+        return installed > 0
+
+    def fill(self, lo: int, hi: Optional[int] = None,
+             sources: Optional[list[str]] = None):
+        """Install every slot of ``[lo, hi)`` our copy lacks, stopping at
+        the first index no source holds; ``hi`` defaults to one lap past
+        ``lo``, ``sources`` to the usable candidates.  Returns the end of
+        the last whole record in the prefix walked (the head a complete
+        drain of it reaches) and the number of records installed.
+
+        A missing slot is served from a cached window of the first
+        source, one :meth:`~RingTransport.hedged_read` of up to
+        :data:`REPAIR_WINDOW` slots per window miss; a source whose
+        window read fails is dropped for the rest of the fill.  With
+        the default sources the first is the authority, whose copy holds
+        the whole decided prefix — an F origin's mirror is written before
+        any replica, an L leader writes its own copy once a majority
+        acked — so a slot its window lacks is the frontier; records
+        still in flight past it land by replication or by a later
+        :meth:`detect`.  Any other copy may lack a slot another holds,
+        so a slot missing from its window (the hedge may have won the
+        read, or ``sources`` were given) is read index by index from the
+        other sources.  A new leader adopting a log passes its own
+        sources: the old leader's copy may lag a record a majority holds.
+        """
+        reader = self.reader
+        hi = lo + reader.slots if hi is None else hi
+        if sources is None:
+            authority, sources = self.candidates()[0], self._sources()
+        else:
+            authority, sources = None, list(sources)
+        installed = 0
+        start, data, source = lo, b"", None
+        index = end = lo
+        while index < hi:
+            record = reader.record_at(index)
+            if record is None:
+                if not reader.covers(start, data, index):
+                    start, data, source = yield from self._read_window(
+                        sources, index, hi
+                    )
+                if reader.covers(start, data, index):
+                    record = reader.record_in(start, data, index)
+                if record is None and source != authority:
+                    record = yield from self._read_slot(
+                        [s for s in sources if s != source], index
+                    )
+                if record is None:
+                    break  # the frontier: no source holds this index
+                reader.region.write(reader.offset_of(index), record)
+                installed += 1
+            index += 1
+            if not record_continues(record):
+                end = index
+        return end, installed
+
+    def _read_window(self, sources: list[str], index: int, hi: int):
+        """``(index, bytes, source)`` of a window read from
+        ``sources[0]``, hedged to the healthiest other source (which
+        may win); drops sources whose read fails, and is
+        ``(index, b"", None)`` once none is left."""
+        transport = self.transport
+        span = self.reader.window(index, min(REPAIR_WINDOW, hi - index))
+        while sources:
+            wc, source = yield from transport.hedged_read(
+                [sources[0], *transport.health.rank(sources[1:])[:1]],
+                self.region_name, *span, label=self.ring,
+            )
+            if wc.status is WcStatus.SUCCESS and wc.data is not None:
+                return index, wc.data, source
+            del sources[0]
+        return index, b"", None
+
+    def _read(self, source: str, offset: int, length: int):
+        """Bytes of one plain one-sided read of ``source``'s copy, or
+        None when it fails."""
+        rnode = self.transport.rnode
+        wc = yield from rnode.qp_to(source).read(
+            rnode.region_of(source, self.region_name), offset, length
+        )
+        return wc.data if wc.status is WcStatus.SUCCESS else None
+
+    def _read_slot(self, sources: list[str], index: int):
+        """``index``'s record from the first of ``sources`` holding it,
+        one one-sided read each; None when none does."""
+        reader = self.reader
+        for source in sources:
+            data = yield from self._read(source, *reader.window(index, 1))
+            if data is not None:
+                record = reader.record_in(index, data, index)
+                if record is not None:
+                    return record
+        return None
+
+    def refetch(self, index: int):
+        """Replace one CRC-rejected slot: quarantine it (zeroed, it
+        reads as a hole), fill it, and classify its pre-repair bytes as
+        torn or bitflip (:meth:`~RingTransport.note_slot_repair`).
+        Returns whether the slot was restored; one left quarantined is
+        retried by :meth:`detect` once a source is reachable."""
+        reader = self.reader
+        before = reader.slot_bytes(index)
+        self.transport.probe.count("crc_rejects", self.ring)
+        reader.quarantine(index)
+        # Any copy will do: an L leader's own copy may not hold yet a
+        # record that already reached ours.
+        yield from self.fill(index, index + 1, self._sources())
+        record = reader.record_at(index)
+        if record is None:
+            return False
+        self.transport.note_slot_repair(self.ring, index, before, record)
+        return True
+
+    def compare(self, lo: int, count: int):
+        """Heal at-rest damage in ``count`` slots from ``lo`` (clipped at
+        the wrap): one read of the authority's window, compared byte for
+        byte with ours.  A slot that does not parse, or parses to other
+        record bytes — a different well-formed record, which no CRC
+        catches — is overwritten and traced as a repair.  Returns
+        ``(healed, covered)``, the slots healed and the slots the window
+        covered, or None when the authority is this node, suspected or
+        down and nothing was read.
+        """
+        authority = self.candidates()[0]
+        if not self._usable(authority):
+            return None
+        reader = self.reader
+        offset, length = reader.window(lo, count)
+        covered = length // reader.slot_size
+        data = yield from self._read(authority, offset, length)
+        if data is None:
+            return 0, covered
+        healed = 0
+        for index in range(lo, lo + covered):
+            authoritative = reader.record_in(lo, data, index)
+            if authoritative is None:
+                continue  # the authority no longer holds this index
+            local = reader.record_at(index)
+            if local == authoritative:
+                continue
+            kind = "scrub" if local is None else classify_corruption(
+                reader.slot_bytes(index), authoritative
+            )
+            reader.region.write(reader.offset_of(index), authoritative)
+            self.transport.probe.trace_repair(self.ring, index, kind)
+            healed += 1
+        self.transport.probe.count("scrub_passes", self.ring)
+        return healed, covered
+
+    def resync(self):
+        """Recover a reader *lapped* while cut off: the writer, disarmed
+        by our silence, overwrote records we never consumed, and those
+        reach us out of band (summary transfer, broadcast recovery).  A
+        whole-region read of the first source holding a parseable record
+        gives the writer's frontier; the head fast-forwards to the oldest
+        index still present and :meth:`fill` completes our copy.
+        Returns whether the head moved or a record was installed.
+        """
+        reader = self.reader
+        frontier = None
+        for source in self._sources():
+            data = yield from self._read(
+                source, *reader.window(0, reader.slots)
+            )
+            if data is not None:
+                frontier = scan_frontier(
+                    data, reader.head, reader.slots, reader.slot_size
+                )
+            if frontier is not None:
+                break
+        if frontier is None:
+            return False  # nobody reachable holds a parseable record
+        oldest_surviving = max(frontier - reader.slots, 0)
+        moved = oldest_surviving > reader.head
+        reader.fast_forward(oldest_surviving)
+        self.transport.probe.count("ring_resyncs", self.ring)
+        _end, installed = yield from self.fill(reader.head)
+        return moved or installed > 0

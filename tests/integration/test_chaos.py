@@ -113,7 +113,8 @@ def _crash_restart_scenario(env, cluster, catch_up=True,
             return False
             yield  # unreachable: makes this a generator function
 
-        node.transport.maybe_repair_f = _no_repair
+        for repairer in node.transport.f_repairers.values():
+            repairer.detect = _no_repair
     cpu = cluster.node("p3").rnode.cpu
     cpu.speed = restart_cpu_speed
     cluster.restart("p3", catch_up=catch_up)

@@ -106,7 +106,8 @@ class TestScaleOut:
             return False
             yield  # unreachable: makes this a generator function
 
-        joiner.transport.maybe_repair_f = _no_repair
+        for repairer in joiner.transport.f_repairers.values():
+            repairer.detect = _no_repair
         env.run(until=env.now + 6000.0)
 
         totals = cluster.applied_totals()

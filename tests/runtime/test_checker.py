@@ -18,6 +18,7 @@ from repro.runtime import (
     TraceChecker,
     TraceRecorder,
 )
+from repro.runtime import trace as trace_module
 from repro.sim import Environment
 from repro.workload import DriverConfig, run_workload
 
@@ -82,6 +83,30 @@ class TestCleanTraces:
         recorder.export_jsonl(str(path))
         report = checker.check_jsonl(str(path))
         assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("spec_factory, workload", [
+        (gset_spec, "gset"), (courseware_spec, "courseware"),
+    ])
+    def test_roster_read_off_the_rings_gives_the_declared_verdict(
+            self, spec_factory, workload, monkeypatch):
+        """Given no roster, the check names the nodes from the rings'
+        site tables, building no row for it, and reaches the verdict it
+        reaches with the cluster's processes."""
+        recorder, checker = traced_run(spec_factory, workload)
+        events = recorder.events()
+        assert events.nodes() == {e.node for e in events}
+        declared = checker.check(events)
+        built = []
+        new_event = trace_module._new_event
+        monkeypatch.setattr(
+            trace_module, "_new_event",
+            lambda cls, fields: built.append(fields) or new_event(cls, fields),
+        )
+        assert events.nodes() == set(recorder.nodes())
+        assert built == []
+        derived = TraceChecker(checker.coordination).check(events)
+        assert derived.ok and declared.ok
+        assert derived.summary() == declared.summary()
 
     def test_summary_mentions_scale(self):
         recorder, checker = traced_run(gset_spec, "gset", total_ops=60)

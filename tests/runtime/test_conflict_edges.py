@@ -195,9 +195,9 @@ class TestHoleDetectionAfterLeaderChange:
         # New records now land in the ex-leader's ring BEYOND the hole.
         env.run(until=cluster.node(new_leader).submit("withdraw", 10))
         env.run(until=cluster.node(new_leader).submit("withdraw", 10))
-        # Give the poller time to miss 256 times and probe ahead.
+        # Give the poller its patience to probe ahead.
         env.run(until=env.now + 6000)
         assert cluster.node(old_leader).effective_state() == 100 - 40
         probe = cluster.node(old_leader).stats()["probe"]
-        assert probe["hole_repairs"].get(gid, 0) >= 1
+        assert probe["hole_repairs"].get(f"L:{gid}", 0) >= 1
         assert cluster.failures() == []

@@ -23,7 +23,8 @@ from repro.runtime.heartbeat import PeerHealth
 from repro.sim import Environment
 
 
-def bare_transport(spec, n_nodes=3, config=None, probe=None):
+def bare_transport(spec, n_nodes=3, config=None, probe=None,
+                   is_suspected=lambda peer: False):
     env = Environment()
     coordination = Coordination.analyze(spec)
     fabric = Fabric.build(env, n_nodes)
@@ -31,7 +32,7 @@ def bare_transport(spec, n_nodes=3, config=None, probe=None):
     transports = {
         name: RingTransport(
             fabric.nodes[name], coordination, names, config or RuntimeConfig(),
-            PeerHealth(), probe,
+            PeerHealth(), probe, is_suspected=is_suspected,
         )
         for name in names
     }
@@ -149,7 +150,6 @@ class TestRingTransportStandalone:
         def scenario():
             offset, record = yield from sender.render_with_backpressure(
                 sender.f_writers["p2"], f_ack_region("p2"), packet,
-                lambda peer: False,
             )
             node = fabric.nodes["p1"]
             qp = node.qp_to("p2")
@@ -184,7 +184,7 @@ class TestRingTransportStandalone:
         def fill():
             for _ in range(4):
                 yield from sender.render_with_backpressure(
-                    writer, f_ack_region("p2"), payload, lambda p: False
+                    writer, f_ack_region("p2"), payload
                 )
 
         run_gen(env, fill())
@@ -194,7 +194,7 @@ class TestRingTransportStandalone:
 
         def fifth():
             yield from sender.render_with_backpressure(
-                writer, f_ack_region("p2"), payload, lambda p: False
+                writer, f_ack_region("p2"), payload
             )
             released.append(env.now)
 
@@ -212,8 +212,9 @@ class TestRingTransportStandalone:
     def test_suspected_reader_releases_backpressure(self):
         config = RuntimeConfig(ring_slots=2, ack_every=1,
                                backpressure_wait_us=1.0)
+        suspected = set()
         env, _coordination, _fabric, transports = bare_transport(
-            gset_spec(), config=config
+            gset_spec(), config=config, is_suspected=suspected.__contains__
         )
         sender = transports["p1"]
         writer = sender.f_writers["p2"]
@@ -221,11 +222,12 @@ class TestRingTransportStandalone:
         def scenario():
             for _ in range(2):
                 yield from sender.render_with_backpressure(
-                    writer, f_ack_region("p2"), b"y", lambda p: False
+                    writer, f_ack_region("p2"), b"y"
                 )
             # Ring full, reader suspected: must not block.
+            suspected.add("p2")
             yield from sender.render_with_backpressure(
-                writer, f_ack_region("p2"), b"y", lambda p: p == "p2"
+                writer, f_ack_region("p2"), b"y"
             )
 
         probe = CountingProbe()
@@ -253,7 +255,7 @@ class TestRingTransportStandalone:
         def scenario():
             for _ in range(3):
                 yield from sender.render_with_backpressure(
-                    writer, f_ack_region("p2"), b"y", lambda p: False
+                    writer, f_ack_region("p2"), b"y"
                 )
 
         run_gen(env, scenario())
@@ -279,9 +281,9 @@ class TestRingTransportStandalone:
         probed = []
         for sweep, waited_us in enumerate(waits, start=1):
             before = len(looked)
-            repaired = run_gen(env, transport.maybe_repair_f(
-                "p2", lambda peer: False, waited_us
-            ))
+            repaired = run_gen(
+                env, transport.f_repairers["p2"].detect(waited_us)
+            )
             assert not repaired  # the writer is idle: nothing lies ahead
             if len(looked) > before:
                 probed.append(sweep)

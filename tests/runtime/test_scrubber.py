@@ -111,6 +111,10 @@ class TestScrubber:
         assert one_run() == one_run()
 
 
+def _scrubbed(node):
+    return [repairer.ring for repairer in node.scrubber._targets]
+
+
 class TestScrubberRearm:
     """Membership changes must re-arm the scrub rotation (regression:
     the target list was computed once at construction, so a joiner's
@@ -121,20 +125,20 @@ class TestScrubberRearm:
         env, cluster = _scrubbing_cluster()
         _populate(env, cluster, n=3)
         incumbent = cluster.node("p2")
-        assert ("F", "p4") not in incumbent.scrubber._targets
+        assert "F:p4" not in _scrubbed(incumbent)
         cluster.add_node("p4")
         env.run(until=env.now + 500.0)
-        assert ("F", "p4") in incumbent.scrubber._targets
+        assert "F:p4" in _scrubbed(incumbent)
 
     def test_departed_ring_leaves_the_rotation(self):
         env, cluster = _scrubbing_cluster()
         _populate(env, cluster, n=3)
         incumbent = cluster.node("p2")
-        assert ("F", "p3") in incumbent.scrubber._targets
+        assert "F:p3" in _scrubbed(incumbent)
         cluster.remove_node("p3")
         # The drainable-history reader survives; the scrub target must not.
         assert "p3" in incumbent.transport.f_readers
-        assert ("F", "p3") not in incumbent.scrubber._targets
+        assert "F:p3" not in _scrubbed(incumbent)
 
     def test_heals_corruption_in_a_joiner_ring(self):
         """End to end: corruption planted in the JOINER's replicated F
