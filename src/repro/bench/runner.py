@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 SYSTEMS = ("hamband", "mu", "msg")
+#: A fault run's settle window after the plan's horizon (see _settle).
+SETTLE_US = 200_000.0
+SETTLE_TICK_US = 20.0
+SETTLE_STABLE_TICKS = 3
 
 
 def _spec_factory(workload: str) -> Callable:
@@ -72,7 +76,7 @@ class ExperimentConfig:
     fail_at_fraction: float = 0.3
     #: Hamband-only: override leader placement (ablations).
     leaders: Optional[dict[str, str]] = None
-    conf_retry_limit: int = 60
+    conf_retry_limit: int = RuntimeConfig.conf_retry_limit
     #: Hamband-only ablation: full causal barrier instead of projected
     #: dependency arrays.
     full_dep_barrier: bool = False
@@ -262,8 +266,7 @@ def run_harness(config: ExperimentConfig, *,
                 metrics_interval_us: float = 200.0,
                 progress=None,
                 plan: Optional[FaultPlan] = None,
-                loop: Optional[OpenLoopConfig] = None,
-                settle_us: float = 200_000.0) -> Run:
+                loop: Optional[OpenLoopConfig] = None) -> Run:
     """Build the system ``config`` names, drive its workload, return the
     :class:`Run` — the one path every benchmark, test and CLI run takes.
 
@@ -286,7 +289,7 @@ def run_harness(config: ExperimentConfig, *,
     ``plan`` arms a :class:`FaultInjector` before traffic starts
     (scheduled faults fire by simulated time; window faults intercept
     RDMA verbs and messages); after the workload the run continues past
-    the plan's horizon and waits up to ``settle_us`` for a short
+    the plan's horizon and waits up to :data:`SETTLE_US` for a short
     stable-convergence window.  Neither the settle window nor a quiesce
     timeout raises: :meth:`Run.check` is the gate, so a run whose
     recovery paths failed completes with ``result=None`` and/or
@@ -385,7 +388,7 @@ def run_harness(config: ExperimentConfig, *,
         if env.now < horizon:
             env.run(until=horizon)
         settled = bool(env.run(until=env.process(
-            _settle(env, cluster, settle_us), name="chaos:settle"
+            _settle(env, cluster), name="chaos:settle"
         )))
     crashed = getattr(cluster, "failures", lambda: [])()
     if crashed:
@@ -414,24 +417,23 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return run_harness(config, trace=False).result
 
 
-def _settle(env: Environment, cluster, settle_us: float,
-            check_every_us: float = 20.0, stable_needed: int = 3):
+def _settle(env: Environment, cluster):
     """Wait for a few consecutive converged ticks; never raise.
 
-    Returns True once ``stable_needed`` consecutive checks see every
-    node at the same applied total and state-equal, False when the
-    settle budget runs out first.
+    Returns True once :data:`SETTLE_STABLE_TICKS` consecutive checks,
+    :data:`SETTLE_TICK_US` apart, see every node at the same applied
+    total and state-equal, False when :data:`SETTLE_US` runs out first.
     """
-    deadline = env.now + settle_us
+    deadline = env.now + SETTLE_US
     stable = 0
-    while stable < stable_needed:
+    while stable < SETTLE_STABLE_TICKS:
         if _totals_agree(cluster) and cluster.converged():
             stable += 1
         else:
             stable = 0
         if env.now > deadline:
             return False
-        yield env.timeout(check_every_us)
+        yield env.timeout(SETTLE_TICK_US)
     return True
 
 

@@ -36,7 +36,7 @@ Commands:
   randomized-but-reproducible plan.  The run reports injected-fault
   and corruption-repair counts next to the usual metrics (ring records
   always carry a CRC, so corrupt and torn writes are detected and
-  repaired); ``--scrub`` additionally runs the background scrubber
+  repaired); ``--scrub [US]`` additionally runs the background scrubber
   over at-rest ring replicas.  ``--check`` gates the run with
   the trace checker (exit 2 on violations), which is how the CI chaos
   matrix decides pass/fail; a run that never quiesced or never settled
@@ -202,16 +202,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--scrub",
-        action="store_true",
-        help="run the background scrubber: each node re-verifies its "
-        "at-rest ring replicas against authoritative copies and repairs "
-        "divergence (see also --scrub-interval-us)",
-    )
-    chaos.add_argument(
-        "--scrub-interval-us",
+        nargs="?",
         type=float,
-        default=50.0,
-        help="scrub tick in sim microseconds (with --scrub; default 50)",
+        const=50.0,
+        default=0.0,
+        metavar="US",
+        help="run the background scrubber every US sim microseconds "
+        "(default 50): each node re-verifies its at-rest ring replicas "
+        "against authoritative copies and repairs divergence",
     )
     return parser
 
@@ -543,9 +541,7 @@ def _experiment_config(args: argparse.Namespace):
             txn_lock_path=args.txn_lock_path == "on",
         )
     if "scrub" in flags:
-        fields.update(
-            scrub_interval_us=args.scrub_interval_us if args.scrub else 0.0
-        )
+        fields.update(scrub_interval_us=args.scrub)
     if "fail_node" in flags:
         fields.update(fail_node=args.fail_node)
     config = ExperimentConfig(**fields)
@@ -803,8 +799,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"gray: degraded={_total('peer_degraded')} "
         f"phi_suspects={_total('fd_phi_suspects')} "
         f"hedged={_total('hedged_reads')}/{_total('hedge_wins')} "
-        f"retries={_total('op_retries')} "
-        f"budget_exhausted={_total('retry_budget_exhausted')}"
+        f"retries={_total('op_retries')}"
     )
     own.append(f"settled: {'yes' if run.settled else 'NO'}")
     return _report(args, run, own, phases=False)

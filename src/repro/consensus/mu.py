@@ -24,6 +24,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Environment, Event, Store
+from ..runtime import config as runtime_config
 from ..runtime.config import RuntimeConfig
 from ..runtime.ringbuffer import RingError, RingWriter, span_of
 
@@ -49,18 +50,18 @@ class MuGroup:
     def __init__(self, node: RdmaNode, gid: str, members: list[str],
                  initial_leader: str, repairer, config: RuntimeConfig,
                  control_send: Callable,
-                 ack_of: Optional[Callable[[str], Optional[int]]] = None,
-                 on_demoted: Optional[Callable[[], None]] = None,
-                 is_suspected: Optional[Callable[[str], bool]] = None):
+                 ack_of: Callable[[str], int],
+                 on_demoted: Callable[[], None],
+                 is_suspected: Callable[[str], bool]):
         """``repairer`` is the :class:`~repro.runtime.transport.
         RingRepairer` of this node's log copy: its reader's head counts
         the log records this node has applied, and its ``fill`` adopts
         records from the other copies.  ``control_send(peer, message)``
         is a generator posting a control-plane SEND; ``ack_of(peer)``
-        reads the peer's flow-control ack (None when acks are
-        disabled); ``is_suspected(peer)`` lets the leader skip posting
-        decisions toward suspected — possibly fail-slow — followers
-        instead of gating every commit on their completions."""
+        reads the peer's flow-control ack; ``is_suspected(peer)`` lets
+        the leader skip posting decisions toward suspected — possibly
+        fail-slow — followers instead of gating every commit on their
+        completions."""
         self.node = node
         self.env: Environment = node.env
         self.gid = gid
@@ -80,9 +81,9 @@ class MuGroup:
         self._log = repairer.reader
         self.region_name = repairer.region_name
         self._control_send = control_send
-        self._ack_of = ack_of or (lambda peer: None)
-        self._on_demoted = on_demoted or (lambda: None)
-        self._is_suspected = is_suspected or (lambda peer: False)
+        self._ack_of = ack_of
+        self._on_demoted = on_demoted
+        self._is_suspected = is_suspected
         #: Set while this node believes itself the leader.
         self.is_leader = node.name == initial_leader
         #: Writers toward each follower's log region (leader only).
@@ -103,13 +104,13 @@ class MuGroup:
         for peer in self.members:
             if peer == self.node.name:
                 continue
-            writer = RingWriter(self.config.ring_slots,
+            writer = RingWriter(runtime_config.RING_SLOTS,
                                 self.config.slot_size)
             writer.tail = start_tail
-            if start_tail == 0 and self._ack_of(peer) is not None:
-                # Fresh log with flow control wired: track reader acks.
-                # After a failover (start_tail > 0) ack state is stale,
-                # so the new leader relies on ring sizing instead.
+            if start_tail == 0:
+                # Fresh log: track reader acks.  After a failover
+                # (start_tail > 0) ack state is stale, so the new leader
+                # relies on ring sizing instead.
                 writer.reader_acked = 0
             self._writers[peer] = writer
         self.decided = start_tail
@@ -141,11 +142,10 @@ class MuGroup:
             # is skipped: a slow follower's completion would gate this
             # and every following decision on the straggler.
             suspected = self._is_suspected(peer)
-            ack = self._ack_of(peer)
-            if ack is not None and writer.reader_acked is not None:
+            if writer.reader_acked is not None:
                 # Clamp to our own tail: a corrupt/torn ack write must
                 # not disable overrun protection with a garbage value.
-                writer.ack_up_to(min(ack, writer.tail))
+                writer.ack_up_to(min(self._ack_of(peer), writer.tail))
             waited = 0
             while True:
                 try:
@@ -166,9 +166,7 @@ class MuGroup:
                         offset, slot = writer.render(payload)
                         break
                     yield self.env.timeout(CATCHUP_POLL_US)
-                    ack = self._ack_of(peer)
-                    if ack is not None:
-                        writer.ack_up_to(min(ack, writer.tail))
+                    writer.ack_up_to(min(self._ack_of(peer), writer.tail))
             region = self.node.region_of(peer, self.region_name)
             qp = self.node.qp_to(peer, mu_channel(self.gid))
             pieces = writer.pieces(offset, slot)
@@ -194,17 +192,17 @@ class MuGroup:
                 # idempotent.  Permission errors are the leader-change
                 # signal and must surface immediately.
                 retries = 0
-                delay = self.config.op_retry_us
+                delay = runtime_config.OP_RETRY_US
                 while (
                     wc.status is not WcStatus.SUCCESS
                     and wc.status is not WcStatus.PERMISSION_ERROR
-                    and retries < self.config.op_retry_limit
+                    and retries < runtime_config.OP_RETRY_LIMIT
                     and self.node.alive
                     and self.is_leader
                 ):
                     retries += 1
                     yield self.env.timeout(delay)
-                    delay = min(delay * 2, self.config.op_retry_cap_us)
+                    delay = min(delay * 2, runtime_config.OP_RETRY_CAP_US)
                     yield self.node.cpu.hold(qp.config.post_cpu_us)
                     wc = yield qp.post_write(region, offset, data)
                 statuses.add(wc.status)
@@ -390,7 +388,7 @@ class MuGroup:
             return
         self.members = sorted([*self.members, name])
         if self.is_leader and name != self.node.name:
-            writer = RingWriter(self.config.ring_slots,
+            writer = RingWriter(runtime_config.RING_SLOTS,
                                 self.config.slot_size)
             writer.tail = self.decided
             self._writers[name] = writer

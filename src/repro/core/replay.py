@@ -34,9 +34,9 @@ class Replay:
     method's declared delta while the node is sound, the whole-state
     ``I`` once it is broken, until ``I`` holds again.  The verdicts are
     therefore those of the whole-state fold, violation or not.  The
-    flags are derived from σ, never checkpointed: a joiner's and a
-    restored node's are recomputed, and :meth:`audit` checks every flag
-    against the whole state once, at the end of a check.
+    flags are derived from σ: a joiner's is recomputed, and
+    :meth:`audit` checks every flag against the whole state once, at
+    the end of a check.
     See docs/observability.md, "What observability costs".
     """
 
@@ -96,15 +96,6 @@ class Replay:
     def join(self, node: str) -> None:
         self.sigma[node] = self.seed
         self.holds[node] = bool(self.spec.invariant(self.seed))
-
-    def restore(self, sigma: dict[str, Any], seed: Any) -> None:
-        """Adopt checkpointed states; their flags are recomputed, so a
-        node restored in a broken state is stepped on the whole state."""
-        self.sigma, self.seed = sigma, seed
-        self.holds = {
-            node: bool(self.spec.invariant(state))
-            for node, state in sigma.items()
-        }
 
     def audit(self) -> list[str]:
         """The safety net under the declared deltas: the whole-state

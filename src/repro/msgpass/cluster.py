@@ -22,6 +22,9 @@ from .network import MsgConfig, MsgHost, MsgNetwork
 
 __all__ = ["MsgCrdtCluster", "MsgCrdtNode"]
 
+#: How often :meth:`MsgCrdtCluster.quiesce` re-checks applied totals.
+QUIESCE_POLL_US = 10.0
+
 
 class MsgCrdtNode:
     """One replica of the message-passing CRDT deployment."""
@@ -121,8 +124,7 @@ class MsgCrdtCluster:
         states = list(self.effective_states().values())
         return all(self.spec.state_eq(states[0], s) for s in states[1:])
 
-    def quiesce(self, total_updates: int, check_every_us: float = 10.0,
-                timeout_us: float = 10_000_000.0):
+    def quiesce(self, total_updates: int, timeout_us: float = 10_000_000.0):
         deadline = self.env.now + timeout_us
         while True:
             if all(
@@ -135,7 +137,7 @@ class MsgCrdtCluster:
                 raise TimeoutError(
                     f"MSG cluster did not quiesce: {self.applied_totals()}"
                 )
-            yield self.env.timeout(check_every_us)
+            yield self.env.timeout(QUIESCE_POLL_US)
 
     def crash(self, name: str) -> None:
         self.nodes[name].host.crash()

@@ -48,7 +48,7 @@ class MemoryRegion:
     Storage is an anonymous demand-zero mapping: a registered byte reads
     as zero and costs no resident memory until its page is first
     written, so the n² mostly idle rings of a cluster are priced by the
-    bytes they hold, not by ``ring_slots * slot_size``.
+    bytes they hold, not by ``RING_SLOTS * slot_size``.
     """
 
     def __init__(self, owner: str, name: str, size: int, access: Access):

@@ -51,7 +51,7 @@ from .ringbuffer import (
 from .scrubber import Scrubber
 from .sharding import ShardedCluster, ShardRouter
 from .statexfer import StateTransfer
-from .stream_checker import CheckpointState, StreamingChecker
+from .stream_checker import StreamingChecker
 from .telemetry import MetricsEmitter
 from .trace import ShardedRecorder, TraceEvent, TraceRecorder, TracingProbe
 from .txn import TxnCoordinator, TxnOp, TxnOutcome
@@ -70,7 +70,6 @@ __all__ = [
     "MEMO_FRAMES",
     "ApplyEngine",
     "CheckReport",
-    "CheckpointState",
     "ConflictCoordinator",
     "ControlPlane",
     "CountingProbe",

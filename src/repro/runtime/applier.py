@@ -33,11 +33,13 @@ from ..core import Call, Category, Coordination, keeps_always
 from ..core.rdma_semantics import DependencyMap
 from ..rdma import RdmaNode, WcStatus
 from ..sim import Event
+from . import config as runtime_config
 from .config import RuntimeConfig, s_region
 from .errors import ImpermissibleError, SubmitError
 from .probe import RuntimeProbe
 from .ringbuffer import MAX_RECORD_PAYLOAD, RingCorruptionError, RingError
 from .summary import (
+    SUMMARY_SLOT_SIZE,
     SummarySlot,
     current_record_bytes,
     parse_slot,
@@ -48,6 +50,15 @@ from .transport import HOLE_PATIENCE
 from .wire import WireCodec
 
 __all__ = ["ApplyEngine"]
+
+#: CPU cost of applying one buffered call to σ, and of one query.
+APPLY_CPU_US = 0.15
+QUERY_CPU_US = 0.20
+#: The poller's wait after progress (records often arrive in trains),
+#: and its idle backoff (see :meth:`ApplyEngine.poll_loop`).
+POLL_HOT_US = 0.2
+POLL_BACKOFF = 2.0
+POLL_IDLE_MAX_US = 8.0
 
 
 class ApplyEngine:
@@ -122,7 +133,7 @@ class ApplyEngine:
     def _add_summary_reader(self, group: str, owner: str) -> None:
         region = self.rnode.regions[s_region(group, owner)]
         self.summary_readers[(group, owner)] = SummarySlot(
-            region, 0, slot_size_for(self.config.summary_payload),
+            region, 0, SUMMARY_SLOT_SIZE,
             codec=self.codec,
         )
         self._slots = list(self.summary_readers.values())
@@ -273,7 +284,7 @@ class ApplyEngine:
     def apply(self, call: Call, rule: str):
         """Generator: pay the apply CPU cost, then commit the call."""
         self.probe.span_begin("apply", call.method, call.origin, call.rid)
-        yield self.rnode.cpu.hold(self.config.apply_cpu_us)
+        yield self.rnode.cpu.hold(APPLY_CPU_US)
         self.apply_buffered(call, rule)
         self.probe.span_end("apply", call.method, call.origin, call.rid)
 
@@ -321,7 +332,7 @@ class ApplyEngine:
                 result.succeed(value)
 
         def start() -> None:
-            hold = self.rnode.cpu.hold(self.config.query_cpu_us)
+            hold = self.rnode.cpu.hold(QUERY_CPU_US)
             hold.callbacks.append(answer)
 
         self.env.call_later(0, start)
@@ -329,7 +340,7 @@ class ApplyEngine:
 
     # Case 2: reducible — summarize locally, one remote write per peer.
     def do_reduce(self, method: str, arg: Any):
-        yield self.rnode.cpu.hold(self.config.local_cpu_us)
+        yield self.rnode.cpu.hold(runtime_config.LOCAL_CPU_US)
         call = self.make_call(method, arg)
         self.probe.span_begin("invoke", method, call.origin, call.rid)
         if method not in self._always and not self.spec.invariant(
@@ -346,8 +357,7 @@ class ApplyEngine:
         seq += 1
         self.summary_mirror[summarizer.group] = (seq, combined, counts)
         slot_bytes = render_summary(
-            seq, combined, counts,
-            slot_size_for(self.config.summary_payload),
+            seq, combined, counts, SUMMARY_SLOT_SIZE,
             codec=self.codec,
         )
         region_name = s_region(summarizer.group, self.name)
@@ -383,7 +393,7 @@ class ApplyEngine:
 
     # Case 3: irreducible conflict-free — local apply + F-ring fan-out.
     def do_free(self, method: str, arg: Any):
-        yield self.rnode.cpu.hold(self.config.local_cpu_us)
+        yield self.rnode.cpu.hold(runtime_config.LOCAL_CPU_US)
         call = self.make_call(method, arg)
         self.probe.span_begin("invoke", method, call.origin, call.rid)
         post_sigma = self.spec.apply_call(call, self.sigma)
@@ -426,7 +436,7 @@ class ApplyEngine:
 
     def _due_ack_piggyback(self) -> list:
         """Flow-control acks due now, rendered as piggyback writes."""
-        if not self.config.ack_every or self.conflict is None:
+        if self.conflict is None:
             return []
         return self.transport.piggyback_ack_writes(self.conflict.leader_of)
 
@@ -435,25 +445,25 @@ class ApplyEngine:
     def poll_loop(self):
         """Adaptive poller: hot after progress, exponential idle backoff.
 
-        Each empty sweep multiplies the idle wait by ``poll_backoff`` up
-        to ``max(poll_idle_max_us, poll_interval_us)`` (the ``max`` keeps
-        configs whose base interval already exceeds the cap honest); any
-        progress snaps the wait back down to ``poll_interval_us``.
+        Each empty sweep multiplies the idle wait by :data:`POLL_BACKOFF`
+        up to ``max(POLL_IDLE_MAX_US, POLL_INTERVAL_US)`` (the ``max``
+        keeps a base interval above the cap honest); any progress snaps
+        the wait back down to ``POLL_INTERVAL_US``.
         """
-        cfg = self.config
-        idle_us = cfg.poll_interval_us
-        idle_cap = max(cfg.poll_idle_max_us, cfg.poll_interval_us)
+        poll_us = runtime_config.POLL_INTERVAL_US
+        idle_us = poll_us
+        idle_cap = max(POLL_IDLE_MAX_US, poll_us)
         waited_us = 0.0
         while True:
             progressed = False
             if self.rnode.alive:
                 progressed = yield from self.traverse_once(waited_us)
             if progressed:
-                idle_us = cfg.poll_interval_us
-                waited_us = cfg.poll_hot_us
+                idle_us = poll_us
+                waited_us = POLL_HOT_US
             else:
                 waited_us = idle_us
-                idle_us = min(idle_us * cfg.poll_backoff, idle_cap)
+                idle_us = min(idle_us * POLL_BACKOFF, idle_cap)
             yield self.env.timeout(waited_us)
 
     def traverse_once(self, waited_us: float = 0.0):
@@ -492,8 +502,7 @@ class ApplyEngine:
             progressed |= yield from self.repair_summaries(waited_us)
         if self.pending_recovered:
             progressed |= yield from self.drain_recovered()
-        if self.config.ack_every:
-            yield from self.transport.flush_acks(self.conflict.leader_of)
+        yield from self.transport.flush_acks(self.conflict.leader_of)
         return progressed
 
     # -- recovery: summary catch-up --------------------------------------
@@ -509,7 +518,7 @@ class ApplyEngine:
         whatever its seq (the owner's first), and the adoption counts
         as a repair of ring ``S:<group>:<owner>``.
         """
-        summary_size = slot_size_for(self.config.summary_payload)
+        summary_size = SUMMARY_SLOT_SIZE
         refreshed = 0
         for summarizer in self.spec.summarizers:
             for owner in self.processes:
@@ -572,7 +581,7 @@ class ApplyEngine:
             if key not in misses:
                 self.probe.count("crc_rejects", f"S:{key[0]}:{key[1]}")
             count = misses.get(key, 0.0) + max(
-                waited_us / self.config.poll_interval_us, 1.0
+                waited_us / runtime_config.POLL_INTERVAL_US, 1.0
             )
             if count < HOLE_PATIENCE:
                 misses[key] = count

@@ -33,19 +33,21 @@ __all__ = ["ReliableBroadcast", "BACKUP_REGION"]
 
 BACKUP_REGION = "hamband:bcast_backup"
 _HEADER = 4  # payload length
+#: Largest message the backup slot holds.
+BACKUP_SIZE = 4608
+#: CPU cost of each local backup-slot write.
+LOCAL_WRITE_US = 0.02
 
 
 class ReliableBroadcast:
     """One node's broadcast endpoint: backup slot + write fan-out."""
 
-    def __init__(self, node: RdmaNode, backup_size: int = 512,
-                 local_write_us: float = 0.02):
+    def __init__(self, node: RdmaNode):
         self.node = node
         self.env: Environment = node.env
-        self.local_write_us = local_write_us
         self.backup = node.register(
             BACKUP_REGION,
-            _HEADER + backup_size,
+            _HEADER + BACKUP_SIZE,
             access=Access.LOCAL | Access.REMOTE_READ,
         )
         #: Fault injection: when set, the source "process" dies at the
@@ -101,7 +103,7 @@ class ReliableBroadcast:
         wrong.
         """
         self._write_backup(message)
-        yield self.node.cpu.hold(self.local_write_us)
+        yield self.node.cpu.hold(LOCAL_WRITE_US)
         pending = list(writes)
         results: list = []
         if is_suspected is not None:
@@ -153,7 +155,7 @@ class ReliableBroadcast:
         if abandoned:
             return results  # keep the backup set: survivors can recover
         self._clear_backup()
-        yield self.node.cpu.hold(self.local_write_us)
+        yield self.node.cpu.hold(LOCAL_WRITE_US)
         return results
 
     def _write_backup(self, message: bytes) -> None:

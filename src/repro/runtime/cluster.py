@@ -27,7 +27,7 @@ from ..core import (
     RefinementChecker,
     concrete_events,
 )
-from ..rdma import Fabric, RdmaConfig
+from ..rdma import Fabric
 from ..sim import Environment
 from .errors import ImpermissibleError, NotLeaderError, SubmitError
 from .membership import MembershipEpoch, join_cluster, leave_cluster
@@ -40,6 +40,8 @@ __all__ = ["HambandCluster", "submit_redirected"]
 #: How long a redirected call waits before its next attempt while a
 #: leader change or fail-over settles.
 REDIRECT_WAIT_US = 50.0
+#: How often :meth:`HambandCluster.quiesce` re-checks applied totals.
+QUIESCE_POLL_US = 5.0
 
 
 class HambandCluster:
@@ -99,7 +101,6 @@ class HambandCluster:
     def build(cls, env: Environment,
               spec_or_coordination: Union[ObjectSpec, Coordination],
               n_nodes: int, config: Optional[RuntimeConfig] = None,
-              rdma_config: Optional[RdmaConfig] = None,
               cpu_cores: int = 2,
               leaders: Optional[dict[str, str]] = None,
               probe_factory: Optional[Callable[[str], Any]] = None,
@@ -115,9 +116,7 @@ class HambandCluster:
             coordination = spec_or_coordination
         else:
             coordination = Coordination.analyze(spec_or_coordination)
-        fabric = Fabric.build(
-            env, n_nodes, config=rdma_config, cpu_cores=cpu_cores
-        )
+        fabric = Fabric.build(env, n_nodes, cpu_cores=cpu_cores)
         return cls(env, coordination, fabric, config=config, leaders=leaders,
                    probe_factory=probe_factory)
 
@@ -145,8 +144,7 @@ class HambandCluster:
         per_node["cluster"] = rollup_node_stats(per_node)
         return per_node
 
-    def quiesce(self, total_updates: int, check_every_us: float = 5.0,
-                timeout_us: float = 1_000_000.0):
+    def quiesce(self, total_updates: int, timeout_us: float = 1_000_000.0):
         """Process: wait until every node reflects ``total_updates`` calls.
 
         This is the paper's replication-complete condition used for
@@ -169,7 +167,7 @@ class HambandCluster:
                     f"cluster did not quiesce: {self.applied_totals()} "
                     f"vs expected {total_updates}"
                 )
-            yield self.env.timeout(check_every_us)
+            yield self.env.timeout(QUIESCE_POLL_US)
 
     def effective_states(self) -> dict[str, Any]:
         return {
@@ -218,7 +216,7 @@ class HambandCluster:
     # -- elastic membership ------------------------------------------------
 
     def add_node(self, name: str, cpu_cores: int = 2,
-                 transfer: bool = True, barrier: bool = True) -> HambandNode:
+                 transfer: bool = True) -> HambandNode:
         """Scale-out: join ``name`` into the running cluster.
 
         The joiner starts refusing requests and flips live once its
@@ -227,8 +225,7 @@ class HambandCluster:
         :func:`~repro.runtime.membership.join_cluster` for the knobs.
         """
         return join_cluster(
-            self, name, cpu_cores=cpu_cores, transfer=transfer,
-            barrier=barrier,
+            self, name, cpu_cores=cpu_cores, transfer=transfer
         )
 
     def remove_node(self, name: str) -> HambandNode:

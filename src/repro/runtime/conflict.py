@@ -28,6 +28,7 @@ from ..consensus import MuGroup
 from ..core import Coordination
 from ..rdma import RdmaNode
 from ..sim import Store
+from . import config as runtime_config
 from .config import RuntimeConfig, l_ack_region, l_region
 from .errors import ImpermissibleError, NotLeaderError, SubmitError
 from .probe import RuntimeProbe
@@ -46,6 +47,9 @@ CAMPAIGN_STAGGER_US = 200.0
 #: up (counted as a ``campaign`` give-up in ``giveups``).
 CAMPAIGN_RETRY_LIMIT = 4
 CAMPAIGN_RETRY_US = 400.0
+#: A conflicting call that is not yet permissible at the leader is
+#: requeued this far apart (``RuntimeConfig.conf_retry_limit`` times).
+CONF_RETRY_US = 2.0
 
 
 class ConflictCoordinator:
@@ -58,8 +62,7 @@ class ConflictCoordinator:
                  is_failed: Callable[[], bool],
                  is_suspected: Callable[[str], bool],
                  suspected: Callable[[], set],
-                 probe: Optional[RuntimeProbe] = None,
-                 codec: Optional[WireCodec] = None):
+                 probe: RuntimeProbe, codec: WireCodec):
         self.rnode = rnode
         self.env = rnode.env
         self.name = rnode.name
@@ -74,8 +77,8 @@ class ConflictCoordinator:
         self.is_failed = is_failed
         self.is_suspected = is_suspected
         self.suspected = suspected
-        self.probe = probe or RuntimeProbe()
-        self.codec = codec or WireCodec()
+        self.probe = probe
+        self.codec = codec
         # Partially applied leader batches, per group (see drain_l).
         self._l_partial: dict[str, deque] = {
             group.gid: deque() for group in coordination.sync_groups()
@@ -112,15 +115,9 @@ class ConflictCoordinator:
                 self.l_repairers[gid],
                 self.config,
                 control_send=self.control_send,
-                ack_of=(
-                    (
-                        lambda peer, gid=gid: self.rnode.regions[
-                            l_ack_region(gid, peer)
-                        ].read_u64(0)
-                    )
-                    if self.config.ack_every
-                    else None
-                ),
+                ack_of=lambda peer, gid=gid: self.rnode.regions[
+                    l_ack_region(gid, peer)
+                ].read_u64(0),
                 on_demoted=lambda gid=gid: self.on_demoted(gid),
                 is_suspected=self.is_suspected,
             )
@@ -175,7 +172,7 @@ class ConflictCoordinator:
                 done.succeed(NotLeaderError(method, mu.leader))
                 continue
             if call is None:
-                yield self.rnode.cpu.hold(cfg.local_cpu_us)
+                yield self.rnode.cpu.hold(runtime_config.LOCAL_CPU_US)
                 call = applier.make_call(method, arg)
             post_sigma = self.spec.apply_call(call, applier.sigma)
             if not applier.permits(call, applier.sigma, post_sigma):
@@ -191,7 +188,7 @@ class ConflictCoordinator:
                     )
                 else:
                     self.probe.count("conflict_retries", gid)
-                    yield self.env.timeout(cfg.conf_retry_us)
+                    yield self.env.timeout(CONF_RETRY_US)
                     queue.put((method, arg, done, call, retries + 1))
                 continue
             # Accepted speculatively: no local state changes until the
@@ -304,7 +301,7 @@ class ConflictCoordinator:
             item if len(item) == 5 else (*item, None, 0)
         )
         if call is None:
-            yield self.rnode.cpu.hold(cfg.local_cpu_us)
+            yield self.rnode.cpu.hold(runtime_config.LOCAL_CPU_US)
             call = applier.make_call(method, arg)
         post_sigma = self.spec.apply_call(call, spec_sigma)
         if not applier.permits(call, spec_sigma, post_sigma):

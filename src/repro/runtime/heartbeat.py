@@ -13,7 +13,7 @@ learned arrival distribution), so irregular-but-alive peers aren't
 falsely suspected and silent ones are suspected faster than a
 worst-case fixed timeout.  Until a peer's model has warmed up (fewer
 than :data:`PhiAccrual.MIN_SAMPLES` intervals) the detector falls back
-to counting stale polls against ``RuntimeConfig.suspect_after``.
+to counting stale polls against ``FailureDetector.suspect_after``.
 
 Fail-*slow* peers defeat heartbeats alone: the heartbeat counter is
 written **locally**, so it keeps advancing on time even when every RDMA

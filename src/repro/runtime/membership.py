@@ -82,14 +82,12 @@ def _stamp_epoch(cluster) -> None:
 
 
 def join_cluster(cluster, name: str, cpu_cores: int = 2,
-                 transfer: bool = True, barrier: bool = True) -> HambandNode:
+                 transfer: bool = True) -> HambandNode:
     """Add ``name`` to a running cluster; returns the new node.
 
-    ``transfer=False`` skips the state transfer entirely and
-    ``barrier=False`` runs it without leader re-discovery or the
-    frontier barrier — both are negative-control knobs (a joiner
-    flipped live without the authoritative transfer is provably
-    behind; the chaos checkers catch it).
+    ``transfer=False`` skips the state transfer entirely — the
+    negative control (a joiner flipped live without the authoritative
+    transfer is provably behind; the chaos checkers catch it).
     """
     if name in cluster.fabric.nodes:
         raise ValueError(f"node {name!r} already exists")
@@ -145,9 +143,7 @@ def join_cluster(cluster, name: str, cpu_cores: int = 2,
 
     def go_live():
         if transfer:
-            yield from StateTransfer(joiner).run(
-                barrier=barrier, reason="join"
-            )
+            yield from StateTransfer(joiner).run(reason="join")
         else:
             yield joiner.env.timeout(0.0)
         joiner.failed = False

@@ -85,9 +85,8 @@ class HambandNode:
 
     def __init__(self, rnode: RdmaNode, coordination: Coordination,
                  processes: list[str], initial_leaders: dict[str, str],
-                 config: RuntimeConfig,
-                 probe: Optional[RuntimeProbe] = None,
-                 codec: Optional[WireCodec] = None):
+                 config: RuntimeConfig, codec: WireCodec,
+                 probe: Optional[RuntimeProbe] = None):
         self.rnode = rnode
         self.env: Environment = rnode.env
         self.name = rnode.name
@@ -110,11 +109,8 @@ class HambandNode:
         self.probe = probe if probe is not None else CountingProbe()
         #: The cluster's wire codec, one object shared by every node (a
         #: joiner included), so each landed frame decodes once per
-        #: cluster.  A node built alone derives the same table from the
-        #: coordination spec and its process list.
-        self.codec = codec if codec is not None else WireCodec.for_cluster(
-            2, coordination, self.processes
-        )
+        #: cluster.
+        self.codec = codec
 
         # -- compose the four layers -----------------------------------
         #: Peer-health latency tracker: classifies limping-but-alive
@@ -131,7 +127,6 @@ class HambandNode:
         self.detector = FailureDetector(
             rnode,
             self.processes,
-            suspect_after=config.suspect_after,
             on_suspect=self._on_suspect,
             on_clear=self._on_clear,
             health=self.health,
@@ -146,7 +141,7 @@ class HambandNode:
             rnode, coordination, config, self.probe, codec=self.codec,
         )
         self.applier.init_summaries(self.processes)
-        self.broadcast = ReliableBroadcast(rnode, config.backup_size)
+        self.broadcast = ReliableBroadcast(rnode)
         self.control = ControlPlane(rnode, codec=self.codec)
         self.conflict = ConflictCoordinator(
             rnode, coordination, self.processes, initial_leaders, config,

@@ -113,9 +113,8 @@ SECTIONS = (
     "conflict_batch_max", "demotions", "hole_repairs", "giveups",
     "ring_resyncs", "crc_rejects", "torn_detected", "slot_repairs",
     "wire_rejects", "scrub_passes", "rejections", "faults", "op_retries",
-    "retry_budget_exhausted", "peer_degraded", "fd_phi_suspects",
-    "hedged_reads", "hedge_wins", "catch_ups", "member_events",
-    "recoveries",
+    "peer_degraded", "fd_phi_suspects", "hedged_reads", "hedge_wins",
+    "catch_ups", "member_events", "recoveries",
 )
 
 #: Sections that keep a per-key maximum (written by ``peak``, and

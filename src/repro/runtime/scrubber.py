@@ -13,7 +13,7 @@ holds — each peer's F ring and each followed L log — in bounded,
 rate-limited windows:
 
 - one ring per tick (round-robin over all replicas),
-- at most ``scrub_batch`` slots per tick, handed to the ring's
+- at most :data:`SCRUB_BATCH` slots per tick, handed to the ring's
   repairer's :meth:`~repro.runtime.transport.RingRepairer.compare`
   (one read of the authoritative copy — the origin's F mirror, or the
   group leader's L log — byte-compared with ours and healed where it
@@ -37,6 +37,9 @@ from .config import RuntimeConfig
 from .transport import RingRepairer, RingTransport
 
 __all__ = ["Scrubber"]
+
+#: Rate limit: slots re-verified per scrub tick.
+SCRUB_BATCH = 16
 
 
 class Scrubber:
@@ -91,20 +94,20 @@ class Scrubber:
     # -- one window ------------------------------------------------------
 
     def scrub_window(self, repairer: RingRepairer):
-        """Verify (and heal) the next ``scrub_batch`` slots of the
+        """Verify (and heal) the next :data:`SCRUB_BATCH` slots of the
         committed prefix of ``repairer``'s ring; returns the number of
         healed slots (None when its authority is this node — a leader
         scrubbing its own log has nothing to compare against —
         suspected or down, and the cursor stays put)."""
         reader = repairer.reader
         head = reader.head
-        lo = max(head - self.config.ring_slots, 0)
+        lo = max(head - reader.slots, 0)
         if head <= lo:
             return 0  # nothing committed yet
         cursor = self._cursors.get(repairer.ring, lo)
         if cursor < lo or cursor >= head:
             cursor = lo  # wrap (or the window slid past the cursor)
-        count = min(self.config.scrub_batch, head - cursor)
+        count = min(SCRUB_BATCH, head - cursor)
         result = yield from repairer.compare(cursor, count)
         if result is None:
             return None

@@ -31,13 +31,15 @@ import hashlib
 from typing import Any, Callable, Optional, Union
 
 from ..core import Coordination, ObjectSpec
-from ..rdma import RdmaConfig
 from ..sim import Environment
 from .cluster import HambandCluster
 from .node import HambandNode, RuntimeConfig
 from .probe import rollup_node_stats
 
 __all__ = ["ShardRouter", "ShardedCluster"]
+
+#: Points each shard owns on the router's hash ring.
+VNODES = 64
 
 
 def _point(seed: int, label: str) -> int:
@@ -55,26 +57,23 @@ def _point(seed: int, label: str) -> int:
 class ShardRouter:
     """Deterministic key → shard directory (seeded consistent hashing).
 
-    Each shard owns ``vnodes`` points on a 64-bit hash ring; a key maps
+    Each shard owns :data:`VNODES` points on a 64-bit hash ring; a key maps
     to the shard owning the first point at or after the key's hash.
     The same ``(n_shards, seed)`` always yields the same directory.
     ``pin`` overrides the ring for individual keys (tests use this to
     force cross-shard or same-shard layouts).
     """
 
-    def __init__(self, n_shards: int, seed: int = 0, vnodes: int = 64):
+    def __init__(self, n_shards: int, seed: int = 0):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if vnodes <= 0:
-            raise ValueError("vnodes must be positive")
         self.n_shards = n_shards
         self.seed = seed
-        self.vnodes = vnodes
         self._pins: dict[Any, int] = {}
         ring = [
             (_point(seed, f"shard:{shard}:vnode:{v}"), shard)
             for shard in range(n_shards)
-            for v in range(vnodes)
+            for v in range(VNODES)
         ]
         ring.sort()
         self._points = [point for point, _shard in ring]
@@ -137,13 +136,10 @@ class ShardedCluster:
               spec_or_coordination: Union[ObjectSpec, Coordination],
               n_shards: int, n_nodes: int = 3,
               config: Optional[RuntimeConfig] = None,
-              rdma_config: Optional[RdmaConfig] = None,
               cpu_cores: int = 2,
-              leaders: Optional[dict[str, str]] = None,
               shard_probe_factory: Optional[
                   Callable[[int], Callable[[str], Any]]
               ] = None,
-              router: Optional[ShardRouter] = None,
               seed: int = 0) -> "ShardedCluster":
         """Construct ``n_shards`` fully wired ``n_nodes``-node shards.
 
@@ -166,9 +162,7 @@ class ShardedCluster:
                 coordination,
                 n_nodes=n_nodes,
                 config=config,
-                rdma_config=rdma_config,
                 cpu_cores=cpu_cores,
-                leaders=dict(leaders) if leaders else None,
                 probe_factory=(
                     shard_probe_factory(index) if shard_probe_factory
                     else None
@@ -176,10 +170,7 @@ class ShardedCluster:
             )
             for index in range(n_shards)
         ]
-        return cls(
-            env, coordination, shards,
-            router or ShardRouter(n_shards, seed=seed),
-        )
+        return cls(env, coordination, shards, ShardRouter(n_shards, seed=seed))
 
     # -- addressing ------------------------------------------------------
 
@@ -250,7 +241,6 @@ class ShardedCluster:
         return per_shard
 
     def quiesce(self, targets: Union[int, dict[int, int]],
-                check_every_us: float = 5.0,
                 timeout_us: float = 1_000_000.0):
         """Process: wait until every shard reflects its update target.
 
@@ -265,9 +255,7 @@ class ShardedCluster:
         for index in sorted(targets):
             remaining = max(deadline - self.env.now, 0.0)
             yield from self.shards[index].quiesce(
-                targets[index],
-                check_every_us=check_every_us,
-                timeout_us=remaining,
+                targets[index], timeout_us=remaining
             )
         return self.env.now
 
@@ -303,12 +291,11 @@ class ShardedCluster:
         self.shards[shard].restart(name, catch_up=catch_up)
 
     def add_node(self, address: str, cpu_cores: int = 2,
-                 transfer: bool = True, barrier: bool = True) -> HambandNode:
+                 transfer: bool = True) -> HambandNode:
         """Scale-out one shard: ``"s2/p4"`` joins p4 into shard 2."""
         shard, name = self.split_address(address)
         return self.shards[shard].add_node(
-            name, cpu_cores=cpu_cores, transfer=transfer,
-            barrier=barrier,
+            name, cpu_cores=cpu_cores, transfer=transfer
         )
 
     def remove_node(self, address: str) -> HambandNode:

@@ -10,11 +10,11 @@ leader-ordered records decided after the heal bounced off it forever.
 
 :class:`StateTransfer` unifies all of them.  One ``run()`` pass:
 
-1. **Leader re-discovery** (``barrier=True``): ask reachable peers who
-   leads each synchronization group.  The ``leader_is`` replies flow
-   through Mu's control handler, which re-grants the current leader's
-   write permission — this is what closes the L-ring gap.  The
-   discovery is armed as *authoritative* (see
+1. **Leader re-discovery**: ask reachable peers who leads each
+   synchronization group.  The ``leader_is`` replies flow through Mu's
+   control handler, which re-grants the current leader's write
+   permission — this is what closes the L-ring gap.  The discovery is
+   armed as *authoritative* (see
    :meth:`~repro.consensus.mu.MuGroup.expect_authoritative_leader`):
    a rejoining minority's failed campaigns may have inflated its term
    past the cluster's real one, and the guard that normally rejects
@@ -25,10 +25,10 @@ leader-ordered records decided after the heal bounced off it forever.
    :meth:`~repro.runtime.transport.RingRepairer.fill` from the local
    reader head, which returns the ring's frontier; summary slots are
    refreshed with the apply engine's pull.
-3. **Frontier barrier** (``barrier=True``): the per-ring frontiers
-   captured in step 2 become targets; the worker waits (bounded — it
-   never wedges on a dependency that cannot arrive) until the node has
-   *applied* up to every target before the caller flips it live.
+3. **Frontier barrier**: the per-ring frontiers captured in step 2
+   become targets; the worker waits (bounded — it never wedges on a
+   dependency that cannot arrive) until the node has *applied* up to
+   every target before the caller flips it live.
 
 ``HambandNode.rejoin`` (restart), ``HambandNode._catch_up_from``
 (partition heal / resync), and :func:`~repro.runtime.membership.
@@ -41,6 +41,11 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = ["StateTransfer"]
+
+#: The frontier barrier polls applied progress this often and gives up
+#: after ``XFER_BARRIER_US`` (see :meth:`StateTransfer._frontier_barrier`).
+XFER_POLL_US = 5.0
+XFER_BARRIER_US = 4000.0
 
 
 class StateTransfer:
@@ -57,31 +62,28 @@ class StateTransfer:
     # -- the pass --------------------------------------------------------
 
     def run(self, sources: Optional[list[str]] = None,
-            barrier: bool = True, reason: str = "state-transfer"):
+            reason: str = "state-transfer"):
         """Generator: catch this node up from authoritative copies.
 
         ``sources`` restricts which peers' F rings (and summary slots)
         to transfer — the heal path passes the single peer that just
         cleared; None transfers from everyone (restart / join).
-        ``barrier=False`` skips leader re-discovery and the frontier
-        barrier (the negative-control knob: a joiner flipped live
-        without the barrier is provably behind).  ``reason`` is the
-        label counted in ``catch_ups`` — callers preserve the
-        historical labels (peer name for heals, ``"restart"`` for
-        rejoins, ``"join"`` for scale-out).  A barrier that times out
-        is reported as an ``xfer_barrier`` give-up on ``reason``.
+        ``reason`` is the label counted in ``catch_ups`` — callers
+        preserve the historical labels (peer name for heals,
+        ``"restart"`` for rejoins, ``"join"`` for scale-out).  A
+        barrier that times out is reported as an ``xfer_barrier``
+        give-up on ``reason``.
         """
         node = self.node
         transport = node.transport
         origins = list(sources) if sources is not None else list(
             transport.peers
         )
-        if barrier:
-            # Phase 1: re-learn who leads.  The replies re-grant the
-            # current leader's Mu write permission at this node — the
-            # partitioned-minority L-ring fix.
-            for gid in node.conflict.mu_groups:
-                yield from node.conflict.discover_leader(gid)
+        # Phase 1: re-learn who leads.  The replies re-grant the
+        # current leader's Mu write permission at this node — the
+        # partitioned-minority L-ring fix.
+        for gid in node.conflict.mu_groups:
+            yield from node.conflict.discover_leader(gid)
         # Phase 2: bulk-install the committed at-rest prefix.
         f_targets: dict[str, int] = {}
         for origin in origins:
@@ -100,13 +102,12 @@ class StateTransfer:
             l_targets[gid], _ = yield from repairer.fill(
                 repairer.reader.head
             )
-        if barrier:
-            # Phase 3: wait (bounded) until the poll loop has APPLIED
-            # everything installed above, so the caller flips the node
-            # live at parity rather than merely in possession of bytes.
-            reached = yield from self._frontier_barrier(f_targets, l_targets)
-            if not reached:
-                node.probe.giveup("xfer_barrier", reason)
+        # Phase 3: wait (bounded) until the poll loop has APPLIED
+        # everything installed above, so the caller flips the node live
+        # at parity rather than merely in possession of bytes.
+        reached = yield from self._frontier_barrier(f_targets, l_targets)
+        if not reached:
+            node.probe.giveup("xfer_barrier", reason)
         for origin in origins:
             transport.rearm_flow_control(origin)
         node.probe.count("catch_ups", reason)
@@ -125,9 +126,8 @@ class StateTransfer:
         wedge — the checkers gate the outcome either way.
         """
         node = self.node
-        cfg = node.config
         transport = node.transport
-        deadline = node.env.now + cfg.xfer_barrier_us
+        deadline = node.env.now + XFER_BARRIER_US
         while node.env.now < deadline:
             f_ok = all(
                 transport.f_readers[origin].head >= target
@@ -139,5 +139,5 @@ class StateTransfer:
             )
             if f_ok and l_ok:
                 return True
-            yield node.env.timeout(cfg.xfer_poll_us)
+            yield node.env.timeout(XFER_POLL_US)
         return False

@@ -5,12 +5,11 @@ obligations (Lemma-1 integrity, one total order per synchronization
 group, Lemma-2 convergence), as an *incremental, windowed* analysis in
 the style of replication-aware linearizability (Enea et al.): the
 obligations compose per object, so it is sound to verify them over a
-bounded window of in-flight calls, checkpoint the verified prefix, and
-discard it.  Two drivers feed it events in global sequence order: the
-live tap (:meth:`~repro.runtime.trace.TraceRecorder.stream_to`, or a
-JSONL tail), and the offline
-:meth:`~repro.runtime.checker.TraceChecker.check`, which hands it a
-whole recorded trace (``strict_seq=False``) and never checkpoints.
+bounded window of in-flight calls and discard the verified prefix.
+Two drivers feed it events in global sequence order: the live tap
+(:meth:`~repro.runtime.trace.TraceRecorder.stream_to`, or a JSONL
+tail), and the offline :meth:`~repro.runtime.checker.TraceChecker.
+check`, which hands it a whole recorded trace (``strict_seq=False``).
 Memory is bounded by the *window* (calls issued but not yet applied
 everywhere), not the trace:
 
@@ -38,33 +37,21 @@ everywhere), not the trace:
 A jump in ``seq`` means events were lost upstream (a
 :class:`TracingProbe` ring drop): the checker reports ``gap at seq
 N..M`` and declines to attest convergence, as it does for a trace the
-recorder truncated.  :class:`CheckpointState` snapshots the full
-checker state as deterministic JSON; a checker resumed from it skips
-already-verified events (``seq < next_seq``) and reaches the verdict of
-an uninterrupted run.
+recorder truncated.
 """
 
 from __future__ import annotations
 
-import base64
 import bisect
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from ..core import Call, Coordination
 from ..core.replay import Replay
 from .checker import CheckReport, Violation
-from .trace import (
-    TraceEvent,
-    event_from_dict,
-    event_to_dict,
-    gap_detail,
-    iter_jsonl,
-)
-from .wire import decode_value, encode_value
+from .trace import TraceEvent, gap_detail, iter_jsonl
 
-__all__ = ["CheckpointState", "StreamingChecker"]
+__all__ = ["StreamingChecker"]
 
 #: Rules that mutate σ at exactly the event's node.
 LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
@@ -72,9 +59,6 @@ LOCAL_APPLY_RULES = ("FREE", "CONF", "FREE_APP", "CONF_APP")
 #: call's most recent rule events (the offline driver widens them to
 #: every event of the call from the trace it holds — the core cannot).
 _CHAIN_LIMIT = 48
-#: The scalar progress counters a checkpoint carries verbatim.
-_COUNTERS = ("events_checked", "calls_checked", "applies_checked",
-             "peak_window", "peak_retained", "retired_count", "last_seq")
 
 
 class _IntervalSet:
@@ -117,8 +101,8 @@ class _IntervalSet:
     def __len__(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self.spans)
 
-    def snapshot(self) -> list[list[int]]:
-        return [list(span) for span in self.spans]
+    def copy(self) -> "_IntervalSet":
+        return _IntervalSet([list(span) for span in self.spans])
 
 
 @dataclass
@@ -143,83 +127,6 @@ class _Owed:
     caught: _IntervalSet = field(default_factory=_IntervalSet)
 
 
-def _pack(value: Any) -> str:
-    """A replayed state as canonical wire bytes, base64 (for JSON)."""
-    return base64.b64encode(encode_value(value)).decode("ascii")
-
-
-def _unpack(text: str) -> Any:
-    return decode_value(base64.b64decode(text.encode("ascii")))
-
-
-def _spans(ledger: dict[str, _IntervalSet]) -> dict[str, list]:
-    return {origin: rids.snapshot() for origin, rids in sorted(ledger.items())}
-
-
-def _key_str(key: tuple[str, int]) -> str:
-    return f"{key[0]}#{key[1]}"
-
-
-def _key_from_str(text: str) -> tuple[str, int]:
-    origin, _, rid = text.rpartition("#")
-    return (origin, int(rid))
-
-
-@dataclass
-class CheckpointState:
-    """A serializable, resumable snapshot of a :class:`StreamingChecker`.
-
-    ``next_seq`` is the first sequence number the resumed checker will
-    process; everything below it is part of the verified prefix or the
-    serialized window.  :meth:`to_json` is deterministic — identical
-    checker states produce identical bytes — so checkpoints can be
-    compared, content-addressed, and replayed in tests.
-    """
-
-    spec_name: str
-    nodes: list[str]
-    next_seq: int
-    payload: dict[str, Any]
-    version: int = 3
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "checkpoint",
-                "version": self.version,
-                "spec": self.spec_name,
-                "nodes": self.nodes,
-                "next_seq": self.next_seq,
-                "payload": self.payload,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CheckpointState":
-        record = json.loads(text)
-        if record.get("kind") != "checkpoint":
-            raise ValueError("not a checkpoint record")
-        return cls(
-            spec_name=record["spec"],
-            nodes=list(record["nodes"]),
-            next_seq=record["next_seq"],
-            payload=record["payload"],
-            version=record.get("version", 1),
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(self.to_json())
-            fp.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CheckpointState":
-        with open(path, encoding="utf-8") as fp:
-            return cls.from_json(fp.read())
-
-
 class StreamingChecker:
     """Incremental trace checker with bounded (window-sized) memory.
 
@@ -231,9 +138,8 @@ class StreamingChecker:
 
     Events must arrive in nondecreasing ``seq`` order (the recorder's
     shared counter guarantees this for a tapped run; JSONL exports are
-    written in that order).  A checker built by :meth:`resume` skips
-    events with ``seq`` below its checkpoint, which makes re-feeding a
-    stream from the start idempotent; nothing else depends on ``seq``.
+    written in that order); nothing but gap accounting depends on
+    ``seq``.
     """
 
     def __init__(self, coordination: Coordination,
@@ -299,8 +205,6 @@ class StreamingChecker:
         self.peak_retained = 0
         self.last_seq = -1
         self._expect: Optional[int] = None
-        #: Set by :meth:`resume`: events below it are already verified.
-        self._resumed_at = float("-inf")
 
     # -- feeding ---------------------------------------------------------
 
@@ -310,8 +214,6 @@ class StreamingChecker:
 
     def feed(self, event: TraceEvent) -> None:
         seq = event.seq
-        if seq < self._resumed_at:
-            return  # already verified (checkpoint resume replay)
         if (self._expect is not None and seq > self._expect
                 and self.strict_seq):
             self.gaps.append((self._expect, seq - 1))
@@ -450,16 +352,16 @@ class StreamingChecker:
                 self._group_cursor.pop((gid, subject), None)
             self.replay.join(subject)
             self._joiners[subject] = {
-                origin: _Owed(_IntervalSet(rids), self._reduced.get(origin, 0))
-                for origin, rids in _spans(self.retired).items()
+                origin: _Owed(rids.copy(), self._reduced.get(origin, 0))
+                for origin, rids in sorted(self.retired.items())
             }
         elif event.name == "member_leave":
             if subject not in self.nodes:
                 return
             self.nodes = [node for node in self.nodes if node != subject]
             ledger = self._departed[subject] = {
-                origin: _IntervalSet(rids)
-                for origin, rids in _spans(self.retired).items()
+                origin: rids.copy()
+                for origin, rids in sorted(self.retired.items())
             }
             # Conflict-free calls now applied at every remaining node
             # retire; group calls through the common-prefix drain.
@@ -534,9 +436,9 @@ class StreamingChecker:
                          later: tuple[str, int]) -> None:
         self._violation(
             "order",
-            f"sync group {gid}: {a} applied {_key_str(earlier)} before "
-            f"{_key_str(later)} but {b} applied them in the opposite "
-            f"order",
+            f"sync group {gid}: {a} applied {earlier[0]}#{earlier[1]} "
+            f"before {later[0]}#{later[1]} but {b} applied them in the "
+            f"opposite order",
             earlier, later,
         )
 
@@ -592,9 +494,8 @@ class StreamingChecker:
                 )
 
     def verified_seq(self) -> int:
-        """The checkpointed frontier: every event at or below this
-        sequence number belongs to a fully verified (retired) prefix or
-        the serialized window."""
+        """The verified frontier: every event at or below this sequence
+        number belongs to a fully verified (retired) prefix."""
         if not self.inflight:
             return self.last_seq
         return min(s.first_seq for s in self.inflight.values()) - 1
@@ -755,182 +656,3 @@ class StreamingChecker:
                 continue
             self.feed(record)
         return self.finish(dropped=dropped, gaps=gaps)
-
-    # -- checkpoint / resume ---------------------------------------------
-
-    def checkpoint(self) -> CheckpointState:
-        """Snapshot the full checker state as deterministic JSON."""
-        payload: dict[str, Any] = {
-            **{name: getattr(self, name) for name in _COUNTERS},
-            "sigma": {
-                node: _pack(state)
-                for node, state in self.replay.sigma.items()
-            },
-            "retired": _spans(self.retired),
-            "group_counts": {
-                f"{gid}|{node}": count
-                for (gid, node), count in sorted(self._group_counts.items())
-            },
-            "group_queues": {
-                gid: {
-                    node: [_key_str(key) for key in queue]
-                    for node, queue in sorted(queues.items())
-                }
-                for gid, queues in sorted(self._group_queues.items())
-            },
-            "group_pairs": {
-                f"{gid}|{a}|{b}": [
-                    [pos_a, pos_b, _key_str(key)]
-                    for pos_a, pos_b, key in pairs
-                ]
-                for (gid, a, b), pairs in sorted(self._group_pairs.items())
-            },
-            "inflight": {
-                _key_str(key): {
-                    "first_seq": state.first_seq,
-                    "gid": state.gid,
-                    "applied": sorted(state.applied),
-                    "group_pos": dict(sorted(state.group_pos.items())),
-                }
-                for key, state in sorted(self.inflight.items())
-            },
-            "chains": {
-                _key_str(key): [event_to_dict(e) for e in chain]
-                for key, chain in sorted(self._chains.items())
-            },
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "message": v.message,
-                    "chain": [event_to_dict(e) for e in v.chain],
-                    "calls": [_key_str(key) for key in v.calls],
-                }
-                for v in self.violations
-            ],
-            "faults": dict(sorted(self.faults.items())),
-            "repairs": dict(sorted(self.repairs.items())),
-            "gaps": [list(gap) for gap in self.gaps],
-            "departed": {
-                node: _spans(ledger)
-                for node, ledger in sorted(self._departed.items())
-            },
-            "group_runs": {
-                gid: [list(run) for run in runs]
-                for gid, runs in sorted(self._group_runs.items())
-            },
-            "group_cursor": {
-                f"{gid}|{node}": [list(rank), _key_str(key)]
-                for (gid, node), (rank, key)
-                in sorted(self._group_cursor.items())
-            },
-            "reduce_sigma": _pack(self.replay.seed),
-            "reduced": dict(sorted(self._reduced.items())),
-            "joiners": {
-                joiner: {
-                    origin: [owed.rids.snapshot(), owed.reduces,
-                             owed.caught.snapshot()]
-                    for origin, owed in sorted(owes.items())
-                }
-                for joiner, owes in sorted(self._joiners.items())
-            },
-        }
-        return CheckpointState(
-            spec_name=self.spec.name,
-            nodes=list(self.nodes),
-            next_seq=self._expect if self._expect is not None else 0,
-            payload=payload,
-        )
-
-    @classmethod
-    def resume(cls, coordination: Coordination,
-               checkpoint: CheckpointState,
-               max_violations: int = 25,
-               strict_seq: bool = True) -> "StreamingChecker":
-        """Rebuild a checker from a checkpoint; feeding it the stream
-        from the beginning (or from the checkpoint) reaches the same
-        verdict as an uninterrupted run."""
-        if checkpoint.spec_name != coordination.spec.name:
-            raise ValueError(
-                f"checkpoint is for spec {checkpoint.spec_name!r}, "
-                f"not {coordination.spec.name!r}"
-            )
-        if checkpoint.version != CheckpointState.version:
-            raise ValueError(
-                f"unsupported checkpoint version {checkpoint.version} "
-                f"(this checker reads version {CheckpointState.version})"
-            )
-        checker = cls(
-            coordination, processes=checkpoint.nodes,
-            max_violations=max_violations, strict_seq=strict_seq,
-        )
-        payload = checkpoint.payload
-        for name in _COUNTERS:
-            setattr(checker, name, payload[name])
-        checker._expect = checker._resumed_at = checkpoint.next_seq
-        checker.replay.restore(
-            {node: _unpack(data) for node, data in payload["sigma"].items()},
-            _unpack(payload["reduce_sigma"]),
-        )
-        checker.retired = {
-            origin: _IntervalSet([list(span) for span in spans])
-            for origin, spans in payload["retired"].items()
-        }
-        for key_text, count in payload["group_counts"].items():
-            gid, _, node = key_text.rpartition("|")
-            checker._group_counts[(gid, node)] = count
-        checker._group_queues = {
-            gid: {
-                node: [_key_from_str(text) for text in queue]
-                for node, queue in queues.items()
-            }
-            for gid, queues in payload["group_queues"].items()
-        }
-        for key_text, pairs in payload["group_pairs"].items():
-            gid, a, b = key_text.rsplit("|", 2)
-            checker._group_pairs[(gid, a, b)] = [
-                (pos_a, pos_b, _key_from_str(text))
-                for pos_a, pos_b, text in pairs
-            ]
-        for key_text, state in payload["inflight"].items():
-            checker.inflight[_key_from_str(key_text)] = _CallState(
-                state["first_seq"], state["gid"], set(state["applied"]),
-                dict(state["group_pos"]),
-            )
-        for key_text, chain in payload["chains"].items():
-            events = [event_from_dict(record) for record in chain]
-            checker._chains[_key_from_str(key_text)] = events
-            checker._retained += len(events)
-        checker.violations = [
-            Violation(
-                record["kind"], record["message"],
-                [event_from_dict(e) for e in record["chain"]],
-                tuple(_key_from_str(text) for text in record["calls"]),
-            )
-            for record in payload["violations"]
-        ]
-        checker.faults = dict(payload["faults"])
-        checker.repairs = dict(payload["repairs"])
-        checker.gaps = [tuple(gap) for gap in payload["gaps"]]
-        checker._departed = {
-            node: {o: _IntervalSet(rids) for o, rids in ledger.items()}
-            for node, ledger in payload["departed"].items()
-        }
-        for gid, runs in payload["group_runs"].items():
-            checker._group_runs[gid] = [list(run) for run in runs]
-            for origin, _lo, hi in runs:
-                top = checker._group_tops.get((gid, origin), -1)
-                checker._group_tops[(gid, origin)] = max(top, hi)
-        for key_text, (rank, text) in payload["group_cursor"].items():
-            gid, _, node = key_text.rpartition("|")
-            checker._group_cursor[(gid, node)] = (
-                tuple(rank), _key_from_str(text)
-            )
-        checker._reduced = dict(payload["reduced"])
-        checker._joiners = {
-            joiner: {
-                origin: _Owed(_IntervalSet(rids), reduces, _IntervalSet(done))
-                for origin, (rids, reduces, done) in owes.items()
-            }
-            for joiner, owes in payload["joiners"].items()
-        }
-        return checker

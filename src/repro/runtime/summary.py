@@ -30,6 +30,7 @@ from ..rdma import MemoryRegion
 from .wire import WireCodec, WireError, decode_value, encode_value
 
 __all__ = [
+    "SUMMARY_SLOT_SIZE",
     "SummarySlot",
     "SummaryValue",
     "parse_slot",
@@ -51,6 +52,10 @@ SummaryValue = tuple[Call, dict[str, int]]
 
 def slot_size_for(max_payload: int) -> int:
     return _HEADER + max_payload + _TRAILER
+
+
+#: Bytes reserved per summary slot: room for a 4 KiB summary payload.
+SUMMARY_SLOT_SIZE = slot_size_for(4096)
 
 
 def render_summary(seq: int, call: Call, counts: dict[str, int],

@@ -38,6 +38,7 @@ from collections import deque
 from ..core import Coordination
 from ..rdma import RdmaNode, WcStatus
 from ..sim import SeedSequence
+from . import config as runtime_config
 from .config import (
     RuntimeConfig,
     f_ack_region,
@@ -58,7 +59,7 @@ from .ringbuffer import (
     ring_region_size,
     scan_frontier,
 )
-from .summary import slot_size_for
+from .summary import SUMMARY_SLOT_SIZE
 from .wire import WireCodec, WireError
 
 __all__ = ["HOLE_PATIENCE", "REPAIR_WINDOW", "RingRepairer", "RingTransport"]
@@ -77,6 +78,10 @@ RETRY_JITTER = 0.25
 #: Hedged reads: fire a second read at the next-best source after this
 #: long, until enough latency samples accrue to use their p99 instead.
 HEDGE_DELAY_US = 8.0
+#: A writer facing a full ring re-reads the reader's ack this often,
+#: and gives up on the reader after ``BACKPRESSURE_LIMIT`` waits.
+BACKPRESSURE_WAIT_US = 1.0
+BACKPRESSURE_LIMIT = 20000
 
 
 class RingTransport:
@@ -124,14 +129,14 @@ class RingTransport:
 
     def _ring(self, name: str) -> RingReader:
         """Register a ring region; returns a reader over it."""
-        cfg = self.config
-        region = self.rnode.register(
-            name, ring_region_size(cfg.ring_slots, cfg.slot_size)
-        )
-        return RingReader(region, cfg.ring_slots, cfg.slot_size)
+        slots, size = runtime_config.RING_SLOTS, self.config.slot_size
+        region = self.rnode.register(name, ring_region_size(slots, size))
+        return RingReader(region, slots, size)
+
+    def _writer(self) -> RingWriter:
+        return RingWriter(runtime_config.RING_SLOTS, self.config.slot_size)
 
     def _init_rings(self) -> None:
-        cfg = self.config
         #: Our copy of each peer's F ring, and its repairer.
         self.f_readers: dict[str, RingReader] = {}
         self.f_repairers: dict[str, RingRepairer] = {}
@@ -141,7 +146,7 @@ class RingTransport:
         self._acked: dict[str, int] = {}
         #: Writer state for the local authoritative mirror of our own F
         #: ring (never throttled: it is a plain local memory write).
-        self.f_mirror = RingWriter(cfg.ring_slots, cfg.slot_size)
+        self.f_mirror = self._writer()
         #: The mirror itself: the same records we fan out to peers, kept
         #: locally (and remotely readable) as the authoritative source
         #: every other copy of our ring is repaired from.
@@ -153,35 +158,31 @@ class RingTransport:
         self._register_slots(self.name)
         for peer in self.peers:
             self._wire_peer(peer)
-            if cfg.ack_every:
-                self.f_writers[peer].reader_acked = 0
+            self.f_writers[peer].reader_acked = 0
 
     def _register_slots(self, owner: str) -> None:
         """Register ``owner``'s summary slots and, for a peer, the ack
         slots its reads of our rings are acknowledged in."""
-        cfg = self.config
         if owner != self.name:
             self.rnode.register(f_ack_region(owner), 8)
             for group in self.coordination.sync_groups():
                 self.rnode.register(l_ack_region(group.gid, owner), 8)
-        summary_size = slot_size_for(cfg.summary_payload)
         for summarizer in self.coordination.spec.summarizers:
             self.rnode.register(
-                s_region(summarizer.group, owner), summary_size
+                s_region(summarizer.group, owner), SUMMARY_SLOT_SIZE
             )
 
     def _wire_peer(self, origin: str) -> None:
         """Regions, reader, repairer and writer for one peer; the
         origin's own mirror is authoritative for its ring, then any
         peer's replica."""
-        cfg = self.config
         self._register_slots(origin)
         self.f_readers[origin] = reader = self._ring(f_region(origin))
         self.f_repairers[origin] = RingRepairer(
             self, f"F:{origin}", reader, f_region(origin),
             lambda: [origin, *self.peers],
         )
-        self.f_writers[origin] = RingWriter(cfg.ring_slots, cfg.slot_size)
+        self.f_writers[origin] = self._writer()
 
     # -- membership ------------------------------------------------------
 
@@ -201,8 +202,7 @@ class RingTransport:
             return
         self._wire_peer(peer)
         self.f_writers[peer].tail = self.f_mirror.tail
-        if self.config.ack_every:
-            self._rearm_baseline[peer] = 0
+        self._rearm_baseline[peer] = 0
         self.processes = sorted([*self.processes, peer])
         self.peers = [p for p in self.processes if p != self.name]
 
@@ -233,7 +233,7 @@ class RingTransport:
         a local memory read.  A reader that stops acking entirely (dead
         or suspected) stops throttling us: we fall back to ring-sizing
         mode rather than blocking behind a corpse (past
-        ``backpressure_limit`` waits, a ``backpressure`` give-up) — until
+        :data:`BACKPRESSURE_LIMIT` waits, a ``backpressure`` give-up) — until
         :meth:`rearm_flow_control` observes the reader acking again.
 
         ``record`` may carry record bytes pre-rendered for ring index
@@ -245,7 +245,6 @@ class RingTransport:
         carries its index's generation canary, so a drifted writer
         re-renders at its own tail instead.
         """
-        cfg = self.config
         labels = self._flow_labels.get(ack_region_name)
         if labels is None:
             reader = ack_region_name.rsplit(":", 1)[-1]
@@ -255,21 +254,20 @@ class RingTransport:
         reader, label = labels
         waited = 0
         while True:
-            if cfg.ack_every:
-                acked = self.rnode.regions[ack_region_name].read_u64(0)
-                # A reader can never have consumed records we have not
-                # written: a corrupt/torn ack write (tiny 8-byte
-                # one-sided writes are just as exposed as records) must
-                # not disable overrun protection with a garbage value.
-                acked = min(acked, writer.tail)
-                if writer.reader_acked is None:
-                    self._maybe_rearm(writer, reader, acked)
-                writer.ack_up_to(acked)
-                if writer.reader_acked is not None:
-                    self.probe.peak(
-                        "ring_highwater", label,
-                        writer.tail - writer.reader_acked,
-                    )
+            acked = self.rnode.regions[ack_region_name].read_u64(0)
+            # A reader can never have consumed records we have not
+            # written: a corrupt/torn ack write (tiny 8-byte one-sided
+            # writes are just as exposed as records) must not disable
+            # overrun protection with a garbage value.
+            acked = min(acked, writer.tail)
+            if writer.reader_acked is None:
+                self._maybe_rearm(writer, reader, acked)
+            writer.ack_up_to(acked)
+            if writer.reader_acked is not None:
+                self.probe.peak(
+                    "ring_highwater", label,
+                    writer.tail - writer.reader_acked,
+                )
             try:
                 if record is not None and writer.tail == record_index:
                     return writer.claim(record), record
@@ -277,10 +275,10 @@ class RingTransport:
             except RingError:
                 waited += 1
                 self.probe.count("backpressure_stalls", label)
-                if waited > cfg.backpressure_limit:
+                if waited > BACKPRESSURE_LIMIT:
                     self.probe.giveup("backpressure", reader)
                 elif not self.is_suspected(reader):
-                    yield self.env.timeout(cfg.backpressure_wait_us)
+                    yield self.env.timeout(BACKPRESSURE_WAIT_US)
                     continue
                 self._disarm(writer, reader)
                 if record is not None and writer.tail == record_index:
@@ -317,7 +315,7 @@ class RingTransport:
         and re-arms backpressure at the next observed progress.
         """
         writer = self.f_writers.get(peer)
-        if writer is None or not self.config.ack_every:
+        if writer is None:
             return
         if writer.reader_acked is not None:
             return  # still armed: nothing to re-arm
@@ -414,20 +412,20 @@ class RingTransport:
     def _due_acks(self, leader_of: Callable[[str], str]):
         """Acks owed right now: (key, target, region name, head).
 
-        One entry per ring whose consumption advanced ``ack_every``
+        One entry per ring whose consumption advanced ``ACK_EVERY``
         records past the last ack.  A target of None (this node leads
         the L ring) needs no wire write — just the bookkeeping.
         """
-        cfg = self.config
+        every = runtime_config.ACK_EVERY
         due = []
         for origin, reader in self.f_readers.items():
             key = f"F:{origin}"
-            if reader.head - self._acked.get(key, 0) >= cfg.ack_every:
+            if reader.head - self._acked.get(key, 0) >= every:
                 due.append((key, origin, f_ack_region(self.name),
                             reader.head))
         for gid, reader in self.l_readers.items():
             key = f"L:{gid}"
-            if reader.head - self._acked.get(key, 0) >= cfg.ack_every:
+            if reader.head - self._acked.get(key, 0) >= every:
                 leader = leader_of(gid)
                 target = None if leader == self.name else leader
                 due.append((key, target, l_ack_region(gid, self.name),
@@ -452,7 +450,7 @@ class RingTransport:
         their own post + completion wait.
 
         Marks the acks flushed immediately: a piggybacked ack that is
-        lost with its batch is simply re-sent ``ack_every`` records
+        lost with its batch is simply re-sent ``ACK_EVERY`` records
         later (flow control errs on the throttled side, never the
         unsafe side).
         """
@@ -487,21 +485,15 @@ class RingTransport:
 
         Each backoff is jittered by ``±RETRY_JITTER`` (drawn from a
         per-node seed substream, so same seed ⇒ same schedule) to
-        de-synchronize retry storms, and a nonzero ``retry_budget_us``
-        bounds the *cumulative* backoff a single op may spend —
-        exhausting it surfaces as ``retry_budget_exhausted``, distinct
-        from running out of attempts.
+        de-synchronize retry storms.
 
         Permission errors are *not* transient — they are Mu's leader-
         change signal and must surface immediately.  Returns the last
         :class:`~repro.rdma.WorkCompletion` either way.
         """
-        cfg = self.config
-        delay = cfg.op_retry_us
-        budget = cfg.retry_budget_us
-        spent = 0.0
+        delay = runtime_config.OP_RETRY_US
         wc = None
-        for _attempt in range(cfg.op_retry_limit + 1):
+        for _attempt in range(runtime_config.OP_RETRY_LIMIT + 1):
             started = self.env.now
             yield self.rnode.cpu.hold(qp.config.post_cpu_us)
             wc = yield qp.post_write(region, offset, payload)
@@ -519,12 +511,8 @@ class RingTransport:
             wait = delay * (
                 1.0 + self._retry_rng.uniform(-RETRY_JITTER, RETRY_JITTER)
             )
-            if budget > 0.0 and spent + wait > budget:
-                self.probe.count("retry_budget_exhausted", label)
-                return wc
-            spent += wait
             yield self.env.timeout(wait)
-            delay = min(delay * 2, cfg.op_retry_cap_us)
+            delay = min(delay * 2, runtime_config.OP_RETRY_CAP_US)
         return wc
 
     # -- hedged reads ------------------------------------------------------
@@ -629,7 +617,6 @@ class RingRepairer:
         self.candidates = candidates
         #: Poll intervals waited since the ring last made progress.
         self.waited = 0.0
-        self._poll_us = transport.config.poll_interval_us
 
     def _usable(self, source: str) -> bool:
         transport = self.transport
@@ -655,7 +642,9 @@ class RingRepairer:
         a virgin head.  Each detection that starts a fill counts one
         ``hole_repairs``.  Returns whether the fill installed a record.
         """
-        waited = self.waited + max(waited_us / self._poll_us, 1.0)
+        waited = self.waited + max(
+            waited_us / runtime_config.POLL_INTERVAL_US, 1.0
+        )
         if waited < HOLE_PATIENCE:
             self.waited = waited
             return False

@@ -7,7 +7,6 @@ from typing import Any, Callable, Optional
 
 from ..core import Coordination, MethodRelations, ObjectSpec, categorize
 from ..core.graphs import ConflictGraph, DependencyGraph
-from ..rdma import RdmaConfig
 from ..runtime import HambandCluster, RuntimeConfig
 from ..sim import Environment
 
@@ -46,8 +45,6 @@ class SmrCluster(HambandCluster):
     @classmethod
     def build_smr(cls, env: Environment, spec: ObjectSpec, n_nodes: int,
                   config: Optional[RuntimeConfig] = None,
-                  rdma_config: Optional[RdmaConfig] = None,
-                  cpu_cores: int = 2,
                   probe_factory: Optional[Callable[[str], Any]] = None,
                   ) -> "SmrCluster":
         return cls.build(
@@ -55,7 +52,5 @@ class SmrCluster(HambandCluster):
             smr_coordination(spec),
             n_nodes,
             config=config,
-            rdma_config=rdma_config,
-            cpu_cores=cpu_cores,
             probe_factory=probe_factory,
         )

@@ -25,6 +25,7 @@ from repro.runtime import (
     TraceChecker,
     TraceRecorder,
     ringbuffer,
+    statexfer,
 )
 from repro.sim import PLAN_NAMES, Environment, FaultPlan
 
@@ -86,12 +87,15 @@ def _check(recorder, cluster):
     return checker.check(recorder.events(), dropped=recorder.dropped())
 
 
-def _crash_restart_scenario(env, cluster, catch_up=True,
-                            disable_self_heal=False, missed=4,
-                            restart_cpu_speed=1.0):
+def _crash_restart_scenario(env, cluster, catch_up=True, resync=True,
+                            missed=4, restart_cpu_speed=1.0):
     """Shared scenario: adds, crash p3, ``missed`` adds it misses,
     restart — with p3's CPU at ``restart_cpu_speed`` of full speed for
-    the first 4 ms back (a box limping back from a reboot)."""
+    the first 4 ms back (a box limping back from a reboot).  p3 heals by
+    its rejoin pass (``catch_up``) or by the resync a peer requests on
+    seeing it back (``resync``); either alone suffices.  The hole
+    detector cannot heal it: p3's missing records end each ring, so it
+    finds no record ahead of a hole."""
     survivors = ["p1", "p2"]
     for i in range(4):
         _add(env, cluster, cluster.node_names()[i % 3], i)
@@ -103,18 +107,8 @@ def _crash_restart_scenario(env, cluster, catch_up=True,
         _add(env, cluster, survivors[i % 2], 100 + i)
     env.run(until=env.now + 500.0)
 
-    if disable_self_heal:
-        node = cluster.node("p3")
-        # Sever every catch-up path: no resync service, no hole-repair
-        # probe-ahead on the F rings.
-        node.control.on_resync = None
-
-        def _no_repair(*_args, **_kwargs):
-            return False
-            yield  # unreachable: makes this a generator function
-
-        for repairer in node.transport.f_repairers.values():
-            repairer.detect = _no_repair
+    if not resync:
+        cluster.node("p3").control.on_resync = None
     cpu = cluster.node("p3").rnode.cpu
     cpu.speed = restart_cpu_speed
     cluster.restart("p3", catch_up=catch_up)
@@ -137,13 +131,24 @@ class TestRestartCatchUp:
         report = _check(recorder, cluster)
         assert report.ok, report.summary()
 
+    @pytest.mark.parametrize("catch_up,resync", [(True, False), (False, True)],
+                             ids=["rejoin-only", "resync-only"])
+    def test_either_recovery_path_alone_heals(self, catch_up, resync):
+        """The negative control below must sever both paths."""
+        env, recorder, cluster = _build_recorded_gset()
+        _crash_restart_scenario(env, cluster, catch_up=catch_up,
+                                resync=resync)
+
+        totals = cluster.applied_totals()
+        assert len(set(totals.values())) == 1, totals
+        report = _check(recorder, cluster)
+        assert report.ok, report.summary()
+
     def test_negative_control_without_recovery_fails_checker(self):
         """Disable the rejoin/catch-up machinery: the restarted node
         stays behind forever and the checker must say so."""
         env, recorder, cluster = _build_recorded_gset()
-        _crash_restart_scenario(
-            env, cluster, catch_up=False, disable_self_heal=True
-        )
+        _crash_restart_scenario(env, cluster, catch_up=False, resync=False)
 
         totals = cluster.applied_totals()
         assert totals["p3"] < totals["p1"], (
@@ -159,7 +164,7 @@ class TestRestartCatchUp:
             for violation in report.violations
         ), report.summary()
 
-    def test_frontier_barrier_timeout_is_a_counted_giveup(self):
+    def test_frontier_barrier_timeout_is_a_counted_giveup(self, monkeypatch):
         """A barrier shorter than one poll cannot see a restarted node
         whose CPU runs at a fifth of full speed apply the eight adds it
         missed: the rejoin pass gives up waiting, and says so — one
@@ -168,9 +173,8 @@ class TestRestartCatchUp:
         speed the poll loop may drain the few installed records in the
         microseconds between the last ring fill and the barrier's look,
         depending on where its back-off sleep happens to end.)"""
-        env, recorder, cluster = _build_recorded_gset(
-            config=RuntimeConfig(xfer_barrier_us=1.0)
-        )
+        monkeypatch.setattr(statexfer, "XFER_BARRIER_US", 1.0)
+        env, recorder, cluster = _build_recorded_gset()
         _crash_restart_scenario(env, cluster, catch_up=True, missed=8,
                                 restart_cpu_speed=0.2)
 

@@ -91,23 +91,17 @@ class TestScaleOut:
         assert report.ok, report.summary()
 
     def test_negative_control_join_without_transfer_fails_checker(self):
-        """Disable the transfer AND sever the ordinary self-heal seams:
-        the joiner flips live provably behind and the checker must say
-        so — proof the membership gate is not vacuous."""
+        """Disable the transfer: the joiner flips live provably behind
+        and the checker must say so — proof the membership gate is not
+        vacuous.  Nothing else heals it: the history it lacks ends each
+        ring, so the hole detector finds no record ahead of a hole, and
+        no peer asks it to resync."""
         env, recorder, cluster = _recorded(gset_spec())
         for i in range(6):
             _add(env, cluster, f"p{1 + i % 3}", i)
         env.run(until=env.now + 300.0)
 
-        joiner = cluster.add_node("p4", transfer=False)
-        joiner.control.on_resync = None
-
-        def _no_repair(*_args, **_kwargs):
-            return False
-            yield  # unreachable: makes this a generator function
-
-        for repairer in joiner.transport.f_repairers.values():
-            repairer.detect = _no_repair
+        cluster.add_node("p4", transfer=False)
         env.run(until=env.now + 6000.0)
 
         totals = cluster.applied_totals()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.rdma import Access, Fabric
 from repro.runtime import ReliableBroadcast
+from repro.runtime.broadcast import BACKUP_SIZE
 from repro.sim import Environment
 
 
@@ -113,7 +114,7 @@ class TestBroadcast:
     def test_oversized_message_rejected(self, setup):
         env, _fabric, endpoints, _targets = setup
         with pytest.raises(ValueError, match="exceeds"):
-            endpoints["p1"]._write_backup(b"x" * 4096)
+            endpoints["p1"]._write_backup(b"x" * (BACKUP_SIZE + 1))
 
     def test_backup_kept_when_write_abandoned_unsuspected(self, setup):
         """Regression: giving up on a LIVE (un-suspected) peer must NOT

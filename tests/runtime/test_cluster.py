@@ -152,10 +152,10 @@ class TestConflictingPath:
             finish(env, request)
         assert info.value.leader == leader
 
-    def test_overdraft_rejected_after_retries(self):
+    def test_overdraft_rejected_after_retries(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.conflict.CONF_RETRY_US", 1.0)
         env, cluster = build(
-            account_spec(),
-            config=RuntimeConfig(conf_retry_limit=3, conf_retry_us=1.0),
+            account_spec(), config=RuntimeConfig(conf_retry_limit=3)
         )
         leader = cluster.node("p1").current_leader("withdraw")
         request = cluster.node(leader).submit("withdraw", 100)
@@ -303,12 +303,12 @@ class TestSpannedRecords:
         assert cluster.converged()
         assert _check_ok(recorder, cluster)
 
-    def test_spans_crossing_the_wrap_converge(self):
+    def test_spans_crossing_the_wrap_converge(self, monkeypatch):
         """Three-slot records on a 16-slot ring: each origin's sixth
         record sits at slots 15, 0 and 1, landed as two writes."""
-        env, recorder, cluster = _recorded4(
-            gset_spec(), ring_slots=16, ack_every=2
-        )
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 16)
+        monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 2)
+        env, recorder, cluster = _recorded4(gset_spec())
         for i in range(24):
             node = cluster.node(f"p{1 + i % 4}")
             env.run(until=node.submit("add", f"{i:03d}" + "y" * 300))

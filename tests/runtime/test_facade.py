@@ -5,6 +5,8 @@ must not move any public name: these tests pin the historical import
 paths and that layer state is reached through the layer attributes.
 """
 
+import pytest
+
 from repro.datatypes import account_spec, gset_spec
 from repro.runtime import HambandCluster
 from repro.sim import Environment
@@ -128,7 +130,57 @@ class TestConfigSurface:
 
         from repro.runtime import RuntimeConfig
 
-        assert len(dataclasses.fields(RuntimeConfig)) == 29
+        assert len(dataclasses.fields(RuntimeConfig)) == 6
+
+    def test_a_knob_both_configs_carry_has_one_default(self):
+        """The harness passes these through to the runtime; neither
+        class may give them a default of its own.  (``seed`` is the
+        experiment's seed, which also seeds the workload.)"""
+        import dataclasses
+
+        from repro.bench import ExperimentConfig
+        from repro.runtime import RuntimeConfig
+
+        runtime = {f.name: f.default for f in dataclasses.fields(RuntimeConfig)}
+        shared = {
+            f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+            if f.name in runtime and f.name != "seed"
+        }
+        assert set(shared) == {"force_buffered", "full_dep_barrier",
+                               "conf_retry_limit", "scrub_interval_us"}
+        assert shared == {name: runtime[name] for name in shared}
+
+    def test_slot_size_is_a_constant_not_a_setting(self):
+        """Every ring slot is 128 bytes; a config cannot change it, and
+        an instance still reads it (the perf harness does)."""
+        from repro.runtime import RuntimeConfig
+
+        assert RuntimeConfig().slot_size == RuntimeConfig.slot_size == 128
+        with pytest.raises(TypeError, match="slot_size"):
+            RuntimeConfig(slot_size=256)
+
+    def test_ring_sizing_is_read_when_the_rings_are_built(self, monkeypatch):
+        """``config.RING_SLOTS`` is looked up when a ring is built: the
+        transport's F and L rings and the Mu leader's log writers all
+        follow a patched value."""
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 16)
+        env = Environment()
+        cluster = HambandCluster.build(env, account_spec(), n_nodes=3)
+        mu_writers = []
+        for name in cluster.node_names():
+            node = cluster.node(name)
+            transport = node.transport
+            assert {
+                ring.slots for ring in (
+                    transport.f_mirror, *transport.f_readers.values(),
+                    *transport.f_writers.values(),
+                    *transport.l_readers.values(),
+                )
+            } == {16}
+            for group in node.conflict.mu_groups.values():
+                mu_writers += group._writers.values()
+        assert mu_writers
+        assert {writer.slots for writer in mu_writers} == {16}
 
     def test_experiment_config_field_count(self):
         import dataclasses

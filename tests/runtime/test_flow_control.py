@@ -3,31 +3,31 @@
 import pytest
 
 from repro.datatypes import account_spec, gset_spec
-from repro.runtime import HambandCluster, RuntimeConfig
+from repro.runtime import HambandCluster
 from repro.sim import Environment
 
 
-def tiny_ring_config(**overrides):
-    """A deliberately small ring with a lazy reader: stress overrun."""
-    defaults = dict(
-        ring_slots=8,
-        ack_every=2,
-        poll_interval_us=20.0,  # slow reader
-        poll_hot_us=5.0,
-        backpressure_wait_us=1.0,
-    )
-    defaults.update(overrides)
-    return RuntimeConfig(**defaults)
+@pytest.fixture(autouse=True)
+def slow_reader(monkeypatch):
+    """Every reader polls lazily, so a small ring overruns."""
+    monkeypatch.setattr("repro.runtime.config.POLL_INTERVAL_US", 20.0)
+    monkeypatch.setattr("repro.runtime.applier.POLL_HOT_US", 5.0)
+
+
+@pytest.fixture
+def tiny_rings(monkeypatch):
+    """A deliberately small ring, acknowledged every two slots."""
+    monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 8)
+    monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 2)
 
 
 class TestBackpressure:
+    @pytest.mark.usefixtures("tiny_rings")
     def test_burst_larger_than_ring_completes_without_loss(self):
         """24 records through an 8-slot ring: the writer must pace
         itself on the reader's acks instead of lapping it."""
         env = Environment()
-        cluster = HambandCluster.build(
-            env, gset_spec(), n_nodes=3, config=tiny_ring_config()
-        )
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         requests = [
             cluster.node("p1").submit("add", f"e{i}") for i in range(24)
         ]
@@ -38,11 +38,10 @@ class TestBackpressure:
         states = set(cluster.effective_states().values())
         assert states == {frozenset(f"e{i}" for i in range(24))}
 
+    @pytest.mark.usefixtures("tiny_rings")
     def test_backpressure_shows_up_as_latency_not_corruption(self):
         env = Environment()
-        cluster = HambandCluster.build(
-            env, gset_spec(), n_nodes=3, config=tiny_ring_config()
-        )
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         durations = []
         for i in range(24):
             start = env.now
@@ -53,12 +52,11 @@ class TestBackpressure:
         # Early submissions fly; later ones wait for reader drain.
         assert max(durations[10:]) > min(durations[:4])
 
+    @pytest.mark.usefixtures("tiny_rings")
     def test_conflicting_log_backpressure(self):
         """The Mu log applies the same pacing toward follower rings."""
         env = Environment()
-        cluster = HambandCluster.build(
-            env, account_spec(), n_nodes=3, config=tiny_ring_config()
-        )
+        cluster = HambandCluster.build(env, account_spec(), n_nodes=3)
         env.run(until=cluster.node("p2").submit("deposit", 1000))
         leader = cluster.node("p1").current_leader("withdraw")
         requests = [
@@ -70,16 +68,15 @@ class TestBackpressure:
         assert cluster.converged()
         assert cluster.effective_states()[leader] == 1000 - 24
 
-    def test_suspected_reader_does_not_wedge_writer(self):
+    @pytest.mark.usefixtures("tiny_rings")
+    def test_suspected_reader_does_not_wedge_writer(self, monkeypatch):
         """A dead reader stops acking; the writer must fall back to
         ring-sizing mode instead of blocking forever."""
-        env = Environment()
-        cluster = HambandCluster.build(
-            env,
-            gset_spec(),
-            n_nodes=3,
-            config=tiny_ring_config(backpressure_wait_us=5.0),
+        monkeypatch.setattr(
+            "repro.runtime.transport.BACKPRESSURE_WAIT_US", 5.0
         )
+        env = Environment()
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         cluster.crash("p3")
         env.run(until=env.now + 2000)  # let p1 suspect p3
         requests = [
@@ -95,7 +92,8 @@ class TestBackpressure:
         assert states["p1"] == states["p2"]
         assert len(states["p1"]) == 24
 
-    def test_flow_control_rearms_after_partition_heals(self):
+    @pytest.mark.usefixtures("tiny_rings")
+    def test_flow_control_rearms_after_partition_heals(self, monkeypatch):
         """Regression: the ack fallback must not be permanent.
 
         When a peer is partitioned away the writer falls back to
@@ -109,11 +107,11 @@ class TestBackpressure:
         runtime sizes rings against that — so survivors converge on
         everything while the healed node converges from the resync
         point onward.)"""
-        env = Environment()
-        cluster = HambandCluster.build(
-            env, gset_spec(), n_nodes=3,
-            config=tiny_ring_config(backpressure_wait_us=5.0),
+        monkeypatch.setattr(
+            "repro.runtime.transport.BACKPRESSURE_WAIT_US", 5.0
         )
+        env = Environment()
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         cluster.partition(["p1", "p2"], ["p3"])
         env.run(until=env.now + 2000)  # p1 suspects p3
         requests = [
@@ -147,15 +145,14 @@ class TestBackpressure:
         assert states["p1"] == states["p2"] == everything
         assert frozenset(f"e{i}" for i in range(28, 36)) <= states["p3"]
 
-    def test_acks_disabled_still_works_with_big_rings(self):
+    def test_big_rings_never_stall_the_writer(self):
+        """A ring longer than the burst has credit for all of it: the
+        writer never waits on an ack, lazy readers or not."""
         env = Environment()
-        cluster = HambandCluster.build(
-            env,
-            gset_spec(),
-            n_nodes=3,
-            config=RuntimeConfig(ack_every=0),
-        )
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         for i in range(30):
             env.run(until=cluster.node("p1").submit("add", f"e{i}"))
         env.run(until=env.now + 1000)
         assert cluster.converged()
+        probe = cluster.node("p1").stats()["probe"]
+        assert sum(probe["backpressure_stalls"].values()) == 0

@@ -18,12 +18,19 @@ from repro.runtime import (
     RuntimeProbe,
     TracingProbe,
 )
-from repro.runtime.config import f_ack_region, f_region, l_region, s_region
+from repro.runtime.applier import POLL_HOT_US, POLL_IDLE_MAX_US
+from repro.runtime.config import (
+    POLL_INTERVAL_US,
+    f_ack_region,
+    f_region,
+    l_region,
+    s_region,
+)
 from repro.runtime.heartbeat import PeerHealth
 from repro.sim import Environment
 
 
-def bare_transport(spec, n_nodes=3, config=None, probe=None,
+def bare_transport(spec, n_nodes=3, probe=None,
                    is_suspected=lambda peer: False):
     env = Environment()
     coordination = Coordination.analyze(spec)
@@ -31,7 +38,7 @@ def bare_transport(spec, n_nodes=3, config=None, probe=None,
     names = fabric.node_names()
     transports = {
         name: RingTransport(
-            fabric.nodes[name], coordination, names, config or RuntimeConfig(),
+            fabric.nodes[name], coordination, names, RuntimeConfig(),
             PeerHealth(), probe, is_suspected=is_suspected,
         )
         for name in names
@@ -167,14 +174,14 @@ class TestRingTransportStandalone:
         # reserved for occupancy (tail - acked) measured at the writer.
         assert probe.snapshot()["records_drained"].get("F<-p1") == 1
 
-    def test_backpressure_blocks_until_acked_and_counts_stalls(self):
+    def test_backpressure_blocks_until_acked_and_counts_stalls(
+        self, monkeypatch
+    ):
         """With a 4-slot ring and no acks coming back, the 5th render
         stalls; posting an ack releases it."""
-        config = RuntimeConfig(ring_slots=4, ack_every=1,
-                               backpressure_wait_us=1.0)
-        env, _coordination, fabric, transports = bare_transport(
-            gset_spec(), config=config
-        )
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 4)
+        monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 1)
+        env, _coordination, fabric, transports = bare_transport(gset_spec())
         probe = CountingProbe()
         sender = transports["p1"]
         sender.probe = probe
@@ -209,12 +216,12 @@ class TestRingTransportStandalone:
         env.run(until=env.now + 20)
         assert released
 
-    def test_suspected_reader_releases_backpressure(self):
-        config = RuntimeConfig(ring_slots=2, ack_every=1,
-                               backpressure_wait_us=1.0)
+    def test_suspected_reader_releases_backpressure(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 2)
+        monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 1)
         suspected = set()
         env, _coordination, _fabric, transports = bare_transport(
-            gset_spec(), config=config, is_suspected=suspected.__contains__
+            gset_spec(), is_suspected=suspected.__contains__
         )
         sender = transports["p1"]
         writer = sender.f_writers["p2"]
@@ -238,16 +245,14 @@ class TestRingTransportStandalone:
         # Releasing a suspected reader is not a give-up.
         assert probe.snapshot()["giveups"] == {}
 
-    def test_backpressure_limit_is_a_counted_giveup(self):
+    def test_backpressure_limit_is_a_counted_giveup(self, monkeypatch):
         """A reader that is not suspected but never acks: after
-        ``backpressure_limit`` waits the writer disarms flow control,
+        ``BACKPRESSURE_LIMIT`` waits the writer disarms flow control,
         with one ``backpressure`` count and one ``giveup`` event."""
-        config = RuntimeConfig(ring_slots=2, ack_every=1,
-                               backpressure_wait_us=1.0,
-                               backpressure_limit=3)
-        env, _coordination, _fabric, transports = bare_transport(
-            gset_spec(), config=config
-        )
+        monkeypatch.setattr("repro.runtime.transport.BACKPRESSURE_LIMIT", 3)
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 2)
+        monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 1)
+        env, _coordination, _fabric, transports = bare_transport(gset_spec())
         sender = transports["p1"]
         probe = sender.probe = TracingProbe(lambda: env.now, "p1")
         writer = sender.f_writers["p2"]
@@ -294,16 +299,26 @@ class TestRingTransportStandalone:
         per sweep) probes at every 256th miss, as it always did; one
         backed off to 8 us waits the same ~256 us of simulated time, 32
         sweeps, not 256 sweeps ~ 2 ms."""
-        config = RuntimeConfig()
-        assert config.poll_interval_us == 1.0
-        for waited_us in (0.0, config.poll_hot_us, config.poll_interval_us):
+        assert POLL_INTERVAL_US == 1.0
+        for waited_us in (0.0, POLL_HOT_US, POLL_INTERVAL_US):
             assert self.hole_probes([waited_us] * 600) == [256, 512]
-        assert self.hole_probes([config.poll_idle_max_us] * 100) == [
+        assert self.hole_probes([POLL_IDLE_MAX_US] * 100) == [
             32, 64, 96
         ]
         # ... and on the way there each sweep counts the sweeps it skipped.
         ramp = [1.0, 2.0, 4.0] + [8.0] * 40
         assert self.hole_probes(ramp) == [3 + 32]
+
+    def test_hole_patience_reads_the_poll_interval_at_call_time(
+            self, monkeypatch):
+        """The patience is counted in poll intervals of the constant's
+        value when the detector runs, not when the ring was built."""
+        env, _coordination, _fabric, transports = bare_transport(gset_spec())
+        monkeypatch.setattr("repro.runtime.config.POLL_INTERVAL_US", 2.0)
+        repairer = transports["p1"].f_repairers["p2"]
+        for _sweep in range(63):
+            run_gen(env, repairer.detect(8.0))
+        assert repairer.waited == 63 * 4
 
 
 class TestApplyEngineStandalone:

@@ -17,7 +17,8 @@ from repro.runtime import (
     RuntimeConfig,
     TraceRecorder,
 )
-from repro.runtime.config import f_region
+from repro.runtime.applier import POLL_IDLE_MAX_US
+from repro.runtime.config import POLL_INTERVAL_US, f_region
 from repro.runtime.transport import HOLE_PATIENCE
 from repro.sim import Environment, FaultDecision
 
@@ -174,8 +175,7 @@ class TestOneRepairer:
             ring.submit()
         ring.env.run(until=ring.env.now + 100.0)
         index = ring.reader.head - 1
-        cfg = ring.node.config
-        impostor = RingWriter(cfg.ring_slots, cfg.slot_size)
+        impostor = RingWriter(ring.reader.slots, ring.reader.slot_size)
         impostor.tail = index
         ring.reader.region.write(
             ring.reader.offset_of(index), impostor.build(b"not it")
@@ -207,19 +207,19 @@ class TestPatience:
                 assert ring.env.now - idle_from < 4 * HOLE_PATIENCE
                 ring.env.run(until=ring.env.now + 1.0)
             waits[kind] = ring.env.now - idle_from
-        config = RuntimeConfig()
-        patience_us = HOLE_PATIENCE * config.poll_interval_us
-        slack_us = 2 * config.poll_idle_max_us
+        patience_us = HOLE_PATIENCE * POLL_INTERVAL_US
+        slack_us = 2 * POLL_IDLE_MAX_US
         for wait in waits.values():
             assert abs(wait - patience_us) <= slack_us, waits
         assert abs(waits["F"] - waits["L"]) <= slack_us, waits
 
 
 class TestIdleRing:
-    def test_a_lapped_idle_ring_starts_no_repair(self, kind):
+    def test_a_lapped_idle_ring_starts_no_repair(self, kind, monkeypatch):
         """Once a ring has wrapped, its idle head slot holds last lap's
         record: an idle writer, like a virgin head, not a hole."""
-        ring = RingUnderRepair(kind, ring_slots=8)
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 8)
+        ring = RingUnderRepair(kind)
         for _ in range(11):
             ring.submit()
         ring.env.run(until=ring.env.now + 100.0)

@@ -1,9 +1,8 @@
 """Replay sharing and declared deltas must be invisible and free: the
 checkers agree with a reference replay that steps every replica on its
 own, on the whole-state invariant — verdicts, violation kinds,
-messages, chains and checkpoint bytes — on chaos runs, on the
-seeded-corruption corpus, across a kill/resume mid-window (a node
-resumed in a broken state included), and for a spec whose state is
+messages and chains — on chaos runs, on the seeded-corruption corpus
+(a node that stays broken included), and for a spec whose state is
 unhashable; a delta that lies is caught at the end of the check; and
 the replay pins no state beyond one per node, however long the window.
 """
@@ -24,11 +23,7 @@ from repro.core import (
     keeps_always,
 )
 from repro.datatypes import SPEC_FACTORIES, courseware_spec
-from repro.runtime import (
-    CheckpointState,
-    StreamingChecker,
-    TraceChecker,
-)
+from repro.runtime import StreamingChecker, TraceChecker
 from repro.core.replay import Replay
 from repro.runtime.trace import TraceEvent
 from repro.sim import PLAN_NAMES, FaultPlan
@@ -74,48 +69,27 @@ def signature(report):
 
 
 def judge(coordination, names, events, dropped=0):
-    """Offline verdict, streaming verdict and the streaming checker's
-    checkpoint bytes before, at and after a kill/resume mid-window."""
+    """Offline and streaming verdicts."""
     offline = TraceChecker(coordination, processes=names).check(
         events, dropped=dropped
     )
-    straight = StreamingChecker(coordination, processes=names)
-    first = StreamingChecker(coordination, processes=names)
-    cut = None
-    for index, event in enumerate(events):
-        straight.feed(event)
-        if cut is None:
-            first.feed(event)
-            if index >= len(events) // 2 and first.inflight:
-                cut = index + 1
-    at_cut = first.checkpoint().to_json()
-    resumed = StreamingChecker.resume(
-        coordination, CheckpointState.from_json(at_cut)
+    stream = StreamingChecker(coordination, processes=names).check(
+        events, dropped=dropped
     )
-    resumed.feed_many(events[cut:] if cut is not None else [])
-    return {
-        "offline": signature(offline),
-        "stream": signature(straight.finish(dropped=dropped)),
-        "resumed": signature(resumed.finish(dropped=dropped)),
-        "checkpoint_at_cut": at_cut,
-        "checkpoint_end": straight.checkpoint().to_json(),
-        "checkpoint_resumed_end": resumed.checkpoint().to_json(),
-    }, cut
+    return {"offline": signature(offline), "stream": signature(stream)}
 
 
 def assert_sharing_invisible(monkeypatch, coordination, names, events,
                              dropped=0):
-    shared, cut = judge(coordination, names, events, dropped)
+    shared = judge(coordination, names, events, dropped)
     with monkeypatch.context() as patch:
         # The one replay there is: the offline driver runs this core.
         patch.setattr(stream_checker_module, "Replay", ReferenceReplay)
         before = ReferenceReplay.steps
-        reference, _cut = judge(coordination, names, events, dropped)
+        reference = judge(coordination, names, events, dropped)
         stepped = ReferenceReplay.steps - before
     assert shared == reference
-    assert shared["checkpoint_resumed_end"] == shared["checkpoint_end"]
-    assert shared["resumed"] == shared["stream"]
-    return shared, cut, stepped
+    return shared, stepped
 
 
 class TestChaosDifferential:
@@ -129,7 +103,7 @@ class TestChaosDifferential:
         run = run_harness(
             config, plan=FaultPlan.named(plan_name, horizon_us=500.0)
         )
-        shared, cut, reduces = assert_sharing_invisible(
+        shared, reduces = assert_sharing_invisible(
             monkeypatch, run.cluster.coordination,
             run.cluster.node_names(), run.recorder.events(),
             dropped=run.recorder.dropped(),
@@ -137,8 +111,6 @@ class TestChaosDifferential:
         assert shared["offline"][0], shared["offline"]
         if workload == "counter":  # every update is a REDUCE
             assert reduces, "reference replay not in use"
-        else:
-            assert cut is not None, "no in-window call in the second half"
 
 
 def corruption_corpus(events):
@@ -188,7 +160,7 @@ class TestCorruptionDifferential:
         cluster, events = courseware
         seen = set()
         for name, tampered in corruption_corpus(events):
-            shared, _cut, _reduces = assert_sharing_invisible(
+            shared, _reduces = assert_sharing_invisible(
                 monkeypatch, cluster.coordination, cluster.node_names(),
                 reseq(tampered),
             )
@@ -200,14 +172,24 @@ class TestCorruptionDifferential:
 
     def test_integrity_is_reported_at_every_replica(self, courseware):
         """The mutated call is flagged once per replica that applied
-        it."""
+        it, and a node it broke keeps failing the whole-state check on
+        later calls."""
         cluster, events = courseware
+        coordination, names = cluster.coordination, cluster.node_names()
         tampered = dict(corruption_corpus(events))["mutated-argument"]
-        report = TraceChecker(
-            cluster.coordination, processes=cluster.node_names()
-        ).check(tampered)
+        report = TraceChecker(coordination, processes=names).check(tampered)
         flagged = [v for v in report.violations if v.kind == "integrity"]
-        assert len(flagged) >= len(cluster.node_names())
+        assert len(flagged) >= len(names)
+        first = next(
+            i for i, (a, b) in enumerate(zip(events, tampered)) if a is not b
+        )
+        node = tampered[first].node
+        checker = StreamingChecker(coordination, processes=names)
+        checker.feed_many(tampered[:first + 1])
+        assert checker.replay.holds[node] is False
+        checker.feed_many(tampered[first + 1:])
+        assert sum(f"at {node})" in v.message
+                   for v in integrity(checker.finish())) > 1
 
 
 def ghost_enrollment(events):
@@ -233,47 +215,12 @@ class TestDeltaOracle:
     """The checkers step courseware's declared deltas; the reference
     steps the whole state."""
 
-    def test_resume_recomputes_the_flag_of_a_broken_node(self, courseware):
-        cluster, events = courseware
-        coordination, names = cluster.coordination, cluster.node_names()
-        tampered = dict(corruption_corpus(events))["mutated-argument"]
-        cut = next(
-            i for i, (a, b) in enumerate(zip(events, tampered)) if a is not b
-        ) + 1
-        node = tampered[cut - 1].node
-        first = StreamingChecker(coordination, processes=names)
-        first.feed_many(tampered[:cut])
-        assert first.replay.holds[node] is False
-        at_cut = first.checkpoint().to_json()
-
-        def resumed(carry_flag=False):
-            checker = StreamingChecker.resume(
-                coordination, CheckpointState.from_json(at_cut)
-            )
-            assert checker.replay.holds == first.replay.holds
-            if carry_flag:
-                checker.replay.holds[node] = True
-            checker.feed_many(tampered[cut:])
-            return checker.finish()
-
-        straight = StreamingChecker(coordination, processes=names).check(
-            tampered
-        )
-        # The broken node keeps failing the whole-state check after the
-        # cut; the resumed checker must keep reporting it.
-        assert sum(f"at {node})" in v.message
-                   for v in integrity(straight)) > 1
-        assert signature(resumed()) == signature(straight)
-        # A flag carried over the checkpoint as True steps the broken
-        # node on deltas and drops those violations.
-        assert signature(resumed(carry_flag=True)) != signature(straight)
-
     def test_a_lying_delta_fails_the_check(self, monkeypatch, courseware):
         cluster, events = courseware
         names = cluster.node_names()
         tampered = ghost_enrollment(events)
         # Honest deltas: the same verdict as the whole-state reference.
-        shared, _cut, _reduces = assert_sharing_invisible(
+        shared, _reduces = assert_sharing_invisible(
             monkeypatch, cluster.coordination, names, tampered
         )
         assert {kind for kind, _m, _c in shared["offline"][-1]} == {
@@ -353,7 +300,7 @@ class TestUnhashableState:
     def test_shared_verdict_is_reported_at_every_replica(self, monkeypatch):
         coordination = Coordination.analyze(dict_state_spec([]))
         events = list(reduce_stream(12, poison_at=5))
-        shared, _cut, _reduces = assert_sharing_invisible(
+        shared, _reduces = assert_sharing_invisible(
             monkeypatch, coordination, NODES, events
         )
         for view in ("offline", "stream"):

@@ -39,10 +39,8 @@ def _corrupt_consumed_slot(node, origin="p1"):
     """
     reader = node.transport.f_readers[origin]
     assert reader.head > 0, "no consumed records to corrupt"
-    cfg = node.config
-    index = reader.head - 1
-    offset = (index % cfg.ring_slots) * cfg.slot_size
-    pristine = bytes(reader.region.read(offset, cfg.slot_size))
+    offset = reader.offset_of(reader.head - 1)
+    pristine = bytes(reader.region.read(offset, reader.slot_size))
     corrupted = bytearray(pristine)
     corrupted[5] ^= 0xFF  # a payload byte: canary stays plausible
     reader.region.write(offset, bytes(corrupted))
@@ -70,11 +68,10 @@ class TestScrubber:
         env, cluster = _scrubbing_cluster()
         _populate(env, cluster)
         node = cluster.node("p2")
-        cfg = node.config
         reader = node.transport.f_readers["p1"]
         index = reader.head - 1
         pristine = reader.record_at(index)
-        impostor = RingWriter(cfg.ring_slots, cfg.slot_size)
+        impostor = RingWriter(reader.slots, reader.slot_size)
         impostor.tail = index
         record = impostor.build(b"not the authoritative payload")
         reader.region.write(reader.offset_of(index), record)

@@ -14,6 +14,7 @@ from repro.runtime import (
     ShardedTraceChecker,
     ShardRouter,
 )
+from repro.runtime.config import RING_SLOTS
 from repro.sim import Environment
 
 
@@ -270,12 +271,11 @@ class TestHostFootprint:
 
     def test_building_4x4_bank_keeps_registered_rings_non_resident(self):
         """A 4 x 4 cluster registers 80 rings (per node, 4 F rings and
-        1 L ring) of ring_slots * slot_size each and writes none of it
+        1 L ring) of RING_SLOTS * slot_size each and writes none of it
         while building: the resident set must not grow with what is
         registered (it grows by ~0.4 MiB)."""
         registered, grown = map(int, _child(_FOOTPRINT_CHILD))
-        config = RuntimeConfig()
-        ring = config.ring_slots * config.slot_size
+        ring = RING_SLOTS * RuntimeConfig.slot_size
         assert registered > 80 * ring  # the premise: still registered
         assert grown < 8 << 20, (
             f"building grew the resident set by {grown >> 20} MiB for "

@@ -12,7 +12,6 @@ from repro.runtime import (
     CountingProbe,
     HambandCluster,
     MetricsEmitter,
-    RuntimeConfig,
     RuntimeProbe,
 )
 from repro.runtime.probe import MAX_SECTIONS, SECTIONS
@@ -124,22 +123,15 @@ class TestStatsSurface:
         )
         assert conf > 0
 
-    def test_backpressure_stalls_and_highwater_advance(self):
+    def test_backpressure_stalls_and_highwater_advance(self, monkeypatch):
         """A burst through a tiny ring with a lazy reader must register
         stalls and a non-trivial occupancy high-water mark."""
+        monkeypatch.setattr("repro.runtime.config.POLL_INTERVAL_US", 20.0)
+        monkeypatch.setattr("repro.runtime.applier.POLL_HOT_US", 5.0)
+        monkeypatch.setattr("repro.runtime.config.RING_SLOTS", 8)
+        monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 2)
         env = Environment()
-        cluster = HambandCluster.build(
-            env,
-            gset_spec(),
-            n_nodes=3,
-            config=RuntimeConfig(
-                ring_slots=8,
-                ack_every=2,
-                poll_interval_us=20.0,
-                poll_hot_us=5.0,
-                backpressure_wait_us=1.0,
-            ),
-        )
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         for i in range(24):
             env.run(until=cluster.node("p1").submit("add", f"e{i}"))
         env.run(until=env.now + 3000)
@@ -168,12 +160,10 @@ class TestStatsSurface:
         assert sum(probe["conflict_retries"].values()) > 0
         assert cluster.effective_states()[leader] == 5
 
-    def test_ack_flushes_counted(self):
+    def test_ack_flushes_counted(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.config.ACK_EVERY", 2)
         env = Environment()
-        cluster = HambandCluster.build(
-            env, gset_spec(), n_nodes=3,
-            config=RuntimeConfig(ack_every=2),
-        )
+        cluster = HambandCluster.build(env, gset_spec(), n_nodes=3)
         for i in range(12):
             env.run(until=cluster.node("p1").submit("add", i))
         env.run(until=env.now + 2000)

@@ -1,6 +1,6 @@
 """Streaming checker: online verification must agree with the replay.
 
-Five layers of assurance:
+Four layers of assurance:
 
 1. **equivalence** — the checker core (:class:`StreamingChecker`) and
    its offline driver (:meth:`TraceChecker.check`) reach the same
@@ -9,12 +9,9 @@ Five layers of assurance:
 2. **no detection lost** — that verdict is the one the *separate*
    offline replay loop gave before it was deleted, committed as
    literals in :data:`PINNED`;
-3. **checkpoint/resume** — a checker killed mid-stream and resumed
-   from its serialized :class:`CheckpointState` produces the identical
-   verdict, and checkpoints themselves are byte-deterministic;
-4. **bounded memory** — peak retained state tracks the apply *window*,
+3. **bounded memory** — peak retained state tracks the apply *window*,
    not the trace length, on a 100k-call stream; and
-5. **gap accounting** — a hole in the sequence stream is reported as
+4. **gap accounting** — a hole in the sequence stream is reported as
    ``gap at seq N..M`` and demotes the verdict to *truncated* rather
    than attesting convergence over missing evidence.
 """
@@ -33,7 +30,6 @@ from repro.datatypes import (
     gset_spec,
 )
 from repro.runtime import (
-    CheckpointState,
     HambandCluster,
     RuntimeConfig,
     StreamingChecker,
@@ -608,8 +604,7 @@ class TestCorruptionEquivalence:
 
     def test_all_events_share_one_seq(self):
         """``seq`` orders the input and nothing else: a hand-built trace
-        with one ``seq`` throughout is checked in full, not skipped as
-        a resume replay."""
+        with one ``seq`` throughout is checked in full."""
         recorder, cluster = traced_run(gset_spec, "gset", total_ops=60)
         events = [e._replace(seq=0) for e in recorder.events()]
         offline, core = assert_pinned(
@@ -657,155 +652,6 @@ class TestCorruptionEquivalence:
             "straggler-repeats-itself": ["duplicate"],
             "straggler-in-the-opposite-order": ["order"],
         }
-
-
-class TestCheckpointResume:
-    @pytest.fixture(scope="class")
-    def gset(self):
-        return traced_run(gset_spec, "gset", total_ops=150)
-
-    def test_checkpoint_is_byte_deterministic(self, gset):
-        recorder, cluster = gset
-        events = list(recorder.events())
-        half = events[: len(events) // 2]
-        blobs = []
-        for _ in range(2):
-            checker = StreamingChecker(
-                cluster.coordination, processes=cluster.node_names()
-            )
-            checker.feed_many(half)
-            blobs.append(checker.checkpoint().to_json())
-        assert blobs[0] == blobs[1]
-
-    def test_kill_and_resume_matches_uninterrupted(self, gset):
-        recorder, cluster = gset
-        events = list(recorder.events())
-        cut = len(events) // 2
-
-        straight = StreamingChecker(
-            cluster.coordination, processes=cluster.node_names()
-        )
-        straight.feed_many(events)
-
-        first = StreamingChecker(
-            cluster.coordination, processes=cluster.node_names()
-        )
-        first.feed_many(events[:cut])
-        state = CheckpointState.from_json(first.checkpoint().to_json())
-        resumed = StreamingChecker.resume(cluster.coordination, state)
-        resumed.feed_many(events[cut:])
-
-        assert resumed.checkpoint().to_json() == straight.checkpoint().to_json()
-        a, b = resumed.finish(), straight.finish()
-        assert a.ok == b.ok
-        assert kinds(a) == kinds(b)
-        assert a.calls_checked == b.calls_checked
-
-    def test_resume_replays_already_seen_events_idempotently(self, gset):
-        recorder, cluster = gset
-        events = list(recorder.events())
-        cut = len(events) // 2
-        first = StreamingChecker(
-            cluster.coordination, processes=cluster.node_names()
-        )
-        first.feed_many(events[:cut])
-        resumed = StreamingChecker.resume(
-            cluster.coordination, first.checkpoint()
-        )
-        # a resumed tail may overlap the checkpoint: replays are skipped
-        resumed.feed_many(events[cut - 10:])
-        report = resumed.finish()
-        assert report.ok, report.summary()
-
-    def resumes_identically(self, cluster, events, cut, pin, name):
-        events = reseq(events)
-        founding = founding_roster(cluster.node_names(), events)
-        straight = StreamingChecker(cluster.coordination, founding)
-        straight.feed_many(events)
-        first = StreamingChecker(cluster.coordination, founding)
-        first.feed_many(events[:cut])
-        resumed = StreamingChecker.resume(
-            cluster.coordination,
-            CheckpointState.from_json(first.checkpoint().to_json()),
-        )
-        resumed.feed_many(events[cut:])
-        assert (resumed.checkpoint().to_json()
-                == straight.checkpoint().to_json()), name
-        assert (verdict(resumed.finish()) == verdict(straight.finish())
-                == pin), name
-
-    def test_checkpoint_mid_catch_up_resumes_identically(
-        self, join, group_join
-    ):
-        """Killed between a ``member_join`` and the end of the joiner's
-        catch-up: what the joiner owes, and how far along each sync
-        group's retired order it is, survive the checkpoint."""
-        for prefix, (cluster, events), corpus in (
-            ("join", join, join_corpus),
-            ("group-join", group_join, group_join_corpus),
-        ):
-            for name, tampered in corpus(events):
-                caught = [i for i, e in enumerate(tampered)
-                          if is_rule(e) and e.node == "p4"]
-                self.resumes_identically(
-                    cluster, tampered, caught[1] + 1,  # two applies in
-                    PINNED[f"{prefix}/{name}"], name,
-                )
-
-    def test_checkpoint_after_a_leave_resumes_identically(self, leave):
-        """Killed right after a ``member_leave``: the leaver's ledger,
-        replayed state and group positions survive the checkpoint."""
-        cluster, events, victim = leave
-        for name, tampered in leave_corpus(events, victim):
-            left = first_index(
-                tampered,
-                lambda e: e.kind == "member" and e.name == "member_leave",
-            )
-            self.resumes_identically(
-                cluster, tampered, left + 1, PINNED[f"leave/{name}"], name
-            )
-
-    def test_resume_rejects_another_checkpoint_version(self, gset):
-        recorder, cluster = gset
-        checker = StreamingChecker(
-            cluster.coordination, processes=cluster.node_names()
-        )
-        checker.feed_many(list(recorder.events())[:20])
-        state = checker.checkpoint()
-        state.version = 1  # what the two-loop checker wrote
-        with pytest.raises(ValueError, match="checkpoint version 1"):
-            StreamingChecker.resume(
-                cluster.coordination,
-                CheckpointState.from_json(state.to_json()),
-            )
-
-    def test_resume_rejects_checkpoints_of_the_retired_codec(self, gset):
-        """Version 2 checkpoints carry σ in the retired self-describing
-        wire format; resume refuses them by version."""
-        recorder, cluster = gset
-        checker = StreamingChecker(
-            cluster.coordination, processes=cluster.node_names()
-        )
-        checker.feed_many(list(recorder.events())[:20])
-        state = checker.checkpoint()
-        assert state.version == 3
-        state.version = 2
-        with pytest.raises(ValueError, match="checkpoint version 2"):
-            StreamingChecker.resume(
-                cluster.coordination,
-                CheckpointState.from_json(state.to_json()),
-            )
-
-    def test_resume_rejects_wrong_spec(self, gset):
-        recorder, cluster = gset
-        checker = StreamingChecker(
-            cluster.coordination, processes=cluster.node_names()
-        )
-        checker.feed_many(list(recorder.events())[:20])
-        state = checker.checkpoint()
-        other = Coordination.analyze(counter_spec())
-        with pytest.raises(ValueError, match="spec"):
-            StreamingChecker.resume(other, state)
 
 
 def synthetic_counter_stream(n_calls, window, nodes=("n0", "n1", "n2")):
@@ -945,6 +791,65 @@ class TestBoundedMemory:
             assert [(v.kind, set(v.calls)) for v in report.violations] == [
                 ("order", {order[swap], order[swap + 1]})
             ], report.summary()
+
+
+class TestMembershipLedgers:
+    """A joiner's debt and a leaver's ledger are snapshots of the
+    retired intervals at that event, not views of them."""
+
+    nodes = ["n0", "n1", "n2"]
+
+    def checker(self):
+        return StreamingChecker(
+            Coordination.analyze(counter_spec()), processes=list(self.nodes)
+        )
+
+    @staticmethod
+    def feeder(checker):
+        seq = 0
+
+        def feed(node, name, origin, rid, kind="rule"):
+            nonlocal seq
+            method = "add" if kind == "rule" else ""
+            checker.feed(TraceEvent(seq, float(seq), node, kind, name,
+                                    method, origin, rid, arg=1))
+            seq += 1
+
+        return feed
+
+    def test_a_leavers_ledger_does_not_retire_a_call_in_flight(self):
+        checker = self.checker()
+        feed = self.feeder(checker)
+        for node in self.nodes:  # (n0, 1) retires everywhere
+            feed(node, "FREE" if node == "n0" else "FREE_APP", "n0", 1)
+        feed("n0", "FREE", "n0", 2)
+        feed("n2", "FREE_APP", "n0", 2)
+        feed("n0", "member_leave", "n2", 0, kind="member")
+        # n2 applied (n0, 2) before it left: its ledger holds it, but
+        # the call is still owed to n1.
+        assert 2 in checker._departed["n2"]["n0"]
+        assert 2 not in checker.retired["n0"]
+        assert ("n0", 2) in checker.inflight
+        feed("n1", "FREE_APP", "n0", 2)
+        assert 2 in checker.retired["n0"]
+        report = checker.finish()
+        assert report.ok, report.summary()
+
+    def test_a_joiners_debt_is_fixed_at_its_join(self):
+        checker = self.checker()
+        feed = self.feeder(checker)
+        for node in self.nodes:
+            feed(node, "FREE" if node == "n0" else "FREE_APP", "n0", 1)
+        feed("n0", "member_join", "n3", 0, kind="member")
+        for node in [*self.nodes, "n3"]:  # retires after the join
+            feed(node, "FREE" if node == "n0" else "FREE_APP", "n0", 2)
+        assert 2 in checker.retired["n0"]
+        owed = checker._joiners["n3"]["n0"]
+        assert owed.rids.spans == [[1, 1]]
+        feed("n3", "FREE_APP", "n0", 1)  # the catch-up
+        report = checker.finish()
+        assert report.ok, report.summary()
+        assert report.nodes == self.nodes + ["n3"]
 
 
 class TestGapAccounting:

@@ -324,8 +324,7 @@ PARSER_CONTRACT = {
         "--faults": (None, None, None),
         "--horizon": (1000.0, None, "float"),
         "--save-plan": (None, None, None),
-        "--scrub": (False, None, "flag"),
-        "--scrub-interval-us": (50.0, None, "float"),
+        "--scrub": (0.0, None, "float"),
         **_OBSERVE,
     },
 }
@@ -365,8 +364,10 @@ class TestScrubFlags:
     scrubs."""
 
     @pytest.mark.parametrize("argv,interval", [
-        (["chaos", "gset", "--scrub", "--scrub-interval-us", "30"], 30.0),
-        (["chaos", "gset", "--scrub-interval-us", "30"], 0.0),
+        (["chaos", "gset", "--scrub"], 50.0),
+        (["chaos", "gset", "--scrub", "30"], 30.0),
+        (["chaos", "gset", "--scrub", "--check"], 50.0),
+        (["chaos", "gset"], 0.0),
         (["run", "gset"], 0.0),
         (["serve", "gset"], 0.0),
     ])

@@ -18,11 +18,11 @@ from repro.runtime import (
     HambandCluster,
     ImpermissibleError,
     NotLeaderError,
-    RuntimeConfig,
     ShardedCluster,
     SubmitError,
     TxnCoordinator,
 )
+from repro.runtime.applier import QUERY_CPU_US
 from repro.sim import Environment, Event, Process
 from repro.workload import (
     DriverConfig,
@@ -207,7 +207,7 @@ class TestQueryPath:
 
     def test_query_behind_a_busy_cpu_waits_fifo(self, gset_cluster):
         env, _cluster, node = gset_cluster
-        cost = RuntimeConfig().query_cpu_us
+        cost = QUERY_CPU_US
         blocker = node.rnode.cpu.hold(5.0)
         first = node.submit("size")
         second = node.submit("elements")
